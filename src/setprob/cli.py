@@ -17,7 +17,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from .bootstrap import TierConfig, TieredProb, coherence_check, \
     non_restriction_counterexample
@@ -75,7 +74,6 @@ from .universe import (
     image_class,
     make_universe,
     nat,
-    ord_value,
     parse_code,
     power_class,
     translate_class,
@@ -85,31 +83,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_VALIDATION = 2
 EXIT_INTERNAL = 3
-
-
-def _sliced_residue_class(name: str, modulus: int, span: int, tier_index: int,
-                          subset_tags: tuple[str, ...]) -> ClassSpec:
-    """Residue-class ordinals restricted to omega-blocks 0..span.
-
-    The block span widens along the chain, so each class's successor
-    owns a whole fresh block of states far from its predecessor.
-    """
-    def member(v, modulus=modulus, span=span):
-        if not v.is_ordinal:
-            return False
-        a, b = v.ord_parts
-        return a <= span and b % modulus == 0
-
-    def stream(modulus=modulus, span=span):
-        b = 0
-        while True:
-            for a in range(span + 1):
-                yield ord_value(a, b)
-            b += modulus
-
-    return class_from_predicate(name, member, stream,
-                                tier=CardinalityTier.infinite(tier_index),
-                                subset_tags=subset_tags)
 
 
 def registry_classes(universe: UniverseHandle) -> dict[str, ClassSpec]:
@@ -123,12 +96,14 @@ def registry_classes(universe: UniverseHandle) -> dict[str, ClassSpec]:
     if universe.mode == ORDINAL_MODE:
         for name in ("On", "Even", "Odd", "Lim", "Nat"):
             classes[name] = universe.builtin_class(name)
-        classes["mult4_t0"] = _sliced_residue_class(
-            "mult4_t0", 4, 0, 0, ("even_t1", "ord_t2", "Nat", "Even", "On", "V"))
-        classes["even_t1"] = _sliced_residue_class(
-            "even_t1", 2, 1, 1, ("ord_t2", "Even", "On", "V"))
-        classes["ord_t2"] = _sliced_residue_class(
-            "ord_t2", 1, 2, 2, ("On", "V"))
+        classes["mult4_t0"] = universe.residue_class(
+            "mult4_t0", 4, 0, 0, CardinalityTier.infinite(0),
+            ("even_t1", "ord_t2", "Nat", "Even", "On", "V"))
+        classes["even_t1"] = universe.residue_class(
+            "even_t1", 2, 0, 1, CardinalityTier.infinite(1),
+            ("ord_t2", "Even", "On", "V"))
+        classes["ord_t2"] = universe.residue_class(
+            "ord_t2", 1, 0, 2, CardinalityTier.infinite(2), ("On", "V"))
         classes["Nat_shift1"] = translate_class(
             classes["Nat"], nat(1), name="Nat_shift1",
             subset_tags=("Nat", "On", "V"))

@@ -237,9 +237,6 @@ class FilterBase:
                 merged.append(c)
         return replace(self, constraints=tuple(merged))
 
-    def has(self, c: Constraint) -> bool:
-        return c in self.constraints
-
     def fineness_pins(self) -> list[SetValue]:
         return [c.x for c in self.constraints if c.tag == TAG_FINENESS]
 
@@ -278,11 +275,17 @@ class FilterBase:
                 best = c
         return best
 
-    def window_states(self) -> list[SetValue] | None:
-        return list(self.window) if self.window is not None else None
 
-    def serialize(self) -> str:
-        return filter_base_to_text(self)
+def state_pool(universe: UniverseHandle | None,
+               window: Iterable[SetValue] | None,
+               limit: int | None = None) -> Iterator[SetValue]:
+    """Candidate states: the whole window if there is one, otherwise the
+    universe enumeration cut to `limit` states, otherwise nothing."""
+    if window is not None:
+        return iter(window)
+    if universe is None:
+        return iter(())
+    return itertools.islice(universe.enumerate_universe(), limit)
 
 
 def fineness_base(universe: UniverseHandle,
@@ -473,14 +476,8 @@ def expand_base(fb: FilterBase, budget: FipBudget | None = None) -> list[Constra
                 out.append(c)
             continue
         if c.family == TAG_FINENESS:
-            if fb.window is not None:
-                states = list(fb.window)[: budget.fineness_samples]
-            elif fb.universe is not None:
-                states = list(itertools.islice(
-                    fb.universe.enumerate_universe(), budget.fineness_samples))
-            else:
-                states = []
-            for x in states:
+            for x in itertools.islice(state_pool(fb.universe, fb.window),
+                                      budget.fineness_samples):
                 inst = fineness(x)
                 if inst not in out:
                     out.append(inst)
@@ -841,13 +838,7 @@ def _decorate(states: set[SetValue], cs: Sequence[Constraint], mode: str | None,
               universe: UniverseHandle | None, window_vals: list[SetValue] | None,
               max_size: int | None, rng: random.Random, count: int) -> None:
     """Try adding random extra states while keeping every constraint."""
-    if window_vals is not None:
-        pool = [v for v in window_vals if v not in states]
-    elif universe is not None:
-        pool = [v for v in itertools.islice(universe.enumerate_universe(), 120)
-                if v not in states]
-    else:
-        pool = []
+    pool = [v for v in state_pool(universe, window_vals, 120) if v not in states]
     rng.shuffle(pool)
     added = 0
     for cand in pool:
@@ -896,14 +887,7 @@ def generate_witnesses(
                 + "; ".join(c.describe() for c in constraints))
         mode = universe.mode if universe is not None else None
         states = set(base)
-        pool: Iterator[SetValue]
-        if window is not None:
-            pool = iter([v for v in window if v not in states])
-        elif universe is not None:
-            pool = (v for v in universe.enumerate_universe() if v not in states)
-        else:
-            pool = iter(())
-        for cand in pool:
+        for cand in (v for v in state_pool(universe, window) if v not in states):
             if len(out) >= count:
                 break
             states.add(cand)

@@ -39,6 +39,7 @@ from .filters import (
     fineness,
     find_witness,
     generate_witnesses,
+    state_pool,
 )
 from .snapshots import (
     Snapshot,
@@ -328,17 +329,19 @@ def _completion_pin(fb: FilterBase, cls: ClassSpec, scan: int = 64) -> Constrain
         if c.tag == TAG_FINENESS and cls.membership(c.x):
             return c
     if fb.has_parametric(TAG_FINENESS) is not None:
-        pool: Iterable[SetValue]
-        if fb.window is not None:
-            pool = fb.window
-        elif fb.universe is not None:
-            pool = itertools.islice(fb.universe.enumerate_universe(), scan)
-        else:
-            pool = ()
-        for x in pool:
+        for x in state_pool(fb.universe, fb.window, scan):
             if cls.membership(x):
                 return fineness(x)
     return None
+
+
+def _undercut(family: Constraint | None, target: Fraction | None
+              ) -> tuple[Constraint, Fraction] | None:
+    """The family's instance at the least k with 1/k <= target."""
+    if family is None or target is None or target <= 0:
+        return None
+    k = -(-target.denominator // target.numerator)  # ceil(1/target)
+    return expand_parametric(family, k), Fraction(1, k)
 
 
 def _ratio_bound(fb: FilterBase, cls_a: ClassSpec, cls_b: ClassSpec,
@@ -351,13 +354,7 @@ def _ratio_bound(fb: FilterBase, cls_a: ClassSpec, cls_b: ClassSpec,
     best = fb.find_ratio(cls_a, cls_b)
     if best is not None:
         return best, Fraction(1, best.param)
-    fam = fb.has_parametric(TAG_RATIO, cls_a, cls_b)
-    if fam is not None and target is not None and target > 0:
-        k = max(1, -(-target.denominator // target.numerator))  # ceil(1/target)
-        if Fraction(1, k) > target:
-            k += 1
-        return expand_parametric(fam, k), Fraction(1, k)
-    return None
+    return _undercut(fb.has_parametric(TAG_RATIO, cls_a, cls_b), target)
 
 
 def _param_bound(fb: FilterBase, tag: str, target: Fraction | None
@@ -366,13 +363,7 @@ def _param_bound(fb: FilterBase, tag: str, target: Fraction | None
     best = fb.find_param(tag)
     if best is not None:
         return best, Fraction(1, best.param)
-    fam = fb.has_parametric(tag)
-    if fam is not None and target is not None and target > 0:
-        k = max(1, -(-target.denominator // target.numerator))
-        if Fraction(1, k) > target:
-            k += 1
-        return expand_parametric(fam, k), Fraction(1, k)
-    return None
+    return _undercut(fb.has_parametric(tag), target)
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +500,7 @@ def _strict_pin(fb: FilterBase, rv: RandomVariable, small: ClassSpec,
                 return c, c.x
     if fb.has_parametric(TAG_FINENESS) is None:
         return None, None
-    pool: Iterable[SetValue]
-    if fb.window is not None:
-        pool = fb.window
-    elif fb.universe is not None:
-        pool = itertools.islice(fb.universe.enumerate_universe(), scan)
-    else:
-        pool = ()
-    for x in pool:
+    for x in state_pool(fb.universe, fb.window, scan):
         y = rv(x)
         if big.membership(y) and not small.membership(y):
             return fineness(x), x
@@ -836,15 +820,8 @@ def _dilution_pins(fb: FilterBase, rv: RandomVariable, cls: ClassSpec,
     if size == 0:
         return []
     need = k * size
-    pool: Iterable[SetValue]
-    if fb.window is not None:
-        pool = fb.window
-    elif fb.universe is not None:
-        pool = itertools.islice(fb.universe.enumerate_universe(), scan)
-    else:
-        return None
     pins: list[Constraint] = []
-    for x in pool:
+    for x in state_pool(fb.universe, fb.window, scan):
         if not cls.membership(rv(x)):
             pins.append(fineness(x))
             if len(pins) == need:

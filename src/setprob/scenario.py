@@ -2,8 +2,9 @@
 
 A scenario is a JSON document naming a universe, optional tier
 thresholds, class and variable definitions, a filter-base recipe, and a
-query list.  Validation happens against `SCENARIO_SCHEMA` before
-anything executes; unknown fields are rejected so that typos fail loud.
+query list.  Validation happens against `SCENARIO_SCHEMA`, loaded from
+the package's `scenario.schema.json`, before anything executes; unknown
+fields are rejected so that typos fail loud.
 
 Reports render every rational as an exact "p/q" string and are
 deterministic for a fixed scenario and seed, except for the timing
@@ -18,6 +19,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Any
 
 import jsonschema
@@ -59,7 +61,6 @@ from .universe import (
     RandomVariable,
     SetValue,
     UniverseHandle,
-    class_from_predicate,
     class_from_values,
     even_shift_permutation,
     finite_subsets_class,
@@ -72,242 +73,8 @@ from .universe import (
     translate_class,
 )
 
-_TIER_SPEC = {
-    "oneOf": [
-        {"type": "object", "properties": {"finite": {"type": "integer", "minimum": 0}},
-         "required": ["finite"], "additionalProperties": False},
-        {"type": "object", "properties": {"infinite": {"type": "integer", "minimum": 0}},
-         "required": ["infinite"], "additionalProperties": False},
-        {"const": "proper"},
-    ]
-}
-
-SCENARIO_SCHEMA: dict = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["universe"],
-    "additionalProperties": False,
-    "properties": {
-        "universe": {
-            "type": "object",
-            "required": ["mode", "bound"],
-            "additionalProperties": False,
-            "properties": {
-                "mode": {"enum": ["hf", "ordinal"]},
-                "bound": {"type": "integer", "minimum": 1},
-            },
-        },
-        "seed": {"type": "integer"},
-        "tiers": {"type": "array", "items": {"type": "integer", "minimum": 2},
-                  "minItems": 1},
-        "classes": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "kind"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string"},
-                    "kind": {"enum": ["values", "residue", "translate", "image",
-                                      "power", "finite_subsets", "builtin"]},
-                    "values": {"type": "array", "items": {"type": "string"}},
-                    "modulus": {"type": "integer", "minimum": 1},
-                    "residue": {"type": "integer", "minimum": 0},
-                    "nat_only": {"type": "boolean"},
-                    "span": {"type": "integer", "minimum": 0},
-                    "base": {"type": "string"},
-                    "shift": {"type": "string"},
-                    "rv": {"type": "string"},
-                    "builtin": {"type": "string"},
-                    "level": {"type": "integer", "minimum": 0},
-                    "subset_tags": {"type": "array", "items": {"type": "string"}},
-                    "tier": _TIER_SPEC,
-                },
-            },
-        },
-        "variables": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "kind"],
-                "additionalProperties": False,
-                "properties": {
-                    "name": {"type": "string"},
-                    "kind": {"enum": ["identity", "even_shift", "table"]},
-                    "mapping": {"type": "object",
-                                "additionalProperties": {"type": "string"}},
-                },
-            },
-        },
-        "base": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "builder": {"enum": ["fineness", "ordinal_theorem", "empty"]},
-                "window": {"type": "array", "items": {"type": "string"}},
-                "max_size": {"type": "integer", "minimum": 1},
-                "pairs": {"type": "array",
-                          "items": {"type": "array", "items": {"type": "string"},
-                                    "minItems": 2, "maxItems": 2}},
-                "constraints": {"type": "array", "items": {"type": "string"}},
-            },
-        },
-        "queries": {"type": "array", "items": {"$ref": "#/$defs/query"}},
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "format": {"enum": ["json", "csv"]},
-                "decimals": {"type": "boolean"},
-            },
-        },
-    },
-    "$defs": {
-        "germ": {
-            "type": "object",
-            "minProperties": 1,
-            "maxProperties": 1,
-            "properties": {
-                "const": {"type": "string"},
-                "event": {
-                    "type": "object",
-                    "required": ["class"],
-                    "additionalProperties": False,
-                    "properties": {"rv": {"type": "string"},
-                                   "class": {"type": "string"}},
-                },
-                "joint": {
-                    "type": "object",
-                    "required": ["class", "class2"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "rv": {"type": "string"}, "class": {"type": "string"},
-                        "rv2": {"type": "string"}, "class2": {"type": "string"},
-                    },
-                },
-                "cond": {
-                    "type": "object",
-                    "required": ["class", "given"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "rv": {"type": "string"}, "class": {"type": "string"},
-                        "rv2": {"type": "string"}, "given": {"type": "string"},
-                    },
-                },
-                "op": {
-                    "type": "object",
-                    "required": ["op", "left", "right"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "op": {"enum": ["+", "-", "*", "/"]},
-                        "left": {"$ref": "#/$defs/germ"},
-                        "right": {"$ref": "#/$defs/germ"},
-                    },
-                },
-                "sum": {"type": "array", "items": {"$ref": "#/$defs/germ"}},
-            },
-        },
-        "query": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "required": ["kind", "class", "snapshot"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"const": "event"}, "rv": {"type": "string"},
-                        "class": {"type": "string"},
-                        "snapshot": {"type": "array", "items": {"type": "string"}},
-                        "expect": {"type": "string"},
-                    },
-                },
-                {
-                    "type": "object",
-                    "required": ["kind", "class", "class2", "snapshot"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"const": "joint"}, "rv": {"type": "string"},
-                        "class": {"type": "string"}, "rv2": {"type": "string"},
-                        "class2": {"type": "string"},
-                        "snapshot": {"type": "array", "items": {"type": "string"}},
-                        "expect": {"type": "string"},
-                    },
-                },
-                {
-                    "type": "object",
-                    "required": ["kind", "class", "given", "snapshot"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"const": "conditional"}, "rv": {"type": "string"},
-                        "class": {"type": "string"}, "rv2": {"type": "string"},
-                        "given": {"type": "string"},
-                        "snapshot": {"type": "array", "items": {"type": "string"}},
-                        "expect": {"type": "string"},
-                    },
-                },
-                {
-                    "type": "object",
-                    "required": ["kind", "lhs", "rel", "rhs"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"const": "compare"},
-                        "lhs": {"$ref": "#/$defs/germ"},
-                        "rel": {"enum": ["eq", "ne", "le", "lt", "ge", "gt",
-                                         "abs_le"]},
-                        "rhs": {"$ref": "#/$defs/germ"},
-                        "expect_status": {"enum": ["forced", "forced_not",
-                                                   "undetermined"]},
-                    },
-                },
-                {
-                    "type": "object",
-                    "required": ["kind", "germ"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"const": "classify"},
-                        "germ": {"$ref": "#/$defs/germ"},
-                        "expect_status": {"enum": ["approx_zero", "not_approx_zero",
-                                                   "undetermined"]},
-                    },
-                },
-                {
-                    "type": "object",
-                    "required": ["kind", "builder"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"const": "witness"},
-                        "builder": {"enum": ["superreg", "ordinal"]},
-                        "pins": {"type": "array", "items": {"type": "string"}},
-                        "pairs": {"type": "array", "items": {"type": "array"}},
-                        "k": {"type": "integer", "minimum": 1},
-                        "l": {"type": "integer", "minimum": 1},
-                        "m": {"type": "integer", "minimum": 1},
-                    },
-                },
-                {
-                    "type": "object",
-                    "required": ["kind", "class", "snapshot", "probe"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"const": "coherence"}, "rv": {"type": "string"},
-                        "class": {"type": "string"},
-                        "snapshot": {"type": "array", "items": {"type": "string"}},
-                        "probe": {"type": "array", "items": {"type": "string"}},
-                    },
-                },
-                {
-                    "type": "object",
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"const": "fip"},
-                        "expect_status": {"enum": ["witnessed", "refuted",
-                                                   "unknown"]},
-                    },
-                },
-            ]
-        },
-    },
-}
+SCENARIO_SCHEMA: dict = json.loads(
+    Path(__file__).with_name("scenario.schema.json").read_text(encoding="utf-8"))
 
 
 def rational_str(q: Fraction) -> str:
@@ -363,43 +130,13 @@ def _build_class(ctx: ScenarioContext, spec: dict) -> ClassSpec:
         vals = [parse_code(c) for c in spec.get("values", [])]
         return class_from_values(name, vals, tier=tier, subset_tags=tags)
     if kind == "residue":
-        m = spec["modulus"]
-        r = spec.get("residue", 0) % m
         # Residue classes live in omega-block 0 by default; a span of s
-        # widens them to blocks 0..s, and nat_only=False sweeps blocks.
-        if "span" in spec:
-            span = spec["span"]
-        elif spec.get("nat_only", True):
-            span = 0
-        else:
-            span = None
-
-        def member(v: SetValue, m=m, r=r, span=span) -> bool:
-            if not v.is_ordinal:
-                return False
-            a, b = v.ord_parts
-            if span is not None and a > span:
-                return False
-            return b % m == r
-
-        def stream(m=m, r=r, span=span):
-            from .universe import ord_value
-            if span is not None:
-                b = r
-                while True:
-                    for a in range(span + 1):
-                        yield ord_value(a, b)
-                    b += m
-            else:
-                s = 0
-                while True:
-                    for a in range(s + 1):
-                        yield ord_value(a, r + (s - a) * m)
-                    s += 1
-
-        return class_from_predicate(
-            name, member, stream,
-            tier=tier or CardinalityTier.infinite(0), subset_tags=tags)
+        # widens them to blocks 0..s, and nat_only=False to every block.
+        default_span = 0 if spec.get("nat_only", True) else ctx.universe.bound - 1
+        return ctx.universe.residue_class(
+            name, spec["modulus"], spec.get("residue", 0),
+            spec.get("span", default_span),
+            tier or CardinalityTier.infinite(0), tags)
     if kind == "translate":
         shift = parse_code(spec["shift"])
         return translate_class(ctx.cls(spec["base"]), shift, name=name,

@@ -47,9 +47,6 @@ class Snapshot:
     def __eq__(self, other):
         return isinstance(other, Snapshot) and self._codes == other._codes
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash(self._codes)
 

@@ -51,9 +51,6 @@ class SetValue:
     def __eq__(self, other):
         return isinstance(other, SetValue) and self.code == other.code
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash(self.code)
 
@@ -423,9 +420,6 @@ class ClassSpec:
     def __eq__(self, other):
         return isinstance(other, ClassSpec) and self.name == other.name
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash(self.name)
 
@@ -589,11 +583,6 @@ def power_class(base: ClassSpec, name: str | None = None) -> ClassSpec:
     )
 
 
-def power_class_of_set(sv: SetValue) -> ClassSpec:
-    """Subsets of one extensional set, as a class."""
-    return power_class(class_of_set(sv), name=f"P{sv.code}")
-
-
 def finite_subsets_class(base: ClassSpec, name: str | None = None) -> ClassSpec:
     """The class of finite subsets of `base`.
 
@@ -643,9 +632,6 @@ class RandomVariable:
 
     def __eq__(self, other):
         return isinstance(other, RandomVariable) and self.name == other.name
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash(self.name)
@@ -944,6 +930,34 @@ class UniverseHandle:
                 n += 1
 
         return stream
+
+    def residue_class(self, name: str, modulus: int, residue: int, span: int,
+                      tier: CardinalityTier,
+                      subset_tags: Iterable[str] = ()) -> ClassSpec:
+        """Ordinals w*a+b with a <= span and b = residue (mod modulus).
+
+        Blocks at or above the bound lie outside the universe, so the
+        span is capped at bound - 1.  The stream is block-major: for each
+        admissible b it yields the blocks 0..span before moving to the
+        next b.
+        """
+        span = min(span, self.bound - 1)
+        r = residue % modulus
+
+        def member(v: SetValue) -> bool:
+            if not v.is_ordinal:
+                return False
+            a, b = v.ord_parts
+            return a <= span and b % modulus == r
+
+        def stream() -> Iterator[SetValue]:
+            b = r
+            while True:
+                for a in range(span + 1):
+                    yield ord_value(a, b)
+                b += modulus
+
+        return ClassSpec(name, member, stream, tier, subset_tags)
 
     def builtin_class(self, name: str, **kw) -> ClassSpec:
         """Builtins: V, On, Even, Odd, Lim, Nat, RankLevel(k), plus the

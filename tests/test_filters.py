@@ -49,6 +49,7 @@ from setprob import (
 )
 from setprob.cli import registry_classes
 from setprob.errors import ConstructionFailed, WrongMode
+from setprob.filters import state_pool
 
 U = make_universe(ORDINAL_MODE, 3)
 HF = make_universe(HF_MODE, 5)
@@ -136,6 +137,16 @@ def test_expand_parametric_families():
         expand_parametric(parametric_fineness(), 2)
     with pytest.raises(ValueError):
         expand_parametric(weight(2), 2)
+
+
+def test_state_pool_window_wins_and_limit_cuts_the_universe():
+    window = [nat(7), pad(2)]
+    assert list(state_pool(U, window, limit=1)) == window
+    assert list(state_pool(None, window)) == window
+    assert list(state_pool(U, [])) == []
+    assert list(state_pool(U, None, limit=5)) == \
+        list(islice(U.enumerate_universe(), 5))
+    assert list(state_pool(None, None, limit=5)) == []
 
 
 # ---------------------------------------------------------------------------

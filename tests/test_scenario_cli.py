@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,6 @@ import pytest
 from setprob import cli
 from setprob.errors import ScenarioParseError, ScenarioValidationError
 from setprob.scenario import (
-    SCENARIO_SCHEMA,
     build_context,
     canonical_report_text,
     rational_str,
@@ -25,8 +25,7 @@ from setprob import constraint_from_text, constraint_membership, parse_code, sna
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "examples" / \
     "ordinal_theorem.json"
-SCHEMA_DOC = Path(__file__).resolve().parent.parent / "docs" / \
-    "scenario.schema.json"
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 MINIMAL = {"universe": {"mode": "ordinal", "bound": 2}}
 
@@ -35,8 +34,11 @@ MINIMAL = {"universe": {"mode": "ordinal", "bound": 2}}
 # Validation
 
 
-def test_shipped_schema_matches_embedded():
-    assert json.loads(SCHEMA_DOC.read_text()) == SCENARIO_SCHEMA
+def test_schema_ships_as_package_data():
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    config = tomllib.loads(PYPROJECT.read_text())
+    package_data = config["tool"]["setuptools"]["package-data"]["setprob"]
+    assert "scenario.schema.json" in package_data
 
 
 def test_minimal_scenario_validates():
@@ -60,6 +62,29 @@ def test_unknown_query_field_rejected():
 def test_missing_universe_rejected():
     with pytest.raises(ScenarioValidationError):
         validate_scenario({"seed": 3})
+
+
+def test_output_decimals_rejected(tmp_path, capsys):
+    doc = {**MINIMAL, "output": {"format": "json", "decimals": True}}
+    with pytest.raises(ScenarioValidationError):
+        validate_scenario(doc)
+    path = tmp_path / "decimals.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra", [{"nat_only": False}, {"span": 5}])
+def test_residue_class_stays_inside_universe(extra):
+    # An ordinal universe of bound 2 holds the blocks 0 and 1 only.
+    ctx = build_context({
+        **MINIMAL,
+        "classes": [{"name": "R", "kind": "residue", "modulus": 2, **extra}]})
+    members = list(islice(ctx.cls("R").enumerate(), 50))
+    assert len(members) == 50
+    assert all(v.ord_parts[0] < 2 for v in members)
+    assert {v.ord_parts[0] for v in members} == {0, 1}
+    assert not ctx.cls("R").membership(parse_code("o2.0"))
 
 
 def test_empty_query_list_runs_clean():
