@@ -4,7 +4,9 @@ A scenario is a JSON document naming a universe, optional tier
 thresholds, class and variable definitions, a filter-base recipe, and a
 query list.  Validation happens against `SCENARIO_SCHEMA`, loaded from
 the package's `scenario.schema.json`, before anything executes; unknown
-fields are rejected so that typos fail loud.
+fields are rejected so that typos fail loud.  `jsonschema` is imported on
+the first scenario validation, and the schema is checked against its
+metaschema once per process.
 
 Reports render every rational as an exact "p/q" string and are
 deterministic for a fixed scenario and seed, except for the timing
@@ -14,6 +16,7 @@ determinism tests compare.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
@@ -21,8 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any
-
-import jsonschema
 
 from .bootstrap import TierConfig, coherence_check
 from .errors import (
@@ -340,19 +341,36 @@ def load_scenario(path: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ScenarioParseError(f"cannot read scenario: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioParseError(f"scenario is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"scenario is not valid JSON: {exc}") from exc
     validate_scenario(data)
     return data
 
 
+@functools.cache
+def _validator():
+    """The schema's validator, built after checking the schema once."""
+    from jsonschema.validators import validator_for
+
+    cls = validator_for(SCENARIO_SCHEMA)
+    cls.check_schema(SCENARIO_SCHEMA)
+    return cls(SCENARIO_SCHEMA)
+
+
 def validate_scenario(data: dict) -> None:
-    try:
-        jsonschema.validate(data, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    """Raise `ScenarioValidationError` unless `data` matches the schema.
+
+    The error reported is the one `jsonschema.validate` would raise.
+    """
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator().iter_errors(data))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "(root)"
         raise ScenarioValidationError(
-            f"scenario rejected at {'/'.join(str(p) for p in exc.absolute_path)}: "
-            f"{exc.message}") from exc
+            f"scenario rejected at {where}: {error.message}") from error
 
 
 def build_context(data: dict) -> ScenarioContext:

@@ -1,6 +1,8 @@
 """Scenario files, report formats, command-line entry points."""
 
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from setprob import cli
+from setprob import cli, scenario
 from setprob.errors import ScenarioParseError, ScenarioValidationError
 from setprob.scenario import (
     build_context,
@@ -20,6 +22,7 @@ from setprob.scenario import (
     report_json,
     run_scenario,
     run_scenario_data,
+    SCENARIO_SCHEMA,
     validate_scenario,
 )
 from setprob import constraint_from_text, constraint_membership, parse_code, snapshot
@@ -27,6 +30,7 @@ from setprob import constraint_from_text, constraint_membership, parse_code, sna
 EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "examples" / \
     "ordinal_theorem.json"
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 MINIMAL = {"universe": {"mode": "ordinal", "bound": 2}}
 
@@ -73,6 +77,75 @@ def test_output_decimals_rejected(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
     capsys.readouterr()
+
+
+REJECTED = {
+    "unknown top-level field": {**MINIMAL, "surprise": 1},
+    "unknown query field": {**MINIMAL, "queries": [
+        {"kind": "classify", "germ": {"event": {"class": "On"}},
+         "bonus": True}]},
+    "missing universe": {"seed": 3},
+    "output.decimals": {**MINIMAL,
+                        "output": {"format": "json", "decimals": True}},
+    "bound 0": {"universe": {"mode": "ordinal", "bound": 0}},
+    "bad mode": {"universe": {"mode": "cardinal", "bound": 2}},
+    "unknown query kind": {**MINIMAL, "queries": [{"kind": "nope"}]},
+    "non-object top level": [],
+}
+ACCEPTED = {
+    "minimal": MINIMAL,
+    "ordinal theorem example": json.loads(EXAMPLE.read_text()),
+}
+
+
+@pytest.mark.parametrize("doc", [*REJECTED.values(), *ACCEPTED.values()],
+                         ids=[*REJECTED, *ACCEPTED])
+def test_validation_matches_jsonschema_validate(doc):
+    import jsonschema
+
+    try:
+        jsonschema.validate(doc, SCENARIO_SCHEMA)
+    except jsonschema.ValidationError as expected:
+        with pytest.raises(ScenarioValidationError) as raised:
+            validate_scenario(doc)
+        cause = raised.value.__cause__
+        assert list(cause.absolute_path) == list(expected.absolute_path)
+        assert cause.message == expected.message
+    else:
+        validate_scenario(doc)
+
+
+@pytest.mark.parametrize("name, where", [
+    ("missing universe", "(root)"),
+    ("non-object top level", "(root)"),
+    ("bound 0", "universe/bound"),
+])
+def test_rejection_names_its_path(name, where):
+    with pytest.raises(ScenarioValidationError,
+                       match=f"^scenario rejected at {re.escape(where)}: "):
+        validate_scenario(REJECTED[name])
+
+
+def test_shipped_schema_passes_its_metaschema():
+    from jsonschema.validators import validator_for
+
+    validator_for(SCENARIO_SCHEMA).check_schema(SCENARIO_SCHEMA)
+
+
+def test_validator_is_built_once():
+    assert scenario._validator() is scenario._validator()
+
+
+def test_jsonschema_imported_on_first_validation():
+    probe = (
+        "import sys, setprob, setprob.cli\n"
+        "assert 'jsonschema' not in sys.modules\n"
+        f"setprob.validate_scenario({MINIMAL!r})\n"
+        "assert 'jsonschema' in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("extra", [{"nat_only": False}, {"span": 5}])
@@ -189,6 +262,13 @@ def test_cli_validation_error_exit_two(tmp_path, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
     assert cli.main(["run", str(broken)]) == cli.EXIT_VALIDATION
+
+
+def test_cli_non_utf8_scenario_exit_two(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    assert cli.main(["run", str(bad)]) == cli.EXIT_VALIDATION
+    assert "scenario is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_cli_engine_error_exit_one(capsys):
