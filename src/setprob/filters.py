@@ -280,7 +280,11 @@ def state_pool(universe: UniverseHandle | None,
                window: Iterable[SetValue] | None,
                limit: int | None = None) -> Iterator[SetValue]:
     """Candidate states: the whole window if there is one, otherwise the
-    universe enumeration cut to `limit` states, otherwise nothing."""
+    universe enumeration cut to `limit` states, otherwise nothing.
+
+    A pool of at most PREFIX_MEMO_CAP universe states is a lazy slice of
+    the handle's memo, so repeated pools reuse the values built the first
+    time instead of rebuilding them."""
     if window is not None:
         return iter(window)
     if universe is None:

@@ -345,6 +345,8 @@ def load_scenario(path: str) -> dict:
         raise ScenarioParseError(f"scenario is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"scenario is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioParseError(f"scenario nests too deeply: {exc}") from exc
     validate_scenario(data)
     return data
 

@@ -16,6 +16,7 @@ hypotheses between classes.
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -32,6 +33,10 @@ KIND_INTENSION = "intension"
 # Default number of enumerator elements scanned before concluding that a
 # supposedly inexhaustible stream cannot deliver.
 ENUM_SCAN_CAP = 20000
+
+# States of the universe enumeration a handle keeps once they are touched:
+# the largest candidate pool any caller asks for (germs._dilution_pins).
+PREFIX_MEMO_CAP = 4096
 
 
 class SetValue:
@@ -822,19 +827,29 @@ class UniverseHandle:
     """Configured universe: a mode, a bound, and the builtin classes.
 
     The universe itself is potentially infinite (ordinal mode) or merely
-    large (HF mode); the handle enumerates it on demand and never
-    materializes more than a query touches.
+    large (HF mode); the handle enumerates it on demand.  The first
+    PREFIX_MEMO_CAP states are kept once a query touches them, so repeated
+    candidate pools reuse the same values; states past the cap are
+    rebuilt by every walk that reaches them.
     """
 
-    __slots__ = ("mode", "bound", "_by_rank")
+    __slots__ = ("mode", "bound", "_by_rank", "_prefix", "_prefix_walk",
+                 "_prefix_lock")
 
     def __init__(self, mode: str, bound: int):
         self.mode = mode
         self.bound = bound
         self._by_rank: list[list[SetValue]] | None = None
+        self._prefix: list[SetValue] = []
+        self._prefix_walk: Iterator[SetValue] | None = None
+        self._prefix_lock = threading.Lock()
 
     def __repr__(self):
         return f"UniverseHandle({self.mode}, {self.bound})"
+
+    def __reduce__(self):
+        # The memo is a cache: copies and pickles start without it.
+        return (UniverseHandle, (self.mode, self.bound))
 
     # -- HF levels -----------------------------------------------------
 
@@ -888,8 +903,38 @@ class UniverseHandle:
         """All states of the configured universe, in a fixed order.
 
         HF mode walks ranks upward; ordinal mode interleaves a diagonal
-        walk of the ordinals below w*bound with the padding states.
+        walk of the ordinals below w*bound with the padding states.  The
+        first PREFIX_MEMO_CAP states come from the handle's memo, which
+        one shared walk fills as far as any iterator has reached; past
+        the cap each iterator continues on a fresh walk of its own.
         """
+        prefix = self._prefix
+        i = 0
+        while i < len(prefix) or (i < PREFIX_MEMO_CAP and self._extend_prefix(i)):
+            yield prefix[i]
+            i += 1
+        if i == PREFIX_MEMO_CAP:
+            yield from itertools.islice(self._walk(), i, None)
+
+    def _extend_prefix(self, n: int) -> bool:
+        """Grow the memo past n states from the shared walk; False when the
+        universe has only n."""
+        with self._prefix_lock:
+            if len(self._prefix) > n:
+                return True  # another thread grew it first
+            if self._prefix_walk is None:
+                self._prefix_walk = itertools.islice(self._walk(), n, None)
+            try:
+                self._prefix.append(next(self._prefix_walk))
+            except StopIteration:
+                return False
+            except BaseException:
+                self._prefix_walk = None  # a walk that raised is spent; restart it
+                raise
+            return True
+
+    def _walk(self) -> Iterator[SetValue]:
+        """The enumeration itself, built afresh on every call."""
         if self.mode == HF_MODE:
             for k in range(self.bound):
                 yield from self.level_members(k)

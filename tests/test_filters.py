@@ -14,9 +14,11 @@ from setprob import (
     ORDINAL_MODE,
     check_fip,
     class_from_values,
+    class_of_set,
     constraint_from_text,
     constraint_membership,
     constraint_to_text,
+    expand_base,
     expand_parametric,
     filter_base_from_text,
     filter_base_to_text,
@@ -146,6 +148,9 @@ def test_state_pool_window_wins_and_limit_cuts_the_universe():
     assert list(state_pool(U, [])) == []
     assert list(state_pool(U, None, limit=5)) == \
         list(islice(U.enumerate_universe(), 5))
+    for _ in range(2):  # the second pool is served by the memo
+        assert list(state_pool(HF, None, limit=120)) == \
+            list(islice(HF.enumerate_universe(), 120))
     assert list(state_pool(None, None, limit=5)) == []
 
 
@@ -240,6 +245,93 @@ def test_generate_witnesses_raises_when_starved():
     with pytest.raises(ConstructionFailed):
         generate_witnesses(cs, U, random.Random(0), 6,
                            window=[nat(0), nat(1)])
+
+
+# Witness codes, sorted and space-joined, as the seeded searches below
+# produced them before the universe enumeration was memoized.  Speed-ups
+# must leave every seeded witness as it is.
+THEOREM_WITNESSES = (
+    "o0.0 o0.1 o0.2 o0.3 o1.10 o1.11 o1.12 o1.13 o1.36 o1.37 o1.38 o1.39 p0 "
+    "p13 p15 p16 p18 p20 p24 p25 p3 p30 p34 p38 p4 p40 p42 p45 p50 p52 p53 p6 "
+    "p61 p63 p64 p66 p7 p72",
+    "o0.0 o0.1 o0.2 o0.3 o1.42 o1.43 o1.44 o1.45 o1.60 o1.61 o1.62 o1.63 p0 "
+    "p11 p13 p14 p15 p16 p21 p25 p26 p3 p34 p36 p4 p40 p41 p5 p50 p52 p56 p57 "
+    "p58 p61 p62 p68 p73 p74 p75",
+    "o0.0 o0.1 o0.2 o0.3 o1.26 o1.27 o1.28 o1.29 o1.44 o1.45 o1.46 o1.47 p0 "
+    "p12 p13 p14 p18 p23 p27 p31 p35 p38 p4 p42 p43 p45 p47 p49 p50 p51 p55 "
+    "p59 p64 p7 p71 p72 p74",
+    "o0.0 o0.1 o0.2 o0.3 o1.48 o1.49 o1.50 o1.51 o1.54 o1.55 o1.56 o1.57 p0 "
+    "p10 p11 p13 p14 p18 p20 p21 p26 p27 p29 p37 p39 p41 p43 p44 p53 p54 p55 "
+    "p59 p6 p60 p61 p63 p68 p69 p9",
+    "o0.0 o0.1 o0.2 o0.3 o1.0 o1.1 o1.2 o1.3 o1.56 o1.57 o1.58 o1.59 p0 p11 "
+    "p12 p13 p15 p17 p2 p20 p21 p22 p23 p30 p31 p40 p45 p47 p48 p49 p5 p58 "
+    "p59 p62 p64 p69 p70 p71 p8 p9",
+    "o0.0 o0.1 o0.2 o0.3 o1.38 o1.39 o1.40 o1.41 o1.58 o1.59 o1.60 o1.61 p0 "
+    "p10 p14 p16 p18 p19 p23 p25 p27 p3 p34 p38 p39 p4 p41 p43 p47 p51 p52 "
+    "p58 p60 p62 p7 p71 p8 p9",
+    "o0.0 o0.1 o0.2 o0.3 o1.10 o1.11 o1.12 o1.13 o1.56 o1.57 o1.58 o1.59 p0 "
+    "p12 p16 p18 p19 p2 p23 p28 p3 p33 p36 p38 p41 p47 p48 p5 p56 p57 p6 p62 "
+    "p63 p66 p67 p68 p7 p70",
+    "o0.0 o0.1 o0.2 o0.3 o1.34 o1.35 o1.36 o1.37 o1.56 o1.57 o1.58 o1.59 p0 "
+    "p1 p10 p14 p15 p18 p21 p23 p25 p26 p28 p29 p30 p32 p36 p37 p38 p44 p46 "
+    "p53 p56 p57 p6 p61 p71 p73",
+    "o0.0 o0.1 o0.2 o0.3 o1.40 o1.41 o1.42 o1.43 o1.6 o1.7 o1.8 o1.9 p0 p10 "
+    "p11 p15 p16 p18 p20 p21 p23 p27 p29 p3 p30 p31 p35 p36 p37 p39 p40 p41 "
+    "p51 p53 p54 p58 p62 p66",
+    "o0.0 o0.1 o0.2 o0.3 o1.16 o1.17 o1.18 o1.19 o1.4 o1.5 o1.6 o1.7 p0 p14 "
+    "p17 p19 p2 p22 p23 p24 p26 p3 p32 p33 p37 p38 p39 p41 p43 p47 p51 p52 "
+    "p56 p57 p64 p66 p68 p7 p72",
+    "o0.0 o0.1 o0.2 o0.3 o1.48 o1.49 o1.50 o1.51 o1.54 o1.55 o1.56 o1.57 p0 "
+    "p15 p16 p17 p21 p24 p27 p30 p33 p38 p4 p46 p47 p48 p49 p5 p51 p54 p55 "
+    "p57 p65 p72 p73 p74 p9",
+    "o0.0 o0.1 o0.2 o0.3 o1.32 o1.33 o1.34 o1.35 o1.62 o1.63 o1.64 o1.65 p0 "
+    "p1 p15 p16 p18 p25 p29 p31 p32 p34 p35 p40 p41 p44 p48 p50 p54 p6 p60 "
+    "p61 p62 p64 p65 p67 p72",
+    "o0.0 o0.1 o0.2 o0.3 o1.44 o1.45 o1.46 o1.47 o1.48 p0 p13 p16 p17 p18 p25 "
+    "p26 p3 p37 p38 p39 p40 p41 p42 p45 p54 p55 p56 p57 p6 p60 p67",
+    "o0.0 o0.1 o0.2 o0.3 o1.28 o1.29 o1.30 o1.31 o1.46 o1.47 o1.48 o1.49 p0 "
+    "p1 p12 p18 p19 p2 p23 p27 p3 p33 p34 p35 p39 p40 p45 p47 p52 p53 p55 p60 "
+    "p64 p67 p69 p7 p73",
+    "o0.0 o0.1 o0.2 o0.3 o1.34 o1.35 o1.36 o1.37 o1.58 o1.59 o1.60 o1.61 p0 "
+    "p1 p10 p12 p13 p14 p16 p17 p20 p21 p22 p23 p24 p26 p30 p31 p34 p38 p39 "
+    "p4 p42 p48 p5 p58 p6 p66 p7 p72",
+    "o0.0 o0.1 o0.2 o0.3 o1.28 o1.29 o1.30 o1.31 o1.48 o1.49 o1.50 o1.51 p0 "
+    "p14 p18 p2 p26 p31 p34 p37 p38 p39 p44 p45 p46 p47 p48 p5 p51 p54 p57 "
+    "p63 p67 p68 p72 p73",
+    "o0.0 o0.1 o0.2 o0.3 o1.22 o1.23 o1.24 o1.25 o1.56 o1.57 o1.58 o1.59 p0 "
+    "p10 p14 p15 p16 p2 p22 p25 p27 p31 p32 p33 p38 p4 p40 p44 p45 p46 p50 "
+    "p52 p56 p63 p7 p71 p73 p8",
+    "o0.0 o0.1 o0.2 o0.3 o1.54 o1.55 o1.56 o1.57 o1.62 o1.63 o1.64 o1.65 p0 "
+    "p1 p10 p11 p12 p13 p17 p23 p25 p27 p28 p3 p31 p35 p36 p41 p47 p49 p52 "
+    "p56 p61 p63 p64 p66 p68 p70 p74 p8",
+    "o0.0 o0.1 o0.2 o0.3 o1.10 o1.11 o1.12 o1.13 o1.54 o1.55 o1.56 o1.57 p0 "
+    "p10 p11 p15 p2 p20 p22 p23 p26 p3 p32 p37 p41 p45 p49 p5 p52 p56 p60 p63 "
+    "p64 p66 p70 p75 p9",
+    "o0.0 o0.1 o0.2 o0.3 o1.50 o1.51 o1.52 o1.53 o1.6 o1.7 o1.8 o1.9 p0 p1 "
+    "p11 p12 p13 p2 p20 p22 p24 p26 p27 p28 p29 p34 p43 p44 p47 p53 p54 p58 "
+    "p61 p62 p64 p66 p67 p74",
+)
+FINENESS_WITNESS = "o0.0 o0.1 o1.25 o2.15 p0 p15 p25"
+HF_ORDER_WITNESS = (
+    "{{{{},{{}}}}} {{{},{{}},{{{}}},{{},{{}}}}} {{{},{{}}}} "
+    "{{{}},{{{}},{{{}}},{{},{{}}}}} {{{}},{{},{{}},{{{}}}}} {{},{{}}}")
+
+
+def witness_codes(t):
+    return " ".join(sorted(s.code for s in t))
+
+
+def test_seeded_witnesses_are_pinned():
+    base = expand_base(ordinal_theorem_base(U, [(M4, E1)]))
+    ts = generate_witnesses(base, U, random.Random(7), 20)
+    assert tuple(witness_codes(t) for t in ts) == THEOREM_WITNESSES
+    t = find_witness(expand_base(fineness_base(U)), U, rng=random.Random(3),
+                     decorate=4)
+    assert witness_codes(t) == FINENESS_WITNESS
+    r2 = list(HF.level_members(2))
+    c = order_lt(class_of_set(hf_set(r2[:1])), class_of_set(hf_set(r2[:2])))
+    t = find_witness([c, power_lift(c)], HF, rng=random.Random(3), decorate=4)
+    assert witness_codes(t) == HF_ORDER_WITNESS
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,13 @@ def test_cli_non_utf8_scenario_exit_two(tmp_path, capsys):
     assert "scenario is not UTF-8 text" in capsys.readouterr().err
 
 
+def test_cli_deeply_nested_scenario_exit_two(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main(["run", str(deep)]) == cli.EXIT_VALIDATION
+    assert "scenario nests too deeply" in capsys.readouterr().err
+
+
 def test_cli_engine_error_exit_one(capsys):
     # superregularity demands strictly increasing tiers
     code = cli.main(["witness", "superreg", "--pins", "o0.0",

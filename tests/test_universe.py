@@ -1,6 +1,10 @@
 """Universe layer: value codes, classes, tiers, variables, translation."""
 
+import copy
 import itertools
+import pickle
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from setprob import (
     EMPTY_SET,
     HF_MODE,
     ORDINAL_MODE,
+    UniverseHandle,
     class_from_values,
     class_of_set,
     even_shift_permutation,
@@ -32,6 +37,7 @@ from setprob import (
     translate_class,
 )
 from setprob.errors import BoundTooSmall, EnumerationExhausted, WrongMode
+from setprob.universe import PREFIX_MEMO_CAP
 
 S1 = hf_set([EMPTY_SET])          # {{}}
 S2 = hf_set([EMPTY_SET, S1])      # {{},{{}}}
@@ -148,6 +154,104 @@ def test_lim_members_below_three_blocks(ord_universe):
     lim = ord_universe.builtin_class("Lim")
     head = itertools.islice(ord_universe.enumerate_universe(), 300)
     assert [v for v in head if lim.membership(v)] == [ord_value(1, 0), ord_value(2, 0)]
+
+
+def codes(states):
+    return [v.code for v in states]
+
+
+@pytest.mark.parametrize("mode,bound", [(HF_MODE, 3), (HF_MODE, 4), (HF_MODE, 5),
+                                        (ORDINAL_MODE, 1), (ORDINAL_MODE, 3)])
+def test_memoized_enumeration_matches_a_fresh_handle(mode, bound):
+    used = make_universe(mode, bound)
+    list(itertools.islice(used.enumerate_universe(), 100))
+    list(itertools.islice(used.enumerate_universe(), 5000))
+    head = codes(itertools.islice(used.enumerate_universe(), 5000))
+    fresh = make_universe(mode, bound)
+    assert head == codes(itertools.islice(fresh.enumerate_universe(), 5000))
+    assert len(head) == (min(5000, level_size(bound)) if mode == HF_MODE else 5000)
+
+
+def test_interleaved_enumerations_agree():
+    u = make_universe(ORDINAL_MODE, 3)
+    first, second = u.enumerate_universe(), u.enumerate_universe()
+    a, b = [], []
+    for _ in range(5000):
+        a.append(next(first).code)
+        b.append(next(second).code)
+        b.append(next(second).code)
+        a.append(next(first).code)
+    assert a == b
+    fresh = make_universe(ORDINAL_MODE, 3)
+    assert a == codes(itertools.islice(fresh.enumerate_universe(), 10000))
+
+
+def test_threads_sharing_a_handle_see_one_enumeration():
+    u = make_universe(HF_MODE, 5)
+    fresh = make_universe(HF_MODE, 5)
+    expected = codes(itertools.islice(fresh.enumerate_universe(), 5000))
+    results, errors = [], []
+
+    def walk():
+        try:
+            results.append(codes(itertools.islice(u.enumerate_universe(), 5000)))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [expected] * 4
+    assert len(u._prefix) == PREFIX_MEMO_CAP
+
+
+def test_copies_of_a_used_handle_start_without_its_memo():
+    u = make_universe(ORDINAL_MODE, 3)
+    head = codes(itertools.islice(u.enumerate_universe(), 50))
+    for twin in (pickle.loads(pickle.dumps(u)), copy.deepcopy(u)):
+        assert (twin.mode, twin.bound, twin._prefix) == (u.mode, u.bound, [])
+        assert codes(itertools.islice(twin.enumerate_universe(), 50)) == head
+
+
+def test_memo_stops_at_its_cap():
+    u = make_universe(ORDINAL_MODE, 3)
+    assert len(list(itertools.islice(u.enumerate_universe(), 6000))) == 6000
+    assert len(u._prefix) == PREFIX_MEMO_CAP
+
+
+def test_every_walk_past_the_cap_reaches_exhaustion():
+    u = make_universe(HF_MODE, 6)
+    for _ in range(2):
+        seen = 0
+        with pytest.raises(EnumerationExhausted):
+            for _ in u.enumerate_universe():
+                seen += 1
+        assert seen == level_size(5) == 65536
+
+
+class _FailingHandle(UniverseHandle):
+    """A universe whose walk gives out after ten states."""
+
+    def _walk(self):
+        yield from itertools.islice(super()._walk(), 10)
+        raise EnumerationExhausted("walk gave out")
+
+
+def test_a_walk_that_raises_inside_the_cap_raises_for_every_caller():
+    u = _FailingHandle(ORDINAL_MODE, 3)
+    for _ in range(2):
+        with pytest.raises(EnumerationExhausted):
+            list(u.enumerate_universe())
+    assert len(u._prefix) == 10
 
 
 def test_builtin_on_and_nat(ord_universe):
