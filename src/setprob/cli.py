@@ -25,21 +25,13 @@ from .filters import (
     FilterBase,
     FipBudget,
     check_fip,
-    constraint_membership,
-    fineness,
-    fineness_base,
-    interval,
+    expand_base,
+    find_witness,
     order_ge,
     order_lt,
-    ordinal_theorem_base,
-    ordinal_witness,
     power_lift,
     powerset_prefilter_stage,
     powerset_witness_extend,
-    ratio,
-    superreg_constraints,
-    superreg_witness,
-    weight,
 )
 from .germs import (
     APPROX_ZERO,
@@ -48,16 +40,19 @@ from .germs import (
     audit_verdict,
     classify_infinitesimal,
     compare,
-    conditional_germ,
-    germ_of_event,
     set_verdict_recorder,
 )
 from .scenario import (
+    ScenarioContext,
+    build_base,
+    build_germ,
+    builtin_classes,
     canonical_report_text,
     rational_str,
     report_csv,
     report_json,
     run_scenario,
+    run_witness,
 )
 from .snapshots import Snapshot
 from .universe import (
@@ -74,7 +69,6 @@ from .universe import (
     image_class,
     make_universe,
     nat,
-    parse_code,
     power_class,
     translate_class,
 )
@@ -92,10 +86,8 @@ def registry_classes(universe: UniverseHandle) -> dict[str, ClassSpec]:
     multiples of four in the first block, below the evens of the first
     two blocks, below all ordinals of the first three.
     """
-    classes: dict[str, ClassSpec] = {"V": universe.universe_class()}
+    classes = builtin_classes(universe)
     if universe.mode == ORDINAL_MODE:
-        for name in ("On", "Even", "Odd", "Lim", "Nat"):
-            classes[name] = universe.builtin_class(name)
         classes["mult4_t0"] = universe.residue_class(
             "mult4_t0", 4, 0, 0, CardinalityTier.infinite(0),
             ("even_t1", "ord_t2", "Nat", "Even", "On", "V"))
@@ -116,21 +108,37 @@ def registry_classes(universe: UniverseHandle) -> dict[str, ClassSpec]:
     return classes
 
 
+# Base specs, in the scenario schema's form, for `query --base`.
+_BASES = {
+    "fineness": {"builder": "fineness"},
+    "ordinal_theorem": {"builder": "ordinal_theorem",
+                        "pairs": [["mult4_t0", "even_t1"],
+                                  ["even_t1", "ord_t2"]]},
+}
+
+
 def _build_universe(args) -> UniverseHandle:
-    if args.universe == HF_MODE:
-        return make_universe(HF_MODE, getattr(args, "rank", None) or 5)
-    return make_universe(ORDINAL_MODE, getattr(args, "omega_bound", None) or 3)
+    bound = args.rank if args.universe == HF_MODE else args.omega_bound
+    return make_universe(args.universe, bound)
 
 
-def _default_base(universe: UniverseHandle, name: str,
-                  classes: dict[str, ClassSpec]) -> FilterBase:
-    if name == "fineness":
-        return fineness_base(universe)
-    if name == "ordinal_theorem":
-        pairs = [(classes["mult4_t0"], classes["even_t1"]),
-                 (classes["even_t1"], classes["ord_t2"])]
-        return ordinal_theorem_base(universe, pairs)
-    raise ScenarioError(f"unknown base builder {name!r}")
+def _context(universe: UniverseHandle, base: dict | None = None,
+             seed: int = 0) -> ScenarioContext:
+    """A scenario context over the registry classes and the variables
+    `identity` and `even_shift`; `base` is a scenario base spec, and
+    None means the fineness base."""
+    ctx = ScenarioContext(
+        universe=universe, seed=seed, rng=random.Random(seed), tiers=None,
+        classes=registry_classes(universe),
+        variables={"identity": identity_rv(),
+                   "even_shift": even_shift_permutation()},
+        base=FilterBase((), universe=universe))
+    ctx.base = build_base(ctx, base)
+    return ctx
+
+
+def _event(name: str, rv: str | None = None) -> dict:
+    return {"event": {"class": name, "rv": rv}}
 
 
 # ---------------------------------------------------------------------------
@@ -138,34 +146,18 @@ def _default_base(universe: UniverseHandle, name: str,
 
 
 def _cmd_query(args) -> int:
-    universe = _build_universe(args)
-    classes = registry_classes(universe)
-    if args.event not in classes:
-        print(f"unknown class {args.event!r}; known: {sorted(classes)}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    rvs = {"identity": identity_rv(), "even_shift": even_shift_permutation()}
-    if args.rv not in rvs:
-        print(f"unknown variable {args.rv!r}", file=sys.stderr)
-        return EXIT_VALIDATION
-    rv = rvs[args.rv]
+    ctx = _context(_build_universe(args), _BASES[args.base], args.seed)
     if args.given is not None:
-        if args.given not in classes:
-            print(f"unknown class {args.given!r}", file=sys.stderr)
-            return EXIT_VALIDATION
-        germ = conditional_germ(rv, classes[args.event],
-                                identity_rv(), classes[args.given])
+        germ = build_germ(ctx, {"cond": {"rv": args.rv, "class": args.event,
+                                         "given": args.given}})
     else:
-        germ = germ_of_event(rv, classes[args.event])
-    base = _default_base(universe, args.base, classes)
-    rng = random.Random(args.seed)
-
-    from .filters import expand_base, find_witness
-    concrete = expand_base(base)
+        germ = build_germ(ctx, _event(args.event, args.rv))
+    concrete = expand_base(ctx.base)
     samples = []
     for _ in range(3):
-        w = find_witness(concrete, universe, rng=rng, window=base.window,
-                         decorate=rng.randrange(0, 5))
+        w = find_witness(concrete, ctx.universe, rng=ctx.rng,
+                         window=ctx.base.window,
+                         decorate=ctx.rng.randrange(0, 5))
         if w is None:
             break
         try:
@@ -173,10 +165,10 @@ def _cmd_query(args) -> int:
         except EngineError as exc:
             value = f"undefined ({type(exc).__name__})"
         samples.append({"snapshot": [s.code for s in w], "value": value})
-    classification = classify_infinitesimal(germ, base)
+    classification = classify_infinitesimal(germ, ctx.base)
     record = {
         "expression": germ.describe(),
-        "universe": {"mode": universe.mode, "bound": universe.bound},
+        "universe": {"mode": ctx.universe.mode, "bound": ctx.universe.bound},
         "base": args.base,
         "seed": args.seed,
         "classification": classification.status,
@@ -198,35 +190,20 @@ def _cmd_query(args) -> int:
 # witness
 
 
-def _parse_pairs(text: str) -> list[list[str]]:
-    return [part.split(":") for part in text.split(",") if part]
+def _parse_pairs(text: str) -> list[list]:
+    """`A:B:n,C:D` as scenario witness pairs; decimal fields become ints."""
+    return [[int(f) if f.isdecimal() else f for f in part.split(":")]
+            for part in text.split(",") if part]
 
 
 def _cmd_witness(args) -> int:
-    universe = _build_universe(args)
-    classes = registry_classes(universe)
-
-    def cls(name: str) -> ClassSpec:
-        if name not in classes:
-            raise ScenarioError(f"unknown class {name!r}")
-        return classes[name]
-
-    pins = [parse_code(c) for c in (args.pins.split(",") if args.pins else [])]
-    if args.construction == "superreg":
-        pairs = [(cls(a), cls(b), int(n)) for a, b, n in _parse_pairs(args.pairs)]
-        w = superreg_witness(pins, pairs)
-        checks = superreg_constraints(pairs, pins)
-    elif args.construction == "ordinal":
-        pairs = [(cls(a), cls(b)) for a, b in _parse_pairs(args.pairs or "")]
-        w = ordinal_witness(universe, pins, args.k, args.l, args.m, pairs)
-        checks = [fineness(p) for p in pins]
-        checks += [ratio(a, b, args.k) for a, b in pairs]
-        checks += [interval(args.l), weight(args.m)]
-    else:  # powerset
-        sets = [[parse_code(code) for code in pair.split(":")]
+    ctx = _context(_build_universe(args))
+    if args.construction == "powerset":
+        sets = [ctx.states(pair.split(":"))
                 for pair in args.pairs.split(";") if pair]
-        prior = fineness_base(universe)
-        fb = powerset_prefilter_stage(universe, args.level, prior,
+        if any(len(codes) != 2 for codes in sets):
+            raise ScenarioError("powerset --pairs takes code:code pairs")
+        fb = powerset_prefilter_stage(ctx.universe, args.level, ctx.base,
                                       [(a, b) for a, b in sets],
                                       rng=random.Random(args.seed))
         kept = [c for c in fb.constraints
@@ -238,12 +215,16 @@ def _cmd_witness(args) -> int:
         print(f"fip: {result.status}")
         return EXIT_OK if result.witnessed else EXIT_FAILURE
 
-    ok = all(constraint_membership(c, w, universe.mode) for c in checks)
-    print(f"witness ({len(w)} states): " + " ".join(s.code for s in w))
-    for c in checks:
-        holds = constraint_membership(c, w, universe.mode)
-        print(f"  {'ok  ' if holds else 'FAIL'} {c.describe()}")
-    return EXIT_OK if ok else EXIT_FAILURE
+    record = run_witness(ctx, {
+        "builder": args.construction,
+        "pins": args.pins.split(",") if args.pins else [],
+        "pairs": _parse_pairs(args.pairs),
+        "k": args.k, "l": args.l, "m": args.m,
+    })
+    print(f"witness ({record['size']} states): " + " ".join(record["witness"]))
+    for m in record["memberships"]:
+        print(f"  {'ok  ' if m['holds'] else 'FAIL'} {m['constraint']}")
+    return EXIT_OK if record["assertion"] == "pass" else EXIT_FAILURE
 
 
 # ---------------------------------------------------------------------------
@@ -257,36 +238,38 @@ def _hf_lattice(universe: UniverseHandle) -> list:
     return states
 
 
+def _hf_fixture() -> tuple[UniverseHandle, TierConfig, list]:
+    """The HF universe of bound 5, the tier thresholds 4, 9, 17 and the
+    states of ranks 0-3: the setting of the tiered checks."""
+    universe = make_universe(HF_MODE, 5)
+    return universe, TierConfig((4, 9, 17)), _hf_lattice(universe)
+
+
 def _cmd_check(args) -> int:
     budget = FipBudget(scan_cap=args.budget) if args.budget else FipBudget()
     if args.what == "fip":
         universe = _build_universe(args)
-        classes = registry_classes(universe)
         if universe.mode == ORDINAL_MODE:
-            base = _default_base(universe, "ordinal_theorem", classes)
+            base = _BASES["ordinal_theorem"]
         else:
-            base = fineness_base(universe, _hf_lattice(universe)[:8])
-        result = check_fip(base, budget)
+            base = {"builder": "fineness",
+                    "window": [s.code for s in _hf_lattice(universe)[:8]]}
+        result = check_fip(_context(universe, base).base, budget)
         print(f"fip: {result.status} ({len(result.witnesses)} subsets witnessed)")
         return EXIT_OK if result.witnessed else EXIT_FAILURE
 
+    universe, config, lattice = _hf_fixture()
     if args.what == "coherence":
-        universe = make_universe(HF_MODE, 5)
-        config = TierConfig((4, 9, 17))
-        window = _hf_lattice(universe)
-        snap = Snapshot(window[:12])
-        probe = window[:8]
         cls = class_from_predicate(
             "low_rank", lambda v: v.is_set and len(v.children) <= 1,
             lambda: iter(()), tier=CardinalityTier.proper())
-        report = coherence_check(config, identity_rv(), cls, snap, probe)
+        report = coherence_check(config, identity_rv(), cls,
+                                 Snapshot(lattice[:12]), lattice[:8])
         print(report.summary())
         return EXIT_OK if report.ok else EXIT_FAILURE
 
     if args.what == "restriction":
-        universe = make_universe(HF_MODE, 5)
-        config = TierConfig((4, 9, 17))
-        tower = TieredProb(universe, config, _hf_lattice(universe))
+        tower = TieredProb(universe, config, lattice)
         ok = True
         for tier in range(len(config.thresholds)):
             _, audit = tower.restricted(tier)
@@ -295,9 +278,7 @@ def _cmd_check(args) -> int:
         return EXIT_OK if ok else EXIT_FAILURE
 
     # counterexample
-    universe = make_universe(HF_MODE, 5)
-    config = TierConfig((4, 9, 17))
-    demo = non_restriction_counterexample(universe, config, _hf_lattice(universe))
+    demo = non_restriction_counterexample(universe, config, lattice)
     print(demo.narrative())
     return EXIT_OK if demo.demonstrates_failure else EXIT_FAILURE
 
@@ -306,42 +287,28 @@ def _cmd_check(args) -> int:
 # demos
 
 
-def _print_verdict(v: Verdict) -> None:
-    print(v.summary())
+def _compare_demo(smaller: str, larger: str) -> list[Verdict]:
+    """Whether Pr[smaller] < Pr[larger] is forced over the fineness base
+    of the ordinal universe of bound 3."""
+    ctx = _context(make_universe(ORDINAL_MODE, 3))
+    return [compare(build_germ(ctx, _event(smaller)), "lt",
+                    build_germ(ctx, _event(larger)), ctx.base)]
 
 
 def demo_euclidean(seed: int = 0) -> list[Verdict]:
     """Strict inclusion forces strictly smaller probability."""
-    universe = make_universe(ORDINAL_MODE, 3)
-    classes = registry_classes(universe)
-    base = fineness_base(universe)
-    ident = identity_rv()
-    v = compare(germ_of_event(ident, classes["mult4_t0"]), "lt",
-                germ_of_event(ident, classes["even_t1"]), base)
-    return [v]
+    return _compare_demo("mult4_t0", "even_t1")
 
 
 def demo_hume_failure(seed: int = 0) -> list[Verdict]:
     """A bijective shift of the evens has strictly smaller probability."""
-    universe = make_universe(ORDINAL_MODE, 3)
-    classes = registry_classes(universe)
-    base = fineness_base(universe)
-    ident = identity_rv()
-    v = compare(germ_of_event(ident, classes["pi_Even"]), "lt",
-                germ_of_event(ident, classes["Even"]), base)
-    return [v]
+    return _compare_demo("pi_Even", "Even")
 
 
 def demo_translation_failure(seed: int = 0) -> list[Verdict]:
     """Shifting the naturals by one drops the first point, and with it
     a sliver of probability."""
-    universe = make_universe(ORDINAL_MODE, 3)
-    classes = registry_classes(universe)
-    base = fineness_base(universe)
-    ident = identity_rv()
-    v = compare(germ_of_event(ident, classes["Nat_shift1"]), "lt",
-                germ_of_event(ident, classes["Nat"]), base)
-    return [v]
+    return _compare_demo("Nat_shift1", "Nat")
 
 
 def chain_sets() -> list:
@@ -375,7 +342,6 @@ def demo_powerset_chain(seed: int = 0) -> tuple[bool, str]:
     judgements = FilterBase(
         tuple(slice_cs + [power_lift(c) for c in slice_cs]),
         universe=universe, provenance="worked-chain")
-    from .filters import find_witness
     f_minus = find_witness(slice_cs, universe, rng=random.Random(seed))
     if f_minus is None:
         return False, "no ground witness for the judgement slice"
@@ -397,12 +363,10 @@ def demo_powerset_chain(seed: int = 0) -> tuple[bool, str]:
 
 def demo_pn_iteration(seed: int = 0) -> tuple[bool, str]:
     """One strict judgement lifted through three power-class levels."""
-    universe = make_universe(HF_MODE, 5)
-    low = _hf_lattice(universe)
+    universe, _, low = _hf_fixture()
     a = hf_set([low[0], low[1]])
     b = hf_set([low[0], low[1], low[2]])
     cls_a, cls_b = class_of_set(a), class_of_set(b)
-    from .filters import find_witness
     lines = []
     ok = True
     current = order_lt(cls_a, cls_b)
@@ -429,7 +393,7 @@ def _cmd_demo(args) -> int:
     if args.name in _DEMOS:
         verdicts = _DEMOS[args.name](args.seed)
         for v in verdicts:
-            _print_verdict(v)
+            print(v.summary())
         return EXIT_OK if all(v.forced for v in verdicts) else EXIT_FAILURE
     if args.name == "powerset-chain":
         ok, text = demo_powerset_chain(args.seed)
@@ -464,18 +428,13 @@ def _cmd_audit(args) -> int:
         print(report.summary() + " :: " + v.claim())
         all_clean = all_clean and report.clean
 
-    universe = make_universe(HF_MODE, 5)
-    config = TierConfig((4, 9, 17))
-    demo = non_restriction_counterexample(universe, config, _hf_lattice(universe))
+    demo = non_restriction_counterexample(*_hf_fixture())
     print("counterexample: "
           + ("reproduced" if demo.demonstrates_failure else "FAILED"))
     all_clean = all_clean and demo.demonstrates_failure
 
-    ordinal = make_universe(ORDINAL_MODE, 3)
-    classes = registry_classes(ordinal)
-    base = _default_base(ordinal, "ordinal_theorem", classes)
-    cls_result = classify_infinitesimal(
-        germ_of_event(identity_rv(), classes["On"]), base)
+    ctx = _context(make_universe(ORDINAL_MODE, 3), _BASES["ordinal_theorem"])
+    cls_result = classify_infinitesimal(build_germ(ctx, _event("On")), ctx.base)
     print(f"Pr[On] classification: {cls_result.status}")
     all_clean = all_clean and cls_result.status == APPROX_ZERO
 
@@ -500,26 +459,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--canonical", action="store_true",
                        help="strip timing fields from the report")
 
-    p_query = sub.add_parser("query", help="evaluate one event germ")
-    p_query.add_argument("--universe", choices=[HF_MODE, ORDINAL_MODE],
-                         default=ORDINAL_MODE)
-    p_query.add_argument("--rank", type=int, help="HF universe bound")
-    p_query.add_argument("--omega-bound", type=int, dest="omega_bound",
-                         help="ordinal universe block count")
+    universe_opts = argparse.ArgumentParser(add_help=False)
+    universe_opts.add_argument("--universe", choices=[HF_MODE, ORDINAL_MODE],
+                               default=ORDINAL_MODE)
+    universe_opts.add_argument("--rank", type=int, default=5,
+                               help="HF universe bound")
+    universe_opts.add_argument("--omega-bound", type=int, dest="omega_bound",
+                               default=3, help="ordinal universe block count")
+
+    p_query = sub.add_parser("query", help="evaluate one event germ",
+                             parents=[universe_opts])
     p_query.add_argument("--event", required=True)
     p_query.add_argument("--given")
     p_query.add_argument("--rv", default="identity")
-    p_query.add_argument("--base", default="fineness",
-                         choices=["fineness", "ordinal_theorem"])
+    p_query.add_argument("--base", default="fineness", choices=list(_BASES))
     p_query.add_argument("--seed", type=int, default=0)
     p_query.add_argument("--out", choices=["json", "csv"], default="json")
 
-    p_wit = sub.add_parser("witness", help="run a witness construction")
+    p_wit = sub.add_parser("witness", help="run a witness construction",
+                           parents=[universe_opts])
     p_wit.add_argument("construction", choices=["superreg", "powerset", "ordinal"])
-    p_wit.add_argument("--universe", choices=[HF_MODE, ORDINAL_MODE],
-                       default=ORDINAL_MODE)
-    p_wit.add_argument("--rank", type=int)
-    p_wit.add_argument("--omega-bound", type=int, dest="omega_bound")
     p_wit.add_argument("--pins", default="")
     p_wit.add_argument("--pairs", default="")
     p_wit.add_argument("--k", type=int, default=1)
@@ -528,13 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit.add_argument("--level", type=int, default=4)
     p_wit.add_argument("--seed", type=int, default=0)
 
-    p_check = sub.add_parser("check", help="structural checks")
+    p_check = sub.add_parser("check", help="structural checks",
+                             parents=[universe_opts])
     p_check.add_argument("what", choices=["fip", "coherence", "restriction",
                                           "counterexample"])
-    p_check.add_argument("--universe", choices=[HF_MODE, ORDINAL_MODE],
-                         default=ORDINAL_MODE)
-    p_check.add_argument("--rank", type=int)
-    p_check.add_argument("--omega-bound", type=int, dest="omega_bound")
     p_check.add_argument("--budget", type=int)
 
     p_demo = sub.add_parser("demo", help="canned demonstrations")

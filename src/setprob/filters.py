@@ -397,10 +397,13 @@ def constraint_from_text(text: str, classes: dict[str, ClassSpec] | None = None)
     if head == "min_size":
         return min_size(int(body))
     if head == "parametric":
-        parts = body.split(",")
-        if parts[0] == TAG_RATIO:
-            return parametric_ratio(resolve(parts[1]), resolve(parts[2]))
-        return Constraint(TAG_PARAMETRIC, family=parts[0])
+        family, *names = body.split(",")
+        if family == TAG_RATIO:
+            a, b = names
+            return parametric_ratio(resolve(a), resolve(b))
+        if family not in (TAG_FINENESS, TAG_INTERVAL, TAG_WEIGHT):
+            raise ValueError(f"unknown parametric family {family!r}")
+        return Constraint(TAG_PARAMETRIC, family=family)
     raise ValueError(f"unknown constraint head {head!r}")
 
 

@@ -38,10 +38,12 @@ from .filters import (
     constraint_from_text,
     constraint_membership,
     fineness_base,
+    interval,
     ordinal_theorem_base,
     ordinal_witness,
     superreg_constraints,
     superreg_witness,
+    weight,
 )
 from .germs import (
     Germ,
@@ -59,6 +61,7 @@ from .snapshots import Snapshot
 from .universe import (
     CardinalityTier,
     ClassSpec,
+    ORDINAL_MODE,
     RandomVariable,
     SetValue,
     UniverseHandle,
@@ -98,18 +101,37 @@ class ScenarioContext:
 
     def cls(self, name: str) -> ClassSpec:
         if name not in self.classes:
-            raise ScenarioValidationError(f"unknown class {name!r}")
+            raise ScenarioValidationError(
+                f"unknown class {name!r}; known: {sorted(self.classes)}")
         return self.classes[name]
 
     def rv(self, name: str | None) -> RandomVariable:
         if name is None:
             return self.variables["identity"]
         if name not in self.variables:
-            raise ScenarioValidationError(f"unknown variable {name!r}")
+            raise ScenarioValidationError(
+                f"unknown variable {name!r}; known: {sorted(self.variables)}")
         return self.variables[name]
 
     def states(self, codes: list[str]) -> list[SetValue]:
-        return [parse_code(c) for c in codes]
+        return [_parse(parse_code, code, "state code") for code in codes]
+
+
+def _parse(parse, text: str, what: str):
+    """`parse(text)` for outside input: malformed text is a validation error."""
+    try:
+        return parse(text)
+    except (KeyError, ValueError) as exc:
+        raise ScenarioValidationError(
+            f"bad {what} {text!r}: {exc.args[0]}") from exc
+
+
+def builtin_classes(universe: UniverseHandle) -> dict[str, ClassSpec]:
+    """The builtin classes every context starts with: V, and in ordinal
+    mode On, Even, Odd, Lim and Nat."""
+    names = (("V", "On", "Even", "Odd", "Lim", "Nat")
+             if universe.mode == ORDINAL_MODE else ("V",))
+    return {name: universe.builtin_class(name) for name in names}
 
 
 def _tier_from_spec(spec: Any) -> CardinalityTier | None:
@@ -128,7 +150,7 @@ def _build_class(ctx: ScenarioContext, spec: dict) -> ClassSpec:
     tags = tuple(spec.get("subset_tags", ()))
     tier = _tier_from_spec(spec.get("tier"))
     if kind == "values":
-        vals = [parse_code(c) for c in spec.get("values", [])]
+        vals = ctx.states(spec.get("values", []))
         return class_from_values(name, vals, tier=tier, subset_tags=tags)
     if kind == "residue":
         # Residue classes live in omega-block 0 by default; a span of s
@@ -139,7 +161,7 @@ def _build_class(ctx: ScenarioContext, spec: dict) -> ClassSpec:
             spec.get("span", default_span),
             tier or CardinalityTier.infinite(0), tags)
     if kind == "translate":
-        shift = parse_code(spec["shift"])
+        [shift] = ctx.states([spec["shift"]])
         return translate_class(ctx.cls(spec["base"]), shift, name=name,
                                subset_tags=tags)
     if kind == "image":
@@ -157,24 +179,26 @@ def _build_class(ctx: ScenarioContext, spec: dict) -> ClassSpec:
     raise ScenarioValidationError(f"unknown class kind {kind!r}")
 
 
-def _build_variable(spec: dict) -> RandomVariable:
+def _build_variable(ctx: ScenarioContext, spec: dict) -> RandomVariable:
     kind = spec["kind"]
     if kind == "identity":
         return identity_rv()
     if kind == "even_shift":
         return even_shift_permutation()
     if kind == "table":
-        mapping = {parse_code(k): parse_code(v)
-                   for k, v in spec.get("mapping", {}).items()}
+        table = spec.get("mapping", {})
+        mapping = dict(zip(ctx.states(table), ctx.states(table.values())))
         return table_rv(mapping, spec["name"])
     raise ScenarioValidationError(f"unknown variable kind {kind!r}")
 
 
-def _build_base(ctx: ScenarioContext, spec: dict | None) -> FilterBase:
+def build_base(ctx: ScenarioContext, spec: dict | None) -> FilterBase:
+    """The filter base of a scenario `base` spec; None is the fineness
+    base over the whole universe."""
     if spec is None:
         return fineness_base(ctx.universe)
     builder = spec.get("builder", "fineness")
-    window = [parse_code(c) for c in spec["window"]] if "window" in spec else None
+    window = ctx.states(spec["window"]) if "window" in spec else None
     if builder == "fineness":
         fb = fineness_base(ctx.universe, window)
     elif builder == "ordinal_theorem":
@@ -185,7 +209,8 @@ def _build_base(ctx: ScenarioContext, spec: dict | None) -> FilterBase:
                         window=tuple(window) if window is not None else None)
     else:
         raise ScenarioValidationError(f"unknown base builder {builder!r}")
-    extra = [constraint_from_text(text, ctx.classes)
+    extra = [_parse(lambda t: constraint_from_text(t, ctx.classes), text,
+                    "constraint")
              for text in spec.get("constraints", [])]
     if extra:
         fb = fb.with_constraints(extra)
@@ -233,20 +258,17 @@ def _verdict_record(v: Verdict) -> dict:
     }
 
 
+# The germ spec key each point-evaluation query kind reads its fields under.
+_GERM_KEYS = {"event": "event", "joint": "joint", "conditional": "cond"}
+
+
 def _run_query(ctx: ScenarioContext, q: dict) -> dict:
     kind = q["kind"]
     record: dict = {"kind": kind}
     started = time.perf_counter()
-    if kind in ("event", "joint", "conditional"):
+    if kind in _GERM_KEYS:
         snap = Snapshot(ctx.states(q["snapshot"]))
-        if kind == "event":
-            germ = germ_of_event(ctx.rv(q.get("rv")), ctx.cls(q["class"]))
-        elif kind == "joint":
-            germ = joint_germ(ctx.rv(q.get("rv")), ctx.cls(q["class"]),
-                              ctx.rv(q.get("rv2")), ctx.cls(q["class2"]))
-        else:
-            germ = conditional_germ(ctx.rv(q.get("rv")), ctx.cls(q["class"]),
-                                    ctx.rv(q.get("rv2")), ctx.cls(q["given"]))
+        germ = build_germ(ctx, {_GERM_KEYS[kind]: q})
         value = germ.eval_at(snap)
         record["expression"] = germ.describe()
         record["value"] = rational_str(value)
@@ -271,7 +293,7 @@ def _run_query(ctx: ScenarioContext, q: dict) -> dict:
             record["assertion"] = ("pass" if result.status == q["expect_status"]
                                    else "fail")
     elif kind == "witness":
-        record.update(_run_witness_query(ctx, q))
+        record.update(run_witness(ctx, q))
     elif kind == "coherence":
         if ctx.tiers is None:
             raise ScenarioValidationError("coherence queries need tier thresholds")
@@ -299,25 +321,36 @@ def _run_query(ctx: ScenarioContext, q: dict) -> dict:
     return record
 
 
-def _run_witness_query(ctx: ScenarioContext, q: dict) -> dict:
+def _witness_pairs(ctx: ScenarioContext, pairs: list, counted: bool) -> list:
+    """Resolve witness pairs: `[A, B, n]` with an integer n >= 1 if
+    counted, else `[A, B]`."""
+    shape = "[A, B, n] with an integer n >= 1" if counted else "[A, B]"
+    for pair in pairs:
+        if len(pair) != 2 + counted or (
+                counted and not (type(pair[2]) is int and pair[2] >= 1)):
+            raise ScenarioValidationError(f"witness pair {pair!r} is not {shape}")
+    return [(ctx.cls(a), ctx.cls(b), *count) for a, b, *count in pairs]
+
+
+def run_witness(ctx: ScenarioContext, q: dict) -> dict:
+    """Build a witness and check it against the constraints it certifies."""
     builder = q.get("builder", "superreg")
     out: dict = {"builder": builder}
+    if builder not in ("superreg", "ordinal"):
+        raise ScenarioValidationError(f"unknown witness builder {builder!r}")
+    pins = ctx.states(q.get("pins", []))
+    pairs = _witness_pairs(ctx, q.get("pairs", []), builder == "superreg")
     if builder == "superreg":
-        pins = ctx.states(q.get("pins", []))
-        pairs = [(ctx.cls(a), ctx.cls(b), n) for a, b, n in q.get("pairs", [])]
         w = superreg_witness(pins, pairs)
         checks = superreg_constraints(pairs, pins)
-    elif builder == "ordinal":
-        pins = ctx.states(q.get("pins", []))
-        pairs = [(ctx.cls(a), ctx.cls(b)) for a, b in q.get("pairs", [])]
-        w = ordinal_witness(ctx.universe, pins, q.get("k", 1), q.get("l", 1),
-                            q.get("m", 1), pairs)
-        from .filters import fineness, interval, ratio, weight
-        checks = [fineness(p) for p in pins]
-        checks += [ratio(a, b, q.get("k", 1)) for a, b in pairs]
-        checks += [interval(q.get("l", 1)), weight(q.get("m", 1))]
     else:
-        raise ScenarioValidationError(f"unknown witness builder {builder!r}")
+        k, l, m = (q.get(key, 1) for key in "klm")
+        if min(k, l, m) < 1:
+            raise ScenarioValidationError("k, l and m must all be >= 1")
+        w = ordinal_witness(ctx.universe, pins, k, l, m, pairs)
+        # The pins and ratio(k) on every pair, then interval(l), weight(m).
+        checks = superreg_constraints([(a, b, k) for a, b in pairs], pins)
+        checks += [interval(l), weight(m)]
     memberships = [
         {"constraint": c.describe(),
          "holds": constraint_membership(c, w, ctx.universe.mode)}
@@ -381,19 +414,14 @@ def build_context(data: dict) -> ScenarioContext:
     tiers = TierConfig(tuple(data["tiers"])) if "tiers" in data else None
     ctx = ScenarioContext(
         universe=uni, seed=seed, rng=random.Random(seed), tiers=tiers,
-        classes={}, variables={"identity": identity_rv()},
+        classes=builtin_classes(uni), variables={"identity": identity_rv()},
         base=FilterBase((), universe=uni),
     )
-    for name in ("V", "On", "Even", "Odd", "Lim", "Nat"):
-        try:
-            ctx.classes[name] = uni.builtin_class(name)
-        except EngineError:
-            continue  # ordinal-only classes in HF mode
     for spec in data.get("classes", []):
         ctx.classes[spec["name"]] = _build_class(ctx, spec)
     for spec in data.get("variables", []):
-        ctx.variables[spec["name"]] = _build_variable(spec)
-    ctx.base = _build_base(ctx, data.get("base"))
+        ctx.variables[spec["name"]] = _build_variable(ctx, spec)
+    ctx.base = build_base(ctx, data.get("base"))
     return ctx
 
 

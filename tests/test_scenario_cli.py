@@ -1,5 +1,6 @@
 """Scenario files, report formats, command-line entry points."""
 
+import hashlib
 import json
 import os
 import re
@@ -321,6 +322,177 @@ def test_cli_audit(capsys):
     assert cli.main(["audit"]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "clean" in out
+
+
+# Stdout (as sha256) and exit code of each command, recorded at the commit
+# before the CLI resolved its names through the scenario engine; the same
+# under PYTHONHASHSEED 0-3.
+PINNED_CLI = [
+    ("query --event Even --given On",
+     0, "1569bd5322dbcbc2260a5a7fe159f3d0c8da6e40dd9addfe2bb28b99a9f459b3"),
+    ("query --event Even --given On --base ordinal_theorem --out csv",
+     0, "6181bdf4029094e6e0ccb7931c2179cea7e46e6dd81f237934fa1a7797ad437f"),
+    ("query --omega-bound 2 --event Lim --rv even_shift",
+     0, "d5b9e9a3b9abc721d5cb9d89e6ae7d5bb5023db1b9012ccea4ef8d093150c26e"),
+    ("query --universe hf --event rank2",
+     0, "32e4162f59b75354f1390e1afb0cc84be193f8fd9a6fa86c0b910015dcbba6ee"),
+    ("witness superreg --pins o0.0,o0.4 --pairs mult4_t0:even_t1:2",
+     0, "e1f9a0e5a6cf2c3154e141ad630d1598ab5142075eece6a40ba3520205117fa2"),
+    ("witness superreg --pins o0.0 --pairs Even:Even:2",
+     1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("witness ordinal --pins o0.3 --pairs mult4_t0:even_t1 --k 2 --l 2 --m 2",
+     0, "f03357cfd38220a143da9788428a036048641d2d2c5d7caa7fed66ac57a54ccc"),
+    ("witness ordinal --pins o0.1 --k 3 --l 3 --m 3",
+     0, "648ce303fdeaf257a8a75ca5a0afe0f8bc2a5386aea2632e42d2cb91173578d9"),
+    ("witness powerset --universe hf",
+     0, "682ef8077240c614006bb3ea3261d7197f010f9c5a604b4c6bbe9164d15c976c"),
+    ("check fip",
+     0, "f6e1bdb0e5a5de152e493bfd157ec527ea2dd3ec9f39c01319604baf4976a2cc"),
+    ("check fip --universe hf",
+     0, "7502f499473565ae4f620f4f31c31420746b66ff83b2b5728a10783c54e184fc"),
+    ("check coherence",
+     0, "56beee83cb007e41202468298f5379d511e31466efe83fdc7e5bc1569a0556d0"),
+    ("check restriction",
+     0, "89d2a49ef7dbb2b522c5713d6e573a820ef05e3aa74750af02e9e2358e89f318"),
+    ("check counterexample",
+     0, "43d8b7ab6688f752cb036b7c993e2eb3c354ba8a14c2e79d4b771e42eb6af3f4"),
+    ("demo euclidean",
+     0, "f05b7ff53f01fd9353fe4220ff2df5eed8bd4b17dc9c89c553693607b39ce086"),
+    ("demo hume-failure",
+     0, "464682d0b215fe704732e1ffccd1693710b0b55eeccb3bad329e5818b6794d39"),
+    ("demo translation-failure",
+     0, "101b011c7b8aed68813712db679f30a737ab35bb3433327c506fa15fa325d705"),
+    ("demo powerset-chain",
+     0, "a3538b080bf4c071723d7d65b52fc5090aeb705dde9395e08b2057f73a7a3d68"),
+    ("demo pn-iteration",
+     0, "04a4dfae89d61437a1abb61303ba42652bb78ab14c5292146363894a3ac5311a"),
+    ("audit --budget 20",
+     0, "8c2b2d555e5380f557326fcfca48948b9ff873a6aa2e73dbe969ee9011d326c6"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", PINNED_CLI,
+                         ids=[c for c, _, _ in PINNED_CLI])
+def test_cli_stdout_and_exit_are_pinned(command, code, digest, capsys):
+    assert cli.main(command.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command, code, message", [
+    # ordinal_theorem names residue classes an HF universe does not have
+    ("query --universe hf --rank 4 --event rank1 --base ordinal_theorem",
+     cli.EXIT_VALIDATION,
+     "validation error: unknown class 'mult4_t0'; "
+     "known: ['V', 'rank0', 'rank1', 'rank2']"),
+    # zero bounds are used as given, not replaced by the defaults 5 and 3
+    ("query --universe hf --rank 0 --event V",
+     cli.EXIT_FAILURE, "BoundTooSmall: HF universe needs bound >= 3, got 0"),
+    ("query --omega-bound 0 --event On",
+     cli.EXIT_FAILURE, "BoundTooSmall: ordinal universe needs bound >= 1"),
+    ("check fip --universe hf --rank 0", cli.EXIT_FAILURE, "BoundTooSmall"),
+    ("query --event Foo", cli.EXIT_VALIDATION,
+     "validation error: unknown class 'Foo'; known: ['Even', 'Lim', "),
+    ("query --event Even --rv Foo", cli.EXIT_VALIDATION,
+     "validation error: unknown variable 'Foo'; "
+     "known: ['even_shift', 'identity']"),
+    ("witness superreg --pins zz --pairs Even:Odd:2", cli.EXIT_VALIDATION,
+     "validation error: bad state code 'zz'"),
+    ("witness superreg --pins o0.0 --pairs Even:Odd", cli.EXIT_VALIDATION,
+     "validation error: witness pair ['Even', 'Odd'] is not [A, B, n]"),
+    ("witness superreg --pins o0.0 --pairs Even:Odd:x", cli.EXIT_VALIDATION,
+     "validation error: witness pair ['Even', 'Odd', 'x'] is not [A, B, n]"),
+    ("witness superreg --pins o0.0 --pairs mult4_t0:even_t1:0",
+     cli.EXIT_VALIDATION, "validation error: witness pair "
+     "['mult4_t0', 'even_t1', 0] is not [A, B, n] with an integer n >= 1"),
+    ("witness ordinal --pins o0.1 --pairs Even:Odd:3", cli.EXIT_VALIDATION,
+     "validation error: witness pair ['Even', 'Odd', 3] is not [A, B]"),
+    ("witness ordinal --pins o0.1 --k 0", cli.EXIT_VALIDATION,
+     "validation error: k, l and m must all be >= 1"),
+    ("witness powerset --universe hf --pairs zz:{}", cli.EXIT_VALIDATION,
+     "validation error: bad state code 'zz'"),
+    ("witness powerset --universe hf --pairs {}:{}:{}", cli.EXIT_VALIDATION,
+     "validation error: powerset --pairs takes code:code pairs"),
+])
+def test_cli_rejects_bad_input_by_exit_code(command, code, message, capsys):
+    assert cli.main(command.split()) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+
+
+ORDINAL = {"universe": {"mode": "ordinal", "bound": 3}}
+
+
+@pytest.mark.parametrize("base, message", [
+    ({"window": ["o0.1", "bad"]}, "bad state code 'bad': "),
+    ({"constraints": ["garbage"]}, "bad constraint 'garbage': "),
+    ({"constraints": ["ratio(Foo,Even,k=2)"]},
+     "bad constraint 'ratio(Foo,Even,k=2)': "
+     "constraint references unknown class 'Foo'"),
+    ({"constraints": ["ratio(Even,Odd,k=x)"]},
+     "bad constraint 'ratio(Even,Odd,k=x)': invalid literal"),
+    ({"constraints": ["parametric(foo)"]},
+     "bad constraint 'parametric(foo)': unknown parametric family 'foo'"),
+    ({"constraints": ["parametric(ratio,Even)"]},
+     "bad constraint 'parametric(ratio,Even)': not enough values to unpack"),
+])
+def test_malformed_base_is_a_validation_error(base, message, tmp_path, capsys):
+    doc = {**ORDINAL, "base": base}
+    validate_scenario(doc)
+    with pytest.raises(ScenarioValidationError, match=re.escape(message)):
+        build_context(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("validation error: " + message)
+
+
+@pytest.mark.parametrize("query, error", [
+    ({"kind": "event", "class": "Even", "snapshot": ["o0.1", "zz"]},
+     "bad state code 'zz': "),
+    ({"kind": "event", "class": "Foo", "snapshot": ["o0.1"]},
+     "unknown class 'Foo'; known: ['Even', 'Lim', 'Nat', 'Odd', 'On', 'V']"),
+    ({"kind": "conditional", "class": "Even", "given": "On", "rv": "Foo",
+      "snapshot": ["o0.1"]},
+     "unknown variable 'Foo'; known: ['identity']"),
+    ({"kind": "witness", "builder": "superreg", "pairs": [["Even", "Odd"]]},
+     "witness pair ['Even', 'Odd'] is not [A, B, n] with an integer n >= 1"),
+    ({"kind": "witness", "builder": "superreg",
+      "pairs": [["mult4_t0", "even_t1", True]]},
+     "witness pair ['mult4_t0', 'even_t1', True] is not [A, B, n]"),
+    ({"kind": "witness", "builder": "ordinal", "pairs": [["Even", 3, 4]]},
+     "witness pair ['Even', 3, 4] is not [A, B]"),
+])
+def test_malformed_query_is_recorded_as_its_error(query, error):
+    doc = {**ORDINAL, "queries": [query, {"kind": "fip"}]}
+    validate_scenario(doc)
+    report = run_scenario_data(doc)
+    assert not report["ok"]
+    first, second = report["queries"]
+    assert first["error"].startswith("ScenarioValidationError: " + error)
+    assert "error" not in second
+
+
+def test_run_query_builds_point_germs_through_build_germ(monkeypatch):
+    built = []
+    real = scenario.build_germ
+
+    def spy(ctx, spec):
+        built.append(sorted(spec))
+        return real(ctx, spec)
+
+    monkeypatch.setattr(scenario, "build_germ", spy)
+    snap = ["o0.0", "o0.1", "o0.2"]
+    report = run_scenario_data({**ORDINAL, "queries": [
+        {"kind": "event", "class": "Even", "snapshot": snap, "expect": "2/3"},
+        {"kind": "joint", "class": "Even", "class2": "Nat", "snapshot": snap,
+         "expect": "2/3"},
+        {"kind": "conditional", "class": "Odd", "given": "Nat",
+         "snapshot": snap, "expect": "1/3"},
+    ]})
+    assert report["ok"], report
+    assert built == [["event"], ["joint"], ["cond"]]
 
 
 # ---------------------------------------------------------------------------
