@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     ConstructionFailed,
@@ -28,7 +28,7 @@ from .errors import (
     MarkerMissing,
     WrongMode,
 )
-from .snapshots import Snapshot
+from .snapshots import Snapshot, StateIndex
 from .universe import (
     HF_MODE,
     ORDINAL_MODE,
@@ -208,6 +208,45 @@ def constraint_membership(c: Constraint, t: Snapshot, mode: str | None = None) -
     if c.tag == TAG_PARAMETRIC:
         raise WrongMode("parametric families have no direct membership; expand first")
     raise ValueError(f"unknown constraint tag {c.tag}")
+
+
+def constraint_mask_test(c: Constraint, ix: StateIndex,
+                         mode: str | None = None) -> Callable[[int], bool]:
+    """Membership in c of the subset of `ix.states` a mask selects.
+
+    Equal to `constraint_membership` on that subset's Snapshot, but every
+    tag except interval is an integer test on bit counts, so no state is
+    touched per subset.  Interval, and any constraint that
+    `constraint_membership` rejects (an ordinal-only tag in HF mode, an
+    unknown or parametric tag), builds the subset's Snapshot and asks
+    `constraint_membership`, which then decides or raises as usual.
+    """
+    tag = c.tag
+    if tag in _ORDINAL_ONLY_TAGS and mode == HF_MODE:
+        tag = None  # constraint_membership raises WrongMode for it below
+    if tag == TAG_FINENESS:
+        pin = ix.bit(c.x)
+        return lambda m: m & pin != 0
+    if tag in (TAG_RATIO, TAG_ORDER_LT, TAG_ORDER_GE):
+        a, b = ix.mask(c.cls_a), ix.mask(c.cls_b)
+        if tag == TAG_RATIO:
+            k = c.param
+            return lambda m: k * (m & a).bit_count() <= (m & b).bit_count()
+        if tag == TAG_ORDER_LT:
+            return lambda m: (m & a).bit_count() < (m & b).bit_count()
+        return lambda m: (m & a).bit_count() >= (m & b).bit_count()
+    if tag == TAG_WEIGHT:
+        on, k = ix.where(lambda s: s.is_ordinal), c.param
+        return lambda m: k * (m & on).bit_count() <= m.bit_count()
+    if tag == TAG_SUBSET_BOUND:
+        inside, alpha = 0, c.param
+        for v in c.window:
+            inside |= ix.bit(v)
+        return lambda m: (m & inside).bit_count() < alpha
+    if tag == TAG_MIN_SIZE:
+        n = c.param
+        return lambda m: m.bit_count() >= n
+    return lambda m: constraint_membership(c, Snapshot(ix.subset(m)), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +638,7 @@ def _close_intervals(states: set[SetValue], l: int,
     protected-class members; ties resolve toward successor closure.
     """
     added: list[SetValue] = []
-    blocks: dict[int, set[int]] = {}
-    for s in states:
-        if s.is_ordinal:
-            a, b = s.ord_parts
-            blocks.setdefault(a, set()).add(b)
+    blocks = _ordinal_blocks(states)
     for a, bs in blocks.items():
         for b in sorted(bs):
             run_start = b
@@ -638,25 +673,38 @@ def _close_intervals(states: set[SetValue], l: int,
     return added
 
 
+def _ordinal_blocks(states: Iterable[SetValue]) -> dict[int, set[int]]:
+    """For each limit block a, the b of every ordinal w*a+b among states."""
+    blocks: dict[int, set[int]] = {}
+    for s in states:
+        if s.is_ordinal:
+            a, b = s.ord_parts
+            blocks.setdefault(a, set()).add(b)
+    return blocks
+
+
 def _run_feasible(cand: SetValue, l: int, protected: Sequence[ClassSpec],
-                  states: Iterable[SetValue]) -> bool:
+                  present: Iterable[int]) -> bool:
     """True when cand's run could be closed without touching protected
     classes: either the merged run is already long enough, or some
-    window of l+1 states covering it stays clear."""
+    window of l+1 states covering it stays clear.
+
+    `present` holds the b of every placed ordinal in cand's block.  The
+    run is walked at most l states each way, which is enough to tell
+    whether it is long enough, so the cost does not grow with the
+    number of placed states.
+    """
     a, b = cand.ord_parts
-    present = {s.ord_parts[1] for s in states
-               if s.is_ordinal and s.ord_parts[0] == a}
-    present.add(b)
     r0 = b
-    while r0 - 1 in present:
+    while r0 > b - l and r0 - 1 in present:
         r0 -= 1
     r1 = b
-    while r1 + 1 in present:
+    while r1 < b + l and r1 + 1 in present:
         r1 += 1
     if r1 - r0 + 1 >= l + 1:
         return True
     for start in range(max(0, r1 - l), r0 + 1):
-        if all(nb in present
+        if all(nb == b or nb in present
                or not any(p.membership(ord_value(a, nb)) for p in protected)
                for nb in range(start, start + l + 1)):
             return True
@@ -682,8 +730,11 @@ def find_witness(
     weight constraints.  Candidates for ratio/order repairs respect
     interval isolation when an interval constraint is present, which is
     what makes the combined families converge.  Returns None when the
-    budget is exhausted; every returned snapshot is verified against all
-    constraints before being handed back.
+    budget is exhausted: `restarts` attempts of at most `rounds` repair
+    rounds, each repair scanning at most `scan_cap` candidates, and an
+    attempt whose snapshot has grown past `scan_cap` states is given up.
+    Every returned snapshot is verified against all constraints before
+    being handed back.
     """
     cs = list(constraints)
     if any(c.tag == TAG_PARAMETRIC for c in cs):
@@ -732,6 +783,7 @@ def find_witness(
         # touching an avoided class; the fallback drops that demand and
         # leaves the spill to the next repair round.
         got = 0
+        blocks = _ordinal_blocks(states) if interval_c else {}
         for strict in (True, False):
             scanned = 0
             for cand in candidate_stream(cls, states):
@@ -741,9 +793,13 @@ def find_witness(
                 if any(a.membership(cand) for a in avoid):
                     continue
                 if strict and interval_c and cand.is_ordinal \
-                        and not _run_feasible(cand, interval_c, avoid, states):
+                        and not _run_feasible(cand, interval_c, avoid,
+                                              blocks.get(cand.ord_parts[0], ())):
                     continue
                 states.add(cand)
+                if interval_c and cand.is_ordinal:
+                    a, b = cand.ord_parts
+                    blocks.setdefault(a, set()).add(b)
                 got += 1
                 if got == need:
                     return True
@@ -820,6 +876,8 @@ def find_witness(
                 break
             if satisfied(states):
                 break
+            if len(states) > scan_cap:
+                break  # past what one repair may scan: out of budget
         if satisfied(states) and not states:
             # The empty set satisfies e.g. a lone ratio constraint, but the
             # snapshot space holds nonempty snapshots only: seed one state.

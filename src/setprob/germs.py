@@ -33,7 +33,7 @@ from .filters import (
     TAG_WEIGHT,
     Constraint,
     FilterBase,
-    constraint_membership,
+    constraint_mask_test,
     expand_base,
     expand_parametric,
     fineness,
@@ -41,12 +41,7 @@ from .filters import (
     generate_witnesses,
     state_pool,
 )
-from .snapshots import (
-    Snapshot,
-    conditional_snapshot_prob,
-    joint_snapshot_prob,
-    snapshot_prob,
-)
+from .snapshots import Snapshot, StateIndex, window_index
 from .universe import ClassSpec, RandomVariable, SetValue
 
 NODE_CONST = "const"
@@ -82,34 +77,14 @@ class Germ:
     def eval_at(self, t: Snapshot) -> Fraction:
         """Exact value at one snapshot.
 
-        Raises EmptySnapshot, ConditionNull, or DivisionUndefined when
-        the expression has no value there.
+        Compiles the germ over the snapshot's states (`compile_germ`) and
+        evaluates it at the mask of all of them, so each node kind has
+        its meaning written once, in the compiler.  Raises EmptySnapshot,
+        ConditionNull, or DivisionUndefined when the expression has no
+        value there.
         """
-        if self.node == NODE_CONST:
-            return self.value
-        if self.node == NODE_EVENT:
-            return snapshot_prob(self.rv, self.cls, t)
-        if self.node == NODE_JOINT:
-            return joint_snapshot_prob(self.rv, self.cls, self.rv2, self.cls2, t)
-        if self.node == NODE_COND:
-            return conditional_snapshot_prob(self.rv, self.cls, self.rv2, self.cls2, t)
-        if self.node == NODE_BINOP:
-            lv = self.left.eval_at(t)
-            rv = self.right.eval_at(t)
-            if self.op == "/":
-                if rv == 0:
-                    raise DivisionUndefined(
-                        f"denominator {self.right.key()} vanishes at {t!r}")
-                return lv / rv
-            return _OPS[self.op](lv, rv)
-        if self.node == NODE_SUM:
-            if self.indices:
-                return sum(
-                    (term.eval_at(t)
-                     for term, idx in zip(self.terms, self.indices) if idx in t),
-                    Fraction(0))
-            return sum((term.eval_at(t) for term in self.terms), Fraction(0))
-        raise ValueError(f"unknown germ node {self.node}")
+        ix = StateIndex(t.states)
+        return compile_germ(self, ix)(ix.full)
 
     def key(self) -> str:
         """Canonical structural key; equal keys mean equal germs."""
@@ -155,6 +130,66 @@ class Germ:
 
     def __repr__(self):
         return f"Germ<{self.describe()}>"
+
+
+def compile_germ(g: Germ, ix: StateIndex) -> Callable[[int], Fraction]:
+    """The germ as a function of a subset of `ix.states`, given as a mask.
+
+    Membership masks are taken from the index, so a class is tested once
+    per state however many nodes or subsets mention it.  Event, joint
+    and conditional frequencies are bit counts over the mask; an indexed
+    star_sum adds a term only when its index state's bit is set.  The
+    errors and their texts are those of `snapshot_prob`,
+    `joint_snapshot_prob` and `conditional_snapshot_prob`, and operands
+    are evaluated left to right, so a snapshot with no value raises what
+    the node-by-node definition raises there.
+    """
+    node = g.node
+    if node == NODE_CONST:
+        value = g.value
+        return lambda m: value
+    if node == NODE_EVENT or node == NODE_JOINT:
+        hits = ix.mask(g.cls, g.rv)
+        if node == NODE_JOINT:
+            hits &= ix.mask(g.cls2, g.rv2)
+
+        def frequency(m: int) -> Fraction:
+            if not m:
+                raise EmptySnapshot("probability over an empty snapshot")
+            return Fraction((m & hits).bit_count(), m.bit_count())
+        return frequency
+    if node == NODE_COND:
+        cond = ix.mask(g.cls2, g.rv2)
+        both = ix.mask(g.cls, g.rv) & cond
+
+        def conditional(m: int) -> Fraction:
+            if not m:
+                raise EmptySnapshot("probability over an empty snapshot")
+            den = (m & cond).bit_count()
+            if not den:
+                raise ConditionNull(
+                    f"condition {g.cls2.name} has no states in the snapshot")
+            return Fraction((m & both).bit_count(), den)
+        return conditional
+    if node == NODE_BINOP:
+        left, right = compile_germ(g.left, ix), compile_germ(g.right, ix)
+        if g.op == "/":
+            def quotient(m: int) -> Fraction:
+                lv, rv = left(m), right(m)
+                if rv == 0:
+                    raise DivisionUndefined(
+                        f"denominator {g.right.key()} vanishes at {ix.describe(m)}")
+                return lv / rv
+            return quotient
+        op = _OPS[g.op]
+        return lambda m: op(left(m), right(m))
+    if node == NODE_SUM:
+        terms = [compile_germ(term, ix) for term in g.terms]
+        if g.indices:
+            present = list(zip([ix.bit(idx) for idx in g.indices], terms))
+            return lambda m: sum((f(m) for bit, f in present if m & bit), Fraction(0))
+        return lambda m: sum((f(m) for f in terms), Fraction(0))
+    raise ValueError(f"unknown germ node {node}")
 
 
 def const_germ(q: Fraction | int) -> Germ:
@@ -636,32 +671,46 @@ def _window_exhaustive(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made,
                        cap: int = 14) -> Verdict | None:
     """Decide by enumerating every admissible snapshot of a small window.
 
-    Snapshots where either side has no value are vacuous and skipped; a
-    verdict needs at least one snapshot where both sides evaluate.
+    A snapshot is a set, so the subsets enumerated are those of the
+    window's distinct states, at most `cap` of them, smallest first.  A
+    subset is an int mask over those states in canonical order: each
+    constraint becomes a bit-count test (`constraint_mask_test`) and each
+    side one compiled germ (`compile_germ`), so no Snapshot is built per
+    subset.  Only an interval constraint, which needs the positions of
+    ordinal runs, falls back to the subset's states.  Snapshots where
+    either side has no value are vacuous and skipped; a verdict needs at
+    least one snapshot where both sides evaluate.
     """
-    if fb.window is None or len(fb.window) > cap:
+    if fb.window is None:
+        return None
+    ix = window_index(fb.window)
+    if len(ix.states) > cap:
         return None
     concrete = [c for c in fb.constraints if c.tag != TAG_PARAMETRIC]
     mode = fb.universe.mode if fb.universe is not None else None
-    states = list(fb.window)
+    tests = [constraint_mask_test(c, ix, mode) for c in concrete]
+    left, right = compile_germ(lg, ix), compile_germ(rg, ix)
+    relation = _RELATIONS[rel]
+    bits = [1 << i for i in range(len(ix.states))]
+    top = len(bits) if fb.max_size is None else min(len(bits), fb.max_size - 1)
     holds = fails = vacuous = 0
-    for size in range(1, len(states) + 1):
-        if fb.max_size is not None and size >= fb.max_size:
-            break
-        for combo in itertools.combinations(states, size):
-            snap = Snapshot(combo)
-            if not all(constraint_membership(c, snap, mode) for c in concrete):
-                continue
-            try:
-                a = lg.eval_at(snap)
-                b = rg.eval_at(snap)
-            except (ConditionNull, DivisionUndefined, EmptySnapshot):
-                vacuous += 1
-                continue
-            if eval_relation(rel, a, b):
-                holds += 1
+    for size in range(1, top + 1):
+        for combo in itertools.combinations(bits, size):
+            m = sum(combo)
+            for test in tests:
+                if not test(m):
+                    break
             else:
-                fails += 1
+                try:
+                    a = left(m)
+                    b = right(m)
+                except (ConditionNull, DivisionUndefined, EmptySnapshot):
+                    vacuous += 1
+                    continue
+                if relation(a, b):
+                    holds += 1
+                else:
+                    fails += 1
     if holds and not fails:
         return made(FORCED, "window-exhaustive", citations=tuple(concrete),
                     note="checked every admissible snapshot of the window",

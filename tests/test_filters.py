@@ -51,6 +51,7 @@ from setprob import (
 )
 from setprob.cli import registry_classes
 from setprob.errors import ConstructionFailed, WrongMode
+from setprob import filters
 from setprob.filters import state_pool
 
 U = make_universe(ORDINAL_MODE, 3)
@@ -433,6 +434,36 @@ def test_ordinal_witness_property(k, l, m, pinset):
         assert p in w
     assert constraint_membership(interval(l), w, U.mode)
     assert constraint_membership(weight(m), w, U.mode)
+
+
+def _feasible_by_scanning_states(cand, l, protected, states):
+    """_run_feasible as first written: the run is read off all states."""
+    a, b = cand.ord_parts
+    present = {s.ord_parts[1] for s in states
+               if s.is_ordinal and s.ord_parts[0] == a} | {b}
+    r0 = r1 = b
+    while r0 - 1 in present:
+        r0 -= 1
+    while r1 + 1 in present:
+        r1 += 1
+    if r1 - r0 + 1 >= l + 1:
+        return True
+    return any(all(nb in present
+                   or not any(p.membership(ord_value(a, nb)) for p in protected)
+                   for nb in range(start, start + l + 1))
+               for start in range(max(0, r1 - l), r0 + 1))
+
+
+@given(st.integers(0, 1), st.integers(0, 30), st.integers(1, 4),
+       st.sets(st.tuples(st.integers(0, 1), st.integers(0, 30)), max_size=20),
+       st.sampled_from([(), ("Even",), ("Odd", "Lim")]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_run_feasible_reads_only_the_candidate_block(a, b, l, placed, names):
+    protected = [U.builtin_class(n) for n in names]
+    states = [ord_value(pa, pb) for pa, pb in placed]
+    present = {pb for pa, pb in placed if pa == a}
+    assert filters._run_feasible(ord_value(a, b), l, protected, present) == \
+        _feasible_by_scanning_states(ord_value(a, b), l, protected, states)
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,26 @@ def test_window_exhaustive_decides_small_spaces():
     assert v.status == FORCED and v.rule == "window-exhaustive"
 
 
+def test_window_exhaustive_counts_each_snapshot_once():
+    # A snapshot is a set: repeating states in the window adds no snapshot.
+    plain = [nat(1), nat(2), nat(3)]
+    evidence = []
+    for window in (plain, plain + [nat(2), nat(2)]):
+        fb = FilterBase((), universe=U, window=tuple(window))
+        v = compare(germ_of_event(IDENT, EVEN), "le", Fraction(1, 2), fb)
+        assert v.status == UNDETERMINED and v.rule == "window-exhaustive"
+        evidence.append(v.evidence)
+    assert evidence == [{"holds": 6, "fails": 1, "vacuous": 0}] * 2
+
+
+def test_window_cap_counts_distinct_states():
+    window = [nat(i) for i in range(14)] * 2
+    fb = FilterBase((), universe=U, window=tuple(window))
+    v = compare(germ_of_event(IDENT, EVEN), "le", Fraction(1, 2), fb, sample_count=0)
+    assert v.rule == "window-exhaustive"
+    assert sum(v.evidence.values()) == 2 ** 14 - 1
+
+
 # ---------------------------------------------------------------------------
 # Infinitesimal classification
 

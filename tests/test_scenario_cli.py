@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from setprob import cli, scenario
+from setprob import cli, errors, scenario
 from setprob.errors import ScenarioParseError, ScenarioValidationError
 from setprob.scenario import (
     build_context,
@@ -527,3 +527,19 @@ def test_module_invocation_run():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"]
+
+
+def test_cli_query_gives_up_within_budget():
+    # At omega-bound 1 the ratio and interval families of the
+    # ordinal-theorem base have no common witness, so the sampling loop
+    # must give up instead of growing the candidate snapshot forever.
+    proc = subprocess.run(
+        [sys.executable, "-m", "setprob.cli", "query", "--omega-bound", "1",
+         "--event", "Even", "--base", "ordinal_theorem"],
+        capture_output=True, text=True, timeout=60)
+    if proc.returncode == 0:
+        assert len(json.loads(proc.stdout)["samples"]) < 3
+    else:
+        assert proc.returncode == 1, proc.stderr
+        name = proc.stderr.split(":", 1)[0]
+        assert issubclass(getattr(errors, name), errors.EngineError), proc.stderr

@@ -1,0 +1,269 @@
+"""Window enumeration on membership bitmasks, checked against snapshots.
+
+`_window_exhaustive` treats a subset of the window as an int mask: each
+constraint is a bit-count test (`constraint_mask_test`) and each germ is
+compiled once (`compile_germ`).  These tests hold both equal, on every
+subset of random windows, to the snapshot-level definitions:
+`constraint_membership` on the built Snapshot, and a germ evaluator
+written here from the public `snapshot_prob`, `joint_snapshot_prob` and
+`conditional_snapshot_prob`.
+"""
+
+import itertools
+import operator
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import setprob.snapshots as snapshots
+from setprob import (
+    FORCED,
+    FORCED_NOT,
+    HF_MODE,
+    ORDINAL_MODE,
+    UNDETERMINED,
+    FilterBase,
+    Snapshot,
+    class_from_values,
+    compare,
+    conditional_germ,
+    conditional_snapshot_prob,
+    const_germ,
+    even_shift_permutation,
+    fineness,
+    germ_arith,
+    germ_of_event,
+    identity_rv,
+    interval,
+    joint_germ,
+    joint_snapshot_prob,
+    make_universe,
+    min_size,
+    order_ge,
+    order_lt,
+    parse_code,
+    ratio,
+    snapshot_prob,
+    star_sum,
+    subset_bound,
+    table_rv,
+    weight,
+)
+from setprob.errors import ConditionNull, DivisionUndefined, EmptySnapshot
+from setprob.filters import constraint_mask_test, constraint_membership
+from setprob.germs import compile_germ
+from setprob.snapshots import window_index
+
+VACUOUS = (ConditionNull, DivisionUndefined, EmptySnapshot)
+
+OU = make_universe(ORDINAL_MODE, 3)
+HU = make_universe(HF_MODE, 4)
+POOLS = {
+    ORDINAL_MODE: list(itertools.islice(OU.enumerate_universe(), 24)),
+    HF_MODE: list(HU.enumerate_universe()),
+}
+BUILTINS = {
+    ORDINAL_MODE: [OU.builtin_class(n) for n in ("On", "Even", "Odd", "Nat", "Lim")],
+    HF_MODE: [HU.rank_level_class(k) for k in (1, 2, 3)],
+}
+
+RELATIONS = {
+    "eq": operator.eq, "ne": operator.ne, "le": operator.le, "lt": operator.lt,
+    "ge": operator.ge, "gt": operator.gt, "abs_le": lambda a, b: abs(a) <= b,
+}
+OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def reference_value(g, t: Snapshot) -> Fraction:
+    """The germ's value at t, node by node from the snapshot functions."""
+    if g.node == "const":
+        return g.value
+    if g.node == "event":
+        return snapshot_prob(g.rv, g.cls, t)
+    if g.node == "joint":
+        return joint_snapshot_prob(g.rv, g.cls, g.rv2, g.cls2, t)
+    if g.node == "cond":
+        return conditional_snapshot_prob(g.rv, g.cls, g.rv2, g.cls2, t)
+    if g.node == "binop":
+        a = reference_value(g.left, t)
+        b = reference_value(g.right, t)
+        if g.op == "/":
+            if b == 0:
+                raise DivisionUndefined(f"denominator {g.right.key()} vanishes at {t!r}")
+            return a / b
+        return OPS[g.op](a, b)
+    if g.indices:
+        return sum((reference_value(term, t)
+                    for term, idx in zip(g.terms, g.indices) if idx in t), Fraction(0))
+    return sum((reference_value(term, t) for term in g.terms), Fraction(0))
+
+
+def outcome(fn, *args):
+    """A value, or the type and text of the vacuous error raised."""
+    try:
+        return fn(*args)
+    except VACUOUS as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def problems(draw):
+    mode = draw(st.sampled_from((ORDINAL_MODE, HF_MODE)))
+    pool = POOLS[mode]
+    state = st.sampled_from(pool)
+    # duplicates on purpose: a window is a list, a snapshot a set
+    window = draw(st.lists(state, min_size=1, max_size=8))
+    # mostly inside the window, where a class, pin or bound has an effect
+    near = st.one_of(st.sampled_from(window), st.sampled_from(window), state)
+    classes = list(BUILTINS[mode])
+    for name in ("A", "B", "C"):
+        classes.append(class_from_values(name, draw(st.lists(near, max_size=6))))
+    a, b = draw(st.lists(state, min_size=2, max_size=2, unique_by=lambda v: v.code))
+    rvs = [identity_rv(), table_rv({a: b, b: a}, "swap")]
+    if mode == ORDINAL_MODE:
+        rvs.append(even_shift_permutation())
+    cls, rv = st.sampled_from(classes), st.sampled_from(rvs)
+
+    tags = ["fineness", "ratio", "order_lt", "order_ge", "subset_bound", "min_size"]
+    if mode == ORDINAL_MODE:
+        tags += ["interval", "weight"]
+    constraints = []
+    for tag in draw(st.lists(st.sampled_from(tags), max_size=3)):
+        if tag == "fineness":
+            constraints.append(fineness(draw(near)))
+        elif tag == "ratio":
+            constraints.append(ratio(draw(cls), draw(cls), draw(st.integers(1, 3))))
+        elif tag in ("order_lt", "order_ge"):
+            maker = order_lt if tag == "order_lt" else order_ge
+            constraints.append(maker(draw(cls), draw(cls)))
+        elif tag == "subset_bound":
+            constraints.append(subset_bound(draw(st.lists(near, max_size=6)),
+                                            draw(st.integers(1, 4))))
+        elif tag == "min_size":
+            constraints.append(min_size(draw(st.integers(0, 4))))
+        elif tag == "interval":
+            constraints.append(interval(draw(st.integers(1, 3))))
+        else:
+            constraints.append(weight(draw(st.integers(1, 3))))
+
+    rationals = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    leaves = st.one_of(
+        rationals.map(const_germ),
+        st.builds(germ_of_event, rv, cls),
+        st.builds(joint_germ, rv, cls, rv, cls),
+        st.builds(conditional_germ, rv, cls, rv, cls),
+    )
+
+    def branches(children):
+        indexed = st.lists(st.tuples(children, near), min_size=1, max_size=3).map(
+            lambda pairs: star_sum([g for g, _ in pairs], [x for _, x in pairs]))
+        return st.one_of(
+            st.builds(germ_arith, st.sampled_from(("+", "-", "*", "/")), children, children),
+            st.lists(children, min_size=1, max_size=3).map(star_sum),
+            indexed,
+        )
+
+    germ = st.recursive(leaves, branches, max_leaves=5)
+    max_size = draw(st.one_of(st.none(), st.integers(1, 9)))
+    fb = FilterBase(tuple(constraints), universe=OU if mode == ORDINAL_MODE else HU,
+                    window=tuple(window), max_size=max_size)
+    return fb, draw(germ), draw(st.sampled_from(sorted(RELATIONS))), draw(germ)
+
+
+def subsets(fb: FilterBase):
+    """Every (mask, Snapshot) pair of the window's distinct states, smallest
+    first, below the base's size bound."""
+    ix = window_index(fb.window)
+    n = len(ix.states)
+    top = n if fb.max_size is None else min(n, fb.max_size - 1)
+    for size in range(1, top + 1):
+        for combo in itertools.combinations(range(n), size):
+            yield sum(1 << i for i in combo), Snapshot(ix.states[i] for i in combo)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(problems())
+def test_masks_match_snapshots_on_every_subset(problem):
+    fb, lg, rel, rg = problem
+    ix = window_index(fb.window)
+    mode = fb.universe.mode
+    tests = [constraint_mask_test(c, ix, mode) for c in fb.constraints]
+    left, right = compile_germ(lg, ix), compile_germ(rg, ix)
+    holds = fails = vacuous = 0
+    for m, t in subsets(fb):
+        assert ix.subset(m) == t.states
+        admitted = [constraint_membership(c, t, mode) for c in fb.constraints]
+        assert [test(m) for test in tests] == admitted
+        for g, compiled in ((lg, left), (rg, right)):
+            expected = outcome(reference_value, g, t)
+            assert outcome(compiled, m) == expected
+            assert outcome(g.eval_at, t) == expected
+        if not all(admitted):
+            continue
+        a, b = outcome(reference_value, lg, t), outcome(reference_value, rg, t)
+        if isinstance(a, tuple) or isinstance(b, tuple):
+            vacuous += 1
+        elif RELATIONS[rel](a, b):
+            holds += 1
+        else:
+            fails += 1
+
+    v = compare(lg, rel, rg, fb, sample_count=0)
+    if v.rule == "window-exhaustive":
+        status = FORCED if not fails else FORCED_NOT if not holds else UNDETERMINED
+        assert v.status == status
+        expected = {"holds": holds, "fails": fails, "vacuous": vacuous}
+        assert {k: v.evidence.get(k, 0) for k in expected} == expected
+    elif v.rule == "sampled":
+        assert holds == fails == 0
+
+
+def test_empty_snapshot_errors_match():
+    g = germ_arith("+", const_germ(1), germ_of_event(identity_rv(), OU.builtin_class("On")))
+    t = Snapshot(())
+    assert outcome(g.eval_at, t) == outcome(reference_value, g, t) == \
+        (EmptySnapshot, "probability over an empty snapshot")
+
+
+def test_division_error_names_the_subset():
+    even = OU.builtin_class("Even")
+    q = germ_arith("/", const_germ(1), germ_of_event(identity_rv(), even))
+    t = Snapshot(parse_code(c) for c in ("o0.3", "o0.1"))
+    assert outcome(q.eval_at, t) == (
+        DivisionUndefined, "denominator ev(identity:Even) vanishes at Snapshot{1,3}")
+
+
+def test_operands_fail_left_to_right():
+    even, odd, lim = (OU.builtin_class(n) for n in ("Even", "Odd", "Lim"))
+    first = conditional_germ(identity_rv(), even, identity_rv(), lim)
+    second = conditional_germ(identity_rv(), even, identity_rv(), odd)
+    t = Snapshot([parse_code("o0.2")])
+    expected = (ConditionNull, "condition Lim has no states in the snapshot")
+    for g in [germ_arith(op, first, second) for op in "+-*/"] + \
+            [star_sum([first, second]), star_sum([first, second], t.states * 2)]:
+        assert outcome(g.eval_at, t) == outcome(reference_value, g, t) == expected
+
+
+def test_window_compare_builds_no_snapshot_per_subset(monkeypatch):
+    built = []
+    init = snapshots.Snapshot.__init__
+
+    def counting(self, states):
+        built.append(1)
+        init(self, states)
+
+    monkeypatch.setattr(snapshots.Snapshot, "__init__", counting)
+    window = tuple(POOLS[ORDINAL_MODE][:12])
+    even, on = OU.builtin_class("Even"), OU.builtin_class("On")
+    g = conditional_germ(identity_rv(), even, identity_rv(), on)
+    fb = FilterBase((fineness(window[0]), ratio(even, on, 1), min_size(2),
+                     weight(2), subset_bound(window[:6], 4)),
+                    universe=OU, window=window)
+    v = compare(g, "le", Fraction(1, 2), fb, sample_count=0)
+    assert v.rule == "window-exhaustive"
+    assert built == []
+    # interval needs the subset's ordinal runs, so it alone builds states
+    v = compare(g, "le", Fraction(1, 2), fb.with_constraints([interval(1)]),
+                sample_count=0)
+    assert v.rule == "window-exhaustive" and built
