@@ -44,6 +44,9 @@ from .snapshots import Snapshot, snapshot_prob
 from .universe import ClassSpec, RandomVariable, SetValue, UniverseHandle, \
     class_from_values, identity_rv
 
+# Window states at which a restriction audit checks fineness and dichotomy.
+AUDIT_SAMPLES = 3
+
 
 @dataclass(frozen=True)
 class TierConfig:
@@ -163,7 +166,6 @@ def restrict_base(
     alpha: int,
     budget: FipBudget | None = None,
     require_license: bool = True,
-    audit_samples: int = 3,
 ) -> tuple[FilterBase, RestrictionAudit]:
     """Carry a filter base into the restricted snapshot space.
 
@@ -205,16 +207,18 @@ def restrict_base(
         provenance=f"{fb.provenance}|restricted@{alpha}" if fb.provenance
         else f"restricted@{alpha}",
     )
-    audit = audit_restricted_base(restricted, budget, samples=audit_samples)
+    audit = audit_restricted_base(restricted, budget)
     return restricted, audit
 
 
-def audit_restricted_base(fb: FilterBase, budget: FipBudget | None = None,
-                          samples: int = 3) -> RestrictionAudit:
-    """Budgeted five-property audit of a (restricted) base."""
+def audit_restricted_base(fb: FilterBase,
+                          budget: FipBudget | None = None) -> RestrictionAudit:
+    """Budgeted five-property audit of a (restricted) base; the fineness
+    and dichotomy properties are sampled at the first AUDIT_SAMPLES
+    window states."""
     budget = budget or FipBudget()
     window = fb.window or ()
-    concrete = expand_base(fb, budget)
+    concrete = expand_base(fb)
     details: dict = {}
 
     fip = check_fip(fb, budget)
@@ -223,7 +227,7 @@ def audit_restricted_base(fb: FilterBase, budget: FipBudget | None = None,
 
     # Fineness: every sampled window state extends the base consistently.
     fineness_ok = True
-    for x in window[:samples]:
+    for x in window[:AUDIT_SAMPLES]:
         w = find_witness(concrete + [fineness(x)], fb.universe,
                          window=fb.window, max_size=fb.max_size,
                          scan_cap=budget.scan_cap)
@@ -241,7 +245,7 @@ def audit_restricted_base(fb: FilterBase, budget: FipBudget | None = None,
 
     dichotomy_ok = True
     nonprincipal_ok = True
-    for x in window[:samples]:
+    for x in window[:AUDIT_SAMPLES]:
         pin_w = find_witness(concrete + [fineness(x)], fb.universe,
                              window=fb.window, max_size=fb.max_size,
                              scan_cap=budget.scan_cap)

@@ -281,23 +281,23 @@ class FilterBase:
 
     def has_parametric(self, family: str, cls_a: ClassSpec | None = None,
                        cls_b: ClassSpec | None = None) -> Constraint | None:
+        """The parametric family of that name (over the class pair, for
+        ratio), if the base has it."""
         for c in self.constraints:
-            if c.tag != TAG_PARAMETRIC or c.family != family:
-                continue
-            if family == TAG_RATIO:
-                if c.cls_a == cls_a and c.cls_b == cls_b:
-                    return c
-                continue
-            return c
+            if c.tag == TAG_PARAMETRIC and c.family == family \
+                    and c.cls_a == cls_a and c.cls_b == cls_b:
+                return c
         return None
 
-    def find_ratio(self, cls_a: ClassSpec, cls_b: ClassSpec) -> Constraint | None:
-        """Tightest concrete ratio constraint for the pair, if any."""
+    def tightest(self, tag: str, cls_a: ClassSpec | None = None,
+                 cls_b: ClassSpec | None = None) -> Constraint | None:
+        """The concrete constraint of the tag (and class pair, for ratio)
+        with the largest parameter, if any."""
         best = None
         for c in self.constraints:
-            if c.tag == TAG_RATIO and c.cls_a == cls_a and c.cls_b == cls_b:
-                if best is None or c.param > best.param:
-                    best = c
+            if c.tag == tag and c.cls_a == cls_a and c.cls_b == cls_b \
+                    and (best is None or c.param > best.param):
+                best = c
         return best
 
     def find_order(self, tag: str, cls_a: ClassSpec, cls_b: ClassSpec) -> Constraint | None:
@@ -305,14 +305,6 @@ class FilterBase:
             if c.tag == tag and c.cls_a == cls_a and c.cls_b == cls_b:
                 return c
         return None
-
-    def find_param(self, tag: str) -> Constraint | None:
-        """Tightest interval/weight constraint present, if any."""
-        best = None
-        for c in self.constraints:
-            if c.tag == tag and (best is None or c.param > best.param):
-                best = c
-        return best
 
 
 def state_pool(universe: UniverseHandle | None,
@@ -489,15 +481,20 @@ def filter_base_from_text(
 # FIP checking
 
 
+# Parametric families are sampled at these points for budgeted checks:
+# the first few window or universe states for fineness, k = 1, 2, 3 for
+# the integer families.  check_fip tries every subset of up to
+# FIP_SUBSET_SIZE of the sampled constraints.
+FINENESS_SAMPLES = 3
+PARAM_SAMPLES = (1, 2, 3)
+FIP_SUBSET_SIZE = 3
+
+
 @dataclass(frozen=True)
 class FipBudget:
     """Search limits for the finite-intersection audit."""
 
-    subset_size: int = 3
-    param_samples: tuple[int, ...] = (1, 2, 3)
-    fineness_samples: int = 3
     scan_cap: int = 4000
-    restarts: int = 4
 
 
 @dataclass(frozen=True)
@@ -512,26 +509,20 @@ class FipResult:
         return self.status == "witnessed"
 
 
-def expand_base(fb: FilterBase, budget: FipBudget | None = None) -> list[Constraint]:
-    """Concrete constraints: parametric families sampled at budget points."""
-    budget = budget or FipBudget()
+def expand_base(fb: FilterBase) -> list[Constraint]:
+    """Concrete constraints: parametric families sampled at fixed points."""
     out: list[Constraint] = []
     for c in fb.constraints:
         if c.tag != TAG_PARAMETRIC:
-            if c not in out:
-                out.append(c)
-            continue
-        if c.family == TAG_FINENESS:
-            for x in itertools.islice(state_pool(fb.universe, fb.window),
-                                      budget.fineness_samples):
-                inst = fineness(x)
-                if inst not in out:
-                    out.append(inst)
+            insts = [c]
+        elif c.family == TAG_FINENESS:
+            insts = [fineness(x) for x in itertools.islice(
+                state_pool(fb.universe, fb.window), FINENESS_SAMPLES)]
         else:
-            for p in budget.param_samples:
-                inst = expand_parametric(c, p)
-                if inst not in out:
-                    out.append(inst)
+            insts = [expand_parametric(c, p) for p in PARAM_SAMPLES]
+        for inst in insts:
+            if inst not in out:
+                out.append(inst)
     return out
 
 
@@ -557,20 +548,20 @@ def check_fip(fb: FilterBase, budget: FipBudget | None = None,
               rng: random.Random | None = None) -> FipResult:
     """Budgeted finite-intersection-property audit.
 
-    Checks every constraint subset up to the budgeted size, plus the
+    Checks every subset of up to FIP_SUBSET_SIZE constraints, plus the
     full expanded set.  A subset is refuted only when its emptiness is
     proved structurally; a failed witness search downgrades the result
     to unknown rather than refuting.
     """
     budget = budget or FipBudget()
-    concrete = expand_base(fb, budget)
+    concrete = expand_base(fb)
     if fb.max_size is not None:
         for c in concrete:
             # A size floor at or above the space's size cap is outright empty.
             if c.tag == TAG_MIN_SIZE and c.param >= fb.max_size:
                 return FipResult("refuted", refuted_subset=(c,))
     subsets: list[tuple[Constraint, ...]] = []
-    for size in range(1, min(budget.subset_size, len(concrete)) + 1):
+    for size in range(1, min(FIP_SUBSET_SIZE, len(concrete)) + 1):
         subsets.extend(itertools.combinations(concrete, size))
     full = tuple(concrete)
     if full and full not in subsets:
@@ -580,8 +571,7 @@ def check_fip(fb: FilterBase, budget: FipBudget | None = None,
         if _structurally_empty(subset):
             return FipResult("refuted", refuted_subset=subset)
         w = find_witness(subset, fb.universe, rng=rng, window=fb.window,
-                         max_size=fb.max_size, scan_cap=budget.scan_cap,
-                         restarts=budget.restarts)
+                         max_size=fb.max_size, scan_cap=budget.scan_cap)
         if w is None:
             return FipResult(
                 "unknown",
@@ -733,8 +723,9 @@ def find_witness(
     budget is exhausted: `restarts` attempts of at most `rounds` repair
     rounds, each repair scanning at most `scan_cap` candidates, and an
     attempt whose snapshot has grown past `scan_cap` states is given up.
-    Every returned snapshot is verified against all constraints before
-    being handed back.
+    With an rng, a found snapshot then takes up to `decorate` random
+    extra states that keep every constraint.  Every returned snapshot is
+    verified against all constraints before being handed back.
     """
     cs = list(constraints)
     if any(c.tag == TAG_PARAMETRIC for c in cs):
@@ -744,9 +735,11 @@ def find_witness(
         raise WrongMode("interval/weight constraints need an ordinal universe")
 
     pins = [c.x for c in cs if c.tag == TAG_FINENESS]
-    ratio_cs = [c for c in cs if c.tag == TAG_RATIO]
-    lt_cs = [c for c in cs if c.tag == TAG_ORDER_LT]
-    ge_cs = [c for c in cs if c.tag == TAG_ORDER_GE]
+    # Count repairs (small, big, k, slack): |big| must reach k*|small| +
+    # slack, grown with fresh members of big outside small.
+    repairs = [(c.cls_a, c.cls_b, c.param, 0) for c in cs if c.tag == TAG_RATIO] + \
+        [(c.cls_a, c.cls_b, 1, 1) for c in cs if c.tag == TAG_ORDER_LT] + \
+        [(c.cls_b, c.cls_a, 1, 0) for c in cs if c.tag == TAG_ORDER_GE]
     interval_c = max((c.param for c in cs if c.tag == TAG_INTERVAL), default=0)
     weight_cs = [c for c in cs if c.tag == TAG_WEIGHT]
     minsize_cs = [c for c in cs if c.tag == TAG_MIN_SIZE]
@@ -760,8 +753,8 @@ def find_witness(
 
     # growth inside these classes needs compensation elsewhere, so the
     # interval machinery steers closures away from them
-    protected = [c.cls_a for c in ratio_cs] + [c.cls_a for c in lt_cs] + \
-        [c.cls_b for c in ge_cs]
+    protected = [small for small, _, _, _ in repairs]
+    avoid_for_pads = [cls for small, big, _, _ in repairs for cls in (small, big)]
 
     def satisfied(states: set[SetValue]) -> bool:
         snap = Snapshot(states)
@@ -806,6 +799,7 @@ def find_witness(
         return got >= need
 
     def pad_stream(states: set[SetValue]) -> Iterator[SetValue]:
+        # never an ordinal: pads, non-ordinal window states or HF sets
         if window_vals is not None:
             return iter([v for v in window_vals
                          if not v.is_ordinal and v not in states])
@@ -815,8 +809,17 @@ def find_witness(
             return (p for p in universe.pads() if p not in states)
         return (v for v in universe.enumerate_universe() if v not in states)
 
-    avoid_for_pads = [c.cls_a for c in ratio_cs] + [c.cls_b for c in ratio_cs] + \
-        [c.cls_a for c in lt_cs + ge_cs] + [c.cls_b for c in lt_cs + ge_cs]
+    def pad(states: set[SetValue], need: int) -> bool:
+        """Add up to `need` pad states outside every repaired class."""
+        got = 0
+        for cand in _shuffled_stream(pad_stream(states), rng):
+            if any(a.membership(cand) for a in avoid_for_pads):
+                continue
+            states.add(cand)
+            got += 1
+            if got == need:
+                break
+        return got > 0
 
     for attempt in range(restarts):
         states: set[SetValue] = set(pins)
@@ -825,60 +828,29 @@ def find_witness(
             if satisfied(states) and not progressed:
                 break
             progressed = False
-            for c in ratio_cs:
-                deficit = c.param * class_count(states, c.cls_a) - class_count(states, c.cls_b)
-                if deficit > 0:
-                    if grow(states, c.cls_b, deficit, avoid=[c.cls_a]):
-                        progressed = True
-            for c in lt_cs:
-                deficit = class_count(states, c.cls_a) - class_count(states, c.cls_b) + 1
-                if deficit > 0:
-                    if grow(states, c.cls_b, deficit, avoid=[c.cls_a]):
-                        progressed = True
-            for c in ge_cs:
-                deficit = class_count(states, c.cls_b) - class_count(states, c.cls_a)
-                if deficit > 0:
-                    if grow(states, c.cls_a, deficit, avoid=[c.cls_b]):
-                        progressed = True
+            for small, big, k, slack in repairs:
+                deficit = k * class_count(states, small) + slack - class_count(states, big)
+                if deficit > 0 and grow(states, big, deficit, avoid=[small]):
+                    progressed = True
             if interval_c:
                 if _close_intervals(states, interval_c, protected):
                     progressed = True
             for c in weight_cs:
                 on_count = sum(1 for s in states if s.is_ordinal)
                 deficit = c.param * on_count - len(states)
-                if deficit > 0:
-                    got = 0
-                    for cand in _shuffled_stream(pad_stream(states), rng):
-                        if cand.is_ordinal:
-                            continue
-                        if any(a.membership(cand) for a in avoid_for_pads):
-                            continue
-                        states.add(cand)
-                        got += 1
-                        if got == deficit:
-                            break
-                    if got:
-                        progressed = True
+                if deficit > 0 and pad(states, deficit):
+                    progressed = True
             for c in minsize_cs:
                 deficit = c.param - len(states)
-                if deficit > 0:
-                    got = 0
-                    for cand in _shuffled_stream(pad_stream(states), rng):
-                        if any(a.membership(cand) for a in avoid_for_pads):
-                            continue
-                        states.add(cand)
-                        got += 1
-                        if got == deficit:
-                            break
-                    if got:
-                        progressed = True
+                if deficit > 0 and pad(states, deficit):
+                    progressed = True
             if max_size is not None and len(states) >= max_size:
                 break
             if satisfied(states):
                 break
             if len(states) > scan_cap:
                 break  # past what one repair may scan: out of budget
-        if satisfied(states) and not states:
+        if not states and satisfied(states):
             # The empty set satisfies e.g. a lone ratio constraint, but the
             # snapshot space holds nonempty snapshots only: seed one state.
             for cand in _shuffled_stream(pad_stream(states), rng):
@@ -890,33 +862,23 @@ def find_witness(
             if max_size is not None and len(states) >= max_size:
                 continue
             if decorate and rng is not None:
-                _decorate(states, cs, mode, universe, window_vals, max_size,
-                          rng, decorate)
-            if satisfied(states):
-                return Snapshot(states)
+                pool = [v for v in state_pool(universe, window_vals, 120)
+                        if v not in states]
+                rng.shuffle(pool)
+                added = 0
+                for cand in pool:
+                    if added >= decorate or \
+                            (max_size is not None and len(states) + 1 >= max_size):
+                        break
+                    states.add(cand)
+                    if satisfied(states):
+                        added += 1
+                    else:
+                        states.discard(cand)
+            return Snapshot(states)
         if rng is None:
             break  # deterministic restarts would repeat themselves
     return None
-
-
-def _decorate(states: set[SetValue], cs: Sequence[Constraint], mode: str | None,
-              universe: UniverseHandle | None, window_vals: list[SetValue] | None,
-              max_size: int | None, rng: random.Random, count: int) -> None:
-    """Try adding random extra states while keeping every constraint."""
-    pool = [v for v in state_pool(universe, window_vals, 120) if v not in states]
-    rng.shuffle(pool)
-    added = 0
-    for cand in pool:
-        if added >= count:
-            return
-        if max_size is not None and len(states) + 1 >= max_size:
-            return
-        states.add(cand)
-        snap = Snapshot(states)
-        if all(constraint_membership(c, snap, mode) for c in cs):
-            added += 1
-        else:
-            states.discard(cand)
 
 
 def generate_witnesses(
@@ -926,12 +888,13 @@ def generate_witnesses(
     count: int,
     window: Iterable[SetValue] | None = None,
     max_size: int | None = None,
-    attempts_per: int = 8,
 ) -> list[Snapshot]:
-    """Distinct snapshots in the constraint intersection, for audits."""
+    """Distinct snapshots in the constraint intersection, for audits:
+    up to 8 seeded searches per snapshot asked for, then a deterministic
+    padding fallback."""
     out: list[Snapshot] = []
     seen: set[frozenset] = set()
-    attempts = count * attempts_per
+    attempts = count * 8
     while len(out) < count and attempts > 0:
         attempts -= 1
         w = find_witness(constraints, universe, rng=rng, window=window,

@@ -353,52 +353,49 @@ def _const_value(g: Germ) -> Fraction | None:
     return g.value if g.node == NODE_CONST else None
 
 
-def _completion_pin(fb: FilterBase, cls: ClassSpec, scan: int = 64) -> Constraint | None:
-    """A fineness constraint pinning some member of cls, if the base has
-    one (concretely or through the parametric fineness family).
-
-    Cited alongside ratio and interval bounds so that audit witnesses
-    keep the bounded quotient defined instead of vacuous.
-    """
+def _pin(fb: FilterBase, wanted: Callable[[SetValue], bool], scan: int
+         ) -> Constraint | None:
+    """A fineness constraint pinning a state that satisfies `wanted`: one
+    the base lists, else an instance of its parametric fineness family
+    among the first `scan` states of the pool."""
     for c in fb.constraints:
-        if c.tag == TAG_FINENESS and cls.membership(c.x):
+        if c.tag == TAG_FINENESS and wanted(c.x):
             return c
     if fb.has_parametric(TAG_FINENESS) is not None:
         for x in state_pool(fb.universe, fb.window, scan):
-            if cls.membership(x):
+            if wanted(x):
                 return fineness(x)
     return None
 
 
-def _undercut(family: Constraint | None, target: Fraction | None
-              ) -> tuple[Constraint, Fraction] | None:
-    """The family's instance at the least k with 1/k <= target."""
-    if family is None or target is None or target <= 0:
+def _with_pin(fb: FilterBase, c: Constraint, cls: ClassSpec) -> list[Constraint]:
+    """c, followed by a completion pin: a fineness constraint pinning some
+    member of cls, when the base has one.
+
+    Cited alongside ratio and interval bounds so that audit witnesses
+    keep the bounded quotient defined instead of vacuous.
+    """
+    pin = _pin(fb, cls.membership, 64)
+    return [c] if pin is None else [c, pin]
+
+
+def _bound(fb: FilterBase, tag: str, target: Fraction,
+           cls_a: ClassSpec | None = None, cls_b: ClassSpec | None = None
+           ) -> tuple[Constraint, Fraction] | None:
+    """Best available bound 1/k from the tag's constraints (the ratio
+    ones for the class pair).
+
+    A concrete constraint gives its own k.  A parametric family gives any
+    k, so its instance is taken at the least k with 1/k <= target.
+    """
+    best = fb.tightest(tag, cls_a, cls_b)
+    if best is not None:
+        return best, Fraction(1, best.param)
+    family = fb.has_parametric(tag, cls_a, cls_b)
+    if family is None or target <= 0:
         return None
     k = -(-target.denominator // target.numerator)  # ceil(1/target)
     return expand_parametric(family, k), Fraction(1, k)
-
-
-def _ratio_bound(fb: FilterBase, cls_a: ClassSpec, cls_b: ClassSpec,
-                 target: Fraction | None) -> tuple[Constraint, Fraction] | None:
-    """Best available bound Pr-quotient <= 1/k for the pair.
-
-    Concrete constraints give their own k.  A parametric family gives
-    any k, so the parameter is chosen to undercut the target.
-    """
-    best = fb.find_ratio(cls_a, cls_b)
-    if best is not None:
-        return best, Fraction(1, best.param)
-    return _undercut(fb.has_parametric(TAG_RATIO, cls_a, cls_b), target)
-
-
-def _param_bound(fb: FilterBase, tag: str, target: Fraction | None
-                 ) -> tuple[Constraint, Fraction] | None:
-    """Best interval/weight bound 1/param, concrete or parametric."""
-    best = fb.find_param(tag)
-    if best is not None:
-        return best, Fraction(1, best.param)
-    return _undercut(fb.has_parametric(tag), target)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +450,7 @@ def _compare_inner(lg: Germ, rel: str, rg: Germ, fb: FilterBase,
     if v is not None:
         return v
     if rel in _MIRROR:
-        v = _upper_bound_rules(rg, _MIRROR[rel], lg, fb,
-                               lambda s, rule, citations=(), note="", **ev: made(
-                                   s, rule, citations, note, **ev))
+        v = _upper_bound_rules(rg, _MIRROR[rel], lg, fb, made)
         if v is not None:
             return v
     v = _window_exhaustive(lg, rel, rg, fb, made)
@@ -471,113 +466,70 @@ def _subset_rule(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Verdict 
     snapshot, which settles the lax relations outright.  The strict ones
     additionally need a pinned state witnessing B strictly bigger: a y
     in B outside A whose preimage the base forces into every snapshot.
+    Each containment is read in the orientation that puts the smaller
+    class on the left, so `Pr[B] ge Pr[A]` is asked as `Pr[A] le Pr[B]`.
     """
     lp = _event_parts(lg)
     rp = _event_parts(rg)
-    if lp is None or rp is None:
+    if lp is None or rp is None or rel not in _MIRROR:
         return None
-    rv1, cls_a = lp
+    rv, cls_a = lp
     rv2, cls_b = rp
-    if rv1 != rv2:
+    if rv != rv2:
         return None
     fwd = cls_a.is_subset_of(cls_b)
     bwd = cls_b.is_subset_of(cls_a)
     if fwd is True and bwd is True:
-        holds = rel in ("eq", "le", "ge")
-        return made(FORCED if holds else FORCED_NOT, "subset-antisym",
+        return made(FORCED if rel in ("eq", "le", "ge") else FORCED_NOT,
+                    "subset-antisym",
                     note=f"{cls_a.name} and {cls_b.name} contain each other")
-    pin = sep = None
-    if fwd is True:
-        pin, sep = _strict_pin(fb, rv1, cls_a, cls_b)
-    rpin = rsep = None
-    if bwd is True:
-        rpin, rsep = _strict_pin(fb, rv1, cls_b, cls_a)
+    for small, big, r, inside in ((cls_a, cls_b, rel, fwd),
+                                  (cls_b, cls_a, _MIRROR[rel], bwd)):
+        if inside is not True:
+            continue
+        if r in ("le", "gt"):
+            return made(FORCED if r == "le" else FORCED_NOT, "subset-monotone",
+                        note=f"{small.name} is contained in {big.name}")
 
-    def strict(p, s, small: ClassSpec, big: ClassSpec, status):
-        return made(status, "subset-strict", citations=(p,),
-                    note=f"{s.pretty()} lies in {big.name} but not {small.name}",
-                    separator=s.code)
+        def separates(x: SetValue) -> bool:
+            y = rv(x)
+            return big.membership(y) and not small.membership(y)
 
-    if fwd is True:
-        if rel == "le":
-            return made(FORCED, "subset-monotone",
-                        note=f"{cls_a.name} is contained in {cls_b.name}")
-        if rel == "gt":
-            return made(FORCED_NOT, "subset-monotone",
-                        note=f"{cls_a.name} is contained in {cls_b.name}")
+        pin = _pin(fb, separates, 256)
         if pin is not None:
-            if rel == "lt" or rel == "ne":
-                return strict(pin, sep, cls_a, cls_b, FORCED)
-            if rel == "ge" or rel == "eq":
-                return strict(pin, sep, cls_a, cls_b, FORCED_NOT)
-    if bwd is True:
-        if rel == "ge":
-            return made(FORCED, "subset-monotone",
-                        note=f"{cls_b.name} is contained in {cls_a.name}")
-        if rel == "lt":
-            return made(FORCED_NOT, "subset-monotone",
-                        note=f"{cls_b.name} is contained in {cls_a.name}")
-        if rpin is not None:
-            if rel == "gt" or rel == "ne":
-                return strict(rpin, rsep, cls_b, cls_a, FORCED)
-            if rel == "le" or rel == "eq":
-                return strict(rpin, rsep, cls_b, cls_a, FORCED_NOT)
+            return made(FORCED if r in ("lt", "ne") else FORCED_NOT, "subset-strict",
+                        citations=(pin,),
+                        note=f"{pin.x.pretty()} lies in {big.name} but not {small.name}",
+                        separator=pin.x.code)
     return None
 
 
-def _strict_pin(fb: FilterBase, rv: RandomVariable, small: ClassSpec,
-                big: ClassSpec, scan: int = 256) -> tuple[Constraint | None, SetValue | None]:
-    """A fineness constraint forcing a state that hits big but not small."""
-    for c in fb.constraints:
-        if c.tag == TAG_FINENESS:
-            y = rv(c.x)
-            if big.membership(y) and not small.membership(y):
-                return c, c.x
-    if fb.has_parametric(TAG_FINENESS) is None:
-        return None, None
-    for x in state_pool(fb.universe, fb.window, scan):
-        y = rv(x)
-        if big.membership(y) and not small.membership(y):
-            return fineness(x), x
-    return None, None
-
-
 def _order_rule(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Verdict | None:
-    """Comparisons carried directly by cited count-order constraints."""
+    """Comparisons carried directly by cited count-order constraints.
+
+    A strict order in either orientation decides every relation; failing
+    that, order_ge both ways gives equality, and order_ge one way decides
+    `ge` and `lt` read in that orientation.
+    """
     cls_a = _identity_event_class(lg)
     cls_b = _identity_event_class(rg)
-    if cls_a is None or cls_b is None:
+    if cls_a is None or cls_b is None or rel not in _MIRROR:
         return None
-    lt_ab = fb.find_order(TAG_ORDER_LT, cls_a, cls_b)
-    lt_ba = fb.find_order(TAG_ORDER_LT, cls_b, cls_a)
-    ge_ab = fb.find_order(TAG_ORDER_GE, cls_a, cls_b)
-    ge_ba = fb.find_order(TAG_ORDER_GE, cls_b, cls_a)
     note = "count order divides through by the snapshot size"
-    if lt_ab is not None:
-        if rel in ("lt", "le", "ne"):
-            return made(FORCED, "order", citations=(lt_ab,), note=note)
-        if rel in ("ge", "gt", "eq"):
-            return made(FORCED_NOT, "order", citations=(lt_ab,), note=note)
-    if lt_ba is not None:
-        if rel in ("gt", "ge", "ne"):
-            return made(FORCED, "order", citations=(lt_ba,), note=note)
-        if rel in ("le", "lt", "eq"):
-            return made(FORCED_NOT, "order", citations=(lt_ba,), note=note)
-    if ge_ab is not None and ge_ba is not None:
-        if rel == "eq":
-            return made(FORCED, "order", citations=(ge_ab, ge_ba), note=note)
-        if rel == "ne":
-            return made(FORCED_NOT, "order", citations=(ge_ab, ge_ba), note=note)
-    if ge_ab is not None:
-        if rel == "ge":
-            return made(FORCED, "order", citations=(ge_ab,), note=note)
-        if rel == "lt":
-            return made(FORCED_NOT, "order", citations=(ge_ab,), note=note)
-    if ge_ba is not None:
-        if rel == "le":
-            return made(FORCED, "order", citations=(ge_ba,), note=note)
-        if rel == "gt":
-            return made(FORCED_NOT, "order", citations=(ge_ba,), note=note)
+    sides = ((cls_a, cls_b, rel), (cls_b, cls_a, _MIRROR[rel]))
+    for x, y, r in sides:
+        lt = fb.find_order(TAG_ORDER_LT, x, y)
+        if lt is not None:
+            return made(FORCED if r in ("lt", "le", "ne") else FORCED_NOT, "order",
+                        citations=(lt,), note=note)
+    ge = [fb.find_order(TAG_ORDER_GE, x, y) for x, y, _ in sides]
+    if None not in ge and rel in ("eq", "ne"):
+        return made(FORCED if rel == "eq" else FORCED_NOT, "order",
+                    citations=ge, note=note)
+    for c, (_, _, r) in zip(ge, sides):
+        if c is not None and r in ("ge", "lt"):
+            return made(FORCED if r == "ge" else FORCED_NOT, "order",
+                        citations=(c,), note=note)
     return None
 
 
@@ -592,20 +544,17 @@ def _upper_bound_rules(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Ve
     quotient = _event_quotient(lg)
     if quotient is not None:
         cls_a, cls_b = quotient
-        found = _ratio_bound(fb, cls_a, cls_b, target)
+        found = _bound(fb, TAG_RATIO, target, cls_a, cls_b)
         if found is not None:
             c, bound = found
-            cites = [c]
-            pin = _completion_pin(fb, cls_b)
-            if pin is not None:
-                cites.append(pin)
             note = (f"|{cls_a.name} hits| stays within 1/{c.param} of "
                     f"|{cls_b.name} hits|; the size factors cancel")
-            return _bound_verdict(made, rel, bound, target, "ratio", cites, note)
+            return _bound_verdict(made, rel, bound, target, "ratio",
+                                  _with_pin(fb, c, cls_b), note)
 
     ev = _event_parts(lg)
     if ev is not None and _is_identity(ev[0]) and _under_on(ev[1]):
-        found = _param_bound(fb, TAG_WEIGHT, target)
+        found = _bound(fb, TAG_WEIGHT, target)
         if found is not None:
             c, bound = found
             note = "ordinal states carry at most 1/m of any admitted snapshot"
@@ -615,55 +564,43 @@ def _upper_bound_rules(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Ve
 
     cond = _identity_cond(lg)
     if cond is not None and cond[0].name == "Lim" and _names_on(cond[1]):
-        found = _param_bound(fb, TAG_INTERVAL, target)
+        found = _bound(fb, TAG_INTERVAL, target)
         if found is not None:
             c, bound = found
-            cites = [c]
-            pin = _completion_pin(fb, cond[1])
-            if pin is not None:
-                cites.append(pin)
             note = ("each ordinal run admits at most one limit point and "
                     "runs have more than l states")
             return _bound_verdict(made, rel, bound, target, "interval-limit",
-                                  cites, note)
+                                  _with_pin(fb, c, cond[1]), note)
 
     if rel == "abs_le" and lg.node == NODE_BINOP and lg.op == "-":
         dl = _identity_cond(lg.left)
         dr = _identity_cond(lg.right)
-        if dl is not None and dr is not None and _names_on(dl[1]) and _names_on(dr[1]):
-            names = {dl[0].name, dr[0].name}
-            if names == {"Even", "Odd"}:
-                found = _param_bound(fb, TAG_INTERVAL, target)
-                if found is not None:
-                    c, bound = found
-                    cites = [c]
-                    pin = _completion_pin(fb, dl[1])
-                    if pin is not None:
-                        cites.append(pin)
-                    note = ("parities alternate inside each run, so the "
-                            "imbalance is at most one state per run")
-                    if bound <= target:
-                        return made(FORCED, "interval-parity", citations=cites,
-                                    note=note, bound=str(bound))
+        if dl is not None and dr is not None and _names_on(dl[1]) and _names_on(dr[1]) \
+                and {dl[0].name, dr[0].name} == {"Even", "Odd"}:
+            found = _bound(fb, TAG_INTERVAL, target)
+            if found is not None:
+                c, bound = found
+                note = ("parities alternate inside each run, so the "
+                        "imbalance is at most one state per run")
+                return _bound_verdict(made, rel, bound, target, "interval-parity",
+                                      _with_pin(fb, c, dl[1]), note)
     return None
+
+
+# Status of `value rel target` given `value <= bound`, and whether the
+# bound must lie strictly below the target to settle it.
+_BOUND_SETTLES = {"le": (FORCED, False), "abs_le": (FORCED, False),
+                  "lt": (FORCED, True), "ne": (FORCED, True),
+                  "gt": (FORCED_NOT, False), "ge": (FORCED_NOT, True),
+                  "eq": (FORCED_NOT, True)}
 
 
 def _bound_verdict(made, rel: str, bound: Fraction, target: Fraction,
                    rule: str, cites, note: str) -> Verdict | None:
     """Turn `value <= bound` into a verdict about `value rel target`."""
-    ev = {"bound": str(bound)}
-    if rel in ("le", "abs_le") and bound <= target:
-        return made(FORCED, rule, cites, note, **ev)
-    if rel == "lt" and bound < target:
-        return made(FORCED, rule, cites, note, **ev)
-    if rel == "ne" and bound < target:
-        return made(FORCED, rule, cites, note, **ev)
-    if rel == "gt" and bound <= target:
-        return made(FORCED_NOT, rule, cites, note, **ev)
-    if rel == "ge" and bound < target:
-        return made(FORCED_NOT, rule, cites, note, **ev)
-    if rel == "eq" and bound < target:
-        return made(FORCED_NOT, rule, cites, note, **ev)
+    status, strict = _BOUND_SETTLES[rel]
+    if bound < target or (bound == target and not strict):
+        return made(status, rule, cites, note, bound=str(bound))
     return None
 
 
@@ -784,7 +721,11 @@ class Classification:
         return self.status == APPROX_ZERO
 
 
-def classify_infinitesimal(g: Germ, fb: FilterBase, sample_k: int = 3) -> Classification:
+# The parameter at which a classification's sample citations are shown.
+_SAMPLE_K = 3
+
+
+def classify_infinitesimal(g: Germ, fb: FilterBase) -> Classification:
     """Decide approx-zero status from the base's parametric families.
 
     The decision is symbolic: no witness search runs.  A germ counts as
@@ -806,18 +747,18 @@ def classify_infinitesimal(g: Germ, fb: FilterBase, sample_k: int = 3) -> Classi
         return Classification(APPROX_ZERO, g, rule="cancellation",
                               note="the difference vanishes wherever defined")
 
+    def family(rule: str, note: str, cites) -> Classification:
+        return Classification(APPROX_ZERO, g, rule=rule, note=note,
+                              sample_citations=tuple(cites),
+                              sample_parameter=_SAMPLE_K)
+
     quotient = _event_quotient(g)
     if quotient is not None:
         fam = fb.has_parametric(TAG_RATIO, quotient[0], quotient[1])
         if fam is not None:
-            cites = [expand_parametric(fam, sample_k)]
-            pin = _completion_pin(fb, quotient[1])
-            if pin is not None:
-                cites.append(pin)
-            return Classification(
-                APPROX_ZERO, g, rule="ratio-family",
-                note="each k is carried by the ratio constraint at that k",
-                sample_citations=tuple(cites), sample_parameter=sample_k)
+            return family("ratio-family",
+                          "each k is carried by the ratio constraint at that k",
+                          _with_pin(fb, expand_parametric(fam, _SAMPLE_K), quotient[1]))
 
     ev = _event_parts(g)
     if ev is not None:
@@ -825,33 +766,24 @@ def classify_infinitesimal(g: Germ, fb: FilterBase, sample_k: int = 3) -> Classi
         if _is_identity(rv) and _under_on(cls):
             fam = fb.has_parametric(TAG_WEIGHT)
             if fam is not None:
-                return Classification(
-                    APPROX_ZERO, g, rule="weight-family",
-                    note="ordinal mass shrinks below 1/m for every m",
-                    sample_citations=(expand_parametric(fam, sample_k),),
-                    sample_parameter=sample_k)
+                return family("weight-family",
+                              "ordinal mass shrinks below 1/m for every m",
+                              [expand_parametric(fam, _SAMPLE_K)])
         if rv.diagonal and cls.tier.is_finite and \
                 fb.has_parametric(TAG_FINENESS) is not None:
-            pins = _dilution_pins(fb, rv, cls, sample_k)
+            pins = _dilution_pins(fb, rv, cls, _SAMPLE_K)
             if pins is not None:
-                return Classification(
-                    APPROX_ZERO, g, rule="fineness-dilution",
-                    note=(f"{cls.name} meets at most {cls.tier.index} states, "
-                          "while pinned snapshots grow without bound"),
-                    sample_citations=tuple(pins), sample_parameter=sample_k)
+                return family("fineness-dilution",
+                              f"{cls.name} meets at most {cls.tier.index} states, "
+                              "while pinned snapshots grow without bound", pins)
 
     cond = _identity_cond(g)
     if cond is not None and cond[0].name == "Lim" and _names_on(cond[1]):
         fam = fb.has_parametric(TAG_INTERVAL)
         if fam is not None:
-            cites = [expand_parametric(fam, sample_k)]
-            pin = _completion_pin(fb, cond[1])
-            if pin is not None:
-                cites.append(pin)
-            return Classification(
-                APPROX_ZERO, g, rule="interval-family",
-                note="limit mass under On shrinks below 1/l for every l",
-                sample_citations=tuple(cites), sample_parameter=sample_k)
+            return family("interval-family",
+                          "limit mass under On shrinks below 1/l for every l",
+                          _with_pin(fb, expand_parametric(fam, _SAMPLE_K), cond[1]))
 
     return Classification(UNDETERMINED, g, rule="",
                           note="no parametric family in the base covers this germ")

@@ -399,9 +399,9 @@ class ClassSpec:
     so distinct classes in one context must carry distinct names.  The
     enumerator is a stateless generator factory; `enumerate` wraps it
     with deduplication and exclusion skipping.  `subset_tags` lists
-    names of classes this one is declared to be contained in; for
-    finite-tier classes containment is instead decided exactly by
-    enumeration.
+    names of classes this one is declared to be contained in.  A
+    value-list class (`class_from_values`) ignores them for containment,
+    which is decided exactly from its values.
     """
 
     __slots__ = ("name", "membership", "_stream", "tier", "subset_tags", "meta")
@@ -482,9 +482,13 @@ class ClassSpec:
     def is_subset_of(self, other: "ClassSpec") -> bool | None:
         """True/False when decidable, None when unknown.
 
-        Finite-tier classes are checked exactly by enumeration; infinite
-        ones rely on declared subset tags.
+        A value-list class is decided exactly from its values, whatever
+        it declares; other finite-tier classes are checked by enumeration
+        unless a name or declared subset tag settles it first, and
+        infinite ones rely on those declarations.
         """
+        if "values" in self.meta:
+            return all(other.membership(v) for v in self.meta["values"])
         if self.name == other.name:
             return True
         if other.name in self.subset_tags:
@@ -657,11 +661,7 @@ def identity_rv() -> RandomVariable:
     return RandomVariable("identity", "identity", lambda x: x, lambda y: y, True)
 
 
-def table_rv(
-    mapping: dict[SetValue, SetValue],
-    name: str,
-    default_identity: bool = True,
-) -> RandomVariable:
+def table_rv(mapping: dict[SetValue, SetValue], name: str) -> RandomVariable:
     """Explicit finite map with identity default off its support.
 
     When the mapping permutes its own support the variable is diagonal
@@ -670,16 +670,11 @@ def table_rv(
     fwd = {k.code: v for k, v in mapping.items()}
     keys = {k.code for k in mapping}
     values = {v.code for v in mapping.values()}
-    is_perm = default_identity and keys == values and len(values) == len(mapping)
+    is_perm = keys == values and len(values) == len(mapping)
     inv = {v.code: k for k, v in mapping.items()} if is_perm else None
 
     def apply_fn(x: SetValue) -> SetValue:
-        got = fwd.get(x.code)
-        if got is not None:
-            return got
-        if default_identity:
-            return x
-        raise WrongMode(f"variable {name} undefined at {x.pretty()}")
+        return fwd.get(x.code, x)
 
     def preimage_fn(y: SetValue) -> SetValue:
         got = inv.get(y.code)

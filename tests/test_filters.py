@@ -313,6 +313,7 @@ THEOREM_WITNESSES = (
     "p61 p62 p64 p66 p67 p74",
 )
 FINENESS_WITNESS = "o0.0 o0.1 o1.25 o2.15 p0 p15 p25"
+PADDED_ORDER_WITNESS = "o0.1 o0.20 o0.3 o1.0 o2.0 o2.4 p13 p15 p23 p25 p3 p46 p49 p6"
 HF_ORDER_WITNESS = (
     "{{{{},{{}}}}} {{{},{{}},{{{}}},{{},{{}}}}} {{{},{{}}}} "
     "{{{}},{{{}},{{{}}},{{},{{}}}}} {{{}},{{},{{}},{{{}}}}} {{},{{}}}")
@@ -333,6 +334,11 @@ def test_seeded_witnesses_are_pinned():
     c = order_lt(class_of_set(hf_set(r2[:1])), class_of_set(hf_set(r2[:2])))
     t = find_witness([c, power_lift(c)], HF, rng=random.Random(3), decorate=4)
     assert witness_codes(t) == HF_ORDER_WITNESS
+    # order_ge repair, then weight and min_size padding, then decoration
+    cs = [fineness(nat(1)), fineness(nat(3)), order_ge(REG["Even"], REG["Odd"]),
+          weight(2), min_size(10)]
+    t = find_witness(cs, U, rng=random.Random(3), decorate=4)
+    assert witness_codes(t) == PADDED_ORDER_WITNESS
 
 
 # ---------------------------------------------------------------------------

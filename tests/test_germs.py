@@ -29,11 +29,14 @@ from setprob import (
     germ_arith,
     germ_of_event,
     identity_rv,
+    interval,
     joint_germ,
     make_universe,
     much_less,
     nat,
     ord_value,
+    order_ge,
+    order_lt,
     ordinal_theorem_base,
     pad,
     parametric_ratio,
@@ -244,7 +247,6 @@ def test_compare_subset_lax_without_pins():
 def test_compare_order_rule():
     a = class_from_values("a", [nat(1)])
     b = class_from_values("b", [nat(2)])
-    from setprob import order_lt
     fb = FilterBase((order_lt(a, b),), universe=U)
     v = compare(germ_of_event(IDENT, a), "lt", germ_of_event(IDENT, b), fb)
     assert v.status == FORCED and v.rule == "order"
@@ -413,3 +415,478 @@ def test_audit_weight_claim_clean():
     assert v.status == FORCED
     report = audit_verdict(v, fb, random.Random(3), witness_count=20)
     assert report.clean
+
+
+def test_antisym_leaves_abs_le_alone():
+    # |Pr[Even]| <= Pr[Even] holds wherever Pr[Even] is defined; the
+    # antisymmetry rule used to call it forced_not.
+    fb = fineness_base(U)
+    g = germ_of_event(IDENT, EVEN)
+    v = compare(g, "abs_le", germ_of_event(IDENT, EVEN), fb)
+    assert v.rule != "subset-antisym"
+    if v.status != UNDETERMINED:
+        assert audit_verdict(v, fb, random.Random(0), witness_count=50).clean
+
+
+def test_value_list_ignores_declared_subset_tags():
+    # A declares itself inside B, but their values are disjoint: at {o0.1}
+    # Pr[A] is 1 and Pr[B] is 0, so `le` must not be forced.
+    a = class_from_values("A", [ord_value(0, i) for i in (1, 2, 3)], subset_tags=["B"])
+    b = class_from_values("B", [ord_value(0, 5)])
+    assert a.is_subset_of(b) is False
+    fb = ordinal_theorem_base(U)
+    v = compare(germ_of_event(IDENT, a), "le", germ_of_event(IDENT, b), fb)
+    assert v.status == UNDETERMINED
+    assert class_from_values("C", [nat(2)], subset_tags=["D"]).is_subset_of(EVEN) is True
+
+
+# ---------------------------------------------------------------------------
+# Pinned compare table
+#
+# Each rule with a mirrored case (subset, order, the upper bounds) is asked
+# both orientations of a pair under all seven relations, and every verdict's
+# status, rule, citations and note must equal the literal recorded here.  A
+# row left out of COMPARE_TABLE falls through to sampling.
+
+_LIM = U.builtin_class("Lim")
+_RELS = ("eq", "ne", "le", "lt", "ge", "gt", "abs_le")
+
+
+def _compare_table_rows() -> dict[str, str]:
+    evens0 = _evens_of_block_zero()
+    order_bases = {
+        "fineness": fineness_base(U),
+        "pins": FilterBase((fineness(nat(1)), fineness(ord_value(1, 0))), universe=U),
+        "lt-pair": FilterBase((order_lt(EVEN, ODD), order_lt(ODD, EVEN)), universe=U),
+        "ge+lt": FilterBase((order_ge(EVEN, ODD), order_lt(ODD, EVEN)), universe=U),
+        "ge-pair": FilterBase((order_ge(EVEN, ODD), order_ge(ODD, EVEN)), universe=U),
+        "ge-rev": FilterBase((order_ge(ODD, EVEN),), universe=U),
+    }
+    bound_bases = {
+        "theorem": ordinal_theorem_base(U, [(evens0, ODD)]),
+        "concrete": FilterBase((ratio(evens0, ODD, 2), ratio(evens0, ODD, 4), weight(3),
+                                weight(5), interval(2), fineness(nat(1))), universe=U),
+    }
+    events = [germ_of_event(IDENT, c) for c in (EVEN, ODD, evens0)]
+    event_pairs = [(a, b) for a in events for b in events if a != b]
+    on_cond = [conditional_germ(IDENT, c, IDENT, ON) for c in (_LIM, EVEN, ODD)]
+    bounded = [germ_arith("/", events[2], events[1]), germ_of_event(IDENT, ON), events[2],
+               on_cond[0], germ_arith("-", on_cond[1], on_cond[2])]
+    third = const_germ(Fraction(1, 3))
+    bound_pairs = [p for g in bounded for p in ((g, third), (third, g))]
+    cases = [("fineness", order_bases["fineness"], [(events[0], events[0])])]
+    cases += [(name, fb, event_pairs) for name, fb in order_bases.items()]
+    cases += [(name, fb, bound_pairs) for name, fb in bound_bases.items()]
+    rows = {}
+    for name, fb, pairs in cases:
+        for lg, rg in pairs:
+            for rel in _RELS:
+                v = compare(lg, rel, rg, fb, sample_count=0)
+                cites = "; ".join(c.describe() for c in v.citations)
+                rows[f"{name}: {lg.key()} {rel} {rg.key()}"] = \
+                    f"{v.status} {v.rule} [{cites}] {v.note}"
+    return rows
+
+
+_SAMPLED_ROW = "undetermined sampled [] no citable rule applies; sampled evidence only"
+
+COMPARE_TABLE = {
+    "fineness: ev(identity:Even) eq ev(identity:Even)":
+        "forced structural [] both sides are the same germ",
+    "fineness: ev(identity:Even) ne ev(identity:Even)":
+        "forced_not structural [] both sides are the same germ",
+    "fineness: ev(identity:Even) le ev(identity:Even)":
+        "forced structural [] both sides are the same germ",
+    "fineness: ev(identity:Even) lt ev(identity:Even)":
+        "forced_not structural [] both sides are the same germ",
+    "fineness: ev(identity:Even) ge ev(identity:Even)":
+        "forced structural [] both sides are the same germ",
+    "fineness: ev(identity:Even) gt ev(identity:Even)":
+        "forced_not structural [] both sides are the same germ",
+    "fineness: ev(identity:Even) eq ev(identity:evens0)":
+        "forced_not subset-strict [fineness(o1.0)] w lies in Even but not evens0",
+    "fineness: ev(identity:Even) ne ev(identity:evens0)":
+        "forced subset-strict [fineness(o1.0)] w lies in Even but not evens0",
+    "fineness: ev(identity:Even) le ev(identity:evens0)":
+        "forced_not subset-strict [fineness(o1.0)] w lies in Even but not evens0",
+    "fineness: ev(identity:Even) lt ev(identity:evens0)":
+        "forced_not subset-monotone [] evens0 is contained in Even",
+    "fineness: ev(identity:Even) ge ev(identity:evens0)":
+        "forced subset-monotone [] evens0 is contained in Even",
+    "fineness: ev(identity:Even) gt ev(identity:evens0)":
+        "forced subset-strict [fineness(o1.0)] w lies in Even but not evens0",
+    "fineness: ev(identity:evens0) eq ev(identity:Even)":
+        "forced_not subset-strict [fineness(o1.0)] w lies in Even but not evens0",
+    "fineness: ev(identity:evens0) ne ev(identity:Even)":
+        "forced subset-strict [fineness(o1.0)] w lies in Even but not evens0",
+    "fineness: ev(identity:evens0) le ev(identity:Even)":
+        "forced subset-monotone [] evens0 is contained in Even",
+    "fineness: ev(identity:evens0) lt ev(identity:Even)":
+        "forced subset-strict [fineness(o1.0)] w lies in Even but not evens0",
+    "fineness: ev(identity:evens0) ge ev(identity:Even)":
+        "forced_not subset-strict [fineness(o1.0)] w lies in Even but not evens0",
+    "fineness: ev(identity:evens0) gt ev(identity:Even)":
+        "forced_not subset-monotone [] evens0 is contained in Even",
+    "pins: ev(identity:Even) eq ev(identity:evens0)":
+        "forced_not subset-strict [fineness(o1.0)] w lies in Even but not evens0",
+    "pins: ev(identity:Even) ne ev(identity:evens0)":
+        "forced subset-strict [fineness(o1.0)] w lies in Even but not evens0",
+    "pins: ev(identity:Even) le ev(identity:evens0)":
+        "forced_not subset-strict [fineness(o1.0)] w lies in Even but not evens0",
+    "pins: ev(identity:Even) lt ev(identity:evens0)":
+        "forced_not subset-monotone [] evens0 is contained in Even",
+    "pins: ev(identity:Even) ge ev(identity:evens0)":
+        "forced subset-monotone [] evens0 is contained in Even",
+    "pins: ev(identity:Even) gt ev(identity:evens0)":
+        "forced subset-strict [fineness(o1.0)] w lies in Even but not evens0",
+    "pins: ev(identity:evens0) eq ev(identity:Even)":
+        "forced_not subset-strict [fineness(o1.0)] w lies in Even but not evens0",
+    "pins: ev(identity:evens0) ne ev(identity:Even)":
+        "forced subset-strict [fineness(o1.0)] w lies in Even but not evens0",
+    "pins: ev(identity:evens0) le ev(identity:Even)":
+        "forced subset-monotone [] evens0 is contained in Even",
+    "pins: ev(identity:evens0) lt ev(identity:Even)":
+        "forced subset-strict [fineness(o1.0)] w lies in Even but not evens0",
+    "pins: ev(identity:evens0) ge ev(identity:Even)":
+        "forced_not subset-strict [fineness(o1.0)] w lies in Even but not evens0",
+    "pins: ev(identity:evens0) gt ev(identity:Even)":
+        "forced_not subset-monotone [] evens0 is contained in Even",
+    "lt-pair: ev(identity:Even) eq ev(identity:Odd)":
+        "forced_not order [order_lt(Even,Odd)] count order divides through by the "
+        "snapshot size",
+    "lt-pair: ev(identity:Even) ne ev(identity:Odd)":
+        "forced order [order_lt(Even,Odd)] count order divides through by the snapshot "
+        "size",
+    "lt-pair: ev(identity:Even) le ev(identity:Odd)":
+        "forced order [order_lt(Even,Odd)] count order divides through by the snapshot "
+        "size",
+    "lt-pair: ev(identity:Even) lt ev(identity:Odd)":
+        "forced order [order_lt(Even,Odd)] count order divides through by the snapshot "
+        "size",
+    "lt-pair: ev(identity:Even) ge ev(identity:Odd)":
+        "forced_not order [order_lt(Even,Odd)] count order divides through by the "
+        "snapshot size",
+    "lt-pair: ev(identity:Even) gt ev(identity:Odd)":
+        "forced_not order [order_lt(Even,Odd)] count order divides through by the "
+        "snapshot size",
+    "lt-pair: ev(identity:Even) lt ev(identity:evens0)":
+        "forced_not subset-monotone [] evens0 is contained in Even",
+    "lt-pair: ev(identity:Even) ge ev(identity:evens0)":
+        "forced subset-monotone [] evens0 is contained in Even",
+    "lt-pair: ev(identity:Odd) eq ev(identity:Even)":
+        "forced_not order [order_lt(Odd,Even)] count order divides through by the "
+        "snapshot size",
+    "lt-pair: ev(identity:Odd) ne ev(identity:Even)":
+        "forced order [order_lt(Odd,Even)] count order divides through by the snapshot "
+        "size",
+    "lt-pair: ev(identity:Odd) le ev(identity:Even)":
+        "forced order [order_lt(Odd,Even)] count order divides through by the snapshot "
+        "size",
+    "lt-pair: ev(identity:Odd) lt ev(identity:Even)":
+        "forced order [order_lt(Odd,Even)] count order divides through by the snapshot "
+        "size",
+    "lt-pair: ev(identity:Odd) ge ev(identity:Even)":
+        "forced_not order [order_lt(Odd,Even)] count order divides through by the "
+        "snapshot size",
+    "lt-pair: ev(identity:Odd) gt ev(identity:Even)":
+        "forced_not order [order_lt(Odd,Even)] count order divides through by the "
+        "snapshot size",
+    "lt-pair: ev(identity:evens0) le ev(identity:Even)":
+        "forced subset-monotone [] evens0 is contained in Even",
+    "lt-pair: ev(identity:evens0) gt ev(identity:Even)":
+        "forced_not subset-monotone [] evens0 is contained in Even",
+    "ge+lt: ev(identity:Even) eq ev(identity:Odd)":
+        "forced_not order [order_lt(Odd,Even)] count order divides through by the "
+        "snapshot size",
+    "ge+lt: ev(identity:Even) ne ev(identity:Odd)":
+        "forced order [order_lt(Odd,Even)] count order divides through by the snapshot "
+        "size",
+    "ge+lt: ev(identity:Even) le ev(identity:Odd)":
+        "forced_not order [order_lt(Odd,Even)] count order divides through by the "
+        "snapshot size",
+    "ge+lt: ev(identity:Even) lt ev(identity:Odd)":
+        "forced_not order [order_lt(Odd,Even)] count order divides through by the "
+        "snapshot size",
+    "ge+lt: ev(identity:Even) ge ev(identity:Odd)":
+        "forced order [order_lt(Odd,Even)] count order divides through by the snapshot "
+        "size",
+    "ge+lt: ev(identity:Even) gt ev(identity:Odd)":
+        "forced order [order_lt(Odd,Even)] count order divides through by the snapshot "
+        "size",
+    "ge+lt: ev(identity:Even) lt ev(identity:evens0)":
+        "forced_not subset-monotone [] evens0 is contained in Even",
+    "ge+lt: ev(identity:Even) ge ev(identity:evens0)":
+        "forced subset-monotone [] evens0 is contained in Even",
+    "ge+lt: ev(identity:Odd) eq ev(identity:Even)":
+        "forced_not order [order_lt(Odd,Even)] count order divides through by the "
+        "snapshot size",
+    "ge+lt: ev(identity:Odd) ne ev(identity:Even)":
+        "forced order [order_lt(Odd,Even)] count order divides through by the snapshot "
+        "size",
+    "ge+lt: ev(identity:Odd) le ev(identity:Even)":
+        "forced order [order_lt(Odd,Even)] count order divides through by the snapshot "
+        "size",
+    "ge+lt: ev(identity:Odd) lt ev(identity:Even)":
+        "forced order [order_lt(Odd,Even)] count order divides through by the snapshot "
+        "size",
+    "ge+lt: ev(identity:Odd) ge ev(identity:Even)":
+        "forced_not order [order_lt(Odd,Even)] count order divides through by the "
+        "snapshot size",
+    "ge+lt: ev(identity:Odd) gt ev(identity:Even)":
+        "forced_not order [order_lt(Odd,Even)] count order divides through by the "
+        "snapshot size",
+    "ge+lt: ev(identity:evens0) le ev(identity:Even)":
+        "forced subset-monotone [] evens0 is contained in Even",
+    "ge+lt: ev(identity:evens0) gt ev(identity:Even)":
+        "forced_not subset-monotone [] evens0 is contained in Even",
+    "ge-pair: ev(identity:Even) eq ev(identity:Odd)":
+        "forced order [order_ge(Even,Odd); order_ge(Odd,Even)] count order divides "
+        "through by the snapshot size",
+    "ge-pair: ev(identity:Even) ne ev(identity:Odd)":
+        "forced_not order [order_ge(Even,Odd); order_ge(Odd,Even)] count order divides "
+        "through by the snapshot size",
+    "ge-pair: ev(identity:Even) le ev(identity:Odd)":
+        "forced order [order_ge(Odd,Even)] count order divides through by the snapshot "
+        "size",
+    "ge-pair: ev(identity:Even) lt ev(identity:Odd)":
+        "forced_not order [order_ge(Even,Odd)] count order divides through by the "
+        "snapshot size",
+    "ge-pair: ev(identity:Even) ge ev(identity:Odd)":
+        "forced order [order_ge(Even,Odd)] count order divides through by the snapshot "
+        "size",
+    "ge-pair: ev(identity:Even) gt ev(identity:Odd)":
+        "forced_not order [order_ge(Odd,Even)] count order divides through by the "
+        "snapshot size",
+    "ge-pair: ev(identity:Even) lt ev(identity:evens0)":
+        "forced_not subset-monotone [] evens0 is contained in Even",
+    "ge-pair: ev(identity:Even) ge ev(identity:evens0)":
+        "forced subset-monotone [] evens0 is contained in Even",
+    "ge-pair: ev(identity:Odd) eq ev(identity:Even)":
+        "forced order [order_ge(Odd,Even); order_ge(Even,Odd)] count order divides "
+        "through by the snapshot size",
+    "ge-pair: ev(identity:Odd) ne ev(identity:Even)":
+        "forced_not order [order_ge(Odd,Even); order_ge(Even,Odd)] count order divides "
+        "through by the snapshot size",
+    "ge-pair: ev(identity:Odd) le ev(identity:Even)":
+        "forced order [order_ge(Even,Odd)] count order divides through by the snapshot "
+        "size",
+    "ge-pair: ev(identity:Odd) lt ev(identity:Even)":
+        "forced_not order [order_ge(Odd,Even)] count order divides through by the "
+        "snapshot size",
+    "ge-pair: ev(identity:Odd) ge ev(identity:Even)":
+        "forced order [order_ge(Odd,Even)] count order divides through by the snapshot "
+        "size",
+    "ge-pair: ev(identity:Odd) gt ev(identity:Even)":
+        "forced_not order [order_ge(Even,Odd)] count order divides through by the "
+        "snapshot size",
+    "ge-pair: ev(identity:evens0) le ev(identity:Even)":
+        "forced subset-monotone [] evens0 is contained in Even",
+    "ge-pair: ev(identity:evens0) gt ev(identity:Even)":
+        "forced_not subset-monotone [] evens0 is contained in Even",
+    "ge-rev: ev(identity:Even) le ev(identity:Odd)":
+        "forced order [order_ge(Odd,Even)] count order divides through by the snapshot "
+        "size",
+    "ge-rev: ev(identity:Even) gt ev(identity:Odd)":
+        "forced_not order [order_ge(Odd,Even)] count order divides through by the "
+        "snapshot size",
+    "ge-rev: ev(identity:Even) lt ev(identity:evens0)":
+        "forced_not subset-monotone [] evens0 is contained in Even",
+    "ge-rev: ev(identity:Even) ge ev(identity:evens0)":
+        "forced subset-monotone [] evens0 is contained in Even",
+    "ge-rev: ev(identity:Odd) lt ev(identity:Even)":
+        "forced_not order [order_ge(Odd,Even)] count order divides through by the "
+        "snapshot size",
+    "ge-rev: ev(identity:Odd) ge ev(identity:Even)":
+        "forced order [order_ge(Odd,Even)] count order divides through by the snapshot "
+        "size",
+    "ge-rev: ev(identity:evens0) le ev(identity:Even)":
+        "forced subset-monotone [] evens0 is contained in Even",
+    "ge-rev: ev(identity:evens0) gt ev(identity:Even)":
+        "forced_not subset-monotone [] evens0 is contained in Even",
+    "theorem: (ev(identity:evens0)/ev(identity:Odd)) le q(1/3)":
+        "forced ratio [ratio(evens0,Odd,k=3); fineness(o0.1)] |evens0 hits| stays within "
+        "1/3 of |Odd hits|; the size factors cancel",
+    "theorem: (ev(identity:evens0)/ev(identity:Odd)) gt q(1/3)":
+        "forced_not ratio [ratio(evens0,Odd,k=3); fineness(o0.1)] |evens0 hits| stays "
+        "within 1/3 of |Odd hits|; the size factors cancel",
+    "theorem: (ev(identity:evens0)/ev(identity:Odd)) abs_le q(1/3)":
+        "forced ratio [ratio(evens0,Odd,k=3); fineness(o0.1)] |evens0 hits| stays within "
+        "1/3 of |Odd hits|; the size factors cancel",
+    "theorem: q(1/3) lt (ev(identity:evens0)/ev(identity:Odd))":
+        "forced_not ratio [ratio(evens0,Odd,k=3); fineness(o0.1)] |evens0 hits| stays "
+        "within 1/3 of |Odd hits|; the size factors cancel",
+    "theorem: q(1/3) ge (ev(identity:evens0)/ev(identity:Odd))":
+        "forced ratio [ratio(evens0,Odd,k=3); fineness(o0.1)] |evens0 hits| stays within "
+        "1/3 of |Odd hits|; the size factors cancel",
+    "theorem: ev(identity:On) le q(1/3)":
+        "forced weight [weight(m=3)] ordinal states carry at most 1/m of any admitted "
+        "snapshot",
+    "theorem: ev(identity:On) gt q(1/3)":
+        "forced_not weight [weight(m=3)] ordinal states carry at most 1/m of any admitted"
+        " snapshot",
+    "theorem: ev(identity:On) abs_le q(1/3)":
+        "forced weight [weight(m=3)] ordinal states carry at most 1/m of any admitted "
+        "snapshot",
+    "theorem: q(1/3) lt ev(identity:On)":
+        "forced_not weight [weight(m=3)] ordinal states carry at most 1/m of any admitted"
+        " snapshot",
+    "theorem: q(1/3) ge ev(identity:On)":
+        "forced weight [weight(m=3)] ordinal states carry at most 1/m of any admitted "
+        "snapshot",
+    "theorem: ev(identity:evens0) le q(1/3)":
+        "forced weight [weight(m=3)] ordinal states carry at most 1/m of any admitted "
+        "snapshot; evens0 sits inside On",
+    "theorem: ev(identity:evens0) gt q(1/3)":
+        "forced_not weight [weight(m=3)] ordinal states carry at most 1/m of any admitted"
+        " snapshot; evens0 sits inside On",
+    "theorem: ev(identity:evens0) abs_le q(1/3)":
+        "forced weight [weight(m=3)] ordinal states carry at most 1/m of any admitted "
+        "snapshot; evens0 sits inside On",
+    "theorem: q(1/3) lt ev(identity:evens0)":
+        "forced_not weight [weight(m=3)] ordinal states carry at most 1/m of any admitted"
+        " snapshot; evens0 sits inside On",
+    "theorem: q(1/3) ge ev(identity:evens0)":
+        "forced weight [weight(m=3)] ordinal states carry at most 1/m of any admitted "
+        "snapshot; evens0 sits inside On",
+    "theorem: cd(identity:Lim|identity:On) le q(1/3)":
+        "forced interval-limit [interval(l=3); fineness(o0.0)] each ordinal run admits at"
+        " most one limit point and runs have more than l states",
+    "theorem: cd(identity:Lim|identity:On) gt q(1/3)":
+        "forced_not interval-limit [interval(l=3); fineness(o0.0)] each ordinal run "
+        "admits at most one limit point and runs have more than l states",
+    "theorem: cd(identity:Lim|identity:On) abs_le q(1/3)":
+        "forced interval-limit [interval(l=3); fineness(o0.0)] each ordinal run admits at"
+        " most one limit point and runs have more than l states",
+    "theorem: q(1/3) lt cd(identity:Lim|identity:On)":
+        "forced_not interval-limit [interval(l=3); fineness(o0.0)] each ordinal run "
+        "admits at most one limit point and runs have more than l states",
+    "theorem: q(1/3) ge cd(identity:Lim|identity:On)":
+        "forced interval-limit [interval(l=3); fineness(o0.0)] each ordinal run admits at"
+        " most one limit point and runs have more than l states",
+    "theorem: (cd(identity:Even|identity:On)-cd(identity:Odd|identity:On)) abs_le q(1/3)":
+        "forced interval-parity [interval(l=3); fineness(o0.0)] parities alternate inside"
+        " each run, so the imbalance is at most one state per run",
+    "concrete: (ev(identity:evens0)/ev(identity:Odd)) eq q(1/3)":
+        "forced_not ratio [ratio(evens0,Odd,k=4); fineness(o0.1)] |evens0 hits| stays "
+        "within 1/4 of |Odd hits|; the size factors cancel",
+    "concrete: (ev(identity:evens0)/ev(identity:Odd)) ne q(1/3)":
+        "forced ratio [ratio(evens0,Odd,k=4); fineness(o0.1)] |evens0 hits| stays within "
+        "1/4 of |Odd hits|; the size factors cancel",
+    "concrete: (ev(identity:evens0)/ev(identity:Odd)) le q(1/3)":
+        "forced ratio [ratio(evens0,Odd,k=4); fineness(o0.1)] |evens0 hits| stays within "
+        "1/4 of |Odd hits|; the size factors cancel",
+    "concrete: (ev(identity:evens0)/ev(identity:Odd)) lt q(1/3)":
+        "forced ratio [ratio(evens0,Odd,k=4); fineness(o0.1)] |evens0 hits| stays within "
+        "1/4 of |Odd hits|; the size factors cancel",
+    "concrete: (ev(identity:evens0)/ev(identity:Odd)) ge q(1/3)":
+        "forced_not ratio [ratio(evens0,Odd,k=4); fineness(o0.1)] |evens0 hits| stays "
+        "within 1/4 of |Odd hits|; the size factors cancel",
+    "concrete: (ev(identity:evens0)/ev(identity:Odd)) gt q(1/3)":
+        "forced_not ratio [ratio(evens0,Odd,k=4); fineness(o0.1)] |evens0 hits| stays "
+        "within 1/4 of |Odd hits|; the size factors cancel",
+    "concrete: (ev(identity:evens0)/ev(identity:Odd)) abs_le q(1/3)":
+        "forced ratio [ratio(evens0,Odd,k=4); fineness(o0.1)] |evens0 hits| stays within "
+        "1/4 of |Odd hits|; the size factors cancel",
+    "concrete: q(1/3) eq (ev(identity:evens0)/ev(identity:Odd))":
+        "forced_not ratio [ratio(evens0,Odd,k=4); fineness(o0.1)] |evens0 hits| stays "
+        "within 1/4 of |Odd hits|; the size factors cancel",
+    "concrete: q(1/3) ne (ev(identity:evens0)/ev(identity:Odd))":
+        "forced ratio [ratio(evens0,Odd,k=4); fineness(o0.1)] |evens0 hits| stays within "
+        "1/4 of |Odd hits|; the size factors cancel",
+    "concrete: q(1/3) le (ev(identity:evens0)/ev(identity:Odd))":
+        "forced_not ratio [ratio(evens0,Odd,k=4); fineness(o0.1)] |evens0 hits| stays "
+        "within 1/4 of |Odd hits|; the size factors cancel",
+    "concrete: q(1/3) lt (ev(identity:evens0)/ev(identity:Odd))":
+        "forced_not ratio [ratio(evens0,Odd,k=4); fineness(o0.1)] |evens0 hits| stays "
+        "within 1/4 of |Odd hits|; the size factors cancel",
+    "concrete: q(1/3) ge (ev(identity:evens0)/ev(identity:Odd))":
+        "forced ratio [ratio(evens0,Odd,k=4); fineness(o0.1)] |evens0 hits| stays within "
+        "1/4 of |Odd hits|; the size factors cancel",
+    "concrete: q(1/3) gt (ev(identity:evens0)/ev(identity:Odd))":
+        "forced ratio [ratio(evens0,Odd,k=4); fineness(o0.1)] |evens0 hits| stays within "
+        "1/4 of |Odd hits|; the size factors cancel",
+    "concrete: ev(identity:On) eq q(1/3)":
+        "forced_not weight [weight(m=5)] ordinal states carry at most 1/m of any admitted"
+        " snapshot",
+    "concrete: ev(identity:On) ne q(1/3)":
+        "forced weight [weight(m=5)] ordinal states carry at most 1/m of any admitted "
+        "snapshot",
+    "concrete: ev(identity:On) le q(1/3)":
+        "forced weight [weight(m=5)] ordinal states carry at most 1/m of any admitted "
+        "snapshot",
+    "concrete: ev(identity:On) lt q(1/3)":
+        "forced weight [weight(m=5)] ordinal states carry at most 1/m of any admitted "
+        "snapshot",
+    "concrete: ev(identity:On) ge q(1/3)":
+        "forced_not weight [weight(m=5)] ordinal states carry at most 1/m of any admitted"
+        " snapshot",
+    "concrete: ev(identity:On) gt q(1/3)":
+        "forced_not weight [weight(m=5)] ordinal states carry at most 1/m of any admitted"
+        " snapshot",
+    "concrete: ev(identity:On) abs_le q(1/3)":
+        "forced weight [weight(m=5)] ordinal states carry at most 1/m of any admitted "
+        "snapshot",
+    "concrete: q(1/3) eq ev(identity:On)":
+        "forced_not weight [weight(m=5)] ordinal states carry at most 1/m of any admitted"
+        " snapshot",
+    "concrete: q(1/3) ne ev(identity:On)":
+        "forced weight [weight(m=5)] ordinal states carry at most 1/m of any admitted "
+        "snapshot",
+    "concrete: q(1/3) le ev(identity:On)":
+        "forced_not weight [weight(m=5)] ordinal states carry at most 1/m of any admitted"
+        " snapshot",
+    "concrete: q(1/3) lt ev(identity:On)":
+        "forced_not weight [weight(m=5)] ordinal states carry at most 1/m of any admitted"
+        " snapshot",
+    "concrete: q(1/3) ge ev(identity:On)":
+        "forced weight [weight(m=5)] ordinal states carry at most 1/m of any admitted "
+        "snapshot",
+    "concrete: q(1/3) gt ev(identity:On)":
+        "forced weight [weight(m=5)] ordinal states carry at most 1/m of any admitted "
+        "snapshot",
+    "concrete: ev(identity:evens0) eq q(1/3)":
+        "forced_not weight [weight(m=5)] ordinal states carry at most 1/m of any admitted"
+        " snapshot; evens0 sits inside On",
+    "concrete: ev(identity:evens0) ne q(1/3)":
+        "forced weight [weight(m=5)] ordinal states carry at most 1/m of any admitted "
+        "snapshot; evens0 sits inside On",
+    "concrete: ev(identity:evens0) le q(1/3)":
+        "forced weight [weight(m=5)] ordinal states carry at most 1/m of any admitted "
+        "snapshot; evens0 sits inside On",
+    "concrete: ev(identity:evens0) lt q(1/3)":
+        "forced weight [weight(m=5)] ordinal states carry at most 1/m of any admitted "
+        "snapshot; evens0 sits inside On",
+    "concrete: ev(identity:evens0) ge q(1/3)":
+        "forced_not weight [weight(m=5)] ordinal states carry at most 1/m of any admitted"
+        " snapshot; evens0 sits inside On",
+    "concrete: ev(identity:evens0) gt q(1/3)":
+        "forced_not weight [weight(m=5)] ordinal states carry at most 1/m of any admitted"
+        " snapshot; evens0 sits inside On",
+    "concrete: ev(identity:evens0) abs_le q(1/3)":
+        "forced weight [weight(m=5)] ordinal states carry at most 1/m of any admitted "
+        "snapshot; evens0 sits inside On",
+    "concrete: q(1/3) eq ev(identity:evens0)":
+        "forced_not weight [weight(m=5)] ordinal states carry at most 1/m of any admitted"
+        " snapshot; evens0 sits inside On",
+    "concrete: q(1/3) ne ev(identity:evens0)":
+        "forced weight [weight(m=5)] ordinal states carry at most 1/m of any admitted "
+        "snapshot; evens0 sits inside On",
+    "concrete: q(1/3) le ev(identity:evens0)":
+        "forced_not weight [weight(m=5)] ordinal states carry at most 1/m of any admitted"
+        " snapshot; evens0 sits inside On",
+    "concrete: q(1/3) lt ev(identity:evens0)":
+        "forced_not weight [weight(m=5)] ordinal states carry at most 1/m of any admitted"
+        " snapshot; evens0 sits inside On",
+    "concrete: q(1/3) ge ev(identity:evens0)":
+        "forced weight [weight(m=5)] ordinal states carry at most 1/m of any admitted "
+        "snapshot; evens0 sits inside On",
+    "concrete: q(1/3) gt ev(identity:evens0)":
+        "forced weight [weight(m=5)] ordinal states carry at most 1/m of any admitted "
+        "snapshot; evens0 sits inside On",
+}
+
+
+def test_compare_table_is_pinned():
+    rows = _compare_table_rows()
+    assert set(COMPARE_TABLE) <= set(rows)
+    assert {k: v for k, v in rows.items() if v != _SAMPLED_ROW} == COMPARE_TABLE

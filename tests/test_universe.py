@@ -427,13 +427,6 @@ def test_table_rv_non_permutation_has_no_preimage():
         squash.preimage(nat(2))
 
 
-def test_table_rv_partial_map_errors_off_support():
-    part = table_rv({nat(1): nat(2)}, "partial", default_identity=False)
-    assert part(nat(1)) == nat(2)
-    with pytest.raises(WrongMode):
-        part(nat(3))
-
-
 def test_even_shift_values():
     pi = even_shift_permutation()
     assert pi(nat(0)) == nat(2)
