@@ -717,15 +717,17 @@ def find_witness(
     Repair-loop search: start from the fineness pins, then satisfy ratio
     and order constraints by adding fresh class elements, close ordinal
     runs for interval constraints, and pad with non-ordinal states for
-    weight constraints.  Candidates for ratio/order repairs respect
-    interval isolation when an interval constraint is present, which is
-    what makes the combined families converge.  Returns None when the
-    budget is exhausted: `restarts` attempts of at most `rounds` repair
-    rounds, each repair scanning at most `scan_cap` candidates, and an
-    attempt whose snapshot has grown past `scan_cap` states is given up.
-    With an rng, a found snapshot then takes up to `decorate` random
-    extra states that keep every constraint.  Every returned snapshot is
-    verified against all constraints before being handed back.
+    weight and min_size constraints (with ordinal window states too, for
+    a min_size deficit nothing else fills).  Candidates for ratio/order
+    repairs respect interval isolation when an interval constraint is
+    present, which is what makes the combined families converge.
+    Returns None when the budget is exhausted: `restarts` attempts of at
+    most `rounds` repair rounds, each repair scanning at most `scan_cap`
+    candidates, and an attempt whose snapshot has grown past `scan_cap`
+    states is given up.  With an rng, a found snapshot then takes up to
+    `decorate` random extra states that keep every constraint.  Every
+    returned snapshot is verified against all constraints before being
+    handed back.
     """
     cs = list(constraints)
     if any(c.tag == TAG_PARAMETRIC for c in cs):
@@ -798,28 +800,30 @@ def find_witness(
                     return True
         return got >= need
 
-    def pad_stream(states: set[SetValue]) -> Iterator[SetValue]:
-        # never an ordinal: pads, non-ordinal window states or HF sets
+    def pad_stream(states: set[SetValue], ordinal: bool = False) -> Iterator[SetValue]:
+        # pads, non-ordinal window states or HF sets; with `ordinal`, the
+        # ordinal window states instead
         if window_vals is not None:
             return iter([v for v in window_vals
-                         if not v.is_ordinal and v not in states])
-        if universe is None:
+                         if v.is_ordinal == ordinal and v not in states])
+        if universe is None or ordinal:
             return iter(())
         if universe.mode == ORDINAL_MODE:
             return (p for p in universe.pads() if p not in states)
         return (v for v in universe.enumerate_universe() if v not in states)
 
-    def pad(states: set[SetValue], need: int) -> bool:
-        """Add up to `need` pad states outside every repaired class."""
+    def pad(states: set[SetValue], need: int, ordinal: bool = False) -> int:
+        """Add up to `need` pad states outside every repaired class; return
+        how many were added."""
         got = 0
-        for cand in _shuffled_stream(pad_stream(states), rng):
+        for cand in _shuffled_stream(pad_stream(states, ordinal), rng):
             if any(a.membership(cand) for a in avoid_for_pads):
                 continue
             states.add(cand)
             got += 1
             if got == need:
                 break
-        return got > 0
+        return got
 
     for attempt in range(restarts):
         states: set[SetValue] = set(pins)
@@ -842,8 +846,13 @@ def find_witness(
                     progressed = True
             for c in minsize_cs:
                 deficit = c.param - len(states)
-                if deficit > 0 and pad(states, deficit):
-                    progressed = True
+                if deficit > 0:
+                    got = pad(states, deficit)
+                    if got < deficit:
+                        # a window short of other states: size needs ordinals
+                        got += pad(states, deficit - got, ordinal=True)
+                    if got:
+                        progressed = True
             if max_size is not None and len(states) >= max_size:
                 break
             if satisfied(states):

@@ -345,7 +345,10 @@ def _names_on(cls: ClassSpec) -> bool:
 
 
 def _under_on(cls: ClassSpec) -> bool:
-    """The class is the ordinal class or declared inside it."""
+    """The class is the ordinal class or declared inside it; a value list
+    holding a non-ordinal is not, whatever it declares."""
+    if "values" in cls.meta and not all(v.is_ordinal for v in cls.meta["values"]):
+        return False
     return cls.name == "On" or "On" in cls.subset_tags
 
 

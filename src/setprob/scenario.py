@@ -4,9 +4,11 @@ A scenario is a JSON document naming a universe, optional tier
 thresholds, class and variable definitions, a filter-base recipe, and a
 query list.  Validation happens against `SCENARIO_SCHEMA`, loaded from
 the package's `scenario.schema.json`, before anything executes; unknown
-fields are rejected so that typos fail loud.  `jsonschema` is imported on
-the first scenario validation, and the schema is checked against its
-metaschema once per process.
+fields are rejected so that typos fail loud.  A predicate compiled once
+per process from that schema (`schema_predicate`) accepts valid
+documents.  `jsonschema` is imported only to explain a rejection: on the
+first rejected document the schema is checked against its metaschema and
+jsonschema's validator is built, once per process.
 
 Reports render every rational as an exact "p/q" string and are
 deterministic for a fixed scenario and seed, except for the timing
@@ -18,12 +20,13 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .bootstrap import TierConfig, coherence_check
 from .errors import (
@@ -384,6 +387,159 @@ def load_scenario(path: str) -> dict:
     return data
 
 
+_DIALECT = "https://json-schema.org/draft/2020-12/schema"
+_OBJECT_KEYWORDS = {"required", "properties", "additionalProperties",
+                    "minProperties", "maxProperties"}
+_ARRAY_KEYWORDS = {"items", "minItems", "maxItems"}
+_KEYWORDS = {"type", "const", "enum", "minimum", "oneOf", "$ref", "$schema",
+             "$defs", *_OBJECT_KEYWORDS, *_ARRAY_KEYWORDS}
+
+
+def _is_number(x: Any) -> bool:
+    return isinstance(x, numbers.Number) and not isinstance(x, bool)
+
+
+# JSON Schema types as jsonschema checks them: a bool is no integer, 1.0 is.
+_TYPES: dict[str, Callable[[Any], bool]] = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": _is_number,
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+}
+
+
+def _json_equal(x: Any, const: Any) -> bool:
+    """`x == const` for a scalar `const`, where a bool equals only a bool."""
+    if isinstance(x, bool) or isinstance(const, bool):
+        return x is const
+    return x == const
+
+
+def _discriminator(alternatives: list) -> tuple[str, list[str]] | None:
+    """A property every alternative requires and pins to its own string
+    `const`, with those constants in order; None when there is none."""
+    keys = None
+    for alt in alternatives:
+        if not isinstance(alt, dict):
+            return None
+        props = alt.get("properties", {})
+        pinned = {k for k in alt.get("required", ()) if isinstance(props.get(k), dict)
+                  and isinstance(props[k].get("const"), str)}
+        keys = pinned if keys is None else keys & pinned
+    for key in sorted(keys or ()):
+        consts = [alt["properties"][key]["const"] for alt in alternatives]
+        if len(set(consts)) == len(consts):
+            return key, consts
+    return None
+
+
+def schema_predicate(schema: Any) -> Callable[[Any], bool]:
+    """Compile a draft 2020-12 JSON Schema into a yes/no predicate.
+
+    The predicate answers what jsonschema's `is_valid` answers, for the
+    keywords the scenario schema uses.  Any other keyword, a `$ref`
+    outside the root's `$defs`, a non-scalar `const`/`enum` value or
+    another dialect raises ValueError, so a schema edit cannot skip a
+    check silently.  A `oneOf` with a `_discriminator` runs only the
+    alternative that the discriminating property names.
+    """
+    root = schema if isinstance(schema, dict) else {}
+    if root.get("$schema", _DIALECT) != _DIALECT:
+        raise ValueError(f"schema dialect {root['$schema']!r} is not compiled")
+    defs: dict[str, Callable[[Any], bool]] = {}
+
+    def compile_(s: Any) -> Callable[[Any], bool]:
+        if isinstance(s, bool):
+            return lambda x: s
+        unknown = s.keys() - _KEYWORDS
+        if unknown:
+            raise ValueError(f"schema keyword {sorted(unknown)[0]!r} is not compiled")
+        types = [s["type"]] if isinstance(s.get("type"), str) else s.get("type", [])
+        checks = []
+        if "type" in s and types not in (["object"], ["array"]):  # see object_check
+            tests = [_TYPES[t] for t in types]
+            checks.append(lambda x: any(t(x) for t in tests))
+        for values in ([s["const"]] if "const" in s else None, s.get("enum")):
+            if values is not None:
+                if any(isinstance(v, (list, dict)) for v in values):
+                    raise ValueError(f"non-scalar const/enum in {values!r} is not compiled")
+                checks.append(lambda x, vs=values: any(_json_equal(x, v) for v in vs))
+        if "minimum" in s:
+            low = s["minimum"]
+            checks.append(lambda x: not (_is_number(x) and x < low))
+        if types == ["object"] or s.keys() & _OBJECT_KEYWORDS:
+            checks.append(object_check(s, typed=types == ["object"]))
+        if types == ["array"] or s.keys() & _ARRAY_KEYWORDS:
+            checks.append(array_check(s, typed=types == ["array"]))
+        if "oneOf" in s:
+            checks.append(one_of(s["oneOf"]))
+        if "$ref" in s:
+            name = s["$ref"].removeprefix("#/$defs/")
+            if name == s["$ref"] or name not in root.get("$defs", {}):
+                raise ValueError(f"$ref {s['$ref']!r} is not compiled")
+            checks.append(lambda x: defs[name](x))
+        if len(checks) == 1:
+            return checks[0]
+        return lambda x: all(check(x) for check in checks)
+
+    # One closure per object or array schema, type included, keeps the
+    # stack shallow for nested germs.
+    def object_check(s: dict, typed: bool) -> Callable[[Any], bool]:
+        required = s.get("required", ())
+        props = {k: compile_(v) for k, v in s.get("properties", {}).items()}
+        extra = compile_(s.get("additionalProperties", True))
+        low, high = s.get("minProperties", 0), s.get("maxProperties", float("inf"))
+
+        def check(x: Any) -> bool:
+            if not isinstance(x, dict):
+                return not typed
+            if not low <= len(x) <= high or any(k not in x for k in required):
+                return False
+            for k, v in x.items():
+                if not props.get(k, extra)(v):
+                    return False
+            return True
+        return check
+
+    def array_check(s: dict, typed: bool) -> Callable[[Any], bool]:
+        item = compile_(s.get("items", True))
+        low, high = s.get("minItems", 0), s.get("maxItems", float("inf"))
+        return lambda x: (low <= len(x) <= high and all(map(item, x))
+                          if isinstance(x, list) else not typed)
+
+    def one_of(alternatives: list) -> Callable[[Any], bool]:
+        alts = [compile_(a) for a in alternatives]
+
+        def exactly_one(x: Any) -> bool:
+            return sum(1 for alt in alts if alt(x)) == 1
+        found = _discriminator(alternatives)
+        if found is None:
+            return exactly_one
+        key, consts = found
+        by_const = dict(zip(consts, alts))
+
+        def discriminated(x: Any) -> bool:
+            # on an object only the alternative named by its key can match
+            if not isinstance(x, dict):
+                return exactly_one(x)
+            value = x.get(key)
+            return isinstance(value, str) and value in by_const and by_const[value](x)
+        return discriminated
+
+    for name, sub in root.get("$defs", {}).items():
+        defs[name] = compile_(sub)
+    return compile_(schema)
+
+
+@functools.cache
+def _scenario_predicate() -> Callable[[Any], bool]:
+    return schema_predicate(SCENARIO_SCHEMA)
+
+
 @functools.cache
 def _validator():
     """The schema's validator, built after checking the schema once."""
@@ -397,11 +553,23 @@ def _validator():
 def validate_scenario(data: dict) -> None:
     """Raise `ScenarioValidationError` unless `data` matches the schema.
 
-    The error reported is the one `jsonschema.validate` would raise.
+    A valid document is accepted by the compiled `schema_predicate` alone.
+    A rejected one, or one nested too deeply for the predicate, goes to
+    jsonschema, so the error reported is the one `jsonschema.validate`
+    would raise; a document too deeply nested for jsonschema as well
+    raises `ScenarioParseError`.
     """
+    try:
+        if _scenario_predicate()(data):
+            return
+    except RecursionError:
+        pass  # jsonschema decides
     from jsonschema.exceptions import best_match
 
-    error = best_match(_validator().iter_errors(data))
+    try:
+        error = best_match(_validator().iter_errors(data))
+    except RecursionError as exc:
+        raise ScenarioParseError(f"scenario nests too deeply: {exc}") from exc
     if error is not None:
         where = "/".join(str(p) for p in error.absolute_path) or "(root)"
         raise ScenarioValidationError(

@@ -231,6 +231,17 @@ def test_find_witness_respects_window():
     assert all(s.code in allowed for s in t)
 
 
+@pytest.mark.parametrize("rng", [None, random.Random(4)])
+def test_find_witness_meets_min_size_in_a_window_of_ordinals(rng):
+    # no pad or other non-ordinal state to grow with: {o0.0, o0.1} is one answer
+    window = [ord_value(0, i) for i in range(7)]
+    cs = [fineness(ord_value(0, 1)), min_size(2)]
+    t = find_witness(cs, U, rng, window=window, max_size=5)
+    assert t is not None
+    assert all(constraint_membership(c, t, U.mode) for c in cs)
+    assert {s.code for s in t} <= {v.code for v in window}
+
+
 def test_generate_witnesses_distinct_and_valid():
     cs = [fineness(nat(1)), weight(2)]
     ts = generate_witnesses(cs, U, random.Random(5), 6)

@@ -440,6 +440,23 @@ def test_value_list_ignores_declared_subset_tags():
     assert class_from_values("C", [nat(2)], subset_tags=["D"]).is_subset_of(EVEN) is True
 
 
+def test_weight_rule_ignores_a_value_list_declared_inside_on():
+    # P holds two pads but declares itself inside On: at {p0} Pr[P] is 1
+    # and the weight constraint holds with no ordinals, so `le 1/3` must
+    # not be forced by `weight`.
+    p = class_from_values("P", [pad(0), pad(1)], subset_tags=["On"])
+    fb = ordinal_theorem_base(U)
+    v = compare(germ_of_event(IDENT, p), "le", const_germ(Fraction(1, 3)), fb)
+    assert v.rule != "weight"
+    if v.status != UNDETERMINED:
+        assert audit_verdict(v, fb, random.Random(0), witness_count=50).clean
+    # a declaration the values bear out still counts
+    on_values = class_from_values("Q", [ord_value(0, 1), ord_value(0, 2)],
+                                  subset_tags=["On"])
+    v = compare(germ_of_event(IDENT, on_values), "le", const_germ(Fraction(1, 2)), fb)
+    assert (v.status, v.rule) == (FORCED, "weight")
+
+
 # ---------------------------------------------------------------------------
 # Pinned compare table
 #

@@ -137,11 +137,18 @@ def test_validator_is_built_once():
     assert scenario._validator() is scenario._validator()
 
 
-def test_jsonschema_imported_on_first_validation():
+def test_jsonschema_imported_on_first_rejection():
     probe = (
         "import sys, setprob, setprob.cli\n"
-        "assert 'jsonschema' not in sys.modules\n"
+        "from setprob.errors import ScenarioValidationError\n"
         f"setprob.validate_scenario({MINIMAL!r})\n"
+        "assert 'jsonschema' not in sys.modules\n"
+        "try:\n"
+        f"    setprob.validate_scenario({REJECTED['bound 0']!r})\n"
+        "except ScenarioValidationError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('bound 0 accepted')\n"
         "assert 'jsonschema' in sys.modules\n")
     proc = subprocess.run([sys.executable, "-c", probe],
                           env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -275,6 +282,28 @@ def test_cli_non_utf8_scenario_exit_two(tmp_path, capsys):
 def test_cli_deeply_nested_scenario_exit_two(tmp_path, capsys):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100000 + "]" * 100000)
+    assert cli.main(["run", str(deep)]) == cli.EXIT_VALIDATION
+    assert "scenario nests too deeply" in capsys.readouterr().err
+
+
+def _nested_germ_doc(depth: int) -> dict:
+    germ = {"const": "1/2"}
+    for _ in range(depth):
+        germ = {"op": {"op": "+", "left": germ, "right": {"const": "0"}}}
+    return {**MINIMAL, "queries": [{"kind": "classify", "germ": germ}]}
+
+
+def test_germ_nested_150_deep_validates():
+    validate_scenario(_nested_germ_doc(150))
+
+
+def test_cli_germ_nested_400_deep_exit_two(tmp_path, capsys):
+    # The JSON parses; it is the schema check that runs out of stack.
+    doc = _nested_germ_doc(400)
+    with pytest.raises(ScenarioParseError, match="^scenario nests too deeply: "):
+        validate_scenario(doc)
+    deep = tmp_path / "deep_germ.json"
+    deep.write_text(json.dumps(doc))
     assert cli.main(["run", str(deep)]) == cli.EXIT_VALIDATION
     assert "scenario nests too deeply" in capsys.readouterr().err
 
