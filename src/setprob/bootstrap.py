@@ -28,7 +28,6 @@ from .filters import (
     TAG_SUBSET_BOUND,
     Constraint,
     FilterBase,
-    FipBudget,
     FipResult,
     check_fip,
     expand_base,
@@ -164,7 +163,6 @@ def restrict_base(
     fb: FilterBase,
     sub_window: Iterable[SetValue],
     alpha: int,
-    budget: FipBudget | None = None,
     require_license: bool = True,
 ) -> tuple[FilterBase, RestrictionAudit]:
     """Carry a filter base into the restricted snapshot space.
@@ -207,21 +205,19 @@ def restrict_base(
         provenance=f"{fb.provenance}|restricted@{alpha}" if fb.provenance
         else f"restricted@{alpha}",
     )
-    audit = audit_restricted_base(restricted, budget)
+    audit = audit_restricted_base(restricted)
     return restricted, audit
 
 
-def audit_restricted_base(fb: FilterBase,
-                          budget: FipBudget | None = None) -> RestrictionAudit:
+def audit_restricted_base(fb: FilterBase) -> RestrictionAudit:
     """Budgeted five-property audit of a (restricted) base; the fineness
     and dichotomy properties are sampled at the first AUDIT_SAMPLES
     window states."""
-    budget = budget or FipBudget()
     window = fb.window or ()
     concrete = expand_base(fb)
     details: dict = {}
 
-    fip = check_fip(fb, budget)
+    fip = check_fip(fb)
     fip_ok = fip.witnessed
     details["fip"] = fip.status
 
@@ -229,8 +225,7 @@ def audit_restricted_base(fb: FilterBase,
     fineness_ok = True
     for x in window[:AUDIT_SAMPLES]:
         w = find_witness(concrete + [fineness(x)], fb.universe,
-                         window=fb.window, max_size=fb.max_size,
-                         scan_cap=budget.scan_cap)
+                         window=fb.window, max_size=fb.max_size)
         if w is None:
             fineness_ok = False
             details["fineness_failure"] = x.code
@@ -247,11 +242,10 @@ def audit_restricted_base(fb: FilterBase,
     nonprincipal_ok = True
     for x in window[:AUDIT_SAMPLES]:
         pin_w = find_witness(concrete + [fineness(x)], fb.universe,
-                             window=fb.window, max_size=fb.max_size,
-                             scan_cap=budget.scan_cap)
+                             window=fb.window, max_size=fb.max_size)
         shut = without_pin(x) + [subset_bound((x,), 1)]
         shut_w = find_witness(shut, fb.universe, window=fb.window,
-                              max_size=fb.max_size, scan_cap=budget.scan_cap)
+                              max_size=fb.max_size)
         if pin_w is None and shut_w is None:
             dichotomy_ok = False
             details["dichotomy_failure"] = x.code
@@ -284,18 +278,15 @@ class TieredProb:
     """
 
     def __init__(self, universe: UniverseHandle, config: TierConfig,
-                 window: Iterable[SetValue],
-                 base: FilterBase | None = None):
+                 window: Iterable[SetValue]):
         self.universe = universe
         self.config = config
         self.window = tuple(sorted({v.code: v for v in window}.values(),
                                    key=lambda v: v._key))
-        if base is None:
-            # One license suffices: concentration below the tier-0 threshold
-            # justifies restriction to every tier's space at once.
-            license_c = subset_bound(self.window, config.t0)
-            base = fineness_base(universe, self.window).with_constraints([license_c])
-        self.base = base
+        # One license suffices: concentration below the tier-0 threshold
+        # justifies restriction to every tier's space at once.
+        license_c = subset_bound(self.window, config.t0)
+        self.base = fineness_base(universe, self.window).with_constraints([license_c])
         self._restricted: dict[int, tuple[FilterBase, RestrictionAudit]] = {}
 
     def space_cap(self, tier: int) -> int:
@@ -446,18 +437,15 @@ def non_restriction_counterexample(
     universe: UniverseHandle,
     config: TierConfig,
     window: Iterable[SetValue],
-    budget: FipBudget | None = None,
 ) -> RestrictionCounterexample:
     """Build the failing restriction and its subset-bound repair."""
-    budget = budget or FipBudget()
     win = tuple(sorted({v.code: v for v in window}.values(), key=lambda v: v._key))
     t0 = config.t0
 
     bad = FilterBase((parametric_fineness(), min_size(t0)),
                      universe=universe, window=win, provenance="bad-floor")
-    bad_top = check_fip(bad, budget)
-    bad_restricted, bad_audit = restrict_base(
-        bad, win, t0, budget, require_license=False)
+    bad_top = check_fip(bad)
+    bad_restricted, bad_audit = restrict_base(bad, win, t0, require_license=False)
 
     # The floor's constraint set, sampled: snapshots of size >= t0.  Its
     # image in the tier-0 space is empty because every image either keeps
@@ -470,8 +458,8 @@ def non_restriction_counterexample(
 
     repair = FilterBase((parametric_fineness(), subset_bound(win, t0)),
                         universe=universe, window=win, provenance="repair-bound")
-    repair_top = check_fip(repair, budget)
-    repair_restricted, repair_audit = restrict_base(repair, win, t0, budget)
+    repair_top = check_fip(repair)
+    repair_restricted, repair_audit = restrict_base(repair, win, t0)
 
     return RestrictionCounterexample(
         bad_base=bad,

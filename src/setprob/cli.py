@@ -23,7 +23,6 @@ from .bootstrap import TierConfig, TieredProb, coherence_check, \
 from .errors import EngineError, ScenarioError
 from .filters import (
     FilterBase,
-    FipBudget,
     check_fip,
     expand_base,
     find_witness,
@@ -246,7 +245,6 @@ def _hf_fixture() -> tuple[UniverseHandle, TierConfig, list]:
 
 
 def _cmd_check(args) -> int:
-    budget = FipBudget(scan_cap=args.budget) if args.budget else FipBudget()
     if args.what == "fip":
         universe = _build_universe(args)
         if universe.mode == ORDINAL_MODE:
@@ -254,7 +252,8 @@ def _cmd_check(args) -> int:
         else:
             base = {"builder": "fineness",
                     "window": [s.code for s in _hf_lattice(universe)[:8]]}
-        result = check_fip(_context(universe, base).base, budget)
+        result = check_fip(_context(universe, base).base,
+                           scan_cap=args.budget or 4000)
         print(f"fip: {result.status} ({len(result.witnesses)} subsets witnessed)")
         return EXIT_OK if result.witnessed else EXIT_FAILURE
 
@@ -491,7 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
                              parents=[universe_opts])
     p_check.add_argument("what", choices=["fip", "coherence", "restriction",
                                           "counterexample"])
-    p_check.add_argument("--budget", type=int)
+    p_check.add_argument("--budget", type=int,
+                         help="candidates a witness repair may scan, for fip "
+                              "only (default 4000)")
 
     p_demo = sub.add_parser("demo", help="canned demonstrations")
     p_demo.add_argument("name", choices=["euclidean", "hume-failure",

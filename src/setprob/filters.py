@@ -163,14 +163,9 @@ def _ordinal_runs(t: Snapshot) -> list[int]:
     Runs live inside one limit block: w*a+b and w*a+b+1 are consecutive,
     while a limit ordinal never continues a run from below.
     """
-    blocks: dict[int, list[int]] = {}
-    for s in t:
-        if s.is_ordinal:
-            a, b = s.ord_parts
-            blocks.setdefault(a, []).append(b)
     lengths: list[int] = []
-    for bs in blocks.values():
-        bs.sort()
+    for block in _ordinal_blocks(t).values():
+        bs = sorted(block)
         run = 1
         for prev, cur in zip(bs, bs[1:]):
             if cur == prev + 1:
@@ -275,9 +270,6 @@ class FilterBase:
             if c not in merged:
                 merged.append(c)
         return replace(self, constraints=tuple(merged))
-
-    def fineness_pins(self) -> list[SetValue]:
-        return [c.x for c in self.constraints if c.tag == TAG_FINENESS]
 
     def has_parametric(self, family: str, cls_a: ClassSpec | None = None,
                        cls_b: ClassSpec | None = None) -> Constraint | None:
@@ -491,13 +483,6 @@ FIP_SUBSET_SIZE = 3
 
 
 @dataclass(frozen=True)
-class FipBudget:
-    """Search limits for the finite-intersection audit."""
-
-    scan_cap: int = 4000
-
-
-@dataclass(frozen=True)
 class FipResult:
     status: str  # "witnessed" | "refuted" | "unknown"
     witnesses: tuple[tuple[tuple[Constraint, ...], Snapshot], ...] = ()
@@ -544,16 +529,16 @@ def _structurally_empty(subset: Sequence[Constraint]) -> bool:
     return False
 
 
-def check_fip(fb: FilterBase, budget: FipBudget | None = None,
-              rng: random.Random | None = None) -> FipResult:
+def check_fip(fb: FilterBase, rng: random.Random | None = None,
+              scan_cap: int = 4000) -> FipResult:
     """Budgeted finite-intersection-property audit.
 
     Checks every subset of up to FIP_SUBSET_SIZE constraints, plus the
-    full expanded set.  A subset is refuted only when its emptiness is
-    proved structurally; a failed witness search downgrades the result
-    to unknown rather than refuting.
+    full expanded set, each by a witness search scanning at most
+    `scan_cap` candidates per repair.  A subset is refuted only when its
+    emptiness is proved structurally; a failed witness search downgrades
+    the result to unknown rather than refuting.
     """
-    budget = budget or FipBudget()
     concrete = expand_base(fb)
     if fb.max_size is not None:
         for c in concrete:
@@ -571,7 +556,7 @@ def check_fip(fb: FilterBase, budget: FipBudget | None = None,
         if _structurally_empty(subset):
             return FipResult("refuted", refuted_subset=subset)
         w = find_witness(subset, fb.universe, rng=rng, window=fb.window,
-                         max_size=fb.max_size, scan_cap=budget.scan_cap)
+                         max_size=fb.max_size, scan_cap=scan_cap)
         if w is None:
             return FipResult(
                 "unknown",
@@ -587,14 +572,14 @@ def check_fip(fb: FilterBase, budget: FipBudget | None = None,
 # Generic witness search
 
 
-def _shuffled_stream(stream: Iterator[SetValue], rng: random.Random | None,
-                     buffer: int = 64) -> Iterator[SetValue]:
-    """Optionally shuffle within consecutive buffers; order stays seeded."""
+def _shuffled_stream(stream: Iterator[SetValue],
+                     rng: random.Random | None) -> Iterator[SetValue]:
+    """Optionally shuffle within consecutive buffers of 64; order stays seeded."""
     if rng is None:
         yield from stream
         return
     while True:
-        chunk = list(itertools.islice(stream, buffer))
+        chunk = list(itertools.islice(stream, 64))
         if not chunk:
             return
         rng.shuffle(chunk)
@@ -708,8 +693,6 @@ def find_witness(
     window: Iterable[SetValue] | None = None,
     max_size: int | None = None,
     scan_cap: int = 4000,
-    restarts: int = 4,
-    rounds: int = 10,
     decorate: int = 0,
 ) -> Snapshot | None:
     """Construct a snapshot in the intersection of concrete constraints.
@@ -721,8 +704,8 @@ def find_witness(
     a min_size deficit nothing else fills).  Candidates for ratio/order
     repairs respect interval isolation when an interval constraint is
     present, which is what makes the combined families converge.
-    Returns None when the budget is exhausted: `restarts` attempts of at
-    most `rounds` repair rounds, each repair scanning at most `scan_cap`
+    Returns None when the budget is exhausted: four attempts of at most
+    ten repair rounds, each repair scanning at most `scan_cap`
     candidates, and an attempt whose snapshot has grown past `scan_cap`
     states is given up.  With an rng, a found snapshot then takes up to
     `decorate` random extra states that keep every constraint.  Every
@@ -825,10 +808,10 @@ def find_witness(
                 break
         return got
 
-    for attempt in range(restarts):
+    for attempt in range(4):
         states: set[SetValue] = set(pins)
         progressed = True
-        for _ in range(rounds):
+        for _ in range(10):
             if satisfied(states) and not progressed:
                 break
             progressed = False
@@ -1127,7 +1110,6 @@ def powerset_prefilter_stage(
     level: int,
     prior: FilterBase,
     pair_order: Sequence[tuple[SetValue, SetValue]],
-    budget: FipBudget | None = None,
     rng: random.Random | None = None,
 ) -> FilterBase:
     """Extend a base with order judgements for one rank level, then lift.
@@ -1140,7 +1122,6 @@ def powerset_prefilter_stage(
     """
     if universe.mode != HF_MODE:
         raise WrongMode("power-class staging works over the HF universe")
-    budget = budget or FipBudget()
     fb = prior
     kept: list[Constraint] = []
     for sv_a, sv_b in pair_order:
@@ -1151,7 +1132,7 @@ def powerset_prefilter_stage(
         decided = None
         for cand in (order_lt(cls_a, cls_b), order_ge(cls_a, cls_b)):
             trial = fb.with_constraints([cand])
-            if check_fip(trial, budget, rng).witnessed:
+            if check_fip(trial, rng).witnessed:
                 decided = cand
                 break
         if decided is None:
@@ -1162,7 +1143,7 @@ def powerset_prefilter_stage(
         kept.append(decided)
     lifts = [power_lift(c) for c in kept]
     fb = fb.with_constraints(lifts)
-    final = check_fip(fb, budget, rng)
+    final = check_fip(fb, rng)
     if not final.witnessed:
         raise ConstructionFailed(f"lifted base lost its witnesses: {final.note}")
     return fb

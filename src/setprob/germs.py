@@ -42,7 +42,7 @@ from .filters import (
     state_pool,
 )
 from .snapshots import Snapshot, StateIndex, window_index
-from .universe import ClassSpec, RandomVariable, SetValue
+from .universe import PREFIX_MEMO_CAP, ClassSpec, RandomVariable, SetValue
 
 NODE_CONST = "const"
 NODE_EVENT = "event"
@@ -251,8 +251,6 @@ _RELATIONS: dict[str, Callable[[Fraction, Fraction], bool]] = {
 }
 
 _MIRROR = {"eq": "eq", "ne": "ne", "le": "ge", "lt": "gt", "ge": "le", "gt": "lt"}
-
-_NEGATION = {"eq": "ne", "ne": "eq", "le": "gt", "lt": "ge", "ge": "lt", "gt": "le"}
 
 
 def eval_relation(rel: str, a: Fraction, b: Fraction) -> bool:
@@ -607,12 +605,11 @@ def _bound_verdict(made, rel: str, bound: Fraction, target: Fraction,
     return None
 
 
-def _window_exhaustive(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made,
-                       cap: int = 14) -> Verdict | None:
+def _window_exhaustive(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Verdict | None:
     """Decide by enumerating every admissible snapshot of a small window.
 
     A snapshot is a set, so the subsets enumerated are those of the
-    window's distinct states, at most `cap` of them, smallest first.  A
+    window's distinct states, at most 14 of them, smallest first.  A
     subset is an int mask over those states in canonical order: each
     constraint becomes a bit-count test (`constraint_mask_test`) and each
     side one compiled germ (`compile_germ`), so no Snapshot is built per
@@ -624,7 +621,7 @@ def _window_exhaustive(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made,
     if fb.window is None:
         return None
     ix = window_index(fb.window)
-    if len(ix.states) > cap:
+    if len(ix.states) > 14:
         return None
     concrete = [c for c in fb.constraints if c.tag != TAG_PARAMETRIC]
     mode = fb.universe.mode if fb.universe is not None else None
@@ -793,19 +790,19 @@ def classify_infinitesimal(g: Germ, fb: FilterBase) -> Classification:
 
 
 def _dilution_pins(fb: FilterBase, rv: RandomVariable, cls: ClassSpec,
-                   k: int, scan: int = 4096) -> list[Constraint] | None:
+                   k: int) -> list[Constraint] | None:
     """Fineness pins diluting a finite event below 1/k.
 
     The event hits at most `size` states of any snapshot; pinning
-    k*size states outside the event's preimage keeps the frequency at
-    or under 1/k.
+    k*size states outside the event's preimage (from the first
+    PREFIX_MEMO_CAP pool states) keeps the frequency at most 1/k.
     """
     size = cls.tier.index
     if size == 0:
         return []
     need = k * size
     pins: list[Constraint] = []
-    for x in state_pool(fb.universe, fb.window, scan):
+    for x in state_pool(fb.universe, fb.window, PREFIX_MEMO_CAP):
         if not cls.membership(rv(x)):
             pins.append(fineness(x))
             if len(pins) == need:

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .filters import (
     FilterBase,
-    FipBudget,
     check_fip,
     constraint_from_text,
     constraint_membership,
@@ -64,6 +63,7 @@ from .snapshots import Snapshot
 from .universe import (
     CardinalityTier,
     ClassSpec,
+    ORDINAL_BUILTINS,
     ORDINAL_MODE,
     RandomVariable,
     SetValue,
@@ -124,16 +124,15 @@ def _parse(parse, text: str, what: str):
     """`parse(text)` for outside input: malformed text is a validation error."""
     try:
         return parse(text)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise ScenarioValidationError(
             f"bad {what} {text!r}: {exc.args[0]}") from exc
 
 
 def builtin_classes(universe: UniverseHandle) -> dict[str, ClassSpec]:
     """The builtin classes every context starts with: V, and in ordinal
-    mode On, Even, Odd, Lim and Nat."""
-    names = (("V", "On", "Even", "Odd", "Lim", "Nat")
-             if universe.mode == ORDINAL_MODE else ("V",))
+    mode the ORDINAL_BUILTINS."""
+    names = ("V", *ORDINAL_BUILTINS) if universe.mode == ORDINAL_MODE else ("V",)
     return {name: universe.builtin_class(name) for name in names}
 
 
@@ -147,11 +146,25 @@ def _tier_from_spec(spec: Any) -> CardinalityTier | None:
     return CardinalityTier.infinite(spec["infinite"])
 
 
+# Builtin names that are class builders: the scenario kinds of those builders.
+_BUILDER_KINDS = {"PowerClass": "power", "FiniteSubsets": "finite_subsets"}
+
+
 def _build_class(ctx: ScenarioContext, spec: dict) -> ClassSpec:
     name = spec["name"]
     kind = spec["kind"]
     tags = tuple(spec.get("subset_tags", ()))
     tier = _tier_from_spec(spec.get("tier"))
+    target = spec.get("builtin", name)
+    if kind == "builtin":
+        kind = _BUILDER_KINDS.get(target, kind)
+
+    def need(key: str) -> Any:
+        if key not in spec:
+            raise ScenarioValidationError(
+                f"class {name!r} of kind {spec['kind']!r} needs {key!r}")
+        return spec[key]
+
     if kind == "values":
         vals = ctx.states(spec.get("values", []))
         return class_from_values(name, vals, tier=tier, subset_tags=tags)
@@ -160,25 +173,27 @@ def _build_class(ctx: ScenarioContext, spec: dict) -> ClassSpec:
         # widens them to blocks 0..s, and nat_only=False to every block.
         default_span = 0 if spec.get("nat_only", True) else ctx.universe.bound - 1
         return ctx.universe.residue_class(
-            name, spec["modulus"], spec.get("residue", 0),
+            name, need("modulus"), spec.get("residue", 0),
             spec.get("span", default_span),
             tier or CardinalityTier.infinite(0), tags)
     if kind == "translate":
-        [shift] = ctx.states([spec["shift"]])
-        return translate_class(ctx.cls(spec["base"]), shift, name=name,
+        [shift] = ctx.states([need("shift")])
+        return translate_class(ctx.cls(need("base")), shift, name=name,
                                subset_tags=tags)
     if kind == "image":
-        return image_class(ctx.rv(spec["rv"]), ctx.cls(spec["base"]),
+        return image_class(ctx.rv(need("rv")), ctx.cls(need("base")),
                            name=name, subset_tags=tags)
     if kind == "power":
-        return power_class(ctx.cls(spec["base"]), name=name)
+        return power_class(ctx.cls(need("base")), name=name)
     if kind == "finite_subsets":
-        return finite_subsets_class(ctx.cls(spec["base"]))
+        return finite_subsets_class(ctx.cls(need("base")), name=name)
     if kind == "builtin":
-        target = spec.get("builtin", name)
         if target == "RankLevel":
-            return ctx.universe.builtin_class(target, k=spec["level"])
-        return ctx.universe.builtin_class(target)
+            return ctx.universe.builtin_class(target, k=need("level"))
+        try:
+            return ctx.universe.builtin_class(target)
+        except KeyError as exc:
+            raise ScenarioValidationError(f"unknown builtin class {target!r}") from exc
     raise ScenarioValidationError(f"unknown class kind {kind!r}")
 
 
@@ -225,7 +240,7 @@ def build_base(ctx: ScenarioContext, spec: dict | None) -> FilterBase:
 
 def build_germ(ctx: ScenarioContext, spec: dict) -> Germ:
     if "const" in spec:
-        return const_germ(Fraction(spec["const"]))
+        return const_germ(_parse(Fraction, spec["const"], "constant"))
     if "event" in spec:
         e = spec["event"]
         return germ_of_event(ctx.rv(e.get("rv")), ctx.cls(e["class"]))
@@ -276,7 +291,8 @@ def _run_query(ctx: ScenarioContext, q: dict) -> dict:
         record["expression"] = germ.describe()
         record["value"] = rational_str(value)
         if "expect" in q:
-            record["assertion"] = "pass" if Fraction(q["expect"]) == value else "fail"
+            expect = _parse(Fraction, q["expect"], "expected value")
+            record["assertion"] = "pass" if expect == value else "fail"
     elif kind == "compare":
         lhs = build_germ(ctx, q["lhs"])
         rhs = build_germ(ctx, q["rhs"])
@@ -301,9 +317,11 @@ def _run_query(ctx: ScenarioContext, q: dict) -> dict:
         if ctx.tiers is None:
             raise ScenarioValidationError("coherence queries need tier thresholds")
         snap = Snapshot(ctx.states(q["snapshot"]))
-        report = coherence_check(ctx.tiers, ctx.rv(q.get("rv")),
-                                 ctx.cls(q["class"]), snap,
-                                 ctx.states(q["probe"]))
+        rv, cls, probe = ctx.rv(q.get("rv")), ctx.cls(q["class"]), ctx.states(q["probe"])
+        try:
+            report = coherence_check(ctx.tiers, rv, cls, snap, probe)
+        except ValueError as exc:  # the probe is inadmissible for the snapshot
+            raise ScenarioValidationError(str(exc)) from exc
         record["levels"] = [
             {"snapshot_size": lv.snapshot_size, "probe_size": lv.probe_size,
              "tier": lv.tier, "value": rational_str(lv.direct),
@@ -312,7 +330,7 @@ def _run_query(ctx: ScenarioContext, q: dict) -> dict:
         ]
         record["assertion"] = "pass" if report.ok else "fail"
     elif kind == "fip":
-        result = check_fip(ctx.base, FipBudget(), ctx.rng)
+        result = check_fip(ctx.base, ctx.rng)
         record["status"] = result.status
         record["checked_subsets"] = len(result.witnesses)
         if "expect_status" in q:
@@ -579,16 +597,18 @@ def validate_scenario(data: dict) -> None:
 def build_context(data: dict) -> ScenarioContext:
     uni = make_universe(data["universe"]["mode"], data["universe"]["bound"])
     seed = data.get("seed", 0)
-    tiers = TierConfig(tuple(data["tiers"])) if "tiers" in data else None
+    tiers = (_parse(lambda t: TierConfig(tuple(t)), data["tiers"], "tiers")
+             if "tiers" in data else None)
     ctx = ScenarioContext(
         universe=uni, seed=seed, rng=random.Random(seed), tiers=tiers,
         classes=builtin_classes(uni), variables={"identity": identity_rv()},
         base=FilterBase((), universe=uni),
     )
-    for spec in data.get("classes", []):
-        ctx.classes[spec["name"]] = _build_class(ctx, spec)
+    # Variables use no classes, while image classes use variables.
     for spec in data.get("variables", []):
         ctx.variables[spec["name"]] = _build_variable(ctx, spec)
+    for spec in data.get("classes", []):
+        ctx.classes[spec["name"]] = _build_class(ctx, spec)
     ctx.base = build_base(ctx, data.get("base"))
     return ctx
 

@@ -17,8 +17,6 @@ from typing import Callable, Iterable, Iterator
 from .errors import ConditionNull, EmptySnapshot
 from .universe import ClassSpec, RandomVariable, SetValue
 
-Rational = Fraction
-
 
 class Snapshot:
     """An immutable finite set of states in canonical order."""
@@ -136,7 +134,7 @@ def snapshot(*states: SetValue) -> Snapshot:
     return Snapshot(states)
 
 
-def snapshot_prob(rv: RandomVariable, cls: ClassSpec, t: Snapshot) -> Rational:
+def snapshot_prob(rv: RandomVariable, cls: ClassSpec, t: Snapshot) -> Fraction:
     """Fraction of states in `t` whose outcome under `rv` lies in `cls`."""
     if len(t) == 0:
         raise EmptySnapshot("probability over an empty snapshot")
@@ -150,7 +148,7 @@ def joint_snapshot_prob(
     rv2: RandomVariable,
     cls2: ClassSpec,
     t: Snapshot,
-) -> Rational:
+) -> Fraction:
     """Fraction of states landing in both events simultaneously."""
     if len(t) == 0:
         raise EmptySnapshot("probability over an empty snapshot")
@@ -166,7 +164,7 @@ def conditional_snapshot_prob(
     rv2: RandomVariable,
     cls2: ClassSpec,
     t: Snapshot,
-) -> Rational:
+) -> Fraction:
     """Joint probability over the condition's probability.
 
     Raises ConditionNull when no state of `t` satisfies the condition;

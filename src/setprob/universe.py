@@ -30,7 +30,7 @@ KIND_PAD = "pad"
 KIND_SET = "set"
 KIND_INTENSION = "intension"
 
-# Default number of enumerator elements scanned before concluding that a
+# Number of enumerator elements scanned before concluding that a
 # supposedly inexhaustible stream cannot deliver.
 ENUM_SCAN_CAP = 20000
 
@@ -441,27 +441,24 @@ class ClassSpec:
             seen.add(v.code)
             yield v
 
-    def members(self, limit: int | None = None) -> list[SetValue]:
-        """Materialize members; finite-tier classes may be taken whole."""
-        if limit is None:
-            if not self.tier.is_finite:
-                raise EnumerationExhausted(
-                    f"refusing to materialize infinite-tier class {self.name}"
-                )
-            limit = self.tier.index
-        return list(itertools.islice(self.enumerate(), limit))
+    def members(self) -> list[SetValue]:
+        """Materialize a finite-tier class whole."""
+        if not self.tier.is_finite:
+            raise EnumerationExhausted(
+                f"refusing to materialize infinite-tier class {self.name}"
+            )
+        return list(itertools.islice(self.enumerate(), self.tier.index))
 
     def take_fresh(
         self,
         count: int,
         exclusions: Iterable[SetValue] = (),
         predicate: Callable[[SetValue], bool] | None = None,
-        scan_cap: int = ENUM_SCAN_CAP,
     ) -> list[SetValue]:
         """First `count` fresh members passing `predicate`.
 
         Raises EnumerationExhausted when the stream ends, or when
-        `scan_cap` candidates were inspected without success.
+        ENUM_SCAN_CAP candidates were inspected without success.
         """
         out: list[SetValue] = []
         scanned = 0
@@ -471,7 +468,7 @@ class ClassSpec:
                 out.append(v)
                 if len(out) == count:
                     return out
-            if scanned >= scan_cap:
+            if scanned >= ENUM_SCAN_CAP:
                 break
         if len(out) < count:
             raise EnumerationExhausted(
@@ -531,9 +528,9 @@ def class_from_predicate(
     return ClassSpec(name, membership, stream, tier, subset_tags, meta)
 
 
-def class_of_set(sv: SetValue, tier: CardinalityTier | None = None) -> ClassSpec:
+def class_of_set(sv: SetValue) -> ClassSpec:
     """The members of one extensional set, as a class."""
-    return class_from_values(f"els{sv.code}", sv.children, tier)
+    return class_from_values(f"els{sv.code}", sv.children)
 
 
 # ---------------------------------------------------------------------------
@@ -763,14 +760,13 @@ def translate_class(
     alpha: SetValue,
     name: str | None = None,
     subset_tags: Iterable[str] = (),
-    probe: int = 512,
 ) -> ClassSpec:
     """The pointwise translate {g + alpha : g in base}.
 
     Membership is exact for finite shifts.  For shifts with a limit part
     the required witness has an absorbed finite part, so membership
-    falls back to an enumerator probe: exact for finite-tier bases,
-    budgeted for infinite ones.
+    falls back to an enumerator probe: exact for finite-tier bases, over
+    the first 512 members for infinite ones.
     """
     a2, b2 = alpha.ord_parts
     cname = name if name is not None else f"{base.name}+{alpha.code}"
@@ -786,7 +782,7 @@ def translate_class(
         want = a - a2
         if base.tier.is_finite:
             return any(m.is_ordinal and m.ord_parts[0] == want for m in base.members())
-        for m in itertools.islice(base.enumerate(), probe):
+        for m in itertools.islice(base.enumerate(), 512):
             if m.is_ordinal and m.ord_parts[0] == want:
                 return True
         return False
@@ -816,6 +812,20 @@ def level_size(k: int) -> int:
     while len(_LEVEL_SIZES) <= k:
         _LEVEL_SIZES.append(2 ** _LEVEL_SIZES[-1])
     return _LEVEL_SIZES[k]
+
+
+# The ordinal builtins: name -> (predicate on (a, b) for the ordinal
+# w*a+b, declared supersets, largest b a member can have or None).  A
+# builtin's membership and its stream both come from its predicate.
+# Limit ordinals count as even: the finite distance from the nearest
+# limit below is what carries parity.
+ORDINAL_BUILTINS = {
+    "On": (lambda a, b: True, frozenset({"V"}), None),
+    "Even": (lambda a, b: b % 2 == 0, frozenset({"On", "V"}), None),
+    "Odd": (lambda a, b: b % 2 == 1, frozenset({"On", "V"}), None),
+    "Lim": (lambda a, b: b == 0 and a >= 1, frozenset({"On", "Even", "V"}), 0),
+    "Nat": (lambda a, b: a == 0, frozenset({"On", "V"}), None),
+}
 
 
 class UniverseHandle:
@@ -957,12 +967,15 @@ class UniverseHandle:
             meta={"is_universe": True},
         )
 
-    def _ordinal_stream(self, keep: Callable[[int, int], bool]) -> Callable[[], Iterator[SetValue]]:
+    def _ordinal_stream(self, keep: Callable[[int, int], bool],
+                        b_max: int | None) -> Callable[[], Iterator[SetValue]]:
+        """The ordinals below w*bound with keep(a, b), one diagonal a + b at
+        a time, ending once every b on a diagonal exceeds b_max."""
         bound = self.bound
 
         def stream() -> Iterator[SetValue]:
             n = 0
-            while True:
+            while b_max is None or n < b_max + bound:
                 for a in range(0, min(n, bound - 1) + 1):
                     b = n - a
                     if keep(a, b):
@@ -1000,7 +1013,7 @@ class UniverseHandle:
         return ClassSpec(name, member, stream, tier, subset_tags)
 
     def builtin_class(self, name: str, **kw) -> ClassSpec:
-        """Builtins: V, On, Even, Odd, Lim, Nat, RankLevel(k), plus the
+        """Builtins: V, RankLevel(k), the ORDINAL_BUILTINS, plus the
         class builders PowerClass and FiniteSubsets applied via kw."""
         if name == "V":
             return self.universe_class()
@@ -1012,49 +1025,16 @@ class UniverseHandle:
             return finite_subsets_class(kw["base"])
         if self.mode != ORDINAL_MODE:
             raise WrongMode(f"builtin {name} needs an ordinal-mode universe")
-        if name == "On":
-            return ClassSpec(
-                "On",
-                lambda x: x.is_ordinal,
-                self._ordinal_stream(lambda a, b: True),
-                CardinalityTier.infinite(0),
-                subset_tags={"V"},
-            )
-        if name == "Even":
-            # Limit ordinals count as even: the finite distance from the
-            # nearest limit below is what carries parity.
-            return ClassSpec(
-                "Even",
-                lambda x: x.is_ordinal and x.ord_parts[1] % 2 == 0,
-                self._ordinal_stream(lambda a, b: b % 2 == 0),
-                CardinalityTier.infinite(0),
-                subset_tags={"On", "V"},
-            )
-        if name == "Odd":
-            return ClassSpec(
-                "Odd",
-                lambda x: x.is_ordinal and x.ord_parts[1] % 2 == 1,
-                self._ordinal_stream(lambda a, b: b % 2 == 1),
-                CardinalityTier.infinite(0),
-                subset_tags={"On", "V"},
-            )
-        if name == "Lim":
-            return ClassSpec(
-                "Lim",
-                lambda x: x.is_ordinal and x.ord_parts[1] == 0 and x.ord_parts[0] >= 1,
-                self._ordinal_stream(lambda a, b: b == 0 and a >= 1),
-                CardinalityTier.infinite(0),
-                subset_tags={"On", "Even", "V"},
-            )
-        if name == "Nat":
-            return ClassSpec(
-                "Nat",
-                lambda x: x.is_ordinal and x.ord_parts[0] == 0,
-                self._ordinal_stream(lambda a, b: a == 0),
-                CardinalityTier.infinite(0),
-                subset_tags={"On", "V"},
-            )
-        raise KeyError(f"unknown builtin class {name}")
+        if name not in ORDINAL_BUILTINS:
+            raise KeyError(f"unknown builtin class {name}")
+        keep, supersets, b_max = ORDINAL_BUILTINS[name]
+        return ClassSpec(
+            name,
+            lambda x: x.kind == KIND_ORD and keep(*x.data),
+            self._ordinal_stream(keep, b_max),
+            CardinalityTier.infinite(0),
+            subset_tags=supersets,
+        )
 
     def rank_level_class(self, k: int) -> ClassSpec:
         if self.mode != HF_MODE:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from setprob import (
     FilterBase,
-    FipBudget,
     HF_MODE,
     ORDINAL_MODE,
     check_fip,

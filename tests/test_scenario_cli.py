@@ -377,6 +377,8 @@ PINNED_CLI = [
      0, "682ef8077240c614006bb3ea3261d7197f010f9c5a604b4c6bbe9164d15c976c"),
     ("check fip",
      0, "f6e1bdb0e5a5de152e493bfd157ec527ea2dd3ec9f39c01319604baf4976a2cc"),
+    ("check fip --budget 50",
+     0, "f6e1bdb0e5a5de152e493bfd157ec527ea2dd3ec9f39c01319604baf4976a2cc"),
     ("check fip --universe hf",
      0, "7502f499473565ae4f620f4f31c31420746b66ff83b2b5728a10783c54e184fc"),
     ("check coherence",
@@ -503,6 +505,86 @@ def test_malformed_query_is_recorded_as_its_error(query, error):
     assert "error" not in second
 
 
+@pytest.mark.parametrize("doc, code, message", [
+    ({"queries": [{"kind": "classify", "germ": {"const": "abc"}}]},
+     cli.EXIT_FAILURE, "bad constant 'abc': "),
+    ({"queries": [{"kind": "classify", "germ": {"const": "1/0"}}]},
+     cli.EXIT_FAILURE, "bad constant '1/0': "),
+    ({"queries": [{"kind": "event", "class": "Even", "snapshot": ["o0.1"],
+                   "expect": "x/y"}]},
+     cli.EXIT_FAILURE, "bad expected value 'x/y': "),
+    ({"classes": [{"name": "R", "kind": "residue"}]},
+     cli.EXIT_VALIDATION, "class 'R' of kind 'residue' needs 'modulus'"),
+    ({"classes": [{"name": "T", "kind": "translate", "base": "Nat"}]},
+     cli.EXIT_VALIDATION, "class 'T' of kind 'translate' needs 'shift'"),
+    ({"classes": [{"name": "I", "kind": "image", "base": "Even"}]},
+     cli.EXIT_VALIDATION, "class 'I' of kind 'image' needs 'rv'"),
+    ({"classes": [{"name": "P", "kind": "power"}]},
+     cli.EXIT_VALIDATION, "class 'P' of kind 'power' needs 'base'"),
+    ({"classes": [{"name": "L", "kind": "builtin", "builtin": "RankLevel"}]},
+     cli.EXIT_VALIDATION, "class 'L' of kind 'builtin' needs 'level'"),
+    ({"classes": [{"name": "P", "kind": "builtin", "builtin": "PowerClass"}]},
+     cli.EXIT_VALIDATION, "class 'P' of kind 'builtin' needs 'base'"),
+    ({"classes": [{"name": "Foo", "kind": "builtin"}]},
+     cli.EXIT_VALIDATION, "unknown builtin class 'Foo'"),
+    ({"tiers": [4, 3]},
+     cli.EXIT_VALIDATION, "bad tiers [4, 3]: thresholds must increase strictly"),
+    ({"tiers": [2], "queries": [{"kind": "coherence", "class": "Even",
+                                 "snapshot": ["o0.1", "o0.2"],
+                                 "probe": ["o0.1", "o0.2"]}]},
+     cli.EXIT_FAILURE, "inadmissible probe: meets 2 states"),
+])
+def test_outside_input_is_a_validation_error(doc, code, message, tmp_path, capsys):
+    # Exit 2 while the context is built; inside a query, the query's error.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**ORDINAL, **doc}))
+    assert cli.main(["run", str(path)]) == code
+    captured = capsys.readouterr()
+    if code == cli.EXIT_VALIDATION:
+        assert captured.err.startswith("validation error: " + message)
+    else:
+        [record] = json.loads(captured.out)["queries"]
+        assert record["error"].startswith("ScenarioValidationError: " + message)
+
+
+def test_image_class_may_use_a_declared_variable():
+    report = run_scenario_data({
+        **ORDINAL,
+        "classes": [{"name": "I", "kind": "image", "base": "Even", "rv": "shift"}],
+        "variables": [{"name": "shift", "kind": "even_shift"}],
+        "queries": [{"kind": "event", "class": "I", "snapshot": ["o0.0", "o0.2"],
+                     "expect": "1/2"}]})
+    assert report["ok"], report
+
+
+def test_finite_subsets_class_keeps_its_declared_name():
+    report = run_scenario_data({
+        **ORDINAL, "classes": [{"name": "F", "kind": "finite_subsets", "base": "Nat"}],
+        "queries": [{"kind": "event", "class": "F", "snapshot": ["o0.1"]}]})
+    assert report["queries"][0]["expression"] == "Pr[identity in F]"
+
+
+@pytest.mark.parametrize("germ, where, message", [
+    ({"foo": 1}, "queries/0/germ",
+     "Additional properties are not allowed ('foo' was unexpected)"),
+    ({"op": {"op": "+", "left": {"const": "1"}, "right": {"foo": 1}}},
+     "queries/0/germ/op/right",
+     "Additional properties are not allowed ('foo' was unexpected)"),
+    ({"event": {"class": "On"}, "foo": 1}, "queries/0",
+     "{'kind': 'classify', 'germ': {'event': {'class': 'On'}, 'foo': 1}} "
+     "is not valid under any of the given schemas"),
+])
+def test_unknown_germ_key_is_rejected(germ, where, message, tmp_path, capsys):
+    doc = {**MINIMAL, "queries": [{"kind": "classify", "germ": germ}]}
+    expected = f"scenario rejected at {where}: {message}"
+    with pytest.raises(ScenarioValidationError, match=f"^{re.escape(expected)}$"):
+        validate_scenario(doc)
+    path = tmp_path / "germ.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation error: {expected}\n"
+
+
 def test_run_query_builds_point_germs_through_build_germ(monkeypatch):
     built = []
     real = scenario.build_germ
@@ -556,6 +638,22 @@ def test_module_invocation_run():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["ok"]
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_fip_search_ends_once_lim_is_used_up(bound, tmp_path):
+    # Lim holds only w*1 .. w*(bound-1), so its stream must end there
+    # rather than leave the witness search waiting on it.
+    path = tmp_path / "lim.json"
+    path.write_text(json.dumps({
+        "universe": {"mode": "ordinal", "bound": bound},
+        "base": {"builder": "fineness", "constraints": ["order_lt(Nat,Lim)"]},
+        "queries": [{"kind": "fip"}]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "setprob.cli", "run", str(path), "--canonical"],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["queries"][0]["status"] == "unknown"
 
 
 def test_cli_query_gives_up_within_budget():

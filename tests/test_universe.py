@@ -270,6 +270,16 @@ def test_builtin_wrong_mode(hf_universe, ord_universe):
         ord_universe.builtin_class("Surreal")
 
 
+@pytest.mark.parametrize("bound", [1, 2, 3])
+@pytest.mark.parametrize("name", ["On", "Even", "Odd", "Lim", "Nat"])
+def test_builtin_stream_lists_what_its_membership_accepts(name, bound):
+    u = make_universe(ORDINAL_MODE, bound)
+    cls = u.builtin_class(name)
+    accepted = [v for v in itertools.islice(u.enumerate_universe(), 300)
+                if cls.membership(v)]
+    assert list(itertools.islice(cls.enumerate(), len(accepted))) == accepted
+
+
 def test_rank_level_class(hf_universe):
     r2 = hf_universe.rank_level_class(2)
     assert r2.tier == CardinalityTier.finite(2)
