@@ -305,9 +305,10 @@ def state_pool(universe: UniverseHandle | None,
     """Candidate states: the whole window if there is one, otherwise the
     universe enumeration cut to `limit` states, otherwise nothing.
 
-    A pool of at most PREFIX_MEMO_CAP universe states is a lazy slice of
-    the handle's memo, so repeated pools reuse the values built the first
-    time instead of rebuilding them."""
+    A universe pool is a generator walk, one step per state, that stops
+    where its caller stops.  Its first PREFIX_MEMO_CAP states come from
+    the handle's memo, so they are not rebuilt; a caller that wants a
+    whole list at once takes `UniverseHandle.prefix` instead."""
     if window is not None:
         return iter(window)
     if universe is None:
@@ -658,11 +659,26 @@ def _ordinal_blocks(states: Iterable[SetValue]) -> dict[int, set[int]]:
     return blocks
 
 
-def _run_feasible(cand: SetValue, l: int, protected: Sequence[ClassSpec],
+def _touch_test(protected: Sequence[ClassSpec]) -> Callable[[int, int], bool]:
+    """touches(a, nb): whether w*a+nb lies in a protected class.  The
+    classes are fixed, so each answer is computed once and remembered."""
+    memo: dict[tuple[int, int], bool] = {}
+
+    def touches(a: int, nb: int) -> bool:
+        hit = memo.get((a, nb))
+        if hit is None:
+            hit = memo[a, nb] = any(p.membership(ord_value(a, nb)) for p in protected)
+        return hit
+
+    return touches
+
+
+def _run_feasible(cand: SetValue, l: int, touches: Callable[[int, int], bool],
                   present: Iterable[int]) -> bool:
     """True when cand's run could be closed without touching protected
-    classes: either the merged run is already long enough, or some
-    window of l+1 states covering it stays clear.
+    classes (`touches`, from `_touch_test`): either the merged run is
+    already long enough, or some window of l+1 states covering it stays
+    clear.
 
     `present` holds the b of every placed ordinal in cand's block.  The
     run is walked at most l states each way, which is enough to tell
@@ -679,11 +695,143 @@ def _run_feasible(cand: SetValue, l: int, protected: Sequence[ClassSpec],
     if r1 - r0 + 1 >= l + 1:
         return True
     for start in range(max(0, r1 - l), r0 + 1):
-        if all(nb == b or nb in present
-               or not any(p.membership(ord_value(a, nb)) for p in protected)
+        if all(nb == b or nb in present or not touches(a, nb)
                for nb in range(start, start + l + 1)):
             return True
     return False
+
+
+class _Tally:
+    """The state set of one witness-search attempt, with the integers its
+    constraints read, updated on every add and discard.
+
+    Beside the states it keeps the number of ordinals, how many pins are
+    present, the count of each distinct class a ratio or order constraint
+    names (keyed by identity, as `StateIndex.mask` is), one count per
+    subset_bound window, and for interval constraints the b of every
+    ordinal w*a+b by block a, with, per interval parameter l, the number
+    of maximal runs of at most l states.  `satisfied` is then integer
+    tests, each the boolean `constraint_membership` gives on the Snapshot
+    of the states.  As for a set, adding a present state or discarding
+    an absent one changes nothing.  The constraints are concrete ones
+    `find_witness` has accepted; a tag the tally does not read adds no
+    test, and the check on return rejects it.
+    """
+
+    def __init__(self, cs: Sequence[Constraint], states: Iterable[SetValue] = ()):
+        self.states: set[SetValue] = set()
+        self.ordinals = 0
+        self.blocks: dict[int, set[int]] = {}
+        self._counts: dict[int, int] = {}
+        self._classes: dict[int, ClassSpec] = {}
+        self._pins = frozenset(c.x.code for c in cs if c.tag == TAG_FINENESS)
+        self._pins_in = 0
+        self._windows: list[frozenset[str]] = []
+        self._inside: list[int] = []
+        self._short: dict[int, int] = {}
+        tests: list[Callable[[], bool]] = []
+        if self._pins:
+            tests.append(lambda: self._pins_in == len(self._pins))
+        counts, inside, short = self._counts, self._inside, self._short
+        for c in cs:
+            tag, n = c.tag, c.param
+            if tag in (TAG_RATIO, TAG_ORDER_LT, TAG_ORDER_GE):
+                a, b = id(c.cls_a), id(c.cls_b)
+                for key, cls in ((a, c.cls_a), (b, c.cls_b)):
+                    self._classes[key] = cls
+                    counts[key] = 0
+                if tag == TAG_RATIO:
+                    tests.append(lambda k=n, a=a, b=b: k * counts[a] <= counts[b])
+                elif tag == TAG_ORDER_LT:
+                    tests.append(lambda a=a, b=b: counts[a] < counts[b])
+                else:
+                    tests.append(lambda a=a, b=b: counts[a] >= counts[b])
+            elif tag == TAG_INTERVAL:
+                short[n] = 0
+                tests.append(lambda l=n: short[l] == 0)
+            elif tag == TAG_WEIGHT:
+                tests.append(lambda m=n: m * self.ordinals <= len(self.states))
+            elif tag == TAG_SUBSET_BOUND:
+                self._windows.append(frozenset(v.code for v in c.window))
+                inside.append(0)
+                tests.append(lambda i=len(inside) - 1, alpha=n: inside[i] < alpha)
+            elif tag == TAG_MIN_SIZE:
+                tests.append(lambda n=n: len(self.states) >= n)
+        self._tests = tests
+        # a run longer than every interval parameter is short for none
+        self._reach = max(short, default=0) + 1
+        for s in states:
+            self.add(s)
+
+    def __contains__(self, s: SetValue) -> bool:
+        return s in self.states
+
+    def __iter__(self) -> Iterator[SetValue]:
+        return iter(self.states)
+
+    def __len__(self) -> int:
+        return len(self.states)
+
+    def satisfied(self) -> bool:
+        return all(test() for test in self._tests)
+
+    def count(self, cls: ClassSpec) -> int:
+        """States in cls, for a class a ratio or order constraint names."""
+        return self._counts[id(cls)]
+
+    def add(self, s: SetValue) -> None:
+        if s not in self.states:
+            self.states.add(s)
+            self._update(s, 1)
+
+    def discard(self, s: SetValue) -> None:
+        if s in self.states:
+            self.states.discard(s)
+            self._update(s, -1)
+
+    def _update(self, s: SetValue, sign: int) -> None:
+        for key, cls in self._classes.items():
+            if cls.membership(s):
+                self._counts[key] += sign
+        if s.code in self._pins:
+            self._pins_in += sign
+        for i, codes in enumerate(self._windows):
+            if s.code in codes:
+                self._inside[i] += sign
+        if s.is_ordinal:
+            self.ordinals += sign
+            if self._short:
+                self._place(*s.ord_parts, sign)
+
+    def _place(self, a: int, b: int, sign: int) -> None:
+        """Add (sign 1) or remove (sign -1) w*a+b in its block: the runs
+        just below and above b join into one run through b, or split off
+        from it.  Each run is walked only as far as `_reach`."""
+        bs = self.blocks.setdefault(a, set())
+        bs.discard(b)
+        below = 0
+        while below < self._reach and b - below - 1 in bs:
+            below += 1
+        above = 0
+        while above < self._reach and b + above + 1 in bs:
+            above += 1
+        for length, change in ((below, -sign), (above, -sign),
+                               (below + above + 1, sign)):
+            for l in self._short:
+                if 0 < length <= l:
+                    self._short[l] += change
+        if sign > 0:
+            bs.add(b)
+
+
+def _verified(snap: Snapshot, cs: Sequence[Constraint], mode: str | None) -> Snapshot:
+    """snap, once `constraint_membership` agrees that it lies in every
+    constraint; a search that built it believing so has a fault."""
+    for c in cs:
+        if not constraint_membership(c, snap, mode):
+            raise ConstructionFailed(
+                f"witness search built {snap!r} outside {c.describe()}")
+    return snap
 
 
 def find_witness(
@@ -708,9 +856,15 @@ def find_witness(
     ten repair rounds, each repair scanning at most `scan_cap`
     candidates, and an attempt whose snapshot has grown past `scan_cap`
     states is given up.  With an rng, a found snapshot then takes up to
-    `decorate` random extra states that keep every constraint.  Every
-    returned snapshot is verified against all constraints before being
-    handed back.
+    `decorate` random extra states that keep every constraint, drawn
+    from the window, or else from the first 120 universe states.
+
+    Each attempt keeps its states in a `_Tally`, which updates the counts
+    the constraints read (class counts, size, ordinals, pins, windows and
+    short ordinal runs) on every add and discard, so a candidate is
+    judged by integer tests instead of a fresh Snapshot.  The Snapshot is
+    built once, on return, and `constraint_membership` checks it against
+    every constraint before it is handed back.
     """
     cs = list(constraints)
     if any(c.tag == TAG_PARAMETRIC for c in cs):
@@ -740,50 +894,41 @@ def find_witness(
     # interval machinery steers closures away from them
     protected = [small for small, _, _, _ in repairs]
     avoid_for_pads = [cls for small, big, _, _ in repairs for cls in (small, big)]
+    # one memoised run-closure test per class a repair grows around
+    touch_tests = {id(small): _touch_test([small]) for small in protected}
 
-    def satisfied(states: set[SetValue]) -> bool:
-        snap = Snapshot(states)
-        return all(constraint_membership(c, snap, mode) for c in cs)
-
-    def class_count(states: set[SetValue], cls: ClassSpec) -> int:
-        return sum(1 for s in states if cls.membership(s))
-
-    def candidate_stream(cls: ClassSpec, states: set[SetValue]) -> Iterator[SetValue]:
+    def candidate_stream(cls: ClassSpec, states: _Tally) -> Iterator[SetValue]:
         if window_vals is not None:
             base = (v for v in window_vals if cls.membership(v) and v not in states)
         else:
             base = cls.enumerate(exclusions=states)
         return _shuffled_stream(base, rng)
 
-    def grow(states: set[SetValue], cls: ClassSpec, need: int,
-             avoid: Sequence[ClassSpec]) -> bool:
+    def grow(states: _Tally, cls: ClassSpec, need: int, small: ClassSpec) -> bool:
         # First pass insists the candidate's run can close without
-        # touching an avoided class; the fallback drops that demand and
-        # leaves the spill to the next repair round.
+        # touching `small`; the fallback drops that demand and leaves
+        # the spill to the next repair round.
         got = 0
-        blocks = _ordinal_blocks(states) if interval_c else {}
+        touches = touch_tests[id(small)]
         for strict in (True, False):
             scanned = 0
             for cand in candidate_stream(cls, states):
                 scanned += 1
                 if scanned > scan_cap:
                     break
-                if any(a.membership(cand) for a in avoid):
+                if small.membership(cand):
                     continue
                 if strict and interval_c and cand.is_ordinal \
-                        and not _run_feasible(cand, interval_c, avoid,
-                                              blocks.get(cand.ord_parts[0], ())):
+                        and not _run_feasible(cand, interval_c, touches,
+                                              states.blocks.get(cand.ord_parts[0], ())):
                     continue
                 states.add(cand)
-                if interval_c and cand.is_ordinal:
-                    a, b = cand.ord_parts
-                    blocks.setdefault(a, set()).add(b)
                 got += 1
                 if got == need:
                     return True
         return got >= need
 
-    def pad_stream(states: set[SetValue], ordinal: bool = False) -> Iterator[SetValue]:
+    def pad_stream(states: _Tally, ordinal: bool = False) -> Iterator[SetValue]:
         # pads, non-ordinal window states or HF sets; with `ordinal`, the
         # ordinal window states instead
         if window_vals is not None:
@@ -795,7 +940,7 @@ def find_witness(
             return (p for p in universe.pads() if p not in states)
         return (v for v in universe.enumerate_universe() if v not in states)
 
-    def pad(states: set[SetValue], need: int, ordinal: bool = False) -> int:
+    def pad(states: _Tally, need: int, ordinal: bool = False) -> int:
         """Add up to `need` pad states outside every repaired class; return
         how many were added."""
         got = 0
@@ -809,22 +954,21 @@ def find_witness(
         return got
 
     for attempt in range(4):
-        states: set[SetValue] = set(pins)
+        states = _Tally(cs, pins)
         progressed = True
         for _ in range(10):
-            if satisfied(states) and not progressed:
+            if states.satisfied() and not progressed:
                 break
             progressed = False
             for small, big, k, slack in repairs:
-                deficit = k * class_count(states, small) + slack - class_count(states, big)
-                if deficit > 0 and grow(states, big, deficit, avoid=[small]):
+                deficit = k * states.count(small) + slack - states.count(big)
+                if deficit > 0 and grow(states, big, deficit, small):
                     progressed = True
             if interval_c:
                 if _close_intervals(states, interval_c, protected):
                     progressed = True
             for c in weight_cs:
-                on_count = sum(1 for s in states if s.is_ordinal)
-                deficit = c.param * on_count - len(states)
+                deficit = c.param * states.ordinals - len(states)
                 if deficit > 0 and pad(states, deficit):
                     progressed = True
             for c in minsize_cs:
@@ -838,24 +982,28 @@ def find_witness(
                         progressed = True
             if max_size is not None and len(states) >= max_size:
                 break
-            if satisfied(states):
+            if states.satisfied():
                 break
             if len(states) > scan_cap:
                 break  # past what one repair may scan: out of budget
-        if not states and satisfied(states):
+        if not states and states.satisfied():
             # The empty set satisfies e.g. a lone ratio constraint, but the
             # snapshot space holds nonempty snapshots only: seed one state.
             for cand in _shuffled_stream(pad_stream(states), rng):
                 states.add(cand)
-                if satisfied(states):
+                if states.satisfied():
                     break
                 states.discard(cand)
-        if states and satisfied(states):
+        if states and states.satisfied():
             if max_size is not None and len(states) >= max_size:
                 continue
             if decorate and rng is not None:
-                pool = [v for v in state_pool(universe, window_vals, 120)
-                        if v not in states]
+                if window_vals is not None:
+                    source = window_vals
+                else:
+                    source = universe.prefix(120) if universe is not None else []
+                codes = {s.code for s in states}
+                pool = [v for v in source if v.code not in codes]
                 rng.shuffle(pool)
                 added = 0
                 for cand in pool:
@@ -863,11 +1011,11 @@ def find_witness(
                             (max_size is not None and len(states) + 1 >= max_size):
                         break
                     states.add(cand)
-                    if satisfied(states):
+                    if states.satisfied():
                         added += 1
                     else:
                         states.discard(cand)
-            return Snapshot(states)
+            return _verified(Snapshot(states), cs, mode)
         if rng is None:
             break  # deterministic restarts would repeat themselves
     return None
@@ -906,19 +1054,18 @@ def generate_witnesses(
                 "could not generate witnesses for: "
                 + "; ".join(c.describe() for c in constraints))
         mode = universe.mode if universe is not None else None
-        states = set(base)
+        states = _Tally(constraints, base)
         for cand in (v for v in state_pool(universe, window) if v not in states):
             if len(out) >= count:
                 break
             states.add(cand)
             if max_size is not None and len(states) >= max_size:
                 break
-            snap = Snapshot(states)
-            if all(constraint_membership(c, snap, mode) for c in constraints):
-                key = frozenset(s.code for s in snap)
+            if states.satisfied():
+                key = frozenset(s.code for s in states)
                 if key not in seen:
                     seen.add(key)
-                    out.append(snap)
+                    out.append(_verified(Snapshot(states), constraints, mode))
             else:
                 states.discard(cand)
         if len(out) < count:

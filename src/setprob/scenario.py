@@ -33,6 +33,7 @@ from .errors import (
     EngineError,
     ScenarioParseError,
     ScenarioValidationError,
+    WrongMode,
 )
 from .filters import (
     FilterBase,
@@ -595,6 +596,9 @@ def validate_scenario(data: dict) -> None:
 
 
 def build_context(data: dict) -> ScenarioContext:
+    """Resolve a validated document's universe, classes, variables and
+    base.  A class or base the universe's mode cannot build makes the
+    document invalid, so its WrongMode becomes a ScenarioValidationError."""
     uni = make_universe(data["universe"]["mode"], data["universe"]["bound"])
     seed = data.get("seed", 0)
     tiers = (_parse(lambda t: TierConfig(tuple(t)), data["tiers"], "tiers")
@@ -604,12 +608,15 @@ def build_context(data: dict) -> ScenarioContext:
         classes=builtin_classes(uni), variables={"identity": identity_rv()},
         base=FilterBase((), universe=uni),
     )
-    # Variables use no classes, while image classes use variables.
-    for spec in data.get("variables", []):
-        ctx.variables[spec["name"]] = _build_variable(ctx, spec)
-    for spec in data.get("classes", []):
-        ctx.classes[spec["name"]] = _build_class(ctx, spec)
-    ctx.base = build_base(ctx, data.get("base"))
+    try:
+        # Variables use no classes, while image classes use variables.
+        for spec in data.get("variables", []):
+            ctx.variables[spec["name"]] = _build_variable(ctx, spec)
+        for spec in data.get("classes", []):
+            ctx.classes[spec["name"]] = _build_class(ctx, spec)
+        ctx.base = build_base(ctx, data.get("base"))
+    except WrongMode as exc:
+        raise ScenarioValidationError(str(exc)) from exc
     return ctx
 
 

@@ -921,6 +921,14 @@ class UniverseHandle:
         if i == PREFIX_MEMO_CAP:
             yield from itertools.islice(self._walk(), i, None)
 
+    def prefix(self, n: int) -> list[SetValue]:
+        """The first min(n, PREFIX_MEMO_CAP) states of `enumerate_universe`
+        (all of them in a smaller universe), as one slice of the memo."""
+        n = min(n, PREFIX_MEMO_CAP)
+        while len(self._prefix) < n and self._extend_prefix(len(self._prefix)):
+            pass
+        return self._prefix[:n]
+
     def _extend_prefix(self, n: int) -> bool:
         """Grow the memo past n states from the shared walk; False when the
         universe has only n."""
@@ -992,8 +1000,11 @@ class UniverseHandle:
         Blocks at or above the bound lie outside the universe, so the
         span is capped at bound - 1.  The stream is block-major: for each
         admissible b it yields the blocks 0..span before moving to the
-        next b.
+        next b.  An HF universe holds no ordinals, so it has no residue
+        classes.
         """
+        if self.mode != ORDINAL_MODE:
+            raise WrongMode(f"residue class {name} needs an ordinal-mode universe")
         span = min(span, self.bound - 1)
         r = residue % modulus
 

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setprob import (
+    CardinalityTier,
+    ClassSpec,
     FilterBase,
     HF_MODE,
     ORDINAL_MODE,
+    Snapshot,
     check_fip,
     class_from_values,
     class_of_set,
@@ -52,6 +55,7 @@ from setprob.cli import registry_classes
 from setprob.errors import ConstructionFailed, WrongMode
 from setprob import filters
 from setprob.filters import state_pool
+from setprob.universe import PREFIX_MEMO_CAP
 
 U = make_universe(ORDINAL_MODE, 3)
 HF = make_universe(HF_MODE, 5)
@@ -152,6 +156,22 @@ def test_state_pool_window_wins_and_limit_cuts_the_universe():
         assert list(state_pool(HF, None, limit=120)) == \
             list(islice(HF.enumerate_universe(), 120))
     assert list(state_pool(None, None, limit=5)) == []
+
+
+@pytest.mark.parametrize("n", [0, 1, 120, PREFIX_MEMO_CAP])
+@pytest.mark.parametrize("mode, bound", [(ORDINAL_MODE, 3), (HF_MODE, 5)])
+def test_prefix_is_the_start_of_the_enumeration(mode, bound, n):
+    u = make_universe(mode, bound)  # a fresh memo, grown by prefix itself
+    got = u.prefix(n)
+    assert got == list(islice(u.enumerate_universe(), n))
+    assert len(got) == n
+
+
+def test_prefix_stops_at_the_end_of_a_small_universe_and_at_the_cap():
+    small = make_universe(HF_MODE, 3)
+    assert small.prefix(10) == list(small.enumerate_universe())
+    assert len(small.prefix(10)) == 4
+    assert len(U.prefix(PREFIX_MEMO_CAP + 5)) == PREFIX_MEMO_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +276,80 @@ def test_generate_witnesses_raises_when_starved():
     with pytest.raises(ConstructionFailed):
         generate_witnesses(cs, U, random.Random(0), 6,
                            window=[nat(0), nat(1)])
+
+
+# Every concrete tag, with two interval parameters, over two blocks of
+# ordinals and a few pads.
+EVEN, ODD = REG["Even"], REG["Odd"]
+TALLY_CONSTRAINTS = [
+    fineness(nat(1)), fineness(pad(0)), ratio(M4, E1, 2),
+    order_lt(EVEN, ODD), order_ge(EVEN, ODD), interval(1), interval(3),
+    weight(2), subset_bound([nat(0), nat(1), pad(1)], 2), min_size(4),
+]
+TALLY_STATES = [ord_value(a, b) for a in range(2) for b in range(8)] + \
+    [pad(k) for k in range(4)]
+HF_STATES = list(islice(HF.enumerate_universe(), 24))
+HF_A = class_of_set(hf_set(HF_STATES[1:3]))
+HF_B = class_of_set(hf_set(HF_STATES[2:5]))
+HF_TALLY_CONSTRAINTS = [fineness(HF_STATES[3]), order_lt(HF_A, HF_B),
+                        order_ge(HF_A, HF_B), order_lt(HF_B, HF_A)]
+
+
+def _check_tally_steps(universe, cs, classes, steps):
+    """Apply add/discard steps to a set and to tallies over each
+    constraint and over all of them; each tally's verdict must be
+    constraint_membership on the Snapshot of the set."""
+    singles = [filters._Tally([c]) for c in cs]
+    whole = filters._Tally(cs)
+    states = set()
+    for add, s in steps:
+        for t in (*singles, whole):
+            (t.add if add else t.discard)(s)
+        (states.add if add else states.discard)(s)
+        snap = Snapshot(states)
+        verdicts = [constraint_membership(c, snap, universe.mode) for c in cs]
+        assert [t.satisfied() for t in singles] == verdicts
+        assert whole.satisfied() == all(verdicts)
+        assert whole.states == states and len(whole) == len(snap)
+        assert [whole.count(cls) for cls in classes] == \
+            [snap.count(cls) for cls in classes]
+
+
+@given(st.lists(st.tuples(st.booleans(), st.sampled_from(TALLY_STATES)),
+                min_size=20, max_size=60))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_tally_matches_membership_after_every_step(steps):
+    _check_tally_steps(U, TALLY_CONSTRAINTS, [M4, E1, EVEN, ODD], steps)
+
+
+@given(st.lists(st.tuples(st.booleans(), st.sampled_from(HF_STATES)),
+                min_size=20, max_size=40))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_tally_matches_membership_in_hf_mode(steps):
+    _check_tally_steps(HF, HF_TALLY_CONSTRAINTS, [HF_A, HF_B], steps)
+
+
+def test_returned_witness_is_checked_against_every_constraint(monkeypatch):
+    # No repair meets a subset_bound, so only a faulty tally could claim
+    # this snapshot; the check on return must refuse it.
+    cs = [fineness(nat(0)), subset_bound([nat(0)], 1)]
+    assert find_witness(cs, U) is None
+    monkeypatch.setattr(filters._Tally, "satisfied", lambda self: True)
+    with pytest.raises(ConstructionFailed, match="outside subset_bound"):
+        find_witness(cs, U)
+
+
+def test_touch_test_asks_each_ordinal_once():
+    asked = []
+
+    def member(v):
+        asked.append(v.code)
+        return v.ord_parts[1] % 2 == 0
+
+    cls = ClassSpec("C", member, lambda: iter(()), CardinalityTier.infinite(0))
+    touches = filters._touch_test([cls])
+    assert [touches(0, b) for b in (2, 3, 2, 3)] == [True, False, True, False]
+    assert asked == ["o0.2", "o0.3"]
 
 
 # Witness codes, sorted and space-joined, as the seeded searches below
@@ -478,7 +572,8 @@ def test_run_feasible_reads_only_the_candidate_block(a, b, l, placed, names):
     protected = [U.builtin_class(n) for n in names]
     states = [ord_value(pa, pb) for pa, pb in placed]
     present = {pb for pa, pb in placed if pa == a}
-    assert filters._run_feasible(ord_value(a, b), l, protected, present) == \
+    touches = filters._touch_test(protected)
+    assert filters._run_feasible(ord_value(a, b), l, touches, present) == \
         _feasible_by_scanning_states(ord_value(a, b), l, protected, states)
 
 

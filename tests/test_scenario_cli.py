@@ -547,6 +547,47 @@ def test_outside_input_is_a_validation_error(doc, code, message, tmp_path, capsy
         assert record["error"].startswith("ScenarioValidationError: " + message)
 
 
+HF_SMALL = {"universe": {"mode": "hf", "bound": 3}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({**HF_SMALL, "classes": [{"name": "On", "kind": "builtin"}]},
+     "builtin On needs an ordinal-mode universe"),
+    ({**ORDINAL, "classes": [{"name": "T", "kind": "translate", "base": "Nat",
+                              "shift": "p0"}]},
+     "not an ordinal: #0"),
+    ({**ORDINAL, "classes": [{"name": "L", "kind": "builtin",
+                              "builtin": "RankLevel", "level": 2}]},
+     "rank levels exist in HF mode only"),
+    ({**HF_SMALL, "base": {"builder": "ordinal_theorem"}},
+     "the interval/weight families need an ordinal universe"),
+    ({**ORDINAL, "variables": [{"name": "t", "kind": "table",
+                                "mapping": {"o0.0": "o0.1"}}],
+      "classes": [{"name": "I", "kind": "image", "base": "Even", "rv": "t"}]},
+     "image_class needs a diagonal variable"),
+], ids=["On-in-hf", "translate-by-pad", "RankLevel-in-ordinal",
+        "ordinal-theorem-in-hf", "image-by-non-diagonal-table"])
+def test_mode_mismatch_in_the_context_exits_two(doc, message, tmp_path, capsys):
+    # A class or base the universe's mode cannot build makes the document
+    # invalid, like any other validation error.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+
+
+def test_residue_class_is_refused_in_an_hf_universe(tmp_path, capsys):
+    # A residue class enumerates ordinals, none of which an HF universe holds.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        **HF_SMALL, "classes": [{"name": "R", "kind": "residue", "modulus": 3}],
+        "queries": [{"kind": "compare", "lhs": {"event": {"class": "R"}},
+                     "rel": "le", "rhs": {"const": "1/2"}}]}))
+    assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == \
+        "validation error: residue class R needs an ordinal-mode universe\n"
+
+
 def test_image_class_may_use_a_declared_variable():
     report = run_scenario_data({
         **ORDINAL,
