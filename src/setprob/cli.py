@@ -491,8 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("what", choices=["fip", "coherence", "restriction",
                                           "counterexample"])
     p_check.add_argument("--budget", type=int,
-                         help="candidates a witness repair may scan, for fip "
-                              "only (default 4000)")
+                         help="candidates each scan of a witness search may "
+                              "read, for fip only (default 4000)")
 
     p_demo = sub.add_parser("demo", help="canned demonstrations")
     p_demo.add_argument("name", choices=["euclidean", "hume-failure",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ConstructionFailed,
@@ -68,6 +68,8 @@ class Constraint:
       subset_bound(W,a)    |T cap W| < a
       min_size(n)          |T| >= n
       parametric(family)   the whole family over its parameter
+
+    `_count_form` gives every tag but interval as a count inequality.
     """
 
     tag: str
@@ -215,6 +217,11 @@ def constraint_mask_test(c: Constraint, ix: StateIndex,
     `constraint_membership` rejects (an ordinal-only tag in HF mode, an
     unknown or parametric tag), builds the subset's Snapshot and asks
     `constraint_membership`, which then decides or raises as usual.
+
+    The closures stay one per tag, not read from `_count_form`: built
+    from the forms they ran the `window` benchmark 3.4% slower (10
+    alternating pairs on a shared 2-vCPU VM, median 288.6 against 278.9
+    ops_per_s; the runs' interquartile spread is about 2.4%).
     """
     tag = c.tag
     if tag in _ORDINAL_ONLY_TAGS and mode == HF_MODE:
@@ -242,6 +249,61 @@ def constraint_mask_test(c: Constraint, ix: StateIndex,
         n = c.param
         return lambda m: m.bit_count() >= n
     return lambda m: constraint_membership(c, Snapshot(ix.subset(m)), mode)
+
+
+def _everything(s: SetValue) -> bool:
+    return True
+
+
+def _is_ordinal(s: SetValue) -> bool:
+    return s.is_ordinal
+
+
+_Side = ClassSpec | frozenset | Callable[[SetValue], bool] | None
+
+
+class _CountForm(NamedTuple):
+    """k*|T cap small| + slack <= |T cap big|, where a side is a class, a
+    frozenset of state codes, a predicate on states, or None, which
+    counts nothing."""
+
+    k: int
+    small: _Side
+    slack: int
+    big: _Side
+
+
+def _side_key(side: _Side) -> object:
+    """Sides with equal keys count the same states: a code set is its own
+    key, a class or predicate is keyed by its membership test's identity
+    (as `StateIndex.mask` keys classes, since names may repeat)."""
+    if side is None or isinstance(side, frozenset):
+        return side
+    return id(side.membership if isinstance(side, ClassSpec) else side)
+
+
+def _count_form(c: Constraint) -> _CountForm | None:
+    """c as a count inequality, or None for interval, which bounds run
+    lengths.  The witness search tests and repairs the form's excess
+    k*|small| + slack - |big|."""
+    tag, n = c.tag, c.param
+    if tag == TAG_FINENESS:
+        return _CountForm(0, None, 1, frozenset((c.x.code,)))
+    if tag == TAG_RATIO:
+        return _CountForm(n, c.cls_a, 0, c.cls_b)
+    if tag == TAG_ORDER_LT:
+        return _CountForm(1, c.cls_a, 1, c.cls_b)
+    if tag == TAG_ORDER_GE:
+        return _CountForm(1, c.cls_b, 0, c.cls_a)
+    if tag == TAG_WEIGHT:
+        return _CountForm(n, _is_ordinal, 0, _everything)
+    if tag == TAG_SUBSET_BOUND:
+        return _CountForm(1, frozenset(v.code for v in c.window), 1 - n, None)
+    if tag == TAG_MIN_SIZE:
+        return _CountForm(0, None, n, _everything)
+    if tag == TAG_INTERVAL:
+        return None
+    raise ValueError(f"{tag} constraint has no count form; expand first")
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +345,15 @@ class FilterBase:
 
     def tightest(self, tag: str, cls_a: ClassSpec | None = None,
                  cls_b: ClassSpec | None = None) -> Constraint | None:
-        """The concrete constraint of the tag (and class pair, for ratio)
-        with the largest parameter, if any."""
+        """The concrete constraint of the tag (and class pair, for ratio
+        and order) with the largest parameter, if any.  A missing
+        parameter counts as 0, so for an order tag the first match wins."""
         best = None
         for c in self.constraints:
             if c.tag == tag and c.cls_a == cls_a and c.cls_b == cls_b \
-                    and (best is None or c.param > best.param):
+                    and (best is None or (c.param or 0) > (best.param or 0)):
                 best = c
         return best
-
-    def find_order(self, tag: str, cls_a: ClassSpec, cls_b: ClassSpec) -> Constraint | None:
-        for c in self.constraints:
-            if c.tag == tag and c.cls_a == cls_a and c.cls_b == cls_b:
-                return c
-        return None
 
 
 def state_pool(universe: UniverseHandle | None,
@@ -481,6 +538,8 @@ def filter_base_from_text(
 FINENESS_SAMPLES = 3
 PARAM_SAMPLES = (1, 2, 3)
 FIP_SUBSET_SIZE = 3
+# The default number of candidates one witness-search scan may read.
+SCAN_CAP = 4000
 
 
 @dataclass(frozen=True)
@@ -531,7 +590,7 @@ def _structurally_empty(subset: Sequence[Constraint]) -> bool:
 
 
 def check_fip(fb: FilterBase, rng: random.Random | None = None,
-              scan_cap: int = 4000) -> FipResult:
+              scan_cap: int = SCAN_CAP) -> FipResult:
     """Budgeted finite-intersection-property audit.
 
     Checks every subset of up to FIP_SUBSET_SIZE constraints, plus the
@@ -702,64 +761,47 @@ def _run_feasible(cand: SetValue, l: int, touches: Callable[[int, int], bool],
 
 
 class _Tally:
-    """The state set of one witness-search attempt, with the integers its
+    """The state set of one witness-search attempt, with the counts its
     constraints read, updated on every add and discard.
 
-    Beside the states it keeps the number of ordinals, how many pins are
-    present, the count of each distinct class a ratio or order constraint
-    names (keyed by identity, as `StateIndex.mask` is), one count per
-    subset_bound window, and for interval constraints the b of every
-    ordinal w*a+b by block a, with, per interval parameter l, the number
-    of maximal runs of at most l states.  `satisfied` is then integer
-    tests, each the boolean `constraint_membership` gives on the Snapshot
-    of the states.  As for a set, adding a present state or discarding
-    an absent one changes nothing.  The constraints are concrete ones
-    `find_witness` has accepted; a tag the tally does not read adds no
-    test, and the check on return rejects it.
+    It keeps one count per distinct side (`_side_key`) of the
+    constraints' `_count_form`s and, for interval constraints, the b of
+    every ordinal w*a+b by block a with, per interval parameter l, the
+    number of maximal runs of at most l states.  `satisfied` is then the
+    boolean `constraint_membership` gives on the Snapshot of the states.
+    As for a set, adding a present state or discarding an absent one
+    changes nothing.
     """
 
     def __init__(self, cs: Sequence[Constraint], states: Iterable[SetValue] = ()):
         self.states: set[SetValue] = set()
-        self.ordinals = 0
         self.blocks: dict[int, set[int]] = {}
-        self._counts: dict[int, int] = {}
-        self._classes: dict[int, ClassSpec] = {}
-        self._pins = frozenset(c.x.code for c in cs if c.tag == TAG_FINENESS)
-        self._pins_in = 0
-        self._windows: list[frozenset[str]] = []
-        self._inside: list[int] = []
+        self._counts: dict[object, int] = {None: 0}
+        # the tests of class and predicate sides, which this dict keeps
+        # alive, so no key is reused; code-set sides are found by code
+        self._tests: dict[object, Callable[[SetValue], bool]] = {}
+        self._keys_by_code: dict[str, list[object]] = {}
+        self._forms: list[tuple[int, object, int, object]] = []
         self._short: dict[int, int] = {}
-        tests: list[Callable[[], bool]] = []
-        if self._pins:
-            tests.append(lambda: self._pins_in == len(self._pins))
-        counts, inside, short = self._counts, self._inside, self._short
         for c in cs:
-            tag, n = c.tag, c.param
-            if tag in (TAG_RATIO, TAG_ORDER_LT, TAG_ORDER_GE):
-                a, b = id(c.cls_a), id(c.cls_b)
-                for key, cls in ((a, c.cls_a), (b, c.cls_b)):
-                    self._classes[key] = cls
-                    counts[key] = 0
-                if tag == TAG_RATIO:
-                    tests.append(lambda k=n, a=a, b=b: k * counts[a] <= counts[b])
-                elif tag == TAG_ORDER_LT:
-                    tests.append(lambda a=a, b=b: counts[a] < counts[b])
+            form = _count_form(c)
+            if form is None:  # interval
+                self._short[c.param] = 0
+                continue
+            small, big = _side_key(form.small), _side_key(form.big)
+            self._forms.append((form.k, small, form.slack, big))
+            for side, key in ((form.small, small), (form.big, big)):
+                if key in self._counts:
+                    continue
+                self._counts[key] = 0
+                if isinstance(side, frozenset):
+                    for code in side:
+                        self._keys_by_code.setdefault(code, []).append(key)
                 else:
-                    tests.append(lambda a=a, b=b: counts[a] >= counts[b])
-            elif tag == TAG_INTERVAL:
-                short[n] = 0
-                tests.append(lambda l=n: short[l] == 0)
-            elif tag == TAG_WEIGHT:
-                tests.append(lambda m=n: m * self.ordinals <= len(self.states))
-            elif tag == TAG_SUBSET_BOUND:
-                self._windows.append(frozenset(v.code for v in c.window))
-                inside.append(0)
-                tests.append(lambda i=len(inside) - 1, alpha=n: inside[i] < alpha)
-            elif tag == TAG_MIN_SIZE:
-                tests.append(lambda n=n: len(self.states) >= n)
-        self._tests = tests
+                    self._tests[key] = side.membership \
+                        if isinstance(side, ClassSpec) else side
         # a run longer than every interval parameter is short for none
-        self._reach = max(short, default=0) + 1
+        self._reach = max(self._short, default=0) + 1
         for s in states:
             self.add(s)
 
@@ -773,11 +815,20 @@ class _Tally:
         return len(self.states)
 
     def satisfied(self) -> bool:
-        return all(test() for test in self._tests)
+        counts = self._counts
+        return all(k * counts[x] + slack <= counts[y]
+                   for k, x, slack, y in self._forms) \
+            and not any(self._short.values())
+
+    def excess(self, form: _CountForm) -> int:
+        """k*|small| + slack - |big| for a form of one of the constraints."""
+        counts = self._counts
+        return form.k * counts[_side_key(form.small)] + form.slack \
+            - counts[_side_key(form.big)]
 
     def count(self, cls: ClassSpec) -> int:
         """States in cls, for a class a ratio or order constraint names."""
-        return self._counts[id(cls)]
+        return self._counts[_side_key(cls)]
 
     def add(self, s: SetValue) -> None:
         if s not in self.states:
@@ -789,19 +840,22 @@ class _Tally:
             self.states.discard(s)
             self._update(s, -1)
 
+    def admit(self, s: SetValue) -> bool:
+        """Add s and keep it if every constraint holds; say if it did."""
+        self.add(s)
+        if self.satisfied():
+            return True
+        self.discard(s)
+        return False
+
     def _update(self, s: SetValue, sign: int) -> None:
-        for key, cls in self._classes.items():
-            if cls.membership(s):
+        for key in self._keys_by_code.get(s.code, ()):
+            self._counts[key] += sign
+        for key, test in self._tests.items():
+            if test(s):
                 self._counts[key] += sign
-        if s.code in self._pins:
-            self._pins_in += sign
-        for i, codes in enumerate(self._windows):
-            if s.code in codes:
-                self._inside[i] += sign
-        if s.is_ordinal:
-            self.ordinals += sign
-            if self._short:
-                self._place(*s.ord_parts, sign)
+        if self._short and s.is_ordinal:
+            self._place(*s.ord_parts, sign)
 
     def _place(self, a: int, b: int, sign: int) -> None:
         """Add (sign 1) or remove (sign -1) w*a+b in its block: the runs
@@ -826,12 +880,17 @@ class _Tally:
 
 def _verified(snap: Snapshot, cs: Sequence[Constraint], mode: str | None) -> Snapshot:
     """snap, once `constraint_membership` agrees that it lies in every
-    constraint; a search that built it believing so has a fault."""
+    constraint; a construction that built it believing so has a fault."""
     for c in cs:
         if not constraint_membership(c, snap, mode):
             raise ConstructionFailed(
-                f"witness search built {snap!r} outside {c.describe()}")
+                f"construction built {snap!r} outside {c.describe()}")
     return snap
+
+
+# The repair order, on which seeded witnesses depend.
+_GROWN_TAGS = (TAG_RATIO, TAG_ORDER_LT, TAG_ORDER_GE)
+_PADDED_TAGS = (TAG_WEIGHT, TAG_MIN_SIZE)
 
 
 def find_witness(
@@ -840,31 +899,31 @@ def find_witness(
     rng: random.Random | None = None,
     window: Iterable[SetValue] | None = None,
     max_size: int | None = None,
-    scan_cap: int = 4000,
+    scan_cap: int = SCAN_CAP,
     decorate: int = 0,
 ) -> Snapshot | None:
     """Construct a snapshot in the intersection of concrete constraints.
 
-    Repair-loop search: start from the fineness pins, then satisfy ratio
-    and order constraints by adding fresh class elements, close ordinal
-    runs for interval constraints, and pad with non-ordinal states for
-    weight and min_size constraints (with ordinal window states too, for
-    a min_size deficit nothing else fills).  Candidates for ratio/order
-    repairs respect interval isolation when an interval constraint is
-    present, which is what makes the combined families converge.
+    Repair-loop search: start from the fineness pins, then fill the
+    excess of each `_count_form` round by round.  Where the big side is a
+    class (ratio, order), add fresh members outside the small side; then
+    close ordinal runs for interval constraints; where it is the whole
+    snapshot (weight, min_size), pad with non-ordinal states, and with
+    ordinal window states too where the small side counts nothing.
+    Candidates for class repairs respect interval isolation when an
+    interval constraint is present, which is what makes the combined
+    families converge.
     Returns None when the budget is exhausted: four attempts of at most
-    ten repair rounds, each repair scanning at most `scan_cap`
-    candidates, and an attempt whose snapshot has grown past `scan_cap`
+    ten repair rounds, each repair and padding, and the search for one
+    state when the empty set satisfies everything, scanning at most
+    `scan_cap` candidates, and an attempt whose snapshot has grown past `scan_cap`
     states is given up.  With an rng, a found snapshot then takes up to
     `decorate` random extra states that keep every constraint, drawn
     from the window, or else from the first 120 universe states.
 
-    Each attempt keeps its states in a `_Tally`, which updates the counts
-    the constraints read (class counts, size, ordinals, pins, windows and
-    short ordinal runs) on every add and discard, so a candidate is
-    judged by integer tests instead of a fresh Snapshot.  The Snapshot is
-    built once, on return, and `constraint_membership` checks it against
-    every constraint before it is handed back.
+    Each attempt keeps its states in a `_Tally`, so a candidate is judged
+    on the forms' counts instead of a fresh Snapshot.  The Snapshot is
+    built once, on return, and checked by `_verified`.
     """
     cs = list(constraints)
     if any(c.tag == TAG_PARAMETRIC for c in cs):
@@ -874,14 +933,9 @@ def find_witness(
         raise WrongMode("interval/weight constraints need an ordinal universe")
 
     pins = [c.x for c in cs if c.tag == TAG_FINENESS]
-    # Count repairs (small, big, k, slack): |big| must reach k*|small| +
-    # slack, grown with fresh members of big outside small.
-    repairs = [(c.cls_a, c.cls_b, c.param, 0) for c in cs if c.tag == TAG_RATIO] + \
-        [(c.cls_a, c.cls_b, 1, 1) for c in cs if c.tag == TAG_ORDER_LT] + \
-        [(c.cls_b, c.cls_a, 1, 0) for c in cs if c.tag == TAG_ORDER_GE]
+    grown = [_count_form(c) for tag in _GROWN_TAGS for c in cs if c.tag == tag]
+    padded = [_count_form(c) for tag in _PADDED_TAGS for c in cs if c.tag == tag]
     interval_c = max((c.param for c in cs if c.tag == TAG_INTERVAL), default=0)
-    weight_cs = [c for c in cs if c.tag == TAG_WEIGHT]
-    minsize_cs = [c for c in cs if c.tag == TAG_MIN_SIZE]
 
     window_vals = None
     if window is not None:
@@ -892,10 +946,10 @@ def find_witness(
 
     # growth inside these classes needs compensation elsewhere, so the
     # interval machinery steers closures away from them
-    protected = [small for small, _, _, _ in repairs]
-    avoid_for_pads = [cls for small, big, _, _ in repairs for cls in (small, big)]
+    protected = [f.small for f in grown]
+    avoid_for_pads = [cls for f in grown for cls in (f.small, f.big)]
     # one memoised run-closure test per class a repair grows around
-    touch_tests = {id(small): _touch_test([small]) for small in protected}
+    touch_tests = {id(f.small): _touch_test([f.small]) for f in grown}
 
     def candidate_stream(cls: ClassSpec, states: _Tally) -> Iterator[SetValue]:
         if window_vals is not None:
@@ -904,15 +958,16 @@ def find_witness(
             base = cls.enumerate(exclusions=states)
         return _shuffled_stream(base, rng)
 
-    def grow(states: _Tally, cls: ClassSpec, need: int, small: ClassSpec) -> bool:
+    def grow(states: _Tally, form: _CountForm, need: int) -> bool:
         # First pass insists the candidate's run can close without
-        # touching `small`; the fallback drops that demand and leaves
-        # the spill to the next repair round.
+        # touching the small class; the fallback drops that demand and
+        # leaves the spill to the next repair round.
         got = 0
+        small = form.small
         touches = touch_tests[id(small)]
         for strict in (True, False):
             scanned = 0
-            for cand in candidate_stream(cls, states):
+            for cand in candidate_stream(form.big, states):
                 scanned += 1
                 if scanned > scan_cap:
                     break
@@ -941,10 +996,11 @@ def find_witness(
         return (v for v in universe.enumerate_universe() if v not in states)
 
     def pad(states: _Tally, need: int, ordinal: bool = False) -> int:
-        """Add up to `need` pad states outside every repaired class; return
+        """Add up to `need` pad states outside every grown class; return
         how many were added."""
         got = 0
-        for cand in _shuffled_stream(pad_stream(states, ordinal), rng):
+        for cand in itertools.islice(
+                _shuffled_stream(pad_stream(states, ordinal), rng), scan_cap):
             if any(a.membership(cand) for a in avoid_for_pads):
                 continue
             states.add(cand)
@@ -960,23 +1016,20 @@ def find_witness(
             if states.satisfied() and not progressed:
                 break
             progressed = False
-            for small, big, k, slack in repairs:
-                deficit = k * states.count(small) + slack - states.count(big)
-                if deficit > 0 and grow(states, big, deficit, small):
+            for form in grown:
+                deficit = states.excess(form)
+                if deficit > 0 and grow(states, form, deficit):
                     progressed = True
             if interval_c:
                 if _close_intervals(states, interval_c, protected):
                     progressed = True
-            for c in weight_cs:
-                deficit = c.param * states.ordinals - len(states)
-                if deficit > 0 and pad(states, deficit):
-                    progressed = True
-            for c in minsize_cs:
-                deficit = c.param - len(states)
+            for form in padded:
+                deficit = states.excess(form)
                 if deficit > 0:
                     got = pad(states, deficit)
-                    if got < deficit:
-                        # a window short of other states: size needs ordinals
+                    if got < deficit and form.small is None:
+                        # a window short of other states: ordinals fill a
+                        # size floor, whose small side counts nothing
                         got += pad(states, deficit - got, ordinal=True)
                     if got:
                         progressed = True
@@ -989,11 +1042,10 @@ def find_witness(
         if not states and states.satisfied():
             # The empty set satisfies e.g. a lone ratio constraint, but the
             # snapshot space holds nonempty snapshots only: seed one state.
-            for cand in _shuffled_stream(pad_stream(states), rng):
-                states.add(cand)
-                if states.satisfied():
+            for cand in itertools.islice(
+                    _shuffled_stream(pad_stream(states), rng), scan_cap):
+                if states.admit(cand):
                     break
-                states.discard(cand)
         if states and states.satisfied():
             if max_size is not None and len(states) >= max_size:
                 continue
@@ -1010,11 +1062,7 @@ def find_witness(
                     if added >= decorate or \
                             (max_size is not None and len(states) + 1 >= max_size):
                         break
-                    states.add(cand)
-                    if states.satisfied():
-                        added += 1
-                    else:
-                        states.discard(cand)
+                    added += states.admit(cand)
             return _verified(Snapshot(states), cs, mode)
         if rng is None:
             break  # deterministic restarts would repeat themselves
@@ -1055,19 +1103,16 @@ def generate_witnesses(
                 + "; ".join(c.describe() for c in constraints))
         mode = universe.mode if universe is not None else None
         states = _Tally(constraints, base)
-        for cand in (v for v in state_pool(universe, window) if v not in states):
-            if len(out) >= count:
+        for cand in (v for v in state_pool(universe, window, SCAN_CAP)
+                     if v not in states):
+            if len(out) >= count or \
+                    (max_size is not None and len(states) + 1 >= max_size):
                 break
-            states.add(cand)
-            if max_size is not None and len(states) >= max_size:
-                break
-            if states.satisfied():
+            if states.admit(cand):
                 key = frozenset(s.code for s in states)
                 if key not in seen:
                     seen.add(key)
                     out.append(_verified(Snapshot(states), constraints, mode))
-            else:
-                states.discard(cand)
         if len(out) < count:
             raise ConstructionFailed(
                 f"only {len(out)} of {count} witnesses found for: "
@@ -1105,9 +1150,8 @@ def superreg_witness(
     pair_list.sort(key=lambda p: (p[0].tier._order_key(), p[0].name))
     n_max = max((n for _, _, n in pair_list), default=1)
 
-    states: dict[str, SetValue] = {}
-    for p in pins:
-        states[p.code] = p
+    pin_list = list(pins)
+    states: dict[str, SetValue] = {p.code: p for p in pin_list}
     seen_first: list[ClassSpec] = []
     for cls_a, cls_b, _ in pair_list:
         seen_first.append(cls_a)
@@ -1122,12 +1166,8 @@ def superreg_witness(
             )
             for v in fresh:
                 states[v.code] = v
-    result = Snapshot(states.values())
-    for cls_a, cls_b, n in pair_list:
-        if not constraint_membership(ratio(cls_a, cls_b, n), result):
-            raise ConstructionFailed(
-                f"ratio {cls_a.name}/{cls_b.name} <= 1/{n} failed after construction")
-    return result
+    return _verified(Snapshot(states.values()),
+                     superreg_constraints(pair_list, pin_list), None)
 
 
 def superreg_constraints(
@@ -1138,6 +1178,14 @@ def superreg_constraints(
     out = [fineness(p) for p in pins]
     out.extend(ratio(a, b, n) for a, b, n in pairs)
     return out
+
+
+def ordinal_constraints(pins: Iterable[SetValue], k: int, l: int, m: int,
+                        pairs: Sequence[tuple[ClassSpec, ClassSpec]] = ()
+                        ) -> list[Constraint]:
+    """The constraint subset the ordinal witness certifies."""
+    return superreg_constraints([(a, b, k) for a, b in pairs], pins) + \
+        [interval(l), weight(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -1229,15 +1277,8 @@ def ordinal_witness(
         got.append(cand)
     states.update(got)
 
-    result = Snapshot(states)
-    checks: list[Constraint] = [fineness(p) for p in pin_list]
-    checks.extend(ratio(a, b, k) for a, b in pair_list)
-    checks.append(interval(l))
-    checks.append(weight(m))
-    for c in checks:
-        if not constraint_membership(c, result, universe.mode):
-            raise ConstructionFailed(f"construction violates {c.describe()}")
-    return result
+    return _verified(Snapshot(states),
+                     ordinal_constraints(pin_list, k, l, m, pair_list), universe.mode)
 
 
 # ---------------------------------------------------------------------------
@@ -1401,10 +1442,6 @@ def powerset_witness_extend(
         prev_max = counts_now[0]
         realized.append(prev_max)
 
-    result = Snapshot(states.values())
-    for c in judgements.constraints:
-        if c.tag in (TAG_ORDER_LT, TAG_ORDER_GE, TAG_FINENESS):
-            if not constraint_membership(c, result):
-                raise ConstructionFailed(
-                    f"extension broke a base judgement: {c.describe()}")
-    return result
+    return _verified(Snapshot(states.values()),
+                     [c for c in judgements.constraints
+                      if c.tag in (TAG_ORDER_LT, TAG_ORDER_GE, TAG_FINENESS)], None)

@@ -519,11 +519,11 @@ def _order_rule(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Verdict |
     note = "count order divides through by the snapshot size"
     sides = ((cls_a, cls_b, rel), (cls_b, cls_a, _MIRROR[rel]))
     for x, y, r in sides:
-        lt = fb.find_order(TAG_ORDER_LT, x, y)
+        lt = fb.tightest(TAG_ORDER_LT, x, y)
         if lt is not None:
             return made(FORCED if r in ("lt", "le", "ne") else FORCED_NOT, "order",
                         citations=(lt,), note=note)
-    ge = [fb.find_order(TAG_ORDER_GE, x, y) for x, y, _ in sides]
+    ge = [fb.tightest(TAG_ORDER_GE, x, y) for x, y, _ in sides]
     if None not in ge and rel in ("eq", "ne"):
         return made(FORCED if rel == "eq" else FORCED_NOT, "order",
                     citations=ge, note=note)

@@ -41,12 +41,11 @@ from .filters import (
     constraint_from_text,
     constraint_membership,
     fineness_base,
-    interval,
+    ordinal_constraints,
     ordinal_theorem_base,
     ordinal_witness,
     superreg_constraints,
     superreg_witness,
-    weight,
 )
 from .germs import (
     Germ,
@@ -370,9 +369,7 @@ def run_witness(ctx: ScenarioContext, q: dict) -> dict:
         if min(k, l, m) < 1:
             raise ScenarioValidationError("k, l and m must all be >= 1")
         w = ordinal_witness(ctx.universe, pins, k, l, m, pairs)
-        # The pins and ratio(k) on every pair, then interval(l), weight(m).
-        checks = superreg_constraints([(a, b, k) for a, b in pairs], pins)
-        checks += [interval(l), weight(m)]
+        checks = ordinal_constraints(pins, k, l, m, pairs)
     memberships = [
         {"constraint": c.describe(),
          "holds": constraint_membership(c, w, ctx.universe.mode)}

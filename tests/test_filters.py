@@ -278,13 +278,29 @@ def test_generate_witnesses_raises_when_starved():
                            window=[nat(0), nat(1)])
 
 
+def test_generate_witnesses_fallback_stops_at_the_scan_budget():
+    # Only {o0.1} and {o0.1, o0.2} lie in both constraints; the fallback
+    # must give up instead of walking the endless ordinal universe.
+    u = make_universe(ORDINAL_MODE, 2)
+    a = class_from_values("A", [ord_value(0, 1), ord_value(0, 2)])
+    cs = [fineness(ord_value(0, 1)), order_ge(a, u.universe_class())]
+    with pytest.raises(ConstructionFailed, match="only 2 of 5 witnesses"):
+        generate_witnesses(cs, u, random.Random(0), 5)
+
+
 # Every concrete tag, with two interval parameters, over two blocks of
-# ordinals and a few pads.
+# ordinals and a few pads.  Edge cases: a duplicated pin, a pin and a
+# class (FAR) outside the states, subset_bound at alpha 0 and 1, and
+# min_size(0).
 EVEN, ODD = REG["Even"], REG["Odd"]
+FAR = class_from_values("Far", [ord_value(2, 0), ord_value(2, 1)])
 TALLY_CONSTRAINTS = [
     fineness(nat(1)), fineness(pad(0)), ratio(M4, E1, 2),
     order_lt(EVEN, ODD), order_ge(EVEN, ODD), interval(1), interval(3),
     weight(2), subset_bound([nat(0), nat(1), pad(1)], 2), min_size(4),
+    fineness(nat(1)), fineness(ord_value(2, 5)), ratio(EVEN, FAR, 1),
+    order_lt(FAR, ODD), order_ge(FAR, M4), subset_bound([nat(2), pad(0)], 0),
+    subset_bound([nat(2), pad(0)], 1), min_size(0),
 ]
 TALLY_STATES = [ord_value(a, b) for a in range(2) for b in range(8)] + \
     [pad(k) for k in range(4)]
@@ -297,10 +313,12 @@ HF_TALLY_CONSTRAINTS = [fineness(HF_STATES[3]), order_lt(HF_A, HF_B),
 
 def _check_tally_steps(universe, cs, classes, steps):
     """Apply add/discard steps to a set and to tallies over each
-    constraint and over all of them; each tally's verdict must be
-    constraint_membership on the Snapshot of the set."""
+    constraint and over all of them; each tally's verdict, and each count
+    form's excess in the shared tally, must be constraint_membership on
+    the Snapshot of the set."""
     singles = [filters._Tally([c]) for c in cs]
     whole = filters._Tally(cs)
+    forms = {i: f for i, f in enumerate(map(filters._count_form, cs)) if f}
     states = set()
     for add, s in steps:
         for t in (*singles, whole):
@@ -310,6 +328,8 @@ def _check_tally_steps(universe, cs, classes, steps):
         verdicts = [constraint_membership(c, snap, universe.mode) for c in cs]
         assert [t.satisfied() for t in singles] == verdicts
         assert whole.satisfied() == all(verdicts)
+        assert [whole.excess(f) <= 0 for f in forms.values()] == \
+            [verdicts[i] for i in forms]
         assert whole.states == states and len(whole) == len(snap)
         assert [whole.count(cls) for cls in classes] == \
             [snap.count(cls) for cls in classes]
@@ -319,7 +339,7 @@ def _check_tally_steps(universe, cs, classes, steps):
                 min_size=20, max_size=60))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_tally_matches_membership_after_every_step(steps):
-    _check_tally_steps(U, TALLY_CONSTRAINTS, [M4, E1, EVEN, ODD], steps)
+    _check_tally_steps(U, TALLY_CONSTRAINTS, [M4, E1, EVEN, ODD, FAR], steps)
 
 
 @given(st.lists(st.tuples(st.booleans(), st.sampled_from(HF_STATES)),

@@ -697,6 +697,29 @@ def test_fip_search_ends_once_lim_is_used_up(bound, tmp_path):
     assert json.loads(proc.stdout)["queries"][0]["status"] == "unknown"
 
 
+@pytest.mark.parametrize("constraints", [
+    ["ratio(V,Even,k=1)"],
+    ["order_ge(A,V)"],
+    ["fineness(o0.1)", "ratio(Even,V,k=1)", "weight(m=2)"],
+])
+def test_fip_search_ends_when_no_pad_fits(constraints, tmp_path):
+    # Ordinal pads never run out, and none fits: in the first two bases
+    # no single state meets what the empty set meets; in the third every
+    # pad lies in V, which padding must avoid.  The search must stop at
+    # the scan budget rather than read pads forever.
+    path = tmp_path / "pads.json"
+    path.write_text(json.dumps({
+        "universe": {"mode": "ordinal", "bound": 2},
+        "classes": [{"name": "A", "kind": "values", "values": ["o0.1", "o0.2"]}],
+        "base": {"builder": "empty", "constraints": constraints},
+        "queries": [{"kind": "fip"}]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "setprob.cli", "run", str(path), "--canonical"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["queries"][0]["status"] == "unknown"
+
+
 def test_cli_query_gives_up_within_budget():
     # At omega-bound 1 the ratio and interval families of the
     # ordinal-theorem base have no common witness, so the sampling loop

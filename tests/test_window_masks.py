@@ -116,9 +116,12 @@ def problems(draw):
     window = draw(st.lists(state, min_size=1, max_size=8))
     # mostly inside the window, where a class, pin or bound has an effect
     near = st.one_of(st.sampled_from(window), st.sampled_from(window), state)
+    outside = st.sampled_from([v for v in pool if v not in window])
     classes = list(BUILTINS[mode])
     for name in ("A", "B", "C"):
         classes.append(class_from_values(name, draw(st.lists(near, max_size=6))))
+    # a class with no member in the window
+    classes.append(class_from_values("Z", draw(st.lists(outside, max_size=3))))
     a, b = draw(st.lists(state, min_size=2, max_size=2, unique_by=lambda v: v.code))
     rvs = [identity_rv(), table_rv({a: b, b: a}, "swap")]
     if mode == ORDINAL_MODE:
@@ -131,7 +134,9 @@ def problems(draw):
     constraints = []
     for tag in draw(st.lists(st.sampled_from(tags), max_size=3)):
         if tag == "fineness":
-            constraints.append(fineness(draw(near)))
+            # sometimes outside the window, sometimes pinned twice
+            pin = fineness(draw(st.one_of(near, outside)))
+            constraints.extend([pin] * draw(st.integers(1, 2)))
         elif tag == "ratio":
             constraints.append(ratio(draw(cls), draw(cls), draw(st.integers(1, 3))))
         elif tag in ("order_lt", "order_ge"):
@@ -139,7 +144,7 @@ def problems(draw):
             constraints.append(maker(draw(cls), draw(cls)))
         elif tag == "subset_bound":
             constraints.append(subset_bound(draw(st.lists(near, max_size=6)),
-                                            draw(st.integers(1, 4))))
+                                            draw(st.integers(0, 4))))
         elif tag == "min_size":
             constraints.append(min_size(draw(st.integers(0, 4))))
         elif tag == "interval":
