@@ -22,6 +22,7 @@ from .bootstrap import TierConfig, TieredProb, coherence_check, \
     non_restriction_counterexample
 from .errors import EngineError, ScenarioError
 from .filters import (
+    SCAN_CAP,
     FilterBase,
     check_fip,
     expand_base,
@@ -253,7 +254,7 @@ def _cmd_check(args) -> int:
             base = {"builder": "fineness",
                     "window": [s.code for s in _hf_lattice(universe)[:8]]}
         result = check_fip(_context(universe, base).base,
-                           scan_cap=args.budget or 4000)
+                           scan_cap=args.budget or SCAN_CAP)
         print(f"fip: {result.status} ({len(result.witnesses)} subsets witnessed)")
         return EXIT_OK if result.witnessed else EXIT_FAILURE
 
@@ -492,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
                                           "counterexample"])
     p_check.add_argument("--budget", type=int,
                          help="candidates each scan of a witness search may "
-                              "read, for fip only (default 4000)")
+                              f"read, for fip only (default {SCAN_CAP})")
 
     p_demo = sub.add_parser("demo", help="canned demonstrations")
     p_demo.add_argument("name", choices=["euclidean", "hume-failure",

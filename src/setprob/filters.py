@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -36,6 +37,7 @@ from .universe import (
     SetValue,
     UniverseHandle,
     class_of_set,
+    hf_set,
     ord_value,
     power_class,
     rank,
@@ -69,7 +71,7 @@ class Constraint:
       min_size(n)          |T| >= n
       parametric(family)   the whole family over its parameter
 
-    `_count_form` gives every tag but interval as a count inequality.
+    `form` gives every tag but interval as a count inequality.
     """
 
     tag: str
@@ -85,6 +87,33 @@ class Constraint:
 
     def __repr__(self):
         return f"Constraint[{self.describe()}]"
+
+    @cached_property
+    def form(self) -> _CountForm | None:
+        """The constraint as a count inequality, or None for interval,
+        which bounds run lengths.  The witness search tests and repairs
+        the form's excess k*|small| + slack - |big|.  Bases reuse their
+        constraints across many searches, so it is built once per
+        constraint (`cached_property` writes the instance `__dict__`,
+        which the frozen dataclass leaves open)."""
+        tag, n = self.tag, self.param
+        if tag == TAG_FINENESS:
+            return _CountForm(0, None, 1, frozenset((self.x.code,)))
+        if tag == TAG_RATIO:
+            return _CountForm(n, self.cls_a, 0, self.cls_b)
+        if tag == TAG_ORDER_LT:
+            return _CountForm(1, self.cls_a, 1, self.cls_b)
+        if tag == TAG_ORDER_GE:
+            return _CountForm(1, self.cls_b, 0, self.cls_a)
+        if tag == TAG_WEIGHT:
+            return _CountForm(n, _is_ordinal, 0, _everything)
+        if tag == TAG_SUBSET_BOUND:
+            return _CountForm(1, frozenset(v.code for v in self.window), 1 - n, None)
+        if tag == TAG_MIN_SIZE:
+            return _CountForm(0, None, n, _everything)
+        if tag == TAG_INTERVAL:
+            return None
+        raise ValueError(f"{tag} constraint has no count form; expand first")
 
 
 def fineness(x: SetValue) -> Constraint:
@@ -218,7 +247,7 @@ def constraint_mask_test(c: Constraint, ix: StateIndex,
     unknown or parametric tag), builds the subset's Snapshot and asks
     `constraint_membership`, which then decides or raises as usual.
 
-    The closures stay one per tag, not read from `_count_form`: built
+    The closures stay one per tag, not read from `Constraint.form`: built
     from the forms they ran the `window` benchmark 3.4% slower (10
     alternating pairs on a shared 2-vCPU VM, median 288.6 against 278.9
     ops_per_s; the runs' interquartile spread is about 2.4%).
@@ -280,30 +309,6 @@ def _side_key(side: _Side) -> object:
     if side is None or isinstance(side, frozenset):
         return side
     return id(side.membership if isinstance(side, ClassSpec) else side)
-
-
-def _count_form(c: Constraint) -> _CountForm | None:
-    """c as a count inequality, or None for interval, which bounds run
-    lengths.  The witness search tests and repairs the form's excess
-    k*|small| + slack - |big|."""
-    tag, n = c.tag, c.param
-    if tag == TAG_FINENESS:
-        return _CountForm(0, None, 1, frozenset((c.x.code,)))
-    if tag == TAG_RATIO:
-        return _CountForm(n, c.cls_a, 0, c.cls_b)
-    if tag == TAG_ORDER_LT:
-        return _CountForm(1, c.cls_a, 1, c.cls_b)
-    if tag == TAG_ORDER_GE:
-        return _CountForm(1, c.cls_b, 0, c.cls_a)
-    if tag == TAG_WEIGHT:
-        return _CountForm(n, _is_ordinal, 0, _everything)
-    if tag == TAG_SUBSET_BOUND:
-        return _CountForm(1, frozenset(v.code for v in c.window), 1 - n, None)
-    if tag == TAG_MIN_SIZE:
-        return _CountForm(0, None, n, _everything)
-    if tag == TAG_INTERVAL:
-        return None
-    raise ValueError(f"{tag} constraint has no count form; expand first")
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +770,7 @@ class _Tally:
     constraints read, updated on every add and discard.
 
     It keeps one count per distinct side (`_side_key`) of the
-    constraints' `_count_form`s and, for interval constraints, the b of
+    constraints' `form`s and, for interval constraints, the b of
     every ordinal w*a+b by block a with, per interval parameter l, the
     number of maximal runs of at most l states.  `satisfied` is then the
     boolean `constraint_membership` gives on the Snapshot of the states.
@@ -784,7 +789,7 @@ class _Tally:
         self._forms: list[tuple[int, object, int, object]] = []
         self._short: dict[int, int] = {}
         for c in cs:
-            form = _count_form(c)
+            form = c.form
             if form is None:  # interval
                 self._short[c.param] = 0
                 continue
@@ -905,7 +910,7 @@ def find_witness(
     """Construct a snapshot in the intersection of concrete constraints.
 
     Repair-loop search: start from the fineness pins, then fill the
-    excess of each `_count_form` round by round.  Where the big side is a
+    excess of each `Constraint.form` round by round.  Where the big side is a
     class (ratio, order), add fresh members outside the small side; then
     close ordinal runs for interval constraints; where it is the whole
     snapshot (weight, min_size), pad with non-ordinal states, and with
@@ -933,8 +938,8 @@ def find_witness(
         raise WrongMode("interval/weight constraints need an ordinal universe")
 
     pins = [c.x for c in cs if c.tag == TAG_FINENESS]
-    grown = [_count_form(c) for tag in _GROWN_TAGS for c in cs if c.tag == tag]
-    padded = [_count_form(c) for tag in _PADDED_TAGS for c in cs if c.tag == tag]
+    grown = [c.form for tag in _GROWN_TAGS for c in cs if c.tag == tag]
+    padded = [c.form for tag in _PADDED_TAGS for c in cs if c.tag == tag]
     interval_c = max((c.param for c in cs if c.tag == TAG_INTERVAL), default=0)
 
     window_vals = None
@@ -1397,7 +1402,6 @@ def powerset_witness_extend(
         fixed[anchor.code] = anchor
         rest = sorted((v for v in own if v.code not in fixed), key=lambda v: v._key)
         added = 0
-        from .universe import hf_set
         for size in range(0, len(rest) + 1):
             for combo in itertools.combinations(rest, size):
                 cand = hf_set(tuple(fixed.values()) + combo)
@@ -1413,7 +1417,6 @@ def powerset_witness_extend(
             f"level cannot supply {need} fresh members of {cls.name}")
 
     prev_max: int | None = None
-    realized: list[int] = []
     for idx, group in enumerate(positions):
         group = list(group)
         lower = [cls for g in positions[:idx] for cls in g]
@@ -1440,7 +1443,6 @@ def powerset_witness_extend(
         if prev_max is not None and counts_now[0] <= prev_max:
             raise ConstructionFailed("strict step failed to exceed the previous position")
         prev_max = counts_now[0]
-        realized.append(prev_max)
 
     return _verified(Snapshot(states.values()),
                      [c for c in judgements.constraints

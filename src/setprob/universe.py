@@ -1,9 +1,10 @@
 """Desk-scale set-theoretic universe.
 
 Provides the value space (hereditarily finite sets, ordinals below a
-small multiple of omega, non-ordinal padding states, and intensional
-power-class members), class specifications with declared cardinality
-tiers, and random variables over the universe.
+small multiple of omega, and non-ordinal padding states), class
+specifications with declared cardinality tiers, and random variables
+over the universe.  Every value is one of those three kinds, so whether
+a value belongs to a class is read from the value itself.
 
 Values are immutable and carry a canonical code; equality, hashing and
 snapshot ordering all reduce to code comparison, so two values are equal
@@ -28,7 +29,6 @@ ORDINAL_MODE = "ordinal"
 KIND_ORD = "ord"
 KIND_PAD = "pad"
 KIND_SET = "set"
-KIND_INTENSION = "intension"
 
 # Number of enumerator elements scanned before concluding that a
 # supposedly inexhaustible stream cannot deliver.
@@ -89,10 +89,6 @@ class SetValue:
         return self.kind == KIND_SET
 
     @property
-    def is_intension(self) -> bool:
-        return self.kind == KIND_INTENSION
-
-    @property
     def ord_parts(self) -> tuple[int, int]:
         """(a, b) for the ordinal w*a + b."""
         if not self.is_ordinal:
@@ -115,11 +111,7 @@ class SetValue:
             return head if b == 0 else f"{head}+{b}"
         if self.is_pad:
             return f"#{self.data[0]}"
-        if self.is_set:
-            return "{" + ",".join(c.pretty() for c in self.children) + "}"
-        uid, base_name, contains, sub, notsub = self.data
-        inner = ",".join(c.pretty() for c in contains)
-        return f"I{uid}<{base_name}>{{{inner}}}"
+        return "{" + ",".join(c.pretty() for c in self.children) + "}"
 
 
 def ord_value(a: int, b: int) -> SetValue:
@@ -156,51 +148,6 @@ def hf_set(children: Iterable[SetValue]) -> SetValue:
 EMPTY_SET = hf_set(())
 
 
-def _tag(text: str) -> str:
-    return f"{len(text)}#{text}"
-
-
-def intension_member(
-    base_name: str,
-    uid: int,
-    contains: Iterable[SetValue] = (),
-    subset_of: Iterable[str] = (),
-    not_subset_of: Iterable[str] = (),
-) -> SetValue:
-    """A marked intensional member of a power class.
-
-    Stands in for an infinite subset of the class named `base_name` that
-    contains the marker values `contains`, is declared a subset of every
-    class in `subset_of`, and declared not a subset of those in
-    `not_subset_of`.  Membership questions about the value are answered
-    from this stored intension, never by enumerating an extension.
-    """
-    cons = tuple(sorted({c.code: c for c in contains}.values(), key=lambda v: v._key))
-    sub = tuple(sorted(set(subset_of) | {base_name}))
-    notsub = tuple(sorted(set(not_subset_of)))
-    code = (
-        "i("
-        + str(uid)
-        + ","
-        + _tag(base_name)
-        + ",c"
-        + str(len(cons))
-        + "("
-        + ",".join(c.code for c in cons)
-        + "),s"
-        + str(len(sub))
-        + "("
-        + "".join(_tag(n) for n in sub)
-        + "),n"
-        + str(len(notsub))
-        + "("
-        + "".join(_tag(n) for n in notsub)
-        + "))"
-    )
-    key = (3, base_name, uid, tuple(c._key for c in cons))
-    return SetValue(KIND_INTENSION, (uid, base_name, cons, sub, notsub), code, key)
-
-
 # ---------------------------------------------------------------------------
 # Canonical code parsing
 
@@ -226,15 +173,6 @@ class _Cursor:
             self.pos += 1
         return int(self.text[start:self.pos])
 
-    def tagged_name(self) -> str:
-        length = self.int_until("#")
-        self.take("#")
-        name = self.text[self.pos:self.pos + length]
-        if len(name) != length:
-            raise ValueError("truncated name tag")
-        self.pos += length
-        return name
-
 
 def _parse_value(cur: _Cursor) -> SetValue:
     ch = cur.peek()
@@ -242,11 +180,11 @@ def _parse_value(cur: _Cursor) -> SetValue:
         cur.take("o")
         a = cur.int_until(".")
         cur.take(".")
-        b = cur.int_until(",){")
+        b = cur.int_until(",}")
         return ord_value(a, b)
     if ch == "p":
         cur.take("p")
-        return pad(cur.int_until(",){"))
+        return pad(cur.int_until(",}"))
     if ch == "{":
         cur.take("{")
         kids = []
@@ -257,29 +195,6 @@ def _parse_value(cur: _Cursor) -> SetValue:
                 kids.append(_parse_value(cur))
         cur.take("}")
         return hf_set(kids)
-    if ch == "i":
-        cur.take("i(")
-        uid = cur.int_until(",")
-        cur.take(",")
-        base_name = cur.tagged_name()
-        cur.take(",c")
-        n_cons = cur.int_until("(")
-        cur.take("(")
-        cons = []
-        for i in range(n_cons):
-            if i:
-                cur.take(",")
-            cons.append(_parse_value(cur))
-        cur.take("),s")
-        n_sub = cur.int_until("(")
-        cur.take("(")
-        sub = [cur.tagged_name() for _ in range(n_sub)]
-        cur.take("),n")
-        n_not = cur.int_until("(")
-        cur.take("(")
-        notsub = [cur.tagged_name() for _ in range(n_not)]
-        cur.take("))")
-        return intension_member(base_name, uid, cons, sub, notsub)
     raise ValueError(f"bad code at {cur.pos}: {cur.text!r}")
 
 
@@ -299,8 +214,8 @@ def parse_code(code: str) -> SetValue:
 def rank(x: SetValue) -> int:
     """Von Neumann rank of a hereditarily finite value.
 
-    Only extensional set values have a rank here; ordinal, padding and
-    intensional codes refuse with WrongMode.
+    Only extensional set values have a rank here; ordinal and padding
+    codes refuse with WrongMode.
     """
     if not x.is_set:
         raise WrongMode(f"rank undefined for {x.pretty()}")
@@ -540,28 +455,17 @@ def class_of_set(sv: SetValue) -> ClassSpec:
 def power_class(base: ClassSpec, name: str | None = None) -> ClassSpec:
     """The class of subsets of `base`.
 
-    For a finite-tier base, members are actual extensional subsets and
-    enumeration is size-then-lex over the base's canonical order.  For
-    an infinite-tier base the enumerator yields finite subsets first
-    (diagonal over growing prefixes); infinite members exist only as
-    marked intensional values minted by witness builders, and their
-    membership is decided from the stored intension.
+    A value is a member when it is an extensional set whose children all
+    lie in `base`; nothing else about the value, and no name, is read.
+    For a finite-tier base, enumeration is size-then-lex over the base's
+    canonical order.  For an infinite-tier base the enumerator yields
+    the finite subsets diagonally over growing prefixes, and the declared
+    tier is the successor of the base's.
     """
     cname = name if name is not None else f"P({base.name})"
 
     def member(x: SetValue) -> bool:
-        if x.is_set:
-            return all(base.membership(c) for c in x.children)
-        if x.is_intension:
-            uid, base_name, cons, sub, notsub = x.data
-            if base.name in sub:
-                return True
-            if base.name in notsub:
-                return False
-            if any(not base.membership(c) for c in cons):
-                return False
-            return False  # untagged: unknown extension, answer conservatively
-        return False
+        return x.is_set and all(base.membership(c) for c in x.children)
 
     if base.tier.is_finite:
         def stream() -> Iterator[SetValue]:
@@ -592,20 +496,16 @@ def power_class(base: ClassSpec, name: str | None = None) -> ClassSpec:
 def finite_subsets_class(base: ClassSpec, name: str | None = None) -> ClassSpec:
     """The class of finite subsets of `base`.
 
-    Same extension as power_class for finite bases; for infinite bases
-    intensional (infinite) members are excluded and the declared tier
-    stays that of the base.
+    Membership and enumeration are power_class's: every value is a
+    finite set, so the two classes hold the same values.  Only the
+    declared tier differs: for an infinite base it stays that of the
+    base.
     """
     cname = name if name is not None else f"Fin({base.name})"
     inner = power_class(base, name=cname)
-
-    def member(x: SetValue) -> bool:
-        if not x.is_set:
-            return False
-        return all(base.membership(c) for c in x.children)
-
     tier = base.tier if base.tier.is_infinite else base.tier.successor()
-    return ClassSpec(cname, member, inner._stream, tier, meta={"power_base": base})
+    return ClassSpec(cname, inner.membership, inner._stream, tier,
+                     meta={"power_base": base})
 
 
 # ---------------------------------------------------------------------------
@@ -828,6 +728,18 @@ ORDINAL_BUILTINS = {
 }
 
 
+def _next_rank(levels: list[list[SetValue]]) -> Iterator[SetValue]:
+    """The sets of rank k = len(levels), given the levels of ranks 0..k-1:
+    the subsets of V_k holding an element of rank k-1.  Combinations of
+    the sorted V_k come out in canonical order."""
+    ground = sorted((v for level in levels for v in level), key=lambda v: v._key)
+    top_codes = {v.code for v in levels[-1]}
+    for size in range(1, len(ground) + 1):
+        for combo in itertools.combinations(ground, size):
+            if any(c.code in top_codes for c in combo):
+                yield hf_set(combo)
+
+
 class UniverseHandle:
     """Configured universe: a mode, a bound, and the builtin classes.
 
@@ -862,17 +774,8 @@ class UniverseHandle:
         """Rank levels 0..3 are tiny and kept whole; higher ranks stay lazy."""
         if self._by_rank is None:
             levels = [[EMPTY_SET]]
-            for r in range(1, 4):
-                ground = [v for level in levels for v in level]
-                top = levels[-1]
-                top_codes = {v.code for v in top}
-                fresh = []
-                for size in range(1, len(ground) + 1):
-                    for combo in itertools.combinations(ground, size):
-                        if any(c.code in top_codes for c in combo):
-                            fresh.append(hf_set(combo))
-                fresh.sort(key=lambda v: v._key)
-                levels.append(fresh)
+            for _ in range(3):
+                levels.append(list(_next_rank(levels)))
             self._by_rank = levels
         return self._by_rank
 
@@ -880,27 +783,10 @@ class UniverseHandle:
         """Elements of rank exactly k, in size-then-canonical order."""
         if self.mode != HF_MODE:
             raise WrongMode("rank levels exist in HF mode only")
-        if k <= 3:
-            yield from self._materialized_ranks()[k]
-            return
-        # Lazily: subsets of V_k containing at least one rank-(k-1) element.
-        ground = self._cumulative(k)
-        top_codes = {v.code for v in self.level_members(k - 1)} if k - 1 <= 3 else None
-        if top_codes is None:
-            raise EnumerationExhausted(f"rank level {k} is out of desk range")
-        for size in range(1, len(ground) + 1):
-            for combo in itertools.combinations(ground, size):
-                if any(c.code in top_codes for c in combo):
-                    yield hf_set(combo)
-
-    def _cumulative(self, k: int) -> list[SetValue]:
-        """V_k as a sorted list; workable for k <= 4."""
         if k > 4:
             raise EnumerationExhausted(f"V_{k} is too large to materialize")
         levels = self._materialized_ranks()
-        out = [v for level in levels[:k] for v in level]
-        out.sort(key=lambda v: v._key)
-        return out
+        yield from levels[k] if k <= 3 else _next_rank(levels)
 
     # -- enumeration ---------------------------------------------------
 

@@ -318,7 +318,7 @@ def _check_tally_steps(universe, cs, classes, steps):
     the Snapshot of the set."""
     singles = [filters._Tally([c]) for c in cs]
     whole = filters._Tally(cs)
-    forms = {i: f for i, f in enumerate(map(filters._count_form, cs)) if f}
+    forms = {i: c.form for i, c in enumerate(cs) if c.form}
     states = set()
     for add, s in steps:
         for t in (*singles, whole):

@@ -483,7 +483,7 @@ def test_malformed_base_is_a_validation_error(base, message, tmp_path, capsys):
     ({"kind": "event", "class": "Even", "snapshot": ["o0.1", "zz"]},
      "bad state code 'zz': "),
     ({"kind": "event", "class": "Foo", "snapshot": ["o0.1"]},
-     "unknown class 'Foo'; known: ['Even', 'Lim', 'Nat', 'Odd', 'On', 'V']"),
+     "unknown class 'Foo'; known: ['Even', 'Lim', 'Nat', 'Odd', 'On', 'PN', 'V']"),
     ({"kind": "conditional", "class": "Even", "given": "On", "rv": "Foo",
       "snapshot": ["o0.1"]},
      "unknown variable 'Foo'; known: ['identity']"),
@@ -494,9 +494,13 @@ def test_malformed_base_is_a_validation_error(base, message, tmp_path, capsys):
      "witness pair ['mult4_t0', 'even_t1', True] is not [A, B, n]"),
     ({"kind": "witness", "builder": "ordinal", "pairs": [["Even", 3, 4]]},
      "witness pair ['Even', 3, 4] is not [A, B]"),
+    ({"kind": "event", "class": "PN",
+      "snapshot": ["i(1,3#Nat,c1(p0),s1(3#Nat),n0())", "o0.1"]},
+     "bad state code 'i(1,3#Nat,c1(p0),s1(3#Nat),n0())': "),
 ])
 def test_malformed_query_is_recorded_as_its_error(query, error):
-    doc = {**ORDINAL, "queries": [query, {"kind": "fip"}]}
+    doc = {**ORDINAL, "classes": [{"name": "PN", "kind": "power", "base": "Nat"}],
+           "queries": [query, {"kind": "fip"}]}
     validate_scenario(doc)
     report = run_scenario_data(doc)
     assert not report["ok"]
@@ -533,6 +537,9 @@ def test_malformed_query_is_recorded_as_its_error(query, error):
                                  "snapshot": ["o0.1", "o0.2"],
                                  "probe": ["o0.1", "o0.2"]}]},
      cli.EXIT_FAILURE, "inadmissible probe: meets 2 states"),
+    ({"classes": [{"name": "W", "kind": "values",
+                   "values": ["i(1,3#Nat,c0(),s1(3#Nat),n0())"]}]},
+     cli.EXIT_VALIDATION, "bad state code 'i("),
 ])
 def test_outside_input_is_a_validation_error(doc, code, message, tmp_path, capsys):
     # Exit 2 while the context is built; inside a query, the query's error.

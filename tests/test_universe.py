@@ -23,7 +23,6 @@ from setprob import (
     hf_set,
     identity_rv,
     image_class,
-    intension_member,
     level_size,
     make_universe,
     nat,
@@ -70,7 +69,8 @@ def test_ordinal_parts():
         EMPTY_SET.ord_parts
 
 
-@pytest.mark.parametrize("code", ["{}", "{{}}", "{{},{{}}}", "o0.0", "o1.2", "p3"])
+@pytest.mark.parametrize("code", ["{}", "{{}}", "{{},{{}}}", "o0.0", "o1.2", "p3",
+                                  "{o0.1}", "{o0.1,p2}", "{o1.0,{p0}}"])
 def test_parse_code_round_trip(code):
     assert parse_code(code).code == code
 
@@ -82,7 +82,7 @@ def test_ordinal_code_round_trip(a, b):
 
 
 def test_parse_code_rejects_garbage():
-    for bad in ("", "o1", "{", "els{}", "q7"):
+    for bad in ("", "o1", "{", "els{}", "q7", "i(1,3#Nat,c0(),s1(3#Nat),n0())"):
         with pytest.raises(ValueError):
             parse_code(bad)
 
@@ -394,22 +394,17 @@ def test_power_class_of_infinite_base(ord_universe):
     assert not p.membership(hf_set([pad(0)]))
 
 
-def test_intension_member_decided_from_stored_tags(ord_universe):
-    natcls = ord_universe.builtin_class("Nat")
-    evencls = ord_universe.builtin_class("Even")
-    v = intension_member("Nat", 1, contains=[nat(4)], not_subset_of=["Even"])
-    assert v.is_intension
-    assert power_class(natcls).membership(v)            # subset_of gets base name
-    assert not power_class(evencls).membership(v)
-    assert parse_code(v.code) == v
-
-
 def test_finite_subsets_class(ord_universe):
     natcls = ord_universe.builtin_class("Nat")
     fin = finite_subsets_class(natcls)
     assert fin.tier == natcls.tier
     assert fin.membership(hf_set([nat(1), nat(5)]))
-    assert not fin.membership(intension_member("Nat", 2))
+    power = power_class(natcls)
+    sample = [EMPTY_SET, hf_set([nat(1), nat(5)]), hf_set([nat(2), pad(0)]),
+              hf_set([ord_value(1, 0)]), nat(3), pad(0)]
+    assert [fin.membership(v) for v in sample] == \
+        [power.membership(v) for v in sample] == \
+        [True, True, False, False, False, False]
 
 
 # ---------------------------------------------------------------------------
