@@ -15,7 +15,7 @@ a `fractions.Fraction`.
 
 from __future__ import annotations
 
-import itertools
+import math
 import random
 import zlib
 from dataclasses import dataclass, field
@@ -606,48 +606,73 @@ def _bound_verdict(made, rel: str, bound: Fraction, target: Fraction,
 
 
 def _window_exhaustive(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Verdict | None:
-    """Decide by enumerating every admissible snapshot of a small window.
+    """Decide by counting every admissible snapshot of a small window.
 
-    A snapshot is a set, so the subsets enumerated are those of the
-    window's distinct states, at most 14 of them, smallest first.  A
-    subset is an int mask over those states in canonical order: each
-    constraint becomes a bit-count test (`constraint_mask_test`) and each
-    side one compiled germ (`compile_germ`), so no Snapshot is built per
-    subset.  Only an interval constraint, which needs the positions of
-    ordinal runs, falls back to the subset's states.  Snapshots where
-    either side has no value are vacuous and skipped; a verdict needs at
-    least one snapshot where both sides evaluate.
+    A snapshot is a set, so the snapshots counted are the nonempty
+    subsets of the window's distinct states, at most 14 of them, below
+    the base's size bound.  A subset is an int mask over those states in
+    canonical order: each constraint becomes a bit-count test
+    (`constraint_mask_test`) and each side one compiled germ
+    (`compile_germ`), so no Snapshot is built per subset.
+
+    Compiling records the masks the closures read in the window's
+    `StateIndex`: each (variable, class) mask, each pin and indexed
+    star_sum bit, each ratio or order class, the ordinal mask of weight,
+    and a subset_bound window as one mask.  Their atoms are the classes
+    of states no such mask tells apart, and the closures give one answer
+    on all subsets with the same count of states in each atom.  So the
+    loop runs over count vectors (n_1, ..., n_r), one count per atom,
+    with 1 <= n_1 + ... + n_r below the size bound.  Each vector is
+    evaluated once, at its representative mask (the first n_i states of
+    atom i), and adds the number of subsets it stands for, the product
+    of C(|atom_i|, n_i), to `holds`, `fails` or `vacuous`.  The evidence
+    is therefore the count over subsets.  A constraint that reads the
+    subset's states by position (interval, an ordinal-only tag in HF
+    mode, anything `constraint_membership` decides) takes every state's
+    bit, so each atom is one state and each vector one subset.
+
+    Snapshots where either side has no value are vacuous; a verdict
+    needs at least one snapshot where both sides evaluate.
     """
     if fb.window is None:
         return None
     ix = window_index(fb.window)
-    if len(ix.states) > 14:
+    n = len(ix.states)
+    if n > 14:
         return None
     concrete = [c for c in fb.constraints if c.tag != TAG_PARAMETRIC]
     mode = fb.universe.mode if fb.universe is not None else None
     tests = [constraint_mask_test(c, ix, mode) for c in concrete]
     left, right = compile_germ(lg, ix), compile_germ(rg, ix)
     relation = _RELATIONS[rel]
-    bits = [1 << i for i in range(len(ix.states))]
-    top = len(bits) if fb.max_size is None else min(len(bits), fb.max_size - 1)
+    top = n if fb.max_size is None else min(n, fb.max_size - 1)
+    vectors = [(0, 1)]  # (representative mask, subsets it stands for)
+    for atom in ix.atoms():
+        firsts = [0]  # firsts[k]: the first k states of the atom
+        while atom:
+            low = atom & -atom
+            firsts.append(firsts[-1] | low)
+            atom ^= low
+        choices = [(f, math.comb(len(firsts) - 1, k)) for k, f in enumerate(firsts)]
+        vectors = [(m | f, w * ways) for m, w in vectors for f, ways in choices]
     holds = fails = vacuous = 0
-    for size in range(1, top + 1):
-        for combo in itertools.combinations(bits, size):
-            m = sum(combo)
-            for test in tests:
-                if not test(m):
-                    break
+    for m, w in vectors:
+        if not 0 < m.bit_count() <= top:
+            continue
+        for test in tests:
+            if not test(m):
+                break
+        else:
+            try:
+                a = left(m)
+                b = right(m)
+            except (ConditionNull, DivisionUndefined, EmptySnapshot):
+                vacuous += w
+                continue
+            if relation(a, b):
+                holds += w
             else:
-                try:
-                    a = left(m)
-                    b = right(m)
-                except (ConditionNull, DivisionUndefined, EmptySnapshot):
-                    vacuous += 1
-                    continue
-                if relation(a, b):
-                    holds += 1
-                else:
-                    fails += 1
+                fails += w
     if holds and not fails:
         return made(FORCED, "window-exhaustive", citations=tuple(concrete),
                     note="checked every admissible snapshot of the window",

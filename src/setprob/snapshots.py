@@ -77,9 +77,20 @@ class StateIndex:
     membership mask is computed once per index and then reused.
     `states` must already be distinct and canonically ordered, as a
     Snapshot's are; `window_index` builds an index from any states.
+
+    The index records every mask it hands out (`bit`, `where`, `mask`),
+    and `atoms` splits the states into the classes that no recorded mask
+    tells apart.  Invariant: the closures compiled over an index
+    (`germs.compile_germ`, `filters.constraint_mask_test`) read a subset
+    mask m only as `m & X` for a recorded X, which is a union of atoms,
+    and as `m.bit_count()`; a closure that needs the subset's states by
+    position first takes the bit of every state, which makes each state
+    its own atom.  So two subsets with equally many states in each atom
+    get the same value from every such closure, error texts aside, and
+    `germs._window_exhaustive` evaluates one of them for all.
     """
 
-    __slots__ = ("states", "full", "_bits", "_masks")
+    __slots__ = ("states", "full", "_bits", "_masks", "_read")
 
     def __init__(self, states: tuple[SetValue, ...]):
         self.states = states
@@ -87,12 +98,15 @@ class StateIndex:
         self._bits: dict[str, int] | None = None  # built on first `bit`
         # keyed by identity; the entry keeps rv and cls alive with it
         self._masks: dict[tuple[int, int], tuple[int, object, object]] = {}
+        self._read: set[int] = set()  # every mask handed out
 
     def bit(self, x: SetValue) -> int:
         """The bit of x, or 0 when x is not one of the states."""
         if self._bits is None:
             self._bits = {s.code: 1 << i for i, s in enumerate(self.states)}
-        return self._bits.get(x.code, 0)
+        b = self._bits.get(x.code, 0)
+        self._read.add(b)
+        return b
 
     def where(self, pred: Callable[[SetValue], bool],
               rv: RandomVariable | None = None) -> int:
@@ -102,7 +116,18 @@ class StateIndex:
             if pred(s if rv is None else rv(s)):
                 m |= bit
             bit <<= 1
+        self._read.add(m)
         return m
+
+    def atoms(self) -> list[int]:
+        """The atoms of the recorded masks, as masks: the nonempty sets
+        of states that every recorded mask either contains or misses.
+        They partition the states; with no mask recorded, all states
+        form one atom."""
+        atoms = [self.full] if self.full else []
+        for x in self._read:
+            atoms = [part for a in atoms for part in (a & x, a & ~x) if part]
+        return atoms
 
     def mask(self, cls: ClassSpec, rv: RandomVariable | None = None) -> int:
         """Mask of the states whose outcome under rv (the state itself

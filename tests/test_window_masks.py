@@ -7,15 +7,23 @@ subset of random windows, to the snapshot-level definitions:
 `constraint_membership` on the built Snapshot, and a germ evaluator
 written here from the public `snapshot_prob`, `joint_snapshot_prob` and
 `conditional_snapshot_prob`.
+
+`compare` evaluates one subset per count vector over the window's atoms
+and weights it by the number of subsets it stands for.  Its evidence is
+checked against a subset-by-subset count on windows of up to 14 states
+with few classes, where atoms are large, and on a base whose interval
+constraint makes every state an atom.
 """
 
 import itertools
 import operator
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import setprob.germs as germs
 import setprob.snapshots as snapshots
 from setprob import (
     FORCED,
@@ -50,7 +58,7 @@ from setprob import (
     table_rv,
     weight,
 )
-from setprob.errors import ConditionNull, DivisionUndefined, EmptySnapshot
+from setprob.errors import ConditionNull, DivisionUndefined, EmptySnapshot, WrongMode
 from setprob.filters import constraint_mask_test, constraint_membership
 from setprob.germs import compile_germ
 from setprob.snapshots import window_index
@@ -187,24 +195,13 @@ def subsets(fb: FilterBase):
             yield sum(1 << i for i in combo), Snapshot(ix.states[i] for i in combo)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
-@given(problems())
-def test_masks_match_snapshots_on_every_subset(problem):
-    fb, lg, rel, rg = problem
-    ix = window_index(fb.window)
+def subset_counts(fb: FilterBase, lg, rel: str, rg) -> tuple[int, int, int]:
+    """(holds, fails, vacuous) over every subset of the window that the
+    base admits, from Snapshots and the node-by-node evaluator alone."""
     mode = fb.universe.mode
-    tests = [constraint_mask_test(c, ix, mode) for c in fb.constraints]
-    left, right = compile_germ(lg, ix), compile_germ(rg, ix)
     holds = fails = vacuous = 0
-    for m, t in subsets(fb):
-        assert ix.subset(m) == t.states
-        admitted = [constraint_membership(c, t, mode) for c in fb.constraints]
-        assert [test(m) for test in tests] == admitted
-        for g, compiled in ((lg, left), (rg, right)):
-            expected = outcome(reference_value, g, t)
-            assert outcome(compiled, m) == expected
-            assert outcome(g.eval_at, t) == expected
-        if not all(admitted):
+    for _, t in subsets(fb):
+        if not all(constraint_membership(c, t, mode) for c in fb.constraints):
             continue
         a, b = outcome(reference_value, lg, t), outcome(reference_value, rg, t)
         if isinstance(a, tuple) or isinstance(b, tuple):
@@ -213,8 +210,12 @@ def test_masks_match_snapshots_on_every_subset(problem):
             holds += 1
         else:
             fails += 1
+    return holds, fails, vacuous
 
-    v = compare(lg, rel, rg, fb, sample_count=0)
+
+def assert_window_evidence(v, holds: int, fails: int, vacuous: int) -> None:
+    """A window-exhaustive verdict agrees with the subset counts; a
+    sampled one means no subset settled anything."""
     if v.rule == "window-exhaustive":
         status = FORCED if not fails else FORCED_NOT if not holds else UNDETERMINED
         assert v.status == status
@@ -222,6 +223,26 @@ def test_masks_match_snapshots_on_every_subset(problem):
         assert {k: v.evidence.get(k, 0) for k in expected} == expected
     elif v.rule == "sampled":
         assert holds == fails == 0
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(problems())
+def test_masks_match_snapshots_on_every_subset(problem):
+    fb, lg, rel, rg = problem
+    ix = window_index(fb.window)
+    mode = fb.universe.mode
+    tests = [constraint_mask_test(c, ix, mode) for c in fb.constraints]
+    left, right = compile_germ(lg, ix), compile_germ(rg, ix)
+    for m, t in subsets(fb):
+        assert ix.subset(m) == t.states
+        admitted = [constraint_membership(c, t, mode) for c in fb.constraints]
+        assert [test(m) for test in tests] == admitted
+        for g, compiled in ((lg, left), (rg, right)):
+            expected = outcome(reference_value, g, t)
+            assert outcome(compiled, m) == expected
+            assert outcome(g.eval_at, t) == expected
+    v = compare(lg, rel, rg, fb, sample_count=0)
+    assert_window_evidence(v, *subset_counts(fb, lg, rel, rg))
 
 
 def test_empty_snapshot_errors_match():
@@ -272,3 +293,120 @@ def test_window_compare_builds_no_snapshot_per_subset(monkeypatch):
     v = compare(g, "le", Fraction(1, 2), fb.with_constraints([interval(1)]),
                 sample_count=0)
     assert v.rule == "window-exhaustive" and built
+
+
+@st.composite
+def large_atom_problems(draw):
+    """Windows of up to 14 distinct states cut by at most three classes,
+    so that atoms hold many states and a count vector stands for many
+    subsets."""
+    mode = draw(st.sampled_from((ORDINAL_MODE, HF_MODE)))
+    pool = POOLS[mode]
+    state = st.sampled_from(pool)
+    size = draw(st.integers(4, 14))
+    window = draw(st.lists(state, min_size=size, max_size=size,
+                           unique_by=lambda v: v.code))
+    near = st.sampled_from(window)
+    offered = list(BUILTINS[mode]) + [
+        class_from_values("A", draw(st.lists(near, max_size=7)))]
+    classes = draw(st.lists(st.sampled_from(offered), max_size=3))
+    a, b = draw(st.lists(state, min_size=2, max_size=2, unique_by=lambda v: v.code))
+    rvs = [identity_rv(), table_rv({a: b, b: a}, "swap")]
+    if mode == ORDINAL_MODE:
+        rvs.append(even_shift_permutation())
+    rv = st.sampled_from(rvs)
+
+    tags = ["fineness", "subset_bound", "min_size"]
+    if classes:
+        tags += ["ratio", "order_ge"]
+    if mode == ORDINAL_MODE:
+        tags.append("weight")
+    constraints = []
+    for tag in draw(st.lists(st.sampled_from(tags), min_size=1, max_size=3)):
+        if tag == "fineness":
+            constraints.append(fineness(draw(near)))
+        elif tag == "subset_bound":
+            constraints.append(subset_bound(draw(st.lists(near, max_size=10)),
+                                            draw(st.integers(1, 8))))
+        elif tag == "min_size":
+            constraints.append(min_size(draw(st.integers(0, 6))))
+        elif tag == "ratio":
+            cls = st.sampled_from(classes)
+            constraints.append(ratio(draw(cls), draw(cls), draw(st.integers(1, 2))))
+        elif tag == "order_ge":
+            cls = st.sampled_from(classes)
+            constraints.append(order_ge(draw(cls), draw(cls)))
+        else:
+            constraints.append(weight(draw(st.integers(2, 4))))
+
+    leaves = [st.fractions(min_value=-1, max_value=1, max_denominator=3).map(const_germ)]
+    if classes:
+        cls = st.sampled_from(classes)
+        leaves += [st.builds(germ_of_event, rv, cls),
+                   st.builds(joint_germ, rv, cls, rv, cls),
+                   st.builds(conditional_germ, rv, cls, rv, cls)]
+
+    def branches(children):
+        indexed = st.lists(st.tuples(children, near), min_size=1, max_size=3).map(
+            lambda pairs: star_sum([g for g, _ in pairs], [x for _, x in pairs]))
+        return st.one_of(
+            st.builds(germ_arith, st.sampled_from(("+", "-", "*", "/")), children, children),
+            indexed,
+        )
+
+    germ = st.recursive(st.one_of(*leaves), branches, max_leaves=4)
+    lg, rg = draw(germ.filter(lambda g: g.node != "const")), draw(germ)
+    assume(lg.key() != rg.key())
+    max_size = draw(st.one_of(st.none(), st.integers(2, 15)))
+    fb = FilterBase(tuple(constraints), universe=OU if mode == ORDINAL_MODE else HU,
+                    window=tuple(window), max_size=max_size)
+    return fb, lg, draw(st.sampled_from(sorted(RELATIONS))), rg
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(large_atom_problems())
+def test_count_vectors_match_subset_counts(problem):
+    fb, lg, rel, rg = problem
+    v = compare(lg, rel, rg, fb, sample_count=0)
+    assert_window_evidence(v, *subset_counts(fb, lg, rel, rg))
+
+
+def test_interval_counts_subset_by_subset():
+    window = tuple(POOLS[ORDINAL_MODE][:12])
+    even, on = OU.builtin_class("Even"), OU.builtin_class("On")
+    g = conditional_germ(identity_rv(), even, identity_rv(), on)
+    fb = FilterBase((interval(1), min_size(2)), universe=OU, window=window)
+    v = compare(g, "le", Fraction(1, 2), fb, sample_count=0)
+    assert v.rule == "window-exhaustive"
+    assert_window_evidence(v, *subset_counts(fb, g, "le", const_germ(Fraction(1, 2))))
+
+
+def test_weight_in_hf_mode_still_raises():
+    rank2 = HU.rank_level_class(2)
+    fb = FilterBase((weight(2),), universe=HU, window=tuple(POOLS[HF_MODE][:10]))
+    with pytest.raises(WrongMode, match="weight constraint is meaningless in HF mode"):
+        compare(germ_of_event(identity_rv(), rank2), "le", Fraction(1, 2), fb,
+                sample_count=0)
+
+
+def test_window_evaluates_one_subset_per_count_vector(monkeypatch):
+    naturals = tuple(parse_code(f"o0.{i}") for i in range(14))
+    g = germ_of_event(identity_rv(), OU.builtin_class("Even"))
+    calls = []
+    compile_germ = germs.compile_germ
+
+    def counting(germ, ix):
+        f = compile_germ(germ, ix)
+        if germ is not g:
+            return f
+
+        def counted(m):
+            calls.append(m)
+            return f(m)
+        return counted
+
+    monkeypatch.setattr(germs, "compile_germ", counting)
+    v = compare(g, "le", 1, FilterBase((), universe=OU, window=naturals), sample_count=0)
+    assert (v.rule, v.status, v.evidence["holds"]) == ("window-exhaustive", FORCED, 16383)
+    # 7 even and 7 odd naturals: one call per (evens, odds) count pair
+    assert len(calls) <= (7 + 1) * (7 + 1)
