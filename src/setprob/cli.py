@@ -446,6 +446,16 @@ def _cmd_audit(args) -> int:
 # entry point
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+    def integer(text: str) -> int:
+        n = int(text)  # argparse reports a ValueError as an invalid value
+        if n < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least}, got {n}")
+        return n
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="setprob",
@@ -491,9 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
                              parents=[universe_opts])
     p_check.add_argument("what", choices=["fip", "coherence", "restriction",
                                           "counterexample"])
-    p_check.add_argument("--budget", type=int,
+    p_check.add_argument("--budget", type=_at_least(0),
                          help="candidates each scan of a witness search may "
-                              f"read, for fip only (default {SCAN_CAP})")
+                              f"read, for fip only (0 or default {SCAN_CAP})")
 
     p_demo = sub.add_parser("demo", help="canned demonstrations")
     p_demo.add_argument("name", choices=["euclidean", "hume-failure",
@@ -502,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--seed", type=int, default=0)
 
     p_audit = sub.add_parser("audit", help="re-verify forced verdicts")
-    p_audit.add_argument("--budget", type=int, default=40,
+    p_audit.add_argument("--budget", type=_at_least(1), default=40,
                          help="witnesses per verdict")
     p_audit.add_argument("--seed", type=int, default=0)
     return parser

@@ -240,47 +240,28 @@ def constraint_mask_test(c: Constraint, ix: StateIndex,
                          mode: str | None = None) -> Callable[[int], bool]:
     """Membership in c of the subset of `ix.states` a mask selects.
 
-    Equal to `constraint_membership` on that subset's Snapshot, but every
-    tag except interval is an integer test on bit counts, so no state is
-    touched per subset.  Interval, and any constraint that
-    `constraint_membership` rejects (an ordinal-only tag in HF mode, an
-    unknown or parametric tag), builds the subset's Snapshot and asks
-    `constraint_membership`, which then decides or raises as usual; it
-    takes the bit of every state, so each state is an atom of `ix`.  A
-    subset_bound window is one mask of `ix`, not the bits of its states.
-
-    The closures stay one per tag, not read from `Constraint.form`: built
-    from the forms they ran the `window` benchmark 3.4% slower (10
-    alternating pairs on a shared 2-vCPU VM, median 288.6 against 278.9
-    ops_per_s; the runs' interquartile spread is about 2.4%).
+    Equal to `constraint_membership` on that subset's Snapshot.  A count
+    tag is read from `Constraint.form`: each side becomes one mask of
+    `ix` (`_side_mask`), so the test is k*|m & small| + slack <=
+    |m & big| on bit counts and no state is touched per subset; a pin
+    or a subset_bound window is one mask of `ix`, not the bits of its
+    states.  Interval, and any constraint that `constraint_membership`
+    rejects (an ordinal-only tag in HF mode, an unknown or parametric
+    tag), builds the subset's Snapshot and asks `constraint_membership`,
+    which then decides or raises as usual; it takes the bit of every
+    state, so each state is an atom of `ix`.
     """
-    tag = c.tag
-    if tag in _ORDINAL_ONLY_TAGS and mode == HF_MODE:
-        tag = None  # constraint_membership raises WrongMode for it below
-    if tag == TAG_FINENESS:
-        pin = ix.bit(c.x)
-        return lambda m: m & pin != 0
-    if tag in (TAG_RATIO, TAG_ORDER_LT, TAG_ORDER_GE):
-        a, b = ix.mask(c.cls_a), ix.mask(c.cls_b)
-        if tag == TAG_RATIO:
-            k = c.param
-            return lambda m: k * (m & a).bit_count() <= (m & b).bit_count()
-        if tag == TAG_ORDER_LT:
-            return lambda m: (m & a).bit_count() < (m & b).bit_count()
-        return lambda m: (m & a).bit_count() >= (m & b).bit_count()
-    if tag == TAG_WEIGHT:
-        on, k = ix.where(lambda s: s.is_ordinal), c.param
-        return lambda m: k * (m & on).bit_count() <= m.bit_count()
-    if tag == TAG_SUBSET_BOUND:
-        codes, alpha = {v.code for v in c.window}, c.param
-        inside = ix.where(lambda s: s.code in codes)
-        return lambda m: (m & inside).bit_count() < alpha
-    if tag == TAG_MIN_SIZE:
-        n = c.param
-        return lambda m: m.bit_count() >= n
-    bits = [(s, ix.bit(s)) for s in ix.states]
-    return lambda m: constraint_membership(
-        c, Snapshot(s for s, b in bits if m & b), mode)
+    try:
+        form = None if c.tag in _ORDINAL_ONLY_TAGS and mode == HF_MODE else c.form
+    except ValueError:  # parametric or unknown: constraint_membership raises
+        form = None
+    if form is None:
+        bits = [(s, ix.bit(s)) for s in ix.states]
+        return lambda m: constraint_membership(
+            c, Snapshot(s for s, b in bits if m & b), mode)
+    k, slack = form.k, form.slack
+    small, big = _side_mask(form.small, ix), _side_mask(form.big, ix)
+    return lambda m: k * (m & small).bit_count() + slack <= (m & big).bit_count()
 
 
 def _everything(s: SetValue) -> bool:
@@ -312,6 +293,17 @@ def _side_key(side: _Side) -> object:
     if side is None or isinstance(side, frozenset):
         return side
     return id(side.membership if isinstance(side, ClassSpec) else side)
+
+
+def _side_mask(side: _Side, ix: StateIndex) -> int:
+    """The mask of `ix` whose states a form side counts."""
+    if side is None:
+        return 0
+    if isinstance(side, ClassSpec):
+        return ix.mask(side)
+    if isinstance(side, frozenset):
+        return ix.where(lambda s: s.code in side)
+    return ix.where(side)
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,16 @@ a `fractions.Fraction`.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .errors import ConditionNull, DivisionUndefined, EmptySnapshot
+from .errors import ConditionNull, DivisionUndefined, EmptySnapshot, EnumerationExhausted
 from .filters import (
     TAG_FINENESS,
     TAG_INTERVAL,
@@ -51,11 +53,7 @@ NODE_COND = "cond"
 NODE_BINOP = "binop"
 NODE_SUM = "star_sum"
 
-_OPS: dict[str, Callable[[Fraction, Fraction], Fraction]] = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-}
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 @dataclass(frozen=True)
@@ -241,20 +239,24 @@ def star_sum(terms: Iterable[Germ | Fraction | int],
 
 
 _RELATIONS: dict[str, Callable[[Fraction, Fraction], bool]] = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "le": lambda a, b: a <= b,
-    "lt": lambda a, b: a < b,
-    "ge": lambda a, b: a >= b,
-    "gt": lambda a, b: a > b,
-    "abs_le": lambda a, b: abs(a) <= b,
-}
+    "eq": operator.eq, "ne": operator.ne, "le": operator.le, "lt": operator.lt,
+    "ge": operator.ge, "gt": operator.gt, "abs_le": lambda a, b: abs(a) <= b}
 
 _MIRROR = {"eq": "eq", "ne": "ne", "le": "ge", "lt": "gt", "ge": "le", "gt": "lt"}
 
 
 def eval_relation(rel: str, a: Fraction, b: Fraction) -> bool:
     return _RELATIONS[rel](a, b)
+
+
+def _judge(relation: Callable[[Fraction, Fraction], bool], left: Callable,
+           right: Callable, at) -> bool | None:
+    """relation(left(at), right(at)), or None where a side has no value
+    there; the left side is evaluated first."""
+    try:
+        return relation(left(at), right(at))
+    except (ConditionNull, DivisionUndefined, EmptySnapshot):
+        return None
 
 
 FORCED = "forced"
@@ -616,20 +618,21 @@ def _window_exhaustive(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Ve
     (`compile_germ`), so no Snapshot is built per subset.
 
     Compiling records the masks the closures read in the window's
-    `StateIndex`: each (variable, class) mask, each pin and indexed
-    star_sum bit, each ratio or order class, the ordinal mask of weight,
-    and a subset_bound window as one mask.  Their atoms are the classes
-    of states no such mask tells apart, and the closures give one answer
-    on all subsets with the same count of states in each atom.  So the
-    loop runs over count vectors (n_1, ..., n_r), one count per atom,
-    with 1 <= n_1 + ... + n_r below the size bound.  Each vector is
-    evaluated once, at its representative mask (the first n_i states of
-    atom i), and adds the number of subsets it stands for, the product
-    of C(|atom_i|, n_i), to `holds`, `fails` or `vacuous`.  The evidence
-    is therefore the count over subsets.  A constraint that reads the
-    subset's states by position (interval, an ordinal-only tag in HF
-    mode, anything `constraint_membership` decides) takes every state's
-    bit, so each atom is one state and each vector one subset.
+    `StateIndex`: each (variable, class) mask, each indexed star_sum
+    bit, and one mask per side of each constraint's count form.  Their
+    atoms are the classes of states no such mask tells apart, and the
+    closures give one answer on all subsets with the same count of
+    states in each atom.  So the loop runs over count vectors (n_1, ...,
+    n_r), one count per atom, with 1 <= n_1 + ... + n_r below the size
+    bound.  Each vector is evaluated once, at its representative mask
+    (the first n_i states of atom i), and adds the number of subsets it
+    stands for, the product of C(|atom_i|, n_i), to `holds`, `fails` or
+    `vacuous`.  The evidence is therefore the count over subsets.  The
+    vectors are listed over the first r - 1 atoms only; n_r is taken in
+    the loop.  A constraint that reads the subset's states by position
+    (interval, an ordinal-only tag in HF mode, anything
+    `constraint_membership` decides) takes every state's bit, so each
+    atom is one state and each vector one subset.
 
     Snapshots where either side has no value are vacuous; a verdict
     needs at least one snapshot where both sides evaluate.
@@ -646,33 +649,33 @@ def _window_exhaustive(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Ve
     left, right = compile_germ(lg, ix), compile_germ(rg, ix)
     relation = _RELATIONS[rel]
     top = n if fb.max_size is None else min(n, fb.max_size - 1)
-    vectors = [(0, 1)]  # (representative mask, subsets it stands for)
+    # (representative mask, subsets it stands for), over the atoms before
+    # the last one, and (its first k states, C(|atom|, k)) for the last
+    vectors = lasts = [(0, 1)]
     for atom in ix.atoms():
+        vectors = [(m | f, w * ways) for m, w in vectors for f, ways in lasts]
         firsts = [0]  # firsts[k]: the first k states of the atom
         while atom:
             low = atom & -atom
             firsts.append(firsts[-1] | low)
             atom ^= low
-        choices = [(f, math.comb(len(firsts) - 1, k)) for k, f in enumerate(firsts)]
-        vectors = [(m | f, w * ways) for m, w in vectors for f, ways in choices]
-    holds = fails = vacuous = 0
-    for m, w in vectors:
-        if not 0 < m.bit_count() <= top:
-            continue
-        for test in tests:
-            if not test(m):
-                break
-        else:
-            try:
-                a = left(m)
-                b = right(m)
-            except (ConditionNull, DivisionUndefined, EmptySnapshot):
-                vacuous += w
-                continue
-            if relation(a, b):
-                holds += w
-            else:
-                fails += w
+        lasts = [(f, math.comb(len(firsts) - 1, k)) for k, f in enumerate(firsts)]
+    # fits[c]: the last atom's choices that make a vector of c states
+    # nonempty and at most `top`; only the vector 0 has no state
+    fits = [lasts[c == 0:max(top - c + 1, 0)] for c in range(n + 1)]
+    tally = {True: 0, False: 0, None: 0}  # subsets where it holds, fails, is vacuous
+    for m0, w0 in vectors:
+        for f, ways in fits[m0.bit_count()]:
+            m = m0 | f
+            for test in tests:
+                if not test(m):
+                    break
+            else:  # `_judge` inlined: this loop is the hot path
+                try:
+                    tally[relation(left(m), right(m))] += w0 * ways
+                except (ConditionNull, DivisionUndefined, EmptySnapshot):
+                    tally[None] += w0 * ways
+    holds, fails, vacuous = tally[True], tally[False], tally[None]
     if holds and not fails:
         return made(FORCED, "window-exhaustive", citations=tuple(concrete),
                     note="checked every admissible snapshot of the window",
@@ -695,25 +698,16 @@ def _sampled(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made,
     seed = zlib.crc32(f"{lg.key()}|{rel}|{rg.key()}".encode())
     rng = random.Random(seed)
     concrete = expand_base(fb)
-    holds = fails = vacuous = 0
+    tally = {True: 0, False: 0, None: 0}
     for _ in range(sample_count):
         w = find_witness(concrete, fb.universe, rng=rng, window=fb.window,
                          max_size=fb.max_size, decorate=rng.randrange(0, 5))
         if w is None:
             break
-        try:
-            a = lg.eval_at(w)
-            b = rg.eval_at(w)
-        except (ConditionNull, DivisionUndefined, EmptySnapshot):
-            vacuous += 1
-            continue
-        if eval_relation(rel, a, b):
-            holds += 1
-        else:
-            fails += 1
+        tally[_judge(_RELATIONS[rel], lg.eval_at, rg.eval_at, w)] += 1
     return made(UNDETERMINED, "sampled",
                 note="no citable rule applies; sampled evidence only",
-                holds=holds, fails=fails, vacuous=vacuous)
+                holds=tally[True], fails=tally[False], vacuous=tally[None])
 
 
 # ---------------------------------------------------------------------------
@@ -818,21 +812,22 @@ def _dilution_pins(fb: FilterBase, rv: RandomVariable, cls: ClassSpec,
                    k: int) -> list[Constraint] | None:
     """Fineness pins diluting a finite event below 1/k.
 
-    The event hits at most `size` states of any snapshot; pinning
-    k*size states outside the event's preimage (from the first
-    PREFIX_MEMO_CAP pool states) keeps the frequency at most 1/k.
+    The event hits at most n states of any snapshot, n its finite tier
+    as `members` checks it; pinning k*n states outside the event's
+    preimage (from the first PREFIX_MEMO_CAP pool states) keeps the
+    frequency at most 1/k.
     """
-    size = cls.tier.index
-    if size == 0:
-        return []
-    need = k * size
-    pins: list[Constraint] = []
-    for x in state_pool(fb.universe, fb.window, PREFIX_MEMO_CAP):
-        if not cls.membership(rv(x)):
-            pins.append(fineness(x))
-            if len(pins) == need:
-                return pins
-    return None
+    need = k * cls.tier.index
+    outside = (x for x in state_pool(fb.universe, fb.window, PREFIX_MEMO_CAP)
+               if not cls.membership(rv(x)))
+    pins = [fineness(x) for x in itertools.islice(outside, need)]
+    if len(pins) < need:
+        return None
+    try:
+        cls.members()
+    except EnumerationExhausted:
+        return None
+    return pins
 
 
 def much_less(lhs: Germ, rhs: Germ, fb: FilterBase) -> Classification:
@@ -879,18 +874,9 @@ def audit_verdict(verdict: Verdict, fb: FilterBase, rng: random.Random,
     witnesses = generate_witnesses(
         list(verdict.citations), fb.universe, rng, witness_count,
         window=fb.window, max_size=fb.max_size)
-    rel = verdict.relation
-    expect = verdict.status == FORCED
-    evaluated = vacuous = 0
-    failures: list[Snapshot] = []
-    for w in witnesses:
-        try:
-            a = verdict.lhs.eval_at(w)
-            b = verdict.rhs.eval_at(w)
-        except (ConditionNull, DivisionUndefined, EmptySnapshot):
-            vacuous += 1
-            continue
-        evaluated += 1
-        if eval_relation(rel, a, b) != expect:
-            failures.append(w)
-    return AuditReport(verdict, witness_count, evaluated, vacuous, tuple(failures))
+    relation, expect = _RELATIONS[verdict.relation], verdict.status == FORCED
+    held = [_judge(relation, verdict.lhs.eval_at, verdict.rhs.eval_at, w)
+            for w in witnesses]
+    failures = tuple(w for w, h in zip(witnesses, held) if h is not None and h != expect)
+    vacuous = held.count(None)
+    return AuditReport(verdict, witness_count, len(held) - vacuous, vacuous, failures)

@@ -31,6 +31,7 @@ from typing import Any, Callable
 from .bootstrap import TierConfig, coherence_check
 from .errors import (
     EngineError,
+    EnumerationExhausted,
     ScenarioParseError,
     ScenarioValidationError,
     WrongMode,
@@ -167,7 +168,10 @@ def _build_class(ctx: ScenarioContext, spec: dict) -> ClassSpec:
 
     if kind == "values":
         vals = ctx.states(spec.get("values", []))
-        return class_from_values(name, vals, tier=tier, subset_tags=tags)
+        cls = class_from_values(name, vals, tier=tier, subset_tags=tags)
+        if cls.tier.is_finite:
+            cls.members()  # raises if the tier is below the value count
+        return cls
     if kind == "residue":
         # Residue classes live in omega-block 0 by default; a span of s
         # widens them to blocks 0..s, and nat_only=False to every block.
@@ -283,6 +287,7 @@ _GERM_KEYS = {"event": "event", "joint": "joint", "conditional": "cond"}
 def _run_query(ctx: ScenarioContext, q: dict) -> dict:
     kind = q["kind"]
     record: dict = {"kind": kind}
+    status = None  # what `expect_status` is checked against
     started = time.perf_counter()
     if kind in _GERM_KEYS:
         snap = Snapshot(ctx.states(q["snapshot"]))
@@ -298,19 +303,14 @@ def _run_query(ctx: ScenarioContext, q: dict) -> dict:
         rhs = build_germ(ctx, q["rhs"])
         verdict = compare(lhs, q["rel"], rhs, ctx.base)
         record["verdict"] = _verdict_record(verdict)
-        if "expect_status" in q:
-            record["assertion"] = ("pass" if verdict.status == q["expect_status"]
-                                   else "fail")
+        status = verdict.status
     elif kind == "classify":
         germ = build_germ(ctx, q["germ"])
         result = classify_infinitesimal(germ, ctx.base)
         record["expression"] = germ.describe()
-        record["status"] = result.status
+        record["status"] = status = result.status
         record["rule"] = result.rule
         record["citations"] = [c.describe() for c in result.sample_citations]
-        if "expect_status" in q:
-            record["assertion"] = ("pass" if result.status == q["expect_status"]
-                                   else "fail")
     elif kind == "witness":
         record.update(run_witness(ctx, q))
     elif kind == "coherence":
@@ -331,13 +331,12 @@ def _run_query(ctx: ScenarioContext, q: dict) -> dict:
         record["assertion"] = "pass" if report.ok else "fail"
     elif kind == "fip":
         result = check_fip(ctx.base, ctx.rng)
-        record["status"] = result.status
+        record["status"] = status = result.status
         record["checked_subsets"] = len(result.witnesses)
-        if "expect_status" in q:
-            record["assertion"] = ("pass" if result.status == q["expect_status"]
-                                   else "fail")
     else:
         raise ScenarioValidationError(f"unknown query kind {kind!r}")
+    if "expect_status" in q:  # compare, classify and fip queries
+        record["assertion"] = "pass" if status == q["expect_status"] else "fail"
     record["timing_ms"] = round((time.perf_counter() - started) * 1000, 3)
     return record
 
@@ -594,8 +593,10 @@ def validate_scenario(data: dict) -> None:
 
 def build_context(data: dict) -> ScenarioContext:
     """Resolve a validated document's universe, classes, variables and
-    base.  A class or base the universe's mode cannot build makes the
-    document invalid, so its WrongMode becomes a ScenarioValidationError."""
+    base.  A class or base the universe's mode cannot build, or a value
+    list with more values than its finite tier, makes the document
+    invalid: its WrongMode or EnumerationExhausted becomes a
+    ScenarioValidationError."""
     uni = make_universe(data["universe"]["mode"], data["universe"]["bound"])
     seed = data.get("seed", 0)
     tiers = (_parse(lambda t: TierConfig(tuple(t)), data["tiers"], "tiers")
@@ -612,7 +613,7 @@ def build_context(data: dict) -> ScenarioContext:
         for spec in data.get("classes", []):
             ctx.classes[spec["name"]] = _build_class(ctx, spec)
         ctx.base = build_base(ctx, data.get("base"))
-    except WrongMode as exc:
+    except (WrongMode, EnumerationExhausted) as exc:
         raise ScenarioValidationError(str(exc)) from exc
     return ctx
 

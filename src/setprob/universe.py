@@ -357,12 +357,19 @@ class ClassSpec:
             yield v
 
     def members(self) -> list[SetValue]:
-        """Materialize a finite-tier class whole."""
+        """Materialize a finite-tier class whole.  The stream is read one
+        member past the declared size: if it goes on, the tier is false
+        and EnumerationExhausted is raised, as for an infinite tier."""
         if not self.tier.is_finite:
             raise EnumerationExhausted(
                 f"refusing to materialize infinite-tier class {self.name}"
             )
-        return list(itertools.islice(self.enumerate(), self.tier.index))
+        size = self.tier.index
+        out = list(itertools.islice(self.enumerate(), size + 1))
+        if len(out) > size:
+            raise EnumerationExhausted(f"class {self.name} has more members than its "
+                                       f"tier {self.tier.describe()} declares")
+        return out
 
     def take_fresh(
         self,
@@ -397,7 +404,8 @@ class ClassSpec:
         A value-list class is decided exactly from its values, whatever
         it declares; other finite-tier classes are checked by enumeration
         unless a name or declared subset tag settles it first, and
-        infinite ones rely on those declarations.
+        infinite ones rely on those declarations.  A finite tier that
+        `members` finds false leaves containment unknown.
         """
         if "values" in self.meta:
             return all(other.membership(v) for v in self.meta["values"])
@@ -408,7 +416,10 @@ class ClassSpec:
         if other.meta.get("is_universe"):
             return True
         if self.tier.is_finite:
-            return all(other.membership(m) for m in self.members())
+            try:
+                return all(other.membership(m) for m in self.members())
+            except EnumerationExhausted:
+                pass
         return None
 
 

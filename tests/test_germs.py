@@ -44,6 +44,7 @@ from setprob import (
     set_verdict_recorder,
     snapshot,
     star_sum,
+    translate_class,
     weight,
 )
 from setprob import CardinalityTier, ORDINAL_MODE
@@ -275,10 +276,12 @@ def test_compare_weight_bound():
 
 def test_compare_sampling_never_forces():
     fb = fineness_base(U)
-    v = compare(germ_of_event(IDENT, EVEN), "ge", Fraction(0), fb)
-    assert v.status == UNDETERMINED
-    assert v.rule == "sampled"
-    assert "holds" in v.evidence
+    # true, then false, at every sampled witness: still undetermined
+    for rel, evidence in (("ge", (10, 0, 0)), ("lt", (0, 10, 0))):
+        v = compare(germ_of_event(IDENT, EVEN), rel, Fraction(0), fb)
+        assert v.status == UNDETERMINED
+        assert v.rule == "sampled"
+        assert (v.evidence["holds"], v.evidence["fails"], v.evidence["vacuous"]) == evidence
 
 
 def test_compare_unknown_relation():
@@ -438,6 +441,36 @@ def test_value_list_ignores_declared_subset_tags():
     v = compare(germ_of_event(IDENT, a), "le", germ_of_event(IDENT, b), fb)
     assert v.status == UNDETERMINED
     assert class_from_values("C", [nat(2)], subset_tags=["D"]).is_subset_of(EVEN) is True
+
+
+U2 = make_universe(ORDINAL_MODE, 2)
+LYING = CardinalityTier.finite(1)
+
+
+@pytest.mark.parametrize("small, rel, big", [
+    # the even naturals declare one member: at {o0.2} Pr[R] is 1, Pr[B] 0
+    (U2.residue_class("R", 2, 0, 0, LYING), "eq", class_from_values("B", [nat(0)])),
+    # T = A + 1 = {2, 4} inherits A's one-member tier; B = {2}
+    (translate_class(class_from_values("A", [nat(1), nat(3)], tier=LYING), nat(1),
+                     name="T"),
+     "le", class_from_values("B", [nat(2)])),
+], ids=["residue", "translate"])
+def test_declared_finite_tier_is_checked_before_containment(small, rel, big):
+    # Read from the stream cut at the declared size, each class once
+    # seemed to contain B's values and no more, and subset-antisym forced
+    # an equality that fails on snapshots holding the uncounted members.
+    assert small.is_subset_of(big) is None
+    fb = fineness_base(U2)
+    v = compare(germ_of_event(IDENT, small), rel, germ_of_event(IDENT, big), fb)
+    assert (v.status, v.rule) == (FORCED_NOT, "subset-strict")
+    assert audit_verdict(v, fb, random.Random(0), witness_count=50).clean
+
+
+def test_dilution_declines_a_class_larger_than_its_tier():
+    fb = fineness_base(U)
+    lying = class_from_values("two", [nat(6), nat(8)], tier=CardinalityTier.finite(1))
+    assert classify_infinitesimal(germ_of_event(IDENT, lying), fb).rule != \
+        "fineness-dilution"
 
 
 def test_weight_rule_ignores_a_value_list_declared_inside_on():

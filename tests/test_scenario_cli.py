@@ -353,6 +353,45 @@ def test_cli_audit(capsys):
     assert "clean" in out
 
 
+@pytest.mark.parametrize("command, message", [
+    ("check fip --budget -1", "argument --budget: expected an integer >= 0, got -1"),
+    ("check fip --budget x", "argument --budget: invalid integer value: 'x'"),
+    ("audit --budget 0", "argument --budget: expected an integer >= 1, got 0"),
+    ("audit --budget -5", "argument --budget: expected an integer >= 1, got -5"),
+])
+def test_cli_rejects_bad_budgets(command, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(command.split())
+    assert exc.value.code == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith("error: " + message)
+
+
+def test_cli_fip_budget_zero_means_the_default(capsys):
+    assert cli.main(["check", "fip"]) == cli.EXIT_OK
+    default = capsys.readouterr().out
+    assert cli.main(["check", "fip", "--budget", "0"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == default
+
+
+def test_finite_tier_is_checked_in_a_scenario(tmp_path, capsys):
+    # R, the even naturals, declares one member; B = {0}.  At {o0.2} the
+    # two sides are 1 and 0, so equality must not be forced.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({
+        "universe": {"mode": "ordinal", "bound": 2},
+        "classes": [{"name": "R", "kind": "residue", "modulus": 2,
+                     "tier": {"finite": 1}},
+                    {"name": "B", "kind": "values", "values": ["o0.0"]}],
+        "queries": [{"kind": "compare", "lhs": {"event": {"class": "R"}},
+                     "rel": "eq", "rhs": {"event": {"class": "B"}}}]}))
+    assert cli.main(["run", str(path)]) == cli.EXIT_OK
+    [record] = json.loads(capsys.readouterr().out)["queries"]
+    assert (record["verdict"]["status"], record["verdict"]["rule"]) == \
+        ("forced_not", "subset-strict")
+
+
 # Stdout (as sha256) and exit code of each command, recorded at the commit
 # before the CLI resolved its names through the scenario engine; the same
 # under PYTHONHASHSEED 0-3.
@@ -540,6 +579,9 @@ def test_malformed_query_is_recorded_as_its_error(query, error):
     ({"classes": [{"name": "W", "kind": "values",
                    "values": ["i(1,3#Nat,c0(),s1(3#Nat),n0())"]}]},
      cli.EXIT_VALIDATION, "bad state code 'i("),
+    ({"classes": [{"name": "A", "kind": "values", "values": ["o0.1", "o0.3"],
+                   "tier": {"finite": 1}}]},
+     cli.EXIT_VALIDATION, "class A has more members than its tier finite(1) declares"),
 ])
 def test_outside_input_is_a_validation_error(doc, code, message, tmp_path, capsys):
     # Exit 2 while the context is built; inside a query, the query's error.

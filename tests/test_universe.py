@@ -356,6 +356,17 @@ def test_members_refuses_infinite_tier(ord_universe):
         ord_universe.builtin_class("On").members()
 
 
+def test_members_checks_a_declared_finite_tier(ord_universe):
+    # A stream that goes on past the declared size is not cut short.
+    lying = ord_universe.residue_class("R", 2, 0, 0, CardinalityTier.finite(1))
+    with pytest.raises(EnumerationExhausted,
+                       match=r"class R has more members than its tier finite\(1\)"):
+        lying.members()
+    assert lying.is_subset_of(class_from_values("zero", [nat(0)])) is None
+    roomy = class_from_values("pair", [nat(1), nat(2)], tier=CardinalityTier.finite(5))
+    assert roomy.members() == [nat(1), nat(2)]
+
+
 def test_is_subset_of_finite_exact(ord_universe):
     even = ord_universe.builtin_class("Even")
     small = class_from_values("small", [nat(0), nat(2)])

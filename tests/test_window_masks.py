@@ -20,7 +20,7 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import setprob.germs as germs
@@ -108,10 +108,11 @@ def reference_value(g, t: Snapshot) -> Fraction:
 
 
 def outcome(fn, *args):
-    """A value, or the type and text of the vacuous error raised."""
+    """A value, or the type and text of the vacuous or WrongMode error
+    raised."""
     try:
         return fn(*args)
-    except VACUOUS as exc:
+    except (*VACUOUS, WrongMode) as exc:
         return type(exc), str(exc)
 
 
@@ -136,9 +137,11 @@ def problems(draw):
         rvs.append(even_shift_permutation())
     cls, rv = st.sampled_from(classes), st.sampled_from(rvs)
 
-    tags = ["fineness", "ratio", "order_lt", "order_ge", "subset_bound", "min_size"]
+    # every count tag in both modes; weight raises WrongMode in HF mode
+    tags = ["fineness", "ratio", "order_lt", "order_ge", "subset_bound", "min_size",
+            "weight"]
     if mode == ORDINAL_MODE:
-        tags += ["interval", "weight"]
+        tags.append("interval")
     constraints = []
     for tag in draw(st.lists(st.sampled_from(tags), max_size=3)):
         if tag == "fineness":
@@ -151,7 +154,9 @@ def problems(draw):
             maker = order_lt if tag == "order_lt" else order_ge
             constraints.append(maker(draw(cls), draw(cls)))
         elif tag == "subset_bound":
-            constraints.append(subset_bound(draw(st.lists(near, max_size=6)),
+            # partly outside the window, where its states count nothing
+            constraints.append(subset_bound(draw(st.lists(st.one_of(near, outside),
+                                                          max_size=6)),
                                             draw(st.integers(0, 4))))
         elif tag == "min_size":
             constraints.append(min_size(draw(st.integers(0, 4))))
@@ -225,8 +230,23 @@ def assert_window_evidence(v, holds: int, fails: int, vacuous: int) -> None:
         assert holds == fails == 0
 
 
+def every_count_tag(mode: str, *first) -> tuple:
+    """A problem whose base has every count tag after `first`, with part
+    of a subset_bound window outside the window, and min_size(0)."""
+    pool, universe = POOLS[mode], OU if mode == ORDINAL_MODE else HU
+    window = tuple(pool[:8])
+    a, b, c = BUILTINS[mode][:3]
+    base = (*first, fineness(window[1]), subset_bound(window[2:5] + (pool[10],), 2),
+            min_size(0), ratio(a, b, 1), order_lt(c, b), order_ge(b, a), weight(2))
+    fb = FilterBase(base, universe=universe, window=window)
+    return fb, germ_of_event(identity_rv(), a), "le", germ_of_event(identity_rv(), c)
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(problems())
+@example(every_count_tag(ORDINAL_MODE))
+@example(every_count_tag(HF_MODE, fineness(POOLS[HF_MODE][10])))  # a pin outside
+@example(every_count_tag(HF_MODE, weight(3)))  # the window raises WrongMode
 def test_masks_match_snapshots_on_every_subset(problem):
     fb, lg, rel, rg = problem
     ix = window_index(fb.window)
@@ -235,14 +255,22 @@ def test_masks_match_snapshots_on_every_subset(problem):
     left, right = compile_germ(lg, ix), compile_germ(rg, ix)
     for m, t in subsets(fb):
         assert ix.subset(m) == t.states
-        admitted = [constraint_membership(c, t, mode) for c in fb.constraints]
-        assert [test(m) for test in tests] == admitted
+        admitted = [outcome(constraint_membership, c, t, mode) for c in fb.constraints]
+        assert [outcome(test, m) for test in tests] == admitted
         for g, compiled in ((lg, left), (rg, right)):
             expected = outcome(reference_value, g, t)
             assert outcome(compiled, m) == expected
             assert outcome(g.eval_at, t) == expected
+    try:
+        counts = subset_counts(fb, lg, rel, rg)
+    except WrongMode as exc:
+        # an HF weight constraint was reached: the window raises as well,
+        # so only a rule that reads no constraint answers
+        v = outcome(compare, lg, rel, rg, fb, 0)
+        assert v == (WrongMode, str(exc)) or v.rule not in ("window-exhaustive", "sampled")
+        return
     v = compare(lg, rel, rg, fb, sample_count=0)
-    assert_window_evidence(v, *subset_counts(fb, lg, rel, rg))
+    assert_window_evidence(v, *counts)
 
 
 def test_empty_snapshot_errors_match():
@@ -326,7 +354,8 @@ def large_atom_problems(draw):
         if tag == "fineness":
             constraints.append(fineness(draw(near)))
         elif tag == "subset_bound":
-            constraints.append(subset_bound(draw(st.lists(near, max_size=10)),
+            constraints.append(subset_bound(draw(st.lists(st.one_of(near, state),
+                                                          max_size=10)),
                                             draw(st.integers(1, 8))))
         elif tag == "min_size":
             constraints.append(min_size(draw(st.integers(0, 6))))
@@ -389,9 +418,8 @@ def test_weight_in_hf_mode_still_raises():
                 sample_count=0)
 
 
-def test_window_evaluates_one_subset_per_count_vector(monkeypatch):
-    naturals = tuple(parse_code(f"o0.{i}") for i in range(14))
-    g = germ_of_event(identity_rv(), OU.builtin_class("Even"))
+def calls_of(g, monkeypatch) -> list[int]:
+    """The masks at which compare calls the compiled germ g from now on."""
     calls = []
     compile_germ = germs.compile_germ
 
@@ -406,7 +434,32 @@ def test_window_evaluates_one_subset_per_count_vector(monkeypatch):
         return counted
 
     monkeypatch.setattr(germs, "compile_germ", counting)
+    return calls
+
+
+def test_window_evaluates_one_subset_per_count_vector(monkeypatch):
+    naturals = tuple(parse_code(f"o0.{i}") for i in range(14))
+    g = germ_of_event(identity_rv(), OU.builtin_class("Even"))
+    calls = calls_of(g, monkeypatch)
     v = compare(g, "le", 1, FilterBase((), universe=OU, window=naturals), sample_count=0)
     assert (v.rule, v.status, v.evidence["holds"]) == ("window-exhaustive", FORCED, 16383)
     # 7 even and 7 odd naturals: one call per (evens, odds) count pair
     assert len(calls) <= (7 + 1) * (7 + 1)
+
+
+def test_mixed_base_keeps_its_count_vectors(monkeypatch):
+    # Each side of a constraint's form is one recorded mask: the pin, the
+    # subset_bound window (one of its states outside the window), the
+    # ratio classes and the ordinal states of weight.  The atoms they
+    # leave give 33 calls of the compiled germ for 81 admitted subsets.
+    window = tuple(POOLS[ORDINAL_MODE][:13])
+    even, odd, nat = (OU.builtin_class(n) for n in ("Even", "Odd", "Nat"))
+    g, h = germ_of_event(identity_rv(), even), germ_of_event(identity_rv(), nat)
+    calls = calls_of(g, monkeypatch)
+    fb = FilterBase((fineness(window[2]),
+                     subset_bound(window[4:9] + (parse_code("o0.9"),), 3),
+                     ratio(odd, even, 1), weight(2)), universe=OU, window=window)
+    v = compare(g, "le", h, fb, sample_count=0)
+    assert v.rule == "window-exhaustive"
+    assert (v.evidence["holds"], v.evidence["fails"], len(calls)) == (70, 11, 33)
+    assert_window_evidence(v, *subset_counts(fb, g, "le", h))
