@@ -24,7 +24,6 @@ from typing import Iterable
 from .errors import ConditionNull, MissingSubsetBound
 from .filters import (
     TAG_FINENESS,
-    TAG_MIN_SIZE,
     TAG_SUBSET_BOUND,
     Constraint,
     FilterBase,
@@ -41,7 +40,7 @@ from .filters import (
 from .germs import Germ, germ_of_event
 from .snapshots import Snapshot, snapshot_prob
 from .universe import ClassSpec, RandomVariable, SetValue, UniverseHandle, \
-    class_from_values, identity_rv
+    canonical, class_from_values, identity_rv
 
 # Window states at which a restriction audit checks fineness and dichotomy.
 AUDIT_SAMPLES = 3
@@ -108,16 +107,12 @@ def restrict_constraint_set(
     """
     window = list(sub_window)
     out: list[Snapshot] = []
-    seen: set[frozenset] = set()
+    seen: set[Snapshot] = set()
     for z in snapshots:
         image = z.intersect(window)
-        if len(image) >= alpha:
-            continue
-        key = frozenset(s.code for s in image)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(image)
+        if len(image) < alpha and image not in seen:
+            seen.add(image)
+            out.append(image)
     return out
 
 
@@ -178,8 +173,7 @@ def restrict_base(
     The audit result is returned rather than enforced; a failing audit
     means the restriction does not yield a usable base.
     """
-    window = tuple(sorted({v.code: v for v in sub_window}.values(),
-                          key=lambda v: v._key))
+    window = canonical(sub_window)
     window_codes = {v.code for v in window}
     if require_license:
         licensed = any(
@@ -254,12 +248,11 @@ def audit_restricted_base(fb: FilterBase) -> RestrictionAudit:
             nonprincipal_ok = False
             details["principal_at"] = x.code
 
+    # Empty-set exclusion: check_fip refutes a subfamily exactly when it
+    # proves its intersection empty, a size floor at the cap included.
     exclusion_ok = fip.status != "refuted"
-    if fb.max_size is not None:
-        for c in concrete:
-            if c.tag == TAG_MIN_SIZE and c.param >= fb.max_size:
-                exclusion_ok = False
-                details["empty_member"] = c.describe()
+    if not exclusion_ok:
+        details["empty_member"] = "; ".join(c.describe() for c in fip.refuted_subset)
     return RestrictionAudit(fineness_ok, fip_ok, dichotomy_ok,
                             nonprincipal_ok, exclusion_ok, fip, details)
 
@@ -281,8 +274,7 @@ class TieredProb:
                  window: Iterable[SetValue]):
         self.universe = universe
         self.config = config
-        self.window = tuple(sorted({v.code: v for v in window}.values(),
-                                   key=lambda v: v._key))
+        self.window = canonical(window)
         # One license suffices: concentration below the tier-0 threshold
         # justifies restriction to every tier's space at once.
         license_c = subset_bound(self.window, config.t0)
@@ -318,12 +310,11 @@ class CoherenceLevel:
     probe_size: int
     tier: int
     direct: Fraction
-    via_probe_counting: Fraction
     via_germ_quotient: Fraction
 
     @property
     def equal(self) -> bool:
-        return self.direct == self.via_probe_counting == self.via_germ_quotient
+        return self.direct == self.via_germ_quotient
 
 
 @dataclass
@@ -348,11 +339,11 @@ def coherence_check(config: TierConfig, rv: RandomVariable, cls: ClassSpec,
     """Check that probe-relative frequency agrees with direct counting.
 
     An admissible probe meets the snapshot in a nonempty set smaller
-    than the snapshot's tier threshold.  At each level three exact
-    rationals must coincide: direct counting over the meet, frequency
-    inside the probe-restricted snapshot, and the quotient of the two
-    window-event germs evaluated at the probe.  Probes above tier 0
-    recurse with the meet as the new snapshot.
+    than the snapshot's tier threshold.  At each level two exact
+    rationals must coincide: direct counting over the meet
+    (`snapshot_prob`), and the quotient of the two window-event germs
+    evaluated at the probe.  Probes above tier 0 recurse with the meet
+    as the new snapshot.
     """
     probe_list = list(probe)
     meet = t.intersect(probe_list)
@@ -364,9 +355,7 @@ def coherence_check(config: TierConfig, rv: RandomVariable, cls: ClassSpec,
             f"inadmissible probe: meets {len(meet)} states, the tier allows "
             f"fewer than {threshold}")
 
-    hits = sum(1 for s in meet if cls.membership(rv(s)))
-    direct = Fraction(hits, len(meet))
-    via_counting = snapshot_prob(rv, cls, meet)
+    direct = snapshot_prob(rv, cls, meet)
 
     ident = identity_rv()
     hit_states = [s for s in t if cls.membership(rv(s))]
@@ -378,7 +367,7 @@ def coherence_check(config: TierConfig, rv: RandomVariable, cls: ClassSpec,
     via_germ = num / den  # den > 0: the meet is nonempty
 
     level = CoherenceLevel(len(t), len(probe_list), config.tier(len(t)),
-                           direct, via_counting, via_germ)
+                           direct, via_germ)
     levels = [level]
     if config.tier(len(meet)) >= 1 and len(meet) >= 2:
         sub_threshold = config.snapshot_threshold(len(meet))
@@ -439,7 +428,7 @@ def non_restriction_counterexample(
     window: Iterable[SetValue],
 ) -> RestrictionCounterexample:
     """Build the failing restriction and its subset-bound repair."""
-    win = tuple(sorted({v.code: v for v in window}.values(), key=lambda v: v._key))
+    win = canonical(window)
     t0 = config.t0
 
     bad = FilterBase((parametric_fineness(), min_size(t0)),

@@ -29,13 +29,14 @@ from .errors import (
     MarkerMissing,
     WrongMode,
 )
-from .snapshots import Snapshot, StateIndex
+from .snapshots import Snapshot
 from .universe import (
     HF_MODE,
     ORDINAL_MODE,
     ClassSpec,
     SetValue,
     UniverseHandle,
+    canonical,
     class_of_set,
     hf_set,
     ord_value,
@@ -147,8 +148,7 @@ def weight(m: int) -> Constraint:
 
 
 def subset_bound(window: Iterable[SetValue], alpha: int) -> Constraint:
-    vals = tuple(sorted({v.code: v for v in window}.values(), key=lambda v: v._key))
-    return Constraint(TAG_SUBSET_BOUND, window=vals, param=alpha)
+    return Constraint(TAG_SUBSET_BOUND, window=canonical(window), param=alpha)
 
 
 def min_size(n: int) -> Constraint:
@@ -236,31 +236,31 @@ def constraint_membership(c: Constraint, t: Snapshot, mode: str | None = None) -
     raise ValueError(f"unknown constraint tag {c.tag}")
 
 
-def constraint_mask_test(c: Constraint, ix: StateIndex,
+def constraint_mask_test(c: Constraint, t: Snapshot,
                          mode: str | None = None) -> Callable[[int], bool]:
-    """Membership in c of the subset of `ix.states` a mask selects.
+    """Membership in c of the subset of `t.states` a mask selects.
 
     Equal to `constraint_membership` on that subset's Snapshot.  A count
     tag is read from `Constraint.form`: each side becomes one mask of
-    `ix` (`_side_mask`), so the test is k*|m & small| + slack <=
+    `t` (`_side_mask`), so the test is k*|m & small| + slack <=
     |m & big| on bit counts and no state is touched per subset; a pin
-    or a subset_bound window is one mask of `ix`, not the bits of its
+    or a subset_bound window is one mask of `t`, not the bits of its
     states.  Interval, and any constraint that `constraint_membership`
     rejects (an ordinal-only tag in HF mode, an unknown or parametric
     tag), builds the subset's Snapshot and asks `constraint_membership`,
     which then decides or raises as usual; it takes the bit of every
-    state, so each state is an atom of `ix`.
+    state, so each state is an atom of `t`.
     """
     try:
         form = None if c.tag in _ORDINAL_ONLY_TAGS and mode == HF_MODE else c.form
     except ValueError:  # parametric or unknown: constraint_membership raises
         form = None
     if form is None:
-        bits = [(s, ix.bit(s)) for s in ix.states]
-        return lambda m: constraint_membership(
-            c, Snapshot(s for s, b in bits if m & b), mode)
+        for s in t.states:
+            t.bit(s)
+        return lambda m: constraint_membership(c, Snapshot(t.subset(m)), mode)
     k, slack = form.k, form.slack
-    small, big = _side_mask(form.small, ix), _side_mask(form.big, ix)
+    small, big = _side_mask(form.small, t), _side_mask(form.big, t)
     return lambda m: k * (m & small).bit_count() + slack <= (m & big).bit_count()
 
 
@@ -289,21 +289,21 @@ class _CountForm(NamedTuple):
 def _side_key(side: _Side) -> object:
     """Sides with equal keys count the same states: a code set is its own
     key, a class or predicate is keyed by its membership test's identity
-    (as `StateIndex.mask` keys classes, since names may repeat)."""
+    (as `Snapshot.mask` keys classes, since names may repeat)."""
     if side is None or isinstance(side, frozenset):
         return side
     return id(side.membership if isinstance(side, ClassSpec) else side)
 
 
-def _side_mask(side: _Side, ix: StateIndex) -> int:
-    """The mask of `ix` whose states a form side counts."""
+def _side_mask(side: _Side, t: Snapshot) -> int:
+    """The mask of `t` whose states a form side counts."""
     if side is None:
         return 0
     if isinstance(side, ClassSpec):
-        return ix.mask(side)
+        return t.mask(side)
     if isinstance(side, frozenset):
-        return ix.where(lambda s: s.code in side)
-    return ix.where(side)
+        return t.where(lambda s: s.code in side)
+    return t.where(side)
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +380,10 @@ def fineness_base(universe: UniverseHandle,
     With no window the family ranges over the whole universe
     enumeration; any finite subfamily has its own pin set as a witness.
     """
-    win = None
-    if window is not None:
-        win = tuple(sorted({v.code: v for v in window}.values(), key=lambda v: v._key))
     return FilterBase(
         constraints=(parametric_fineness(),),
         universe=universe,
-        window=win,
+        window=None if window is None else canonical(window),
         provenance="fineness",
     )
 
@@ -1081,18 +1078,15 @@ def generate_witnesses(
     up to 8 seeded searches per snapshot asked for, then a deterministic
     padding fallback."""
     out: list[Snapshot] = []
-    seen: set[frozenset] = set()
+    seen: set[Snapshot] = set()
     attempts = count * 8
     while len(out) < count and attempts > 0:
         attempts -= 1
         w = find_witness(constraints, universe, rng=rng, window=window,
                          max_size=max_size, decorate=rng.randrange(0, 5))
-        if w is None:
+        if w is None or w in seen:
             continue
-        key = frozenset(s.code for s in w)
-        if key in seen:
-            continue
-        seen.add(key)
+        seen.add(w)
         out.append(w)
     if len(out) < count:
         # Deterministic fallback: grow one witness by safe padding.
@@ -1108,11 +1102,12 @@ def generate_witnesses(
             if len(out) >= count or \
                     (max_size is not None and len(states) + 1 >= max_size):
                 break
-            if states.admit(cand):
-                key = frozenset(s.code for s in states)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(_verified(Snapshot(states), constraints, mode))
+            if not states.admit(cand):
+                continue
+            w = Snapshot(states)
+            if w not in seen:
+                seen.add(w)
+                out.append(_verified(w, constraints, mode))
         if len(out) < count:
             raise ConstructionFailed(
                 f"only {len(out)} of {count} witnesses found for: "

@@ -43,7 +43,7 @@ from .filters import (
     generate_witnesses,
     state_pool,
 )
-from .snapshots import Snapshot, StateIndex, window_index
+from .snapshots import Snapshot
 from .universe import PREFIX_MEMO_CAP, ClassSpec, RandomVariable, SetValue
 
 NODE_CONST = "const"
@@ -75,14 +75,14 @@ class Germ:
     def eval_at(self, t: Snapshot) -> Fraction:
         """Exact value at one snapshot.
 
-        Compiles the germ over the snapshot's states (`compile_germ`) and
-        evaluates it at the mask of all of them, so each node kind has
-        its meaning written once, in the compiler.  Raises EmptySnapshot,
-        ConditionNull, or DivisionUndefined when the expression has no
-        value there.
+        Compiles the germ over the snapshot (`compile_germ`) and
+        evaluates it at the mask of all its states, so each node kind has
+        its meaning written once, in the compiler; the membership masks
+        stay cached on the snapshot for the next germ evaluated there.
+        Raises EmptySnapshot, ConditionNull, or DivisionUndefined when
+        the expression has no value there.
         """
-        ix = StateIndex(t.states)
-        return compile_germ(self, ix)(ix.full)
+        return compile_germ(self, t)(t.full)
 
     def key(self) -> str:
         """Canonical structural key; equal keys mean equal germs."""
@@ -130,10 +130,10 @@ class Germ:
         return f"Germ<{self.describe()}>"
 
 
-def compile_germ(g: Germ, ix: StateIndex) -> Callable[[int], Fraction]:
-    """The germ as a function of a subset of `ix.states`, given as a mask.
+def compile_germ(g: Germ, t: Snapshot) -> Callable[[int], Fraction]:
+    """The germ as a function of a subset of `t.states`, given as a mask.
 
-    Membership masks are taken from the index, so a class is tested once
+    Membership masks are taken from the snapshot, so a class is tested once
     per state however many nodes or subsets mention it.  Event, joint
     and conditional frequencies are bit counts over the mask; an indexed
     star_sum adds a term only when its index state's bit is set.  The
@@ -147,9 +147,9 @@ def compile_germ(g: Germ, ix: StateIndex) -> Callable[[int], Fraction]:
         value = g.value
         return lambda m: value
     if node == NODE_EVENT or node == NODE_JOINT:
-        hits = ix.mask(g.cls, g.rv)
+        hits = t.mask(g.cls, g.rv)
         if node == NODE_JOINT:
-            hits &= ix.mask(g.cls2, g.rv2)
+            hits &= t.mask(g.cls2, g.rv2)
 
         def frequency(m: int) -> Fraction:
             if not m:
@@ -157,8 +157,8 @@ def compile_germ(g: Germ, ix: StateIndex) -> Callable[[int], Fraction]:
             return Fraction((m & hits).bit_count(), m.bit_count())
         return frequency
     if node == NODE_COND:
-        cond = ix.mask(g.cls2, g.rv2)
-        both = ix.mask(g.cls, g.rv) & cond
+        cond = t.mask(g.cls2, g.rv2)
+        both = t.mask(g.cls, g.rv) & cond
 
         def conditional(m: int) -> Fraction:
             if not m:
@@ -170,21 +170,21 @@ def compile_germ(g: Germ, ix: StateIndex) -> Callable[[int], Fraction]:
             return Fraction((m & both).bit_count(), den)
         return conditional
     if node == NODE_BINOP:
-        left, right = compile_germ(g.left, ix), compile_germ(g.right, ix)
+        left, right = compile_germ(g.left, t), compile_germ(g.right, t)
         if g.op == "/":
             def quotient(m: int) -> Fraction:
                 lv, rv = left(m), right(m)
                 if rv == 0:
                     raise DivisionUndefined(
-                        f"denominator {g.right.key()} vanishes at {ix.describe(m)}")
+                        f"denominator {g.right.key()} vanishes at {t.describe(m)}")
                 return lv / rv
             return quotient
         op = _OPS[g.op]
         return lambda m: op(left(m), right(m))
     if node == NODE_SUM:
-        terms = [compile_germ(term, ix) for term in g.terms]
+        terms = [compile_germ(term, t) for term in g.terms]
         if g.indices:
-            present = list(zip([ix.bit(idx) for idx in g.indices], terms))
+            present = list(zip([t.bit(idx) for idx in g.indices], terms))
             return lambda m: sum((f(m) for bit, f in present if m & bit), Fraction(0))
         return lambda m: sum((f(m) for f in terms), Fraction(0))
     raise ValueError(f"unknown germ node {node}")
@@ -309,7 +309,9 @@ def set_verdict_recorder(fn: Callable[[Verdict, FilterBase], None] | None) -> No
 
 
 def _is_identity(rv: RandomVariable) -> bool:
-    return rv.name == "identity"
+    """Read from the kind `identity_rv` gives, never from the name: a
+    table variable may be called `identity` and still move states."""
+    return rv.kind == "identity"
 
 
 def _event_parts(g: Germ) -> tuple[RandomVariable, ClassSpec] | None:
@@ -615,11 +617,13 @@ def _window_exhaustive(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Ve
     the base's size bound.  A subset is an int mask over those states in
     canonical order: each constraint becomes a bit-count test
     (`constraint_mask_test`) and each side one compiled germ
-    (`compile_germ`), so no Snapshot is built per subset.
+    (`compile_germ`), so no Snapshot is built per subset, only the
+    window's own.
 
-    Compiling records the masks the closures read in the window's
-    `StateIndex`: each (variable, class) mask, each indexed star_sum
-    bit, and one mask per side of each constraint's count form.  Their
+    The window is a fresh Snapshot per compare, so its atoms come from
+    this compare's masks alone.  Compiling records the masks the closures
+    read in it: each (variable, class) mask, each indexed star_sum bit,
+    and one mask per side of each constraint's count form.  Their
     atoms are the classes of states no such mask tells apart, and the
     closures give one answer on all subsets with the same count of
     states in each atom.  So the loop runs over count vectors (n_1, ...,
@@ -639,20 +643,20 @@ def _window_exhaustive(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Ve
     """
     if fb.window is None:
         return None
-    ix = window_index(fb.window)
-    n = len(ix.states)
+    win = Snapshot(fb.window)
+    n = len(win)
     if n > 14:
         return None
     concrete = [c for c in fb.constraints if c.tag != TAG_PARAMETRIC]
     mode = fb.universe.mode if fb.universe is not None else None
-    tests = [constraint_mask_test(c, ix, mode) for c in concrete]
-    left, right = compile_germ(lg, ix), compile_germ(rg, ix)
+    tests = [constraint_mask_test(c, win, mode) for c in concrete]
+    left, right = compile_germ(lg, win), compile_germ(rg, win)
     relation = _RELATIONS[rel]
     top = n if fb.max_size is None else min(n, fb.max_size - 1)
     # (representative mask, subsets it stands for), over the atoms before
     # the last one, and (its first k states, C(|atom|, k)) for the last
     vectors = lasts = [(0, 1)]
-    for atom in ix.atoms():
+    for atom in win.atoms():
         vectors = [(m | f, w * ways) for m, w in vectors for f, ways in lasts]
         firsts = [0]  # firsts[k]: the first k states of the atom
         while atom:

@@ -596,7 +596,8 @@ def build_context(data: dict) -> ScenarioContext:
     base.  A class or base the universe's mode cannot build, or a value
     list with more values than its finite tier, makes the document
     invalid: its WrongMode or EnumerationExhausted becomes a
-    ScenarioValidationError."""
+    ScenarioValidationError.  So does a variable whose name is already
+    defined, the builtin `identity` included."""
     uni = make_universe(data["universe"]["mode"], data["universe"]["bound"])
     seed = data.get("seed", 0)
     tiers = (_parse(lambda t: TierConfig(tuple(t)), data["tiers"], "tiers")
@@ -609,6 +610,9 @@ def build_context(data: dict) -> ScenarioContext:
     try:
         # Variables use no classes, while image classes use variables.
         for spec in data.get("variables", []):
+            if spec["name"] in ctx.variables:
+                raise ScenarioValidationError(
+                    f"variable {spec['name']!r} is already defined")
             ctx.variables[spec["name"]] = _build_variable(ctx, spec)
         for spec in data.get("classes", []):
             ctx.classes[spec["name"]] = _build_class(ctx, spec)

@@ -5,8 +5,8 @@ states.  Event probabilities at a snapshot are exact rationals obtained
 by counting: the fraction of states whose outcome under a variable
 lands in a class.  No floating point enters anywhere; values are
 `fractions.Fraction` throughout, which keeps them reduced with positive
-denominators for free.  A `StateIndex` numbers the distinct states of a
-window, so that each subset is an int mask and each count a bit count.
+denominators for free.  A snapshot also numbers its states, so that
+each subset of them is an int mask and each count a bit count.
 """
 
 from __future__ import annotations
@@ -15,21 +15,38 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .errors import ConditionNull, EmptySnapshot
-from .universe import ClassSpec, RandomVariable, SetValue
+from .universe import ClassSpec, RandomVariable, SetValue, canonical
 
 
 class Snapshot:
-    """An immutable finite set of states in canonical order."""
+    """An immutable finite set of states in canonical order.
 
-    __slots__ = ("states", "_codes")
+    Bit i of a mask stands for `states[i]`, so a subset of the states is
+    one int, its size is `mask.bit_count()`, and the count of a class in
+    it is `(mask & self.mask(cls)).bit_count()`.  Each (variable, class)
+    membership mask is computed once per snapshot, keyed by identity
+    since names may repeat, and then reused.  The cache slots (`_bits`,
+    `_masks`, `_read`) stay unset until first use, so building a snapshot
+    that is only counted costs nothing for them.
+
+    The snapshot records every mask it hands out (`bit`, `where`,
+    `mask`), and `atoms` splits the states into the classes that no
+    recorded mask tells apart.  Invariant: the closures compiled over a
+    snapshot (`germs.compile_germ`, `filters.constraint_mask_test`) read
+    a subset mask m only as `m & X` for a recorded X, which is a union
+    of atoms, and as `m.bit_count()`; a closure that needs the subset's
+    states by position first takes the bit of every state, which makes
+    each state its own atom.  So two subsets with equally many states in
+    each atom get the same value from every such closure, error texts
+    aside, and `germs._window_exhaustive` evaluates one of them for all.
+    """
+
+    __slots__ = ("states", "_codes", "_bits", "_masks", "_read")
 
     def __init__(self, states: Iterable[SetValue]):
-        uniq: dict[str, SetValue] = {}
-        for s in states:
-            uniq[s.code] = s
-        ordered = tuple(sorted(uniq.values(), key=lambda v: v._key))
+        ordered = canonical(states)
         object.__setattr__(self, "states", ordered)
-        object.__setattr__(self, "_codes", frozenset(uniq))
+        object.__setattr__(self, "_codes", frozenset([s.code for s in ordered]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Snapshot is immutable")
@@ -50,7 +67,7 @@ class Snapshot:
         return hash(self._codes)
 
     def __repr__(self):
-        return _snapshot_text(self.states)
+        return self.describe(self.full)
 
     def union(self, extra: Iterable[SetValue]) -> "Snapshot":
         return Snapshot(self.states + tuple(extra))
@@ -62,51 +79,27 @@ class Snapshot:
     def count(self, cls: ClassSpec) -> int:
         return sum(1 for s in self.states if cls.membership(s))
 
+    @property
+    def full(self) -> int:
+        """The mask of all the states."""
+        return (1 << len(self.states)) - 1
 
-def _snapshot_text(states: Iterable[SetValue]) -> str:
-    inner = ",".join(s.pretty() for s in states)
-    return f"Snapshot{{{inner}}}"
-
-
-class StateIndex:
-    """Distinct states in canonical order, with subsets as int masks.
-
-    Bit i of a mask stands for `states[i]`, so a subset of the states is
-    one int, its size is `mask.bit_count()`, and the count of a class in
-    it is `(mask & self.mask(cls)).bit_count()`.  Each (variable, class)
-    membership mask is computed once per index and then reused.
-    `states` must already be distinct and canonically ordered, as a
-    Snapshot's are; `window_index` builds an index from any states.
-
-    The index records every mask it hands out (`bit`, `where`, `mask`),
-    and `atoms` splits the states into the classes that no recorded mask
-    tells apart.  Invariant: the closures compiled over an index
-    (`germs.compile_germ`, `filters.constraint_mask_test`) read a subset
-    mask m only as `m & X` for a recorded X, which is a union of atoms,
-    and as `m.bit_count()`; a closure that needs the subset's states by
-    position first takes the bit of every state, which makes each state
-    its own atom.  So two subsets with equally many states in each atom
-    get the same value from every such closure, error texts aside, and
-    `germs._window_exhaustive` evaluates one of them for all.
-    """
-
-    __slots__ = ("states", "full", "_bits", "_masks", "_read")
-
-    def __init__(self, states: tuple[SetValue, ...]):
-        self.states = states
-        self.full = (1 << len(states)) - 1
-        self._bits: dict[str, int] | None = None  # built on first `bit`
-        # keyed by identity; the entry keeps rv and cls alive with it
-        self._masks: dict[tuple[int, int], tuple[int, object, object]] = {}
-        self._read: set[int] = set()  # every mask handed out
+    def _record(self, m: int) -> int:
+        """Note m among the masks handed out, and return it."""
+        try:
+            self._read.add(m)
+        except AttributeError:
+            object.__setattr__(self, "_read", {m})
+        return m
 
     def bit(self, x: SetValue) -> int:
         """The bit of x, or 0 when x is not one of the states."""
-        if self._bits is None:
-            self._bits = {s.code: 1 << i for i, s in enumerate(self.states)}
-        b = self._bits.get(x.code, 0)
-        self._read.add(b)
-        return b
+        try:
+            bits = self._bits
+        except AttributeError:
+            bits = {s.code: 1 << i for i, s in enumerate(self.states)}
+            object.__setattr__(self, "_bits", bits)
+        return self._record(bits.get(x.code, 0))
 
     def where(self, pred: Callable[[SetValue], bool],
               rv: RandomVariable | None = None) -> int:
@@ -116,29 +109,32 @@ class StateIndex:
             if pred(s if rv is None else rv(s)):
                 m |= bit
             bit <<= 1
-        self._read.add(m)
-        return m
+        return self._record(m)
+
+    def mask(self, cls: ClassSpec, rv: RandomVariable | None = None) -> int:
+        """Mask of the states whose outcome under rv (the state itself
+        when rv is None) lies in cls."""
+        try:
+            masks = self._masks
+        except AttributeError:
+            masks = {}
+            object.__setattr__(self, "_masks", masks)
+        key = (id(rv), id(cls))
+        hit = masks.get(key)
+        if hit is None:
+            # the entry keeps rv and cls alive, so their ids are not reused
+            hit = masks[key] = (self.where(cls.membership, rv), rv, cls)
+        return hit[0]
 
     def atoms(self) -> list[int]:
         """The atoms of the recorded masks, as masks: the nonempty sets
         of states that every recorded mask either contains or misses.
         They partition the states; with no mask recorded, all states
         form one atom."""
-        atoms = [self.full] if self.full else []
-        for x in self._read:
+        atoms = [self.full] if self.states else []
+        for x in getattr(self, "_read", ()):
             atoms = [part for a in atoms for part in (a & x, a & ~x) if part]
         return atoms
-
-    def mask(self, cls: ClassSpec, rv: RandomVariable | None = None) -> int:
-        """Mask of the states whose outcome under rv (the state itself
-        when rv is None) lies in cls."""
-        key = (id(rv), id(cls))
-        hit = self._masks.get(key)
-        if hit is not None:
-            return hit[0]
-        m = self.where(cls.membership, rv)
-        self._masks[key] = (m, rv, cls)
-        return m
 
     def subset(self, mask: int) -> tuple[SetValue, ...]:
         """The states a mask selects, in canonical order."""
@@ -146,13 +142,8 @@ class StateIndex:
 
     def describe(self, mask: int) -> str:
         """The text `repr` gives the Snapshot of the states a mask selects."""
-        return _snapshot_text(self.subset(mask))
-
-
-def window_index(states: Iterable[SetValue]) -> StateIndex:
-    """Index over the distinct states among `states`, in canonical order."""
-    uniq = {s.code: s for s in states}
-    return StateIndex(tuple(sorted(uniq.values(), key=lambda v: v._key)))
+        inner = ",".join(s.pretty() for s in self.subset(mask))
+        return f"Snapshot{{{inner}}}"
 
 
 def snapshot(*states: SetValue) -> Snapshot:

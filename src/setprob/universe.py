@@ -17,6 +17,7 @@ hypotheses between classes.
 from __future__ import annotations
 
 import itertools
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -134,12 +135,18 @@ def pad(k: int) -> SetValue:
     return SetValue(KIND_PAD, (k,), f"p{k}", (1, k))
 
 
+_by_key = operator.attrgetter("_key")
+
+
+def canonical(values: Iterable[SetValue]) -> tuple[SetValue, ...]:
+    """The distinct values among `values` (one per code), in canonical
+    order: the order of a set's children and of a snapshot's states."""
+    return tuple(sorted({v.code: v for v in values}.values(), key=_by_key))
+
+
 def hf_set(children: Iterable[SetValue]) -> SetValue:
     """An extensional finite set; children are deduplicated and sorted."""
-    uniq: dict[str, SetValue] = {}
-    for c in children:
-        uniq[c.code] = c
-    kids = tuple(sorted(uniq.values(), key=lambda v: v._key))
+    kids = canonical(children)
     code = "{" + ",".join(c.code for c in kids) + "}"
     key = (2, len(kids), tuple(c._key for c in kids))
     return SetValue(KIND_SET, kids, code, key)
@@ -430,7 +437,7 @@ def class_from_values(
     subset_tags: Iterable[str] = (),
 ) -> ClassSpec:
     """Extensional class over an explicit finite value set."""
-    vals = tuple(sorted({v.code: v for v in values}.values(), key=lambda v: v._key))
+    vals = canonical(values)
     codes = frozenset(v.code for v in vals)
     spec_tier = tier if tier is not None else CardinalityTier.finite(len(vals))
     return ClassSpec(

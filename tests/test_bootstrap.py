@@ -21,6 +21,8 @@ from setprob import (
     make_universe,
     min_size,
     non_restriction_counterexample,
+    order_ge,
+    order_lt,
     parametric_fineness,
     restrict_base,
     restrict_constraint_set,
@@ -100,6 +102,17 @@ def test_restrict_base_passes_five_checks():
     assert audit.nonprincipal_ok and audit.exclusion_ok
     assert {v.code for v in restricted.window} == {v.code for v in sub}
     assert restricted.max_size == 4
+
+
+def test_restriction_audit_names_a_structural_refutation():
+    # Exclusion is read from check_fip, so an order conflict, which no
+    # size floor shows, is named as well.
+    a, b = class_from_values("a", WIN[:3]), class_from_values("b", WIN[3:6])
+    conflict = (order_lt(a, b), order_ge(a, b))
+    fb = _licensed_base(WIN[:6], 4).with_constraints(conflict)
+    _, audit = restrict_base(fb, WIN[:6], 4)
+    assert not audit.exclusion_ok and not audit.passed
+    assert audit.details["empty_member"] == "; ".join(c.describe() for c in conflict)
 
 
 def test_restrict_base_keeps_inside_pins_only():
@@ -223,8 +236,7 @@ def test_coherence_exact_three_way_agreement():
     rep = _tp().coherence_check(identity_rv(), cls, t, probe)
     assert rep.ok
     lv = rep.levels[0]
-    assert lv.direct == lv.via_probe_counting == lv.via_germ_quotient \
-        == Fraction(2, 3)
+    assert lv.direct == lv.via_germ_quotient == Fraction(2, 3)
 
 
 def test_coherence_recurses_through_tiers():
@@ -272,6 +284,9 @@ def test_counterexample_demonstrates_failure():
     assert cx.demonstrates_failure
     assert cx.bad_top_check.witnessed
     assert not cx.bad_restricted_audit.exclusion_ok
+    # the refutation check_fip found names the empty member
+    assert cx.bad_restricted_audit.fip_result.refuted_subset == (min_size(4),)
+    assert cx.bad_restricted_audit.details["empty_member"] == min_size(4).describe()
     assert cx.dropped_images > 0
     assert cx.repair_top_check.witnessed
     assert cx.repair_restricted_audit.passed

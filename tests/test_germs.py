@@ -44,6 +44,7 @@ from setprob import (
     set_verdict_recorder,
     snapshot,
     star_sum,
+    table_rv,
     translate_class,
     weight,
 )
@@ -488,6 +489,24 @@ def test_weight_rule_ignores_a_value_list_declared_inside_on():
                                   subset_tags=["On"])
     v = compare(germ_of_event(IDENT, on_values), "le", const_germ(Fraction(1, 2)), fb)
     assert (v.status, v.rule) == (FORCED, "weight")
+
+
+def test_a_table_named_identity_is_not_the_identity():
+    # The table swaps p0, p1, p2 with o0.0, o0.1, o0.2.  Read by its name,
+    # it counted as the identity and `weight` forced Pr[identity in On]
+    # <= 1/3, which failed on 7 of 50 audit witnesses (seed 0): weight
+    # admits {o0.15, p1, p4, p51}, where p1 goes to o0.1 and Pr is 1/2.
+    swap = {}
+    for i in range(3):
+        swap[pad(i)], swap[nat(i)] = nat(i), pad(i)
+    named = table_rv(swap, "identity")
+    fb = fineness_base(U).with_constraints([weight(3)])
+    on = U.builtin_class("On")
+    v = compare(germ_of_event(named, on), "le", const_germ(Fraction(1, 3)), fb)
+    assert v.status != FORCED and v.rule != "weight"
+    v = compare(germ_of_event(IDENT, on), "le", const_germ(Fraction(1, 3)), fb)
+    assert (v.status, v.rule) == (FORCED, "weight")
+    assert audit_verdict(v, fb, random.Random(0), witness_count=50).clean
 
 
 # ---------------------------------------------------------------------------

@@ -625,6 +625,30 @@ def test_mode_mismatch_in_the_context_exits_two(doc, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
+# A table named `identity` that swaps p0, p1, p2 with o0.0, o0.1, o0.2:
+# before names were checked it replaced the builtin, and `weight` forced
+# Pr[identity in On] le 1/3 for it.
+_SWAP = {f"{a}{i}": f"{b}{i}" for i in range(3) for a, b in (("p", "o0."), ("o0.", "p"))}
+
+
+@pytest.mark.parametrize("variables", [
+    [{"name": "identity", "kind": "table", "mapping": _SWAP}],
+    [{"name": "identity", "kind": "identity"}],
+    [{"name": "pi", "kind": "even_shift"}, {"name": "pi", "kind": "identity"}],
+], ids=["identity-table", "identity-kind", "twice"])
+def test_a_variable_name_is_defined_once(variables, tmp_path, capsys):
+    name = variables[-1]["name"]
+    doc = {**ORDINAL, "variables": variables,
+           "base": {"builder": "fineness", "constraints": ["weight(m=3)"]},
+           "queries": [{"kind": "compare", "lhs": {"event": {"rv": name, "class": "On"}},
+                        "rel": "le", "rhs": {"const": "1/3"}}]}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == \
+        f"validation error: variable {name!r} is already defined\n"
+
+
 def test_residue_class_is_refused_in_an_hf_universe(tmp_path, capsys):
     # A residue class enumerates ordinals, none of which an HF universe holds.
     path = tmp_path / "doc.json"

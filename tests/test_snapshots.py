@@ -1,25 +1,34 @@
-"""Snapshot probabilities: exact counting, nothing else."""
+"""Snapshots: canonical order at every site, masks cached per object, and
+exact counting of event probabilities."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setprob import (
+    ORDINAL_MODE,
     Snapshot,
     class_from_values,
     conditional_snapshot_prob,
     even_shift_permutation,
     identity_rv,
     joint_snapshot_prob,
+    make_universe,
     nat,
     ord_value,
     pad,
     snapshot,
     snapshot_prob,
 )
+from setprob.bootstrap import TieredProb, TierConfig, non_restriction_counterexample, \
+    restrict_base
 from setprob.errors import ConditionNull, EmptySnapshot
+from setprob.filters import fineness_base, subset_bound
+from setprob.germs import germ_of_event
+from setprob.universe import canonical, hf_set, parse_code, table_rv
 
 IDENT = identity_rv()
 
@@ -33,6 +42,8 @@ def _ord_universe_classes():
 
 
 EVEN, ODD, ON, LIM, V = _ord_universe_classes()
+U = make_universe(ORDINAL_MODE, 3)
+POOL = list(itertools.islice(U.enumerate_universe(), 16)) + [hf_set([nat(1)]), pad(2)]
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +69,42 @@ def test_snapshot_union_intersect():
     assert t.union([nat(3)]) == snapshot(nat(1), nat(2), nat(3))
     assert t.intersect([nat(2), nat(9)]) == snapshot(nat(2))
     assert t.count(EVEN) == 1
+
+
+@given(st.lists(st.sampled_from(POOL), min_size=1, max_size=7), st.randoms())
+@settings(max_examples=25, deadline=None)
+def test_every_site_keeps_canonical_order(values, rnd):
+    # Repeated codes, some as separate objects, in shuffled order.
+    xs = values + [parse_code(v.code) for v in values[::2]]
+    rnd.shuffle(xs)
+    want = canonical(xs)
+    assert [v.code for v in want] == sorted({v.code for v in xs},
+                                            key=lambda c: parse_code(c)._key)
+    tiers = TierConfig((2, 4))
+    assert hf_set(xs).children == want
+    assert class_from_values("c", xs).meta["values"] == want
+    assert Snapshot(xs).states == want
+    assert subset_bound(xs, 2).window == want
+    assert fineness_base(U, xs).window == want
+    assert restrict_base(fineness_base(U), xs, 3, require_license=False)[0].window == want
+    assert TieredProb(U, tiers, xs).window == want
+    assert non_restriction_counterexample(U, tiers, xs).bad_base.window == want
+
+
+def test_same_named_classes_and_variables_keep_their_own_masks():
+    # A snapshot caches membership masks by object, not by name.
+    t = snapshot(*[nat(i) for i in range(4)])
+    one, two = class_from_values("A", [nat(1)]), class_from_values("A", [nat(2), nat(3)])
+    assert germ_of_event(IDENT, one).eval_at(t) == Fraction(1, 4)
+    assert germ_of_event(IDENT, two).eval_at(t) == Fraction(2, 4)
+    assert germ_of_event(IDENT, one).eval_at(t) == Fraction(1, 4)
+    stay, move = table_rv({}, "f"), table_rv({nat(0): nat(1), nat(1): nat(0)}, "f")
+    assert germ_of_event(stay, two).eval_at(t) == Fraction(2, 4)
+    assert germ_of_event(move, one).eval_at(t) == Fraction(1, 4)
+    assert germ_of_event(move, class_from_values("A", [nat(0)])).eval_at(t) == \
+        Fraction(1, 4)
+    assert t.mask(one) == 0b0010 and t.mask(one, move) == 0b0001
+    assert t.mask(two) == t.mask(two, stay) == 0b1100
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,6 @@ from setprob import (
 from setprob.errors import ConditionNull, DivisionUndefined, EmptySnapshot, WrongMode
 from setprob.filters import constraint_mask_test, constraint_membership
 from setprob.germs import compile_germ
-from setprob.snapshots import window_index
 
 VACUOUS = (ConditionNull, DivisionUndefined, EmptySnapshot)
 
@@ -192,12 +191,12 @@ def problems(draw):
 def subsets(fb: FilterBase):
     """Every (mask, Snapshot) pair of the window's distinct states, smallest
     first, below the base's size bound."""
-    ix = window_index(fb.window)
-    n = len(ix.states)
+    win = Snapshot(fb.window)
+    n = len(win)
     top = n if fb.max_size is None else min(n, fb.max_size - 1)
     for size in range(1, top + 1):
         for combo in itertools.combinations(range(n), size):
-            yield sum(1 << i for i in combo), Snapshot(ix.states[i] for i in combo)
+            yield sum(1 << i for i in combo), Snapshot(win.states[i] for i in combo)
 
 
 def subset_counts(fb: FilterBase, lg, rel: str, rg) -> tuple[int, int, int]:
@@ -249,12 +248,12 @@ def every_count_tag(mode: str, *first) -> tuple:
 @example(every_count_tag(HF_MODE, weight(3)))  # the window raises WrongMode
 def test_masks_match_snapshots_on_every_subset(problem):
     fb, lg, rel, rg = problem
-    ix = window_index(fb.window)
+    win = Snapshot(fb.window)
     mode = fb.universe.mode
-    tests = [constraint_mask_test(c, ix, mode) for c in fb.constraints]
-    left, right = compile_germ(lg, ix), compile_germ(rg, ix)
+    tests = [constraint_mask_test(c, win, mode) for c in fb.constraints]
+    left, right = compile_germ(lg, win), compile_germ(rg, win)
     for m, t in subsets(fb):
-        assert ix.subset(m) == t.states
+        assert win.subset(m) == t.states
         admitted = [outcome(constraint_membership, c, t, mode) for c in fb.constraints]
         assert [outcome(test, m) for test in tests] == admitted
         for g, compiled in ((lg, left), (rg, right)):
@@ -316,11 +315,11 @@ def test_window_compare_builds_no_snapshot_per_subset(monkeypatch):
                     universe=OU, window=window)
     v = compare(g, "le", Fraction(1, 2), fb, sample_count=0)
     assert v.rule == "window-exhaustive"
-    assert built == []
+    assert len(built) == 1  # the window's own, which the masks index
     # interval needs the subset's ordinal runs, so it alone builds states
     v = compare(g, "le", Fraction(1, 2), fb.with_constraints([interval(1)]),
                 sample_count=0)
-    assert v.rule == "window-exhaustive" and built
+    assert v.rule == "window-exhaustive" and len(built) > 2
 
 
 @st.composite
@@ -463,3 +462,26 @@ def test_mixed_base_keeps_its_count_vectors(monkeypatch):
     assert v.rule == "window-exhaustive"
     assert (v.evidence["holds"], v.evidence["fails"], len(calls)) == (70, 11, 33)
     assert_window_evidence(v, *subset_counts(fb, g, "le", h))
+
+
+def test_compare_repeats_after_evaluations_on_the_window(monkeypatch):
+    # Each compare indexes its own Snapshot of the window, so the masks
+    # that eval_at, or another compare, records over the same states
+    # (Lim, the bit of each indexed state) do not split its atoms.
+    window = tuple(POOLS[ORDINAL_MODE][:13])
+    even, odd, lim, on = (OU.builtin_class(n) for n in ("Even", "Odd", "Lim", "On"))
+    g = germ_of_event(identity_rv(), even)
+    calls = calls_of(g, monkeypatch)
+    fb = FilterBase((fineness(window[2]), ratio(odd, on, 1)), universe=OU, window=window)
+    first = compare(g, "le", Fraction(1, 2), fb, sample_count=0)
+    first_calls = len(calls)
+    indexed = star_sum([germ_of_event(identity_rv(), lim)] * 3, window[:3])
+    t = Snapshot(window)
+    for h in (germ_of_event(identity_rv(), lim), indexed, g):
+        h.eval_at(t)
+    compare(indexed, "le", const_germ(1), fb, sample_count=0)
+    between = len(calls)
+    second = compare(g, "le", Fraction(1, 2), fb, sample_count=0)
+    assert first.rule == second.rule == "window-exhaustive"
+    assert first.evidence == second.evidence
+    assert len(calls) - between == first_calls
