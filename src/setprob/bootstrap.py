@@ -37,7 +37,7 @@ from .filters import (
     parametric_fineness,
     subset_bound,
 )
-from .germs import Germ, germ_of_event
+from .germs import germ_of_event
 from .snapshots import Snapshot, snapshot_prob
 from .universe import ClassSpec, RandomVariable, SetValue, UniverseHandle, \
     canonical, class_from_values, identity_rv
@@ -290,14 +290,6 @@ class TieredProb:
             self._restricted[tier] = restrict_base(
                 self.base, self.window, self.space_cap(tier))
         return self._restricted[tier]
-
-    def tiered_value(self, rv: RandomVariable, cls: ClassSpec,
-                     t: Snapshot) -> Fraction | Germ:
-        """Tier-0 snapshots resolve to exact counting on the spot; larger
-        ones stay lazy as a germ, to be grounded through admissible probes."""
-        if self.config.tier(len(t)) == 0:
-            return snapshot_prob(rv, cls, t)
-        return germ_of_event(rv, cls)
 
     def coherence_check(self, rv: RandomVariable, cls: ClassSpec,
                         t: Snapshot, probe: Iterable[SetValue]) -> "CoherenceReport":

@@ -286,15 +286,6 @@ class _CountForm(NamedTuple):
     big: _Side
 
 
-def _side_key(side: _Side) -> object:
-    """Sides with equal keys count the same states: a code set is its own
-    key, a class or predicate is keyed by its membership test's identity
-    (as `Snapshot.mask` keys classes, since names may repeat)."""
-    if side is None or isinstance(side, frozenset):
-        return side
-    return id(side.membership if isinstance(side, ClassSpec) else side)
-
-
 def _side_mask(side: _Side, t: Snapshot) -> int:
     """The mask of `t` whose states a form side counts."""
     if side is None:
@@ -761,8 +752,9 @@ class _Tally:
     """The state set of one witness-search attempt, with the counts its
     constraints read, updated on every add and discard.
 
-    It keeps one count per distinct side (`_side_key`) of the
-    constraints' `form`s and, for interval constraints, the b of
+    It keeps one count per distinct side of the constraints' `form`s,
+    under the side itself (a code set by value, a class or predicate as
+    an object) and, for interval constraints, the b of
     every ordinal w*a+b by block a with, per interval parameter l, the
     number of maximal runs of at most l states.  `satisfied` is then the
     boolean `constraint_membership` gives on the Snapshot of the states.
@@ -773,29 +765,27 @@ class _Tally:
     def __init__(self, cs: Sequence[Constraint], states: Iterable[SetValue] = ()):
         self.states: set[SetValue] = set()
         self.blocks: dict[int, set[int]] = {}
-        self._counts: dict[object, int] = {None: 0}
-        # the tests of class and predicate sides, which this dict keeps
-        # alive, so no key is reused; code-set sides are found by code
-        self._tests: dict[object, Callable[[SetValue], bool]] = {}
-        self._keys_by_code: dict[str, list[object]] = {}
-        self._forms: list[tuple[int, object, int, object]] = []
+        self._counts: dict[_Side, int] = {None: 0}
+        # membership tests of class and predicate sides; code sets go by code
+        self._tests: dict[_Side, Callable[[SetValue], bool]] = {}
+        self._keys_by_code: dict[str, list[frozenset]] = {}
+        self._forms: list[_CountForm] = []
         self._short: dict[int, int] = {}
         for c in cs:
             form = c.form
             if form is None:  # interval
                 self._short[c.param] = 0
                 continue
-            small, big = _side_key(form.small), _side_key(form.big)
-            self._forms.append((form.k, small, form.slack, big))
-            for side, key in ((form.small, small), (form.big, big)):
-                if key in self._counts:
+            self._forms.append(form)
+            for side in (form.small, form.big):
+                if side in self._counts:
                     continue
-                self._counts[key] = 0
+                self._counts[side] = 0
                 if isinstance(side, frozenset):
                     for code in side:
-                        self._keys_by_code.setdefault(code, []).append(key)
+                        self._keys_by_code.setdefault(code, []).append(side)
                 else:
-                    self._tests[key] = side.membership \
+                    self._tests[side] = side.membership \
                         if isinstance(side, ClassSpec) else side
         # a run longer than every interval parameter is short for none
         self._reach = max(self._short, default=0) + 1
@@ -820,12 +810,11 @@ class _Tally:
     def excess(self, form: _CountForm) -> int:
         """k*|small| + slack - |big| for a form of one of the constraints."""
         counts = self._counts
-        return form.k * counts[_side_key(form.small)] + form.slack \
-            - counts[_side_key(form.big)]
+        return form.k * counts[form.small] + form.slack - counts[form.big]
 
     def count(self, cls: ClassSpec) -> int:
         """States in cls, for a class a ratio or order constraint names."""
-        return self._counts[_side_key(cls)]
+        return self._counts[cls]
 
     def add(self, s: SetValue) -> None:
         if s not in self.states:
@@ -946,7 +935,7 @@ def find_witness(
     protected = [f.small for f in grown]
     avoid_for_pads = [cls for f in grown for cls in (f.small, f.big)]
     # one memoised run-closure test per class a repair grows around
-    touch_tests = {id(f.small): _touch_test([f.small]) for f in grown}
+    touch_tests = {f.small: _touch_test([f.small]) for f in grown}
 
     def candidate_stream(cls: ClassSpec, states: _Tally) -> Iterator[SetValue]:
         if window_vals is not None:
@@ -961,7 +950,7 @@ def find_witness(
         # leaves the spill to the next repair round.
         got = 0
         small = form.small
-        touches = touch_tests[id(small)]
+        touches = touch_tests[small]
         for strict in (True, False):
             scanned = 0
             for cand in candidate_stream(form.big, states):

@@ -58,7 +58,8 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 @dataclass(frozen=True)
 class Germ:
-    """One rational-valued expression over snapshots."""
+    """One rational-valued expression over snapshots.  Germs are equal
+    when they have one shape over the same variable and class objects."""
 
     node: str
     value: Fraction | None = None
@@ -85,7 +86,8 @@ class Germ:
         return compile_germ(self, t)(t.full)
 
     def key(self) -> str:
-        """Canonical structural key; equal keys mean equal germs."""
+        """The germ as text, classes and variables by name: it seeds sampled
+        compares, and germs over distinct classes of one name share it."""
         if self.node == NODE_CONST:
             return f"q({self.value})"
         if self.node == NODE_EVENT:
@@ -440,7 +442,7 @@ def _compare_inner(lg: Germ, rel: str, rg: Germ, fb: FilterBase,
         return made(FORCED if holds else FORCED_NOT, "rational",
                     note="constants compare exactly")
 
-    if rel != "abs_le" and lg.key() == rg.key():
+    if rel != "abs_le" and lg == rg:
         holds = rel in ("eq", "le", "ge")
         return made(FORCED if holds else FORCED_NOT, "structural",
                     note="both sides are the same germ")
@@ -480,7 +482,7 @@ def _subset_rule(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Verdict 
         return None
     rv, cls_a = lp
     rv2, cls_b = rp
-    if rv != rv2:
+    if rv is not rv2:
         return None
     fwd = cls_a.is_subset_of(cls_b)
     bwd = cls_b.is_subset_of(cls_a)
@@ -763,10 +765,10 @@ def classify_infinitesimal(g: Germ, fb: FilterBase) -> Classification:
         return Classification(NOT_APPROX_ZERO, g, rule="rational",
                               note=f"|{v}| exceeds 1/k for large k")
 
-    if g.node == NODE_BINOP and g.op == "/" and g.left.key() == g.right.key():
+    if g.node == NODE_BINOP and g.op == "/" and g.left == g.right:
         return Classification(NOT_APPROX_ZERO, g, rule="self-quotient",
                               note="the quotient is 1 wherever it is defined")
-    if g.node == NODE_BINOP and g.op == "-" and g.left.key() == g.right.key():
+    if g.node == NODE_BINOP and g.op == "-" and g.left == g.right:
         return Classification(APPROX_ZERO, g, rule="cancellation",
                               note="the difference vanishes wherever defined")
 

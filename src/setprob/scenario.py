@@ -596,8 +596,10 @@ def build_context(data: dict) -> ScenarioContext:
     base.  A class or base the universe's mode cannot build, or a value
     list with more values than its finite tier, makes the document
     invalid: its WrongMode or EnumerationExhausted becomes a
-    ScenarioValidationError.  So does a variable whose name is already
-    defined, the builtin `identity` included."""
+    ScenarioValidationError.  So does a variable or class whose name is
+    already defined, the builtins included; a `builtin` entry that names
+    its own builtin re-declares it, since the handle gives it one
+    object."""
     uni = make_universe(data["universe"]["mode"], data["universe"]["bound"])
     seed = data.get("seed", 0)
     tiers = (_parse(lambda t: TierConfig(tuple(t)), data["tiers"], "tiers")
@@ -615,7 +617,10 @@ def build_context(data: dict) -> ScenarioContext:
                     f"variable {spec['name']!r} is already defined")
             ctx.variables[spec["name"]] = _build_variable(ctx, spec)
         for spec in data.get("classes", []):
-            ctx.classes[spec["name"]] = _build_class(ctx, spec)
+            cls = _build_class(ctx, spec)
+            if ctx.classes.setdefault(spec["name"], cls) is not cls:
+                raise ScenarioValidationError(
+                    f"class {spec['name']!r} is already defined")
         ctx.base = build_base(ctx, data.get("base"))
     except (WrongMode, EnumerationExhausted) as exc:
         raise ScenarioValidationError(str(exc)) from exc

@@ -24,8 +24,8 @@ class Snapshot:
     Bit i of a mask stands for `states[i]`, so a subset of the states is
     one int, its size is `mask.bit_count()`, and the count of a class in
     it is `(mask & self.mask(cls)).bit_count()`.  Each (variable, class)
-    membership mask is computed once per snapshot, keyed by identity
-    since names may repeat, and then reused.  The cache slots (`_bits`,
+    membership mask is computed once per snapshot, keyed by the two
+    objects, and then reused.  The cache slots (`_bits`,
     `_masks`, `_read`) stay unset until first use, so building a snapshot
     that is only counted costs nothing for them.
 
@@ -113,18 +113,17 @@ class Snapshot:
 
     def mask(self, cls: ClassSpec, rv: RandomVariable | None = None) -> int:
         """Mask of the states whose outcome under rv (the state itself
-        when rv is None) lies in cls."""
+        when rv is None) lies in cls, cached under the objects rv and cls:
+        two classes that share a name keep their own masks."""
         try:
             masks = self._masks
         except AttributeError:
             masks = {}
             object.__setattr__(self, "_masks", masks)
-        key = (id(rv), id(cls))
-        hit = masks.get(key)
+        hit = masks.get((rv, cls))
         if hit is None:
-            # the entry keeps rv and cls alive, so their ids are not reused
-            hit = masks[key] = (self.where(cls.membership, rv), rv, cls)
-        return hit[0]
+            hit = masks[rv, cls] = self.where(cls.membership, rv)
+        return hit
 
     def atoms(self) -> list[int]:
         """The atoms of the recorded masks, as masks: the nonempty sets

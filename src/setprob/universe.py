@@ -317,13 +317,13 @@ class CardinalityTier:
 class ClassSpec:
     """A class over the universe: name, membership, enumerator, tier.
 
-    Identity is by name: constraints and germs refer to classes by name,
-    so distinct classes in one context must carry distinct names.  The
-    enumerator is a stateless generator factory; `enumerate` wraps it
-    with deduplication and exclusion skipping.  `subset_tags` lists
-    names of classes this one is declared to be contained in.  A
-    value-list class (`class_from_values`) ignores them for containment,
-    which is decided exactly from its values.
+    A class is its object: equality and hashing are identity, so two
+    classes that share a name are still two classes.  The name is a
+    label for reports.  The enumerator is a stateless generator factory;
+    `enumerate` wraps it with deduplication and exclusion skipping.
+    `subset_tags` lists names of classes this one is declared to be
+    contained in.  A value-list class (`class_from_values`) ignores them
+    for containment, which is decided exactly from its values.
     """
 
     __slots__ = ("name", "membership", "_stream", "tier", "subset_tags", "meta")
@@ -343,12 +343,6 @@ class ClassSpec:
         self.tier = tier
         self.subset_tags = frozenset(subset_tags)
         self.meta = meta or {}
-
-    def __eq__(self, other):
-        return isinstance(other, ClassSpec) and self.name == other.name
-
-    def __hash__(self):
-        return hash(self.name)
 
     def __repr__(self):
         return f"ClassSpec({self.name}, {self.tier.describe()})"
@@ -409,14 +403,15 @@ class ClassSpec:
         """True/False when decidable, None when unknown.
 
         A value-list class is decided exactly from its values, whatever
-        it declares; other finite-tier classes are checked by enumeration
-        unless a name or declared subset tag settles it first, and
-        infinite ones rely on those declarations.  A finite tier that
-        `members` finds false leaves containment unknown.
+        it declares.  Every class lies inside itself, the object and not
+        its name.  Other finite-tier classes are checked by enumeration
+        unless a declared subset tag settles it first, and infinite ones
+        rely on those declarations.  A finite tier that `members` finds
+        false leaves containment unknown.
         """
         if "values" in self.meta:
             return all(other.membership(v) for v in self.meta["values"])
-        if self.name == other.name:
+        if self is other:
             return True
         if other.name in self.subset_tags:
             return True
@@ -535,7 +530,8 @@ class RandomVariable:
 
     Diagonal variables are bijections with preimages produced on demand;
     they are the ones whose events enjoy exact pointwise uniformity.
-    Identity is by name, mirroring ClassSpec.
+    As for ClassSpec, a variable is its object and the name only labels
+    it.
     """
 
     __slots__ = ("name", "kind", "diagonal", "_apply", "_preimage")
@@ -554,12 +550,6 @@ class RandomVariable:
         self._preimage = preimage_fn
         self.diagonal = diagonal
 
-    def __eq__(self, other):
-        return isinstance(other, RandomVariable) and self.name == other.name
-
-    def __hash__(self):
-        return hash(self.name)
-
     def __repr__(self):
         return f"RandomVariable({self.name})"
 
@@ -572,8 +562,12 @@ class RandomVariable:
         return self._preimage(y)
 
 
+_IDENTITY = RandomVariable("identity", "identity", lambda x: x, lambda y: y, True)
+
+
 def identity_rv() -> RandomVariable:
-    return RandomVariable("identity", "identity", lambda x: x, lambda y: y, True)
+    """The identity variable: one object, shared by every caller."""
+    return _IDENTITY
 
 
 def table_rv(mapping: dict[SetValue, SetValue], name: str) -> RandomVariable:
@@ -605,12 +599,17 @@ def table_rv(mapping: dict[SetValue, SetValue], name: str) -> RandomVariable:
 
 
 def even_shift_permutation() -> RandomVariable:
-    """The bijection of the naturals that shifts evens up and odds down.
+    """The bijection of the naturals that shifts evens up and odds down,
+    one object shared by every caller, as `identity_rv` is.
 
     Even n goes to n+2, 1 goes to 0, odd n > 1 goes to n-2; everything
     outside the finite ordinals is fixed.  Its image of the even
     naturals is the evens without 0, a proper subclass of the evens.
     """
+    return _EVEN_SHIFT
+
+
+def _even_shift() -> RandomVariable:
 
     def apply_fn(x: SetValue) -> SetValue:
         if not x.is_ordinal:
@@ -635,6 +634,9 @@ def even_shift_permutation() -> RandomVariable:
         return nat(b + 2)
 
     return RandomVariable("even-shift", "permutation", apply_fn, preimage_fn, True)
+
+
+_EVEN_SHIFT = _even_shift()
 
 
 def image_class(
@@ -765,11 +767,12 @@ class UniverseHandle:
     large (HF mode); the handle enumerates it on demand.  The first
     PREFIX_MEMO_CAP states are kept once a query touches them, so repeated
     candidate pools reuse the same values; states past the cap are
-    rebuilt by every walk that reaches them.
+    rebuilt by every walk that reaches them.  Each builtin class is built
+    once per handle, so every caller that asks for it gets one object.
     """
 
     __slots__ = ("mode", "bound", "_by_rank", "_prefix", "_prefix_walk",
-                 "_prefix_lock")
+                 "_prefix_lock", "_builtins")
 
     def __init__(self, mode: str, bound: int):
         self.mode = mode
@@ -778,6 +781,7 @@ class UniverseHandle:
         self._prefix: list[SetValue] = []
         self._prefix_walk: Iterator[SetValue] | None = None
         self._prefix_lock = threading.Lock()
+        self._builtins: dict[object, ClassSpec] = {}
 
     def __repr__(self):
         return f"UniverseHandle({self.mode}, {self.bound})"
@@ -870,14 +874,20 @@ class UniverseHandle:
 
     # -- builtin classes ----------------------------------------------
 
+    def _once(self, key: object, build: Callable[[], ClassSpec]) -> ClassSpec:
+        """The builtin under key, built on first use; `setdefault` keeps the
+        first one stored when threads sharing the handle race to build it."""
+        got = self._builtins.get(key)
+        return got if got is not None else self._builtins.setdefault(key, build())
+
     def universe_class(self) -> ClassSpec:
-        return ClassSpec(
+        return self._once("V", lambda: ClassSpec(
             "V",
             lambda x: True,
             self.enumerate_universe,
             CardinalityTier.proper(),
             meta={"is_universe": True},
-        )
+        ))
 
     def _ordinal_stream(self, keep: Callable[[int, int], bool],
                         b_max: int | None) -> Callable[[], Iterator[SetValue]]:
@@ -928,28 +938,24 @@ class UniverseHandle:
         return ClassSpec(name, member, stream, tier, subset_tags)
 
     def builtin_class(self, name: str, **kw) -> ClassSpec:
-        """Builtins: V, RankLevel(k), the ORDINAL_BUILTINS, plus the
-        class builders PowerClass and FiniteSubsets applied via kw."""
+        """Builtins: V, RankLevel(k) (k given as kw) and the
+        ORDINAL_BUILTINS, each one object per handle."""
         if name == "V":
             return self.universe_class()
         if name == "RankLevel":
             return self.rank_level_class(kw["k"])
-        if name == "PowerClass":
-            return power_class(kw["base"])
-        if name == "FiniteSubsets":
-            return finite_subsets_class(kw["base"])
         if self.mode != ORDINAL_MODE:
             raise WrongMode(f"builtin {name} needs an ordinal-mode universe")
         if name not in ORDINAL_BUILTINS:
             raise KeyError(f"unknown builtin class {name}")
         keep, supersets, b_max = ORDINAL_BUILTINS[name]
-        return ClassSpec(
+        return self._once(name, lambda: ClassSpec(
             name,
             lambda x: x.kind == KIND_ORD and keep(*x.data),
             self._ordinal_stream(keep, b_max),
             CardinalityTier.infinite(0),
             subset_tags=supersets,
-        )
+        ))
 
     def rank_level_class(self, k: int) -> ClassSpec:
         if self.mode != HF_MODE:
@@ -957,13 +963,13 @@ class UniverseHandle:
         if k >= self.bound:
             raise BoundTooSmall(f"rank level {k} above universe bound {self.bound}")
         count = level_size(k + 1) - level_size(k)
-        return ClassSpec(
+        return self._once(("RankLevel", k), lambda: ClassSpec(
             f"RankLevel({k})",
             lambda x: x.is_set and _rank_of_code(x) == k,
             lambda: self.level_members(k),
             CardinalityTier.finite(count),
             subset_tags={"V"},
-        )
+        ))
 
 
 def make_universe(mode: str, bound: int) -> UniverseHandle:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setprob import (
+    CoherenceReport,
     FilterBase,
-    Germ,
     HF_MODE,
     TierConfig,
     TieredProb,
@@ -29,6 +29,7 @@ from setprob import (
     snapshot,
     subset_bound,
 )
+from setprob.bootstrap import CoherenceLevel
 from setprob.errors import ConditionNull, MissingSubsetBound
 
 U = make_universe(HF_MODE, 4)
@@ -179,31 +180,6 @@ def test_tiered_prob_restriction_memoized_and_audited():
     assert fb0.max_size == 4 and fb1.max_size == 9
 
 
-def test_tiered_value_leaf_versus_germ():
-    tp = TieredProb(U, TierConfig((4, 9, 17)), WIN)
-    cls = class_from_values("pair", [WIN[0], WIN[1]])
-    leaf = tp.tiered_value(identity_rv(), cls, snapshot(*WIN[:3]))
-    assert leaf == Fraction(2, 3)
-    lifted = tp.tiered_value(identity_rv(), cls, snapshot(*WIN[:5]))
-    assert isinstance(lifted, Germ)
-    assert lifted.eval_at(snapshot(*WIN[:5])) == Fraction(2, 5)
-
-
-def test_tiered_total_event_is_one():
-    tp = TieredProb(U, TierConfig((4, 9, 17)), WIN)
-    total = class_from_values("tot", WIN[:3])
-    assert tp.tiered_value(identity_rv(), total, snapshot(*WIN[:3])) == 1
-
-
-def test_tiered_singleton_leaf_values():
-    tp = TieredProb(U, TierConfig((4, 9, 17)), WIN)
-    x = WIN[2]
-    single = class_from_values("just", [x])
-    assert tp.tiered_value(identity_rv(), single, snapshot(*WIN[:3])) == \
-        Fraction(1, 3)
-    assert tp.tiered_value(identity_rv(), single, snapshot(*WIN[3:6])) == 0
-
-
 # ---------------------------------------------------------------------------
 # Coherence
 
@@ -273,6 +249,17 @@ def test_coherence_random_events(cls_idx, probe_idx):
         return
     rep = tp.coherence_check(identity_rv(), cls, t, probe)
     assert rep.ok
+
+
+def test_coherence_level_that_disagrees_is_a_mismatch():
+    good = CoherenceLevel(5, 3, 1, Fraction(2, 5), Fraction(2, 5))
+    bad = CoherenceLevel(5, 3, 1, Fraction(2, 5), Fraction(1, 3))
+    assert good.equal and not bad.equal
+    assert CoherenceReport([good]).ok
+    report = CoherenceReport([good, bad])
+    assert not report.ok
+    assert report.summary().endswith("value=2/5 MISMATCH")
+    assert report.summary().count("MISMATCH") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,10 @@ def test_fip_order_conflict_refuted():
 def test_fip_irreflexive_strict_order_refuted():
     result = check_fip(FilterBase((order_lt(M4, M4),), universe=U))
     assert result.status == "refuted"
+    # a namesake is another class: |{1} cap T| < |{2} cap T| holds at {2},
+    # which the refutation by name denied
+    a, twin = class_from_values("A", [nat(1)]), class_from_values("A", [nat(2)])
+    assert check_fip(FilterBase((order_lt(a, twin),), universe=U)).witnessed
 
 
 def test_fip_min_size_beyond_cap_refuted():

@@ -13,6 +13,7 @@ from setprob import (
     FORCED_NOT,
     UNDETERMINED,
     FilterBase,
+    RandomVariable,
     Snapshot,
     audit_verdict,
     class_from_predicate,
@@ -22,6 +23,7 @@ from setprob import (
     compare,
     conditional_germ,
     const_germ,
+    constraint_membership,
     even_shift_permutation,
     expand_parametric,
     fineness,
@@ -507,6 +509,75 @@ def test_a_table_named_identity_is_not_the_identity():
     v = compare(germ_of_event(IDENT, on), "le", const_germ(Fraction(1, 3)), fb)
     assert (v.status, v.rule) == (FORCED, "weight")
     assert audit_verdict(v, fb, random.Random(0), witness_count=50).clean
+
+
+# Classes and variables are compared as objects.  In each case below two
+# distinct value classes share one name; read by name, a rule forced a
+# claim that a snapshot in the cited intersection refutes.
+
+
+def test_same_named_classes_are_not_one_germ():
+    # `structural` forced Pr[A] eq Pr[A'], and the audit (seed 0) found 4
+    # of 50 failures: at {o0.1}, which fineness(o0.1) admits, they are 1
+    # and 0.
+    a, twin = class_from_values("A", [nat(1)]), class_from_values("A", [nat(2)])
+    lhs, rhs = germ_of_event(IDENT, a), germ_of_event(IDENT, twin)
+    assert lhs.key() == rhs.key() and lhs != rhs
+    fb = FilterBase((fineness(nat(1)),), universe=U2)
+    v = compare(lhs, "eq", rhs, fb)
+    assert (v.status, v.rule) == (UNDETERMINED, "sampled")
+    w = snapshot(nat(1))
+    assert constraint_membership(fineness(nat(1)), w)
+    assert (lhs.eval_at(w), rhs.eval_at(w)) == (1, 0)
+    assert compare(lhs, "eq", germ_of_event(IDENT, a), fb).rule == "structural"
+
+
+def test_same_named_classes_do_not_cancel():
+    # `cancellation` called Pr[A] - Pr[A'] approx_zero, and `self-quotient`
+    # called Pr[A] / Pr[A'] constantly 1.
+    a, twin = class_from_values("A", [nat(1)]), class_from_values("A", [nat(2)])
+    lhs, rhs = germ_of_event(IDENT, a), germ_of_event(IDENT, twin)
+    fb = fineness_base(U2)
+    for op in ("-", "/"):
+        assert classify_infinitesimal(germ_arith(op, lhs, rhs), fb).status == UNDETERMINED
+    same = germ_of_event(IDENT, a)
+    assert classify_infinitesimal(germ_arith("-", lhs, same), fb).rule == "cancellation"
+    assert classify_infinitesimal(germ_arith("/", lhs, same), fb).rule == "self-quotient"
+
+
+def test_a_ratio_bound_holds_only_for_the_class_it_names():
+    # ratio(B, Even, k=3) bounds Pr[B]/Pr[Even]; `ratio` also forced it for
+    # B' = {o0.1, o0.3, o0.5}, and the audit found 1 failure in 27
+    # evaluated: at {o0.1, o0.2} the quotient is 1.
+    b = class_from_values("B", [nat(0)])
+    twin = class_from_values("B", [nat(1), nat(3), nat(5)])
+    even = U2.builtin_class("Even")
+    fb = FilterBase((ratio(b, even, 3), fineness(nat(1))), universe=U2)
+    quotient = germ_arith("/", germ_of_event(IDENT, twin), germ_of_event(IDENT, even))
+    v = compare(quotient, "le", Fraction(1, 3), fb)
+    assert (v.status, v.rule) == (UNDETERMINED, "sampled")
+    w = snapshot(nat(1), nat(2))
+    assert all(constraint_membership(c, w) for c in fb.constraints)
+    assert quotient.eval_at(w) == 1
+    named = germ_arith("/", germ_of_event(IDENT, b), germ_of_event(IDENT, even))
+    assert compare(named, "le", Fraction(1, 3), fb).rule == "ratio"
+
+
+def test_rebuilt_shared_objects_keep_their_verdicts():
+    # identity_rv() and builtin_class give one object per call site, so
+    # sides built apart still meet the object tests of the rules.
+    fb = fineness_base(U2)
+    v = compare(germ_of_event(identity_rv(), U2.builtin_class("Even")), "le",
+                germ_of_event(identity_rv(), U2.builtin_class("On")), fb)
+    assert (v.status, v.rule) == (FORCED, "subset-monotone")
+    v = compare(germ_of_event(IDENT, U2.builtin_class("Even")), "eq",
+                germ_of_event(IDENT, U2.builtin_class("Even")), fb)
+    assert (v.status, v.rule) == (FORCED, "structural")
+    # a variable built apart is another variable, whatever its kind
+    other = RandomVariable("identity", "identity", lambda x: x, lambda y: y, True)
+    v = compare(germ_of_event(IDENT, U2.builtin_class("Even")), "le",
+                germ_of_event(other, U2.builtin_class("On")), fb)
+    assert v.status == UNDETERMINED
 
 
 # ---------------------------------------------------------------------------

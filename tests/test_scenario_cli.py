@@ -649,6 +649,64 @@ def test_a_variable_name_is_defined_once(variables, tmp_path, capsys):
         f"validation error: variable {name!r} is already defined\n"
 
 
+# A class named `On`: the image of Even under a table that swaps p0 and
+# o0.0, so it holds p0 and not o0.0.  While a class could replace the
+# builtin, `weight` forced Pr[On] le 1/4 for it, and the audit (seed 0,
+# 50 witnesses) found 2 failures.
+ON_REDEFINED = {
+    "universe": {"mode": "ordinal", "bound": 2},
+    "variables": [{"name": "sw", "kind": "table", "mapping": {"p0": "o0.0", "o0.0": "p0"}}],
+    "classes": [{"name": "On", "kind": "image", "rv": "sw", "base": "Even"}],
+    "base": {"builder": "fineness", "constraints": ["weight(m=4)"]},
+    "queries": [{"kind": "compare", "lhs": {"event": {"class": "On"}},
+                 "rel": "le", "rhs": {"const": "1/4"}}]}
+
+# The scenario forms of two name-keyed rules: `interval-limit` forced
+# Pr[Lim|On] le 1/3 for a value class named Lim, and `interval-parity`
+# forced |Pr[Even|On] - Pr[Odd|On]| le 1/3 for value classes named Even
+# and Odd.
+_COND = {"kind": "compare", "rel": "le", "rhs": {"const": "1/3"},
+         "lhs": {"cond": {"class": "Lim", "given": "On"}}}
+_PARITY = {"kind": "compare", "rel": "abs_le", "rhs": {"const": "1/3"},
+           "lhs": {"op": {"op": "-", "left": {"cond": {"class": "Even", "given": "On"}},
+                          "right": {"cond": {"class": "Odd", "given": "On"}}}}}
+LIM_REDEFINED = {
+    **ORDINAL, "base": {"builder": "ordinal_theorem"}, "queries": [_COND],
+    "classes": [{"name": "Lim", "kind": "values", "values": ["o0.1", "o0.2", "o0.3"]}]}
+EVEN_ODD_REDEFINED = {
+    **ORDINAL, "base": {"builder": "ordinal_theorem"}, "queries": [_PARITY],
+    "classes": [{"name": "Even", "kind": "values",
+                 "values": [f"o0.{b}" for b in range(1, 12, 2)]},
+                {"name": "Odd", "kind": "values", "values": ["o0.0"]}]}
+
+
+@pytest.mark.parametrize("doc, name", [
+    (ON_REDEFINED, "On"),
+    (LIM_REDEFINED, "Lim"),
+    (EVEN_ODD_REDEFINED, "Even"),
+    ({**ORDINAL, "classes": [{"name": "Odd", "kind": "builtin", "builtin": "Even"}]},
+     "Odd"),
+    ({**ORDINAL, "classes": [{"name": "A", "kind": "values", "values": ["o0.1"]},
+                             {"name": "A", "kind": "values", "values": ["o0.2"]}]},
+     "A"),
+], ids=["On-image", "Lim-values", "Even-Odd-values", "other-builtin", "twice"])
+def test_a_class_name_is_defined_once(doc, name, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == \
+        f"validation error: class {name!r} is already defined\n"
+
+
+def test_a_builtin_entry_redeclares_its_own_builtin():
+    ctx = build_context({**ORDINAL, "classes": [
+        {"name": "On", "kind": "builtin"}, {"name": "V", "kind": "builtin"},
+        {"name": "Even", "kind": "builtin", "builtin": "Even"},
+        {"name": "On", "kind": "builtin"}]})
+    for name in ("On", "V", "Even"):
+        assert ctx.classes[name] is ctx.universe.builtin_class(name)
+
+
 def test_residue_class_is_refused_in_an_hf_universe(tmp_path, capsys):
     # A residue class enumerates ordinals, none of which an HF universe holds.
     path = tmp_path / "doc.json"

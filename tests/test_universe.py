@@ -377,6 +377,52 @@ def test_is_subset_of_finite_exact(ord_universe):
     assert even.is_subset_of(small) is None  # infinite vs finite: unknown
 
 
+def test_a_class_lies_inside_itself_not_inside_its_namesake(ord_universe):
+    # Two infinite classes named A: containment read by name called each
+    # inside the other.
+    tier = CardinalityTier.infinite(0)
+    a = ord_universe.residue_class("A", 3, 0, 0, tier)
+    twin = ord_universe.residue_class("A", 5, 0, 0, tier)
+    assert a.is_subset_of(a) is True
+    assert a.is_subset_of(twin) is None and twin.is_subset_of(a) is None
+    assert a != twin and len({a, twin}) == 2
+
+
+def test_shared_variables_and_builtins_are_one_object(ord_universe, hf_universe):
+    assert identity_rv() is identity_rv()
+    assert even_shift_permutation() is even_shift_permutation()
+    even = ord_universe.builtin_class("Even")
+    assert ord_universe.builtin_class("Even") is even
+    assert ord_universe.builtin_class("V") is ord_universe.universe_class()
+    assert hf_universe.builtin_class("RankLevel", k=1) is hf_universe.rank_level_class(1)
+    assert hf_universe.rank_level_class(1) is not hf_universe.rank_level_class(2)
+    # one object per handle: another handle builds its own
+    assert make_universe(ORDINAL_MODE, 3).builtin_class("Even") is not even
+
+
+def test_threads_sharing_a_handle_get_one_builtin():
+    u = make_universe(ORDINAL_MODE, 3)
+    start = threading.Barrier(8)
+    got = []
+
+    def build():
+        start.wait(timeout=60)
+        got.append(u.builtin_class("Odd"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8 and all(c is u.builtin_class("Odd") for c in got)
+
+
 def test_class_of_set():
     cls = class_of_set(S2)
     assert cls.membership(EMPTY_SET) and cls.membership(S1)
