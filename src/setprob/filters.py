@@ -754,10 +754,11 @@ class _Tally:
 
     It keeps one count per distinct side of the constraints' `form`s,
     under the side itself (a code set by value, a class or predicate as
-    an object) and, for interval constraints, the b of
-    every ordinal w*a+b by block a with, per interval parameter l, the
-    number of maximal runs of at most l states.  `satisfied` is then the
-    boolean `constraint_membership` gives on the Snapshot of the states.
+    an object) and, for interval constraints, the b of every ordinal
+    w*a+b by block a with the number of maximal runs of at most L
+    states, L the largest interval parameter: a run of at most l <= L
+    states is one of them.  `satisfied` is then the boolean
+    `constraint_membership` gives on the Snapshot of the states.
     As for a set, adding a present state or discarding an absent one
     changes nothing.
     """
@@ -770,11 +771,12 @@ class _Tally:
         self._tests: dict[_Side, Callable[[SetValue], bool]] = {}
         self._keys_by_code: dict[str, list[frozenset]] = {}
         self._forms: list[_CountForm] = []
-        self._short: dict[int, int] = {}
+        self._limit: int | None = None  # L, while there is an interval constraint
+        self._short = 0  # maximal runs of at most L states
         for c in cs:
             form = c.form
             if form is None:  # interval
-                self._short[c.param] = 0
+                self._limit = max(self._limit or 0, c.param)
                 continue
             self._forms.append(form)
             for side in (form.small, form.big):
@@ -787,8 +789,8 @@ class _Tally:
                 else:
                     self._tests[side] = side.membership \
                         if isinstance(side, ClassSpec) else side
-        # a run longer than every interval parameter is short for none
-        self._reach = max(self._short, default=0) + 1
+        # a run longer than L is short for every interval constraint
+        self._reach = (self._limit or 0) + 1
         for s in states:
             self.add(s)
 
@@ -805,16 +807,12 @@ class _Tally:
         counts = self._counts
         return all(k * counts[x] + slack <= counts[y]
                    for k, x, slack, y in self._forms) \
-            and not any(self._short.values())
+            and not self._short
 
     def excess(self, form: _CountForm) -> int:
         """k*|small| + slack - |big| for a form of one of the constraints."""
         counts = self._counts
         return form.k * counts[form.small] + form.slack - counts[form.big]
-
-    def count(self, cls: ClassSpec) -> int:
-        """States in cls, for a class a ratio or order constraint names."""
-        return self._counts[cls]
 
     def add(self, s: SetValue) -> None:
         if s not in self.states:
@@ -840,7 +838,7 @@ class _Tally:
         for key, test in self._tests.items():
             if test(s):
                 self._counts[key] += sign
-        if self._short and s.is_ordinal:
+        if self._limit is not None and s.is_ordinal:
             self._place(*s.ord_parts, sign)
 
     def _place(self, a: int, b: int, sign: int) -> None:
@@ -857,9 +855,8 @@ class _Tally:
             above += 1
         for length, change in ((below, -sign), (above, -sign),
                                (below + above + 1, sign)):
-            for l in self._short:
-                if 0 < length <= l:
-                    self._short[l] += change
+            if 0 < length <= self._limit:
+                self._short += change
         if sign > 0:
             bs.add(b)
 

@@ -20,7 +20,7 @@ import math
 import operator
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable
 
@@ -344,16 +344,18 @@ def _identity_cond(g: Germ) -> tuple[ClassSpec, ClassSpec] | None:
     return None
 
 
-def _names_on(cls: ClassSpec) -> bool:
-    return cls.name == "On"
+def _builtin(cls: ClassSpec) -> str | None:
+    """The ordinal builtin the class is, from the mark
+    `UniverseHandle.builtin_class` sets, never from its name."""
+    return cls.meta.get("builtin")
 
 
 def _under_on(cls: ClassSpec) -> bool:
-    """The class is the ordinal class or declared inside it; a value list
+    """The class is the builtin On or declared inside it; a value list
     holding a non-ordinal is not, whatever it declares."""
     if "values" in cls.meta and not all(v.is_ordinal for v in cls.meta["values"]):
         return False
-    return cls.name == "On" or "On" in cls.subset_tags
+    return _builtin(cls) == "On" or "On" in cls.subset_tags
 
 
 def _const_value(g: Germ) -> Fraction | None:
@@ -543,7 +545,8 @@ def _order_rule(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Verdict |
 def _upper_bound_rules(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Verdict | None:
     """Bounds of the shape (germ) <= 1/k supplied by cited constraints:
     ratio constraints for event quotients, weight for the ordinal mass,
-    interval for limit mass and the parity imbalance under On."""
+    interval for limit mass and the parity imbalance under On.
+    `classify_infinitesimal` asks them too, with its own `made`."""
     target = _const_value(rg)
     if target is None:
         return None
@@ -565,12 +568,12 @@ def _upper_bound_rules(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Ve
         if found is not None:
             c, bound = found
             note = "ordinal states carry at most 1/m of any admitted snapshot"
-            if not _names_on(ev[1]):
+            if _builtin(ev[1]) != "On":
                 note += f"; {ev[1].name} sits inside On"
             return _bound_verdict(made, rel, bound, target, "weight", [c], note)
 
     cond = _identity_cond(lg)
-    if cond is not None and cond[0].name == "Lim" and _names_on(cond[1]):
+    if cond is not None and cond[0].name == "Lim" and _builtin(cond[1]) == "On":
         found = _bound(fb, TAG_INTERVAL, target)
         if found is not None:
             c, bound = found
@@ -582,8 +585,9 @@ def _upper_bound_rules(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Ve
     if rel == "abs_le" and lg.node == NODE_BINOP and lg.op == "-":
         dl = _identity_cond(lg.left)
         dr = _identity_cond(lg.right)
-        if dl is not None and dr is not None and _names_on(dl[1]) and _names_on(dr[1]) \
-                and {dl[0].name, dr[0].name} == {"Even", "Odd"}:
+        if dl is not None and dr is not None \
+                and _builtin(dl[1]) == _builtin(dr[1]) == "On" \
+                and {_builtin(dl[0]), _builtin(dr[0])} == {"Even", "Odd"}:
             found = _bound(fb, TAG_INTERVAL, target)
             if found is not None:
                 c, bound = found
@@ -748,6 +752,16 @@ class Classification:
 
 # The parameter at which a classification's sample citations are shown.
 _SAMPLE_K = 3
+_SAMPLE_BOUND = const_germ(Fraction(1, _SAMPLE_K))
+
+# The `_upper_bound_rules` rule that bounds a germ by a family's instance at
+# `_SAMPLE_K`, and the classification it gives: the family has one at every k.
+_FAMILY_RULES = {
+    "ratio": ("ratio-family", "each k is carried by the ratio constraint at that k"),
+    "weight": ("weight-family", "ordinal mass shrinks below 1/m for every m"),
+    "interval-limit": ("interval-family",
+                       "limit mass under On shrinks below 1/l for every l"),
+}
 
 
 def classify_infinitesimal(g: Germ, fb: FilterBase) -> Classification:
@@ -755,7 +769,10 @@ def classify_infinitesimal(g: Germ, fb: FilterBase) -> Classification:
 
     The decision is symbolic: no witness search runs.  A germ counts as
     approximately zero exactly when the base supplies, for every k, a
-    finite citation set bounding it by 1/k.
+    finite citation set bounding it by 1/k.  The ratio, weight and
+    interval cases are compare's bound rules, asked whether `g le 1/k`
+    is forced at k = `_SAMPLE_K` over the base's families and fineness
+    pins alone: a concrete constraint bounds one k, not every k.
     """
     v = _const_value(g)
     if v is not None:
@@ -772,43 +789,26 @@ def classify_infinitesimal(g: Germ, fb: FilterBase) -> Classification:
         return Classification(APPROX_ZERO, g, rule="cancellation",
                               note="the difference vanishes wherever defined")
 
-    def family(rule: str, note: str, cites) -> Classification:
-        return Classification(APPROX_ZERO, g, rule=rule, note=note,
-                              sample_citations=tuple(cites),
-                              sample_parameter=_SAMPLE_K)
+    def bounded(status, rule: str, cites, note: str, **evidence) -> Classification:
+        rule, note = _FAMILY_RULES[rule]
+        return Classification(APPROX_ZERO, g, rule, note, tuple(cites), _SAMPLE_K)
 
-    quotient = _event_quotient(g)
-    if quotient is not None:
-        fam = fb.has_parametric(TAG_RATIO, quotient[0], quotient[1])
-        if fam is not None:
-            return family("ratio-family",
-                          "each k is carried by the ratio constraint at that k",
-                          _with_pin(fb, expand_parametric(fam, _SAMPLE_K), quotient[1]))
+    families = replace(fb, constraints=tuple(
+        c for c in fb.constraints if c.tag in (TAG_PARAMETRIC, TAG_FINENESS)))
+    found = _upper_bound_rules(g, "le", _SAMPLE_BOUND, families, bounded)
+    if found is not None:
+        return found
 
     ev = _event_parts(g)
-    if ev is not None:
+    if ev is not None and ev[0].diagonal and ev[1].tier.is_finite and \
+            fb.has_parametric(TAG_FINENESS) is not None:
         rv, cls = ev
-        if _is_identity(rv) and _under_on(cls):
-            fam = fb.has_parametric(TAG_WEIGHT)
-            if fam is not None:
-                return family("weight-family",
-                              "ordinal mass shrinks below 1/m for every m",
-                              [expand_parametric(fam, _SAMPLE_K)])
-        if rv.diagonal and cls.tier.is_finite and \
-                fb.has_parametric(TAG_FINENESS) is not None:
-            pins = _dilution_pins(fb, rv, cls, _SAMPLE_K)
-            if pins is not None:
-                return family("fineness-dilution",
-                              f"{cls.name} meets at most {cls.tier.index} states, "
-                              "while pinned snapshots grow without bound", pins)
-
-    cond = _identity_cond(g)
-    if cond is not None and cond[0].name == "Lim" and _names_on(cond[1]):
-        fam = fb.has_parametric(TAG_INTERVAL)
-        if fam is not None:
-            return family("interval-family",
-                          "limit mass under On shrinks below 1/l for every l",
-                          _with_pin(fb, expand_parametric(fam, _SAMPLE_K), cond[1]))
+        pins = _dilution_pins(fb, rv, cls, _SAMPLE_K)
+        if pins is not None:
+            return Classification(APPROX_ZERO, g, "fineness-dilution",
+                                  f"{cls.name} meets at most {cls.tier.index} states, "
+                                  "while pinned snapshots grow without bound",
+                                  tuple(pins), _SAMPLE_K)
 
     return Classification(UNDETERMINED, g, rule="",
                           note="no parametric family in the base covers this germ")

@@ -939,7 +939,8 @@ class UniverseHandle:
 
     def builtin_class(self, name: str, **kw) -> ClassSpec:
         """Builtins: V, RankLevel(k) (k given as kw) and the
-        ORDINAL_BUILTINS, each one object per handle."""
+        ORDINAL_BUILTINS, each one object per handle, an ordinal builtin
+        marked with its name in `meta["builtin"]` for the forcing rules."""
         if name == "V":
             return self.universe_class()
         if name == "RankLevel":
@@ -955,6 +956,7 @@ class UniverseHandle:
             self._ordinal_stream(keep, b_max),
             CardinalityTier.infinite(0),
             subset_tags=supersets,
+            meta={"builtin": name},
         ))
 
     def rank_level_class(self, k: int) -> ClassSpec:

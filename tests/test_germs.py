@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from setprob import (
     fineness_base,
     germ_arith,
     germ_of_event,
+    hf_set,
     identity_rv,
     interval,
     joint_germ,
@@ -41,7 +43,9 @@ from setprob import (
     order_lt,
     ordinal_theorem_base,
     pad,
+    parametric_interval,
     parametric_ratio,
+    parametric_weight,
     ratio,
     set_verdict_recorder,
     snapshot,
@@ -50,7 +54,8 @@ from setprob import (
     translate_class,
     weight,
 )
-from setprob import CardinalityTier, ORDINAL_MODE
+from setprob import CardinalityTier, HF_MODE, ORDINAL_MODE
+from setprob.cli import registry_classes
 from setprob.errors import DivisionUndefined
 
 IDENT = identity_rv()
@@ -509,6 +514,49 @@ def test_a_table_named_identity_is_not_the_identity():
     v = compare(germ_of_event(IDENT, on), "le", const_germ(Fraction(1, 3)), fb)
     assert (v.status, v.rule) == (FORCED, "weight")
     assert audit_verdict(v, fb, random.Random(0), witness_count=50).clean
+
+
+def test_value_classes_named_even_and_odd_are_not_the_builtins():
+    # Read by name, `interval-parity` forced |Pr[Even|On] - Pr[Odd|On]| <=
+    # 1/3 for value classes Even = {o0.1, o0.3, ..., o0.11} and Odd = {o0.0},
+    # citing interval(l=3) and fineness(o0.0).  The snapshot o0.0..o0.11
+    # lies in both and gives 5/12; 50 audit witnesses (seed 0) miss it.
+    reg = registry_classes(U)
+    fb = ordinal_theorem_base(U, [(reg["mult4_t0"], reg["even_t1"]),
+                                  (reg["even_t1"], reg["ord_t2"])])
+
+    def parity(even, odd):
+        return germ_arith("-", conditional_germ(IDENT, even, IDENT, ON),
+                          conditional_germ(IDENT, odd, IDENT, ON))
+
+    even = class_from_values("Even", [nat(b) for b in range(1, 12, 2)])
+    odd = class_from_values("Odd", [nat(0)])
+    v = compare(parity(even, odd), "abs_le", Fraction(1, 3), fb)
+    assert (v.status, v.rule) == (UNDETERMINED, "sampled")
+    w = snapshot(*[nat(b) for b in range(12)])
+    assert all(constraint_membership(c, w) for c in (interval(3), fineness(nat(0))))
+    assert parity(even, odd).eval_at(w) == Fraction(5, 12)
+    v = compare(parity(EVEN, ODD), "abs_le", Fraction(1, 3), fb)
+    assert (v.status, v.rule) == (FORCED, "interval-parity")
+    assert [c.describe() for c in v.citations] == ["interval(l=3)", "fineness(o0.0)"]
+
+
+def test_a_class_named_on_is_not_the_builtin():
+    # Read by name, `weight` bounded any class called On by 1/m, and
+    # `interval-limit` took it as the condition of Pr[Lim | On].  This On
+    # holds the pads: at {p0}, which weight(3) admits, Pr[On] is 1.
+    pads = class_from_predicate("On", lambda v: not v.is_ordinal,
+                                lambda: (pad(i) for i in range(10**9)),
+                                tier=CardinalityTier.infinite(0))
+    fb = fineness_base(U).with_constraints([weight(3), interval(3)])
+    v = compare(germ_of_event(IDENT, pads), "le", Fraction(1, 3), fb)
+    assert v.status != FORCED and v.rule != "weight"
+    assert germ_of_event(IDENT, pads).eval_at(snapshot(pad(0))) == 1
+    lim = conditional_germ(IDENT, _LIM, IDENT, pads)
+    assert compare(lim, "le", Fraction(1, 3), fb).rule != "interval-limit"
+    assert compare(germ_of_event(IDENT, ON), "le", Fraction(1, 3), fb).rule == "weight"
+    lim = conditional_germ(IDENT, _LIM, IDENT, ON)
+    assert compare(lim, "le", Fraction(1, 3), fb).rule == "interval-limit"
 
 
 # Classes and variables are compared as objects.  In each case below two
@@ -1030,3 +1078,243 @@ def test_compare_table_is_pinned():
     rows = _compare_table_rows()
     assert set(COMPARE_TABLE) <= set(rows)
     assert {k: v for k, v in rows.items() if v != _SAMPLED_ROW} == COMPARE_TABLE
+
+
+# ---------------------------------------------------------------------------
+# Pinned classification table
+#
+# Twelve germs over six bases, plus one HF row.  The bases hold the
+# families alone; the families beside concrete ratio, weight and interval
+# constraints and fineness pins (a concrete constraint bounds one k, so
+# the family is still cited at the sample parameter, with the base's own
+# pin as completion); the concrete constraints alone; the families over a
+# window; the families with no universe; and the fineness family alone.
+
+_HF = make_universe(HF_MODE, 4)
+
+
+def _classify_table_rows() -> dict[str, str]:
+    evens0 = _evens_of_block_zero()
+    one = class_from_values("one", [nat(6)])
+    families = [parametric_ratio(evens0, ODD), parametric_interval(), parametric_weight()]
+    concrete = [ratio(evens0, ODD, 5), weight(7), interval(9), fineness(nat(1)),
+                fineness(ord_value(1, 0))]
+    theorem = ordinal_theorem_base(U, [(evens0, ODD)])
+    window = [nat(i) for i in range(8)] + [ord_value(1, 0), pad(0), pad(1)]
+    bases = {
+        "families": theorem,
+        "families+concrete": theorem.with_constraints(concrete),
+        "concrete": FilterBase(tuple(concrete), universe=U),
+        "window": fineness_base(U, window).with_constraints(families),
+        "no-universe": FilterBase(theorem.constraints),
+        "fineness": fineness_base(U),
+    }
+    events = {c: germ_of_event(IDENT, c) for c in (EVEN, ODD, ON, evens0, one)}
+    germs = [
+        const_germ(0), const_germ(Fraction(1, 2)),
+        germ_arith("/", events[evens0], events[ODD]),
+        germ_arith("/", events[ODD], events[evens0]),
+        events[ON], events[evens0], events[one],
+        conditional_germ(IDENT, _LIM, IDENT, ON),
+        conditional_germ(IDENT, EVEN, IDENT, ON),
+        germ_arith("-", events[EVEN], events[EVEN]),
+        germ_arith("/", events[EVEN], events[EVEN]),
+        germ_of_event(even_shift_permutation(), ON),
+    ]
+    cases = [(name, fb, g) for name, fb in bases.items() for g in germs]
+    hf_pair = class_of_set(hf_set(list(islice(_HF.enumerate_universe(), 1, 3))))
+    cases.append(("hf-fineness", fineness_base(_HF), germ_of_event(IDENT, hf_pair)))
+    rows = {}
+    for name, fb, g in cases:
+        c = classify_infinitesimal(g, fb)
+        cites = "; ".join(x.describe() for x in c.sample_citations)
+        rows[f"{name}: {g.key()}"] = \
+            f"{c.status} {c.rule} k={c.sample_parameter} [{cites}] {c.note}"
+    return rows
+
+
+CLASSIFY_TABLE = {
+    "families: q(0)":
+        "approx_zero zero k=None [] the zero constant is below every 1/k",
+    "families: q(1/2)":
+        "not_approx_zero rational k=None [] |1/2| exceeds 1/k for large k",
+    "families: (ev(identity:evens0)/ev(identity:Odd))":
+        "approx_zero ratio-family k=3 [ratio(evens0,Odd,k=3); fineness(o0.1)] each k "
+        "is carried by the ratio constraint at that k",
+    "families: (ev(identity:Odd)/ev(identity:evens0))":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "families: ev(identity:On)":
+        "approx_zero weight-family k=3 [weight(m=3)] ordinal mass shrinks below 1/m "
+        "for every m",
+    "families: ev(identity:evens0)":
+        "approx_zero weight-family k=3 [weight(m=3)] ordinal mass shrinks below 1/m "
+        "for every m",
+    "families: ev(identity:one)":
+        "approx_zero fineness-dilution k=3 [fineness(o0.0); fineness(p0); "
+        "fineness(o0.1)] one meets at most 1 states, while pinned snapshots grow "
+        "without bound",
+    "families: cd(identity:Lim|identity:On)":
+        "approx_zero interval-family k=3 [interval(l=3); fineness(o0.0)] limit mass "
+        "under On shrinks below 1/l for every l",
+    "families: cd(identity:Even|identity:On)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "families: (ev(identity:Even)-ev(identity:Even))":
+        "approx_zero cancellation k=None [] the difference vanishes wherever defined",
+    "families: (ev(identity:Even)/ev(identity:Even))":
+        "not_approx_zero self-quotient k=None [] the quotient is 1 wherever it is "
+        "defined",
+    "families: ev(even-shift:On)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "families+concrete: q(0)":
+        "approx_zero zero k=None [] the zero constant is below every 1/k",
+    "families+concrete: q(1/2)":
+        "not_approx_zero rational k=None [] |1/2| exceeds 1/k for large k",
+    "families+concrete: (ev(identity:evens0)/ev(identity:Odd))":
+        "approx_zero ratio-family k=3 [ratio(evens0,Odd,k=3); fineness(o0.1)] each k "
+        "is carried by the ratio constraint at that k",
+    "families+concrete: (ev(identity:Odd)/ev(identity:evens0))":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "families+concrete: ev(identity:On)":
+        "approx_zero weight-family k=3 [weight(m=3)] ordinal mass shrinks below 1/m "
+        "for every m",
+    "families+concrete: ev(identity:evens0)":
+        "approx_zero weight-family k=3 [weight(m=3)] ordinal mass shrinks below 1/m "
+        "for every m",
+    "families+concrete: ev(identity:one)":
+        "approx_zero fineness-dilution k=3 [fineness(o0.0); fineness(p0); "
+        "fineness(o0.1)] one meets at most 1 states, while pinned snapshots grow "
+        "without bound",
+    "families+concrete: cd(identity:Lim|identity:On)":
+        "approx_zero interval-family k=3 [interval(l=3); fineness(o0.1)] limit mass "
+        "under On shrinks below 1/l for every l",
+    "families+concrete: cd(identity:Even|identity:On)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "families+concrete: (ev(identity:Even)-ev(identity:Even))":
+        "approx_zero cancellation k=None [] the difference vanishes wherever defined",
+    "families+concrete: (ev(identity:Even)/ev(identity:Even))":
+        "not_approx_zero self-quotient k=None [] the quotient is 1 wherever it is "
+        "defined",
+    "families+concrete: ev(even-shift:On)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "concrete: q(0)":
+        "approx_zero zero k=None [] the zero constant is below every 1/k",
+    "concrete: q(1/2)":
+        "not_approx_zero rational k=None [] |1/2| exceeds 1/k for large k",
+    "concrete: (ev(identity:evens0)/ev(identity:Odd))":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "concrete: (ev(identity:Odd)/ev(identity:evens0))":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "concrete: ev(identity:On)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "concrete: ev(identity:evens0)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "concrete: ev(identity:one)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "concrete: cd(identity:Lim|identity:On)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "concrete: cd(identity:Even|identity:On)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "concrete: (ev(identity:Even)-ev(identity:Even))":
+        "approx_zero cancellation k=None [] the difference vanishes wherever defined",
+    "concrete: (ev(identity:Even)/ev(identity:Even))":
+        "not_approx_zero self-quotient k=None [] the quotient is 1 wherever it is "
+        "defined",
+    "concrete: ev(even-shift:On)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "window: q(0)":
+        "approx_zero zero k=None [] the zero constant is below every 1/k",
+    "window: q(1/2)":
+        "not_approx_zero rational k=None [] |1/2| exceeds 1/k for large k",
+    "window: (ev(identity:evens0)/ev(identity:Odd))":
+        "approx_zero ratio-family k=3 [ratio(evens0,Odd,k=3); fineness(o0.1)] each k "
+        "is carried by the ratio constraint at that k",
+    "window: (ev(identity:Odd)/ev(identity:evens0))":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "window: ev(identity:On)":
+        "approx_zero weight-family k=3 [weight(m=3)] ordinal mass shrinks below 1/m "
+        "for every m",
+    "window: ev(identity:evens0)":
+        "approx_zero weight-family k=3 [weight(m=3)] ordinal mass shrinks below 1/m "
+        "for every m",
+    "window: ev(identity:one)":
+        "approx_zero fineness-dilution k=3 [fineness(o0.0); fineness(o0.1); "
+        "fineness(o0.2)] one meets at most 1 states, while pinned snapshots grow "
+        "without bound",
+    "window: cd(identity:Lim|identity:On)":
+        "approx_zero interval-family k=3 [interval(l=3); fineness(o0.0)] limit mass "
+        "under On shrinks below 1/l for every l",
+    "window: cd(identity:Even|identity:On)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "window: (ev(identity:Even)-ev(identity:Even))":
+        "approx_zero cancellation k=None [] the difference vanishes wherever defined",
+    "window: (ev(identity:Even)/ev(identity:Even))":
+        "not_approx_zero self-quotient k=None [] the quotient is 1 wherever it is "
+        "defined",
+    "window: ev(even-shift:On)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "no-universe: q(0)":
+        "approx_zero zero k=None [] the zero constant is below every 1/k",
+    "no-universe: q(1/2)":
+        "not_approx_zero rational k=None [] |1/2| exceeds 1/k for large k",
+    "no-universe: (ev(identity:evens0)/ev(identity:Odd))":
+        "approx_zero ratio-family k=3 [ratio(evens0,Odd,k=3)] each k is carried by "
+        "the ratio constraint at that k",
+    "no-universe: (ev(identity:Odd)/ev(identity:evens0))":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "no-universe: ev(identity:On)":
+        "approx_zero weight-family k=3 [weight(m=3)] ordinal mass shrinks below 1/m "
+        "for every m",
+    "no-universe: ev(identity:evens0)":
+        "approx_zero weight-family k=3 [weight(m=3)] ordinal mass shrinks below 1/m "
+        "for every m",
+    "no-universe: ev(identity:one)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "no-universe: cd(identity:Lim|identity:On)":
+        "approx_zero interval-family k=3 [interval(l=3)] limit mass under On shrinks "
+        "below 1/l for every l",
+    "no-universe: cd(identity:Even|identity:On)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "no-universe: (ev(identity:Even)-ev(identity:Even))":
+        "approx_zero cancellation k=None [] the difference vanishes wherever defined",
+    "no-universe: (ev(identity:Even)/ev(identity:Even))":
+        "not_approx_zero self-quotient k=None [] the quotient is 1 wherever it is "
+        "defined",
+    "no-universe: ev(even-shift:On)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "fineness: q(0)":
+        "approx_zero zero k=None [] the zero constant is below every 1/k",
+    "fineness: q(1/2)":
+        "not_approx_zero rational k=None [] |1/2| exceeds 1/k for large k",
+    "fineness: (ev(identity:evens0)/ev(identity:Odd))":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "fineness: (ev(identity:Odd)/ev(identity:evens0))":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "fineness: ev(identity:On)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "fineness: ev(identity:evens0)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "fineness: ev(identity:one)":
+        "approx_zero fineness-dilution k=3 [fineness(o0.0); fineness(p0); "
+        "fineness(o0.1)] one meets at most 1 states, while pinned snapshots grow "
+        "without bound",
+    "fineness: cd(identity:Lim|identity:On)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "fineness: cd(identity:Even|identity:On)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "fineness: (ev(identity:Even)-ev(identity:Even))":
+        "approx_zero cancellation k=None [] the difference vanishes wherever defined",
+    "fineness: (ev(identity:Even)/ev(identity:Even))":
+        "not_approx_zero self-quotient k=None [] the quotient is 1 wherever it is "
+        "defined",
+    "fineness: ev(even-shift:On)":
+        "undetermined  k=None [] no parametric family in the base covers this germ",
+    "hf-fineness: ev(identity:els{{{}},{{{}}}})":
+        "approx_zero fineness-dilution k=3 [fineness({}); fineness({{},{{}}}); "
+        "fineness({{{{}}}}); fineness({{{},{{}}}}); fineness({{},{{{}}}}); "
+        "fineness({{},{{},{{}}}})] els{{{}},{{{}}}} meets at most 2 states, while "
+        "pinned snapshots grow without bound",
+}
+
+
+def test_classify_table_is_pinned():
+    assert _classify_table_rows() == CLASSIFY_TABLE

@@ -438,12 +438,17 @@ PINNED_CLI = [
      0, "04a4dfae89d61437a1abb61303ba42652bb78ab14c5292146363894a3ac5311a"),
     ("audit --budget 20",
      0, "8c2b2d555e5380f557326fcfca48948b9ff873a6aa2e73dbe969ee9011d326c6"),
+    ("run docs/examples/ordinal_theorem.json --canonical",
+     0, "a6e73d9c86b27bb61bc0f01fe17b21cefe6181de4361249ab18909ecaa532b24"),
+    ("run docs/examples/window_even.json --canonical",
+     0, "a8f341bdbeceac620a904060ea95934f879247d8048b9142393c3ff1ef70638a"),
 ]
 
 
 @pytest.mark.parametrize("command, code, digest", PINNED_CLI,
                          ids=[c for c, _, _ in PINNED_CLI])
-def test_cli_stdout_and_exit_are_pinned(command, code, digest, capsys):
+def test_cli_stdout_and_exit_are_pinned(command, code, digest, capsys, monkeypatch):
+    monkeypatch.chdir(SRC.parent)  # `run` rows name their documents from the root
     assert cli.main(command.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
