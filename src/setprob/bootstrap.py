@@ -144,8 +144,7 @@ class RestrictionAudit:
         return ", ".join(f"{name}={'ok' if ok else 'FAIL'}" for name, ok in bits)
 
 
-def _map_constraint(c: Constraint, window_codes: set[str],
-                    window: tuple[SetValue, ...]) -> Constraint | None:
+def _map_constraint(c: Constraint, window_codes: set[str]) -> Constraint | None:
     if c.tag == TAG_FINENESS:
         return c if c.x.code in window_codes else None
     if c.tag == TAG_SUBSET_BOUND:
@@ -188,7 +187,7 @@ def restrict_base(
                 f"cap {alpha}; restriction is not justified")
     mapped: list[Constraint] = []
     for c in fb.constraints:
-        m = _map_constraint(c, window_codes, window)
+        m = _map_constraint(c, window_codes)
         if m is not None and m not in mapped:
             mapped.append(m)
     restricted = FilterBase(

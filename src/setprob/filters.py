@@ -21,7 +21,7 @@ import itertools
 import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ConstructionFailed,
@@ -186,6 +186,16 @@ def expand_parametric(c: Constraint, param: int) -> Constraint:
 
 # ---------------------------------------------------------------------------
 # Membership
+
+
+def _ordinal_blocks(states: Iterable[SetValue]) -> dict[int, set[int]]:
+    """For each limit block a, the b of every ordinal w*a+b among states."""
+    blocks: dict[int, set[int]] = {}
+    for s in states:
+        if s.is_ordinal:
+            a, b = s.ord_parts
+            blocks.setdefault(a, set()).add(b)
+    return blocks
 
 
 def _ordinal_runs(t: Snapshot) -> list[int]:
@@ -634,78 +644,6 @@ def _shuffled_stream(stream: Iterator[SetValue],
         yield from chunk
 
 
-def _isolation_ok(cand: SetValue, l: int, avoid_classes: Sequence[ClassSpec],
-                  occupied: Iterable[SetValue]) -> bool:
-    """True when [cand-l, cand+l] avoids the classes and stays clear of
-    already-placed ordinals, so interval closure cannot leak into them."""
-    a, b = cand.ord_parts
-    for d in range(-l, l + 1):
-        if b + d < 0:
-            continue
-        neighbour = ord_value(a, b + d)
-        if any(cls.membership(neighbour) for cls in avoid_classes):
-            return False
-    for s in occupied:
-        if s.is_ordinal and s.ord_parts[0] == a and abs(s.ord_parts[1] - b) <= l:
-            return False
-    return True
-
-
-def _close_intervals(states: set[SetValue], l: int,
-                     protected: Sequence[ClassSpec] = ()) -> list[SetValue]:
-    """Extend every maximal ordinal run to at least l+1 states.
-
-    With no protected classes this is plain successor closure, adding
-    the l states after each run.  Otherwise the window covering the run
-    may slide backwards, choosing the placement that adds the fewest
-    protected-class members; ties resolve toward successor closure.
-    """
-    added: list[SetValue] = []
-    blocks = _ordinal_blocks(states)
-    for a, bs in blocks.items():
-        for b in sorted(bs):
-            run_start = b
-            while run_start - 1 in bs:
-                run_start -= 1
-            if run_start != b:
-                continue  # each run is handled once, from its left end
-            run_end = b
-            while run_end + 1 in bs:
-                run_end += 1
-            if run_end - run_start + 1 >= l + 1:
-                continue
-
-            def cost(start: int) -> int:
-                return sum(1 for nb in range(start, start + l + 1)
-                           if nb not in bs
-                           and any(p.membership(ord_value(a, nb))
-                                   for p in protected))
-
-            best = run_start
-            if protected:
-                lo = max(0, run_end - l)
-                best = min(range(lo, run_start + 1),
-                           key=lambda s0: (cost(s0), run_start - s0))
-            for nb in range(best, best + l + 1):
-                if nb not in bs:
-                    v = ord_value(a, nb)
-                    added.append(v)
-                    bs.add(nb)
-    for v in added:
-        states.add(v)
-    return added
-
-
-def _ordinal_blocks(states: Iterable[SetValue]) -> dict[int, set[int]]:
-    """For each limit block a, the b of every ordinal w*a+b among states."""
-    blocks: dict[int, set[int]] = {}
-    for s in states:
-        if s.is_ordinal:
-            a, b = s.ord_parts
-            blocks.setdefault(a, set()).add(b)
-    return blocks
-
-
 def _touch_test(protected: Sequence[ClassSpec]) -> Callable[[int, int], bool]:
     """touches(a, nb): whether w*a+nb lies in a protected class.  The
     classes are fixed, so each answer is computed once and remembered."""
@@ -720,45 +658,115 @@ def _touch_test(protected: Sequence[ClassSpec]) -> Callable[[int, int], bool]:
     return touches
 
 
+def _run_through(bs: Container[int], b: int, reach: int) -> tuple[int, int]:
+    """The first and last b of the run through b among the b's `bs` of
+    one block, b itself counted as present.  The run is walked at most
+    `reach` states each way, so a run longer than that is cut there."""
+    r0 = b
+    while r0 > b - reach and r0 - 1 in bs:
+        r0 -= 1
+    r1 = b
+    while r1 < b + reach and r1 + 1 in bs:
+        r1 += 1
+    return r0, r1
+
+
+def _closing_windows(bs: Container[int], a: int, r0: int, r1: int, l: int,
+                     touches: Callable[[int, int], bool], most: int | None = None
+                     ) -> Iterator[tuple[int, int]]:
+    """The windows of l+1 states of block a that cover the run r0..r1,
+    nearest the run's start first, each as (start, cost): the number of
+    protected states it would add, b's outside the run and `bs` that
+    `touches`, counted up to `most`."""
+    for start in range(r0, max(0, r1 - l) - 1, -1):
+        cost = 0
+        for nb in range(start, start + l + 1):
+            if (nb < r0 or nb > r1) and nb not in bs and touches(a, nb):
+                cost += 1
+                if cost == most:
+                    break
+        yield start, cost
+
+
+def _isolation_ok(cand: SetValue, l: int, touches: Callable[[int, int], bool],
+                  present: Container[int]) -> bool:
+    """True when [cand-l, cand+l] avoids the protected classes
+    (`touches`) and every placed ordinal, so interval closure cannot
+    leak into them.  `present` holds the b of every placed ordinal in
+    cand's block, so only 2l+1 states are read."""
+    a, b = cand.ord_parts
+    return not any(nb in present or touches(a, nb)
+                   for nb in range(max(0, b - l), b + l + 1))
+
+
+def _close_intervals(states: _Tally, l: int,
+                     touches: Callable[[int, int], bool] | None = None
+                     ) -> list[SetValue]:
+    """Extend every maximal ordinal run of the tally to at least l+1
+    states, adding to it; return the states added.
+
+    The runs are read off the tally's `blocks`, which each add keeps up
+    to date.  With no protected classes (`touches` None) this is plain
+    successor closure, adding the l states after each run.  Otherwise
+    the window closing the run may slide backwards (`_closing_windows`),
+    to the one that adds the fewest protected-class states; ties go to
+    the run's start, that is to successor closure.
+    """
+    added: list[SetValue] = []
+    for a, bs in states.blocks.items():
+        for b in sorted(bs):
+            if b - 1 in bs:
+                continue  # each run is handled once, from its left end
+            _, r1 = _run_through(bs, b, l)
+            if r1 - b + 1 > l:
+                continue
+            best = b
+            if touches is not None:
+                best, _ = min(_closing_windows(bs, a, b, r1, l, touches),
+                              key=lambda w: w[1])
+            for nb in range(best, best + l + 1):
+                if nb not in bs:
+                    v = ord_value(a, nb)
+                    added.append(v)
+                    states.add(v)
+    return added
+
+
 def _run_feasible(cand: SetValue, l: int, touches: Callable[[int, int], bool],
-                  present: Iterable[int]) -> bool:
+                  present: Container[int]) -> bool:
     """True when cand's run could be closed without touching protected
     classes (`touches`, from `_touch_test`): either the merged run is
-    already long enough, or some window of l+1 states covering it stays
-    clear.
+    already long enough, or some window of l+1 states covering it
+    (`_closing_windows`) adds no protected state.
 
     `present` holds the b of every placed ordinal in cand's block.  The
     run is walked at most l states each way, which is enough to tell
-    whether it is long enough, so the cost does not grow with the
-    number of placed states.
+    whether it is long enough.  A window's count stops at its first
+    protected state and the search at the first clear window, so the
+    cost does not grow with the number of placed states.
     """
     a, b = cand.ord_parts
-    r0 = b
-    while r0 > b - l and r0 - 1 in present:
-        r0 -= 1
-    r1 = b
-    while r1 < b + l and r1 + 1 in present:
-        r1 += 1
-    if r1 - r0 + 1 >= l + 1:
+    r0, r1 = _run_through(present, b, l)
+    if r1 - r0 + 1 > l:
         return True
-    for start in range(max(0, r1 - l), r0 + 1):
-        if all(nb == b or nb in present or not touches(a, nb)
-               for nb in range(start, start + l + 1)):
-            return True
-    return False
+    return any(cost == 0 for _, cost in
+               _closing_windows(present, a, r0, r1, l, touches, most=1))
 
 
 class _Tally:
-    """The state set of one witness-search attempt, with the counts its
+    """The state set of one witness construction, with the counts its
     constraints read, updated on every add and discard.
 
     It keeps one count per distinct side of the constraints' `form`s,
     under the side itself (a code set by value, a class or predicate as
-    an object) and, for interval constraints, the b of every ordinal
-    w*a+b by block a with the number of maximal runs of at most L
-    states, L the largest interval parameter: a run of at most l <= L
+    an object) and, for interval constraints, `blocks`: the b of every
+    ordinal w*a+b by block a, with the number of maximal runs of at most
+    L states, L the largest interval parameter: a run of at most l <= L
     states is one of them.  `satisfied` is then the boolean
     `constraint_membership` gives on the Snapshot of the states.
+    Run closure (`_close_intervals`), run feasibility (`_run_feasible`)
+    and isolation (`_isolation_ok`) read the runs off `blocks`, so none
+    of them scans the placed states.
     As for a set, adding a present state or discarding an absent one
     changes nothing.
     """
@@ -844,17 +852,13 @@ class _Tally:
     def _place(self, a: int, b: int, sign: int) -> None:
         """Add (sign 1) or remove (sign -1) w*a+b in its block: the runs
         just below and above b join into one run through b, or split off
-        from it.  Each run is walked only as far as `_reach`."""
+        from it.  Each run is walked only as far as `_reach`
+        (`_run_through`)."""
         bs = self.blocks.setdefault(a, set())
         bs.discard(b)
-        below = 0
-        while below < self._reach and b - below - 1 in bs:
-            below += 1
-        above = 0
-        while above < self._reach and b + above + 1 in bs:
-            above += 1
-        for length, change in ((below, -sign), (above, -sign),
-                               (below + above + 1, sign)):
+        r0, r1 = _run_through(bs, b, self._reach)
+        for length, change in ((b - r0, -sign), (r1 - b, -sign),
+                               (r1 - r0 + 1, sign)):
             if 0 < length <= self._limit:
                 self._short += change
         if sign > 0:
@@ -929,7 +933,7 @@ def find_witness(
 
     # growth inside these classes needs compensation elsewhere, so the
     # interval machinery steers closures away from them
-    protected = [f.small for f in grown]
+    closing = _touch_test([f.small for f in grown]) if grown else None
     avoid_for_pads = [cls for f in grown for cls in (f.small, f.big)]
     # one memoised run-closure test per class a repair grows around
     touch_tests = {f.small: _touch_test([f.small]) for f in grown}
@@ -941,11 +945,10 @@ def find_witness(
             base = cls.enumerate(exclusions=states)
         return _shuffled_stream(base, rng)
 
-    def grow(states: _Tally, form: _CountForm, need: int) -> bool:
+    def grow(states: _Tally, form: _CountForm, need: int) -> None:
         # First pass insists the candidate's run can close without
         # touching the small class; the fallback drops that demand and
         # leaves the spill to the next repair round.
-        got = 0
         small = form.small
         touches = touch_tests[small]
         for strict in (True, False):
@@ -961,10 +964,9 @@ def find_witness(
                                               states.blocks.get(cand.ord_parts[0], ())):
                     continue
                 states.add(cand)
-                got += 1
-                if got == need:
-                    return True
-        return got >= need
+                need -= 1
+                if not need:
+                    return
 
     def pad_stream(states: _Tally, ordinal: bool = False) -> Iterator[SetValue]:
         # pads, non-ordinal window states or HF sets; with `ordinal`, the
@@ -994,18 +996,13 @@ def find_witness(
 
     for attempt in range(4):
         states = _Tally(cs, pins)
-        progressed = True
         for _ in range(10):
-            if states.satisfied() and not progressed:
-                break
-            progressed = False
             for form in grown:
                 deficit = states.excess(form)
-                if deficit > 0 and grow(states, form, deficit):
-                    progressed = True
+                if deficit > 0:
+                    grow(states, form, deficit)
             if interval_c:
-                if _close_intervals(states, interval_c, protected):
-                    progressed = True
+                _close_intervals(states, interval_c, closing)
             for form in padded:
                 deficit = states.excess(form)
                 if deficit > 0:
@@ -1013,9 +1010,7 @@ def find_witness(
                     if got < deficit and form.small is None:
                         # a window short of other states: ordinals fill a
                         # size floor, whose small side counts nothing
-                        got += pad(states, deficit - got, ordinal=True)
-                    if got:
-                        progressed = True
+                        pad(states, deficit - got, ordinal=True)
             if max_size is not None and len(states) >= max_size:
                 break
             if states.satisfied():
@@ -1191,6 +1186,10 @@ def ordinal_witness(
     Isolation is what lets the successor closure avoid the first
     classes; if a pinned ordinal's successors land in one anyway, the
     construction refuses rather than silently repairing.
+
+    The states live in a `_Tally` over the certified constraints, so a
+    pair's deficit is the excess of its ratio form, and the isolation
+    and closure of a candidate read its block of the tally's `blocks`.
     """
     if universe.mode != ORDINAL_MODE:
         raise WrongMode("ordinal_witness needs an ordinal-mode universe")
@@ -1200,66 +1199,59 @@ def ordinal_witness(
     pin_list = list(dict.fromkeys(pins))
     n_pins = len(pin_list)
     pair_list = sorted(pairs, key=lambda p: (p[0].tier._order_key(), p[0].name))
+    cs = ordinal_constraints(pin_list, k, l, m, pair_list)
 
-    states: set[SetValue] = set(pin_list)
+    states = _Tally(cs, pin_list)
     if not states:
         # No pins: seed one run now so the result is nonempty.  The seed
         # must precede pair growth, or its run would add unbalanced
         # first-class mass after the ratios were already settled.
         states.add(ord_value(0, 0))
 
-    def live(cls: ClassSpec) -> int:
-        return sum(1 for s in states if cls.membership(s))
-
     # Successor closure of the pin runs comes first.  States it adds may
     # land in a pair's first class; the pair's growth below is computed
-    # from live counts, so such states are absorbed, not repaired.
+    # from the tally's counts, so such states are absorbed, not repaired.
     _close_intervals(states, l)
 
     # Pairs in ascending tier order.  Growth for a later pair may add to
     # an earlier pair's second class (harmless) but never to a guarded
     # first class, so balanced ratios stay balanced.
     guarded: list[ClassSpec] = []
-    for cls_a, cls_b in pair_list:
+    ratios = [c.form for c in cs if c.tag == TAG_RATIO]
+    for (cls_a, cls_b), form in zip(pair_list, ratios):
         guard = guarded + [cls_a]
-        need = max(k * n_pins, k * live(cls_a) - live(cls_b))
+        touches = _touch_test(guard)
+        need = max(k * n_pins, states.excess(form))
         while need > 0:
             chosen = cls_b.take_fresh(
                 need,
-                exclusions=list(states),
-                predicate=lambda v: (
-                    v.is_ordinal
-                    and not any(g.membership(v) for g in guard)
-                    and _isolation_ok(v, l, guard, states)
-                ),
+                exclusions=states,
+                predicate=lambda v: v.is_ordinal and _isolation_ok(
+                    v, l, touches, states.blocks.get(v.ord_parts[0], ())),
             )
-            states.update(chosen)
-            added = _close_intervals(states, l, guard)
-            for v in added:
+            for v in chosen:
+                states.add(v)
+            for v in _close_intervals(states, l, touches):
                 hit = next((g for g in guard if g.membership(v)), None)
                 if hit is not None:
                     raise ConstructionFailed(
                         f"interval closure state {v.pretty()} landed in "
                         f"{hit.name}; the pins are not l-isolated from it")
-            need = k * live(cls_a) - live(cls_b)
+            need = states.excess(form)
         guarded.append(cls_a)
 
-    j = len(states)
-    pad_need = j * m
+    # nothing reads the tally's counts after this, so pads skip it
+    pad_need = len(states) * m
     avoid = [a for a, _ in pair_list] + [b for _, b in pair_list]
-    got = []
+    pads: list[SetValue] = []
     for cand in universe.pads():
-        if len(got) == pad_need:
+        if len(pads) == pad_need:
             break
-        if cand in states:
+        if cand in states or any(cls.membership(cand) for cls in avoid):
             continue
-        if any(cls.membership(cand) for cls in avoid):
-            continue
-        got.append(cand)
-    states.update(got)
+        pads.append(cand)
 
-    return _verified(Snapshot(states),
-                     ordinal_constraints(pin_list, k, l, m, pair_list), universe.mode)
+    return _verified(Snapshot([*states, *pads]), cs, universe.mode)
 
 
 # ---------------------------------------------------------------------------

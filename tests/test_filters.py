@@ -1,7 +1,7 @@
 """Constraint membership, FIP checking, witness constructors."""
 
 import random
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -52,7 +52,7 @@ from setprob import (
     weight,
 )
 from setprob.cli import registry_classes
-from setprob.errors import ConstructionFailed, WrongMode
+from setprob.errors import ConstructionFailed, EnumerationExhausted, WrongMode
 from setprob import filters
 from setprob.filters import state_pool
 from setprob.universe import PREFIX_MEMO_CAP
@@ -572,6 +572,294 @@ def test_ordinal_witness_property(k, l, m, pinset):
     assert constraint_membership(weight(m), w, U.mode)
 
 
+# ordinal_witness over a grid of pins, k, l, m and tier-ordered class
+# pairs, recorded before its states moved onto a `_Tally`: each row is
+# the witness's codes with consecutive ones written as a range (o0.3-6
+# is o0.3 o0.4 o0.5 o0.6), or the text of the construction's refusal.
+_GRID_PINS = {"-": [], "o0.3": [nat(3)], "o0.1+o1.2": [nat(1), ord_value(1, 2)]}
+_GRID_PAIRS = {"-": [], "m4:e1": [(M4, E1)], "m4:e1,e1:o2": [(M4, E1), (E1, O2)]}
+ORDINAL_WITNESS_TABLE = {
+    "- k1l1m1 -": "o0.0-1 p0-1",
+    "- k1l1m1 m4:e1": "o0.0-1 p0-1",
+    "- k1l1m1 m4:e1,e1:o2": "o0.0-1 p0-1",
+    "- k1l1m2 -": "o0.0-1 p0-3",
+    "- k1l1m2 m4:e1": "o0.0-1 p0-3",
+    "- k1l1m2 m4:e1,e1:o2": "o0.0-1 p0-3",
+    "- k1l1m3 -": "o0.0-1 p0-5",
+    "- k1l1m3 m4:e1": "o0.0-1 p0-5",
+    "- k1l1m3 m4:e1,e1:o2": "o0.0-1 p0-5",
+    "- k1l2m1 -": "o0.0-2 p0-2",
+    "- k1l2m1 m4:e1": "o0.0-2 p0-2",
+    "- k1l2m1 m4:e1,e1:o2": "o0.0-2 p0-2",
+    "- k1l2m2 -": "o0.0-2 p0-5",
+    "- k1l2m2 m4:e1": "o0.0-2 p0-5",
+    "- k1l2m2 m4:e1,e1:o2": "o0.0-2 p0-5",
+    "- k1l2m3 -": "o0.0-2 p0-8",
+    "- k1l2m3 m4:e1": "o0.0-2 p0-8",
+    "- k1l2m3 m4:e1,e1:o2": "o0.0-2 p0-8",
+    "- k1l3m1 -": "o0.0-3 p0-3",
+    "- k1l3m1 m4:e1": "o0.0-3 p0-3",
+    "- k1l3m1 m4:e1,e1:o2": "o0.0-3 p0-3",
+    "- k1l3m2 -": "o0.0-3 p0-7",
+    "- k1l3m2 m4:e1": "o0.0-3 p0-7",
+    "- k1l3m2 m4:e1,e1:o2": "o0.0-3 p0-7",
+    "- k1l3m3 -": "o0.0-3 p0-11",
+    "- k1l3m3 m4:e1": "o0.0-3 p0-11",
+    "- k1l3m3 m4:e1,e1:o2": "o0.0-3 p0-11",
+    "- k2l1m1 -": "o0.0-1 p0-1",
+    "- k2l1m1 m4:e1": "o0.0-1 o1.0-1 p0-3",
+    "- k2l1m1 m4:e1,e1:o2": "o0.0-1 o1.0-1 p0-3",
+    "- k2l1m2 -": "o0.0-1 p0-3",
+    "- k2l1m2 m4:e1": "o0.0-1 o1.0-1 p0-7",
+    "- k2l1m2 m4:e1,e1:o2": "o0.0-1 o1.0-1 p0-7",
+    "- k2l1m3 -": "o0.0-1 p0-5",
+    "- k2l1m3 m4:e1": "o0.0-1 o1.0-1 p0-11",
+    "- k2l1m3 m4:e1,e1:o2": "o0.0-1 o1.0-1 p0-11",
+    "- k2l2m1 -": "o0.0-2 p0-2",
+    "- k2l2m1 m4:e1": "o0.0-2 p0-2",
+    "- k2l2m1 m4:e1,e1:o2": "o0.0-2 o2.0-2 p0-5",
+    "- k2l2m2 -": "o0.0-2 p0-5",
+    "- k2l2m2 m4:e1": "o0.0-2 p0-5",
+    "- k2l2m2 m4:e1,e1:o2": "o0.0-2 o2.0-2 p0-11",
+    "- k2l2m3 -": "o0.0-2 p0-8",
+    "- k2l2m3 m4:e1": "o0.0-2 p0-8",
+    "- k2l2m3 m4:e1,e1:o2": "o0.0-2 o2.0-2 p0-17",
+    "- k2l3m1 -": "o0.0-3 p0-3",
+    "- k2l3m1 m4:e1": "o0.0-3 p0-3",
+    "- k2l3m1 m4:e1,e1:o2": "o0.0-3 p0-3",
+    "- k2l3m2 -": "o0.0-3 p0-7",
+    "- k2l3m2 m4:e1": "o0.0-3 p0-7",
+    "- k2l3m2 m4:e1,e1:o2": "o0.0-3 p0-7",
+    "- k2l3m3 -": "o0.0-3 p0-11",
+    "- k2l3m3 m4:e1": "o0.0-3 p0-11",
+    "- k2l3m3 m4:e1,e1:o2": "o0.0-3 p0-11",
+    "- k3l1m1 -": "o0.0-1 p0-1",
+    "- k3l1m1 m4:e1": "o0.0-1 o1.0-2 p0-4",
+    "- k3l1m1 m4:e1,e1:o2": "o0.0-1 o1.0-2 o2.0-3 p0-8",
+    "- k3l1m2 -": "o0.0-1 p0-3",
+    "- k3l1m2 m4:e1": "o0.0-1 o1.0-2 p0-9",
+    "- k3l1m2 m4:e1,e1:o2": "o0.0-1 o1.0-2 o2.0-3 p0-17",
+    "- k3l1m3 -": "o0.0-1 p0-5",
+    "- k3l1m3 m4:e1": "o0.0-1 o1.0-2 p0-14",
+    "- k3l1m3 m4:e1,e1:o2": "o0.0-1 o1.0-2 o2.0-3 p0-26",
+    "- k3l2m1 -": "o0.0-2 p0-2",
+    "- k3l2m1 m4:e1": "o0.0-2 o1.0-2 p0-5",
+    "- k3l2m1 m4:e1,e1:o2": "o0.0-2 o1.0-2 o2.0-5 p0-11",
+    "- k3l2m2 -": "o0.0-2 p0-5",
+    "- k3l2m2 m4:e1": "o0.0-2 o1.0-2 p0-11",
+    "- k3l2m2 m4:e1,e1:o2": "o0.0-2 o1.0-2 o2.0-5 p0-23",
+    "- k3l2m3 -": "o0.0-2 p0-8",
+    "- k3l2m3 m4:e1": "o0.0-2 o1.0-2 p0-17",
+    "- k3l2m3 m4:e1,e1:o2": "o0.0-2 o1.0-2 o2.0-5 p0-35",
+    "- k3l3m1 -": "o0.0-3 p0-3",
+    "- k3l3m1 m4:e1": "o0.0-3 o1.0-3 p0-7",
+    "- k3l3m1 m4:e1,e1:o2": "o0.0-3 o1.0-3 o2.0-3 p0-11",
+    "- k3l3m2 -": "o0.0-3 p0-7",
+    "- k3l3m2 m4:e1": "o0.0-3 o1.0-3 p0-15",
+    "- k3l3m2 m4:e1,e1:o2": "o0.0-3 o1.0-3 o2.0-3 p0-23",
+    "- k3l3m3 -": "o0.0-3 p0-11",
+    "- k3l3m3 m4:e1": "o0.0-3 o1.0-3 p0-23",
+    "- k3l3m3 m4:e1,e1:o2": "o0.0-3 o1.0-3 o2.0-3 p0-35",
+    "o0.3 k1l1m1 -": "o0.3-4 p0-1",
+    "o0.3 k1l1m1 m4:e1": "o0.3-4 o1.0-1 p0-3",
+    "o0.3 k1l1m1 m4:e1,e1:o2": "o0.3-4 o1.0-1 o2.0-1 p0-5",
+    "o0.3 k1l1m2 -": "o0.3-4 p0-3",
+    "o0.3 k1l1m2 m4:e1": "o0.3-4 o1.0-1 p0-7",
+    "o0.3 k1l1m2 m4:e1,e1:o2": "o0.3-4 o1.0-1 o2.0-1 p0-11",
+    "o0.3 k1l1m3 -": "o0.3-4 p0-5",
+    "o0.3 k1l1m3 m4:e1": "o0.3-4 o1.0-1 p0-11",
+    "o0.3 k1l1m3 m4:e1,e1:o2": "o0.3-4 o1.0-1 o2.0-1 p0-17",
+    "o0.3 k1l2m1 -": "o0.3-5 p0-2",
+    "o0.3 k1l2m1 m4:e1": "o0.3-5 o1.0-2 p0-5",
+    "o0.3 k1l2m1 m4:e1,e1:o2": "o0.3-5 o1.0-2 o2.0-2 p0-8",
+    "o0.3 k1l2m2 -": "o0.3-5 p0-5",
+    "o0.3 k1l2m2 m4:e1": "o0.3-5 o1.0-2 p0-11",
+    "o0.3 k1l2m2 m4:e1,e1:o2": "o0.3-5 o1.0-2 o2.0-2 p0-17",
+    "o0.3 k1l2m3 -": "o0.3-5 p0-8",
+    "o0.3 k1l2m3 m4:e1": "o0.3-5 o1.0-2 p0-17",
+    "o0.3 k1l2m3 m4:e1,e1:o2": "o0.3-5 o1.0-2 o2.0-2 p0-26",
+    "o0.3 k1l3m1 -": "o0.3-6 p0-3",
+    "o0.3 k1l3m1 m4:e1": "o0.3-6 o1.0-3 p0-7",
+    "o0.3 k1l3m1 m4:e1,e1:o2": "o0.3-6 o1.0-3 o2.0-3 p0-11",
+    "o0.3 k1l3m2 -": "o0.3-6 p0-7",
+    "o0.3 k1l3m2 m4:e1": "o0.3-6 o1.0-3 p0-15",
+    "o0.3 k1l3m2 m4:e1,e1:o2": "o0.3-6 o1.0-3 o2.0-3 p0-23",
+    "o0.3 k1l3m3 -": "o0.3-6 p0-11",
+    "o0.3 k1l3m3 m4:e1": "o0.3-6 o1.0-3 p0-23",
+    "o0.3 k1l3m3 m4:e1,e1:o2": "o0.3-6 o1.0-3 o2.0-3 p0-35",
+    "o0.3 k2l1m1 -": "o0.3-4 p0-1",
+    "o0.3 k2l1m1 m4:e1": "o0.3-4 o1.0-2 p0-4",
+    "o0.3 k2l1m1 m4:e1,e1:o2": "o0.3-4 o1.0-2 o2.0-1 p0-6",
+    "o0.3 k2l1m2 -": "o0.3-4 p0-3",
+    "o0.3 k2l1m2 m4:e1": "o0.3-4 o1.0-2 p0-9",
+    "o0.3 k2l1m2 m4:e1,e1:o2": "o0.3-4 o1.0-2 o2.0-1 p0-13",
+    "o0.3 k2l1m3 -": "o0.3-4 p0-5",
+    "o0.3 k2l1m3 m4:e1": "o0.3-4 o1.0-2 p0-14",
+    "o0.3 k2l1m3 m4:e1,e1:o2": "o0.3-4 o1.0-2 o2.0-1 p0-20",
+    "o0.3 k2l2m1 -": "o0.3-5 p0-2",
+    "o0.3 k2l2m1 m4:e1": "o0.3-5 o1.0-2 p0-5",
+    "o0.3 k2l2m1 m4:e1,e1:o2": "o0.3-5 o1.0-2 o2.0-2 p0-8",
+    "o0.3 k2l2m2 -": "o0.3-5 p0-5",
+    "o0.3 k2l2m2 m4:e1": "o0.3-5 o1.0-2 p0-11",
+    "o0.3 k2l2m2 m4:e1,e1:o2": "o0.3-5 o1.0-2 o2.0-2 p0-17",
+    "o0.3 k2l2m3 -": "o0.3-5 p0-8",
+    "o0.3 k2l2m3 m4:e1": "o0.3-5 o1.0-2 p0-17",
+    "o0.3 k2l2m3 m4:e1,e1:o2": "o0.3-5 o1.0-2 o2.0-2 p0-26",
+    "o0.3 k2l3m1 -": "o0.3-6 p0-3",
+    "o0.3 k2l3m1 m4:e1": "o0.3-6 o1.0-3 p0-7",
+    "o0.3 k2l3m1 m4:e1,e1:o2": "o0.3-6 o1.0-3 o2.0-3 p0-11",
+    "o0.3 k2l3m2 -": "o0.3-6 p0-7",
+    "o0.3 k2l3m2 m4:e1": "o0.3-6 o1.0-3 p0-15",
+    "o0.3 k2l3m2 m4:e1,e1:o2": "o0.3-6 o1.0-3 o2.0-3 p0-23",
+    "o0.3 k2l3m3 -": "o0.3-6 p0-11",
+    "o0.3 k2l3m3 m4:e1": "o0.3-6 o1.0-3 p0-23",
+    "o0.3 k2l3m3 m4:e1,e1:o2": "o0.3-6 o1.0-3 o2.0-3 p0-35",
+    "o0.3 k3l1m1 -": "o0.3-4 p0-1",
+    "o0.3 k3l1m1 m4:e1": "o0.3-4 o1.0-2 o1.4-5 p0-6",
+    "o0.3 k3l1m1 m4:e1,e1:o2": "o0.3-4 o1.0-2 o1.4-5 o2.0-4 p0-11",
+    "o0.3 k3l1m2 -": "o0.3-4 p0-3",
+    "o0.3 k3l1m2 m4:e1": "o0.3-4 o1.0-2 o1.4-5 p0-13",
+    "o0.3 k3l1m2 m4:e1,e1:o2": "o0.3-4 o1.0-2 o1.4-5 o2.0-4 p0-23",
+    "o0.3 k3l1m3 -": "o0.3-4 p0-5",
+    "o0.3 k3l1m3 m4:e1": "o0.3-4 o1.0-2 o1.4-5 p0-20",
+    "o0.3 k3l1m3 m4:e1,e1:o2": "o0.3-4 o1.0-2 o1.4-5 o2.0-4 p0-35",
+    "o0.3 k3l2m1 -": "o0.3-5 p0-2",
+    "o0.3 k3l2m1 m4:e1": "o0.3-5 o1.0-2 o1.4-6 p0-8",
+    "o0.3 k3l2m1 m4:e1,e1:o2": "o0.3-5 o1.0-2 o1.4-6 o2.0-5 p0-14",
+    "o0.3 k3l2m2 -": "o0.3-5 p0-5",
+    "o0.3 k3l2m2 m4:e1": "o0.3-5 o1.0-2 o1.4-6 p0-17",
+    "o0.3 k3l2m2 m4:e1,e1:o2": "o0.3-5 o1.0-2 o1.4-6 o2.0-5 p0-29",
+    "o0.3 k3l2m3 -": "o0.3-5 p0-8",
+    "o0.3 k3l2m3 m4:e1": "o0.3-5 o1.0-2 o1.4-6 p0-26",
+    "o0.3 k3l2m3 m4:e1,e1:o2": "o0.3-5 o1.0-2 o1.4-6 o2.0-5 p0-44",
+    "o0.3 k3l3m1 -": "o0.3-6 p0-3",
+    "o0.3 k3l3m1 m4:e1": "o0.3-6 o1.0-4 p0-8",
+    "o0.3 k3l3m1 m4:e1,e1:o2": "o0.3-6 o1.0-4 o2.0-5 p0-14",
+    "o0.3 k3l3m2 -": "o0.3-6 p0-7",
+    "o0.3 k3l3m2 m4:e1": "o0.3-6 o1.0-4 p0-17",
+    "o0.3 k3l3m2 m4:e1,e1:o2": "o0.3-6 o1.0-4 o2.0-5 p0-29",
+    "o0.3 k3l3m3 -": "o0.3-6 p0-11",
+    "o0.3 k3l3m3 m4:e1": "o0.3-6 o1.0-4 p0-26",
+    "o0.3 k3l3m3 m4:e1,e1:o2": "o0.3-6 o1.0-4 o2.0-5 p0-44",
+    "o0.1+o1.2 k1l1m1 -": "o0.1-2 o1.2-3 p0-3",
+    "o0.1+o1.2 k1l1m1 m4:e1": "o0.1-2 o0.6-7 o1.0-3 p0-7",
+    "o0.1+o1.2 k1l1m1 m4:e1,e1:o2": "o0.1-2 o0.6-7 o1.0-3 o2.0-1 p0-9",
+    "o0.1+o1.2 k1l1m2 -": "o0.1-2 o1.2-3 p0-7",
+    "o0.1+o1.2 k1l1m2 m4:e1": "o0.1-2 o0.6-7 o1.0-3 p0-15",
+    "o0.1+o1.2 k1l1m2 m4:e1,e1:o2": "o0.1-2 o0.6-7 o1.0-3 o2.0-1 p0-19",
+    "o0.1+o1.2 k1l1m3 -": "o0.1-2 o1.2-3 p0-11",
+    "o0.1+o1.2 k1l1m3 m4:e1": "o0.1-2 o0.6-7 o1.0-3 p0-23",
+    "o0.1+o1.2 k1l1m3 m4:e1,e1:o2": "o0.1-2 o0.6-7 o1.0-3 o2.0-1 p0-29",
+    "o0.1+o1.2 k1l2m1 -": "o0.1-3 o1.2-4 p0-5",
+    "o0.1+o1.2 k1l2m1 m4:e1": "o0.1-3 o1.2-4 o1.8-10 p0-8",
+    "o0.1+o1.2 k1l2m1 m4:e1,e1:o2": "o0.1-3 o1.2-4 o1.8-10 o2.0-2 p0-11",
+    "o0.1+o1.2 k1l2m2 -": "o0.1-3 o1.2-4 p0-11",
+    "o0.1+o1.2 k1l2m2 m4:e1": "o0.1-3 o1.2-4 o1.8-10 p0-17",
+    "o0.1+o1.2 k1l2m2 m4:e1,e1:o2": "o0.1-3 o1.2-4 o1.8-10 o2.0-2 p0-23",
+    "o0.1+o1.2 k1l2m3 -": "o0.1-3 o1.2-4 p0-17",
+    "o0.1+o1.2 k1l2m3 m4:e1": "o0.1-3 o1.2-4 o1.8-10 p0-26",
+    "o0.1+o1.2 k1l2m3 m4:e1,e1:o2": "o0.1-3 o1.2-4 o1.8-10 o2.0-2 p0-35",
+    "o0.1+o1.2 k1l3m1 -": "o0.1-4 o1.2-5 p0-7",
+    "o0.1+o1.2 k1l3m1 m4:e1": "o0.1-4 o1.2-5 o1.10-13 p0-11",
+    "o0.1+o1.2 k1l3m1 m4:e1,e1:o2": "o0.1-4 o1.2-5 o1.10-13 o2.0-3 p0-15",
+    "o0.1+o1.2 k1l3m2 -": "o0.1-4 o1.2-5 p0-15",
+    "o0.1+o1.2 k1l3m2 m4:e1": "o0.1-4 o1.2-5 o1.10-13 p0-23",
+    "o0.1+o1.2 k1l3m2 m4:e1,e1:o2": "o0.1-4 o1.2-5 o1.10-13 o2.0-3 p0-31",
+    "o0.1+o1.2 k1l3m3 -": "o0.1-4 o1.2-5 p0-23",
+    "o0.1+o1.2 k1l3m3 m4:e1": "o0.1-4 o1.2-5 o1.10-13 p0-35",
+    "o0.1+o1.2 k1l3m3 m4:e1,e1:o2": "o0.1-4 o1.2-5 o1.10-13 o2.0-3 p0-47",
+    "o0.1+o1.2 k2l1m1 -": "o0.1-2 o1.2-3 p0-3",
+    "o0.1+o1.2 k2l1m1 m4:e1": "o0.1-2 o0.6-7 o1.0-3 o1.6-8 p0-10",
+    "o0.1+o1.2 k2l1m1 m4:e1,e1:o2": "o0.1-2 o0.6-7 o1.0-3 o1.6-8 o2.0-3 p0-14",
+    "o0.1+o1.2 k2l1m2 -": "o0.1-2 o1.2-3 p0-7",
+    "o0.1+o1.2 k2l1m2 m4:e1": "o0.1-2 o0.6-7 o1.0-3 o1.6-8 p0-21",
+    "o0.1+o1.2 k2l1m2 m4:e1,e1:o2": "o0.1-2 o0.6-7 o1.0-3 o1.6-8 o2.0-3 p0-29",
+    "o0.1+o1.2 k2l1m3 -": "o0.1-2 o1.2-3 p0-11",
+    "o0.1+o1.2 k2l1m3 m4:e1": "o0.1-2 o0.6-7 o1.0-3 o1.6-8 p0-32",
+    "o0.1+o1.2 k2l1m3 m4:e1,e1:o2": "o0.1-2 o0.6-7 o1.0-3 o1.6-8 o2.0-3 p0-44",
+    "o0.1+o1.2 k2l2m1 -": "o0.1-3 o1.2-4 p0-5",
+    "o0.1+o1.2 k2l2m1 m4:e1": "o0.1-3 o1.2-4 o1.8-10 o1.12-14 p0-11",
+    "o0.1+o1.2 k2l2m1 m4:e1,e1:o2": "o0.1-3 o1.2-4 o1.8-10 o1.12-14 o2.0-3 p0-15",
+    "o0.1+o1.2 k2l2m2 -": "o0.1-3 o1.2-4 p0-11",
+    "o0.1+o1.2 k2l2m2 m4:e1": "o0.1-3 o1.2-4 o1.8-10 o1.12-14 p0-23",
+    "o0.1+o1.2 k2l2m2 m4:e1,e1:o2": "o0.1-3 o1.2-4 o1.8-10 o1.12-14 o2.0-3 p0-31",
+    "o0.1+o1.2 k2l2m3 -": "o0.1-3 o1.2-4 p0-17",
+    "o0.1+o1.2 k2l2m3 m4:e1": "o0.1-3 o1.2-4 o1.8-10 o1.12-14 p0-35",
+    "o0.1+o1.2 k2l2m3 m4:e1,e1:o2": "o0.1-3 o1.2-4 o1.8-10 o1.12-14 o2.0-3 p0-47",
+    "o0.1+o1.2 k2l3m1 -": "o0.1-4 o1.2-5 p0-7",
+    "o0.1+o1.2 k2l3m1 m4:e1": "o0.1-4 o1.2-5 o1.10-14 o1.16-19 p0-16",
+    "o0.1+o1.2 k2l3m1 m4:e1,e1:o2": "o0.1-4 o1.2-5 o1.10-14 o1.16-19 o2.0-3 p0-20",
+    "o0.1+o1.2 k2l3m2 -": "o0.1-4 o1.2-5 p0-15",
+    "o0.1+o1.2 k2l3m2 m4:e1": "o0.1-4 o1.2-5 o1.10-14 o1.16-19 p0-33",
+    "o0.1+o1.2 k2l3m2 m4:e1,e1:o2": "o0.1-4 o1.2-5 o1.10-14 o1.16-19 o2.0-3 p0-41",
+    "o0.1+o1.2 k2l3m3 -": "o0.1-4 o1.2-5 p0-23",
+    "o0.1+o1.2 k2l3m3 m4:e1": "o0.1-4 o1.2-5 o1.10-14 o1.16-19 p0-50",
+    "o0.1+o1.2 k2l3m3 m4:e1,e1:o2": "o0.1-4 o1.2-5 o1.10-14 o1.16-19 o2.0-3 p0-62",
+    "o0.1+o1.2 k3l1m1 -": "o0.1-2 o1.2-3 p0-3",
+    "o0.1+o1.2 k3l1m1 m4:e1": "o0.1-2 o0.6-7 o0.10-11 o1.0-3 o1.6-8 o1.10-11 p0-14",
+    "o0.1+o1.2 k3l1m1 m4:e1,e1:o2":
+        "o0.1-2 o0.6-7 o0.10-11 o1.0-3 o1.6-8 o1.10-11 o2.0-8 p0-23",
+    "o0.1+o1.2 k3l1m2 -": "o0.1-2 o1.2-3 p0-7",
+    "o0.1+o1.2 k3l1m2 m4:e1": "o0.1-2 o0.6-7 o0.10-11 o1.0-3 o1.6-8 o1.10-11 p0-29",
+    "o0.1+o1.2 k3l1m2 m4:e1,e1:o2":
+        "o0.1-2 o0.6-7 o0.10-11 o1.0-3 o1.6-8 o1.10-11 o2.0-8 p0-47",
+    "o0.1+o1.2 k3l1m3 -": "o0.1-2 o1.2-3 p0-11",
+    "o0.1+o1.2 k3l1m3 m4:e1": "o0.1-2 o0.6-7 o0.10-11 o1.0-3 o1.6-8 o1.10-11 p0-44",
+    "o0.1+o1.2 k3l1m3 m4:e1,e1:o2":
+        "o0.1-2 o0.6-7 o0.10-11 o1.0-3 o1.6-8 o1.10-11 o2.0-8 p0-71",
+    "o0.1+o1.2 k3l2m1 -": "o0.1-3 o1.2-4 p0-5",
+    "o0.1+o1.2 k3l2m1 m4:e1": "o0.1-3 o1.2-4 o1.8-10 o1.12-14 o1.16-18 p0-14",
+    "o0.1+o1.2 k3l2m1 m4:e1,e1:o2":
+        "o0.1-3 o1.2-4 o1.8-10 o1.12-14 o1.16-18 o2.0-11 p0-26",
+    "o0.1+o1.2 k3l2m2 -": "o0.1-3 o1.2-4 p0-11",
+    "o0.1+o1.2 k3l2m2 m4:e1": "o0.1-3 o1.2-4 o1.8-10 o1.12-14 o1.16-18 p0-29",
+    "o0.1+o1.2 k3l2m2 m4:e1,e1:o2":
+        "o0.1-3 o1.2-4 o1.8-10 o1.12-14 o1.16-18 o2.0-11 p0-53",
+    "o0.1+o1.2 k3l2m3 -": "o0.1-3 o1.2-4 p0-17",
+    "o0.1+o1.2 k3l2m3 m4:e1": "o0.1-3 o1.2-4 o1.8-10 o1.12-14 o1.16-18 p0-44",
+    "o0.1+o1.2 k3l2m3 m4:e1,e1:o2":
+        "o0.1-3 o1.2-4 o1.8-10 o1.12-14 o1.16-18 o2.0-11 p0-80",
+    "o0.1+o1.2 k3l3m1 -": "o0.1-4 o1.2-5 p0-7",
+    "o0.1+o1.2 k3l3m1 m4:e1": "o0.1-4 o1.2-5 o1.10-14 o1.16-20 p0-17",
+    "o0.1+o1.2 k3l3m1 m4:e1,e1:o2": "o0.1-4 o1.2-5 o1.10-14 o1.16-20 o2.0-11 p0-29",
+    "o0.1+o1.2 k3l3m2 -": "o0.1-4 o1.2-5 p0-15",
+    "o0.1+o1.2 k3l3m2 m4:e1": "o0.1-4 o1.2-5 o1.10-14 o1.16-20 p0-35",
+    "o0.1+o1.2 k3l3m2 m4:e1,e1:o2": "o0.1-4 o1.2-5 o1.10-14 o1.16-20 o2.0-11 p0-59",
+    "o0.1+o1.2 k3l3m3 -": "o0.1-4 o1.2-5 p0-23",
+    "o0.1+o1.2 k3l3m3 m4:e1": "o0.1-4 o1.2-5 o1.10-14 o1.16-20 p0-53",
+    "o0.1+o1.2 k3l3m3 m4:e1,e1:o2": "o0.1-4 o1.2-5 o1.10-14 o1.16-20 o2.0-11 p0-89",
+}
+
+
+def _code_ranges(t):
+    """The codes of t, sorted by head then number, with consecutive runs
+    collapsed to first-last."""
+    groups = {}
+    for s in t:
+        head = f"o{s.ord_parts[0]}." if s.is_ordinal else "p"
+        groups.setdefault(head, []).append(int(s.code.removeprefix(head)))
+    out = []
+    for head in sorted(groups):
+        ns = sorted(groups[head])
+        starts = [n for n in ns if n - 1 not in ns]
+        ends = [n for n in ns if n + 1 not in ns]
+        out.extend(f"{head}{i}" if i == j else f"{head}{i}-{j}"
+                   for i, j in zip(starts, ends))
+    return " ".join(out)
+
+
+def test_ordinal_witness_table_is_pinned():
+    rows = {}
+    for (pn, pins), k, l, m, (qn, pairs) in product(
+            _GRID_PINS.items(), (1, 2, 3), (1, 2, 3), (1, 2, 3), _GRID_PAIRS.items()):
+        try:
+            row = _code_ranges(ordinal_witness(U, pins, k=k, l=l, m=m, pairs=pairs))
+        except (ConstructionFailed, EnumerationExhausted) as e:
+            row = f"{type(e).__name__}: {e}"
+        rows[f"{pn} k{k}l{l}m{m} {qn}"] = row
+    assert rows == ORDINAL_WITNESS_TABLE
+
+
 def _feasible_by_scanning_states(cand, l, protected, states):
     """_run_feasible as first written: the run is read off all states."""
     a, b = cand.ord_parts
@@ -601,6 +889,106 @@ def test_run_feasible_reads_only_the_candidate_block(a, b, l, placed, names):
     touches = filters._touch_test(protected)
     assert filters._run_feasible(ord_value(a, b), l, touches, present) == \
         _feasible_by_scanning_states(ord_value(a, b), l, protected, states)
+
+
+def _close_by_rebuilding_blocks(states, l, protected):
+    """_close_intervals as first written: the blocks are rebuilt from a
+    set of states, and a window's cost is asked of the classes."""
+    added = []
+    blocks = {}
+    for s in states:
+        if s.is_ordinal:
+            blocks.setdefault(s.ord_parts[0], set()).add(s.ord_parts[1])
+    for a, bs in blocks.items():
+        for b in sorted(bs):
+            run_start = b
+            while run_start - 1 in bs:
+                run_start -= 1
+            if run_start != b:
+                continue
+            run_end = b
+            while run_end + 1 in bs:
+                run_end += 1
+            if run_end - run_start + 1 >= l + 1:
+                continue
+
+            def cost(start):
+                return sum(1 for nb in range(start, start + l + 1)
+                           if nb not in bs
+                           and any(p.membership(ord_value(a, nb)) for p in protected))
+
+            best = run_start
+            if protected:
+                lo = max(0, run_end - l)
+                best = min(range(lo, run_start + 1),
+                           key=lambda s0: (cost(s0), run_start - s0))
+            for nb in range(best, best + l + 1):
+                if nb not in bs:
+                    added.append(ord_value(a, nb))
+                    bs.add(nb)
+    states.update(added)
+    return added
+
+
+def _isolated_by_scanning_states(cand, l, avoid_classes, occupied):
+    """_isolation_ok as first written: every placed state is read."""
+    a, b = cand.ord_parts
+    for d in range(-l, l + 1):
+        if b + d >= 0 and any(cls.membership(ord_value(a, b + d))
+                              for cls in avoid_classes):
+            return False
+    return not any(s.is_ordinal and s.ord_parts[0] == a
+                   and abs(s.ord_parts[1] - b) <= l for s in occupied)
+
+
+_PLACED = st.sets(st.tuples(st.integers(0, 1), st.integers(0, 30)), max_size=20)
+_PROTECTED = st.sampled_from([(), ("Even",), ("Odd", "Lim"), ("mult4_t0",)])
+
+
+def _classes(names):
+    return [REG[n] if n in REG else U.builtin_class(n) for n in names]
+
+
+@given(st.integers(1, 4), _PLACED, _PROTECTED, st.sampled_from([(), (pad(0), pad(3))]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_close_intervals_on_a_tally_matches_the_set_closure(l, placed, names, pads):
+    protected = _classes(names)
+    states = {ord_value(a, b) for a, b in placed} | set(pads)
+    tally = filters._Tally([interval(l)], states)
+    touches = filters._touch_test(protected) if protected else None
+    added = filters._close_intervals(tally, l, touches)
+    expected = _close_by_rebuilding_blocks(states, l, protected)
+    assert sorted(v.code for v in added) == sorted(v.code for v in expected)
+    assert tally.states == states and tally.satisfied()
+
+
+@given(st.integers(0, 1), st.integers(0, 30), st.integers(1, 4), _PLACED, _PROTECTED)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_isolation_reads_only_the_candidate_block(a, b, l, placed, names):
+    guard = _classes(names)
+    tally = filters._Tally([interval(l)], [ord_value(pa, pb) for pa, pb in placed])
+    assert filters._isolation_ok(ord_value(a, b), l, filters._touch_test(guard),
+                                 tally.blocks.get(a, ())) == \
+        _isolated_by_scanning_states(ord_value(a, b), l, guard, tally.states)
+
+
+@given(st.integers(0, 1), st.integers(0, 30), st.integers(1, 4), _PLACED,
+       _PROTECTED.filter(bool))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_a_feasible_run_closes_clear_of_the_protected_classes(a, b, l, placed, names):
+    # grow's strict pass keeps only candidates whose run can close clear
+    # of the classes; the closure after it must then find such a window.
+    touches = filters._touch_test(_classes(names))
+    tally = filters._Tally([interval(l)], [ord_value(pa, pb) for pa, pb in placed])
+    filters._close_intervals(tally, l, touches)  # every run but cand's is long
+    cand = ord_value(a, b)
+    if cand in tally or not filters._run_feasible(cand, l, touches,
+                                                  tally.blocks.get(a, ())):
+        return
+    tally.add(cand)
+    added = filters._close_intervals(tally, l, touches)
+    assert not any(touches(*v.ord_parts) for v in added)
+    assert tally.satisfied()
 
 
 # ---------------------------------------------------------------------------
