@@ -710,7 +710,8 @@ def _close_intervals(states: _Tally, l: int,
     successor closure, adding the l states after each run.  Otherwise
     the window closing the run may slide backwards (`_closing_windows`),
     to the one that adds the fewest protected-class states; ties go to
-    the run's start, that is to successor closure.
+    the run's start, that is to successor closure.  So a run that starts
+    at a state isolated from them (`_isolation_ok`) closes as with none.
     """
     added: list[SetValue] = []
     for a, bs in states.blocks.items():
@@ -1100,6 +1101,11 @@ def generate_witnesses(
 # Superregularity witness loop
 
 
+def _tier_order(pair: tuple[ClassSpec, ...]) -> tuple:
+    """Class pairs go by the declared tier of their first class, then its name."""
+    return pair[0].tier, pair[0].name
+
+
 def superreg_witness(
     pins: Iterable[SetValue],
     pairs: Sequence[tuple[ClassSpec, ClassSpec, int]],
@@ -1123,26 +1129,21 @@ def superreg_witness(
             raise WrongMode(
                 f"need tier({cls_a.name}) < tier({cls_b.name}); "
                 f"got {cls_a.tier.describe()} vs {cls_b.tier.describe()}")
-    pair_list.sort(key=lambda p: (p[0].tier._order_key(), p[0].name))
+    pair_list.sort(key=_tier_order)
     n_max = max((n for _, _, n in pair_list), default=1)
 
     pin_list = list(pins)
-    states: dict[str, SetValue] = {p.code: p for p in pin_list}
+    states = set(pin_list)
     seen_first: list[ClassSpec] = []
     for cls_a, cls_b, _ in pair_list:
         seen_first.append(cls_a)
-        avoid = list(seen_first)
-        a_count = sum(1 for v in states.values() if cls_a.membership(v))
-        need = n_max * a_count
+        need = n_max * sum(1 for v in states if cls_a.membership(v))
         if need:
-            fresh = cls_b.take_fresh(
-                need,
-                exclusions=list(states.values()),
-                predicate=lambda v: not any(a.membership(v) for a in avoid),
-            )
-            for v in fresh:
-                states[v.code] = v
-    return _verified(Snapshot(states.values()),
+            # take_fresh has read the predicate before seen_first grows
+            states.update(cls_b.take_fresh(
+                need, exclusions=states,
+                predicate=lambda v: not any(a.membership(v) for a in seen_first)))
+    return _verified(Snapshot(states),
                      superreg_constraints(pair_list, pin_list), None)
 
 
@@ -1184,24 +1185,24 @@ def ordinal_witness(
     and existing ordinals; close every ordinal run with l successors;
     pad with j*m non-ordinal states for j the number of states so far.
     Isolation is what lets the successor closure avoid the first
-    classes; if a pinned ordinal's successors land in one anyway, the
-    construction refuses rather than silently repairing.
+    classes: an isolated state's l successors lie in its neighbourhood.
 
-    The states live in a `_Tally` over the certified constraints, so a
-    pair's deficit is the excess of its ratio form, and the isolation
-    and closure of a candidate read its block of the tally's `blocks`.
+    The states live in a `_Tally` over the pair ratios and interval(l),
+    all the construction reads: a pair's deficit is the excess of its
+    ratio form, and the isolation and closure of a candidate read its
+    block of the tally's `blocks`.  `_verified` checks the result
+    against every certified constraint.
     """
     if universe.mode != ORDINAL_MODE:
         raise WrongMode("ordinal_witness needs an ordinal-mode universe")
-    for value, low in ((k, 1), (l, 1), (m, 1)):
-        if value < low:
-            raise ValueError("k, l, m must all be >= 1")
+    if min(k, l, m) < 1:
+        raise ValueError("k, l, m must all be >= 1")
     pin_list = list(dict.fromkeys(pins))
-    n_pins = len(pin_list)
-    pair_list = sorted(pairs, key=lambda p: (p[0].tier._order_key(), p[0].name))
+    pair_list = sorted(pairs, key=_tier_order)
     cs = ordinal_constraints(pin_list, k, l, m, pair_list)
+    ratios = [c for c in cs if c.tag == TAG_RATIO]
 
-    states = _Tally(cs, pin_list)
+    states = _Tally([*ratios, interval(l)], pin_list)
     if not states:
         # No pins: seed one run now so the result is nonempty.  The seed
         # must precede pair growth, or its run would add unbalanced
@@ -1217,27 +1218,18 @@ def ordinal_witness(
     # an earlier pair's second class (harmless) but never to a guarded
     # first class, so balanced ratios stay balanced.
     guarded: list[ClassSpec] = []
-    ratios = [c.form for c in cs if c.tag == TAG_RATIO]
-    for (cls_a, cls_b), form in zip(pair_list, ratios):
-        guard = guarded + [cls_a]
-        touches = _touch_test(guard)
-        need = max(k * n_pins, states.excess(form))
+    for (cls_a, cls_b), c in zip(pair_list, ratios):
+        touches = _touch_test(guarded + [cls_a])
+        need = max(k * len(pin_list), states.excess(c.form))
         while need > 0:
-            chosen = cls_b.take_fresh(
-                need,
-                exclusions=states,
-                predicate=lambda v: v.is_ordinal and _isolation_ok(
-                    v, l, touches, states.blocks.get(v.ord_parts[0], ())),
-            )
-            for v in chosen:
+            for v in cls_b.take_fresh(
+                    need,
+                    exclusions=states,
+                    predicate=lambda v: v.is_ordinal and _isolation_ok(
+                        v, l, touches, states.blocks.get(v.ord_parts[0], ()))):
                 states.add(v)
-            for v in _close_intervals(states, l, touches):
-                hit = next((g for g in guard if g.membership(v)), None)
-                if hit is not None:
-                    raise ConstructionFailed(
-                        f"interval closure state {v.pretty()} landed in "
-                        f"{hit.name}; the pins are not l-isolated from it")
-            need = states.excess(form)
+            _close_intervals(states, l)
+            need = states.excess(c.form)
         guarded.append(cls_a)
 
     # nothing reads the tally's counts after this, so pads skip it
@@ -1335,10 +1327,10 @@ def powerset_witness_extend(
     outside the other), plus a maximal-rank anchor so additions stay at
     the current level and cannot disturb judgements at lower levels.
     """
-    states: dict[str, SetValue] = {s.code: s for s in base_snapshot}
+    states = set(base_snapshot)
 
     def count(cls: ClassSpec) -> int:
-        return sum(1 for v in states.values() if cls.membership(v))
+        return sum(1 for v in states if cls.membership(v))
 
     def base_values(cls: ClassSpec) -> set[SetValue]:
         return set(_power_base_values(cls))
@@ -1355,29 +1347,28 @@ def powerset_witness_extend(
                     f"no separator inside {cls.name} against {other.name}: "
                     "the judgement slice is inconsistent")
             separators.append(seps)
-        fixed: dict[str, SetValue] = {}
+        fixed: set[SetValue] = set()
         uncovered = list(range(len(separators)))
         while uncovered:
             best = max(sorted(own, key=lambda v: v._key),
                        key=lambda v: sum(1 for i in uncovered if v in separators[i]))
-            fixed[best.code] = best
+            fixed.add(best)
             uncovered = [i for i in uncovered if best not in separators[i]]
         max_rank = max((rank(v) for v in own), default=0)
-        tops = [v for v in fixed.values() if rank(v) == max_rank]
+        tops = [v for v in fixed if rank(v) == max_rank]
         if not tops:
             tops = [v for v in own if rank(v) == max_rank]
-        anchor = min(tops, key=lambda v: v._key)
-        fixed[anchor.code] = anchor
-        rest = sorted((v for v in own if v.code not in fixed), key=lambda v: v._key)
+        fixed.add(min(tops, key=lambda v: v._key))
+        rest = sorted((v for v in own if v not in fixed), key=lambda v: v._key)
         added = 0
         for size in range(0, len(rest) + 1):
             for combo in itertools.combinations(rest, size):
-                cand = hf_set(tuple(fixed.values()) + combo)
-                if cand.code in states:
+                cand = hf_set([*fixed, *combo])
+                if cand in states:
                     continue
                 if any(other.membership(cand) for other in avoid):
                     continue
-                states[cand.code] = cand
+                states.add(cand)
                 added += 1
                 if added == need:
                     return
@@ -1412,6 +1403,6 @@ def powerset_witness_extend(
             raise ConstructionFailed("strict step failed to exceed the previous position")
         prev_max = counts_now[0]
 
-    return _verified(Snapshot(states.values()),
+    return _verified(Snapshot(states),
                      [c for c in judgements.constraints
                       if c.tag in (TAG_ORDER_LT, TAG_ORDER_GE, TAG_FINENESS)], None)

@@ -125,7 +125,7 @@ def _parse(parse, text: str, what: str):
     """`parse(text)` for outside input: malformed text is a validation error."""
     try:
         return parse(text)
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError, RecursionError) as exc:
         raise ScenarioValidationError(
             f"bad {what} {text!r}: {exc.args[0]}") from exc
 

@@ -175,10 +175,14 @@ class _Cursor:
         self.pos += len(expected)
 
     def int_until(self, stops: str) -> int:
+        """A plain ASCII decimal up to the next stop: no sign, space or leading zero."""
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos] not in stops:
             self.pos += 1
-        return int(self.text[start:self.pos])
+        digits = self.text[start:self.pos]
+        if digits.isascii() and digits.isdigit() and digits == str(int(digits)):
+            return int(digits)
+        raise ValueError(f"bad code at {start}: {digits!r} is not a plain integer")
 
 
 def _parse_value(cur: _Cursor) -> SetValue:

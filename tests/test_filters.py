@@ -196,6 +196,14 @@ def test_fip_order_conflict_refuted():
     assert result.refuted_subset is not None and len(result.refuted_subset) == 2
 
 
+def test_fip_strict_orders_both_ways_refuted():
+    even, odd = U.builtin_class("Even"), U.builtin_class("Odd")
+    pair = (order_lt(even, odd), order_lt(odd, even))
+    result = check_fip(FilterBase(pair, universe=U))
+    assert result.status == "refuted"
+    assert result.refuted_subset == pair
+
+
 def test_fip_irreflexive_strict_order_refuted():
     result = check_fip(FilterBase((order_lt(M4, M4),), universe=U))
     assert result.status == "refuted"
@@ -989,6 +997,34 @@ def test_a_feasible_run_closes_clear_of_the_protected_classes(a, b, l, placed, n
     added = filters._close_intervals(tally, l, touches)
     assert not any(touches(*v.ord_parts) for v in added)
     assert tally.satisfied()
+
+
+@given(st.integers(1, 4), _PLACED, _PLACED.filter(bool),
+       st.sets(st.tuples(st.integers(0, 1), st.integers(0, 30)), max_size=6))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_isolated_states_close_as_plain_successor_closure(l, placed, guard, cands):
+    # ordinal_witness adds states that pass _isolation_ok against its
+    # guard classes, all judged before any is added, then closes the runs
+    # without the guard: the guarded closure would add the same states.
+    touches = filters._touch_test(
+        [class_from_values("G", [ord_value(a, b) for a, b in guard])])
+
+    def closed_tally():
+        tally = filters._Tally([interval(l)], [ord_value(a, b) for a, b in placed])
+        filters._close_intervals(tally, l)  # every run but the new ones is long
+        return tally
+
+    guarded, plain = closed_tally(), closed_tally()
+    chosen = [ord_value(a, b) for a, b in sorted(cands)
+              if filters._isolation_ok(ord_value(a, b), l, touches,
+                                       guarded.blocks.get(a, ()))]
+    for tally in (guarded, plain):
+        for v in chosen:
+            tally.add(v)
+    added = filters._close_intervals(guarded, l, touches)
+    assert added == filters._close_intervals(plain, l)
+    assert not any(touches(*v.ord_parts) for v in added)
+    assert guarded.satisfied()
 
 
 # ---------------------------------------------------------------------------

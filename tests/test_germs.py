@@ -56,7 +56,7 @@ from setprob import (
 )
 from setprob import CardinalityTier, HF_MODE, ORDINAL_MODE
 from setprob.cli import registry_classes
-from setprob.errors import DivisionUndefined
+from setprob.errors import DivisionUndefined, EmptySnapshot
 
 IDENT = identity_rv()
 U = make_universe(ORDINAL_MODE, 3)
@@ -139,6 +139,11 @@ def test_conditional_germ_null_condition_is_division_error():
         g.eval_at(snapshot(pad(0), pad(1)))
 
 
+def test_conditional_germ_at_the_empty_snapshot_is_an_error():
+    with pytest.raises(EmptySnapshot):
+        conditional_germ(IDENT, EVEN, IDENT, ON).eval_at(Snapshot(()))
+
+
 def test_joint_germ_eval():
     pi = even_shift_permutation()
     g = joint_germ(IDENT, EVEN, pi, EVEN)
@@ -177,6 +182,13 @@ def test_star_sum_of_partition_germs_is_union_germ():
     for t in (snapshot(nat(0), nat(1), nat(2)),
               snapshot(nat(3), nat(4), nat(5), nat(6), pad(0))):
         assert summed.eval_at(t) == direct.eval_at(t)
+
+
+def test_star_sum_describes_its_terms():
+    terms = [germ_of_event(IDENT, EVEN), Fraction(1, 2)]
+    assert star_sum(terms).describe() == "(Pr[identity in Even] (+) 1/2)"
+    assert star_sum(terms, index=[nat(1), nat(2)]).describe() == \
+        "partial-sum(1:Pr[identity in Even], 2:1/2)"
 
 
 def test_germ_keys_distinguish_structures():
@@ -336,6 +348,12 @@ def test_window_cap_counts_distinct_states():
     assert sum(v.evidence.values()) == 2 ** 14 - 1
 
 
+def test_window_past_the_cap_is_sampled():
+    fb = FilterBase((), universe=U, window=tuple(nat(i) for i in range(15)))
+    v = compare(germ_of_event(IDENT, EVEN), "le", const_germ(1), fb)
+    assert (v.status, v.rule) == (UNDETERMINED, "sampled")
+
+
 # ---------------------------------------------------------------------------
 # Infinitesimal classification
 
@@ -426,6 +444,16 @@ def test_audit_weight_claim_clean():
     assert v.status == FORCED
     report = audit_verdict(v, fb, random.Random(3), witness_count=20)
     assert report.clean
+
+
+def test_antisym_forces_equal_value_classes():
+    # two classes with the same values, listed in another order
+    a = class_from_values("A", [ord_value(0, 1), ord_value(0, 2)])
+    b = class_from_values("B", [ord_value(0, 2), ord_value(0, 1)])
+    fb = fineness_base(U)
+    for rel, status in (("eq", FORCED), ("lt", FORCED_NOT)):
+        v = compare(germ_of_event(IDENT, a), rel, germ_of_event(IDENT, b), fb)
+        assert (v.status, v.rule) == (status, "subset-antisym")
 
 
 def test_antisym_leaves_abs_le_alone():

@@ -587,6 +587,11 @@ def test_malformed_query_is_recorded_as_its_error(query, error):
     ({"classes": [{"name": "A", "kind": "values", "values": ["o0.1", "o0.3"],
                    "tier": {"finite": 1}}]},
      cli.EXIT_VALIDATION, "class A has more members than its tier finite(1) declares"),
+    ({"classes": [{"name": "Z", "kind": "values", "values": ["o01.2"]}]},
+     cli.EXIT_VALIDATION, "bad state code 'o01.2': "),
+    # parsed by recursion, so nesting past the stack is a bad code too
+    ({"classes": [{"name": "N", "kind": "values", "values": ["{" * 3000 + "}" * 3000]}]},
+     cli.EXIT_VALIDATION, "bad state code '{{{"),
 ])
 def test_outside_input_is_a_validation_error(doc, code, message, tmp_path, capsys):
     # Exit 2 while the context is built; inside a query, the query's error.

@@ -85,6 +85,12 @@ def test_parse_code_rejects_garbage():
     for bad in ("", "o1", "{", "els{}", "q7", "i(1,3#Nat,c0(),s1(3#Nat),n0())"):
         with pytest.raises(ValueError):
             parse_code(bad)
+    # integers are plain ASCII decimals: no sign, space, underscore,
+    # leading zero or other script's digits
+    for bad in ("o01.2", "o+1.2", "o 1.2", "o-0.1", "o0.01", "p1_0", "p\u0663",
+                "{o0.1 }", "p00", "o.1", "p"):
+        with pytest.raises(ValueError, match="not a plain integer"):
+            parse_code(bad)
 
 
 def test_rank_small_sets():
@@ -561,6 +567,16 @@ def test_translate_singleton_by_two():
     assert moved.membership(ord_value(1, 2))
     assert not moved.membership(ord_value(1, 0))
     assert list(moved.enumerate()) == [ord_value(1, 2)]
+
+
+def test_translate_by_a_limit_over_a_finite_base():
+    # {3, w} + (w+2) = {w+2, w2+2}: the block of the sum is read off
+    # the finite base's members
+    moved = translate_class(class_from_values("F", [nat(3), ord_value(1, 0)]),
+                            ord_value(1, 2))
+    assert moved.membership(ord_value(1, 2)) and moved.membership(ord_value(2, 2))
+    assert not moved.membership(ord_value(3, 2))
+    assert not moved.membership(ord_value(2, 3))
 
 
 def test_translate_by_limit_collapses_finite_part(ord_universe):
