@@ -38,6 +38,7 @@ from .universe import (
     UniverseHandle,
     canonical,
     class_of_set,
+    excerpt,
     hf_set,
     ord_value,
     power_class,
@@ -453,7 +454,7 @@ def constraint_from_text(text: str, classes: dict[str, ClassSpec] | None = None)
 
     head, _, rest = text.partition("(")
     if not rest.endswith(")"):
-        raise ValueError(f"bad constraint text {text!r}")
+        raise ValueError(f"bad constraint text {excerpt(text)}")
     body = rest[:-1]
     if head == "fineness":
         return fineness(parse_code(body))
@@ -630,9 +631,27 @@ def check_fip(fb: FilterBase, rng: random.Random | None = None,
 # Generic witness search
 
 
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle x in place as `rng.shuffle(x)` does, with its `_randbelow`
+    written out: the same permutation, and the generator left in the
+    same state.  This replays `random.Random.shuffle` for any generator
+    whose draws come from `getrandbits`, which covers every
+    `random.Random` setprob builds; it saves one Python call per element
+    on the witness searches' hottest draws."""
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 def _shuffled_stream(stream: Iterator[SetValue],
                      rng: random.Random | None) -> Iterator[SetValue]:
-    """Optionally shuffle within consecutive buffers of 64; order stays seeded."""
+    """Optionally shuffle within consecutive buffers of 64 (`_shuffle`,
+    the draws of `rng.shuffle`); order stays seeded."""
     if rng is None:
         yield from stream
         return
@@ -640,7 +659,7 @@ def _shuffled_stream(stream: Iterator[SetValue],
         chunk = list(itertools.islice(stream, 64))
         if not chunk:
             return
-        rng.shuffle(chunk)
+        _shuffle(rng, chunk)
         yield from chunk
 
 
@@ -905,9 +924,12 @@ def find_witness(
     ten repair rounds, each repair and padding, and the search for one
     state when the empty set satisfies everything, scanning at most
     `scan_cap` candidates, and an attempt whose snapshot has grown past `scan_cap`
-    states is given up.  With an rng, a found snapshot then takes up to
+    states is given up.  With an rng, candidates come in shuffled buffers
+    (`_shuffled_stream`), and a found snapshot then takes up to
     `decorate` random extra states that keep every constraint, drawn
-    from the window, or else from the first 120 universe states.
+    from the window, or else from the first 120 universe states, in the
+    order `_shuffle` puts them.  Every shuffle makes the draws of
+    `rng.shuffle`, so a seed gives the witnesses it always gave.
 
     Each attempt keeps its states in a `_Tally`, so a candidate is judged
     on the forms' counts instead of a fresh Snapshot.  The Snapshot is
@@ -1035,7 +1057,7 @@ def find_witness(
                     source = universe.prefix(120) if universe is not None else []
                 codes = {s.code for s in states}
                 pool = [v for v in source if v.code not in codes]
-                rng.shuffle(pool)
+                _shuffle(rng, pool)
                 added = 0
                 for cand in pool:
                     if added >= decorate or \

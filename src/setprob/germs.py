@@ -261,6 +261,22 @@ def _judge(relation: Callable[[Fraction, Fraction], bool], left: Callable,
         return None
 
 
+def _judge_each(relation: Callable[[Fraction, Fraction], bool], lg: Germ,
+                rg: Germ, witnesses: list[Snapshot]) -> list[bool | None]:
+    """`_judge` of the relation between lg and rg at each witness, in order.
+
+    Both germs are compiled once, over one Snapshot of every state the
+    witnesses hold, and each witness is judged at its own mask there.  A
+    compiled germ reads a mask only through the states it selects, so
+    each answer is the one `eval_at` on the witness itself would give.
+    """
+    union = Snapshot(itertools.chain.from_iterable(witnesses))
+    left, right = compile_germ(lg, union), compile_germ(rg, union)
+    bits = {s.code: 1 << i for i, s in enumerate(union.states)}
+    return [_judge(relation, left, right, sum(bits[s.code] for s in w))
+            for w in witnesses]
+
+
 FORCED = "forced"
 FORCED_NOT = "forced_not"
 UNDETERMINED = "undetermined"
@@ -708,16 +724,18 @@ def _sampled(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made,
     seed = zlib.crc32(f"{lg.key()}|{rel}|{rg.key()}".encode())
     rng = random.Random(seed)
     concrete = expand_base(fb)
-    tally = {True: 0, False: 0, None: 0}
+    witnesses = []
     for _ in range(sample_count):
         w = find_witness(concrete, fb.universe, rng=rng, window=fb.window,
                          max_size=fb.max_size, decorate=rng.randrange(0, 5))
         if w is None:
             break
-        tally[_judge(_RELATIONS[rel], lg.eval_at, rg.eval_at, w)] += 1
+        witnesses.append(w)
+    held = _judge_each(_RELATIONS[rel], lg, rg, witnesses)
     return made(UNDETERMINED, "sampled",
                 note="no citable rule applies; sampled evidence only",
-                holds=tally[True], fails=tally[False], vacuous=tally[None])
+                holds=held.count(True), fails=held.count(False),
+                vacuous=held.count(None))
 
 
 # ---------------------------------------------------------------------------
@@ -873,7 +891,8 @@ def audit_verdict(verdict: Verdict, fb: FilterBase, rng: random.Random,
     Every witness in the cited intersection must satisfy the claimed
     relation (the negated relation for forced_not).  Snapshots where a
     side has no value do not refute the claim: the comparison there is
-    vacuous by construction.
+    vacuous by construction.  Each side is compiled once for all the
+    witnesses (`_judge_each`); the failures are the witnesses themselves.
     """
     if verdict.status == UNDETERMINED:
         raise ValueError("only forced verdicts carry an auditable claim")
@@ -881,8 +900,7 @@ def audit_verdict(verdict: Verdict, fb: FilterBase, rng: random.Random,
         list(verdict.citations), fb.universe, rng, witness_count,
         window=fb.window, max_size=fb.max_size)
     relation, expect = _RELATIONS[verdict.relation], verdict.status == FORCED
-    held = [_judge(relation, verdict.lhs.eval_at, verdict.rhs.eval_at, w)
-            for w in witnesses]
+    held = _judge_each(relation, verdict.lhs, verdict.rhs, witnesses)
     failures = tuple(w for w, h in zip(witnesses, held) if h is not None and h != expect)
     vacuous = held.count(None)
     return AuditReport(verdict, witness_count, len(held) - vacuous, vacuous, failures)

@@ -71,6 +71,7 @@ from .universe import (
     UniverseHandle,
     class_from_values,
     even_shift_permutation,
+    excerpt,
     finite_subsets_class,
     identity_rv,
     image_class,
@@ -127,7 +128,7 @@ def _parse(parse, text: str, what: str):
         return parse(text)
     except (KeyError, ValueError, ZeroDivisionError, RecursionError) as exc:
         raise ScenarioValidationError(
-            f"bad {what} {text!r}: {exc.args[0]}") from exc
+            f"bad {what} {excerpt(text)}: {exc.args[0]}") from exc
 
 
 def builtin_classes(universe: UniverseHandle) -> dict[str, ClassSpec]:

@@ -16,6 +16,7 @@ hypotheses between classes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import threading
@@ -34,6 +35,12 @@ KIND_SET = "set"
 # Number of enumerator elements scanned before concluding that a
 # supposedly inexhaustible stream cannot deliver.
 ENUM_SCAN_CAP = 20000
+
+# Ordinals and pads `ord_value` and `pad` each keep, least recently used
+# first out: as many as one handle's prefix memo (PREFIX_MEMO_CAP) holds.
+# A repeated call returns the value built before, so sets and dicts of
+# states find it by identity, without calling `SetValue.__eq__`.
+INTERN_CAP = 4096
 
 # States of the universe enumeration a handle keeps once they are touched:
 # the largest candidate pool any caller asks for (germs._dilution_pins).
@@ -115,8 +122,9 @@ class SetValue:
         return "{" + ",".join(c.pretty() for c in self.children) + "}"
 
 
+@functools.lru_cache(maxsize=INTERN_CAP)
 def ord_value(a: int, b: int) -> SetValue:
-    """The ordinal w*a + b as a pair code."""
+    """The ordinal w*a + b as a pair code, interned (`INTERN_CAP`)."""
     if a < 0 or b < 0:
         raise ValueError("ordinal parts must be non-negative")
     code = f"o{a}.{b}"
@@ -128,8 +136,10 @@ def nat(b: int) -> SetValue:
     return ord_value(0, b)
 
 
+@functools.lru_cache(maxsize=INTERN_CAP)
 def pad(k: int) -> SetValue:
-    """The k-th non-ordinal padding state of an ordinal-mode universe."""
+    """The k-th non-ordinal padding state of an ordinal-mode universe,
+    interned (`INTERN_CAP`)."""
     if k < 0:
         raise ValueError("pad index must be non-negative")
     return SetValue(KIND_PAD, (k,), f"p{k}", (1, k))
@@ -158,6 +168,17 @@ EMPTY_SET = hf_set(())
 # ---------------------------------------------------------------------------
 # Canonical code parsing
 
+# Characters of an outside text an error message quotes before cutting it.
+EXCERPT_CHARS = 40
+
+
+def excerpt(text: object) -> str:
+    """repr(text) for an error message; a longer string is cut to its
+    first EXCERPT_CHARS characters and followed by its length."""
+    if isinstance(text, str) and len(text) > EXCERPT_CHARS:
+        return f"{text[:EXCERPT_CHARS]!r}... ({len(text)} characters)"
+    return repr(text)
+
 
 class _Cursor:
     __slots__ = ("text", "pos")
@@ -182,7 +203,7 @@ class _Cursor:
         digits = self.text[start:self.pos]
         if digits.isascii() and digits.isdigit() and digits == str(int(digits)):
             return int(digits)
-        raise ValueError(f"bad code at {start}: {digits!r} is not a plain integer")
+        raise ValueError(f"bad code at {start}: {excerpt(digits)} is not a plain integer")
 
 
 def _parse_value(cur: _Cursor) -> SetValue:
@@ -206,7 +227,7 @@ def _parse_value(cur: _Cursor) -> SetValue:
                 kids.append(_parse_value(cur))
         cur.take("}")
         return hf_set(kids)
-    raise ValueError(f"bad code at {cur.pos}: {cur.text!r}")
+    raise ValueError(f"bad code at {cur.pos}: {excerpt(cur.text)}")
 
 
 def parse_code(code: str) -> SetValue:
@@ -214,7 +235,7 @@ def parse_code(code: str) -> SetValue:
     cur = _Cursor(code)
     value = _parse_value(cur)
     if cur.pos != len(code):
-        raise ValueError(f"trailing garbage in code: {code!r}")
+        raise ValueError(f"trailing garbage in code: {excerpt(code)}")
     return value
 
 

@@ -479,6 +479,19 @@ def test_seeded_witnesses_are_pinned():
     assert witness_codes(t) == PADDED_ORDER_WITNESS
 
 
+def test_shuffle_replays_random_shuffle():
+    # the seeded witnesses rest on these draws: the same permutation, and
+    # the generator left where `Random.shuffle` leaves it
+    for seed in range(200):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in range(131):
+            x, y = list(range(n)), list(range(n))
+            filters._shuffle(ours, x)
+            theirs.shuffle(y)
+            assert x == y, (seed, n)
+            assert ours.getrandbits(32) == theirs.getrandbits(32), (seed, n)
+
+
 # ---------------------------------------------------------------------------
 # Superregularity construction
 

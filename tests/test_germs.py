@@ -1,6 +1,7 @@
 """Germ expressions, forcing verdicts, infinitesimal classification."""
 
 import random
+import zlib
 from fractions import Fraction
 from itertools import islice
 
@@ -16,6 +17,7 @@ from setprob import (
     FilterBase,
     RandomVariable,
     Snapshot,
+    Verdict,
     audit_verdict,
     class_from_predicate,
     class_from_values,
@@ -26,9 +28,12 @@ from setprob import (
     const_germ,
     constraint_membership,
     even_shift_permutation,
+    expand_base,
     expand_parametric,
+    find_witness,
     fineness,
     fineness_base,
+    generate_witnesses,
     germ_arith,
     germ_of_event,
     hf_set,
@@ -56,7 +61,8 @@ from setprob import (
 )
 from setprob import CardinalityTier, HF_MODE, ORDINAL_MODE
 from setprob.cli import registry_classes
-from setprob.errors import DivisionUndefined, EmptySnapshot
+from setprob.errors import ConditionNull, DivisionUndefined, EmptySnapshot
+from setprob.germs import eval_relation
 
 IDENT = identity_rv()
 U = make_universe(ORDINAL_MODE, 3)
@@ -444,6 +450,122 @@ def test_audit_weight_claim_clean():
     assert v.status == FORCED
     report = audit_verdict(v, fb, random.Random(3), witness_count=20)
     assert report.clean
+
+
+# One compile per audit: `audit_verdict` and sampled compares judge every
+# witness on one Snapshot of all the witnesses' states.  The references
+# below evaluate each witness on its own with `eval_at`.
+
+
+def _outcome(lg, rel, rg, w):
+    """The relation at w, or the class of the error that leaves it vacuous."""
+    try:
+        return eval_relation(rel, lg.eval_at(w), rg.eval_at(w))
+    except (ConditionNull, DivisionUndefined, EmptySnapshot) as exc:
+        return type(exc)
+
+
+def _hand_verdict(status, lg, rel, rg, fb):
+    return Verdict(status, rel, lg, rg, rule="by-hand", citations=fb.constraints)
+
+
+_PADDED = FilterBase((fineness(pad(0)),), universe=U)
+_HFU = make_universe(HF_MODE, 4)
+_R3 = list(islice(_HFU.level_members(3), 6))
+_HA, _HB = class_of_set(hf_set(_R3[:3])), class_of_set(hf_set(_R3[2:5]))
+_HF_ORDER = FilterBase((order_lt(_HA, _HB),), universe=_HFU)
+_ODDS_PER_EVEN = germ_arith("/", germ_of_event(IDENT, ODD), germ_of_event(IDENT, EVEN))
+_LIM_BY_NAME = class_from_values("Lim", [nat(1), nat(2), nat(3)])
+
+_AUDITED = {
+    "holds": lambda: (compare(germ_of_event(IDENT, _evens_of_block_zero()), "lt",
+                              germ_of_event(IDENT, EVEN), fineness_base(U)),
+                      fineness_base(U)),
+    "hf-order": lambda: (compare(germ_of_event(IDENT, _HA), "lt",
+                                 germ_of_event(IDENT, _HB), _HF_ORDER), _HF_ORDER),
+    # a value class named Lim, forced by its name: false on every witness
+    "lim-by-name": lambda: (
+        compare(conditional_germ(IDENT, _LIM_BY_NAME, IDENT, ON), "le",
+                Fraction(1, 3), ordinal_theorem_base(U)), ordinal_theorem_base(U)),
+    "condition-null": lambda: (_hand_verdict(
+        FORCED, conditional_germ(IDENT, EVEN, IDENT, EVEN), "eq", const_germ(1),
+        _PADDED), _PADDED),
+    "division-undefined": lambda: (_hand_verdict(
+        FORCED, _ODDS_PER_EVEN, "le", const_germ(Fraction(1, 2)), _PADDED), _PADDED),
+    "forced-not": lambda: (_hand_verdict(
+        FORCED_NOT, conditional_germ(IDENT, EVEN, IDENT, ON), "gt",
+        const_germ(Fraction(1, 2)), _PADDED), _PADDED),
+    # p0 is in every witness, o0.2 in a few
+    "indexed-sum": lambda: (_hand_verdict(
+        FORCED, star_sum([germ_of_event(IDENT, EVEN), 1], index=[pad(0), nat(2)]),
+        "le", const_germ(1), _PADDED), _PADDED),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_AUDITED))
+def test_audit_judges_each_witness_as_eval_at_does(case):
+    v, fb = _AUDITED[case]()
+    assert v.status != UNDETERMINED
+    report = audit_verdict(v, fb, random.Random(0), witness_count=50)
+    witnesses = generate_witnesses(list(v.citations), fb.universe, random.Random(0),
+                                   50, window=fb.window, max_size=fb.max_size)
+    outcomes = [_outcome(v.lhs, v.relation, v.rhs, w) for w in witnesses]
+    held = [None if isinstance(o, type) else o for o in outcomes]
+    failures = tuple(w for w, h in zip(witnesses, held)
+                     if h is not None and h != (v.status == FORCED))
+    assert (report.requested, report.evaluated, report.vacuous) == \
+        (50, 50 - held.count(None), held.count(None))
+    assert report.failures == failures
+    expected = {
+        "holds": (50, 0, 0), "hf-order": (50, 0, 0), "lim-by-name": (50, 0, 50),
+    }
+    if case in expected:
+        assert (report.evaluated, report.vacuous, len(report.failures)) == expected[case]
+    elif case == "condition-null":
+        assert ConditionNull in outcomes and report.evaluated and not failures
+    elif case == "division-undefined":
+        assert DivisionUndefined in outcomes and ConditionNull not in outcomes
+        assert report.evaluated > len(failures) > 0
+    elif case == "forced-not":
+        assert ConditionNull in outcomes and report.evaluated > len(failures) > 0
+    else:
+        assert report.evaluated > len(failures) > 0
+
+
+_SAMPLED = {
+    "fineness": (germ_of_event(IDENT, EVEN), "le", Fraction(1, 2), fineness_base(U)),
+    "condition-null": (conditional_germ(IDENT, EVEN, IDENT, ODD), "le",
+                       Fraction(1, 2), FilterBase((), universe=U)),
+    "division-undefined": (_ODDS_PER_EVEN, "le", Fraction(1, 2),
+                           FilterBase((), universe=U)),
+    "holds-and-fails": (_ODDS_PER_EVEN, "le", Fraction(1, 2), fineness_base(U)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SAMPLED))
+def test_sampled_evidence_counts_each_witness_as_eval_at_does(case):
+    lg, rel, q, fb = _SAMPLED[case]
+    rg = const_germ(q)
+    v = compare(lg, rel, rg, fb, sample_count=30)
+    assert (v.status, v.rule) == (UNDETERMINED, "sampled")
+    rng = random.Random(zlib.crc32(f"{lg.key()}|{rel}|{rg.key()}".encode()))
+    outcomes = []
+    for _ in range(30):
+        w = find_witness(expand_base(fb), fb.universe, rng=rng, window=fb.window,
+                         max_size=fb.max_size, decorate=rng.randrange(0, 5))
+        if w is None:
+            break
+        outcomes.append(_outcome(lg, rel, rg, w))
+    vacuous = sum(isinstance(o, type) for o in outcomes)
+    assert v.evidence == {"holds": outcomes.count(True), "fails": outcomes.count(False),
+                          "vacuous": vacuous}
+    assert sum(v.evidence.values()) == 30
+    if case == "holds-and-fails":
+        assert v.evidence["holds"] and v.evidence["fails"]
+    elif case != "fineness":
+        vacuous_by = {"condition-null": ConditionNull,
+                      "division-undefined": DivisionUndefined}[case]
+        assert vacuous_by in outcomes
 
 
 def test_antisym_forces_equal_value_classes():

@@ -606,6 +606,20 @@ def test_outside_input_is_a_validation_error(doc, code, message, tmp_path, capsy
         assert record["error"].startswith("ScenarioValidationError: " + message)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{" * 3000 + "}" * 3000, "bad state code '{{{"),
+    ("o0.1" + "}" * 5000, "bad state code 'o0.1}}}"),
+], ids=["nested", "trailing"])
+def test_a_long_state_code_is_quoted_in_part(text, message, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**ORDINAL, "classes": [
+        {"name": "N", "kind": "values", "values": [text]}]}))
+    assert cli.main(["run", str(path)]) == cli.EXIT_VALIDATION
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("validation error: " + message)
+    assert f"... ({len(text)} characters)" in line and len(line) < 300
+
+
 HF_SMALL = {"universe": {"mode": "hf", "bound": 3}}
 
 

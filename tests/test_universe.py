@@ -62,6 +62,18 @@ def test_value_kind_flags():
         pad(-1)
 
 
+def test_ordinals_and_pads_are_interned():
+    # one object per code, however the value is reached
+    assert ord_value(2, 5) is ord_value(2, 5)
+    assert nat(4) is ord_value(0, 4)
+    assert pad(3) is pad(3)
+    assert parse_code("o0.3") is ord_value(0, 3)
+    assert parse_code("p7") is pad(7)
+    assert parse_code("{o0.3}").children[0] is ord_value(0, 3)
+    with pytest.raises(ValueError):  # test_value_kind_flags: ord_value(-1, 0), pad(-1)
+        ord_value(0, -1)
+
+
 def test_ordinal_parts():
     assert nat(7).ord_parts == (0, 7)
     assert ord_value(2, 5).ord_parts == (2, 5)
@@ -91,6 +103,19 @@ def test_parse_code_rejects_garbage():
                 "{o0.1 }", "p00", "o.1", "p"):
         with pytest.raises(ValueError, match="not a plain integer"):
             parse_code(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("o0.1" + "}" * 5000, "trailing garbage in code: 'o0.1}}}"),
+    ("q" * 5000, "bad code at 0: 'qqq"),
+    ("o" + "0" * 3000 + ".1", "bad code at 1: '000"),
+], ids=["trailing", "unknown-head", "leading-zeros"])
+def test_parse_errors_quote_a_long_code_in_part(bad, message):
+    with pytest.raises(ValueError) as info:
+        parse_code(bad)
+    text = str(info.value)
+    assert text.startswith(message)
+    assert len(text) < 120 and "characters)" in text
 
 
 def test_rank_small_sets():
