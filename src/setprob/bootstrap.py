@@ -290,10 +290,6 @@ class TieredProb:
                 self.base, self.window, self.space_cap(tier))
         return self._restricted[tier]
 
-    def coherence_check(self, rv: RandomVariable, cls: ClassSpec,
-                        t: Snapshot, probe: Iterable[SetValue]) -> "CoherenceReport":
-        return coherence_check(self.config, rv, cls, t, probe)
-
 
 @dataclass
 class CoherenceLevel:

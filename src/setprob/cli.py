@@ -61,7 +61,6 @@ from .universe import (
     HF_MODE,
     ORDINAL_MODE,
     UniverseHandle,
-    class_from_predicate,
     class_of_set,
     even_shift_permutation,
     hf_set,
@@ -260,9 +259,9 @@ def _cmd_check(args) -> int:
 
     universe, config, lattice = _hf_fixture()
     if args.what == "coherence":
-        cls = class_from_predicate(
+        cls = ClassSpec(
             "low_rank", lambda v: v.is_set and len(v.children) <= 1,
-            lambda: iter(()), tier=CardinalityTier.proper())
+            lambda: iter(()), CardinalityTier.proper())
         report = coherence_check(config, identity_rv(), cls,
                                  Snapshot(lattice[:12]), lattice[:8])
         print(report.summary())

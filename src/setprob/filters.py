@@ -498,34 +498,6 @@ def filter_base_to_text(fb: FilterBase) -> str:
     return "\n".join(lines)
 
 
-def filter_base_from_text(
-    text: str,
-    universe: UniverseHandle | None = None,
-    classes: dict[str, ClassSpec] | None = None,
-) -> FilterBase:
-    from .universe import parse_code
-
-    provenance = ""
-    window = None
-    max_size = None
-    cs: list[Constraint] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("provenance: "):
-            provenance = line.removeprefix("provenance: ")
-        elif line.startswith("window: "):
-            inner = line.removeprefix("window: ")
-            window = tuple(parse_code(v) for v in inner.split(";")) if inner else ()
-        elif line.startswith("max_size: "):
-            max_size = int(line.removeprefix("max_size: "))
-        else:
-            cs.append(constraint_from_text(line, classes))
-    return FilterBase(tuple(cs), universe=universe, window=window,
-                      max_size=max_size, provenance=provenance)
-
-
 # ---------------------------------------------------------------------------
 # FIP checking
 

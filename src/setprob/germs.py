@@ -854,14 +854,6 @@ def _dilution_pins(fb: FilterBase, rv: RandomVariable, cls: ClassSpec,
     return pins
 
 
-def much_less(lhs: Germ, rhs: Germ, fb: FilterBase) -> Classification:
-    """lhs is negligible against rhs when their quotient is approx-zero."""
-    quotient = germ_arith("/", lhs, rhs)
-    result = classify_infinitesimal(quotient, fb)
-    result.note = f"compares {lhs.describe()} against {rhs.describe()}; " + result.note
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Verdict auditing
 

@@ -69,9 +69,6 @@ class Snapshot:
     def __repr__(self):
         return self.describe(self.full)
 
-    def union(self, extra: Iterable[SetValue]) -> "Snapshot":
-        return Snapshot(self.states + tuple(extra))
-
     def intersect(self, values: Iterable[SetValue]) -> "Snapshot":
         keep = {v.code for v in values}
         return Snapshot(s for s in self.states if s.code in keep)

@@ -201,8 +201,11 @@ class _Cursor:
         while self.pos < len(self.text) and self.text[self.pos] not in stops:
             self.pos += 1
         digits = self.text[start:self.pos]
-        if digits.isascii() and digits.isdigit() and digits == str(int(digits)):
-            return int(digits)
+        if digits.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0"):
+            try:
+                return int(digits)
+            except ValueError:  # more digits than int() may convert
+                pass
         raise ValueError(f"bad code at {start}: {excerpt(digits)} is not a plain integer")
 
 
@@ -243,27 +246,21 @@ def parse_code(code: str) -> SetValue:
 # Rank
 
 
+_RANK_CACHE: dict[str, int] = {}
+
+
 def rank(x: SetValue) -> int:
     """Von Neumann rank of a hereditarily finite value.
 
     Only extensional set values have a rank here; ordinal and padding
-    codes refuse with WrongMode.
+    codes refuse with WrongMode.  Ranks are cached by code.
     """
-    if not x.is_set:
-        raise WrongMode(f"rank undefined for {x.pretty()}")
-    return _rank_of_code(x)
-
-
-_RANK_CACHE: dict[str, int] = {}
-
-
-def _rank_of_code(x: SetValue) -> int:
     got = _RANK_CACHE.get(x.code)
     if got is not None:
         return got
     if not x.is_set:
         raise WrongMode(f"rank undefined for {x.pretty()}")
-    r = 0 if not x.children else 1 + max(_rank_of_code(c) for c in x.children)
+    r = 0 if not x.children else 1 + max(rank(c) for c in x.children)
     _RANK_CACHE[x.code] = r
     return r
 
@@ -272,6 +269,7 @@ def _rank_of_code(x: SetValue) -> int:
 # Cardinality tiers
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class CardinalityTier:
     """Declared size category: Finite(n) < Tier(k) < ProperClass.
@@ -317,15 +315,6 @@ class CardinalityTier:
 
     def __lt__(self, other: "CardinalityTier") -> bool:
         return self._order_key() < other._order_key()
-
-    def __le__(self, other: "CardinalityTier") -> bool:
-        return self._order_key() <= other._order_key()
-
-    def __gt__(self, other: "CardinalityTier") -> bool:
-        return self._order_key() > other._order_key()
-
-    def __ge__(self, other: "CardinalityTier") -> bool:
-        return self._order_key() >= other._order_key()
 
     def describe(self) -> str:
         if self.kind == "finite":
@@ -468,17 +457,6 @@ def class_from_values(
         subset_tags,
         meta={"values": vals},
     )
-
-
-def class_from_predicate(
-    name: str,
-    membership: Callable[[SetValue], bool],
-    stream: Callable[[], Iterator[SetValue]],
-    tier: CardinalityTier,
-    subset_tags: Iterable[str] = (),
-    meta: dict | None = None,
-) -> ClassSpec:
-    return ClassSpec(name, membership, stream, tier, subset_tags, meta)
 
 
 def class_of_set(sv: SetValue) -> ClassSpec:
@@ -732,30 +710,30 @@ def translate_class(
                 return True
         return False
 
-    def stream() -> Iterator[SetValue]:
-        seen: set[str] = set()
-        for g in base.enumerate():
-            if not g.is_ordinal:
-                continue
-            v = ordinal_add(g, alpha)
-            if v.code not in seen:
-                seen.add(v.code)
-                yield v
-
-    return ClassSpec(cname, member, stream, base.tier, subset_tags)
+    # A limit shift absorbs finite parts, so a value can come more than
+    # once; ClassSpec.enumerate keeps its first occurrence.
+    return ClassSpec(
+        cname,
+        member,
+        lambda: (ordinal_add(g, alpha) for g in base.enumerate() if g.is_ordinal),
+        base.tier,
+        subset_tags,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Universe handles
 
 
-_LEVEL_SIZES = [0, 1, 2, 4, 16, 65536]  # |V_0| .. |V_5|
+_LEVEL_SIZES = (0, 1, 2, 4, 16, 65536, 2 ** 65536)  # |V_0| .. |V_6|
 
 
 def level_size(k: int) -> int:
-    """|V_k|, the number of hereditarily finite sets of rank below k."""
-    while len(_LEVEL_SIZES) <= k:
-        _LEVEL_SIZES.append(2 ** _LEVEL_SIZES[-1])
+    """|V_k|, the number of hereditarily finite sets of rank below k.
+    |V_7| = 2**(2**65536) is too large to compute: k >= 7 raises
+    EnumerationExhausted."""
+    if k >= len(_LEVEL_SIZES):
+        raise EnumerationExhausted(f"|V_{k}| is too large to compute")
     return _LEVEL_SIZES[k]
 
 
@@ -992,7 +970,7 @@ class UniverseHandle:
         count = level_size(k + 1) - level_size(k)
         return self._once(("RankLevel", k), lambda: ClassSpec(
             f"RankLevel({k})",
-            lambda x: x.is_set and _rank_of_code(x) == k,
+            lambda x: x.is_set and rank(x) == k,
             lambda: self.level_members(k),
             CardinalityTier.finite(count),
             subset_tags={"V"},

@@ -19,13 +19,12 @@ from setprob import (
     HF_MODE,
     ORDINAL_MODE,
     TierConfig,
-    TieredProb,
     audit_verdict,
     check_fip,
-    class_from_predicate,
     class_from_values,
     class_of_set,
     classify_infinitesimal,
+    coherence_check,
     compare,
     conditional_germ,
     constraint_membership,
@@ -60,7 +59,7 @@ from setprob import (
     table_rv,
     weight,
 )
-from setprob import CardinalityTier, non_restriction_counterexample
+from setprob import CardinalityTier, ClassSpec, non_restriction_counterexample
 from setprob.cli import (
     chain_sets,
     demo_hume_failure,
@@ -108,8 +107,7 @@ def _residue(name, modulus, span, tier_index):
                 yield ord_value(a, b)
             b += modulus
 
-    return class_from_predicate(name, member, stream,
-                                tier=CardinalityTier.infinite(tier_index))
+    return ClassSpec(name, member, stream, CardinalityTier.infinite(tier_index))
 
 
 @criterion(1, "finite additivity and field laws, 1000 cases")
@@ -327,7 +325,6 @@ def test_criterion_8_restriction_and_coherence():
         for audit in (audit_once, audit_mid, audit_twice):
             assert audit.passed, audit.summary()
 
-    tp = TieredProb(U, tc, win)
     ident = identity_rv()
     rng = random.Random(808)
     for _ in range(12):
@@ -337,7 +334,7 @@ def test_criterion_8_restriction_and_coherence():
         outside = [s for s in win if s not in t]
         for meet_size in (1, 2, 3):
             probe = rng.sample(inside, meet_size) + rng.sample(outside, 3)
-            report = tp.coherence_check(ident, cls, t, probe)
+            report = coherence_check(tc, ident, cls, t, probe)
             assert report.ok, report.summary()
     elapsed = time.monotonic() - start
     assert elapsed < 30.0, f"criterion 8 took {elapsed:.2f}s"

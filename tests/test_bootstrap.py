@@ -14,6 +14,7 @@ from setprob import (
     TieredProb,
     check_fip,
     class_from_values,
+    coherence_check,
     filter_base_to_text,
     fineness,
     fineness_base,
@@ -184,15 +185,14 @@ def test_tiered_prob_restriction_memoized_and_audited():
 # Coherence
 
 
-def _tp():
-    return TieredProb(U, TierConfig((4, 9, 17)), WIN)
+TIERS = TierConfig((4, 9, 17))
 
 
 def test_coherence_total_event():
     t = snapshot(*WIN[:5])
     total = class_from_values("tt", list(WIN[:5]))
-    rep = _tp().coherence_check(identity_rv(), total,
-                                t, [WIN[0], WIN[1], WIN[8]])
+    rep = coherence_check(TIERS, identity_rv(), total,
+                          t, [WIN[0], WIN[1], WIN[8]])
     assert rep.ok
     assert all(lv.direct == 1 for lv in rep.levels)
 
@@ -200,7 +200,7 @@ def test_coherence_total_event():
 def test_coherence_disjoint_event():
     t = snapshot(*WIN[:5])
     off = class_from_values("off", [WIN[9], WIN[11]])
-    rep = _tp().coherence_check(identity_rv(), off, t, [WIN[0], WIN[9]])
+    rep = coherence_check(TIERS, identity_rv(), off, t, [WIN[0], WIN[9]])
     assert rep.ok
     assert all(lv.direct == 0 for lv in rep.levels)
 
@@ -209,7 +209,7 @@ def test_coherence_exact_three_way_agreement():
     cls = class_from_values("trio", [WIN[0], WIN[2], WIN[5]])
     t = snapshot(*WIN[:5])
     probe = [WIN[0], WIN[1], WIN[2], WIN[6], WIN[8], WIN[10]]
-    rep = _tp().coherence_check(identity_rv(), cls, t, probe)
+    rep = coherence_check(TIERS, identity_rv(), cls, t, probe)
     assert rep.ok
     lv = rep.levels[0]
     assert lv.direct == lv.via_germ_quotient == Fraction(2, 3)
@@ -219,20 +219,19 @@ def test_coherence_recurses_through_tiers():
     cls = class_from_values("kls", [WIN[0], WIN[3], WIN[6], WIN[12]])
     t = snapshot(*WIN[:10])                # tier 2
     probe = WIN[:5] + WIN[12:15]           # meets t in 5 states: tier 1
-    rep = _tp().coherence_check(identity_rv(), cls, t, probe)
+    rep = coherence_check(TIERS, identity_rv(), cls, t, probe)
     assert rep.ok
     assert len(rep.levels) == 2
     assert [lv.tier for lv in rep.levels] == [2, 1]
 
 
 def test_coherence_probe_admissibility():
-    tp = _tp()
     cls = class_from_values("c0", [WIN[0]])
     t = snapshot(*WIN[:5])
     with pytest.raises(ConditionNull):
-        tp.coherence_check(identity_rv(), cls, t, WIN[10:14])
+        coherence_check(TIERS, identity_rv(), cls, t, WIN[10:14])
     with pytest.raises(ValueError):
-        tp.coherence_check(identity_rv(), cls, t, WIN[:4])
+        coherence_check(TIERS, identity_rv(), cls, t, WIN[:4])
 
 
 @given(st.sets(st.integers(0, 15), min_size=1, max_size=6),
@@ -242,12 +241,11 @@ def test_coherence_random_events(cls_idx, probe_idx):
     t = snapshot(*WIN[:5])
     probe = [WIN[i] for i in sorted(probe_idx)] + WIN[13:15]
     cls = class_from_values("rnd", [WIN[i] for i in sorted(cls_idx)])
-    tp = _tp()
     if not any(p in t for p in probe):
         with pytest.raises(ConditionNull):
-            tp.coherence_check(identity_rv(), cls, t, probe)
+            coherence_check(TIERS, identity_rv(), cls, t, probe)
         return
-    rep = tp.coherence_check(identity_rv(), cls, t, probe)
+    rep = coherence_check(TIERS, identity_rv(), cls, t, probe)
     assert rep.ok
 
 

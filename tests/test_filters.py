@@ -22,7 +22,6 @@ from setprob import (
     constraint_to_text,
     expand_base,
     expand_parametric,
-    filter_base_from_text,
     filter_base_to_text,
     find_witness,
     fineness,
@@ -1072,20 +1071,13 @@ def test_constraint_text_round_trip():
         text = constraint_to_text(c)
         back = constraint_from_text(text, classes)
         assert constraint_to_text(back) == text
+    fb = FilterBase((weight(4), ratio(M4, E1, 3)), universe=U,
+                    window=(nat(0), pad(1)), max_size=5, provenance="test")
+    assert filter_base_to_text(fb).splitlines() == [
+        "provenance: test", "window: o0.0;p1", "max_size: 5",
+        "ratio(mult4_t0,even_t1,k=3)", "weight(m=4)"]
 
 
 def test_constraint_from_text_unknown_class():
     with pytest.raises(KeyError):
         constraint_from_text("ratio(nosuch,even_t1,k=2)", {"even_t1": E1})
-
-
-def test_filter_base_round_trip():
-    fb = FilterBase((parametric_fineness(), ratio(M4, E1, 2), weight(3)),
-                    universe=U, window=(nat(0), nat(1), pad(0)),
-                    provenance="test")
-    text = filter_base_to_text(fb)
-    back = filter_base_from_text(text, universe=U,
-                                 classes={"mult4_t0": M4, "even_t1": E1})
-    assert filter_base_to_text(back) == text
-    assert back.window == fb.window
-    assert back.provenance == fb.provenance

@@ -19,7 +19,6 @@ from setprob import (
     Snapshot,
     Verdict,
     audit_verdict,
-    class_from_predicate,
     class_from_values,
     class_of_set,
     classify_infinitesimal,
@@ -41,7 +40,6 @@ from setprob import (
     interval,
     joint_germ,
     make_universe,
-    much_less,
     nat,
     ord_value,
     order_ge,
@@ -59,7 +57,7 @@ from setprob import (
     translate_class,
     weight,
 )
-from setprob import CardinalityTier, HF_MODE, ORDINAL_MODE
+from setprob import CardinalityTier, ClassSpec, HF_MODE, ORDINAL_MODE
 from setprob.cli import registry_classes
 from setprob.errors import ConditionNull, DivisionUndefined, EmptySnapshot
 from setprob.germs import eval_relation
@@ -73,11 +71,11 @@ V = U.universe_class()
 
 
 def _evens_of_block_zero():
-    return class_from_predicate(
+    return ClassSpec(
         "evens0",
         lambda v: v.is_ordinal and v.ord_parts[0] == 0 and v.ord_parts[1] % 2 == 0,
         lambda: (nat(2 * i) for i in range(10**9)),
-        tier=CardinalityTier.infinite(0),
+        CardinalityTier.infinite(0),
         subset_tags=("Even", "Nat", "On", "V"),
     )
 
@@ -410,19 +408,6 @@ def test_classify_needs_parametric_family():
     assert classify_infinitesimal(q, fb).status == UNDETERMINED
 
 
-def test_much_less_under_parametric_ratio():
-    evens0 = _evens_of_block_zero()
-    fb = FilterBase((parametric_ratio(evens0, EVEN),), universe=U)
-    result = much_less(germ_of_event(IDENT, evens0), germ_of_event(IDENT, EVEN), fb)
-    assert result.approx_zero
-
-
-def test_much_less_of_equal_germs():
-    fb = fineness_base(U)
-    g = germ_of_event(IDENT, EVEN)
-    assert much_less(g, g, fb).status == "not_approx_zero"
-
-
 # ---------------------------------------------------------------------------
 # Auditing
 
@@ -695,9 +680,9 @@ def test_a_class_named_on_is_not_the_builtin():
     # Read by name, `weight` bounded any class called On by 1/m, and
     # `interval-limit` took it as the condition of Pr[Lim | On].  This On
     # holds the pads: at {p0}, which weight(3) admits, Pr[On] is 1.
-    pads = class_from_predicate("On", lambda v: not v.is_ordinal,
-                                lambda: (pad(i) for i in range(10**9)),
-                                tier=CardinalityTier.infinite(0))
+    pads = ClassSpec("On", lambda v: not v.is_ordinal,
+                     lambda: (pad(i) for i in range(10**9)),
+                     CardinalityTier.infinite(0))
     fb = fineness_base(U).with_constraints([weight(3), interval(3)])
     v = compare(germ_of_event(IDENT, pads), "le", Fraction(1, 3), fb)
     assert v.status != FORCED and v.rule != "weight"

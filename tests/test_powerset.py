@@ -118,7 +118,7 @@ def test_extend_single_strict_edge_adds_count_plus_one():
     ground = find_witness([order_lt(ELS[0], ELS[1])], HF,
                           rng=random.Random(2))
     subs = [s for s in members_of(POWERS[0], A1) if s != A1][:2]
-    base = ground.union(snapshot(*subs))
+    base = snapshot(*ground, *subs)
     assert pcount(base, POWERS[0]) == 2
     judgements = FilterBase(
         (order_lt(ELS[0], ELS[1]), power_lift(order_lt(ELS[0], ELS[1]))),

@@ -465,6 +465,9 @@ def test_cli_stdout_and_exit_are_pinned(command, code, digest, capsys, monkeypat
      cli.EXIT_FAILURE, "BoundTooSmall: HF universe needs bound >= 3, got 0"),
     ("query --omega-bound 0 --event On",
      cli.EXIT_FAILURE, "BoundTooSmall: ordinal universe needs bound >= 1"),
+    # rank level 6 would need |V_7| = 2**(2**65536): refused, not computed
+    ("query --universe hf --rank 8 --event V",
+     cli.EXIT_FAILURE, "EnumerationExhausted: |V_7| is too large to compute"),
     ("check fip --universe hf --rank 0", cli.EXIT_FAILURE, "BoundTooSmall"),
     ("query --event Foo", cli.EXIT_VALIDATION,
      "validation error: unknown class 'Foo'; known: ['Even', 'Lim', "),
@@ -609,7 +612,8 @@ def test_outside_input_is_a_validation_error(doc, code, message, tmp_path, capsy
 @pytest.mark.parametrize("text, message", [
     ("{" * 3000 + "}" * 3000, "bad state code '{{{"),
     ("o0.1" + "}" * 5000, "bad state code 'o0.1}}}"),
-], ids=["nested", "trailing"])
+    ("o1." + "9" * 5000, "bad state code 'o1.999"),
+], ids=["nested", "trailing", "long-integer"])
 def test_a_long_state_code_is_quoted_in_part(text, message, tmp_path, capsys):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({**ORDINAL, "classes": [
@@ -632,6 +636,10 @@ HF_SMALL = {"universe": {"mode": "hf", "bound": 3}}
     ({**ORDINAL, "classes": [{"name": "L", "kind": "builtin",
                               "builtin": "RankLevel", "level": 2}]},
      "rank levels exist in HF mode only"),
+    ({"universe": {"mode": "hf", "bound": 7},
+      "classes": [{"name": "R6", "kind": "builtin", "builtin": "RankLevel",
+                   "level": 6}]},
+     "|V_7| is too large to compute"),
     ({**HF_SMALL, "base": {"builder": "ordinal_theorem"}},
      "the interval/weight families need an ordinal universe"),
     ({**ORDINAL, "variables": [{"name": "t", "kind": "table",
@@ -639,7 +647,7 @@ HF_SMALL = {"universe": {"mode": "hf", "bound": 3}}
       "classes": [{"name": "I", "kind": "image", "base": "Even", "rv": "t"}]},
      "image_class needs a diagonal variable"),
 ], ids=["On-in-hf", "translate-by-pad", "RankLevel-in-ordinal",
-        "ordinal-theorem-in-hf", "image-by-non-diagonal-table"])
+        "RankLevel-6", "ordinal-theorem-in-hf", "image-by-non-diagonal-table"])
 def test_mode_mismatch_in_the_context_exits_two(doc, message, tmp_path, capsys):
     # A class or base the universe's mode cannot build makes the document
     # invalid, like any other validation error.

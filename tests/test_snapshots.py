@@ -66,7 +66,7 @@ def test_snapshot_immutable():
 
 def test_snapshot_union_intersect():
     t = snapshot(nat(1), nat(2))
-    assert t.union([nat(3)]) == snapshot(nat(1), nat(2), nat(3))
+    assert snapshot(*t, nat(3)) == snapshot(nat(1), nat(2), nat(3))
     assert t.intersect([nat(2), nat(9)]) == snapshot(nat(2))
     assert t.count(EVEN) == 1
 

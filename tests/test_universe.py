@@ -36,7 +36,7 @@ from setprob import (
     translate_class,
 )
 from setprob.errors import BoundTooSmall, EnumerationExhausted, WrongMode
-from setprob.universe import PREFIX_MEMO_CAP
+from setprob.universe import _RANK_CACHE, PREFIX_MEMO_CAP
 
 S1 = hf_set([EMPTY_SET])          # {{}}
 S2 = hf_set([EMPTY_SET, S1])      # {{},{{}}}
@@ -98,9 +98,11 @@ def test_parse_code_rejects_garbage():
         with pytest.raises(ValueError):
             parse_code(bad)
     # integers are plain ASCII decimals: no sign, space, underscore,
-    # leading zero or other script's digits
+    # leading zero or other script's digits; a field too long for int()
+    # is refused the same way, not by int()'s own error
     for bad in ("o01.2", "o+1.2", "o 1.2", "o-0.1", "o0.01", "p1_0", "p\u0663",
-                "{o0.1 }", "p00", "o.1", "p"):
+                "{o0.1 }", "p00", "o.1", "p", "o" + "0" * 5000 + ".1",
+                "o1." + "9" * 5000):
         with pytest.raises(ValueError, match="not a plain integer"):
             parse_code(bad)
 
@@ -118,11 +120,15 @@ def test_parse_errors_quote_a_long_code_in_part(bad, message):
     assert len(text) < 120 and "characters)" in text
 
 
-def test_rank_small_sets():
+def test_rank_small_sets(monkeypatch):
     assert rank(EMPTY_SET) == 0
     assert rank(S1) == 1
     assert rank(S2) == 2
     assert rank(hf_set([S2])) == 3
+    # a second call reads the cached rank, which the first one stored
+    assert _RANK_CACHE[S2.code] == 2
+    monkeypatch.setitem(_RANK_CACHE, S2.code, 7)
+    assert rank(S2) == 7
 
 
 def test_rank_rejects_non_hf():
@@ -137,7 +143,9 @@ def test_rank_rejects_non_hf():
 
 
 def test_level_size_tower():
-    assert [level_size(k) for k in range(6)] == [0, 1, 2, 4, 16, 65536]
+    assert [level_size(k) for k in range(7)] == [0, 1, 2, 4, 16, 65536, 2 ** 65536]
+    with pytest.raises(EnumerationExhausted):
+        level_size(7)  # 2**(2**65536): refused, not computed
 
 
 def test_make_universe_bounds():
@@ -318,6 +326,9 @@ def test_rank_level_class(hf_universe):
     assert len(members) == 2 and all(rank(v) == 2 for v in members)
     with pytest.raises(BoundTooSmall):
         hf_universe.rank_level_class(7)
+    # |V_7| cannot be computed, so rank level 6 is refused at once
+    with pytest.raises(EnumerationExhausted):
+        make_universe(HF_MODE, 7).rank_level_class(6)
 
 
 def test_pads_stream(ord_universe):
@@ -338,7 +349,10 @@ def test_tier_order_chain():
         CardinalityTier.proper(),
     ]
     for small, big in zip(chain, chain[1:]):
-        assert small < big and big > small and small <= big
+        assert small < big and big > small and small <= big and big >= small
+        assert not (big < small or small > big or big <= small or small >= big)
+    for t in chain:
+        assert t <= t and t >= t and not (t < t or t > t)
 
 
 @given(
@@ -351,6 +365,9 @@ def test_tier_total_order(kind_a, idx_a, kind_b, idx_b):
     a = CardinalityTier(kind_a, 0 if kind_a == "proper" else idx_a)
     b = CardinalityTier(kind_b, 0 if kind_b == "proper" else idx_b)
     assert (a < b) + (b < a) + (a == b) == 1
+    ka = (["finite", "tier", "proper"].index(kind_a), a.index)
+    kb = (["finite", "tier", "proper"].index(kind_b), b.index)
+    assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb)
 
 
 def test_tier_successor():
@@ -610,3 +627,8 @@ def test_translate_by_limit_collapses_finite_part(ord_universe):
     assert moved.membership(ord_value(1, 0))     # every n + w equals w
     assert not moved.membership(nat(3))
     assert list(itertools.islice(moved.enumerate(), 1)) == [ord_value(1, 0)]
+    # o0.0, o1.0, o0.2, o2.0 of Even go to w, w2, w, w3: each value once,
+    # at its first occurrence
+    evens = translate_class(ord_universe.builtin_class("Even"), ord_value(1, 0))
+    assert list(itertools.islice(evens.enumerate(), 3)) == [
+        ord_value(1, 0), ord_value(2, 0), ord_value(3, 0)]
