@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import re
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -36,10 +37,13 @@ KIND_SET = "set"
 # supposedly inexhaustible stream cannot deliver.
 ENUM_SCAN_CAP = 20000
 
-# Ordinals and pads `ord_value` and `pad` each keep, least recently used
-# first out: as many as one handle's prefix memo (PREFIX_MEMO_CAP) holds.
-# A repeated call returns the value built before, so sets and dicts of
-# states find it by identity, without calling `SetValue.__eq__`.
+# Values each interning table keeps: the ordinals of `ord_value`, the pads
+# of `pad` and the parsed codes of `parse_code` (least recently used first
+# out), and the sets of `hf_set` (emptied when full).  As many as one
+# handle's prefix memo (PREFIX_MEMO_CAP) holds.  A repeated value is the
+# object built before, so sets and dicts of states find it by identity,
+# without calling `SetValue.__eq__`; an evicted value is rebuilt and still
+# equals its twin, since equality goes by code.
 INTERN_CAP = 4096
 
 # States of the universe enumeration a handle keeps once they are touched:
@@ -50,13 +54,14 @@ PREFIX_MEMO_CAP = 4096
 class SetValue:
     """A universe element with a canonical, byte-comparable code."""
 
-    __slots__ = ("kind", "data", "code", "_key")
+    __slots__ = ("kind", "data", "code", "_key", "_hash")
 
     def __init__(self, kind: str, data: tuple, code: str, key: tuple):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(code))
 
     def __setattr__(self, name, value):
         raise AttributeError("SetValue is immutable")
@@ -65,7 +70,7 @@ class SetValue:
         return isinstance(other, SetValue) and self.code == other.code
 
     def __hash__(self):
-        return hash(self.code)
+        return self._hash  # hash(self.code), taken once
 
     def __lt__(self, other):
         return self._key < other._key
@@ -154,12 +159,24 @@ def canonical(values: Iterable[SetValue]) -> tuple[SetValue, ...]:
     return tuple(sorted({v.code: v for v in values}.values(), key=_by_key))
 
 
+# The sets `hf_set` has built, by canonical code (at most INTERN_CAP).  A
+# full table is emptied whole: unlike dropping its oldest entry, that is
+# one atomic step, so threads sharing the table need no lock.
+_SETS: dict[str, SetValue] = {}
+
+
 def hf_set(children: Iterable[SetValue]) -> SetValue:
-    """An extensional finite set; children are deduplicated and sorted."""
+    """An extensional finite set; children are deduplicated and sorted.
+    Interned by canonical code (`INTERN_CAP`)."""
     kids = canonical(children)
     code = "{" + ",".join(c.code for c in kids) + "}"
-    key = (2, len(kids), tuple(c._key for c in kids))
-    return SetValue(KIND_SET, kids, code, key)
+    got = _SETS.get(code)
+    if got is None:
+        if len(_SETS) >= INTERN_CAP:
+            _SETS.clear()
+        key = (2, len(kids), tuple(c._key for c in kids))
+        got = _SETS.setdefault(code, SetValue(KIND_SET, kids, code, key))
+    return got
 
 
 EMPTY_SET = hf_set(())
@@ -180,64 +197,60 @@ def excerpt(text: object) -> str:
     return repr(text)
 
 
-class _Cursor:
-    __slots__ = ("text", "pos")
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, expected: str) -> None:
-        if not self.text.startswith(expected, self.pos):
-            raise ValueError(f"bad code at {self.pos}: expected {expected!r}")
-        self.pos += len(expected)
-
-    def int_until(self, stops: str) -> int:
-        """A plain ASCII decimal up to the next stop: no sign, space or leading zero."""
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in stops:
-            self.pos += 1
-        digits = self.text[start:self.pos]
-        if digits.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0"):
-            try:
-                return int(digits)
-            except ValueError:  # more digits than int() may convert
-                pass
-        raise ValueError(f"bad code at {start}: {excerpt(digits)} is not a plain integer")
+# An integer field: the characters up to the ',' or '}' that ends it.
+_FIELD = re.compile(r"[^,}]*")
 
 
-def _parse_value(cur: _Cursor) -> SetValue:
-    ch = cur.peek()
-    if ch == "o":
-        cur.take("o")
-        a = cur.int_until(".")
-        cur.take(".")
-        b = cur.int_until(",}")
-        return ord_value(a, b)
-    if ch == "p":
-        cur.take("p")
-        return pad(cur.int_until(",}"))
-    if ch == "{":
-        cur.take("{")
+def _int_at(text: str, start: int, end: int) -> int:
+    """text[start:end] as a plain ASCII decimal: no sign, space or leading zero."""
+    digits = text[start:end]
+    if digits.isascii() and digits.isdigit() and (digits == "0" or digits[0] != "0"):
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() may convert
+            pass
+    raise ValueError(f"bad code at {start}: {excerpt(digits)} is not a plain integer")
+
+
+def _parse_at(text: str, i: int) -> tuple[SetValue, int]:
+    """The value whose code starts at text[i], and the index just past it."""
+    head = text[i:i + 1]
+    if head == "o":
+        dot = text.find(".", i + 1)
+        if dot < 0:
+            dot = len(text)
+        a = _int_at(text, i + 1, dot)
+        if dot == len(text):
+            raise ValueError(f"bad code at {dot}: expected '.'")
+        end = _FIELD.match(text, dot + 1).end()
+        return ord_value(a, _int_at(text, dot + 1, end)), end
+    if head == "p":
+        end = _FIELD.match(text, i + 1).end()
+        return pad(_int_at(text, i + 1, end)), end
+    if head == "{":
         kids = []
-        if cur.peek() != "}":
-            kids.append(_parse_value(cur))
-            while cur.peek() == ",":
-                cur.take(",")
-                kids.append(_parse_value(cur))
-        cur.take("}")
-        return hf_set(kids)
-    raise ValueError(f"bad code at {cur.pos}: {excerpt(cur.text)}")
+        j = i + 1
+        if text[j:j + 1] != "}":
+            kid, j = _parse_at(text, j)
+            kids.append(kid)
+            while text[j:j + 1] == ",":
+                kid, j = _parse_at(text, j + 1)
+                kids.append(kid)
+        if text[j:j + 1] != "}":
+            raise ValueError(f"bad code at {j}: expected '}}'")
+        j += 1
+        # a canonical code finds its set without sorting the children
+        got = _SETS.get(text[i:j])
+        return (got if got is not None else hf_set(kids)), j
+    raise ValueError(f"bad code at {i}: {excerpt(text)}")
 
 
+@functools.lru_cache(maxsize=INTERN_CAP)
 def parse_code(code: str) -> SetValue:
-    """Inverse of the canonical encoding: parse_code(x.code) == x."""
-    cur = _Cursor(code)
-    value = _parse_value(cur)
-    if cur.pos != len(code):
+    """Inverse of the canonical encoding: parse_code(x.code) == x.
+    Interned (`INTERN_CAP`); a code that fails is parsed again each time."""
+    value, end = _parse_at(code, 0)
+    if end != len(code):
         raise ValueError(f"trailing garbage in code: {excerpt(code)}")
     return value
 

@@ -440,6 +440,8 @@ PINNED_CLI = [
      0, "8c2b2d555e5380f557326fcfca48948b9ff873a6aa2e73dbe969ee9011d326c6"),
     ("run docs/examples/ordinal_theorem.json --canonical",
      0, "a6e73d9c86b27bb61bc0f01fe17b21cefe6181de4361249ab18909ecaa532b24"),
+    ("run docs/examples/hf_lattice.json --canonical",
+     0, "327b56faca68f1b476f01123e789b265135dbc110a6737ff5d072ec751c3b45d"),
     ("run docs/examples/window_even.json --canonical",
      0, "a8f341bdbeceac620a904060ea95934f879247d8048b9142393c3ff1ef70638a"),
 ]

@@ -35,8 +35,9 @@ from setprob import (
     table_rv,
     translate_class,
 )
+from setprob import universe
 from setprob.errors import BoundTooSmall, EnumerationExhausted, WrongMode
-from setprob.universe import _RANK_CACHE, PREFIX_MEMO_CAP
+from setprob.universe import _RANK_CACHE, KIND_ORD, PREFIX_MEMO_CAP, SetValue
 
 S1 = hf_set([EMPTY_SET])          # {{}}
 S2 = hf_set([EMPTY_SET, S1])      # {{},{{}}}
@@ -62,16 +63,68 @@ def test_value_kind_flags():
         pad(-1)
 
 
+def _clear_interning():
+    for interned in (ord_value, pad, parse_code):
+        interned.cache_clear()
+    universe._SETS.clear()
+
+
 def test_ordinals_and_pads_are_interned():
-    # one object per code, however the value is reached
+    # one object per code, however the value is reached, while no table
+    # has evicted it (the tables evict apart, so other tests' values go)
+    _clear_interning()
     assert ord_value(2, 5) is ord_value(2, 5)
     assert nat(4) is ord_value(0, 4)
     assert pad(3) is pad(3)
     assert parse_code("o0.3") is ord_value(0, 3)
     assert parse_code("p7") is pad(7)
     assert parse_code("{o0.3}").children[0] is ord_value(0, 3)
+    assert hf_set([EMPTY_SET]) is parse_code("{{}}")
+    # a non-canonical code parses to the canonical set's object
+    s2 = parse_code("{{},{{}}}")
+    for code in ("{{{}},{}}", "{{},{},{{}}}"):
+        assert parse_code(code) is s2 and parse_code(code).code == "{{},{{}}}"
     with pytest.raises(ValueError):  # test_value_kind_flags: ord_value(-1, 0), pad(-1)
         ord_value(0, -1)
+
+
+def test_threads_sharing_the_set_table_build_equal_sets(monkeypatch):
+    # a small cap empties the table while other threads read and fill it
+    monkeypatch.setattr(universe, "INTERN_CAP", 8)
+    states = list(make_universe(HF_MODE, 4).enumerate_universe())
+    errors = []
+
+    def build():
+        try:
+            for _ in range(300):
+                for v in states:
+                    got = hf_set(v.children)
+                    if got != v or got.children != v.children:
+                        errors.append(got)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(universe._SETS) <= 8 + len(threads)
+
+
+def test_values_hash_to_their_code():
+    twin = SetValue(KIND_ORD, (0, 3), "o0.3", (0, 0, 3))  # built past ord_value
+    for v in (ord_value(1, 2), pad(5), parse_code("{{},{o0.1,{p2}}}"), twin):
+        assert hash(v) == hash(v.code)
+    assert twin == nat(3) and twin is not nat(3)
+    assert twin in {nat(3)} and {twin: 1}[nat(3)] == 1
 
 
 def test_ordinal_parts():
@@ -93,6 +146,24 @@ def test_ordinal_code_round_trip(a, b):
     assert parse_code(v.code) == v
 
 
+def _values(depth):
+    atoms = st.one_of(st.builds(ord_value, st.integers(0, 3), st.integers(0, 20)),
+                      st.builds(pad, st.integers(0, 20)))
+    if depth == 0:
+        return atoms
+    return st.one_of(atoms, st.lists(_values(depth - 1), max_size=3).map(hf_set))
+
+
+@given(_values(3))
+def test_codes_round_trip_through_cleared_tables(v):
+    # an evicted value is rebuilt equal to its twin, with the same code
+    for clear in (False, True):
+        if clear:
+            _clear_interning()
+        got = parse_code(v.code)
+        assert got == v and got.code == v.code
+
+
 def test_parse_code_rejects_garbage():
     for bad in ("", "o1", "{", "els{}", "q7", "i(1,3#Nat,c0(),s1(3#Nat),n0())"):
         with pytest.raises(ValueError):
@@ -105,6 +176,16 @@ def test_parse_code_rejects_garbage():
                 "o1." + "9" * 5000):
         with pytest.raises(ValueError, match="not a plain integer"):
             parse_code(bad)
+    # the exact texts; a code that failed fails again, since no error is kept
+    for bad, message in (("{{}", "bad code at 3: expected '}'"),
+                         ("o1", "bad code at 2: expected '.'"),
+                         ("{o0.1,q}", "bad code at 6: '{o0.1,q}'"),
+                         ("{{},", "bad code at 4: '{{},'"),
+                         ("{{}}x", "trailing garbage in code: '{{}}x'")):
+        for _ in range(2):
+            with pytest.raises(ValueError) as info:
+                parse_code(bad)
+            assert str(info.value) == message
 
 
 @pytest.mark.parametrize("bad, message", [
