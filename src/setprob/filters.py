@@ -254,9 +254,9 @@ def constraint_mask_test(c: Constraint, t: Snapshot,
     Equal to `constraint_membership` on that subset's Snapshot.  A count
     tag is read from `Constraint.form`: each side becomes one mask of
     `t` (`_side_mask`), so the test is k*|m & small| + slack <=
-    |m & big| on bit counts and no state is touched per subset; a pin
-    or a subset_bound window is one mask of `t`, not the bits of its
-    states.  Interval, and any constraint that `constraint_membership`
+    |m & big| on bit counts (|m & big| >= slack when k is 0, with no
+    small side) and no state is touched per subset; a pin or a
+    subset_bound window is one mask of `t`, not the bits of its states.  Interval, and any constraint that `constraint_membership`
     rejects (an ordinal-only tag in HF mode, an unknown or parametric
     tag), builds the subset's Snapshot and asks `constraint_membership`,
     which then decides or raises as usual; it takes the bit of every
@@ -271,6 +271,9 @@ def constraint_mask_test(c: Constraint, t: Snapshot,
             t.bit(s)
         return lambda m: constraint_membership(c, Snapshot(t.subset(m)), mode)
     k, slack = form.k, form.slack
+    if not k:  # fineness, min_size: no small side to count
+        big = _side_mask(form.big, t)
+        return lambda m: (m & big).bit_count() >= slack
     small, big = _side_mask(form.small, t), _side_mask(form.big, t)
     return lambda m: k * (m & small).bit_count() + slack <= (m & big).bit_count()
 

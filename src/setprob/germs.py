@@ -9,15 +9,16 @@ is Forced when the relation holds on every snapshot in the intersection
 of a cited finite subset of the ambient filter base.  An empty citation
 list marks a pointwise fact, true at every snapshot outright.
 
-No floating point appears anywhere in this module; every evaluation is
-a `fractions.Fraction`.
+No floating point appears anywhere in this module.  Inside the one
+evaluator (`compile_germ`) a value is an exact pair of ints (numerator,
+denominator), compared by cross-multiplication; at the API
+(`Germ.eval_at`, verdict bounds, constants) it is a `fractions.Fraction`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 import zlib
 from dataclasses import dataclass, field, replace
@@ -53,7 +54,8 @@ NODE_COND = "cond"
 NODE_BINOP = "binop"
 NODE_SUM = "star_sum"
 
-_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+# An exact rational as (numerator, denominator), the denominator positive.
+_Pair = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,7 @@ class Germ:
     indices: tuple[SetValue, ...] = ()
 
     def eval_at(self, t: Snapshot) -> Fraction:
-        """Exact value at one snapshot.
+        """Exact value at one snapshot, as a Fraction.
 
         Compiles the germ over the snapshot (`compile_germ`) and
         evaluates it at the mask of all its states, so each node kind has
@@ -83,7 +85,7 @@ class Germ:
         Raises EmptySnapshot, ConditionNull, or DivisionUndefined when
         the expression has no value there.
         """
-        return compile_germ(self, t)(t.full)
+        return Fraction(*compile_germ(self, t)(t.full))
 
     def key(self) -> str:
         """The germ as text, classes and variables by name: it seeds sampled
@@ -132,8 +134,15 @@ class Germ:
         return f"Germ<{self.describe()}>"
 
 
-def compile_germ(g: Germ, t: Snapshot) -> Callable[[int], Fraction]:
+def compile_germ(g: Germ, t: Snapshot) -> Callable[[int], _Pair]:
     """The germ as a function of a subset of `t.states`, given as a mask.
+
+    The value is an exact rational as an int pair (numerator,
+    denominator) with a positive denominator, never reduced: the pairs are
+    only compared, by cross-multiplication (`_RELATIONS`), and
+    `Germ.eval_at` turns one into a `Fraction`.  Sums and differences add
+    numerators when the denominators agree and cross-multiply otherwise;
+    a quotient moves the divisor's sign into the numerator.
 
     Membership masks are taken from the snapshot, so a class is tested once
     per state however many nodes or subsets mention it.  Event, joint
@@ -146,50 +155,75 @@ def compile_germ(g: Germ, t: Snapshot) -> Callable[[int], Fraction]:
     """
     node = g.node
     if node == NODE_CONST:
-        value = g.value
-        return lambda m: value
+        pair = g.value.numerator, g.value.denominator
+        return lambda m: pair
     if node == NODE_EVENT or node == NODE_JOINT:
         hits = t.mask(g.cls, g.rv)
         if node == NODE_JOINT:
             hits &= t.mask(g.cls2, g.rv2)
 
-        def frequency(m: int) -> Fraction:
+        def frequency(m: int) -> _Pair:
             if not m:
                 raise EmptySnapshot("probability over an empty snapshot")
-            return Fraction((m & hits).bit_count(), m.bit_count())
+            return (m & hits).bit_count(), m.bit_count()
         return frequency
     if node == NODE_COND:
         cond = t.mask(g.cls2, g.rv2)
         both = t.mask(g.cls, g.rv) & cond
 
-        def conditional(m: int) -> Fraction:
+        def conditional(m: int) -> _Pair:
             if not m:
                 raise EmptySnapshot("probability over an empty snapshot")
             den = (m & cond).bit_count()
             if not den:
                 raise ConditionNull(
                     f"condition {g.cls2.name} has no states in the snapshot")
-            return Fraction((m & both).bit_count(), den)
+            return (m & both).bit_count(), den
         return conditional
     if node == NODE_BINOP:
         left, right = compile_germ(g.left, t), compile_germ(g.right, t)
-        if g.op == "/":
-            def quotient(m: int) -> Fraction:
-                lv, rv = left(m), right(m)
-                if rv == 0:
+        op = g.op
+        if op == "/":
+            def quotient(m: int) -> _Pair:
+                (a, b), (c, d) = left(m), right(m)
+                if not c:
                     raise DivisionUndefined(
                         f"denominator {g.right.key()} vanishes at {t.describe(m)}")
-                return lv / rv
+                return (a * d, b * c) if c > 0 else (-a * d, -b * c)
             return quotient
-        op = _OPS[g.op]
-        return lambda m: op(left(m), right(m))
+        if op == "*":
+            def product(m: int) -> _Pair:
+                (a, b), (c, d) = left(m), right(m)
+                return a * c, b * d
+            return product
+        if op == "+":
+            def plus(m: int) -> _Pair:
+                (a, b), (c, d) = left(m), right(m)
+                return (a + c, b) if b == d else (a * d + c * b, b * d)
+            return plus
+
+        def minus(m: int) -> _Pair:
+            (a, b), (c, d) = left(m), right(m)
+            return (a - c, b) if b == d else (a * d - c * b, b * d)
+        return minus
     if node == NODE_SUM:
         terms = [compile_germ(term, t) for term in g.terms]
         if g.indices:
             present = list(zip([t.bit(idx) for idx in g.indices], terms))
-            return lambda m: sum((f(m) for bit, f in present if m & bit), Fraction(0))
-        return lambda m: sum((f(m) for f in terms), Fraction(0))
+            return lambda m: _total(f(m) for bit, f in present if m & bit)
+        return lambda m: _total(f(m) for f in terms)
     raise ValueError(f"unknown germ node {node}")
+
+
+def _total(pairs: Iterable[_Pair]) -> _Pair:
+    """The sum of rational pairs, in order, as a pair; 0 when empty."""
+    n, d = 0, 1
+    for a, b in pairs:
+        if b == d:
+            n += a
+        else:
+            n, d = n * b + a * d, d * b
+    return n, d
 
 
 def const_germ(q: Fraction | int) -> Germ:
@@ -240,18 +274,24 @@ def star_sum(terms: Iterable[Germ | Fraction | int],
 # Relations
 
 
-_RELATIONS: dict[str, Callable[[Fraction, Fraction], bool]] = {
-    "eq": operator.eq, "ne": operator.ne, "le": operator.le, "lt": operator.lt,
-    "ge": operator.ge, "gt": operator.gt, "abs_le": lambda a, b: abs(a) <= b}
+# Relations between pairs, decided by cross-multiplication.
+_RELATIONS: dict[str, Callable[[_Pair, _Pair], bool]] = {
+    "eq": lambda p, q: p[0] * q[1] == q[0] * p[1],
+    "ne": lambda p, q: p[0] * q[1] != q[0] * p[1],
+    "le": lambda p, q: p[0] * q[1] <= q[0] * p[1],
+    "lt": lambda p, q: p[0] * q[1] < q[0] * p[1],
+    "ge": lambda p, q: p[0] * q[1] >= q[0] * p[1],
+    "gt": lambda p, q: p[0] * q[1] > q[0] * p[1],
+    "abs_le": lambda p, q: abs(p[0]) * q[1] <= q[0] * p[1]}
 
 _MIRROR = {"eq": "eq", "ne": "ne", "le": "ge", "lt": "gt", "ge": "le", "gt": "lt"}
 
 
 def eval_relation(rel: str, a: Fraction, b: Fraction) -> bool:
-    return _RELATIONS[rel](a, b)
+    return _RELATIONS[rel]((a.numerator, a.denominator), (b.numerator, b.denominator))
 
 
-def _judge(relation: Callable[[Fraction, Fraction], bool], left: Callable,
+def _judge(relation: Callable[[_Pair, _Pair], bool], left: Callable,
            right: Callable, at) -> bool | None:
     """relation(left(at), right(at)), or None where a side has no value
     there; the left side is evaluated first."""
@@ -261,7 +301,7 @@ def _judge(relation: Callable[[Fraction, Fraction], bool], left: Callable,
         return None
 
 
-def _judge_each(relation: Callable[[Fraction, Fraction], bool], lg: Germ,
+def _judge_each(relation: Callable[[_Pair, _Pair], bool], lg: Germ,
                 rg: Germ, witnesses: list[Snapshot]) -> list[bool | None]:
     """`_judge` of the relation between lg and rg at each witness, in order.
 

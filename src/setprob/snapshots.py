@@ -37,8 +37,10 @@ class Snapshot:
     of atoms, and as `m.bit_count()`; a closure that needs the subset's
     states by position first takes the bit of every state, which makes
     each state its own atom.  So two subsets with equally many states in
-    each atom get the same value from every such closure, error texts
-    aside, and `germs._window_exhaustive` evaluates one of them for all.
+    each atom get the same value from every such closure (the same
+    unreduced (numerator, denominator) int pair from a compiled germ, the
+    same bool from a mask test), error texts aside, and
+    `germs._window_exhaustive` evaluates one of them for all.
     """
 
     __slots__ = ("states", "_codes", "_bits", "_masks", "_read")

@@ -444,6 +444,8 @@ PINNED_CLI = [
      0, "327b56faca68f1b476f01123e789b265135dbc110a6737ff5d072ec751c3b45d"),
     ("run docs/examples/window_even.json --canonical",
      0, "a8f341bdbeceac620a904060ea95934f879247d8048b9142393c3ff1ef70638a"),
+    ("run docs/examples/window_arith.json --canonical",
+     0, "6e5339f57a089795c94350739178f736308b503e8641a4609205fdf4ae69dbf2"),
 ]
 
 

@@ -2,11 +2,13 @@
 
 `_window_exhaustive` treats a subset of the window as an int mask: each
 constraint is a bit-count test (`constraint_mask_test`) and each germ is
-compiled once (`compile_germ`).  These tests hold both equal, on every
+compiled once (`compile_germ`) into a function returning an exact
+(numerator, denominator) int pair.  These tests hold both equal, on every
 subset of random windows, to the snapshot-level definitions:
 `constraint_membership` on the built Snapshot, and a germ evaluator
 written here from the public `snapshot_prob`, `joint_snapshot_prob` and
-`conditional_snapshot_prob`.
+`conditional_snapshot_prob`, whose `Fraction` relations the pair
+relations of `germs._RELATIONS` must match.
 
 `compare` evaluates one subset per count vector over the window's atoms
 and weights it by the number of subsets it stands for.  Its evidence is
@@ -113,6 +115,14 @@ def outcome(fn, *args):
         return fn(*args)
     except (*VACUOUS, WrongMode) as exc:
         return type(exc), str(exc)
+
+
+def pair_value(compiled, m: int) -> Fraction:
+    """The compiled germ's pair at m as a Fraction; its denominator must
+    be positive."""
+    num, den = compiled(m)
+    assert den > 0
+    return Fraction(num, den)
 
 
 @st.composite
@@ -258,7 +268,7 @@ def test_masks_match_snapshots_on_every_subset(problem):
         assert [outcome(test, m) for test in tests] == admitted
         for g, compiled in ((lg, left), (rg, right)):
             expected = outcome(reference_value, g, t)
-            assert outcome(compiled, m) == expected
+            assert outcome(pair_value, compiled, m) == expected
             assert outcome(g.eval_at, t) == expected
     try:
         counts = subset_counts(fb, lg, rel, rg)
@@ -270,6 +280,84 @@ def test_masks_match_snapshots_on_every_subset(problem):
         return
     v = compare(lg, rel, rg, fb, sample_count=0)
     assert_window_evidence(v, *counts)
+
+
+@st.composite
+def pair_problems(draw):
+    """A window of up to 6 distinct states and two germs over it, built
+    with every operation, negative constants, quotients by a difference
+    that changes sign, and plain and indexed star_sums."""
+    mode = draw(st.sampled_from((ORDINAL_MODE, HF_MODE)))
+    pool = POOLS[mode]
+    window = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6,
+                           unique_by=lambda v: v.code))
+    near = st.sampled_from(window)
+    classes = list(BUILTINS[mode]) + [
+        class_from_values("A", draw(st.lists(near, max_size=4)))]
+    a, b = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2,
+                         unique_by=lambda v: v.code))
+    rv = st.sampled_from([identity_rv(), table_rv({a: b, b: a}, "swap")])
+    cls = st.sampled_from(classes)
+    leaves = st.one_of(
+        st.fractions(min_value=-3, max_value=3, max_denominator=5).map(const_germ),
+        st.builds(germ_of_event, rv, cls),
+        st.builds(joint_germ, rv, cls, rv, cls),
+        st.builds(conditional_germ, rv, cls, rv, cls),
+    )
+
+    def branches(children):
+        difference = st.builds(germ_arith, st.just("-"), children, children)
+        indexed = st.lists(st.tuples(children, near), min_size=1, max_size=3).map(
+            lambda pairs: star_sum([g for g, _ in pairs], [x for _, x in pairs]))
+        return st.one_of(
+            st.builds(germ_arith, st.sampled_from(("+", "-", "*", "/")), children, children),
+            st.builds(germ_arith, st.just("/"), children, difference),
+            st.lists(children, max_size=3).map(star_sum),
+            indexed,
+        )
+
+    germ = st.recursive(leaves, branches, max_leaves=6)
+    return tuple(window), draw(germ), draw(germ)
+
+
+def _parity_gap():
+    """Pr[Even] - Pr[Odd] - 1/2, negative on most subsets, beside Pr[Lim]."""
+    ident = identity_rv()
+    even, odd, lim = (OU.builtin_class(n) for n in ("Even", "Odd", "Lim"))
+    gap = germ_arith("-", germ_arith("-", germ_of_event(ident, even),
+                                     germ_of_event(ident, odd)), Fraction(1, 2))
+    return tuple(POOLS[ORDINAL_MODE][:6]), gap, germ_of_event(ident, lim)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pair_problems())
+@example(_parity_gap())
+def test_pair_relations_match_fraction_relations(problem):
+    # Every relation on the compiled pairs, which are never reduced, gives
+    # what the Fraction relation gives on the node-by-node values, and a
+    # subset with no value raises the same error, with the same text.
+    window, lg, rg = problem
+    assert sorted(germs._RELATIONS) == sorted(RELATIONS)
+    win = Snapshot(window)
+    left, right = compile_germ(lg, win), compile_germ(rg, win)
+    for m in range(1 << len(win)):
+        t = Snapshot(win.subset(m))
+        sides = []
+        for g, compiled in ((lg, left), (rg, right)):
+            expected = outcome(reference_value, g, t)
+            got = outcome(compiled, m)
+            if isinstance(expected, tuple):  # no value: the same error
+                assert got == expected
+            else:
+                assert got[1] > 0 and Fraction(*got) == expected
+            sides.append((expected, got))
+        (lv, lp), (rv, rp) = sides
+        for rel, relation in germs._RELATIONS.items():
+            judged = germs._judge(relation, left, right, m)
+            if isinstance(lv, tuple) or isinstance(rv, tuple):
+                assert judged is None
+            else:
+                assert judged == relation(lp, rp) == RELATIONS[rel](lv, rv)
 
 
 def test_empty_snapshot_errors_match():
