@@ -214,10 +214,14 @@ def audit_restricted_base(fb: FilterBase) -> RestrictionAudit:
     fip_ok = fip.witnessed
     details["fip"] = fip.status
 
+    # Each sampled state's pin is built once, for both loops, so its
+    # cached `form` serves every search that cites it.
+    samples = [(x, fineness(x)) for x in window[:AUDIT_SAMPLES]]
+
     # Fineness: every sampled window state extends the base consistently.
     fineness_ok = True
-    for x in window[:AUDIT_SAMPLES]:
-        w = find_witness(concrete + [fineness(x)], fb.universe,
+    for x, pin in samples:
+        w = find_witness(concrete + [pin], fb.universe,
                          window=fb.window, max_size=fb.max_size)
         if w is None:
             fineness_ok = False
@@ -233,8 +237,8 @@ def audit_restricted_base(fb: FilterBase) -> RestrictionAudit:
 
     dichotomy_ok = True
     nonprincipal_ok = True
-    for x in window[:AUDIT_SAMPLES]:
-        pin_w = find_witness(concrete + [fineness(x)], fb.universe,
+    for x, pin in samples:
+        pin_w = find_witness(concrete + [pin], fb.universe,
                              window=fb.window, max_size=fb.max_size)
         shut = without_pin(x) + [subset_bound((x,), 1)]
         shut_w = find_witness(shut, fb.universe, window=fb.window,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -238,7 +238,7 @@ def constraint_membership(c: Constraint, t: Snapshot, mode: str | None = None) -
         on_count = sum(1 for s in t if s.is_ordinal)
         return c.param * on_count <= len(t)
     if c.tag == TAG_SUBSET_BOUND:
-        inside = {v.code for v in c.window}
+        inside = c.form.small  # the window's codes
         return sum(1 for s in t if s.code in inside) < c.param
     if c.tag == TAG_MIN_SIZE:
         return len(t) >= c.param
@@ -546,7 +546,10 @@ def expand_base(fb: FilterBase) -> list[Constraint]:
 
 
 def _structurally_empty(subset: Sequence[Constraint]) -> bool:
-    """Detect intersections provably empty by trichotomy on counts."""
+    """Detect intersections provably empty by trichotomy on counts.
+    Every refutation it knows needs an order_lt constraint."""
+    if not any(c.tag == TAG_ORDER_LT for c in subset):
+        return False
     for c in subset:
         if c.tag == TAG_ORDER_LT and c.cls_a == c.cls_b:
             return True
@@ -641,15 +644,7 @@ def _shuffled_stream(stream: Iterator[SetValue],
 def _touch_test(protected: Sequence[ClassSpec]) -> Callable[[int, int], bool]:
     """touches(a, nb): whether w*a+nb lies in a protected class.  The
     classes are fixed, so each answer is computed once and remembered."""
-    memo: dict[tuple[int, int], bool] = {}
-
-    def touches(a: int, nb: int) -> bool:
-        hit = memo.get((a, nb))
-        if hit is None:
-            hit = memo[a, nb] = any(p.membership(ord_value(a, nb)) for p in protected)
-        return hit
-
-    return touches
+    return cache(lambda a, nb: any(p.membership(ord_value(a, nb)) for p in protected))
 
 
 def _run_through(bs: Container[int], b: int, reach: int) -> tuple[int, int]:
@@ -748,17 +743,55 @@ def _run_feasible(cand: SetValue, l: int, touches: Callable[[int, int], bool],
                _closing_windows(present, a, r0, r1, l, touches, most=1))
 
 
+class _Sides:
+    """The count sides of a constraint list's forms, prepared once for
+    every `_Tally` over the list.
+
+    `forms` are the constraints' count forms and `limit` is L, the
+    largest interval parameter, or None with no interval constraint.
+    Each distinct side has one count under `keys`: a code set by value,
+    which holds state s when `s.code in side`, and a class or predicate
+    as an object, by its membership test.  `of(s)` gives the sides s
+    counts in.
+    """
+
+    def __init__(self, cs: Sequence[Constraint]):
+        self.forms: list[_CountForm] = []
+        self.limit: int | None = None
+        tests: dict[_Side, Callable[[SetValue], bool] | None] = {None: None}
+        for c in cs:
+            form = c.form
+            if form is None:  # interval
+                self.limit = max(self.limit or 0, c.param)
+                continue
+            self.forms.append(form)
+            for side in (form.small, form.big):
+                if side not in tests:
+                    tests[side] = None if isinstance(side, frozenset) else \
+                        side.membership if isinstance(side, ClassSpec) else side
+        self.keys = tuple(tests)  # None, the side that counts nothing, first
+        tested = tuple(tests.items())[1:]
+
+        # a closure, not a method: a cache around it (`_Search.reuse`) then
+        # makes no reference cycle, so a replaced search is freed at once
+        def of(s: SetValue) -> tuple[_Side, ...]:
+            code = s.code
+            return tuple(side for side, test in tested
+                         if (code in side if test is None else test(s)))
+
+        self.of = of
+
+
 class _Tally:
     """The state set of one witness construction, with the counts its
     constraints read, updated on every add and discard.
 
-    It keeps one count per distinct side of the constraints' `form`s,
-    under the side itself (a code set by value, a class or predicate as
-    an object) and, for interval constraints, `blocks`: the b of every
-    ordinal w*a+b by block a, with the number of maximal runs of at most
-    L states, L the largest interval parameter: a run of at most l <= L
-    states is one of them.  `satisfied` is then the boolean
-    `constraint_membership` gives on the Snapshot of the states.
+    It keeps one count per side of its `_Sides` and, for interval
+    constraints, `blocks`: the b of every ordinal w*a+b by block a, with
+    the number of maximal runs of at most L states, L the largest
+    interval parameter: a run of at most l <= L states is one of them.
+    `satisfied` is then the boolean `constraint_membership` gives on the
+    Snapshot of the states.
     Run closure (`_close_intervals`), run feasibility (`_run_feasible`)
     and isolation (`_isolation_ok`) read the runs off `blocks`, so none
     of them scans the placed states.
@@ -766,32 +799,13 @@ class _Tally:
     changes nothing.
     """
 
-    def __init__(self, cs: Sequence[Constraint], states: Iterable[SetValue] = ()):
+    def __init__(self, sides: _Sides, states: Iterable[SetValue] = ()):
         self.states: set[SetValue] = set()
         self.blocks: dict[int, set[int]] = {}
-        self._counts: dict[_Side, int] = {None: 0}
-        # membership tests of class and predicate sides; code sets go by code
-        self._tests: dict[_Side, Callable[[SetValue], bool]] = {}
-        self._keys_by_code: dict[str, list[frozenset]] = {}
-        self._forms: list[_CountForm] = []
-        self._limit: int | None = None  # L, while there is an interval constraint
+        self._sides = sides
+        self._counts: dict[_Side, int] = dict.fromkeys(sides.keys, 0)
+        self._limit = sides.limit  # L, while there is an interval constraint
         self._short = 0  # maximal runs of at most L states
-        for c in cs:
-            form = c.form
-            if form is None:  # interval
-                self._limit = max(self._limit or 0, c.param)
-                continue
-            self._forms.append(form)
-            for side in (form.small, form.big):
-                if side in self._counts:
-                    continue
-                self._counts[side] = 0
-                if isinstance(side, frozenset):
-                    for code in side:
-                        self._keys_by_code.setdefault(code, []).append(side)
-                else:
-                    self._tests[side] = side.membership \
-                        if isinstance(side, ClassSpec) else side
         # a run longer than L is short for every interval constraint
         self._reach = (self._limit or 0) + 1
         for s in states:
@@ -807,10 +821,13 @@ class _Tally:
         return len(self.states)
 
     def satisfied(self) -> bool:
+        if self._short:
+            return False
         counts = self._counts
-        return all(k * counts[x] + slack <= counts[y]
-                   for k, x, slack, y in self._forms) \
-            and not self._short
+        for k, x, slack, y in self._sides.forms:
+            if k * counts[x] + slack > counts[y]:
+                return False
+        return True
 
     def excess(self, form: _CountForm) -> int:
         """k*|small| + slack - |big| for a form of one of the constraints."""
@@ -836,11 +853,9 @@ class _Tally:
         return False
 
     def _update(self, s: SetValue, sign: int) -> None:
-        for key in self._keys_by_code.get(s.code, ()):
-            self._counts[key] += sign
-        for key, test in self._tests.items():
-            if test(s):
-                self._counts[key] += sign
+        counts = self._counts
+        for key in self._sides.of(s):
+            counts[key] += sign
         if self._limit is not None and s.is_ordinal:
             self._place(*s.ord_parts, sign)
 
@@ -875,6 +890,208 @@ _GROWN_TAGS = (TAG_RATIO, TAG_ORDER_LT, TAG_ORDER_GE)
 _PADDED_TAGS = (TAG_WEIGHT, TAG_MIN_SIZE)
 
 
+class _Search:
+    """A witness search prepared from its inputs alone: the constraints,
+    universe, window, max_size and scan_cap of a `find_witness` call.
+
+    One pass over the constraints gives the pins, the grown and padded
+    forms in repair order and the interval parameter; the sides each
+    attempt's `_Tally` counts and the touch tests of run closure are
+    built here too, and the decoration source on first use.  Every draw
+    and decision of a call is made in `run`, so a search run again draws
+    as a fresh one would.  `reuse` starts the memos only a repeated run
+    reads: the sides of each state, the pads a grown class rules out,
+    and the position of each state in the decoration source.
+    """
+
+    def __init__(self, cs: tuple[Constraint, ...], universe: UniverseHandle | None,
+                 window: tuple[SetValue, ...] | None, max_size: int | None,
+                 scan_cap: int):
+        self.pins: list[SetValue] = []
+        self.interval_c = 0
+        grown, padded = [], []
+        for c in cs:
+            tag = c.tag
+            if tag == TAG_FINENESS:
+                self.pins.append(c.x)
+            elif tag in _GROWN_TAGS:
+                grown.append(c)
+            elif tag in _PADDED_TAGS:
+                padded.append(c)
+            elif tag == TAG_INTERVAL:
+                self.interval_c = max(self.interval_c, c.param)
+            elif tag == TAG_PARAMETRIC:
+                raise ValueError("find_witness needs concrete constraints; expand first")
+        self.mode = universe.mode if universe is not None else None
+        if self.mode == HF_MODE and any(c.tag in _ORDINAL_ONLY_TAGS for c in cs):
+            raise WrongMode("interval/weight constraints need an ordinal universe")
+        self.cs, self.window = cs, window
+        self.universe, self.max_size, self.scan_cap = self.inputs = \
+            universe, max_size, scan_cap
+        self.grown = [c.form for tag in _GROWN_TAGS for c in grown if c.tag == tag]
+        self.padded = [c.form for tag in _PADDED_TAGS for c in padded if c.tag == tag]
+        # a pin outside the window leaves nothing to find
+        self.barred = window is not None and bool(self.pins) and \
+            not {p.code for p in self.pins} <= {v.code for v in window}
+        self.sides = _Sides(cs)
+        # growth inside these classes needs compensation elsewhere, so the
+        # interval machinery steers closures away from them
+        self.closing = _touch_test([f.small for f in self.grown]) if self.grown else None
+        avoid = [cls for f in self.grown for cls in (f.small, f.big)]
+        self.avoids = lambda s: any(a.membership(s) for a in avoid)
+        # one memoised run-closure test per class a repair grows around
+        self.touch_tests = {f.small: _touch_test([f.small]) for f in self.grown}
+        self.reused = False
+
+    def reuse(self) -> None:
+        if not self.reused:
+            self.reused = True
+            self.sides.of = cache(self.sides.of)
+            self.avoids = cache(self.avoids)
+
+    @cached_property
+    def source(self) -> Sequence[SetValue]:
+        """The states decoration draws from: the window, or else the first
+        120 universe states."""
+        if self.window is not None:
+            return self.window
+        return self.universe.prefix(120) if self.universe is not None else ()
+
+    @cached_property
+    def positions(self) -> dict[SetValue, int]:
+        """Each source state's position; empty when the source repeats a
+        state."""
+        positions = {v: i for i, v in enumerate(self.source)}
+        return positions if len(positions) == len(self.source) else {}
+
+    def _pad_stream(self, states: _Tally, ordinal: bool = False) -> Iterator[SetValue]:
+        # pads, non-ordinal window states or HF sets; with `ordinal`, the
+        # ordinal window states instead
+        placed = states.states
+        if self.window is not None:
+            return iter([v for v in self.window
+                         if v.is_ordinal == ordinal and v not in placed])
+        if self.universe is None or ordinal:
+            return iter(())
+        if self.mode == ORDINAL_MODE:
+            return (p for p in self.universe.pads() if p not in placed)
+        return (v for v in self.universe.enumerate_universe() if v not in placed)
+
+    def _grow(self, states: _Tally, form: _CountForm, need: int,
+              rng: random.Random | None) -> None:
+        # First pass insists the candidate's run can close without
+        # touching the small class; the fallback drops that demand and
+        # leaves the spill to the next repair round.
+        small, big, interval_c = form.small, form.big, self.interval_c
+        touches, placed = self.touch_tests[small], states.states
+        for strict in (True, False):
+            if self.window is not None:
+                base = (v for v in self.window if big.membership(v) and v not in placed)
+            else:
+                base = big.enumerate(exclusions=placed)
+            scanned = 0
+            for cand in _shuffled_stream(base, rng):
+                scanned += 1
+                if scanned > self.scan_cap:
+                    break
+                if small.membership(cand):
+                    continue
+                if strict and interval_c and cand.is_ordinal \
+                        and not _run_feasible(cand, interval_c, touches,
+                                              states.blocks.get(cand.ord_parts[0], ())):
+                    continue
+                states.add(cand)
+                need -= 1
+                if not need:
+                    return
+
+    def _pad(self, states: _Tally, need: int, rng: random.Random | None,
+             ordinal: bool = False) -> int:
+        """Add up to `need` pad states outside every grown class; return
+        how many were added."""
+        got = 0
+        for cand in itertools.islice(
+                _shuffled_stream(self._pad_stream(states, ordinal), rng), self.scan_cap):
+            if self.avoids(cand):
+                continue
+            states.add(cand)
+            got += 1
+            if got == need:
+                break
+        return got
+
+    def _decorate(self, states: _Tally, rng: random.Random, decorate: int) -> None:
+        """Admit up to `decorate` source states, in the order `_shuffle`
+        puts the source's states outside the tally."""
+        placed, positions = states.states, self.positions if self.reused else None
+        if positions:
+            pool = list(self.source)
+            for i in sorted([positions[s] for s in placed if s in positions],
+                            reverse=True):
+                del pool[i]
+        else:
+            codes = {s.code for s in placed}
+            pool = [v for v in self.source if v.code not in codes]
+        _shuffle(rng, pool)
+        added, max_size = 0, self.max_size
+        for cand in pool:
+            if added >= decorate or \
+                    (max_size is not None and len(placed) + 1 >= max_size):
+                break
+            added += states.admit(cand)
+
+    def run(self, rng: random.Random | None, decorate: int) -> Snapshot | None:
+        """The attempts of one `find_witness` call."""
+        if self.barred:
+            return None
+        max_size, scan_cap = self.max_size, self.scan_cap
+        for attempt in range(4):
+            states = _Tally(self.sides, self.pins)
+            placed = states.states
+            for _ in range(10):
+                for form in self.grown:
+                    deficit = states.excess(form)
+                    if deficit > 0:
+                        self._grow(states, form, deficit, rng)
+                if self.interval_c:
+                    _close_intervals(states, self.interval_c, self.closing)
+                for form in self.padded:
+                    deficit = states.excess(form)
+                    if deficit > 0:
+                        got = self._pad(states, deficit, rng)
+                        if got < deficit and form.small is None:
+                            # a window short of other states: ordinals fill a
+                            # size floor, whose small side counts nothing
+                            self._pad(states, deficit - got, rng, ordinal=True)
+                if max_size is not None and len(placed) >= max_size:
+                    break
+                if states.satisfied():
+                    break
+                if len(placed) > scan_cap:
+                    break  # past what one repair may scan: out of budget
+            if not placed and states.satisfied():
+                # The empty set satisfies e.g. a lone ratio constraint, but the
+                # snapshot space holds nonempty snapshots only: seed one state.
+                for cand in itertools.islice(
+                        _shuffled_stream(self._pad_stream(states), rng), scan_cap):
+                    if states.admit(cand):
+                        break
+            if placed and states.satisfied():
+                if max_size is not None and len(placed) >= max_size:
+                    continue
+                if decorate and rng is not None:
+                    self._decorate(states, rng, decorate)
+                return _verified(Snapshot(placed), self.cs, self.mode)
+            if rng is None:
+                break  # deterministic restarts would repeat themselves
+        return None
+
+
+# The last search `find_witness` prepared; a call with the same inputs
+# runs it again.
+_last_search: _Search | None = None
+
+
 def find_witness(
     constraints: Sequence[Constraint],
     universe: UniverseHandle | None,
@@ -906,143 +1123,24 @@ def find_witness(
     order `_shuffle` puts them.  Every shuffle makes the draws of
     `rng.shuffle`, so a seed gives the witnesses it always gave.
 
-    Each attempt keeps its states in a `_Tally`, so a candidate is judged
-    on the forms' counts instead of a fresh Snapshot.  The Snapshot is
-    built once, on return, and checked by `_verified`.
+    The inputs fix a prepared search (`_Search`).  The last one is kept,
+    and a call with the same constraint objects, universe, window,
+    max_size and scan_cap runs it again, so the repeated searches of
+    `generate_witnesses` and of sampled compares prepare theirs once.
+    Each attempt keeps its states in a `_Tally`; the Snapshot is built
+    once, on return, and checked by `_verified`.
     """
-    cs = list(constraints)
-    if any(c.tag == TAG_PARAMETRIC for c in cs):
-        raise ValueError("find_witness needs concrete constraints; expand first")
-    mode = universe.mode if universe is not None else None
-    if mode == HF_MODE and any(c.tag in _ORDINAL_ONLY_TAGS for c in cs):
-        raise WrongMode("interval/weight constraints need an ordinal universe")
-
-    pins = [c.x for c in cs if c.tag == TAG_FINENESS]
-    grown = [c.form for tag in _GROWN_TAGS for c in cs if c.tag == tag]
-    padded = [c.form for tag in _PADDED_TAGS for c in cs if c.tag == tag]
-    interval_c = max((c.param for c in cs if c.tag == TAG_INTERVAL), default=0)
-
-    window_vals = None
-    if window is not None:
-        window_vals = list(window)
-        win_codes = {v.code for v in window_vals}
-        if any(p.code not in win_codes for p in pins):
-            return None
-
-    # growth inside these classes needs compensation elsewhere, so the
-    # interval machinery steers closures away from them
-    closing = _touch_test([f.small for f in grown]) if grown else None
-    avoid_for_pads = [cls for f in grown for cls in (f.small, f.big)]
-    # one memoised run-closure test per class a repair grows around
-    touch_tests = {f.small: _touch_test([f.small]) for f in grown}
-
-    def candidate_stream(cls: ClassSpec, states: _Tally) -> Iterator[SetValue]:
-        if window_vals is not None:
-            base = (v for v in window_vals if cls.membership(v) and v not in states)
-        else:
-            base = cls.enumerate(exclusions=states)
-        return _shuffled_stream(base, rng)
-
-    def grow(states: _Tally, form: _CountForm, need: int) -> None:
-        # First pass insists the candidate's run can close without
-        # touching the small class; the fallback drops that demand and
-        # leaves the spill to the next repair round.
-        small = form.small
-        touches = touch_tests[small]
-        for strict in (True, False):
-            scanned = 0
-            for cand in candidate_stream(form.big, states):
-                scanned += 1
-                if scanned > scan_cap:
-                    break
-                if small.membership(cand):
-                    continue
-                if strict and interval_c and cand.is_ordinal \
-                        and not _run_feasible(cand, interval_c, touches,
-                                              states.blocks.get(cand.ord_parts[0], ())):
-                    continue
-                states.add(cand)
-                need -= 1
-                if not need:
-                    return
-
-    def pad_stream(states: _Tally, ordinal: bool = False) -> Iterator[SetValue]:
-        # pads, non-ordinal window states or HF sets; with `ordinal`, the
-        # ordinal window states instead
-        if window_vals is not None:
-            return iter([v for v in window_vals
-                         if v.is_ordinal == ordinal and v not in states])
-        if universe is None or ordinal:
-            return iter(())
-        if universe.mode == ORDINAL_MODE:
-            return (p for p in universe.pads() if p not in states)
-        return (v for v in universe.enumerate_universe() if v not in states)
-
-    def pad(states: _Tally, need: int, ordinal: bool = False) -> int:
-        """Add up to `need` pad states outside every grown class; return
-        how many were added."""
-        got = 0
-        for cand in itertools.islice(
-                _shuffled_stream(pad_stream(states, ordinal), rng), scan_cap):
-            if any(a.membership(cand) for a in avoid_for_pads):
-                continue
-            states.add(cand)
-            got += 1
-            if got == need:
-                break
-        return got
-
-    for attempt in range(4):
-        states = _Tally(cs, pins)
-        for _ in range(10):
-            for form in grown:
-                deficit = states.excess(form)
-                if deficit > 0:
-                    grow(states, form, deficit)
-            if interval_c:
-                _close_intervals(states, interval_c, closing)
-            for form in padded:
-                deficit = states.excess(form)
-                if deficit > 0:
-                    got = pad(states, deficit)
-                    if got < deficit and form.small is None:
-                        # a window short of other states: ordinals fill a
-                        # size floor, whose small side counts nothing
-                        pad(states, deficit - got, ordinal=True)
-            if max_size is not None and len(states) >= max_size:
-                break
-            if states.satisfied():
-                break
-            if len(states) > scan_cap:
-                break  # past what one repair may scan: out of budget
-        if not states and states.satisfied():
-            # The empty set satisfies e.g. a lone ratio constraint, but the
-            # snapshot space holds nonempty snapshots only: seed one state.
-            for cand in itertools.islice(
-                    _shuffled_stream(pad_stream(states), rng), scan_cap):
-                if states.admit(cand):
-                    break
-        if states and states.satisfied():
-            if max_size is not None and len(states) >= max_size:
-                continue
-            if decorate and rng is not None:
-                if window_vals is not None:
-                    source = window_vals
-                else:
-                    source = universe.prefix(120) if universe is not None else []
-                codes = {s.code for s in states}
-                pool = [v for v in source if v.code not in codes]
-                _shuffle(rng, pool)
-                added = 0
-                for cand in pool:
-                    if added >= decorate or \
-                            (max_size is not None and len(states) + 1 >= max_size):
-                        break
-                    added += states.admit(cand)
-            return _verified(Snapshot(states), cs, mode)
-        if rng is None:
-            break  # deterministic restarts would repeat themselves
-    return None
+    global _last_search
+    cs = tuple(constraints)
+    win = None if window is None else tuple(window)
+    search = _last_search
+    if search is not None and search.inputs == (universe, max_size, scan_cap) \
+            and len(search.cs) == len(cs) and search.window == win \
+            and all(c is d for c, d in zip(cs, search.cs)):
+        search.reuse()
+    else:
+        search = _last_search = _Search(cs, universe, win, max_size, scan_cap)
+    return search.run(rng, decorate)
 
 
 def generate_witnesses(
@@ -1055,7 +1153,8 @@ def generate_witnesses(
 ) -> list[Snapshot]:
     """Distinct snapshots in the constraint intersection, for audits:
     up to 8 seeded searches per snapshot asked for, then a deterministic
-    padding fallback."""
+    padding fallback.  Every search is a `find_witness` call with the
+    same inputs, so they share one prepared search."""
     out: list[Snapshot] = []
     seen: set[Snapshot] = set()
     attempts = count * 8
@@ -1075,7 +1174,7 @@ def generate_witnesses(
                 "could not generate witnesses for: "
                 + "; ".join(c.describe() for c in constraints))
         mode = universe.mode if universe is not None else None
-        states = _Tally(constraints, base)
+        states = _Tally(_Sides(constraints), base)
         for cand in (v for v in state_pool(universe, window, SCAN_CAP)
                      if v not in states):
             if len(out) >= count or \
@@ -1199,7 +1298,7 @@ def ordinal_witness(
     cs = ordinal_constraints(pin_list, k, l, m, pair_list)
     ratios = [c for c in cs if c.tag == TAG_RATIO]
 
-    states = _Tally([*ratios, interval(l)], pin_list)
+    states = _Tally(_Sides([*ratios, interval(l)]), pin_list)
     if not states:
         # No pins: seed one run now so the result is nonempty.  The seed
         # must precede pair growth, or its run would add unbalanced

@@ -301,8 +301,9 @@ def test_generate_witnesses_fallback_stops_at_the_scan_budget():
 
 # Every concrete tag, with two interval parameters, over two blocks of
 # ordinals and a few pads.  Edge cases: a duplicated pin, a pin and a
-# class (FAR) outside the states, subset_bound at alpha 0 and 1, and
-# min_size(0).
+# class (FAR) outside the states, subset_bound at alpha 0 and 1,
+# min_size(0), and a pin and a subset_bound on the same state, whose
+# code-set sides are equal values from two constraints.
 EVEN, ODD = REG["Even"], REG["Odd"]
 FAR = class_from_values("Far", [ord_value(2, 0), ord_value(2, 1)])
 TALLY_CONSTRAINTS = [
@@ -312,14 +313,17 @@ TALLY_CONSTRAINTS = [
     fineness(nat(1)), fineness(ord_value(2, 5)), ratio(EVEN, FAR, 1),
     order_lt(FAR, ODD), order_ge(FAR, M4), subset_bound([nat(2), pad(0)], 0),
     subset_bound([nat(2), pad(0)], 1), min_size(0),
+    fineness(pad(2)), subset_bound([pad(2)], 1),
 ]
 TALLY_STATES = [ord_value(a, b) for a in range(2) for b in range(8)] + \
     [pad(k) for k in range(4)]
 HF_STATES = list(islice(HF.enumerate_universe(), 24))
 HF_A = class_of_set(hf_set(HF_STATES[1:3]))
 HF_B = class_of_set(hf_set(HF_STATES[2:5]))
+HF_C = class_of_set(hf_set(HF_STATES[4:8]))
 HF_TALLY_CONSTRAINTS = [fineness(HF_STATES[3]), order_lt(HF_A, HF_B),
-                        order_ge(HF_A, HF_B), order_lt(HF_B, HF_A)]
+                        order_ge(HF_A, HF_B), order_lt(HF_B, HF_A),
+                        order_ge(HF_C, HF_A), min_size(5)]
 
 
 def _check_tally_steps(universe, cs, steps):
@@ -328,8 +332,8 @@ def _check_tally_steps(universe, cs, steps):
     of each count form's excess in the shared tally, must be
     constraint_membership on the Snapshot of the set, and the excess
     itself k*|small| + slack - |big| counted on that Snapshot."""
-    singles = [filters._Tally([c]) for c in cs]
-    whole = filters._Tally(cs)
+    singles = [filters._Tally(filters._Sides([c])) for c in cs]
+    whole = filters._Tally(filters._Sides(cs))
     forms = {i: c.form for i, c in enumerate(cs) if c.form}
     states = set()
     for add, s in steps:
@@ -360,6 +364,58 @@ def test_tally_matches_membership_after_every_step(steps):
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_tally_matches_membership_in_hf_mode(steps):
     _check_tally_steps(HF, HF_TALLY_CONSTRAINTS, steps)
+
+
+def _fresh_witnesses(cs, universe, rng, count, window, max_size):
+    """The seeded searches of generate_witnesses, each prepared afresh,
+    so that no two share anything: the distinct witnesses found, and the
+    base of the padding fallback when fewer than `count` turn up."""
+    def search(r, decorate):
+        return filters._Search(tuple(cs), universe, window, max_size,
+                               filters.SCAN_CAP).run(r, decorate)
+    out = []
+    for _ in range(count * 8):
+        if len(out) == count:
+            break
+        w = search(rng, rng.randrange(0, 5))
+        if w is not None and w not in out:
+            out.append(w)
+    return out, (search(None, 0) if len(out) < count else None)
+
+
+LEAK_POOLS = ((U, TALLY_CONSTRAINTS, tuple(TALLY_STATES)),
+              (HF, HF_TALLY_CONSTRAINTS, tuple(HF_STATES[:12])))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_a_reused_search_leaks_nothing(data):
+    # Two constraint lists in a row, each through generate_witnesses,
+    # whose searches share one prepared search, and through fresh
+    # searches that share nothing: the witnesses and the generator's
+    # final state must agree.
+    for _ in range(2):
+        universe, pool, window = data.draw(st.sampled_from(LEAK_POOLS))
+        cs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+        window = data.draw(st.sampled_from((None, window)))
+        max_size = data.draw(st.sampled_from((None, 4, 9)))
+        seed = data.draw(st.integers(0, 2 ** 16))
+        rng, ref = random.Random(seed), random.Random(seed)
+        try:
+            got = generate_witnesses(cs, universe, rng, 3, window=window,
+                                     max_size=max_size)
+        except ConstructionFailed as exc:
+            assert not str(exc).startswith("construction built"), exc
+            got = None
+        want, base = _fresh_witnesses(cs, universe, ref, 3, window, max_size)
+        assert rng.getstate() == ref.getstate()
+        if len(want) == 3:
+            assert got == want
+        elif base is None:
+            assert got is None
+        elif got is not None:
+            assert got[:len(want)] == want
+            assert all(set(base) <= set(w) for w in got[len(want):])
 
 
 def test_returned_witness_is_checked_against_every_constraint(monkeypatch):
@@ -974,7 +1030,7 @@ def _classes(names):
 def test_close_intervals_on_a_tally_matches_the_set_closure(l, placed, names, pads):
     protected = _classes(names)
     states = {ord_value(a, b) for a, b in placed} | set(pads)
-    tally = filters._Tally([interval(l)], states)
+    tally = filters._Tally(filters._Sides([interval(l)]), states)
     touches = filters._touch_test(protected) if protected else None
     added = filters._close_intervals(tally, l, touches)
     expected = _close_by_rebuilding_blocks(states, l, protected)
@@ -986,7 +1042,7 @@ def test_close_intervals_on_a_tally_matches_the_set_closure(l, placed, names, pa
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_isolation_reads_only_the_candidate_block(a, b, l, placed, names):
     guard = _classes(names)
-    tally = filters._Tally([interval(l)], [ord_value(pa, pb) for pa, pb in placed])
+    tally = filters._Tally(filters._Sides([interval(l)]), [ord_value(pa, pb) for pa, pb in placed])
     assert filters._isolation_ok(ord_value(a, b), l, filters._touch_test(guard),
                                  tally.blocks.get(a, ())) == \
         _isolated_by_scanning_states(ord_value(a, b), l, guard, tally.states)
@@ -999,7 +1055,7 @@ def test_a_feasible_run_closes_clear_of_the_protected_classes(a, b, l, placed, n
     # grow's strict pass keeps only candidates whose run can close clear
     # of the classes; the closure after it must then find such a window.
     touches = filters._touch_test(_classes(names))
-    tally = filters._Tally([interval(l)], [ord_value(pa, pb) for pa, pb in placed])
+    tally = filters._Tally(filters._Sides([interval(l)]), [ord_value(pa, pb) for pa, pb in placed])
     filters._close_intervals(tally, l, touches)  # every run but cand's is long
     cand = ord_value(a, b)
     if cand in tally or not filters._run_feasible(cand, l, touches,
@@ -1022,7 +1078,7 @@ def test_isolated_states_close_as_plain_successor_closure(l, placed, guard, cand
         [class_from_values("G", [ord_value(a, b) for a, b in guard])])
 
     def closed_tally():
-        tally = filters._Tally([interval(l)], [ord_value(a, b) for a, b in placed])
+        tally = filters._Tally(filters._Sides([interval(l)]), [ord_value(a, b) for a, b in placed])
         filters._close_intervals(tally, l)  # every run but the new ones is long
         return tally
 
