@@ -369,8 +369,10 @@ def state_pool(universe: UniverseHandle | None,
 
     A universe pool is a generator walk, one step per state, that stops
     where its caller stops.  Its first PREFIX_MEMO_CAP states come from
-    the handle's memo, so they are not rebuilt; a caller that wants a
-    whole list at once takes `UniverseHandle.prefix` instead."""
+    the handle's memo, so they are not rebuilt.  The handle offers no
+    list of its states: a caller that wants one, such as the decoration
+    index of a witness search (`_Search.positions`), makes it from a
+    pool, and a window that repeats a state repeats it here."""
     if window is not None:
         return iter(window)
     if universe is None:
@@ -440,6 +442,22 @@ def constraint_to_text(c: Constraint) -> str:
     raise ValueError(f"unknown constraint tag {c.tag}")
 
 
+def _class_pair(text: str, classes: dict[str, ClassSpec]) -> tuple[ClassSpec, ClassSpec]:
+    """The classes of a rendered pair "a,b".  A class name may hold a
+    comma, so the pair splits at the one comma whose two sides are both
+    known classes: none is an unknown class, more than one is ambiguous."""
+    cuts = [(text[:i], text[i + 1:]) for i, ch in enumerate(text) if ch == ","]
+    pairs = [(a, b) for a, b in cuts if a in classes and b in classes]
+    if len(pairs) > 1:
+        raise ValueError(f"ambiguous class pair {excerpt(text)}")
+    if not pairs:
+        a, b = text.rsplit(",", 1)  # with no comma: not enough values to unpack
+        missing = a if a not in classes else b
+        raise KeyError(f"constraint references unknown class {missing!r}")
+    [(a, b)] = pairs
+    return classes[a], classes[b]
+
+
 def constraint_from_text(text: str, classes: dict[str, ClassSpec] | None = None) -> Constraint:
     """Parse the canonical constraint rendering.
 
@@ -449,12 +467,6 @@ def constraint_from_text(text: str, classes: dict[str, ClassSpec] | None = None)
     from .universe import parse_code
 
     classes = classes or {}
-
-    def resolve(name: str) -> ClassSpec:
-        if name not in classes:
-            raise KeyError(f"constraint references unknown class {name!r}")
-        return classes[name]
-
     head, _, rest = text.partition("(")
     if not rest.endswith(")"):
         raise ValueError(f"bad constraint text {excerpt(text)}")
@@ -462,12 +474,11 @@ def constraint_from_text(text: str, classes: dict[str, ClassSpec] | None = None)
     if head == "fineness":
         return fineness(parse_code(body))
     if head == "ratio":
-        a, b, kpart = body.rsplit(",", 2)
-        return ratio(resolve(a), resolve(b), int(kpart.removeprefix("k=")))
+        pair, kpart = body.rsplit(",", 1)
+        return ratio(*_class_pair(pair, classes), int(kpart.removeprefix("k=")))
     if head in ("order_lt", "order_ge"):
-        a, b = body.rsplit(",", 1)
         maker = order_lt if head == "order_lt" else order_ge
-        return maker(resolve(a), resolve(b))
+        return maker(*_class_pair(body, classes))
     if head == "interval":
         return interval(int(body.removeprefix("l=")))
     if head == "weight":
@@ -480,10 +491,9 @@ def constraint_from_text(text: str, classes: dict[str, ClassSpec] | None = None)
     if head == "min_size":
         return min_size(int(body))
     if head == "parametric":
-        family, *names = body.split(",")
+        family, _, names = body.partition(",")
         if family == TAG_RATIO:
-            a, b = names
-            return parametric_ratio(resolve(a), resolve(b))
+            return parametric_ratio(*_class_pair(names, classes))
         if family not in (TAG_FINENESS, TAG_INTERVAL, TAG_WEIGHT):
             raise ValueError(f"unknown parametric family {family!r}")
         return Constraint(TAG_PARAMETRIC, family=family)
@@ -894,21 +904,20 @@ class _Search:
     """A witness search prepared from its inputs alone: the constraints,
     universe, window, max_size and scan_cap of a `find_witness` call.
 
-    One pass over the constraints gives the pins, the grown and padded
-    forms in repair order and the interval parameter; the sides each
-    attempt's `_Tally` counts and the touch tests of run closure are
-    built here too, and the decoration source on first use.  Every draw
-    and decision of a call is made in `run`, so a search run again draws
-    as a fresh one would.  `reuse` starts the memos only a repeated run
-    reads: the sides of each state, the pads a grown class rules out,
-    and the position of each state in the decoration source.
+    One pass over the constraints gives the pins and the grown and padded
+    forms in repair order; the sides each attempt's `_Tally` counts, with
+    the interval parameter, and the touch tests of run closure are built
+    here too, and the decoration index (`positions`) once, on first use.
+    Every draw and decision of a call is made in `run`, so a search run
+    again draws as a fresh one would.  `reuse` starts the memos only a
+    repeated run reads: the sides of each state and the pads a grown
+    class rules out.
     """
 
     def __init__(self, cs: tuple[Constraint, ...], universe: UniverseHandle | None,
                  window: tuple[SetValue, ...] | None, max_size: int | None,
                  scan_cap: int):
         self.pins: list[SetValue] = []
-        self.interval_c = 0
         grown, padded = [], []
         for c in cs:
             tag = c.tag
@@ -918,8 +927,6 @@ class _Search:
                 grown.append(c)
             elif tag in _PADDED_TAGS:
                 padded.append(c)
-            elif tag == TAG_INTERVAL:
-                self.interval_c = max(self.interval_c, c.param)
             elif tag == TAG_PARAMETRIC:
                 raise ValueError("find_witness needs concrete constraints; expand first")
         self.mode = universe.mode if universe is not None else None
@@ -934,6 +941,7 @@ class _Search:
         self.barred = window is not None and bool(self.pins) and \
             not {p.code for p in self.pins} <= {v.code for v in window}
         self.sides = _Sides(cs)
+        self.interval_c = self.sides.limit or 0
         # growth inside these classes needs compensation elsewhere, so the
         # interval machinery steers closures away from them
         self.closing = _touch_test([f.small for f in self.grown]) if self.grown else None
@@ -950,19 +958,14 @@ class _Search:
             self.avoids = cache(self.avoids)
 
     @cached_property
-    def source(self) -> Sequence[SetValue]:
-        """The states decoration draws from: the window, or else the first
-        120 universe states."""
-        if self.window is not None:
-            return self.window
-        return self.universe.prefix(120) if self.universe is not None else ()
-
-    @cached_property
     def positions(self) -> dict[SetValue, int]:
-        """Each source state's position; empty when the source repeats a
-        state."""
-        positions = {v: i for i, v in enumerate(self.source)}
-        return positions if len(positions) == len(self.source) else {}
+        """The decoration index: each state decoration draws from, the
+        window's or else the first 120 universe states', with its position
+        in that list; a repeated state is kept once, where first seen."""
+        positions: dict[SetValue, int] = {}
+        for v in state_pool(self.universe, self.window, 120):
+            positions.setdefault(v, len(positions))
+        return positions
 
     def _pad_stream(self, states: _Tally, ordinal: bool = False) -> Iterator[SetValue]:
         # pads, non-ordinal window states or HF sets; with `ordinal`, the
@@ -975,7 +978,7 @@ class _Search:
             return iter(())
         if self.mode == ORDINAL_MODE:
             return (p for p in self.universe.pads() if p not in placed)
-        return (v for v in self.universe.enumerate_universe() if v not in placed)
+        return (v for v in state_pool(self.universe, None) if v not in placed)
 
     def _grow(self, states: _Tally, form: _CountForm, need: int,
               rng: random.Random | None) -> None:
@@ -1021,17 +1024,13 @@ class _Search:
         return got
 
     def _decorate(self, states: _Tally, rng: random.Random, decorate: int) -> None:
-        """Admit up to `decorate` source states, in the order `_shuffle`
-        puts the source's states outside the tally."""
-        placed, positions = states.states, self.positions if self.reused else None
-        if positions:
-            pool = list(self.source)
-            for i in sorted([positions[s] for s in placed if s in positions],
-                            reverse=True):
-                del pool[i]
-        else:
-            codes = {s.code for s in placed}
-            pool = [v for v in self.source if v.code not in codes]
+        """Admit up to `decorate` indexed states (`positions`), in the order
+        `_shuffle` puts those outside the tally."""
+        placed, positions = states.states, self.positions
+        pool = list(positions)
+        for i in sorted([positions[s] for s in placed if s in positions],
+                        reverse=True):
+            del pool[i]
         _shuffle(rng, pool)
         added, max_size = 0, self.max_size
         for cand in pool:
@@ -1120,10 +1119,12 @@ def find_witness(
     (`_shuffled_stream`), and a found snapshot then takes up to
     `decorate` random extra states that keep every constraint, drawn
     from the window, or else from the first 120 universe states, in the
-    order `_shuffle` puts them.  Every shuffle makes the draws of
-    `rng.shuffle`, so a seed gives the witnesses it always gave.
+    order `_shuffle` puts them; a state the window repeats is drawn once.
+    Every shuffle makes the draws of `rng.shuffle`, so a seed gives the
+    witnesses it always gave.
 
-    The inputs fix a prepared search (`_Search`).  The last one is kept,
+    The inputs fix a prepared search (`_Search`), which builds its
+    decoration index once.  The last one is kept,
     and a call with the same constraint objects, universe, window,
     max_size and scan_cap runs it again, so the repeated searches of
     `generate_witnesses` and of sampled compares prepare theirs once.

@@ -69,6 +69,7 @@ from .universe import (
     RandomVariable,
     SetValue,
     UniverseHandle,
+    canonical,
     class_from_values,
     even_shift_permutation,
     excerpt,
@@ -229,7 +230,7 @@ def build_base(ctx: ScenarioContext, spec: dict | None) -> FilterBase:
         fb = ordinal_theorem_base(ctx.universe, pairs)
     elif builder == "empty":
         fb = FilterBase((), universe=ctx.universe,
-                        window=tuple(window) if window is not None else None)
+                        window=None if window is None else canonical(window))
     else:
         raise ScenarioValidationError(f"unknown base builder {builder!r}")
     extra = [_parse(lambda t: constraint_from_text(t, ctx.classes), text,

@@ -845,14 +845,6 @@ class UniverseHandle:
         if i == PREFIX_MEMO_CAP:
             yield from itertools.islice(self._walk(), i, None)
 
-    def prefix(self, n: int) -> list[SetValue]:
-        """The first min(n, PREFIX_MEMO_CAP) states of `enumerate_universe`
-        (all of them in a smaller universe), as one slice of the memo."""
-        n = min(n, PREFIX_MEMO_CAP)
-        while len(self._prefix) < n and self._extend_prefix(len(self._prefix)):
-            pass
-        return self._prefix[:n]
-
     def _extend_prefix(self, n: int) -> bool:
         """Grow the memo past n states from the shared walk; False when the
         universe has only n."""

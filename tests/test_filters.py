@@ -157,20 +157,27 @@ def test_state_pool_window_wins_and_limit_cuts_the_universe():
     assert list(state_pool(None, None, limit=5)) == []
 
 
+# The prefix of a universe is now read through `state_pool`; these keep
+# the checks of the deleted `UniverseHandle.prefix` on that one reader.
 @pytest.mark.parametrize("n", [0, 1, 120, PREFIX_MEMO_CAP])
 @pytest.mark.parametrize("mode, bound", [(ORDINAL_MODE, 3), (HF_MODE, 5)])
 def test_prefix_is_the_start_of_the_enumeration(mode, bound, n):
-    u = make_universe(mode, bound)  # a fresh memo, grown by prefix itself
-    got = u.prefix(n)
-    assert got == list(islice(u.enumerate_universe(), n))
+    u = make_universe(mode, bound)  # a fresh memo, grown by the pool itself
+    got = list(state_pool(u, None, n))
+    assert got == list(islice(u._walk(), n))
     assert len(got) == n
+    assert len(u._prefix) == n
 
 
 def test_prefix_stops_at_the_end_of_a_small_universe_and_at_the_cap():
     small = make_universe(HF_MODE, 3)
-    assert small.prefix(10) == list(small.enumerate_universe())
-    assert len(small.prefix(10)) == 4
-    assert len(U.prefix(PREFIX_MEMO_CAP + 5)) == PREFIX_MEMO_CAP
+    assert list(state_pool(small, None, limit=10)) == list(small._walk())
+    assert len(list(state_pool(small, None, limit=10))) == 4
+    assert len(list(state_pool(small, None))) == 4
+    u = make_universe(HF_MODE, 5)
+    got = list(state_pool(u, None, PREFIX_MEMO_CAP + 5))
+    assert got == list(islice(u._walk(), PREFIX_MEMO_CAP + 5))
+    assert len(u._prefix) == PREFIX_MEMO_CAP  # the walk goes on past the memo
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +304,48 @@ def test_generate_witnesses_fallback_stops_at_the_scan_budget():
     cs = [fineness(ord_value(0, 1)), order_ge(a, u.universe_class())]
     with pytest.raises(ConstructionFailed, match="only 2 of 5 witnesses"):
         generate_witnesses(cs, u, random.Random(0), 5)
+
+
+def test_generate_witnesses_padding_fallback_reaches_what_seeding_cannot():
+    # The 32 snapshots of six window states that hold o0.0.  The whole
+    # window needs 5 decoration states, one more than a seeded search
+    # adds, so only the padding fallback reaches it.
+    u = make_universe(ORDINAL_MODE, 2)
+    window = [ord_value(0, i) for i in range(6)]
+    cs = [fineness(ord_value(0, 0))]
+    ts = generate_witnesses(cs, u, random.Random(1), 32, window=window)
+    assert {frozenset(t) for t in ts} == \
+        {frozenset([window[0], *(v for v, bit in zip(window[1:], bits) if bit)])
+         for bits in product((0, 1), repeat=5)}
+    for t in ts:
+        assert constraint_membership(cs[0], t, u.mode)
+
+
+def test_find_witness_is_barred_by_a_pin_outside_the_window():
+    assert find_witness([fineness(nat(5))], U, window=[nat(1), nat(2)]) is None
+
+
+@pytest.mark.parametrize("scan_cap", [1, 2, 3, None])
+def test_find_witness_gives_up_past_its_scan_cap(scan_cap):
+    # {o0.0} needs two On states outside Even: a repair that may scan one
+    # candidate stops there, and a snapshot grown past two states is
+    # given up, so the search ends empty-handed below a scan cap of 3.
+    u = make_universe(ORDINAL_MODE, 3)
+    cs = [fineness(nat(0)), ratio(u.builtin_class("Even"), u.builtin_class("On"), 3)]
+    budget = {} if scan_cap is None else {"scan_cap": scan_cap}
+    t = find_witness(cs, u, **budget)
+    if scan_cap is not None and scan_cap < 3:
+        assert t is None
+    else:
+        assert t == snapshot(nat(0), nat(1), ord_value(1, 1))
+
+
+def test_decoration_index_keeps_a_repeated_window_state_once():
+    window = (nat(3), pad(0), nat(3), nat(1), pad(0))
+    search = filters._Search((fineness(nat(1)),), U, window, None, filters.SCAN_CAP)
+    assert list(search.positions.items()) == [(nat(3), 0), (pad(0), 1), (nat(1), 2)]
+    search = filters._Search((fineness(nat(1)),), U, None, None, filters.SCAN_CAP)
+    assert list(search.positions) == list(islice(U.enumerate_universe(), 120))
 
 
 # Every concrete tag, with two interval parameters, over two blocks of
@@ -1116,6 +1165,9 @@ def test_power_lift_rejects_other_kinds():
 # Serialization
 
 
+X, YZ = class_from_values("x", [nat(0)]), class_from_values("y,z", [nat(1)])
+
+
 def test_constraint_text_round_trip():
     classes = {"mult4_t0": M4, "even_t1": E1}
     cases = [fineness(ord_value(1, 2)), ratio(M4, E1, 3), order_lt(M4, E1),
@@ -1123,10 +1175,15 @@ def test_constraint_text_round_trip():
              subset_bound([nat(0), pad(1)], 3), min_size(2),
              parametric_fineness(), parametric_ratio(M4, E1),
              parametric_interval(), parametric_weight()]
-    for c in cases:
+    # a class name may hold a comma
+    comma = {"x": X, "y,z": YZ}
+    comma_cases = [ratio(X, YZ, 2), ratio(YZ, X, 2), order_lt(X, YZ),
+                   order_ge(YZ, X), parametric_ratio(X, YZ), parametric_ratio(YZ, X)]
+    for c, known in [(c, classes) for c in cases] + [(c, comma) for c in comma_cases]:
         text = constraint_to_text(c)
-        back = constraint_from_text(text, classes)
+        back = constraint_from_text(text, known)
         assert constraint_to_text(back) == text
+        assert (back.cls_a, back.cls_b) == (c.cls_a, c.cls_b)
     fb = FilterBase((weight(4), ratio(M4, E1, 3)), universe=U,
                     window=(nat(0), pad(1)), max_size=5, provenance="test")
     assert filter_base_to_text(fb).splitlines() == [
@@ -1137,3 +1194,13 @@ def test_constraint_text_round_trip():
 def test_constraint_from_text_unknown_class():
     with pytest.raises(KeyError):
         constraint_from_text("ratio(nosuch,even_t1,k=2)", {"even_t1": E1})
+    with pytest.raises(KeyError, match="'x,y'"):
+        constraint_from_text("order_lt(x,y,z)", {"x": X})
+
+
+def test_constraint_from_text_ambiguous_class_pair():
+    # "x,y,z" splits as x | y,z and as x,y | z
+    classes = {"x": X, "y,z": YZ, "x,y": X, "z": YZ}
+    for text in ("ratio(x,y,z,k=2)", "order_ge(x,y,z)", "parametric(ratio,x,y,z)"):
+        with pytest.raises(ValueError, match="ambiguous class pair"):
+            constraint_from_text(text, classes)

@@ -169,6 +169,15 @@ def test_residue_class_stays_inside_universe(extra):
     assert not ctx.cls("R").membership(parse_code("o2.0"))
 
 
+@pytest.mark.parametrize("builder", ["empty", "fineness"])
+def test_base_window_is_canonical(builder):
+    # a window as written, out of order and with a repeat, is kept as the
+    # distinct states in canonical order by every builder
+    ctx = build_context({**MINIMAL, "base": {
+        "builder": builder, "window": ["o0.2", "o0.1", "o0.1"]}})
+    assert ctx.base.window == (parse_code("o0.1"), parse_code("o0.2"))
+
+
 def test_empty_query_list_runs_clean():
     report = run_scenario_data({**MINIMAL, "queries": []})
     assert report["ok"]
