@@ -32,6 +32,7 @@ from .filters import (
     power_lift,
     powerset_prefilter_stage,
     powerset_witness_extend,
+    state_pool,
 )
 from .germs import (
     APPROX_ZERO,
@@ -230,18 +231,12 @@ def _cmd_witness(args) -> int:
 # check
 
 
-def _hf_lattice(universe: UniverseHandle) -> list:
-    states = []
-    for k in range(4):
-        states.extend(universe.level_members(k))
-    return states
-
-
 def _hf_fixture() -> tuple[UniverseHandle, TierConfig, list]:
     """The HF universe of bound 5, the tier thresholds 4, 9, 17 and the
     states of ranks 0-3: the setting of the tiered checks."""
     universe = make_universe(HF_MODE, 5)
-    return universe, TierConfig((4, 9, 17)), _hf_lattice(universe)
+    lattice = [s for k in range(4) for s in universe.level_members(k)]
+    return universe, TierConfig((4, 9, 17)), lattice
 
 
 def _cmd_check(args) -> int:
@@ -251,7 +246,7 @@ def _cmd_check(args) -> int:
             base = _BASES["ordinal_theorem"]
         else:
             base = {"builder": "fineness",
-                    "window": [s.code for s in _hf_lattice(universe)[:8]]}
+                    "window": [s.code for s in state_pool(universe, None, 8)]}
         result = check_fip(_context(universe, base).base,
                            scan_cap=args.budget or SCAN_CAP)
         print(f"fip: {result.status} ({len(result.witnesses)} subsets witnessed)")

@@ -251,21 +251,20 @@ def constraint_mask_test(c: Constraint, t: Snapshot,
                          mode: str | None = None) -> Callable[[int], bool]:
     """Membership in c of the subset of `t.states` a mask selects.
 
-    Equal to `constraint_membership` on that subset's Snapshot.  A count
-    tag is read from `Constraint.form`: each side becomes one mask of
-    `t` (`_side_mask`), so the test is k*|m & small| + slack <=
-    |m & big| on bit counts (|m & big| >= slack when k is 0, with no
-    small side) and no state is touched per subset; a pin or a
-    subset_bound window is one mask of `t`, not the bits of its states.  Interval, and any constraint that `constraint_membership`
-    rejects (an ordinal-only tag in HF mode, an unknown or parametric
-    tag), builds the subset's Snapshot and asks `constraint_membership`,
-    which then decides or raises as usual; it takes the bit of every
+    Equal to `constraint_membership` on that subset's Snapshot.  c is
+    concrete: a parametric family has no count form, so
+    `Constraint.form` raises ValueError for it (`_window_exhaustive`
+    drops them first).  A count tag is read from its form: each side
+    becomes one mask of `t` (`_side_mask`), so the test is
+    k*|m & small| + slack <= |m & big| on bit counts (|m & big| >= slack
+    when k is 0, with no small side) and no state is touched per subset;
+    a pin or a subset_bound window is one mask of `t`, not the bits of
+    its states.  Interval, and an ordinal-only tag in HF mode, builds the
+    subset's Snapshot and asks `constraint_membership`, which then
+    decides or raises WrongMode as usual; it takes the bit of every
     state, so each state is an atom of `t`.
     """
-    try:
-        form = None if c.tag in _ORDINAL_ONLY_TAGS and mode == HF_MODE else c.form
-    except ValueError:  # parametric or unknown: constraint_membership raises
-        form = None
+    form = None if c.tag in _ORDINAL_ONLY_TAGS and mode == HF_MODE else c.form
     if form is None:
         for s in t.states:
             t.bit(s)
@@ -805,8 +804,8 @@ class _Tally:
     Run closure (`_close_intervals`), run feasibility (`_run_feasible`)
     and isolation (`_isolation_ok`) read the runs off `blocks`, so none
     of them scans the placed states.
-    As for a set, adding a present state or discarding an absent one
-    changes nothing.
+    Callers read the state set itself as `states`.  As for a set, adding
+    a present state or discarding an absent one changes nothing.
     """
 
     def __init__(self, sides: _Sides, states: Iterable[SetValue] = ()):
@@ -820,15 +819,6 @@ class _Tally:
         self._reach = (self._limit or 0) + 1
         for s in states:
             self.add(s)
-
-    def __contains__(self, s: SetValue) -> bool:
-        return s in self.states
-
-    def __iter__(self) -> Iterator[SetValue]:
-        return iter(self.states)
-
-    def __len__(self) -> int:
-        return len(self.states)
 
     def satisfied(self) -> bool:
         if self._short:
@@ -1176,14 +1166,15 @@ def generate_witnesses(
                 + "; ".join(c.describe() for c in constraints))
         mode = universe.mode if universe is not None else None
         states = _Tally(_Sides(constraints), base)
+        placed = states.states
         for cand in (v for v in state_pool(universe, window, SCAN_CAP)
-                     if v not in states):
+                     if v not in placed):
             if len(out) >= count or \
-                    (max_size is not None and len(states) + 1 >= max_size):
+                    (max_size is not None and len(placed) + 1 >= max_size):
                 break
             if not states.admit(cand):
                 continue
-            w = Snapshot(states)
+            w = Snapshot(placed)
             if w not in seen:
                 seen.add(w)
                 out.append(_verified(w, constraints, mode))
@@ -1300,7 +1291,8 @@ def ordinal_witness(
     ratios = [c for c in cs if c.tag == TAG_RATIO]
 
     states = _Tally(_Sides([*ratios, interval(l)]), pin_list)
-    if not states:
+    placed = states.states
+    if not placed:
         # No pins: seed one run now so the result is nonempty.  The seed
         # must precede pair growth, or its run would add unbalanced
         # first-class mass after the ratios were already settled.
@@ -1321,7 +1313,7 @@ def ordinal_witness(
         while need > 0:
             for v in cls_b.take_fresh(
                     need,
-                    exclusions=states,
+                    exclusions=placed,
                     predicate=lambda v: v.is_ordinal and _isolation_ok(
                         v, l, touches, states.blocks.get(v.ord_parts[0], ()))):
                 states.add(v)
@@ -1330,17 +1322,17 @@ def ordinal_witness(
         guarded.append(cls_a)
 
     # nothing reads the tally's counts after this, so pads skip it
-    pad_need = len(states) * m
+    pad_need = len(placed) * m
     avoid = [a for a, _ in pair_list] + [b for _, b in pair_list]
     pads: list[SetValue] = []
     for cand in universe.pads():
         if len(pads) == pad_need:
             break
-        if cand in states or any(cls.membership(cand) for cls in avoid):
+        if cand in placed or any(cls.membership(cand) for cls in avoid):
             continue
         pads.append(cand)
 
-    return _verified(Snapshot([*states, *pads]), cs, universe.mode)
+    return _verified(Snapshot([*placed, *pads]), cs, universe.mode)
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,7 @@ def _judge(relation: Callable[[_Pair, _Pair], bool], left: Callable,
     there; the left side is evaluated first."""
     try:
         return relation(left(at), right(at))
-    except (ConditionNull, DivisionUndefined, EmptySnapshot):
+    except (DivisionUndefined, EmptySnapshot):
         return None
 
 
@@ -739,7 +739,7 @@ def _window_exhaustive(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Ve
             else:  # `_judge` inlined: this loop is the hot path
                 try:
                     tally[relation(left(m), right(m))] += w0 * ways
-                except (ConditionNull, DivisionUndefined, EmptySnapshot):
+                except (DivisionUndefined, EmptySnapshot):
                     tally[None] += w0 * ways
     holds, fails, vacuous = tally[True], tally[False], tally[None]
     if holds and not fails:

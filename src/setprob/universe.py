@@ -51,6 +51,7 @@ INTERN_CAP = 4096
 PREFIX_MEMO_CAP = 4096
 
 
+@functools.total_ordering
 class SetValue:
     """A universe element with a canonical, byte-comparable code."""
 
@@ -74,15 +75,6 @@ class SetValue:
 
     def __lt__(self, other):
         return self._key < other._key
-
-    def __le__(self, other):
-        return self._key <= other._key
-
-    def __gt__(self, other):
-        return self._key > other._key
-
-    def __ge__(self, other):
-        return self._key >= other._key
 
     def __repr__(self):
         return f"SetValue({self.pretty()})"

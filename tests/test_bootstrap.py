@@ -56,6 +56,7 @@ def test_tier_config_lookup():
     tc = TierConfig((4, 9, 17))
     assert tc.t0 == 4
     assert [tc.tier(n) for n in (0, 3, 4, 8, 9, 16, 17)] == [0, 0, 1, 1, 2, 2, 3]
+    assert tc.snapshot_threshold(3) == 3  # tier 0: below the snapshot itself
     assert tc.snapshot_threshold(5) == 4
     assert tc.snapshot_threshold(10) == 9
 

@@ -325,6 +325,10 @@ def test_find_witness_is_barred_by_a_pin_outside_the_window():
     assert find_witness([fineness(nat(5))], U, window=[nat(1), nat(2)]) is None
 
 
+def test_find_witness_without_universe_or_window_pads_from_nothing():
+    assert find_witness([min_size(2)], None) is None
+
+
 @pytest.mark.parametrize("scan_cap", [1, 2, 3, None])
 def test_find_witness_gives_up_past_its_scan_cap(scan_cap):
     # {o0.0} needs two On states outside Even: a repair that may scan one
@@ -398,7 +402,7 @@ def _check_tally_steps(universe, cs, steps):
         assert [whole.excess(f) for f in forms.values()] == [
             f.k * filters._side_mask(f.small, snap).bit_count() + f.slack
             - filters._side_mask(f.big, snap).bit_count() for f in forms.values()]
-        assert whole.states == states and len(whole) == len(snap)
+        assert whole.states == states and len(whole.states) == len(snap)
 
 
 @given(st.lists(st.tuples(st.booleans(), st.sampled_from(TALLY_STATES)),
@@ -1107,7 +1111,7 @@ def test_a_feasible_run_closes_clear_of_the_protected_classes(a, b, l, placed, n
     tally = filters._Tally(filters._Sides([interval(l)]), [ord_value(pa, pb) for pa, pb in placed])
     filters._close_intervals(tally, l, touches)  # every run but cand's is long
     cand = ord_value(a, b)
-    if cand in tally or not filters._run_feasible(cand, l, touches,
+    if cand in tally.states or not filters._run_feasible(cand, l, touches,
                                                   tally.blocks.get(a, ())):
         return
     tally.add(cand)

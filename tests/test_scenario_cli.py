@@ -26,7 +26,8 @@ from setprob.scenario import (
     SCENARIO_SCHEMA,
     validate_scenario,
 )
-from setprob import constraint_from_text, constraint_membership, parse_code, snapshot
+from setprob import (check_fip, constraint_from_text, constraint_membership,
+                     parse_code, rank as rank_of, snapshot)
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "examples" / \
     "ordinal_theorem.json"
@@ -356,6 +357,24 @@ def test_cli_check_commands(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("rank, size", [(3, 4), (4, 8), (5, 8)])
+def test_cli_check_fip_windows_states_of_the_universe(rank, size, capsys, monkeypatch):
+    # the window is the first 8 states of V_rank: all 4 of V_3 at rank 3,
+    # and the states of ranks 0-3 from rank 4 up
+    windows = []
+
+    def spy(fb, **kwargs):
+        windows.append(fb.window)
+        return check_fip(fb, **kwargs)
+
+    monkeypatch.setattr(cli, "check_fip", spy)
+    assert cli.main(["check", "fip", "--universe", "hf", "--rank", str(rank)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == "fip: witnessed (7 subsets witnessed)\n"
+    [window] = windows
+    assert len(window) == size
+    assert sorted(rank_of(s) for s in window) == [0, 1, 2, 2, 3, 3, 3, 3][:size]
+
+
 def test_cli_audit(capsys):
     assert cli.main(["audit"]) == cli.EXIT_OK
     out = capsys.readouterr().out
@@ -399,6 +418,25 @@ def test_finite_tier_is_checked_in_a_scenario(tmp_path, capsys):
     [record] = json.loads(capsys.readouterr().out)["queries"]
     assert (record["verdict"]["status"], record["verdict"]["rule"]) == \
         ("forced_not", "subset-strict")
+
+
+# Even and Odd split every snapshot of the window {o0.0, o0.1}; the size
+# bound 2 leaves its two singletons, where Pr[Even] is 1 or 0.
+@pytest.mark.parametrize("base, lhs, rhs, status", [
+    ({}, {"sum": [{"event": {"class": "Even"}}, {"event": {"class": "Odd"}}]},
+     "1", "forced"),
+    ({"max_size": 2}, {"event": {"class": "Even"}}, "1/2", "forced_not"),
+    ({}, {"event": {"class": "Even"}}, "1/2", "undetermined"),
+], ids=["sum", "max_size", "no-max_size"])
+def test_a_window_compare_counts_its_admissible_snapshots(base, lhs, rhs, status):
+    report = run_scenario_data({
+        "universe": {"mode": "ordinal", "bound": 2},
+        "base": {"builder": "fineness", "window": ["o0.0", "o0.1"], **base},
+        "queries": [{"kind": "compare", "lhs": lhs, "rel": "eq",
+                     "rhs": {"const": rhs}}]})
+    [record] = report["queries"]
+    assert (record["verdict"]["status"], record["verdict"]["rule"]) == \
+        (status, "window-exhaustive")
 
 
 # Stdout (as sha256) and exit code of each command, recorded at the commit
@@ -608,6 +646,9 @@ def test_malformed_query_is_recorded_as_its_error(query, error):
     # parsed by recursion, so nesting past the stack is a bad code too
     ({"classes": [{"name": "N", "kind": "values", "values": ["{" * 3000 + "}" * 3000]}]},
      cli.EXIT_VALIDATION, "bad state code '{{{"),
+    ({"queries": [{"kind": "coherence", "class": "Even",
+                   "snapshot": ["o0.1"], "probe": ["o0.1"]}]},
+     cli.EXIT_FAILURE, "coherence queries need tier thresholds"),
 ])
 def test_outside_input_is_a_validation_error(doc, code, message, tmp_path, capsys):
     # Exit 2 while the context is built; inside a query, the query's error.

@@ -80,6 +80,9 @@ def test_every_site_keeps_canonical_order(values, rnd):
     want = canonical(xs)
     assert [v.code for v in want] == sorted({v.code for v in xs},
                                             key=lambda c: parse_code(c)._key)
+    for a, b in itertools.product(xs, repeat=2):  # derived from __lt__
+        assert (a <= b, a > b, a >= b) == (a._key <= b._key, a._key > b._key,
+                                           a._key >= b._key)
     tiers = TierConfig((2, 4))
     assert hf_set(xs).children == want
     assert class_from_values("c", xs).meta["values"] == want

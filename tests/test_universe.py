@@ -707,6 +707,9 @@ def test_translate_by_limit_collapses_finite_part(ord_universe):
     moved = translate_class(natcls, ord_value(1, 0))
     assert moved.membership(ord_value(1, 0))     # every n + w equals w
     assert not moved.membership(nat(3))
+    assert not moved.membership(ord_value(2, 0))
+    assert not moved.subset_tags
+    assert moved.is_subset_of(ord_universe.universe_class()) is True
     assert list(itertools.islice(moved.enumerate(), 1)) == [ord_value(1, 0)]
     # o0.0, o1.0, o0.2, o2.0 of Even go to w, w2, w, w3: each value once,
     # at its first occurrence
