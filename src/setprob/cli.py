@@ -289,17 +289,17 @@ def _compare_demo(smaller: str, larger: str) -> list[Verdict]:
                     build_germ(ctx, _event(larger)), ctx.base)]
 
 
-def demo_euclidean(seed: int = 0) -> list[Verdict]:
+def demo_euclidean() -> list[Verdict]:
     """Strict inclusion forces strictly smaller probability."""
     return _compare_demo("mult4_t0", "even_t1")
 
 
-def demo_hume_failure(seed: int = 0) -> list[Verdict]:
+def demo_hume_failure() -> list[Verdict]:
     """A bijective shift of the evens has strictly smaller probability."""
     return _compare_demo("pi_Even", "Even")
 
 
-def demo_translation_failure(seed: int = 0) -> list[Verdict]:
+def demo_translation_failure() -> list[Verdict]:
     """Shifting the naturals by one drops the first point, and with it
     a sliver of probability."""
     return _compare_demo("Nat_shift1", "Nat")
@@ -385,7 +385,7 @@ _DEMOS = {
 
 def _cmd_demo(args) -> int:
     if args.name in _DEMOS:
-        verdicts = _DEMOS[args.name](args.seed)
+        verdicts = _DEMOS[args.name]()
         for v in verdicts:
             print(v.summary())
         return EXIT_OK if all(v.forced for v in verdicts) else EXIT_FAILURE
@@ -406,7 +406,7 @@ def _cmd_audit(args) -> int:
     set_verdict_recorder(lambda v, fb: recorded.append((v, fb)))
     try:
         for name, fn in _DEMOS.items():
-            for v in fn(args.seed):
+            for v in fn():
                 if not v.forced:
                     print(f"{name}: expected a forced verdict, got {v.status}")
                     return EXIT_FAILURE

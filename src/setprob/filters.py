@@ -554,53 +554,43 @@ def expand_base(fb: FilterBase) -> list[Constraint]:
     return out
 
 
-def _structurally_empty(subset: Sequence[Constraint]) -> bool:
-    """Detect intersections provably empty by trichotomy on counts.
-    Every refutation it knows needs an order_lt constraint."""
-    if not any(c.tag == TAG_ORDER_LT for c in subset):
-        return False
+def _structurally_empty(subset: Sequence[Constraint], max_size: int | None) -> bool:
+    """Whether count forms prove the subset's intersection empty: a size
+    floor at or above the size cap, or two ratio/order forms over one
+    class pair in opposite directions, k1*|A| + s1 <= |B| and
+    k2*|B| + s2 <= |A| (A may be B, a form paired with itself), which
+    sum with multipliers (k2, 1) to (k1*k2 - 1)*|A| + k2*s1 + s2 <= 0:
+    false when a slack is positive, as every k >= 1.  Sound but
+    incomplete: what it cannot refute is left to the witness search."""
+    forms = []
     for c in subset:
-        if c.tag == TAG_ORDER_LT and c.cls_a == c.cls_b:
+        if c.tag == TAG_MIN_SIZE and max_size is not None and c.param >= max_size:
             return True
-    for c, d in itertools.combinations(subset, 2):
-        pair = {c.tag, d.tag}
-        if pair == {TAG_ORDER_LT, TAG_ORDER_GE}:
-            lt = c if c.tag == TAG_ORDER_LT else d
-            ge = d if c.tag == TAG_ORDER_LT else c
-            if lt.cls_a == ge.cls_a and lt.cls_b == ge.cls_b:
-                return True
-        if c.tag == TAG_ORDER_LT and d.tag == TAG_ORDER_LT:
-            if c.cls_a == d.cls_b and c.cls_b == d.cls_a:
-                return True
-    return False
+        if c.tag in (TAG_RATIO, TAG_ORDER_LT, TAG_ORDER_GE):
+            forms.append(c.form)
+    return any(f.small is g.big and f.big is g.small and f.slack + g.slack > 0
+               for f, g in itertools.combinations_with_replacement(forms, 2))
 
 
 def check_fip(fb: FilterBase, rng: random.Random | None = None,
               scan_cap: int = SCAN_CAP) -> FipResult:
-    """Budgeted finite-intersection-property audit.
-
-    Checks every subset of up to FIP_SUBSET_SIZE constraints, plus the
-    full expanded set, each by a witness search scanning at most
-    `scan_cap` candidates per repair.  A subset is refuted only when its
-    emptiness is proved structurally; a failed witness search downgrades
-    the result to unknown rather than refuting.
-    """
+    """Budgeted finite-intersection-property audit of every subset of up
+    to FIP_SUBSET_SIZE constraints, plus the full expanded set.  The
+    first subset `_structurally_empty` refutes is returned before any
+    search; else each gets a witness search scanning at most `scan_cap`
+    candidates per repair, and one that fails makes the result unknown."""
     concrete = expand_base(fb)
-    if fb.max_size is not None:
-        for c in concrete:
-            # A size floor at or above the space's size cap is outright empty.
-            if c.tag == TAG_MIN_SIZE and c.param >= fb.max_size:
-                return FipResult("refuted", refuted_subset=(c,))
     subsets: list[tuple[Constraint, ...]] = []
     for size in range(1, min(FIP_SUBSET_SIZE, len(concrete)) + 1):
         subsets.extend(itertools.combinations(concrete, size))
     full = tuple(concrete)
     if full and full not in subsets:
         subsets.append(full)
+    for subset in subsets:
+        if _structurally_empty(subset, fb.max_size):
+            return FipResult("refuted", refuted_subset=subset)
     found: list[tuple[tuple[Constraint, ...], Snapshot]] = []
     for subset in subsets:
-        if _structurally_empty(subset):
-            return FipResult("refuted", refuted_subset=subset)
         w = find_witness(subset, fb.universe, rng=rng, window=fb.window,
                          max_size=fb.max_size, scan_cap=scan_cap)
         if w is None:

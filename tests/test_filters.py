@@ -1,7 +1,7 @@
 """Constraint membership, FIP checking, witness constructors."""
 
 import random
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -199,7 +199,7 @@ def test_fip_order_conflict_refuted():
     fb = FilterBase((order_lt(M4, E1), order_ge(M4, E1)), universe=U)
     result = check_fip(fb)
     assert result.status == "refuted"
-    assert result.refuted_subset is not None and len(result.refuted_subset) == 2
+    assert result.refuted_subset == fb.constraints
 
 
 def test_fip_strict_orders_both_ways_refuted():
@@ -222,6 +222,7 @@ def test_fip_irreflexive_strict_order_refuted():
 def test_fip_min_size_beyond_cap_refuted():
     result = check_fip(FilterBase((min_size(9),), universe=U, max_size=5))
     assert result.status == "refuted"
+    assert result.refuted_subset == (min_size(9),)
 
 
 def test_fip_search_failure_reports_unknown_not_refuted():
@@ -246,6 +247,72 @@ def test_fip_fineness_with_weight():
 def test_fip_fineness_with_strict_inclusion_order():
     fb = FilterBase((fineness(nat(0)), order_lt(M4, E1)), universe=U)
     assert check_fip(fb).witnessed
+
+
+EVEN, ODD = U.builtin_class("Even"), U.builtin_class("Odd")
+_A, _B = class_from_values("A", [nat(1)]), class_from_values("B", [nat(2)])
+_B_TWIN = class_from_values("B", [nat(3)])
+
+
+@pytest.mark.parametrize("constraints, refuted", [
+    # k*|Even| <= |Odd| and |Odd| + 1 <= |Even| sum to (k - 1)*|Even| + 1 <= 0
+    ((ratio(EVEN, ODD, 1), order_lt(ODD, EVEN)), True),
+    ((ratio(EVEN, ODD, 2), order_lt(ODD, EVEN)), True),
+    # |Even| = |Odd| meets both
+    ((order_ge(EVEN, ODD), order_ge(ODD, EVEN)), False),
+    # 2*|Even| <= |Even| holds where there are no evens
+    ((ratio(EVEN, EVEN, 2),), False),
+    # opposite only by name: {1, 2} meets both
+    ((ratio(_A, _B, 1), order_lt(_B_TWIN, _A)), False),
+    # |Even| <= |Odd| twice, in the same direction
+    ((ratio(EVEN, ODD, 1), order_ge(ODD, EVEN)), False),
+], ids=["ratio-k1-cycle", "ratio-k2-cycle", "ge-both-ways", "ratio-self",
+        "namesakes", "same-direction"])
+def test_fip_count_form_refutation(constraints, refuted):
+    result = check_fip(FilterBase(constraints, universe=U))
+    if refuted:
+        assert (result.status, result.refuted_subset) == ("refuted", constraints)
+    else:
+        assert result.witnessed
+
+
+def test_fip_refutes_before_any_witness_search(monkeypatch):
+    searches = []
+    real = filters.find_witness
+    monkeypatch.setattr(filters, "find_witness",
+                        lambda *a, **kw: searches.append(a) or real(*a, **kw))
+    pair = (order_lt(EVEN, ODD), order_ge(EVEN, ODD))
+    fb = ordinal_theorem_base(U, [(M4, E1), (E1, O2)]).with_constraints(pair)
+    result = check_fip(fb)
+    assert (result.status, result.refuted_subset, searches) == ("refuted", pair, [])
+
+
+def test_structural_refutation_is_sound_on_every_small_snapshot():
+    # Bounded-exhaustive: every nonempty snapshot of o0.0-o0.5 and one
+    # state outside every class, against every subset of at most three
+    # ratio and order constraints over three value classes, two of them
+    # namesakes.  Nothing a refuted subset admits may exist.
+    pool = [ord_value(0, b) for b in range(6)] + [ord_value(1, 0)]
+    classes = (class_from_values("A", pool[0:3]), class_from_values("B", pool[2:4]),
+               class_from_values("A", pool[4:6]))
+    makers = (lambda a, b: ratio(a, b, 1), lambda a, b: ratio(a, b, 2),
+              order_lt, order_ge)
+    cs = [make(a, b) for a, b in product(classes, repeat=2) for make in makers]
+    snaps = [snapshot(*(s for i, s in enumerate(pool) if m >> i & 1))
+             for m in range(1, 1 << len(pool))]
+    # bit j of admits[i]: snapshot j is in constraint i
+    admits = [sum(1 << j for j, t in enumerate(snaps)
+                  if constraint_membership(c, t, U.mode)) for c in cs]
+    refuted = 0
+    for size in (1, 2, 3):
+        for idx in combinations(range(len(cs)), size):
+            if filters._structurally_empty([cs[i] for i in idx], None):
+                refuted += 1
+                meet = (1 << len(snaps)) - 1
+                for i in idx:
+                    meet &= admits[i]
+                assert meet == 0, [cs[i] for i in idx]
+    assert refuted
 
 
 # ---------------------------------------------------------------------------

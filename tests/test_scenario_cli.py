@@ -649,6 +649,13 @@ def test_malformed_query_is_recorded_as_its_error(query, error):
     ({"queries": [{"kind": "coherence", "class": "Even",
                    "snapshot": ["o0.1"], "probe": ["o0.1"]}]},
      cli.EXIT_FAILURE, "coherence queries need tier thresholds"),
+    # an integer written with a decimal point is an integer, 2.5 is not
+    ({"universe": {"mode": "ordinal", "bound": 2.5}}, cli.EXIT_VALIDATION,
+     "scenario rejected at universe/bound: 2.5 is not of type 'integer'"),
+    # the report format is --out's alone; a document cannot ask for one
+    ({"output": {"format": "csv"}}, cli.EXIT_VALIDATION,
+     "scenario rejected at (root): Additional properties are not allowed "
+     "('output' was unexpected)"),
 ])
 def test_outside_input_is_a_validation_error(doc, code, message, tmp_path, capsys):
     # Exit 2 while the context is built; inside a query, the query's error.
@@ -661,6 +668,30 @@ def test_outside_input_is_a_validation_error(doc, code, message, tmp_path, capsy
     else:
         [record] = json.loads(captured.out)["queries"]
         assert record["error"].startswith("ScenarioValidationError: " + message)
+
+
+@pytest.mark.parametrize("doc, number", [
+    ({"base": {"builder": "empty", "window": ["o0.0", "o0.1", "o0.2", "o0.3"],
+               "max_size": "N"},
+      "queries": [{"kind": "compare", "lhs": {"event": {"class": "Even"}},
+                   "rel": "le", "rhs": {"const": "1"}}]}, "2"),
+    ({"queries": [{"kind": "witness", "builder": "ordinal", "pins": ["o0.1"],
+                   "l": "N"}]}, "2"),
+    ({"queries": [{"kind": "witness", "builder": "superreg", "pins": ["o0.1"],
+                   "pairs": [["Even", "V", "N"]]}]}, "2"),
+    # past 2**53, where a float would round it to 12345678901234568
+    ({"seed": "N"}, "12345678901234567"),
+], ids=["max_size", "ordinal-l", "superreg-n", "seed-past-2**53"])
+def test_an_integer_written_with_a_decimal_point_runs_as_an_integer(doc, number, tmp_path, capsys):
+    # JSON Schema accepts 2.0 as an integer, so the engine must get 2.
+    text = json.dumps({**ORDINAL, **doc})
+    outs = []
+    for name, literal in (("point", number + ".0"), ("plain", number)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text.replace('"N"', literal))
+        assert cli.main(["run", str(path), "--canonical"]) == cli.EXIT_OK
+        outs.append(capsys.readouterr())
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("text, message", [

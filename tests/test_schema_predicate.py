@@ -59,7 +59,6 @@ FULL = {
          "probe": ["o0.2"]},
         {"kind": "fip", "expect_status": "witnessed"},
     ],
-    "output": {"format": "csv"},
 }
 DOCUMENTS = [FULL, {"universe": {"mode": "hf", "bound": 4}}] + \
     [json.loads(p.read_text()) for p in sorted(EXAMPLES.glob("*.json"))]
