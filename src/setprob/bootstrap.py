@@ -334,10 +334,11 @@ def coherence_check(config: TierConfig, rv: RandomVariable, cls: ClassSpec,
     rationals must coincide: direct counting over the meet
     (`snapshot_prob`), and the quotient of the two window-event germs
     evaluated at the probe.  Probes above tier 0 recurse with the meet
-    as the new snapshot.
+    as the new snapshot.  A probe is a set, so a repeated state counts
+    once, in each level's `probe_size` too.
     """
-    probe_list = list(probe)
-    meet = t.intersect(probe_list)
+    probe_snap = Snapshot(probe)
+    meet = t.intersect(probe_snap)
     if len(meet) == 0:
         raise ConditionNull("the probe misses the snapshot entirely")
     threshold = config.snapshot_threshold(len(t))
@@ -352,12 +353,11 @@ def coherence_check(config: TierConfig, rv: RandomVariable, cls: ClassSpec,
     hit_states = [s for s in t if cls.membership(rv(s))]
     hits_cls = class_from_values(f"hits:{cls.name}:{len(t)}", hit_states)
     all_cls = class_from_values(f"states:{len(t)}", list(t))
-    probe_snap = Snapshot(probe_list)
     num = germ_of_event(ident, hits_cls).eval_at(probe_snap)
     den = germ_of_event(ident, all_cls).eval_at(probe_snap)
     via_germ = num / den  # den > 0: the meet is nonempty
 
-    level = CoherenceLevel(len(t), len(probe_list), config.tier(len(t)),
+    level = CoherenceLevel(len(t), len(probe_snap), config.tier(len(t)),
                            direct, via_germ)
     levels = [level]
     if config.tier(len(meet)) >= 1 and len(meet) >= 2:

@@ -882,7 +882,8 @@ _PADDED_TAGS = (TAG_WEIGHT, TAG_MIN_SIZE)
 
 class _Search:
     """A witness search prepared from its inputs alone: the constraints,
-    universe, window, max_size and scan_cap of a `find_witness` call.
+    universe, window, max_size and scan_cap of a `find_witness` call,
+    which `key` holds.
 
     One pass over the constraints gives the pins and the grown and padded
     forms in repair order; the sides each attempt's `_Tally` counts, with
@@ -912,9 +913,8 @@ class _Search:
         self.mode = universe.mode if universe is not None else None
         if self.mode == HF_MODE and any(c.tag in _ORDINAL_ONLY_TAGS for c in cs):
             raise WrongMode("interval/weight constraints need an ordinal universe")
-        self.cs, self.window = cs, window
-        self.universe, self.max_size, self.scan_cap = self.inputs = \
-            universe, max_size, scan_cap
+        self.key = (cs, universe, window, max_size, scan_cap)
+        self.cs, self.universe, self.window, self.max_size, self.scan_cap = self.key
         self.grown = [c.form for tag in _GROWN_TAGS for c in grown if c.tag == tag]
         self.padded = [c.form for tag in _PADDED_TAGS for c in padded if c.tag == tag]
         # a pin outside the window leaves nothing to find
@@ -1066,13 +1066,13 @@ class _Search:
         return None
 
 
-# The last search `find_witness` prepared; a call with the same inputs
-# runs it again.
+# The last search `find_witness` prepared; a call whose inputs are equal
+# in value runs it again.
 _last_search: _Search | None = None
 
 
 def find_witness(
-    constraints: Sequence[Constraint],
+    constraints: Iterable[Constraint],
     universe: UniverseHandle | None,
     rng: random.Random | None = None,
     window: Iterable[SetValue] | None = None,
@@ -1104,28 +1104,26 @@ def find_witness(
     witnesses it always gave.
 
     The inputs fix a prepared search (`_Search`), which builds its
-    decoration index once.  The last one is kept,
-    and a call with the same constraint objects, universe, window,
-    max_size and scan_cap runs it again, so the repeated searches of
-    `generate_witnesses` and of sampled compares prepare theirs once.
+    decoration index once.  The last one is kept, and a call whose
+    inputs equal its `key` in value runs it again, so the repeated
+    searches of `generate_witnesses` and of sampled compares prepare
+    theirs once.
     Each attempt keeps its states in a `_Tally`; the Snapshot is built
     once, on return, and checked by `_verified`.
     """
     global _last_search
-    cs = tuple(constraints)
-    win = None if window is None else tuple(window)
+    key = (tuple(constraints), universe,
+           None if window is None else tuple(window), max_size, scan_cap)
     search = _last_search
-    if search is not None and search.inputs == (universe, max_size, scan_cap) \
-            and len(search.cs) == len(cs) and search.window == win \
-            and all(c is d for c, d in zip(cs, search.cs)):
+    if search is not None and search.key == key:
         search.reuse()
     else:
-        search = _last_search = _Search(cs, universe, win, max_size, scan_cap)
+        search = _last_search = _Search(*key)
     return search.run(rng, decorate)
 
 
 def generate_witnesses(
-    constraints: Sequence[Constraint],
+    constraints: Iterable[Constraint],
     universe: UniverseHandle | None,
     rng: random.Random,
     count: int,
@@ -1134,8 +1132,11 @@ def generate_witnesses(
 ) -> list[Snapshot]:
     """Distinct snapshots in the constraint intersection, for audits:
     up to 8 seeded searches per snapshot asked for, then a deterministic
-    padding fallback.  Every search is a `find_witness` call with the
-    same inputs, so they share one prepared search."""
+    padding fallback.  The constraints and window are read once, into
+    tuples; every search is a `find_witness` call with those same
+    inputs, so they share one prepared search."""
+    constraints = tuple(constraints)
+    window = None if window is None else tuple(window)
     out: list[Snapshot] = []
     seen: set[Snapshot] = set()
     attempts = count * 8

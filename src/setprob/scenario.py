@@ -24,7 +24,7 @@ import numbers
 import random
 import time
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable
@@ -150,23 +150,16 @@ def _tier_from_spec(spec: Any) -> CardinalityTier | None:
     return CardinalityTier.infinite(spec["infinite"])
 
 
-# Builtin names that are class builders: the scenario kinds of those builders.
-_BUILDER_KINDS = {"PowerClass": "power", "FiniteSubsets": "finite_subsets"}
-
-
 def _build_class(ctx: ScenarioContext, spec: dict) -> ClassSpec:
     name = spec["name"]
     kind = spec["kind"]
     tags = tuple(spec.get("subset_tags", ()))
     tier = _tier_from_spec(spec.get("tier"))
-    target = spec.get("builtin", name)
-    if kind == "builtin":
-        kind = _BUILDER_KINDS.get(target, kind)
 
     def need(key: str) -> Any:
         if key not in spec:
             raise ScenarioValidationError(
-                f"class {name!r} of kind {spec['kind']!r} needs {key!r}")
+                f"class {name!r} of kind {kind!r} needs {key!r}")
         return spec[key]
 
     if kind == "values":
@@ -177,11 +170,9 @@ def _build_class(ctx: ScenarioContext, spec: dict) -> ClassSpec:
         return cls
     if kind == "residue":
         # Residue classes live in omega-block 0 by default; a span of s
-        # widens them to blocks 0..s, and nat_only=False to every block.
-        default_span = 0 if spec.get("nat_only", True) else ctx.universe.bound - 1
+        # widens them to blocks 0..s.
         return ctx.universe.residue_class(
-            name, need("modulus"), spec.get("residue", 0),
-            spec.get("span", default_span),
+            name, need("modulus"), spec.get("residue", 0), spec.get("span", 0),
             tier or CardinalityTier.infinite(0), tags)
     if kind == "translate":
         [shift] = ctx.states([need("shift")])
@@ -195,6 +186,7 @@ def _build_class(ctx: ScenarioContext, spec: dict) -> ClassSpec:
     if kind == "finite_subsets":
         return finite_subsets_class(ctx.cls(need("base")), name=name)
     if kind == "builtin":
+        target = spec.get("builtin", name)
         if target == "RankLevel":
             return ctx.universe.builtin_class(target, k=need("level"))
         try:
@@ -206,8 +198,6 @@ def _build_class(ctx: ScenarioContext, spec: dict) -> ClassSpec:
 
 def _build_variable(ctx: ScenarioContext, spec: dict) -> RandomVariable:
     kind = spec["kind"]
-    if kind == "identity":
-        return identity_rv()
     if kind == "even_shift":
         return even_shift_permutation()
     if kind == "table":
@@ -389,19 +379,46 @@ def run_witness(ctx: ScenarioContext, q: dict) -> dict:
 # Scenario entry points
 
 
-def _json_number(text: str) -> int | float:
+# The most digits a document's number may have before its point: as many
+# as int reads from text by default, so that a report can write it back.
+_MAX_DIGITS = 4300
+
+
+def _out_of_range(text: str) -> ScenarioParseError:
+    return ScenarioParseError(f"scenario number {excerpt(text)} is out of range")
+
+
+def _json_int(text: str) -> int:
+    if len(text.lstrip("-")) > _MAX_DIGITS:
+        raise _out_of_range(text)
+    return int(text)
+
+
+def _json_number(text: str) -> int | float | Decimal:
     # JSON Schema counts an integral number such as 2.0 as an integer: read
-    # it exactly, as json reads 2, within the 4,300 digits json reads in one.
-    d = Decimal(text)
-    if d == d.to_integral_value() and d.adjusted() < 4300:
+    # it exactly, as `_json_int` reads 2.  A fraction that a float would
+    # round to an integer, such as 1e-400, stays an exact Decimal, which the
+    # schema refuses as it refuses 2.5.
+    try:
+        d = Decimal(text)
+    except InvalidOperation:  # an exponent past what a Decimal holds
+        raise _out_of_range(text) from None
+    if d.adjusted() >= _MAX_DIGITS:
+        raise _out_of_range(text)
+    if d == d.to_integral_value():
         return int(d)
-    return float(text)
+    x = float(text)
+    return d if x.is_integer() else x
 
 
 def load_scenario(path: str) -> dict:
+    """The document at `path`, read and validated.  Every number is read
+    exactly (`_json_number`), or refused as a `ScenarioParseError` when it
+    has more than `_MAX_DIGITS` digits before its point or an exponent
+    past a Decimal's."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=_json_number)
+            data = json.load(fh, parse_float=_json_number, parse_int=_json_int)
     except OSError as exc:
         raise ScenarioParseError(f"cannot read scenario: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -419,6 +419,44 @@ def test_decoration_index_keeps_a_repeated_window_state_once():
     assert list(search.positions) == list(islice(U.enumerate_universe(), 120))
 
 
+def test_equal_inputs_share_one_prepared_search(monkeypatch):
+    # The kept search is keyed by its inputs' values, so constraints and
+    # a window built afresh for each call, equal but other objects, reuse it.
+    prepared = []
+
+    class Counted(filters._Search):
+        def __init__(self, *key):
+            prepared.append(key)
+            super().__init__(*key)
+
+    monkeypatch.setattr(filters, "_Search", Counted)
+    monkeypatch.setattr(filters, "_last_search", None)
+
+    def witness():
+        cs = [fineness(nat(0)), ratio(U.builtin_class("Even"), U.builtin_class("Odd"), 1)]
+        return find_witness(cs, U, rng=random.Random(3),
+                            window=[nat(b) for b in range(6)], decorate=2)
+
+    first, second = witness(), witness()
+    assert len(prepared) == 1
+    assert first == second and first is not None
+
+
+@pytest.mark.parametrize("one_pass", ["constraints", "window"])
+def test_generate_witnesses_reads_each_argument_once(one_pass):
+    # An iterator given for the constraints or the window is read once,
+    # so every search and the fallback see all of it.
+    cs = [fineness(nat(0)), ratio(U.builtin_class("Even"), U.builtin_class("On"), 1)]
+    window = [nat(b) for b in range(10)] + [pad(0), pad(1)]
+    want = generate_witnesses(cs, U, random.Random(1), 4, window=window)
+    args = {"constraints": cs, "window": window}
+    args[one_pass] = iter(args[one_pass])
+    got = generate_witnesses(args["constraints"], U, random.Random(1), 4,
+                             window=args["window"])
+    assert got == want
+    assert all(nat(0) in w for w in got)
+
+
 # Every concrete tag, with two interval parameters, over two blocks of
 # ordinals and a few pads.  Edge cases: a duplicated pin, a pin and a
 # class (FAR) outside the states, subset_bound at alpha 0 and 1,

@@ -157,7 +157,7 @@ def test_jsonschema_imported_on_first_rejection():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("extra", [{"nat_only": False}, {"span": 5}])
+@pytest.mark.parametrize("extra", [{"span": 1}, {"span": 5}])
 def test_residue_class_stays_inside_universe(extra):
     # An ordinal universe of bound 2 holds the blocks 0 and 1 only.
     ctx = build_context({
@@ -626,7 +626,7 @@ def test_malformed_query_is_recorded_as_its_error(query, error):
     ({"classes": [{"name": "L", "kind": "builtin", "builtin": "RankLevel"}]},
      cli.EXIT_VALIDATION, "class 'L' of kind 'builtin' needs 'level'"),
     ({"classes": [{"name": "P", "kind": "builtin", "builtin": "PowerClass"}]},
-     cli.EXIT_VALIDATION, "class 'P' of kind 'builtin' needs 'base'"),
+     cli.EXIT_VALIDATION, "unknown builtin class 'PowerClass'"),
     ({"classes": [{"name": "Foo", "kind": "builtin"}]},
      cli.EXIT_VALIDATION, "unknown builtin class 'Foo'"),
     ({"tiers": [4, 3]},
@@ -656,11 +656,31 @@ def test_malformed_query_is_recorded_as_its_error(query, error):
     ({"output": {"format": "csv"}}, cli.EXIT_VALIDATION,
      "scenario rejected at (root): Additional properties are not allowed "
      "('output' was unexpected)"),
+    # each setting has one spelling: span, kind power or finite_subsets,
+    # and the builtin identity
+    ({"classes": [{"name": "R", "kind": "residue", "modulus": 2, "nat_only": False}]},
+     cli.EXIT_VALIDATION, "scenario rejected at classes/0: Additional properties "
+     "are not allowed ('nat_only' was unexpected)"),
+    ({"classes": [{"name": "F", "kind": "builtin", "builtin": "FiniteSubsets",
+                   "base": "Nat"}]},
+     cli.EXIT_VALIDATION, "unknown builtin class 'FiniteSubsets'"),
+    ({"variables": [{"name": "id2", "kind": "identity"}]}, cli.EXIT_VALIDATION,
+     "scenario rejected at variables/0/kind: 'identity' is not one of "),
+    # a number is read exactly or refused; "#N" is the number N, unquoted
+    ({"seed": "#" + "1" * 5000}, cli.EXIT_VALIDATION,
+     "scenario number '1111111111"),
+    ({"universe": {"mode": "ordinal", "bound": "#1e9999999999999999999"}},
+     cli.EXIT_VALIDATION, "scenario number '1e9999999999999999999' is out of range"),
+    ({"seed": "#12345678901234567.5"}, cli.EXIT_VALIDATION,
+     "scenario rejected at seed: Decimal('12345678901234567.5') is not of type 'integer'"),
+    ({"classes": [{"name": "R", "kind": "residue", "modulus": 2, "residue": "#1e-400"}]},
+     cli.EXIT_VALIDATION,
+     "scenario rejected at classes/0/residue: Decimal('1E-400') is not of type 'integer'"),
 ])
 def test_outside_input_is_a_validation_error(doc, code, message, tmp_path, capsys):
     # Exit 2 while the context is built; inside a query, the query's error.
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps({**ORDINAL, **doc}))
+    path.write_text(re.sub(r'"#([^"]*)"', r"\1", json.dumps({**ORDINAL, **doc})))
     assert cli.main(["run", str(path)]) == code
     captured = capsys.readouterr()
     if code == cli.EXIT_VALIDATION:
@@ -668,6 +688,19 @@ def test_outside_input_is_a_validation_error(doc, code, message, tmp_path, capsy
     else:
         [record] = json.loads(captured.out)["queries"]
         assert record["error"].startswith("ScenarioValidationError: " + message)
+
+
+def test_a_repeated_probe_state_is_counted_once():
+    # probe_size is the number of the probe's distinct states
+    def levels(probe):
+        doc = {**ORDINAL, "tiers": [3], "queries": [
+            {"kind": "coherence", "class": "Even", "probe": probe,
+             "snapshot": [f"o0.{b}" for b in range(1, 7)]}]}
+        [record] = run_scenario_data(doc)["queries"]
+        return record["levels"]
+
+    assert levels(["o0.1", "o0.1", "o0.2"]) == levels(["o0.1", "o0.2"])
+    assert [lv["probe_size"] for lv in levels(["o0.1", "o0.2"])] == [2]
 
 
 @pytest.mark.parametrize("doc, number", [
@@ -750,8 +783,8 @@ _SWAP = {f"{a}{i}": f"{b}{i}" for i in range(3) for a, b in (("p", "o0."), ("o0.
 
 @pytest.mark.parametrize("variables", [
     [{"name": "identity", "kind": "table", "mapping": _SWAP}],
-    [{"name": "identity", "kind": "identity"}],
-    [{"name": "pi", "kind": "even_shift"}, {"name": "pi", "kind": "identity"}],
+    [{"name": "identity", "kind": "even_shift"}],
+    [{"name": "pi", "kind": "even_shift"}, {"name": "pi", "kind": "table"}],
 ], ids=["identity-table", "identity-kind", "twice"])
 def test_a_variable_name_is_defined_once(variables, tmp_path, capsys):
     name = variables[-1]["name"]

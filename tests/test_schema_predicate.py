@@ -22,7 +22,7 @@ FULL = {
         {"name": "P", "kind": "values", "values": ["o0.1", "p0"],
          "subset_tags": ["On"], "tier": {"finite": 2}},
         {"name": "R", "kind": "residue", "modulus": 3, "residue": 1,
-         "nat_only": False, "span": 1, "tier": {"infinite": 0}},
+         "span": 1, "tier": {"infinite": 0}},
         {"name": "T", "kind": "translate", "base": "Even", "shift": "o0.1"},
         {"name": "I", "kind": "image", "base": "Even", "rv": "shift"},
         {"name": "W", "kind": "power", "base": "Nat", "tier": "proper"},
@@ -31,7 +31,6 @@ FULL = {
     ],
     "variables": [
         {"name": "shift", "kind": "even_shift"},
-        {"name": "id2", "kind": "identity"},
         {"name": "tab", "kind": "table", "mapping": {"o0.1": "o0.2"}},
     ],
     "base": {"builder": "ordinal_theorem", "window": ["o0.0", "o0.1"],
