@@ -1313,16 +1313,11 @@ def ordinal_witness(
         guarded.append(cls_a)
 
     # nothing reads the tally's counts after this, so pads skip it
-    pad_need = len(placed) * m
     avoid = [a for a, _ in pair_list] + [b for _, b in pair_list]
-    pads: list[SetValue] = []
-    for cand in universe.pads():
-        if len(pads) == pad_need:
-            break
-        if cand in placed or any(cls.membership(cand) for cls in avoid):
-            continue
-        pads.append(cand)
-
+    pads = itertools.islice(
+        (v for v in universe.pads()
+         if v not in placed and not any(cls.membership(v) for cls in avoid)),
+        len(placed) * m)
     return _verified(Snapshot([*placed, *pads]), cs, universe.mode)
 
 
@@ -1362,32 +1357,22 @@ def powerset_prefilter_stage(
             raise WrongMode(f"stage pairs must have rank {level}")
         cls_a = class_of_set(sv_a)
         cls_b = class_of_set(sv_b)
-        decided = None
         for cand in (order_lt(cls_a, cls_b), order_ge(cls_a, cls_b)):
             trial = fb.with_constraints([cand])
             if check_fip(trial, rng).witnessed:
-                decided = cand
                 break
-        if decided is None:
+        else:
             raise ConstructionFailed(
                 f"neither judgement for ({sv_a.pretty()}, {sv_b.pretty()}) "
                 "survived the budgeted check")
-        fb = fb.with_constraints([decided])
-        kept.append(decided)
+        fb = trial
+        kept.append(cand)
     lifts = [power_lift(c) for c in kept]
     fb = fb.with_constraints(lifts)
     final = check_fip(fb, rng)
     if not final.witnessed:
         raise ConstructionFailed(f"lifted base lost its witnesses: {final.note}")
     return fb
-
-
-def _power_base_values(cls: ClassSpec) -> tuple[SetValue, ...]:
-    base = cls.meta.get("power_base")
-    if base is None or "values" not in base.meta:
-        raise WrongMode(
-            f"{cls.name} is not a power class over an extensional base")
-    return base.meta["values"]
 
 
 def powerset_witness_extend(
@@ -1406,75 +1391,68 @@ def powerset_witness_extend(
     one marker per class to be avoided (an element of this base set
     outside the other), plus a maximal-rank anchor so additions stay at
     the current level and cannot disturb judgements at lower levels.
+    Every class of `positions` must be a power class over a value list.
     """
+    bases: dict[ClassSpec, frozenset[SetValue]] = {}
+    for cls in itertools.chain.from_iterable(positions):
+        base = cls.meta.get("power_base")
+        if base is None or "values" not in base.meta:
+            raise WrongMode(
+                f"{cls.name} is not a power class over an extensional base")
+        bases[cls] = frozenset(base.meta["values"])
     states = set(base_snapshot)
+    lower: list[ClassSpec] = []  # the classes of the positions walked so far
 
     def count(cls: ClassSpec) -> int:
         return sum(1 for v in states if cls.membership(v))
 
-    def base_values(cls: ClassSpec) -> set[SetValue]:
-        return set(_power_base_values(cls))
-
-    def add_members(cls: ClassSpec, need: int, avoid: list[ClassSpec]) -> None:
-        own = base_values(cls)
+    def add_members(cls: ClassSpec, need: int, group: Sequence[ClassSpec]) -> None:
+        own = bases[cls]
+        # Fresh members stay out of every lower class, and out of each
+        # tie peer over another base set.
+        avoid = lower + [other for other in group
+                         if other is not cls and bases[other] != own]
+        ordered = sorted(own, key=lambda v: v._key)
         # One marker role per avoided class; a single element may fill
         # several roles at once, which keeps the candidate pool large.
-        separators: list[set[SetValue]] = []
+        separators: list[frozenset[SetValue]] = []
         for other in avoid:
-            seps = own - base_values(other)
+            seps = own - bases[other]
             if not seps:
                 raise MarkerMissing(
                     f"no separator inside {cls.name} against {other.name}: "
                     "the judgement slice is inconsistent")
             separators.append(seps)
         fixed: set[SetValue] = set()
-        uncovered = list(range(len(separators)))
-        while uncovered:
-            best = max(sorted(own, key=lambda v: v._key),
-                       key=lambda v: sum(1 for i in uncovered if v in separators[i]))
+        while separators:
+            best = max(ordered, key=lambda v: sum(1 for s in separators if v in s))
             fixed.add(best)
-            uncovered = [i for i in uncovered if best not in separators[i]]
-        max_rank = max((rank(v) for v in own), default=0)
-        tops = [v for v in fixed if rank(v) == max_rank]
-        if not tops:
-            tops = [v for v in own if rank(v) == max_rank]
-        fixed.add(min(tops, key=lambda v: v._key))
-        rest = sorted((v for v in own if v not in fixed), key=lambda v: v._key)
-        added = 0
-        for size in range(0, len(rest) + 1):
-            for combo in itertools.combinations(rest, size):
-                cand = hf_set([*fixed, *combo])
-                if cand in states:
-                    continue
-                if any(other.membership(cand) for other in avoid):
-                    continue
-                states.add(cand)
-                added += 1
-                if added == need:
-                    return
-        raise EnumerationExhausted(
-            f"level cannot supply {need} fresh members of {cls.name}")
+            separators = [s for s in separators if best not in s]
+        top = max((rank(v) for v in own), default=0)
+        if all(rank(v) != top for v in fixed):
+            fixed.add(min((v for v in own if rank(v) == top), key=lambda v: v._key))
+        rest = [v for v in ordered if v not in fixed]
+        # distinct combinations give distinct sets, so none is taken twice
+        candidates = (hf_set([*fixed, *combo]) for size in range(len(rest) + 1)
+                      for combo in itertools.combinations(rest, size))
+        fresh = list(itertools.islice(
+            (cand for cand in candidates if cand not in states
+             and not any(other.membership(cand) for other in avoid)),
+            need))
+        if len(fresh) < need:
+            raise EnumerationExhausted(
+                f"level cannot supply {need} fresh members of {cls.name}")
+        states.update(fresh)
 
     prev_max: int | None = None
-    for idx, group in enumerate(positions):
-        group = list(group)
-        lower = [cls for g in positions[:idx] for cls in g]
-
-        def peers_of(cls: ClassSpec) -> list[ClassSpec]:
-            return [other for other in group
-                    if other is not cls
-                    and base_values(other) != base_values(cls)]
-
+    for group in positions:
         if prev_max is not None:
-            add_members(group[0], prev_max + 1,
-                        avoid=lower + peers_of(group[0]))
+            add_members(group[0], prev_max + 1, group)
         target = max(count(cls) for cls in group)
-        if prev_max is not None:
-            target = max(target, prev_max + 1)
         for cls in group:
             deficit = target - count(cls)
             if deficit > 0:
-                add_members(cls, deficit, avoid=lower + peers_of(cls))
+                add_members(cls, deficit, group)
         counts_now = [count(cls) for cls in group]
         if len(set(counts_now)) != 1:
             raise ConstructionFailed(
@@ -1482,6 +1460,7 @@ def powerset_witness_extend(
         if prev_max is not None and counts_now[0] <= prev_max:
             raise ConstructionFailed("strict step failed to exceed the previous position")
         prev_max = counts_now[0]
+        lower.extend(group)
 
     return _verified(Snapshot(states),
                      [c for c in judgements.constraints

@@ -394,21 +394,24 @@ def _json_int(text: str) -> int:
     return int(text)
 
 
-def _json_number(text: str) -> int | float | Decimal:
+class _JsonDecimal(Decimal):
+    """A document's non-integral number, exact; its repr is its decimal
+    text, which is how a schema rejection quotes it."""
+
+    __repr__ = Decimal.__str__
+
+
+def _json_number(text: str) -> int | _JsonDecimal:
     # JSON Schema counts an integral number such as 2.0 as an integer: read
-    # it exactly, as `_json_int` reads 2.  A fraction that a float would
-    # round to an integer, such as 1e-400, stays an exact Decimal, which the
-    # schema refuses as it refuses 2.5.
+    # it exactly, as `_json_int` reads 2.  Any other number stays exact, so
+    # the schema refuses 1e-400 as it refuses 2.5.
     try:
-        d = Decimal(text)
+        d = _JsonDecimal(text)
     except InvalidOperation:  # an exponent past what a Decimal holds
         raise _out_of_range(text) from None
     if d.adjusted() >= _MAX_DIGITS:
         raise _out_of_range(text)
-    if d == d.to_integral_value():
-        return int(d)
-    x = float(text)
-    return d if x.is_integer() else x
+    return int(d) if d == d.to_integral_value() else d
 
 
 def load_scenario(path: str) -> dict:

@@ -251,6 +251,7 @@ def parse_code(code: str) -> SetValue:
 # Rank
 
 
+# Ranks by code (at most INTERN_CAP), emptied whole when full as `_SETS` is.
 _RANK_CACHE: dict[str, int] = {}
 
 
@@ -266,6 +267,8 @@ def rank(x: SetValue) -> int:
     if not x.is_set:
         raise WrongMode(f"rank undefined for {x.pretty()}")
     r = 0 if not x.children else 1 + max(rank(c) for c in x.children)
+    if len(_RANK_CACHE) >= INTERN_CAP:
+        _RANK_CACHE.clear()
     _RANK_CACHE[x.code] = r
     return r
 
@@ -397,11 +400,14 @@ class ClassSpec:
         exclusions: Iterable[SetValue] = (),
         predicate: Callable[[SetValue], bool] | None = None,
     ) -> list[SetValue]:
-        """First `count` fresh members passing `predicate`.
+        """First `count` fresh members passing `predicate`; none for a
+        count below 1.
 
         Raises EnumerationExhausted when the stream ends, or when
         ENUM_SCAN_CAP candidates were inspected without success.
         """
+        if count < 1:
+            return []
         out: list[SetValue] = []
         scanned = 0
         for v in self.enumerate(exclusions):

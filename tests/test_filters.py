@@ -783,6 +783,12 @@ def test_ordinal_witness_weight_is_exact():
         assert m * on_count <= len(w)
 
 
+def test_ordinal_witness_pads_past_a_pinned_pad():
+    w = ordinal_witness(U, [pad(0)], k=1, l=1, m=2)
+    assert pad(0) in w and pad(1) in w
+    assert constraint_membership(weight(2), w, U.mode)
+
+
 def test_ordinal_witness_rejects_bad_inputs():
     with pytest.raises(WrongMode):
         ordinal_witness(HF, [], k=1, l=1, m=1)

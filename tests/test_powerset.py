@@ -6,10 +6,12 @@ from itertools import combinations
 import pytest
 
 from setprob import (
+    ClassSpec,
     FilterBase,
     HF_MODE,
     ORDINAL_MODE,
     check_fip,
+    class_from_values,
     class_of_set,
     constraint_membership,
     find_witness,
@@ -26,7 +28,12 @@ from setprob import (
     snapshot,
 )
 from setprob.cli import chain_sets, demo_powerset_chain, demo_pn_iteration
-from setprob.errors import EnumerationExhausted, MarkerMissing, WrongMode
+from setprob.errors import (
+    ConstructionFailed,
+    EnumerationExhausted,
+    MarkerMissing,
+    WrongMode,
+)
 
 HF = make_universe(HF_MODE, 5)
 A1, A2, A3, A4 = chain_sets()
@@ -93,6 +100,13 @@ def test_stage_strictness_lift_invariant():
                     if c.tag == "order_lt" and "power_base" in c.cls_a.meta}
     for c in strict:
         assert f"P({c.cls_a.name})" in lifted_names
+
+
+def test_stage_fails_when_the_prior_refutes_both_judgements():
+    e1, e2 = ELS[0], ELS[1]
+    prior = FilterBase((order_lt(e1, e2), order_lt(e2, e1)), universe=HF)
+    with pytest.raises(ConstructionFailed, match="neither judgement"):
+        powerset_prefilter_stage(HF, 4, prior, [(A1, A2)], rng=random.Random(0))
 
 
 def test_stage_rejects_wrong_rank_and_mode():
@@ -194,6 +208,56 @@ def test_extend_preserves_base_judgements_or_raises():
     with pytest.raises(ConstructionFailed):
         powerset_witness_extend(HF, bad_base, [[POWERS[0]], [POWERS[1]]],
                                 judgements)
+
+
+def test_extend_anchor_falls_back_to_the_least_top_rank_element():
+    # A's only separator against B is rank 2, below A's top rank 3, so the
+    # member added to P(A) also holds A's least rank-3 element
+    r2 = list(HF.level_members(2))
+    r3 = list(HF.level_members(3))
+    pa = power_class(class_from_values("A", r2[:2] + r3[:2]))
+    pb = power_class(class_from_values("B", r3[:3]))
+    out = powerset_witness_extend(HF, snapshot(), [[pb], [pa]],
+                                  FilterBase((), universe=HF))
+    [added] = out
+    marker, anchor = sorted(added.children, key=lambda v: v._key)
+    assert marker in r2[:2]
+    assert anchor == min(r3[:2], key=lambda v: v._key)
+
+
+@pytest.mark.parametrize("taken", ["present", "avoided"])
+def test_extend_skips_a_candidate_it_cannot_take(taken):
+    # the first candidate for P(A2) above P(A1) is taken away, either by
+    # the snapshot already holding it or by a lower class holding it
+    judgements = FilterBase((), universe=HF)
+    [first] = powerset_witness_extend(HF, snapshot(), [[POWERS[0]], [POWERS[1]]],
+                                      judgements)
+    if taken == "present":
+        lower, base = POWERS[0], snapshot(first)
+    else:
+        p0 = POWERS[0]
+        lower = ClassSpec("Q", lambda x: x == first or p0.membership(x),
+                          lambda: iter(()), p0.tier, meta=p0.meta)
+        base = snapshot()
+    out = powerset_witness_extend(HF, base, [[lower], [POWERS[1]]], judgements)
+    [added] = [s for s in out if s not in base]
+    assert added != first
+    assert POWERS[1].membership(added) and not lower.membership(added)
+
+
+def test_extend_refuses_a_power_class_over_a_non_value_base():
+    over_v = power_class(HF.universe_class())
+    with pytest.raises(WrongMode, match="not a power class over an extensional base"):
+        powerset_witness_extend(HF, snapshot(), [[POWERS[0]], [over_v]],
+                                FilterBase((), universe=HF))
+
+
+@pytest.mark.parametrize("cls", [power_class(HF.universe_class()), ELS[0]],
+                         ids=["P(V)", "els"])
+def test_extend_refuses_a_class_before_it_needs_members(cls):
+    # a lone first position adds nothing, yet its class is still checked
+    with pytest.raises(WrongMode, match="not a power class over an extensional base"):
+        powerset_witness_extend(HF, snapshot(), [[cls]], FilterBase((), universe=HF))
 
 
 # ---------------------------------------------------------------------------

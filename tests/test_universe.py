@@ -212,6 +212,17 @@ def test_rank_small_sets(monkeypatch):
     assert rank(S2) == 7
 
 
+def test_rank_cache_is_bounded():
+    def slow_rank(x):
+        return 0 if not x.children else 1 + max(map(slow_rank, x.children))
+
+    sets = list(itertools.islice(make_universe(HF_MODE, 5).level_members(4),
+                                 2 * universe.INTERN_CAP))
+    sets += [hf_set(s.children[:1]) for s in sets]  # of lower ranks too
+    assert all(rank(s) == slow_rank(s) for s in sets)
+    assert len(_RANK_CACHE) <= universe.INTERN_CAP
+
+
 def test_rank_rejects_non_hf():
     with pytest.raises(WrongMode):
         rank(nat(2))
@@ -478,6 +489,11 @@ def test_take_fresh_exhaustion():
     assert cls.take_fresh(1, exclusions=[nat(1)]) == [nat(2)]
     with pytest.raises(EnumerationExhausted):
         cls.take_fresh(2, exclusions=[nat(1)])
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_take_fresh_of_no_members_is_empty(count, ord_universe):
+    assert ord_universe.builtin_class("On").take_fresh(count) == []
 
 
 def test_members_refuses_infinite_tier(ord_universe):
