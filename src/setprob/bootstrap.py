@@ -215,7 +215,9 @@ def audit_restricted_base(fb: FilterBase) -> RestrictionAudit:
     details["fip"] = fip.status
 
     # Each sampled state's pin is built once, for both loops, so its
-    # cached `form` serves every search that cites it.
+    # cached `form` serves every search that cites it.  The dichotomy
+    # loop's `pin_w` repeats the fineness loop's search, which
+    # `find_witness` keeps: the repeat returns the kept witness.
     samples = [(x, fineness(x)) for x in window[:AUDIT_SAMPLES]]
 
     # Fineness: every sampled window state extends the base consistently.

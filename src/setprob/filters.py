@@ -90,6 +90,16 @@ class Constraint:
     def __repr__(self):
         return f"Constraint[{self.describe()}]"
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass's own hash, of the field tuple, taken once: every
+        `find_witness` call hashes its constraints to look up its search."""
+        return hash((self.tag, self.x, self.cls_a, self.cls_b, self.param,
+                     self.window, self.family))
+
     @cached_property
     def form(self) -> _CountForm | None:
         """The constraint as a count inequality, or None for interval,
@@ -890,9 +900,10 @@ class _Search:
     the interval parameter, and the touch tests of run closure are built
     here too, and the decoration index (`positions`) once, on first use.
     Every draw and decision of a call is made in `run`, so a search run
-    again draws as a fresh one would.  `reuse` starts the memos only a
-    repeated run reads: the sides of each state and the pads a grown
-    class rules out.
+    again draws as a fresh one would.  A run with no rng draws nothing,
+    so its result is kept as `plain`.  `reuse` starts the memos only a
+    repeated seeded run reads: the sides of each state and the pads a
+    grown class rules out.
     """
 
     def __init__(self, cs: tuple[Constraint, ...], universe: UniverseHandle | None,
@@ -936,6 +947,12 @@ class _Search:
             self.reused = True
             self.sides.of = cache(self.sides.of)
             self.avoids = cache(self.avoids)
+
+    @cached_property
+    def plain(self) -> Snapshot | None:
+        """The result of the run with no rng, which is a function of `key`;
+        a run that raises is not kept."""
+        return self.run(None, 0)
 
     @cached_property
     def positions(self) -> dict[SetValue, int]:
@@ -1066,9 +1083,12 @@ class _Search:
         return None
 
 
-# The last search `find_witness` prepared; a call whose inputs are equal
-# in value runs it again.
-_last_search: _Search | None = None
+# Prepared searches by the hash of their `key`, least recently used
+# first; a call whose inputs are equal in value to a kept search's key
+# uses that search.  Keyed by the hash, the key's states and constraints
+# are hashed once per call, not once per table operation.
+SEARCH_TABLE_CAP = 128
+_searches: dict[int, _Search] = {}
 
 
 def find_witness(
@@ -1104,22 +1124,29 @@ def find_witness(
     witnesses it always gave.
 
     The inputs fix a prepared search (`_Search`), which builds its
-    decoration index once.  The last one is kept, and a call whose
-    inputs equal its `key` in value runs it again, so the repeated
-    searches of `generate_witnesses` and of sampled compares prepare
-    theirs once.
+    decoration index once.  The last `SEARCH_TABLE_CAP` used are kept,
+    and a call whose inputs equal a kept `key` in value uses that one,
+    so the repeated searches of `generate_witnesses`, of sampled
+    compares and of a restriction audit prepare theirs once.  A call
+    with no rng draws nothing and returns the search's kept result
+    (`plain`); a seeded call runs the search, drawing as a fresh one
+    would.
     Each attempt keeps its states in a `_Tally`; the Snapshot is built
     once, on return, and checked by `_verified`.
     """
-    global _last_search
     key = (tuple(constraints), universe,
            None if window is None else tuple(window), max_size, scan_cap)
-    search = _last_search
-    if search is not None and search.key == key:
+    h = hash(key)
+    search = _searches.pop(h, None)
+    if search is None or search.key != key:
+        search = _Search(*key)
+    elif rng is not None:
         search.reuse()
-    else:
-        search = _last_search = _Search(*key)
-    return search.run(rng, decorate)
+    found = search.plain if rng is None else search.run(rng, decorate)
+    _searches[h] = search
+    if len(_searches) > SEARCH_TABLE_CAP:
+        del _searches[next(iter(_searches))]
+    return found
 
 
 def generate_witnesses(
@@ -1134,7 +1161,7 @@ def generate_witnesses(
     up to 8 seeded searches per snapshot asked for, then a deterministic
     padding fallback.  The constraints and window are read once, into
     tuples; every search is a `find_witness` call with those same
-    inputs, so they share one prepared search."""
+    inputs, so they share one kept search."""
     constraints = tuple(constraints)
     window = None if window is None else tuple(window)
     out: list[Snapshot] = []

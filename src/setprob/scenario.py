@@ -140,14 +140,23 @@ def builtin_classes(universe: UniverseHandle) -> dict[str, ClassSpec]:
     return {name: universe.builtin_class(name) for name in names}
 
 
+def _int(x: Any) -> Any:
+    """x, or the int it equals when it is an integral float: the schema
+    accepts 2.0 as an integer, and a document built in Python may hold
+    one where a file's reads as 2 (`_json_number`).  Every integer the
+    schema admits is read through this; any other value, 2.5 say, is
+    left to fail as it would."""
+    return int(x) if isinstance(x, float) and x.is_integer() else x
+
+
 def _tier_from_spec(spec: Any) -> CardinalityTier | None:
     if spec is None:
         return None
     if spec == "proper":
         return CardinalityTier.proper()
     if "finite" in spec:
-        return CardinalityTier.finite(spec["finite"])
-    return CardinalityTier.infinite(spec["infinite"])
+        return CardinalityTier.finite(_int(spec["finite"]))
+    return CardinalityTier.infinite(_int(spec["infinite"]))
 
 
 def _build_class(ctx: ScenarioContext, spec: dict) -> ClassSpec:
@@ -172,7 +181,8 @@ def _build_class(ctx: ScenarioContext, spec: dict) -> ClassSpec:
         # Residue classes live in omega-block 0 by default; a span of s
         # widens them to blocks 0..s.
         return ctx.universe.residue_class(
-            name, need("modulus"), spec.get("residue", 0), spec.get("span", 0),
+            name, _int(need("modulus")), _int(spec.get("residue", 0)),
+            _int(spec.get("span", 0)),
             tier or CardinalityTier.infinite(0), tags)
     if kind == "translate":
         [shift] = ctx.states([need("shift")])
@@ -188,7 +198,7 @@ def _build_class(ctx: ScenarioContext, spec: dict) -> ClassSpec:
     if kind == "builtin":
         target = spec.get("builtin", name)
         if target == "RankLevel":
-            return ctx.universe.builtin_class(target, k=need("level"))
+            return ctx.universe.builtin_class(target, k=_int(need("level")))
         try:
             return ctx.universe.builtin_class(target)
         except KeyError as exc:
@@ -231,7 +241,7 @@ def build_base(ctx: ScenarioContext, spec: dict | None) -> FilterBase:
         fb = fb.with_constraints(extra)
     if "max_size" in spec:
         from dataclasses import replace
-        fb = replace(fb, max_size=spec["max_size"])
+        fb = replace(fb, max_size=_int(spec["max_size"]))
     return fb
 
 
@@ -340,9 +350,9 @@ def _witness_pairs(ctx: ScenarioContext, pairs: list, counted: bool) -> list:
     shape = "[A, B, n] with an integer n >= 1" if counted else "[A, B]"
     for pair in pairs:
         if len(pair) != 2 + counted or (
-                counted and not (type(pair[2]) is int and pair[2] >= 1)):
+                counted and not (type(_int(pair[2])) is int and pair[2] >= 1)):
             raise ScenarioValidationError(f"witness pair {pair!r} is not {shape}")
-    return [(ctx.cls(a), ctx.cls(b), *count) for a, b, *count in pairs]
+    return [(ctx.cls(a), ctx.cls(b), *map(_int, count)) for a, b, *count in pairs]
 
 
 def run_witness(ctx: ScenarioContext, q: dict) -> dict:
@@ -357,7 +367,7 @@ def run_witness(ctx: ScenarioContext, q: dict) -> dict:
         w = superreg_witness(pins, pairs)
         checks = superreg_constraints(pairs, pins)
     else:
-        k, l, m = (q.get(key, 1) for key in "klm")
+        k, l, m = (_int(q.get(key, 1)) for key in "klm")
         if min(k, l, m) < 1:
             raise ScenarioValidationError("k, l and m must all be >= 1")
         w = ordinal_witness(ctx.universe, pins, k, l, m, pairs)
@@ -632,9 +642,9 @@ def build_context(data: dict) -> ScenarioContext:
     already defined, the builtins included; a `builtin` entry that names
     its own builtin re-declares it, since the handle gives it one
     object."""
-    uni = make_universe(data["universe"]["mode"], data["universe"]["bound"])
-    seed = data.get("seed", 0)
-    tiers = (_parse(lambda t: TierConfig(tuple(t)), data["tiers"], "tiers")
+    uni = make_universe(data["universe"]["mode"], _int(data["universe"]["bound"]))
+    seed = _int(data.get("seed", 0))
+    tiers = (_parse(lambda t: TierConfig(tuple(map(_int, t))), data["tiers"], "tiers")
              if "tiers" in data else None)
     ctx = ScenarioContext(
         universe=uni, seed=seed, rng=random.Random(seed), tiers=tiers,
@@ -660,7 +670,9 @@ def build_context(data: dict) -> ScenarioContext:
 
 
 def run_scenario_data(data: dict) -> dict:
-    """Execute an already-validated scenario document."""
+    """Execute an already-validated scenario document.  A document built
+    in Python may give an integer as an integral float, which runs as
+    the int it equals (`_int`)."""
     started = time.perf_counter()
     ctx = build_context(data)
     records = []
@@ -675,7 +687,7 @@ def run_scenario_data(data: dict) -> dict:
             ok = False
         records.append(record)
     return {
-        "universe": dict(data["universe"]),
+        "universe": dict(data["universe"], bound=ctx.universe.bound),
         "seed": ctx.seed,
         "query_count": len(records),
         "queries": records,

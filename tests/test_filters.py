@@ -1,5 +1,6 @@
 """Constraint membership, FIP checking, witness constructors."""
 
+import dataclasses
 import random
 from itertools import combinations, islice, product
 
@@ -419,18 +420,29 @@ def test_decoration_index_keeps_a_repeated_window_state_once():
     assert list(search.positions) == list(islice(U.enumerate_universe(), 120))
 
 
-def test_equal_inputs_share_one_prepared_search(monkeypatch):
-    # The kept search is keyed by its inputs' values, so constraints and
-    # a window built afresh for each call, equal but other objects, reuse it.
-    prepared = []
+def _count_searches(monkeypatch) -> tuple[list, list]:
+    """Empty the table of kept searches; return the keys of the searches
+    prepared and of the runs made from here on."""
+    prepared, runs = [], []
 
     class Counted(filters._Search):
         def __init__(self, *key):
             prepared.append(key)
             super().__init__(*key)
 
+        def run(self, rng, decorate):
+            runs.append(self.key)
+            return super().run(rng, decorate)
+
     monkeypatch.setattr(filters, "_Search", Counted)
-    monkeypatch.setattr(filters, "_last_search", None)
+    monkeypatch.setattr(filters, "_searches", {})
+    return prepared, runs
+
+
+def test_equal_inputs_share_one_prepared_search(monkeypatch):
+    # The kept search is keyed by its inputs' values, so constraints and
+    # a window built afresh for each call, equal but other objects, reuse it.
+    prepared, _ = _count_searches(monkeypatch)
 
     def witness():
         cs = [fineness(nat(0)), ratio(U.builtin_class("Even"), U.builtin_class("Odd"), 1)]
@@ -440,6 +452,69 @@ def test_equal_inputs_share_one_prepared_search(monkeypatch):
     first, second = witness(), witness()
     assert len(prepared) == 1
     assert first == second and first is not None
+
+
+def test_a_deterministic_search_runs_once_while_kept(monkeypatch):
+    prepared, runs = _count_searches(monkeypatch)
+    a = [fineness(nat(0)), ratio(U.builtin_class("Even"), U.builtin_class("Odd"), 1)]
+    b = [fineness(nat(1))]
+    first, _, again = find_witness(a, U), find_witness(b, U), find_witness(a, U)
+    assert again is first and first is not None
+    assert [len(key[0]) for key in prepared] == [2, 1]
+    assert [len(key[0]) for key in runs] == [2, 1]
+
+
+def test_the_least_recently_used_search_is_dropped_past_the_cap(monkeypatch):
+    prepared, _ = _count_searches(monkeypatch)
+    monkeypatch.setattr(filters, "SEARCH_TABLE_CAP", 3)
+    for b in (0, 1, 2, 0, 3):  # 0 used again, so 1 is the oldest at 3
+        find_witness([fineness(nat(b))], U)
+    find_witness([fineness(nat(0))], U)
+    assert len(prepared) == 4
+    find_witness([fineness(nat(1))], U)
+    assert [key[0][0].x for key in prepared] == [nat(b) for b in (0, 1, 2, 3, 1)]
+
+
+def test_a_search_kept_under_an_equal_hash_serves_only_its_own_key(monkeypatch):
+    # the table is keyed by the hash of a search's key; a search that
+    # another key's hash finds is prepared afresh for that key
+    prepared, _ = _count_searches(monkeypatch)
+    a, b = [fineness(nat(0))], [fineness(nat(1))]
+    want = find_witness(a, U)
+    monkeypatch.setattr(filters, "_searches", {})
+    find_witness(b, U)
+    [kept] = filters._searches.values()
+    monkeypatch.setattr(filters, "_searches",
+                        {hash(((a[0],), U, None, None, filters.SCAN_CAP)): kept})
+    assert find_witness(a, U) == want == snapshot(nat(0))
+    assert [key[0][0].x for key in prepared] == [nat(0), nat(1), nat(0)]
+
+
+def test_a_search_that_raises_is_not_kept(monkeypatch):
+    prepared, _ = _count_searches(monkeypatch)
+    monkeypatch.setattr(filters._Tally, "satisfied", lambda self: True)
+    cs = [fineness(nat(0)), subset_bound([nat(0)], 1)]
+    for _ in range(2):
+        with pytest.raises(ConstructionFailed, match="outside subset_bound"):
+            find_witness(cs, U)
+    assert len(prepared) == 2 and not filters._searches
+
+
+def test_constraint_hash_is_its_field_tuple_taken_once():
+    # the table's lookups hash constraints; equal ones built apart hash
+    # equal, to the dataclass's own value, so no set or dict order moves
+    window = [nat(0), pad(1), nat(2)]
+    for make in (lambda: fineness(ord_value(1, 2)),
+                 lambda: subset_bound(list(window), 3),
+                 lambda: ratio(U.builtin_class("Even"), U.builtin_class("On"), 2)):
+        c, d = make(), make()
+        assert c is not d and c == d and hash(c) == hash(d)
+        assert hash(c) == c.__dict__["_hash"] == hash(
+            tuple(getattr(c, f.name) for f in dataclasses.fields(c)))
+        e = dataclasses.replace(c, param=(c.param or 0) + 1)
+        assert "_hash" not in e.__dict__
+        assert hash(e) == hash(tuple(getattr(e, f.name) for f in dataclasses.fields(e)))
+        assert hash(e) != hash(c) and hash(c) == c.__dict__["_hash"]
 
 
 @pytest.mark.parametrize("one_pass", ["constraints", "window"])
@@ -582,6 +657,7 @@ def test_returned_witness_is_checked_against_every_constraint(monkeypatch):
     cs = [fineness(nat(0)), subset_bound([nat(0)], 1)]
     assert find_witness(cs, U) is None
     monkeypatch.setattr(filters._Tally, "satisfied", lambda self: True)
+    monkeypatch.setattr(filters, "_searches", {})
     with pytest.raises(ConstructionFailed, match="outside subset_bound"):
         find_witness(cs, U)
 
@@ -690,6 +766,18 @@ def test_seeded_witnesses_are_pinned():
           weight(2), min_size(10)]
     t = find_witness(cs, U, rng=random.Random(3), decorate=4)
     assert witness_codes(t) == PADDED_ORDER_WITNESS
+
+
+def test_a_kept_search_draws_as_a_fresh_one(monkeypatch):
+    # the search of these inputs is kept, has run with no rng and with
+    # another seed, and still makes the pinned draws
+    prepared, _ = _count_searches(monkeypatch)
+    base = expand_base(ordinal_theorem_base(U, [(M4, E1)]))
+    find_witness(base, U)
+    find_witness(base, U, rng=random.Random(0), decorate=4)
+    ts = generate_witnesses(base, U, random.Random(7), 20)
+    assert tuple(witness_codes(t) for t in ts) == THEOREM_WITNESSES
+    assert len(prepared) == 1
 
 
 def test_shuffle_replays_random_shuffle():

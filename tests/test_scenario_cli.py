@@ -729,6 +729,53 @@ def test_an_integer_written_with_a_decimal_point_runs_as_an_integer(doc, number,
     assert outs[0] == outs[1]
 
 
+def _put(doc, value):
+    """doc with each "N" replaced by value."""
+    if isinstance(doc, dict):
+        return {k: _put(v, value) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_put(v, value) for v in doc]
+    return value if doc == "N" else doc
+
+
+@pytest.mark.parametrize("doc", [
+    {"base": {"builder": "empty", "window": ["o0.0", "o0.1", "o0.2", "o0.3"],
+              "max_size": "N"},
+     "queries": [{"kind": "compare", "lhs": {"event": {"class": "Even"}},
+                  "rel": "le", "rhs": {"const": "1"}}]},
+    {"queries": [{"kind": "witness", "builder": "ordinal", "pins": ["o0.1"],
+                  "l": "N"}]},
+    {"queries": [{"kind": "witness", "builder": "superreg", "pins": ["o0.1"],
+                  "pairs": [["Even", "V", "N"]]}]},
+    {"seed": "N", "universe": {"mode": "ordinal", "bound": "N"}},
+    {"tiers": ["N"],
+     "classes": [{"name": "R", "kind": "residue", "modulus": "N", "span": "N",
+                  "tier": {"infinite": "N"}},
+                 {"name": "F", "kind": "values", "values": ["o0.1"],
+                  "tier": {"finite": "N"}}],
+     "queries": [{"kind": "event", "class": "R", "snapshot": ["o0.0", "o0.1", "o2.0"]},
+                 {"kind": "coherence", "class": "F", "snapshot": ["o0.1", "o0.2"],
+                  "probe": ["o0.1"]}]},
+    {"universe": {"mode": "hf", "bound": 3},
+     "classes": [{"name": "L", "kind": "builtin", "builtin": "RankLevel", "level": "N"}],
+     "queries": [{"kind": "event", "class": "L", "snapshot": ["{}", "{{}}"]}]},
+], ids=["max_size", "ordinal-l", "superreg-n", "seed-and-bound", "classes-and-tiers",
+        "rank-level"])
+def test_an_integral_float_built_in_python_runs_as_an_integer(doc):
+    # a document handed to run_scenario_data reads 2.0 as a file's does
+    as_float, as_int = _put({**ORDINAL, **doc}, 2.0), _put({**ORDINAL, **doc}, 2)
+    validate_scenario(as_float)
+    assert canonical_report_text(run_scenario_data(as_float)) == \
+        canonical_report_text(run_scenario_data(as_int))
+    assert as_float == _put({**ORDINAL, **doc}, 2.0)  # the caller's copy is kept
+
+
+def test_a_fractional_float_built_in_python_keeps_the_schema_rejection():
+    with pytest.raises(ScenarioValidationError,
+                       match=r"^scenario rejected at base/max_size: 2\.5 is not of type 'integer'$"):
+        validate_scenario({**ORDINAL, "base": {"builder": "empty", "max_size": 2.5}})
+
+
 @pytest.mark.parametrize("text, message", [
     ("{" * 3000 + "}" * 3000, "bad state code '{{{"),
     ("o0.1" + "}" * 5000, "bad state code 'o0.1}}}"),
