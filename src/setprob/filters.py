@@ -796,9 +796,10 @@ class _Tally:
     constraints read, updated on every add and discard.
 
     It keeps one count per side of its `_Sides` and, for interval
-    constraints, `blocks`: the b of every ordinal w*a+b by block a, with
-    the number of maximal runs of at most L states, L the largest
-    interval parameter: a run of at most l <= L states is one of them.
+    constraints, `blocks`: the b of every ordinal w*a+b by block a, for
+    each block holding one, with the number of maximal runs of at most L
+    states, L the largest interval parameter: a run of at most l <= L
+    states is one of them.
     `satisfied` is then the boolean `constraint_membership` gives on the
     Snapshot of the states.
     Run closure (`_close_intervals`), run feasibility (`_run_feasible`)
@@ -806,6 +807,9 @@ class _Tally:
     of them scans the placed states.
     Callers read the state set itself as `states`.  As for a set, adding
     a present state or discarding an absent one changes nothing.
+    `admit` decides on the counts alone: it raises them for the
+    candidate, tests `satisfied` and, on refusal, lowers them again,
+    with the state set untouched until the candidate is kept.
     """
 
     def __init__(self, sides: _Sides, states: Iterable[SetValue] = ()):
@@ -819,6 +823,15 @@ class _Tally:
         self._reach = (self._limit or 0) + 1
         for s in states:
             self.add(s)
+
+    def copy(self) -> _Tally:
+        """A tally of the same states and counts that changes apart."""
+        new = _Tally(self._sides)
+        new.states = set(self.states)
+        new.blocks = {a: set(bs) for a, bs in self.blocks.items()}
+        new._counts = self._counts.copy()
+        new._short = self._short
+        return new
 
     def satisfied(self) -> bool:
         if self._short:
@@ -835,26 +848,33 @@ class _Tally:
         return form.k * counts[form.small] + form.slack - counts[form.big]
 
     def add(self, s: SetValue) -> None:
-        if s not in self.states:
-            self.states.add(s)
-            self._update(s, 1)
+        states = self.states
+        n = len(states)
+        states.add(s)  # s is hashed once
+        if len(states) > n:
+            self._update(self._sides.of(s), s, 1)
 
     def discard(self, s: SetValue) -> None:
         if s in self.states:
             self.states.discard(s)
-            self._update(s, -1)
+            self._update(self._sides.of(s), s, -1)
 
     def admit(self, s: SetValue) -> bool:
-        """Add s and keep it if every constraint holds; say if it did."""
-        self.add(s)
+        """Add s and keep it if every constraint holds; say if it did.  A
+        present state changes nothing, and the answer is `satisfied`."""
+        if s in self.states:
+            return self.satisfied()
+        sides = self._sides.of(s)
+        self._update(sides, s, 1)
         if self.satisfied():
+            self.states.add(s)
             return True
-        self.discard(s)
+        self._update(sides, s, -1)
         return False
 
-    def _update(self, s: SetValue, sign: int) -> None:
+    def _update(self, sides: tuple[_Side, ...], s: SetValue, sign: int) -> None:
         counts = self._counts
-        for key in self._sides.of(s):
+        for key in sides:
             counts[key] += sign
         if self._limit is not None and s.is_ordinal:
             self._place(*s.ord_parts, sign)
@@ -863,7 +883,7 @@ class _Tally:
         """Add (sign 1) or remove (sign -1) w*a+b in its block: the runs
         just below and above b join into one run through b, or split off
         from it.  Each run is walked only as far as `_reach`
-        (`_run_through`)."""
+        (`_run_through`); a block left empty is dropped."""
         bs = self.blocks.setdefault(a, set())
         bs.discard(b)
         r0, r1 = _run_through(bs, b, self._reach)
@@ -873,6 +893,8 @@ class _Tally:
                 self._short += change
         if sign > 0:
             bs.add(b)
+        elif not bs:
+            del self.blocks[a]
 
 
 def _verified(snap: Snapshot, cs: Sequence[Constraint], mode: str | None) -> Snapshot:
@@ -901,9 +923,12 @@ class _Search:
     here too, and the decoration index (`positions`) once, on first use.
     Every draw and decision of a call is made in `run`, so a search run
     again draws as a fresh one would.  A run with no rng draws nothing,
-    so its result is kept as `plain`.  `reuse` starts the memos only a
-    repeated seeded run reads: the sides of each state and the pads a
-    grown class rules out.
+    so its result is kept as `plain`.  With no grown or padded form, the
+    repair loop of an attempt (`_repair`) draws nothing either, so the
+    tally it reaches is kept as `settled` and each seeded attempt starts
+    from a copy.  `reuse` starts the memos only a repeated seeded run
+    reads: the sides of each state, by its code, and the pads a grown
+    class rules out.
     """
 
     def __init__(self, cs: tuple[Constraint, ...], universe: UniverseHandle | None,
@@ -945,8 +970,18 @@ class _Search:
     def reuse(self) -> None:
         if not self.reused:
             self.reused = True
-            self.sides.of = cache(self.sides.of)
             self.avoids = cache(self.avoids)
+            # keyed by the state's code, a str, which hashes in C
+            of, memo = self.sides.of, {}
+
+            def memo_of(s: SetValue) -> tuple[_Side, ...]:
+                code = s.code
+                sides = memo.get(code)
+                if sides is None:
+                    sides = memo[code] = of(s)
+                return sides
+
+            self.sides.of = memo_of
 
     @cached_property
     def plain(self) -> Snapshot | None:
@@ -1036,35 +1071,55 @@ class _Search:
                 break
             added += states.admit(cand)
 
+    def _repair(self, rng: random.Random | None) -> _Tally:
+        """The repair loop of one attempt: from the pins, up to ten rounds
+        of growth, run closure and padding, ending early once the tally
+        reaches `max_size`, is satisfied or has grown past `scan_cap`."""
+        max_size, scan_cap = self.max_size, self.scan_cap
+        states = _Tally(self.sides, self.pins)
+        placed = states.states
+        for _ in range(10):
+            for form in self.grown:
+                deficit = states.excess(form)
+                if deficit > 0:
+                    self._grow(states, form, deficit, rng)
+            if self.interval_c:
+                _close_intervals(states, self.interval_c, self.closing)
+            for form in self.padded:
+                deficit = states.excess(form)
+                if deficit > 0:
+                    got = self._pad(states, deficit, rng)
+                    if got < deficit and form.small is None:
+                        # a window short of other states: ordinals fill a
+                        # size floor, whose small side counts nothing
+                        self._pad(states, deficit - got, rng, ordinal=True)
+            if max_size is not None and len(placed) >= max_size:
+                break
+            if states.satisfied():
+                break
+            if len(placed) > scan_cap:
+                break  # past what one repair may scan: out of budget
+        return states
+
+    @cached_property
+    def settled(self) -> _Tally:
+        """The tally the repair loop reaches when the search has no grown
+        or padded form: the pins and their run closure, with no draw, so
+        the same for every attempt.  Seeded attempts start from a copy."""
+        return self._repair(None)
+
     def run(self, rng: random.Random | None, decorate: int) -> Snapshot | None:
-        """The attempts of one `find_witness` call."""
+        """The attempts of one `find_witness` call: each repairs (`_repair`,
+        or a copy of `settled` when that draws nothing and `rng` is
+        given), seeds one state if the empty set satisfies everything,
+        and decorates what it found."""
         if self.barred:
             return None
         max_size, scan_cap = self.max_size, self.scan_cap
+        from_settled = rng is not None and not (self.grown or self.padded)
         for attempt in range(4):
-            states = _Tally(self.sides, self.pins)
+            states = self.settled.copy() if from_settled else self._repair(rng)
             placed = states.states
-            for _ in range(10):
-                for form in self.grown:
-                    deficit = states.excess(form)
-                    if deficit > 0:
-                        self._grow(states, form, deficit, rng)
-                if self.interval_c:
-                    _close_intervals(states, self.interval_c, self.closing)
-                for form in self.padded:
-                    deficit = states.excess(form)
-                    if deficit > 0:
-                        got = self._pad(states, deficit, rng)
-                        if got < deficit and form.small is None:
-                            # a window short of other states: ordinals fill a
-                            # size floor, whose small side counts nothing
-                            self._pad(states, deficit - got, rng, ordinal=True)
-                if max_size is not None and len(placed) >= max_size:
-                    break
-                if states.satisfied():
-                    break
-                if len(placed) > scan_cap:
-                    break  # past what one repair may scan: out of budget
             if not placed and states.satisfied():
                 # The empty set satisfies e.g. a lone ratio constraint, but the
                 # snapshot space holds nonempty snapshots only: seed one state.
@@ -1132,7 +1187,11 @@ def find_witness(
     (`plain`); a seeded call runs the search, drawing as a fresh one
     would.
     Each attempt keeps its states in a `_Tally`; the Snapshot is built
-    once, on return, and checked by `_verified`.
+    once, on return, and checked by `_verified`.  A search with no
+    ratio, order, weight or min_size form makes its first draw after the
+    repair loop, so its seeded attempts copy one settled tally
+    (`_Search.settled`) instead of repeating the loop; decoration then
+    admits each candidate on the tally's counts (`_Tally.admit`).
     """
     key = (tuple(constraints), universe,
            None if window is None else tuple(window), max_size, scan_cap)

@@ -559,19 +559,50 @@ HF_TALLY_CONSTRAINTS = [fineness(HF_STATES[3]), order_lt(HF_A, HF_B),
                         order_ge(HF_C, HF_A), min_size(5)]
 
 
+def _tally_parts(t):
+    """What a tally holds, as plain values: its states, its blocks, every
+    side count and the number of short runs."""
+    return (set(t.states), {a: set(bs) for a, bs in t.blocks.items()},
+            dict(t._counts), t._short)
+
+
+def _check_admit(t, cs, universe, s):
+    """Admit s to t; the answer must be constraint_membership on the
+    Snapshot with s added, a refusal must leave t as it was, and an
+    acceptance must leave t as `add` does."""
+    before, added = _tally_parts(t), t.copy()
+    added.add(s)
+    ok = t.admit(s)
+    snap = Snapshot(t.states | {s})
+    assert ok == all(constraint_membership(c, snap, universe.mode) for c in cs)
+    assert _tally_parts(t) == (_tally_parts(added) if ok else before)
+    return ok
+
+
 def _check_tally_steps(universe, cs, steps):
-    """Apply add/discard steps to a set and to tallies over each
+    """Apply add/discard/admit steps to a set and to tallies over each
     constraint and over all of them; each tally's verdict, and the sign
     of each count form's excess in the shared tally, must be
     constraint_membership on the Snapshot of the set, and the excess
-    itself k*|small| + slack - |big| counted on that Snapshot."""
+    itself k*|small| + slack - |big| counted on that Snapshot.  An admit
+    is checked on every tally (`_check_admit`); the set follows the
+    shared tally, and a single tally that kept or refused otherwise is
+    brought back to the set by an add or a discard."""
     singles = [filters._Tally(filters._Sides([c])) for c in cs]
     whole = filters._Tally(filters._Sides(cs))
     forms = {i: c.form for i, c in enumerate(cs) if c.form}
     states = set()
-    for add, s in steps:
-        for t in (*singles, whole):
-            (t.add if add else t.discard)(s)
+    for step, s in steps:
+        if step == "admit":
+            # a present state stays, whatever the answer
+            add = _check_admit(whole, cs, universe, s) or s in states
+            for t, c in zip(singles, cs):
+                if _check_admit(t, [c], universe, s) != add:
+                    (t.add if add else t.discard)(s)
+        else:
+            add = step == "add"
+            for t in (*singles, whole):
+                (t.add if add else t.discard)(s)
         (states.add if add else states.discard)(s)
         snap = Snapshot(states)
         verdicts = [constraint_membership(c, snap, universe.mode) for c in cs]
@@ -583,20 +614,35 @@ def _check_tally_steps(universe, cs, steps):
             f.k * filters._side_mask(f.small, snap).bit_count() + f.slack
             - filters._side_mask(f.big, snap).bit_count() for f in forms.values()]
         assert whole.states == states and len(whole.states) == len(snap)
+        assert _tally_parts(whole.copy()) == _tally_parts(whole)
 
 
-@given(st.lists(st.tuples(st.booleans(), st.sampled_from(TALLY_STATES)),
+_STEPS = st.sampled_from(["add", "discard", "admit"])
+
+
+@given(st.lists(st.tuples(_STEPS, st.sampled_from(TALLY_STATES)),
                 min_size=20, max_size=60))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_tally_matches_membership_after_every_step(steps):
     _check_tally_steps(U, TALLY_CONSTRAINTS, steps)
 
 
-@given(st.lists(st.tuples(st.booleans(), st.sampled_from(HF_STATES)),
+@given(st.lists(st.tuples(_STEPS, st.sampled_from(HF_STATES)),
                 min_size=20, max_size=40))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_tally_matches_membership_in_hf_mode(steps):
     _check_tally_steps(HF, HF_TALLY_CONSTRAINTS, steps)
+
+
+def test_admitting_a_present_state_changes_nothing():
+    # an unsatisfied tally (the run {o0.0} is short) keeps its state and
+    # answers as `satisfied` does
+    t = filters._Tally(filters._Sides([interval(2)]), [nat(0)])
+    assert t.admit(nat(0)) is False
+    assert _tally_parts(t) == ({nat(0)}, {0: {0}}, {None: 0}, 1)
+    t.add(nat(1))
+    t.add(nat(2))
+    assert t.admit(nat(2)) is True and t.states == {nat(0), nat(1), nat(2)}
 
 
 def _fresh_witnesses(cs, universe, rng, count, window, max_size):
@@ -746,8 +792,66 @@ HF_ORDER_WITNESS = (
     "{{{}},{{{}},{{{}}},{{},{{}}}}} {{{}},{{},{{}},{{{}}}}} {{},{{}}}")
 
 
+# Searches with no grown or padded form, whose seeded attempts start
+# from one settled tally: the pin and its run closure, then decoration.
+# Each witness list ends with the generator's next getrandbits(32).
+INTERVAL_WITNESSES = (
+    "o0.0 o0.1 o0.2 o0.3 p11 p20", "o0.0 o0.1 o0.2 o0.3 p19 p9",
+    "o0.0 o0.1 o0.2 o0.3 p1 p13 p4 p6", "o0.0 o0.1 o0.2 o0.3 p10 p11 p23",
+    "o0.0 o0.1 o0.2 o0.3 p7", "o0.0 o0.1 o0.2 o0.3",
+    "o0.0 o0.1 o0.2 o0.3 p18 p6", "o0.0 o0.1 o0.2 o0.3 p2 p26 p8",
+    "o0.0 o0.1 o0.2 o0.3 p18 p23", "o0.0 o0.1 o0.2 o0.3 p24",
+    "o0.0 o0.1 o0.2 o0.3 p25 p8", "o0.0 o0.1 o0.2 o0.3 p11 p8",
+    "o0.0 o0.1 o0.2 o0.3 p21 p23 p27", "o0.0 o0.1 o0.2 o0.3 p14 p27 p28 p4",
+    "o0.0 o0.1 o0.2 o0.3 p1 p10 p13 p21", "o0.0 o0.1 o0.2 o0.3 p4",
+    "o0.0 o0.1 o0.2 o0.3 p1 p7", "o0.0 o0.1 o0.2 o0.3 o0.4 p17 p2 p20",
+    "o0.0 o0.1 o0.2 o0.3 p1 p15 p6", "o0.0 o0.1 o0.2 o0.3 p11 p4 p9",
+    3468106383,
+)
+LONE_PIN_WITNESS = ("o1.2 o1.23 p10 p18 p21", 4208579497)
+INTERVAL_PIN = (interval(3), fineness(nat(0)))
+
+
 def witness_codes(t):
     return " ".join(sorted(s.code for s in t))
+
+
+def _drawless_witnesses():
+    rng = random.Random(7)
+    ts = generate_witnesses(INTERVAL_PIN, U, rng, 20)
+    interval_run = (*(witness_codes(t) for t in ts), rng.getrandbits(32))
+    rng = random.Random(3)
+    t = find_witness([fineness(ord_value(1, 2))], U, rng=rng, decorate=4)
+    return interval_run, (witness_codes(t), rng.getrandbits(32))
+
+
+def test_drawless_seeded_witnesses_are_pinned(monkeypatch):
+    monkeypatch.setattr(filters, "_searches", {})
+    for _ in range(2):  # prepared, then kept
+        assert _drawless_witnesses() == (INTERVAL_WITNESSES, LONE_PIN_WITNESS)
+
+
+def test_seeded_runs_leave_the_settled_tally_as_it_was():
+    search = filters._Search(INTERVAL_PIN, U, None, None, filters.SCAN_CAP)
+    settled = search.settled
+    run = {nat(b) for b in range(4)}
+    want = (run, {0: {0, 1, 2, 3}}, {None: 0, frozenset(["o0.0"]): 1}, 0)
+    assert _tally_parts(settled) == want
+    rng = random.Random(7)
+    found = [search.run(rng, 4) for _ in range(30)]
+    assert all(run <= set(t) for t in found)
+    assert any(len(t) > len(run) for t in found)
+    assert search.settled is settled and _tally_parts(settled) == want
+
+
+def test_a_settled_tally_at_max_size_finds_nothing_and_draws_nothing():
+    # the pin's run closure already has 4 states, the size cap
+    rng = random.Random(1)
+    state = rng.getstate()
+    assert find_witness(INTERVAL_PIN, U, rng=rng, max_size=4, decorate=4) is None
+    assert rng.getstate() == state
+    t = find_witness(INTERVAL_PIN, U, rng=rng, max_size=5, decorate=4)
+    assert witness_codes(t) == "o0.0 o0.1 o0.2 o0.3"
 
 
 def test_seeded_witnesses_are_pinned():
