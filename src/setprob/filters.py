@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -566,15 +566,19 @@ def expand_base(fb: FilterBase) -> list[Constraint]:
 
 def _structurally_empty(subset: Sequence[Constraint], max_size: int | None) -> bool:
     """Whether count forms prove the subset's intersection empty: a size
-    floor at or above the size cap, or two ratio/order forms over one
-    class pair in opposite directions, k1*|A| + s1 <= |B| and
-    k2*|B| + s2 <= |A| (A may be B, a form paired with itself), which
-    sum with multipliers (k2, 1) to (k1*k2 - 1)*|A| + k2*s1 + s2 <= 0:
-    false when a slack is positive, as every k >= 1.  Sound but
-    incomplete: what it cannot refute is left to the witness search."""
+    floor at or above the size cap; a subset bound of cap alpha <= 0,
+    whose form |W| + (1 - alpha) <= 0 counts nothing on its big side; or
+    two ratio/order forms over one class pair in opposite directions,
+    k1*|A| + s1 <= |B| and k2*|B| + s2 <= |A| (A may be B, a form paired
+    with itself), which sum with multipliers (k2, 1) to
+    (k1*k2 - 1)*|A| + k2*s1 + s2 <= 0: false when a slack is positive,
+    as every k >= 1.  Sound but incomplete: what it cannot refute is
+    left to the witness search."""
     forms = []
     for c in subset:
         if c.tag == TAG_MIN_SIZE and max_size is not None and c.param >= max_size:
+            return True
+        if c.tag == TAG_SUBSET_BOUND and c.form.slack > 0:
             return True
         if c.tag in (TAG_RATIO, TAG_ORDER_LT, TAG_ORDER_GE):
             forms.append(c.form)
@@ -761,7 +765,8 @@ class _Sides:
     Each distinct side has one count under `keys`: a code set by value,
     which holds state s when `s.code in side`, and a class or predicate
     as an object, by its membership test.  `of(s)` gives the sides s
-    counts in.
+    counts in, asking each membership once per state code: every tally
+    and attempt of a kept search reads the same answers.
     """
 
     def __init__(self, cs: Sequence[Constraint]):
@@ -780,20 +785,24 @@ class _Sides:
                         side.membership if isinstance(side, ClassSpec) else side
         self.keys = tuple(tests)  # None, the side that counts nothing, first
         tested = tuple(tests.items())[1:]
+        # keyed by the state's code, a str, which hashes in C
+        memo: dict[str, tuple[_Side, ...]] = {}
 
-        # a closure, not a method: a cache around it (`_Search.reuse`) then
-        # makes no reference cycle, so a replaced search is freed at once
         def of(s: SetValue) -> tuple[_Side, ...]:
             code = s.code
-            return tuple(side for side, test in tested
-                         if (code in side if test is None else test(s)))
+            sides = memo.get(code)
+            if sides is None:
+                sides = memo[code] = tuple(
+                    side for side, test in tested
+                    if (code in side if test is None else test(s)))
+            return sides
 
         self.of = of
 
 
 class _Tally:
     """The state set of one witness construction, with the counts its
-    constraints read, updated on every add and discard.
+    constraints read, updated on every add and admit.
 
     It keeps one count per side of its `_Sides` and, for interval
     constraints, `blocks`: the b of every ordinal w*a+b by block a, for
@@ -806,7 +815,7 @@ class _Tally:
     and isolation (`_isolation_ok`) read the runs off `blocks`, so none
     of them scans the placed states.
     Callers read the state set itself as `states`.  As for a set, adding
-    a present state or discarding an absent one changes nothing.
+    a present state changes nothing.
     `admit` decides on the counts alone: it raises them for the
     candidate, tests `satisfied` and, on refusal, lowers them again,
     with the state set untouched until the candidate is kept.
@@ -826,11 +835,11 @@ class _Tally:
 
     def copy(self) -> _Tally:
         """A tally of the same states and counts that changes apart."""
-        new = _Tally(self._sides)
+        new = _Tally.__new__(_Tally)
         new.states = set(self.states)
         new.blocks = {a: set(bs) for a, bs in self.blocks.items()}
-        new._counts = self._counts.copy()
-        new._short = self._short
+        new._sides, new._counts = self._sides, self._counts.copy()
+        new._limit, new._short, new._reach = self._limit, self._short, self._reach
         return new
 
     def satisfied(self) -> bool:
@@ -853,11 +862,6 @@ class _Tally:
         states.add(s)  # s is hashed once
         if len(states) > n:
             self._update(self._sides.of(s), s, 1)
-
-    def discard(self, s: SetValue) -> None:
-        if s in self.states:
-            self.states.discard(s)
-            self._update(self._sides.of(s), s, -1)
 
     def admit(self, s: SetValue) -> bool:
         """Add s and keep it if every constraint holds; say if it did.  A
@@ -914,21 +918,18 @@ _PADDED_TAGS = (TAG_WEIGHT, TAG_MIN_SIZE)
 
 class _Search:
     """A witness search prepared from its inputs alone: the constraints,
-    universe, window, max_size and scan_cap of a `find_witness` call,
-    which `key` holds.
+    universe, window, max_size and scan_cap of a `find_witness` call.
 
     One pass over the constraints gives the pins and the grown and padded
     forms in repair order; the sides each attempt's `_Tally` counts, with
-    the interval parameter, and the touch tests of run closure are built
-    here too, and the decoration index (`positions`) once, on first use.
-    Every draw and decision of a call is made in `run`, so a search run
-    again draws as a fresh one would.  A run with no rng draws nothing,
-    so its result is kept as `plain`.  With no grown or padded form, the
-    repair loop of an attempt (`_repair`) draws nothing either, so the
-    tally it reaches is kept as `settled` and each seeded attempt starts
-    from a copy.  `reuse` starts the memos only a repeated seeded run
-    reads: the sides of each state, by its code, and the pads a grown
-    class rules out.
+    the interval parameter and their per-state memo, and the touch tests
+    of run closure are built here too, and the decoration index
+    (`positions`) once, on first use.  Every draw and decision of a call
+    is made in `run`, so a search run again draws as a fresh one would.
+    A run with no rng draws nothing, so its result is kept as `plain`.
+    With no grown or padded form, the repair loop of an attempt
+    (`_repair`) draws nothing either, so the tally it reaches is settled
+    here, as `settled` (else None), and every attempt starts from a copy.
     """
 
     def __init__(self, cs: tuple[Constraint, ...], universe: UniverseHandle | None,
@@ -949,8 +950,8 @@ class _Search:
         self.mode = universe.mode if universe is not None else None
         if self.mode == HF_MODE and any(c.tag in _ORDINAL_ONLY_TAGS for c in cs):
             raise WrongMode("interval/weight constraints need an ordinal universe")
-        self.key = (cs, universe, window, max_size, scan_cap)
-        self.cs, self.universe, self.window, self.max_size, self.scan_cap = self.key
+        self.cs, self.universe, self.window = cs, universe, window
+        self.max_size, self.scan_cap = max_size, scan_cap
         self.grown = [c.form for tag in _GROWN_TAGS for c in grown if c.tag == tag]
         self.padded = [c.form for tag in _PADDED_TAGS for c in padded if c.tag == tag]
         # a pin outside the window leaves nothing to find
@@ -961,32 +962,22 @@ class _Search:
         # growth inside these classes needs compensation elsewhere, so the
         # interval machinery steers closures away from them
         self.closing = _touch_test([f.small for f in self.grown]) if self.grown else None
-        avoid = [cls for f in self.grown for cls in (f.small, f.big)]
-        self.avoids = lambda s: any(a.membership(s) for a in avoid)
+        self.grown_sides = frozenset(cls for f in self.grown for cls in (f.small, f.big))
         # one memoised run-closure test per class a repair grows around
         self.touch_tests = {f.small: _touch_test([f.small]) for f in self.grown}
-        self.reused = False
+        # with no grown or padded form the repair loop draws nothing, so
+        # every attempt reaches this tally, the pins and their run closure
+        self.settled = None if self.grown or self.padded else self._repair(None)
 
-    def reuse(self) -> None:
-        if not self.reused:
-            self.reused = True
-            self.avoids = cache(self.avoids)
-            # keyed by the state's code, a str, which hashes in C
-            of, memo = self.sides.of, {}
-
-            def memo_of(s: SetValue) -> tuple[_Side, ...]:
-                code = s.code
-                sides = memo.get(code)
-                if sides is None:
-                    sides = memo[code] = of(s)
-                return sides
-
-            self.sides.of = memo_of
+    def avoids(self, s: SetValue) -> bool:
+        """Whether s counts in a side of a grown form, which padding keeps
+        clear of; never with no grown form."""
+        return not self.grown_sides.isdisjoint(self.sides.of(s))
 
     @cached_property
     def plain(self) -> Snapshot | None:
-        """The result of the run with no rng, which is a function of `key`;
-        a run that raises is not kept."""
+        """The result of the run with no rng, which is a function of the
+        inputs; a run that raises is not kept."""
         return self.run(None, 0)
 
     @cached_property
@@ -1101,24 +1092,16 @@ class _Search:
                 break  # past what one repair may scan: out of budget
         return states
 
-    @cached_property
-    def settled(self) -> _Tally:
-        """The tally the repair loop reaches when the search has no grown
-        or padded form: the pins and their run closure, with no draw, so
-        the same for every attempt.  Seeded attempts start from a copy."""
-        return self._repair(None)
-
     def run(self, rng: random.Random | None, decorate: int) -> Snapshot | None:
         """The attempts of one `find_witness` call: each repairs (`_repair`,
-        or a copy of `settled` when that draws nothing and `rng` is
-        given), seeds one state if the empty set satisfies everything,
-        and decorates what it found."""
+        or a copy of `settled` when that draws nothing), seeds one state
+        if the empty set satisfies everything, and decorates what it
+        found."""
         if self.barred:
             return None
-        max_size, scan_cap = self.max_size, self.scan_cap
-        from_settled = rng is not None and not (self.grown or self.padded)
+        max_size, scan_cap, settled = self.max_size, self.scan_cap, self.settled
         for attempt in range(4):
-            states = self.settled.copy() if from_settled else self._repair(rng)
+            states = self._repair(rng) if settled is None else settled.copy()
             placed = states.states
             if not placed and states.satisfied():
                 # The empty set satisfies e.g. a lone ratio constraint, but the
@@ -1138,12 +1121,16 @@ class _Search:
         return None
 
 
-# Prepared searches by the hash of their `key`, least recently used
-# first; a call whose inputs are equal in value to a kept search's key
-# uses that search.  Keyed by the hash, the key's states and constraints
-# are hashed once per call, not once per table operation.
 SEARCH_TABLE_CAP = 128
-_searches: dict[int, _Search] = {}
+
+
+@lru_cache(maxsize=SEARCH_TABLE_CAP)
+def _prepared(cs: tuple[Constraint, ...], universe: UniverseHandle | None,
+              window: tuple[SetValue, ...] | None, max_size: int | None,
+              scan_cap: int) -> _Search:
+    """The prepared search of these inputs, kept while among the last
+    `SEARCH_TABLE_CAP` used; the cache compares inputs by value."""
+    return _Search(cs, universe, window, max_size, scan_cap)
 
 
 def find_witness(
@@ -1178,34 +1165,24 @@ def find_witness(
     Every shuffle makes the draws of `rng.shuffle`, so a seed gives the
     witnesses it always gave.
 
-    The inputs fix a prepared search (`_Search`), which builds its
-    decoration index once.  The last `SEARCH_TABLE_CAP` used are kept,
-    and a call whose inputs equal a kept `key` in value uses that one,
-    so the repeated searches of `generate_witnesses`, of sampled
-    compares and of a restriction audit prepare theirs once.  A call
-    with no rng draws nothing and returns the search's kept result
-    (`plain`); a seeded call runs the search, drawing as a fresh one
-    would.
+    The inputs, the constraints and window as tuples, fix a prepared
+    search (`_Search`), which builds its decoration index and its memo
+    of the sides each state counts in once.  `_prepared`, an lru_cache,
+    keeps the last `SEARCH_TABLE_CAP` used, so the repeated searches of
+    `generate_witnesses`, of sampled compares and of a restriction audit
+    prepare theirs once.  A call with no rng draws nothing and returns
+    the search's kept result (`plain`); a seeded call runs the search,
+    drawing as a fresh one would.
     Each attempt keeps its states in a `_Tally`; the Snapshot is built
     once, on return, and checked by `_verified`.  A search with no
     ratio, order, weight or min_size form makes its first draw after the
-    repair loop, so its seeded attempts copy one settled tally
+    repair loop, so its attempts copy one settled tally
     (`_Search.settled`) instead of repeating the loop; decoration then
     admits each candidate on the tally's counts (`_Tally.admit`).
     """
-    key = (tuple(constraints), universe,
-           None if window is None else tuple(window), max_size, scan_cap)
-    h = hash(key)
-    search = _searches.pop(h, None)
-    if search is None or search.key != key:
-        search = _Search(*key)
-    elif rng is not None:
-        search.reuse()
-    found = search.plain if rng is None else search.run(rng, decorate)
-    _searches[h] = search
-    if len(_searches) > SEARCH_TABLE_CAP:
-        del _searches[next(iter(_searches))]
-    return found
+    search = _prepared(tuple(constraints), universe,
+                       None if window is None else tuple(window), max_size, scan_cap)
+    return search.plain if rng is None else search.run(rng, decorate)
 
 
 def generate_witnesses(

@@ -45,6 +45,7 @@ from setprob import (
     parametric_weight,
     power_lift,
     ratio,
+    restrict_base,
     snapshot,
     subset_bound,
     superreg_constraints,
@@ -55,7 +56,7 @@ from setprob.cli import registry_classes
 from setprob.errors import ConstructionFailed, EnumerationExhausted, WrongMode
 from setprob import filters
 from setprob.filters import state_pool
-from setprob.universe import PREFIX_MEMO_CAP
+from setprob.universe import PREFIX_MEMO_CAP, SetValue
 
 U = make_universe(ORDINAL_MODE, 3)
 HF = make_universe(HF_MODE, 5)
@@ -226,6 +227,19 @@ def test_fip_min_size_beyond_cap_refuted():
     assert result.refuted_subset == (min_size(9),)
 
 
+def test_fip_empty_subset_bound_refuted():
+    # |T cap W| < 0 holds nowhere: refuted before any search, and the
+    # audit of a base restricted at that cap names it as an empty member
+    w = [nat(b) for b in range(6)]
+    empty = subset_bound(w, 0)
+    fb = FilterBase((parametric_fineness(), empty), universe=U, window=tuple(w))
+    result = check_fip(fb)
+    assert (result.status, result.refuted_subset) == ("refuted", (empty,))
+    _, audit = restrict_base(fb, w, 0)
+    assert not audit.exclusion_ok and not audit.passed
+    assert audit.details["empty_member"] == empty.describe()
+
+
 def test_fip_search_failure_reports_unknown_not_refuted():
     # nothing can have fewer members than an empty class
     hollow = class_from_values("hollow", [])
@@ -292,13 +306,15 @@ def test_structural_refutation_is_sound_on_every_small_snapshot():
     # Bounded-exhaustive: every nonempty snapshot of o0.0-o0.5 and one
     # state outside every class, against every subset of at most three
     # ratio and order constraints over three value classes, two of them
-    # namesakes.  Nothing a refuted subset admits may exist.
+    # namesakes, and subset bounds at caps -1, 0 and 1.  Nothing a
+    # refuted subset admits may exist.
     pool = [ord_value(0, b) for b in range(6)] + [ord_value(1, 0)]
     classes = (class_from_values("A", pool[0:3]), class_from_values("B", pool[2:4]),
                class_from_values("A", pool[4:6]))
     makers = (lambda a, b: ratio(a, b, 1), lambda a, b: ratio(a, b, 2),
               order_lt, order_ge)
     cs = [make(a, b) for a, b in product(classes, repeat=2) for make in makers]
+    cs += [subset_bound(pool[:3], alpha) for alpha in (-1, 0, 1)]
     snaps = [snapshot(*(s for i, s in enumerate(pool) if m >> i & 1))
              for m in range(1, 1 << len(pool))]
     # bit j of admits[i]: snapshot j is in constraint i
@@ -420,9 +436,10 @@ def test_decoration_index_keeps_a_repeated_window_state_once():
     assert list(search.positions) == list(islice(U.enumerate_universe(), 120))
 
 
-def _count_searches(monkeypatch) -> tuple[list, list]:
-    """Empty the table of kept searches; return the keys of the searches
-    prepared and of the runs made from here on."""
+@pytest.fixture
+def counted_searches(monkeypatch):
+    """Empty the table of kept searches, on entry and on exit; give the
+    inputs of the searches prepared and of the runs made in between."""
     prepared, runs = [], []
 
     class Counted(filters._Search):
@@ -431,18 +448,19 @@ def _count_searches(monkeypatch) -> tuple[list, list]:
             super().__init__(*key)
 
         def run(self, rng, decorate):
-            runs.append(self.key)
+            runs.append(self.cs)
             return super().run(rng, decorate)
 
     monkeypatch.setattr(filters, "_Search", Counted)
-    monkeypatch.setattr(filters, "_searches", {})
-    return prepared, runs
+    filters._prepared.cache_clear()
+    yield prepared, runs
+    filters._prepared.cache_clear()
 
 
-def test_equal_inputs_share_one_prepared_search(monkeypatch):
+def test_equal_inputs_share_one_prepared_search(counted_searches):
     # The kept search is keyed by its inputs' values, so constraints and
     # a window built afresh for each call, equal but other objects, reuse it.
-    prepared, _ = _count_searches(monkeypatch)
+    prepared, _ = counted_searches
 
     def witness():
         cs = [fineness(nat(0)), ratio(U.builtin_class("Even"), U.builtin_class("Odd"), 1)]
@@ -454,50 +472,37 @@ def test_equal_inputs_share_one_prepared_search(monkeypatch):
     assert first == second and first is not None
 
 
-def test_a_deterministic_search_runs_once_while_kept(monkeypatch):
-    prepared, runs = _count_searches(monkeypatch)
+def test_a_deterministic_search_runs_once_while_kept(counted_searches):
+    prepared, runs = counted_searches
     a = [fineness(nat(0)), ratio(U.builtin_class("Even"), U.builtin_class("Odd"), 1)]
     b = [fineness(nat(1))]
     first, _, again = find_witness(a, U), find_witness(b, U), find_witness(a, U)
     assert again is first and first is not None
     assert [len(key[0]) for key in prepared] == [2, 1]
-    assert [len(key[0]) for key in runs] == [2, 1]
+    assert [len(cs) for cs in runs] == [2, 1]
 
 
-def test_the_least_recently_used_search_is_dropped_past_the_cap(monkeypatch):
-    prepared, _ = _count_searches(monkeypatch)
-    monkeypatch.setattr(filters, "SEARCH_TABLE_CAP", 3)
-    for b in (0, 1, 2, 0, 3):  # 0 used again, so 1 is the oldest at 3
+def test_the_least_recently_used_search_is_dropped_past_the_cap(counted_searches):
+    prepared, _ = counted_searches
+    cap = filters.SEARCH_TABLE_CAP
+    for b in (0, *range(1, cap), 0, cap):  # 0 used again, so 1 is the oldest at cap
         find_witness([fineness(nat(b))], U)
     find_witness([fineness(nat(0))], U)
-    assert len(prepared) == 4
+    assert len(prepared) == cap + 1
     find_witness([fineness(nat(1))], U)
-    assert [key[0][0].x for key in prepared] == [nat(b) for b in (0, 1, 2, 3, 1)]
+    assert [key[0][0].x for key in prepared] == \
+        [nat(b) for b in (*range(cap + 1), 1)]
 
 
-def test_a_search_kept_under_an_equal_hash_serves_only_its_own_key(monkeypatch):
-    # the table is keyed by the hash of a search's key; a search that
-    # another key's hash finds is prepared afresh for that key
-    prepared, _ = _count_searches(monkeypatch)
-    a, b = [fineness(nat(0))], [fineness(nat(1))]
-    want = find_witness(a, U)
-    monkeypatch.setattr(filters, "_searches", {})
-    find_witness(b, U)
-    [kept] = filters._searches.values()
-    monkeypatch.setattr(filters, "_searches",
-                        {hash(((a[0],), U, None, None, filters.SCAN_CAP)): kept})
-    assert find_witness(a, U) == want == snapshot(nat(0))
-    assert [key[0][0].x for key in prepared] == [nat(0), nat(1), nat(0)]
-
-
-def test_a_search_that_raises_is_not_kept(monkeypatch):
-    prepared, _ = _count_searches(monkeypatch)
+def test_a_search_that_raises_raises_on_every_call(counted_searches, monkeypatch):
+    # the search is kept, but not its result: each call runs it again
+    prepared, runs = counted_searches
     monkeypatch.setattr(filters._Tally, "satisfied", lambda self: True)
     cs = [fineness(nat(0)), subset_bound([nat(0)], 1)]
     for _ in range(2):
         with pytest.raises(ConstructionFailed, match="outside subset_bound"):
             find_witness(cs, U)
-    assert len(prepared) == 2 and not filters._searches
+    assert len(prepared) == 1 and len(runs) == 2
 
 
 def test_constraint_hash_is_its_field_tuple_taken_once():
@@ -580,14 +585,14 @@ def _check_admit(t, cs, universe, s):
 
 
 def _check_tally_steps(universe, cs, steps):
-    """Apply add/discard/admit steps to a set and to tallies over each
-    constraint and over all of them; each tally's verdict, and the sign
-    of each count form's excess in the shared tally, must be
+    """Apply add/admit steps to a set and to tallies over each constraint
+    and over all of them; each tally's verdict, and the sign of each
+    count form's excess in the shared tally, must be
     constraint_membership on the Snapshot of the set, and the excess
     itself k*|small| + slack - |big| counted on that Snapshot.  An admit
     is checked on every tally (`_check_admit`); the set follows the
     shared tally, and a single tally that kept or refused otherwise is
-    brought back to the set by an add or a discard."""
+    rebuilt from the set."""
     singles = [filters._Tally(filters._Sides([c])) for c in cs]
     whole = filters._Tally(filters._Sides(cs))
     forms = {i: c.form for i, c in enumerate(cs) if c.form}
@@ -595,15 +600,15 @@ def _check_tally_steps(universe, cs, steps):
     for step, s in steps:
         if step == "admit":
             # a present state stays, whatever the answer
-            add = _check_admit(whole, cs, universe, s) or s in states
-            for t, c in zip(singles, cs):
-                if _check_admit(t, [c], universe, s) != add:
-                    (t.add if add else t.discard)(s)
+            if _check_admit(whole, cs, universe, s) or s in states:
+                states.add(s)
+            for i, (t, c) in enumerate(zip(singles, cs)):
+                if _check_admit(t, [c], universe, s) != (s in states):
+                    singles[i] = filters._Tally(t._sides, states)
         else:
-            add = step == "add"
             for t in (*singles, whole):
-                (t.add if add else t.discard)(s)
-        (states.add if add else states.discard)(s)
+                t.add(s)
+            states.add(s)
         snap = Snapshot(states)
         verdicts = [constraint_membership(c, snap, universe.mode) for c in cs]
         assert [t.satisfied() for t in singles] == verdicts
@@ -617,7 +622,7 @@ def _check_tally_steps(universe, cs, steps):
         assert _tally_parts(whole.copy()) == _tally_parts(whole)
 
 
-_STEPS = st.sampled_from(["add", "discard", "admit"])
+_STEPS = st.sampled_from(["add", "admit"])
 
 
 @given(st.lists(st.tuples(_STEPS, st.sampled_from(TALLY_STATES)),
@@ -643,6 +648,41 @@ def test_admitting_a_present_state_changes_nothing():
     t.add(nat(1))
     t.add(nat(2))
     assert t.admit(nat(2)) is True and t.states == {nat(0), nat(1), nat(2)}
+
+
+def test_sides_ask_each_membership_once_per_state():
+    # equal states built apart are one state to the memo, keyed by code
+    asked = []
+
+    def counted(name, member):
+        def test(v):
+            asked.append((name, v.code))
+            return member(v)
+        return ClassSpec(name, test, lambda: iter(()), CardinalityTier.infinite(0))
+
+    c = counted("C", lambda v: v.is_ordinal and v.ord_parts[1] % 2 == 0)
+    d = counted("D", lambda v: not v.is_ordinal)
+    sides = filters._Sides([ratio(c, d, 1), order_lt(d, c)])
+    states = [nat(0), nat(1), pad(2)]
+    twins = [SetValue(v.kind, v.data, v.code, v._key) for v in states]
+    assert all(t is not v and t == v for v, t in zip(states, twins))
+    assert [sides.of(v) for v in states] == [sides.of(t) for t in twins] == \
+        [(c,), (), (d,)]
+    assert sorted(asked) == sorted((n, v.code) for n in "CD" for v in states)
+
+
+@pytest.mark.parametrize("universe, cs, states", [
+    (U, TALLY_CONSTRAINTS, TALLY_STATES),
+    (HF, HF_TALLY_CONSTRAINTS, HF_STATES),
+], ids=["ordinal", "hf"])
+def test_padding_avoids_exactly_the_grown_classes(universe, cs, states):
+    # with the grown forms and without them, when nothing is avoided
+    grown = [c for c in cs if c.tag in filters._GROWN_TAGS]
+    for kept in (cs, [c for c in cs if c not in grown]):
+        search = filters._Search(tuple(kept), universe, None, None, filters.SCAN_CAP)
+        classes = [k for c in kept if c in grown for k in (c.cls_a, c.cls_b)]
+        assert [search.avoids(v) for v in states] == \
+            [any(k.membership(v) for k in classes) for v in states]
 
 
 def _fresh_witnesses(cs, universe, rng, count, window, max_size):
@@ -703,7 +743,7 @@ def test_returned_witness_is_checked_against_every_constraint(monkeypatch):
     cs = [fineness(nat(0)), subset_bound([nat(0)], 1)]
     assert find_witness(cs, U) is None
     monkeypatch.setattr(filters._Tally, "satisfied", lambda self: True)
-    monkeypatch.setattr(filters, "_searches", {})
+    filters._prepared.cache_clear()
     with pytest.raises(ConstructionFailed, match="outside subset_bound"):
         find_witness(cs, U)
 
@@ -825,8 +865,8 @@ def _drawless_witnesses():
     return interval_run, (witness_codes(t), rng.getrandbits(32))
 
 
-def test_drawless_seeded_witnesses_are_pinned(monkeypatch):
-    monkeypatch.setattr(filters, "_searches", {})
+def test_drawless_seeded_witnesses_are_pinned():
+    filters._prepared.cache_clear()
     for _ in range(2):  # prepared, then kept
         assert _drawless_witnesses() == (INTERVAL_WITNESSES, LONE_PIN_WITNESS)
 
@@ -872,10 +912,10 @@ def test_seeded_witnesses_are_pinned():
     assert witness_codes(t) == PADDED_ORDER_WITNESS
 
 
-def test_a_kept_search_draws_as_a_fresh_one(monkeypatch):
+def test_a_kept_search_draws_as_a_fresh_one(counted_searches):
     # the search of these inputs is kept, has run with no rng and with
     # another seed, and still makes the pinned draws
-    prepared, _ = _count_searches(monkeypatch)
+    prepared, _ = counted_searches
     base = expand_base(ordinal_theorem_base(U, [(M4, E1)]))
     find_witness(base, U)
     find_witness(base, U, rng=random.Random(0), decorate=4)
