@@ -214,16 +214,20 @@ def audit_restricted_base(fb: FilterBase) -> RestrictionAudit:
     fip_ok = fip.witnessed
     details["fip"] = fip.status
 
-    # Each sampled state's pin is built once, for both loops, so its
-    # cached `form` serves every search that cites it.  The dichotomy
-    # loop's `pin_w` repeats the fineness loop's search, which
-    # `find_witness` keeps: the repeat returns the kept witness.
-    samples = [(x, fineness(x)) for x in window[:AUDIT_SAMPLES]]
+    # Each sampled state's constraint list, the base with the state
+    # pinned, serves both loops.  A state the base pins already (a
+    # parametric fineness pins the first window states) takes the base as
+    # it is, check_fip's kept search of the full base; the dichotomy
+    # loop's `pin_w` repeats the fineness loop's search and returns its
+    # kept witness.
+    pinned = {c.x for c in concrete if c.tag == TAG_FINENESS}
+    samples = [(x, concrete if x in pinned else concrete + [fineness(x)])
+               for x in window[:AUDIT_SAMPLES]]
 
     # Fineness: every sampled window state extends the base consistently.
     fineness_ok = True
-    for x, pin in samples:
-        w = find_witness(concrete + [pin], fb.universe,
+    for x, cs in samples:
+        w = find_witness(cs, fb.universe,
                          window=fb.window, max_size=fb.max_size)
         if w is None:
             fineness_ok = False
@@ -239,8 +243,8 @@ def audit_restricted_base(fb: FilterBase) -> RestrictionAudit:
 
     dichotomy_ok = True
     nonprincipal_ok = True
-    for x, pin in samples:
-        pin_w = find_witness(concrete + [pin], fb.universe,
+    for x, cs in samples:
+        pin_w = find_witness(cs, fb.universe,
                              window=fb.window, max_size=fb.max_size)
         shut = without_pin(x) + [subset_bound((x,), 1)]
         shut_w = find_witness(shut, fb.universe, window=fb.window,

@@ -32,6 +32,7 @@ from .errors import (
 from .snapshots import Snapshot
 from .universe import (
     HF_MODE,
+    KIND_ORD,
     ORDINAL_MODE,
     ClassSpec,
     SetValue,
@@ -880,8 +881,8 @@ class _Tally:
         counts = self._counts
         for key in sides:
             counts[key] += sign
-        if self._limit is not None and s.is_ordinal:
-            self._place(*s.ord_parts, sign)
+        if self._limit is not None and s.kind == KIND_ORD:
+            self._place(*s.data, sign)  # (a, b) of w*a+b, as `ord_parts`
 
     def _place(self, a: int, b: int, sign: int) -> None:
         """Add (sign 1) or remove (sign -1) w*a+b in its block: the runs
@@ -914,41 +915,47 @@ def _verified(snap: Snapshot, cs: Sequence[Constraint], mode: str | None) -> Sna
 # The repair order, on which seeded witnesses depend.
 _GROWN_TAGS = (TAG_RATIO, TAG_ORDER_LT, TAG_ORDER_GE)
 _PADDED_TAGS = (TAG_WEIGHT, TAG_MIN_SIZE)
+_UNRUN = object()  # `_Search.plain` before its first call
 
 
 class _Search:
     """A witness search prepared from its inputs alone: the constraints,
     universe, window, max_size and scan_cap of a `find_witness` call.
 
-    One pass over the constraints gives the pins and the grown and padded
-    forms in repair order; the sides each attempt's `_Tally` counts, with
-    the interval parameter and their per-state memo, and the touch tests
-    of run closure are built here too, and the decoration index
-    (`positions`) once, on first use.  Every draw and decision of a call
-    is made in `run`, so a search run again draws as a fresh one would.
-    A run with no rng draws nothing, so its result is kept as `plain`.
-    With no grown or padded form, the repair loop of an attempt
-    (`_repair`) draws nothing either, so the tally it reaches is settled
-    here, as `settled` (else None), and every attempt starts from a copy.
+    One pass over the constraints gives the pins, the grown and padded
+    forms in repair order and whether an ordinal-only tag is present; the
+    sides each attempt's `_Tally` counts, with the interval parameter and
+    their per-state memo, are built here too.  Only a search with a grown
+    form builds what growth reads: the touch tests of run closure and
+    the grown sides padding avoids.  The decoration index (`positions`)
+    is built once, on first use.  Every draw and decision of a call is
+    made in `run`, so a search run again draws as a fresh one would.  A
+    run with no rng draws nothing, so `plain` keeps its result.  With no
+    grown or padded form, the repair loop of an attempt (`_repair`)
+    draws nothing either, so the tally it reaches is settled here, as
+    `settled` (else None): a seeded attempt starts from a copy, and a run
+    with no rng reads it in place.
     """
 
     def __init__(self, cs: tuple[Constraint, ...], universe: UniverseHandle | None,
                  window: tuple[SetValue, ...] | None, max_size: int | None,
                  scan_cap: int):
         self.pins: list[SetValue] = []
-        grown, padded = [], []
+        grown, padded, ordinal_only = [], [], False
         for c in cs:
             tag = c.tag
             if tag == TAG_FINENESS:
                 self.pins.append(c.x)
             elif tag in _GROWN_TAGS:
                 grown.append(c)
-            elif tag in _PADDED_TAGS:
-                padded.append(c)
             elif tag == TAG_PARAMETRIC:
                 raise ValueError("find_witness needs concrete constraints; expand first")
+            else:
+                if tag in _PADDED_TAGS:
+                    padded.append(c)
+                ordinal_only = ordinal_only or tag in _ORDINAL_ONLY_TAGS
         self.mode = universe.mode if universe is not None else None
-        if self.mode == HF_MODE and any(c.tag in _ORDINAL_ONLY_TAGS for c in cs):
+        if ordinal_only and self.mode == HF_MODE:
             raise WrongMode("interval/weight constraints need an ordinal universe")
         self.cs, self.universe, self.window = cs, universe, window
         self.max_size, self.scan_cap = max_size, scan_cap
@@ -959,12 +966,16 @@ class _Search:
             not {p.code for p in self.pins} <= {v.code for v in window}
         self.sides = _Sides(cs)
         self.interval_c = self.sides.limit or 0
-        # growth inside these classes needs compensation elsewhere, so the
-        # interval machinery steers closures away from them
-        self.closing = _touch_test([f.small for f in self.grown]) if self.grown else None
-        self.grown_sides = frozenset(cls for f in self.grown for cls in (f.small, f.big))
-        # one memoised run-closure test per class a repair grows around
-        self.touch_tests = {f.small: _touch_test([f.small]) for f in self.grown}
+        if self.grown:
+            # growth inside these classes needs compensation elsewhere, so
+            # the interval machinery steers closures away from them
+            self.closing = _touch_test([f.small for f in self.grown])
+            self.grown_sides = frozenset(cls for f in self.grown for cls in (f.small, f.big))
+            # one memoised run-closure test per class a repair grows around
+            self.touch_tests = {f.small: _touch_test([f.small]) for f in self.grown}
+        else:
+            self.closing, self.grown_sides, self.touch_tests = None, frozenset(), {}
+        self._plain = _UNRUN
         # with no grown or padded form the repair loop draws nothing, so
         # every attempt reaches this tally, the pins and their run closure
         self.settled = None if self.grown or self.padded else self._repair(None)
@@ -974,11 +985,13 @@ class _Search:
         clear of; never with no grown form."""
         return not self.grown_sides.isdisjoint(self.sides.of(s))
 
-    @cached_property
     def plain(self) -> Snapshot | None:
         """The result of the run with no rng, which is a function of the
-        inputs; a run that raises is not kept."""
-        return self.run(None, 0)
+        inputs, kept from the first call; a run that raises keeps nothing."""
+        found = self._plain
+        if found is _UNRUN:
+            found = self._plain = self.run(None, 0)
+        return found
 
     @cached_property
     def positions(self) -> dict[SetValue, int]:
@@ -1065,11 +1078,15 @@ class _Search:
     def _repair(self, rng: random.Random | None) -> _Tally:
         """The repair loop of one attempt: from the pins, up to ten rounds
         of growth, run closure and padding, ending early once the tally
-        reaches `max_size`, is satisfied or has grown past `scan_cap`."""
+        reaches `max_size`, is satisfied or has grown past `scan_cap`.
+        With no rng a round that adds no state ends the loop too, since
+        every later round would repeat it; a seeded round draws, so the
+        next one may not."""
         max_size, scan_cap = self.max_size, self.scan_cap
         states = _Tally(self.sides, self.pins)
         placed = states.states
         for _ in range(10):
+            size = len(placed)
             for form in self.grown:
                 deficit = states.excess(form)
                 if deficit > 0:
@@ -1090,18 +1107,28 @@ class _Search:
                 break
             if len(placed) > scan_cap:
                 break  # past what one repair may scan: out of budget
+            if rng is None and len(placed) == size:
+                break
         return states
 
     def run(self, rng: random.Random | None, decorate: int) -> Snapshot | None:
         """The attempts of one `find_witness` call: each repairs (`_repair`,
-        or a copy of `settled` when that draws nothing), seeds one state
+        or starts from `settled` when that draws nothing), seeds one state
         if the empty set satisfies everything, and decorates what it
-        found."""
+        found.  With no rng there is one attempt, since a restart would
+        repeat it, and it reads a non-empty `settled` in place: seeding
+        needs an empty tally and decoration an rng, so nothing adds to
+        it.  A seeded attempt, or one from an empty tally, takes a copy."""
         if self.barred:
             return None
         max_size, scan_cap, settled = self.max_size, self.scan_cap, self.settled
         for attempt in range(4):
-            states = self._repair(rng) if settled is None else settled.copy()
+            if settled is None:
+                states = self._repair(rng)
+            elif rng is None and settled.states:
+                states = settled
+            else:
+                states = settled.copy()
             placed = states.states
             if not placed and states.satisfied():
                 # The empty set satisfies e.g. a lone ratio constraint, but the
@@ -1110,14 +1137,13 @@ class _Search:
                         _shuffled_stream(self._pad_stream(states), rng), scan_cap):
                     if states.admit(cand):
                         break
-            if placed and states.satisfied():
-                if max_size is not None and len(placed) >= max_size:
-                    continue
+            if placed and states.satisfied() and \
+                    (max_size is None or len(placed) < max_size):
                 if decorate and rng is not None:
                     self._decorate(states, rng, decorate)
                 return _verified(Snapshot(placed), self.cs, self.mode)
             if rng is None:
-                break  # deterministic restarts would repeat themselves
+                break
         return None
 
 
@@ -1171,18 +1197,20 @@ def find_witness(
     keeps the last `SEARCH_TABLE_CAP` used, so the repeated searches of
     `generate_witnesses`, of sampled compares and of a restriction audit
     prepare theirs once.  A call with no rng draws nothing and returns
-    the search's kept result (`plain`); a seeded call runs the search,
-    drawing as a fresh one would.
+    the search's kept result (`plain`), found in one attempt whose repair
+    loop ends at the first round that adds no state; a seeded call runs
+    the search, drawing as a fresh one would.
     Each attempt keeps its states in a `_Tally`; the Snapshot is built
     once, on return, and checked by `_verified`.  A search with no
     ratio, order, weight or min_size form makes its first draw after the
-    repair loop, so its attempts copy one settled tally
-    (`_Search.settled`) instead of repeating the loop; decoration then
-    admits each candidate on the tally's counts (`_Tally.admit`).
+    repair loop, so it settles that loop's tally once
+    (`_Search.settled`): its seeded attempts copy it, and its run with no
+    rng reads it in place; decoration admits each candidate on the
+    tally's counts (`_Tally.admit`).
     """
     search = _prepared(tuple(constraints), universe,
                        None if window is None else tuple(window), max_size, scan_cap)
-    return search.plain if rng is None else search.run(rng, decorate)
+    return search.plain() if rng is None else search.run(rng, decorate)
 
 
 def generate_witnesses(

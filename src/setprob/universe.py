@@ -96,7 +96,7 @@ class SetValue:
     @property
     def ord_parts(self) -> tuple[int, int]:
         """(a, b) for the ordinal w*a + b."""
-        if not self.is_ordinal:
+        if self.kind != KIND_ORD:
             raise WrongMode(f"not an ordinal: {self.pretty()}")
         return self.data
 

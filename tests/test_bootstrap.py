@@ -15,7 +15,9 @@ from setprob import (
     check_fip,
     class_from_values,
     coherence_check,
+    expand_base,
     filter_base_to_text,
+    find_witness,
     fineness,
     fineness_base,
     identity_rv,
@@ -30,7 +32,8 @@ from setprob import (
     snapshot,
     subset_bound,
 )
-from setprob.bootstrap import CoherenceLevel
+from setprob import filters
+from setprob.bootstrap import AUDIT_SAMPLES, CoherenceLevel, audit_restricted_base
 from setprob.errors import ConditionNull, MissingSubsetBound
 
 U = make_universe(HF_MODE, 4)
@@ -105,6 +108,32 @@ def test_restrict_base_passes_five_checks():
     assert audit.nonprincipal_ok and audit.exclusion_ok
     assert {v.code for v in restricted.window} == {v.code for v in sub}
     assert restricted.max_size == 4
+
+
+def test_restriction_audit_asks_each_pinned_sample_once(counted_searches):
+    # A parametric fineness pins the first window states, so a sampled
+    # state's search is check_fip's search of the full base, kept; only
+    # the shut-out search of each sample is prepared anew.
+    prepared, _ = counted_searches
+    restricted, _ = restrict_base(_licensed_base(WIN[:6], 4), WIN[:6], 4)
+
+    def from_empty_table(step):
+        filters._prepared.cache_clear()
+        prepared.clear()
+        return step(restricted), len(prepared)
+
+    fip, fip_searches = from_empty_table(check_fip)
+    audit, audit_searches = from_empty_table(audit_restricted_base)
+    assert audit.summary() == ("fineness=ok, fip=ok, dichotomy=ok, "
+                               "non-principality=ok, empty-set exclusion=ok")
+    assert audit.fip_result == fip
+    assert audit_searches == fip_searches + AUDIT_SAMPLES
+    # the search with the sample pinned twice finds the same witness
+    concrete, window = expand_base(restricted), restricted.window
+    for x in window[:AUDIT_SAMPLES]:
+        assert fineness(x) in concrete
+        assert find_witness(concrete + [fineness(x)], U, window=window, max_size=4) == \
+            find_witness(concrete, U, window=window, max_size=4)
 
 
 def test_restriction_audit_names_a_structural_refutation():

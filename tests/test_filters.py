@@ -436,27 +436,6 @@ def test_decoration_index_keeps_a_repeated_window_state_once():
     assert list(search.positions) == list(islice(U.enumerate_universe(), 120))
 
 
-@pytest.fixture
-def counted_searches(monkeypatch):
-    """Empty the table of kept searches, on entry and on exit; give the
-    inputs of the searches prepared and of the runs made in between."""
-    prepared, runs = [], []
-
-    class Counted(filters._Search):
-        def __init__(self, *key):
-            prepared.append(key)
-            super().__init__(*key)
-
-        def run(self, rng, decorate):
-            runs.append(self.cs)
-            return super().run(rng, decorate)
-
-    monkeypatch.setattr(filters, "_Search", Counted)
-    filters._prepared.cache_clear()
-    yield prepared, runs
-    filters._prepared.cache_clear()
-
-
 def test_equal_inputs_share_one_prepared_search(counted_searches):
     # The kept search is keyed by its inputs' values, so constraints and
     # a window built afresh for each call, equal but other objects, reuse it.
@@ -882,6 +861,84 @@ def test_seeded_runs_leave_the_settled_tally_as_it_was():
     assert all(run <= set(t) for t in found)
     assert any(len(t) > len(run) for t in found)
     assert search.settled is settled and _tally_parts(settled) == want
+
+
+@pytest.mark.parametrize("cs, found", [
+    (INTERVAL_PIN, snapshot(*(nat(b) for b in range(4)))),
+    ((subset_bound([nat(0)], 1),), snapshot(pad(0))),
+], ids=["pinned", "empty"])
+def test_runs_with_no_rng_leave_the_settled_tally_as_it_was(cs, found):
+    # A run with no rng reads a non-empty settled tally in place; from an
+    # empty one it seeds a state, so it takes a copy.
+    search = filters._Search(cs, U, None, None, filters.SCAN_CAP)
+    settled = search.settled
+    want = _tally_parts(settled)
+    assert [search.run(None, 4) for _ in range(3)] == [found] * 3
+    assert search.settled is settled and _tally_parts(settled) == want
+
+
+def test_a_drawless_search_at_max_size_makes_one_attempt(counted_searches, monkeypatch):
+    # The pins fill the size cap, so an attempt ends with nothing, and
+    # with no rng another would repeat it.
+    u = make_universe(ORDINAL_MODE, 2)
+    xs = list(islice(u.enumerate_universe(), 4))
+    repairs, copies = [], []
+    repair, copy = filters._Search._repair, filters._Tally.copy
+    monkeypatch.setattr(filters._Search, "_repair",
+                        lambda self, rng: repairs.append(rng) or repair(self, rng))
+    monkeypatch.setattr(filters._Tally, "copy",
+                        lambda self: copies.append(self) or copy(self))
+    pins = [fineness(xs[0]), fineness(xs[1])]
+    assert find_witness(pins, u, window=xs, max_size=2) is None
+    assert (len(repairs), len(copies)) == (1, 0)  # settled, then read in place
+    repairs.clear()
+    assert find_witness(pins + [min_size(1)], u, window=xs, max_size=2) is None
+    assert (len(repairs), len(copies)) == (1, 0)  # nothing settled: one repair
+
+
+def test_a_drawless_repair_ends_at_its_fixed_point(monkeypatch):
+    # The pins break the bound and no round adds a state, so the first
+    # round is the last.
+    a, b = nat(0), nat(1)
+    search = filters._Search((fineness(a), fineness(b), subset_bound((a, b), 2)),
+                             U, None, None, filters.SCAN_CAP)
+    assert search.settled.states == {a, b} and search.run(None, 0) is None
+    calls = []
+    satisfied = filters._Tally.satisfied
+    monkeypatch.setattr(filters._Tally, "satisfied",
+                        lambda self: calls.append(self) or satisfied(self))
+    assert search._repair(None).states == {a, b}
+    assert len(calls) == 1
+
+
+def test_a_seeded_repair_goes_on_after_a_round_that_adds_nothing(monkeypatch):
+    # A repair that may scan one candidate adds nothing in a round that
+    # draws an Even state; the next round draws again.
+    cs = (fineness(nat(0)), ratio(U.builtin_class("Even"), U.builtin_class("On"), 2))
+    search = filters._Search(cs, U, None, None, 1)
+    added = []
+    grow = filters._Search._grow
+
+    def counted(self, states, form, need, rng):
+        size = len(states.states)
+        grow(self, states, form, need, rng)
+        added.append(len(states.states) - size)
+
+    monkeypatch.setattr(filters._Search, "_grow", counted)
+    assert search._repair(random.Random(1)).states == {nat(0), ord_value(1, 7)}
+    assert added == [0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("cs", [
+    [fineness(nat(0)), interval(3), subset_bound([nat(5), nat(6)], 1)],
+    [fineness(nat(1)), ratio(U.builtin_class("Even"), U.builtin_class("Odd"), 1),
+     min_size(4)],
+], ids=["drawless", "grown"])
+def test_a_repeated_constraint_changes_no_witness_found_with_no_rng(cs):
+    want = find_witness(cs, U)
+    assert want is not None
+    for c in cs:
+        assert find_witness(cs + [c], U) == want
 
 
 def test_a_settled_tally_at_max_size_finds_nothing_and_draws_nothing():
