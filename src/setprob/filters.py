@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property, lru_cache, partial
 from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -35,6 +35,7 @@ from .universe import (
     KIND_ORD,
     ORDINAL_MODE,
     ClassSpec,
+    Memo,
     SetValue,
     UniverseHandle,
     canonical,
@@ -93,6 +94,20 @@ class Constraint:
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        """The dataclass's own equality, of the field tuples, asked last:
+        the same object is equal, and unequal kept hashes tell most
+        unequal constraints apart, as in the search table's lookups and
+        the bases' membership tests."""
+        if self is other:
+            return True
+        if other.__class__ is not Constraint:
+            return NotImplemented
+        return self._hash == other._hash and \
+            (self.tag, self.x, self.cls_a, self.cls_b, self.param, self.window,
+             self.family) == (other.tag, other.x, other.cls_a, other.cls_b,
+                              other.param, other.window, other.family)
 
     @cached_property
     def _hash(self) -> int:
@@ -377,12 +392,13 @@ def state_pool(universe: UniverseHandle | None,
     """Candidate states: the whole window if there is one, otherwise the
     universe enumeration cut to `limit` states, otherwise nothing.
 
-    A universe pool is a generator walk, one step per state, that stops
-    where its caller stops.  Its first PREFIX_MEMO_CAP states come from
-    the handle's memo, so they are not rebuilt.  The handle offers no
-    list of its states: a caller that wants one, such as the decoration
-    index of a witness search (`_Search.positions`), makes it from a
-    pool, and a window that repeats a state repeats it here."""
+    A universe pool is a walk, one step per state, that stops where its
+    caller stops.  Its first PREFIX_MEMO_CAP states come from the
+    handle's memo (`UniverseHandle.states`), so they are not rebuilt; a
+    witness search reads that memo's list in slices (`Memo.reader`) for
+    its HF pads.  A caller that wants a list of the pool, such as the
+    decoration index of a witness search (`_Search.positions`), makes it
+    from the pool, and a window that repeats a state repeats it here."""
     if window is not None:
         return iter(window)
     if universe is None:
@@ -623,35 +639,54 @@ def check_fip(fb: FilterBase, rng: random.Random | None = None,
 # Generic witness search
 
 
+# _WIDTHS[i] is the bit width of i + 1, the draw `_shuffle` makes at step
+# i, for every list a search shuffles but a long window's.
+_WIDTHS = tuple((i + 1).bit_length() for i in range(256))
+
+
 def _shuffle(rng: random.Random, x: list) -> None:
     """Shuffle x in place as `rng.shuffle(x)` does, with its `_randbelow`
     written out: the same permutation, and the generator left in the
     same state.  This replays `random.Random.shuffle` for any generator
     whose draws come from `getrandbits`, which covers every
     `random.Random` setprob builds; it saves one Python call per element
-    on the witness searches' hottest draws."""
+    on the witness searches' hottest draws, and reads each step's bit
+    width from `_WIDTHS`."""
+    n = len(x)
+    widths = _WIDTHS if n <= len(_WIDTHS) else [i.bit_length() for i in range(1, n + 1)]
     getrandbits = rng.getrandbits
-    for i in range(len(x) - 1, 0, -1):
-        n = i + 1
-        k = n.bit_length()
+    for i in range(n - 1, 0, -1):
+        k = widths[i]
         j = getrandbits(k)
-        while j >= n:
+        while j > i:
             j = getrandbits(k)
         x[i], x[j] = x[j], x[i]
 
 
-def _shuffled_stream(stream: Iterator[SetValue],
+def _listed(items: list[SetValue]) -> Callable[[int], list[SetValue]]:
+    """`Memo.reader` over a list known whole."""
+    return Memo(partial(iter, items), items).reader()
+
+
+def _shuffled_stream(take: Callable[[int], list[SetValue]], skip: Container[SetValue],
                      rng: random.Random | None) -> Iterator[SetValue]:
-    """Optionally shuffle within consecutive buffers of 64 (`_shuffle`,
-    the draws of `rng.shuffle`); order stays seeded."""
-    if rng is None:
-        yield from stream
-        return
+    """The states `take` gives (`Memo.reader`) outside `skip`.
+    With an rng they come in buffers of 64, each filled by comprehensions
+    over the next states and checked against `skip` as it is filled, then
+    shuffled (`_shuffle`, the draws of `rng.shuffle`), so order stays
+    seeded; with none, each is checked just before it is yielded."""
+    size = 64 if rng is not None else 1
     while True:
-        chunk = list(itertools.islice(stream, 64))
+        chunk: list[SetValue] = []
+        while len(chunk) < size:
+            got = take(size - len(chunk))
+            if not got:
+                break
+            chunk += [v for v in got if v not in skip]
         if not chunk:
             return
-        _shuffle(rng, chunk)
+        if rng is not None:
+            _shuffle(rng, chunk)
         yield from chunk
 
 
@@ -803,7 +838,7 @@ class _Sides:
 
 class _Tally:
     """The state set of one witness construction, with the counts its
-    constraints read, updated on every add and admit.
+    constraints read, updated on every add.
 
     It keeps one count per side of its `_Sides` and, for interval
     constraints, `blocks`: the b of every ordinal w*a+b by block a, for
@@ -817,9 +852,9 @@ class _Tally:
     of them scans the placed states.
     Callers read the state set itself as `states`.  As for a set, adding
     a present state changes nothing.
-    `admit` decides on the counts alone: it raises them for the
-    candidate, tests `satisfied` and, on refusal, lowers them again,
-    with the state set untouched until the candidate is kept.
+    `admit` decides on the counts alone: it works out the counts the
+    candidate would give and adds it only if they satisfy every
+    constraint, so a refused candidate changes nothing.
     """
 
     def __init__(self, sides: _Sides, states: Iterable[SetValue] = ()):
@@ -862,44 +897,44 @@ class _Tally:
         n = len(states)
         states.add(s)  # s is hashed once
         if len(states) > n:
-            self._update(self._sides.of(s), s, 1)
+            counts = self._counts
+            for key in self._sides.of(s):
+                counts[key] += 1
+            if self._limit is not None and s.kind == KIND_ORD:
+                a, b = s.data  # w*a+b, as `ord_parts`
+                bs = self.blocks.setdefault(a, set())
+                self._short += self._run_change(bs, b)
+                bs.add(b)
 
     def admit(self, s: SetValue) -> bool:
-        """Add s and keep it if every constraint holds; say if it did.  A
-        present state changes nothing, and the answer is `satisfied`."""
+        """Add s if every constraint would then hold; say if it did.  The
+        counts s would give are read first: each side s counts in, plus
+        one, and for an ordinal the change in short runs.  A refused or
+        present state changes nothing; for a present one the answer is
+        `satisfied`."""
         if s in self.states:
             return self.satisfied()
-        sides = self._sides.of(s)
-        self._update(sides, s, 1)
-        if self.satisfied():
-            self.states.add(s)
-            return True
-        self._update(sides, s, -1)
-        return False
-
-    def _update(self, sides: tuple[_Side, ...], s: SetValue, sign: int) -> None:
-        counts = self._counts
-        for key in sides:
-            counts[key] += sign
+        short = self._short
         if self._limit is not None and s.kind == KIND_ORD:
-            self._place(*s.data, sign)  # (a, b) of w*a+b, as `ord_parts`
+            a, b = s.data
+            short += self._run_change(self.blocks.get(a, ()), b)
+        if short:
+            return False
+        sides, counts = self._sides.of(s), self._counts
+        for k, x, slack, y in self._sides.forms:
+            if k * (counts[x] + (x in sides)) + slack > counts[y] + (y in sides):
+                return False
+        self.add(s)
+        return True
 
-    def _place(self, a: int, b: int, sign: int) -> None:
-        """Add (sign 1) or remove (sign -1) w*a+b in its block: the runs
-        just below and above b join into one run through b, or split off
-        from it.  Each run is walked only as far as `_reach`
-        (`_run_through`); a block left empty is dropped."""
-        bs = self.blocks.setdefault(a, set())
-        bs.discard(b)
+    def _run_change(self, bs: Container[int], b: int) -> int:
+        """The change in short runs that placing b in a block holding `bs`
+        (b not among them) makes: the runs just below and above b join
+        into one run through b.  Each run is walked only as far as
+        `_reach` (`_run_through`)."""
         r0, r1 = _run_through(bs, b, self._reach)
-        for length, change in ((b - r0, -sign), (r1 - b, -sign),
-                               (r1 - r0 + 1, sign)):
-            if 0 < length <= self._limit:
-                self._short += change
-        if sign > 0:
-            bs.add(b)
-        elif not bs:
-            del self.blocks[a]
+        limit = self._limit
+        return (r1 - r0 + 1 <= limit) - (0 < b - r0 <= limit) - (0 < r1 - b <= limit)
 
 
 def _verified(snap: Snapshot, cs: Sequence[Constraint], mode: str | None) -> Snapshot:
@@ -973,8 +1008,14 @@ class _Search:
             self.grown_sides = frozenset(cls for f in self.grown for cls in (f.small, f.big))
             # one memoised run-closure test per class a repair grows around
             self.touch_tests = {f.small: _touch_test([f.small]) for f in self.grown}
+            # each class a repair grows: its window states, or its memo
+            self.candidates = {
+                f.big: f.big.memo.reader if window is None else
+                partial(_listed, [v for v in window if f.big.membership(v)])
+                for f in self.grown}
         else:
-            self.closing, self.grown_sides, self.touch_tests = None, frozenset(), {}
+            self.closing, self.grown_sides = None, frozenset()
+            self.touch_tests, self.candidates = {}, {}
         self._plain = _UNRUN
         # with no grown or padded form the repair loop draws nothing, so
         # every attempt reaches this tally, the pins and their run closure
@@ -1003,18 +1044,24 @@ class _Search:
             positions.setdefault(v, len(positions))
         return positions
 
-    def _pad_stream(self, states: _Tally, ordinal: bool = False) -> Iterator[SetValue]:
-        # pads, non-ordinal window states or HF sets; with `ordinal`, the
-        # ordinal window states instead
+    def _pad_stream(self, states: _Tally, rng: random.Random | None,
+                    ordinal: bool = False) -> Iterator[SetValue]:
+        """Pads, non-ordinal window states or HF sets outside the tally, in
+        `_shuffled_stream` order; with `ordinal`, the ordinal window states
+        instead.  Pads and HF sets are read off the universe's memos; the
+        window's states are picked when the stream is made."""
         placed = states.states
         if self.window is not None:
-            return iter([v for v in self.window
-                         if v.is_ordinal == ordinal and v not in placed])
-        if self.universe is None or ordinal:
+            take = _listed([v for v in self.window
+                            if v.is_ordinal == ordinal and v not in placed])
+            placed = ()
+        elif self.universe is None or ordinal:
             return iter(())
-        if self.mode == ORDINAL_MODE:
-            return (p for p in self.universe.pads() if p not in placed)
-        return (v for v in state_pool(self.universe, None) if v not in placed)
+        elif self.mode == ORDINAL_MODE:
+            take = self.universe.pads().reader()
+        else:
+            take = self.universe.states().reader()
+        return _shuffled_stream(take, placed, rng)
 
     def _grow(self, states: _Tally, form: _CountForm, need: int,
               rng: random.Random | None) -> None:
@@ -1024,12 +1071,8 @@ class _Search:
         small, big, interval_c = form.small, form.big, self.interval_c
         touches, placed = self.touch_tests[small], states.states
         for strict in (True, False):
-            if self.window is not None:
-                base = (v for v in self.window if big.membership(v) and v not in placed)
-            else:
-                base = big.enumerate(exclusions=placed)
             scanned = 0
-            for cand in _shuffled_stream(base, rng):
+            for cand in _shuffled_stream(self.candidates[big](), placed, rng):
                 scanned += 1
                 if scanned > self.scan_cap:
                     break
@@ -1049,8 +1092,7 @@ class _Search:
         """Add up to `need` pad states outside every grown class; return
         how many were added."""
         got = 0
-        for cand in itertools.islice(
-                _shuffled_stream(self._pad_stream(states, ordinal), rng), self.scan_cap):
+        for cand in itertools.islice(self._pad_stream(states, rng, ordinal), self.scan_cap):
             if self.avoids(cand):
                 continue
             states.add(cand)
@@ -1133,8 +1175,7 @@ class _Search:
             if not placed and states.satisfied():
                 # The empty set satisfies e.g. a lone ratio constraint, but the
                 # snapshot space holds nonempty snapshots only: seed one state.
-                for cand in itertools.islice(
-                        _shuffled_stream(self._pad_stream(states), rng), scan_cap):
+                for cand in itertools.islice(self._pad_stream(states, rng), scan_cap):
                     if states.admit(cand):
                         break
             if placed and states.satisfied() and \
@@ -1183,7 +1224,9 @@ def find_witness(
     ten repair rounds, each repair and padding, and the search for one
     state when the empty set satisfies everything, scanning at most
     `scan_cap` candidates, and an attempt whose snapshot has grown past `scan_cap`
-    states is given up.  With an rng, candidates come in shuffled buffers
+    states is given up.  Candidates are read off memoised lists: a grown
+    class's members (`ClassSpec.memo`), the pads or the HF states of the
+    universe, or the window.  With an rng they come in shuffled buffers
     (`_shuffled_stream`), and a found snapshot then takes up to
     `decorate` random extra states that keep every constraint, drawn
     from the window, or else from the first 120 universe states, in the
@@ -1206,7 +1249,7 @@ def find_witness(
     repair loop, so it settles that loop's tally once
     (`_Search.settled`): its seeded attempts copy it, and its run with no
     rng reads it in place; decoration admits each candidate on the
-    tally's counts (`_Tally.admit`).
+    counts it would give (`_Tally.admit`), so a refusal changes nothing.
     """
     search = _prepared(tuple(constraints), universe,
                        None if window is None else tuple(window), max_size, scan_cap)

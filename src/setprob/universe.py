@@ -46,8 +46,9 @@ ENUM_SCAN_CAP = 20000
 # equals its twin, since equality goes by code.
 INTERN_CAP = 4096
 
-# States of the universe enumeration a handle keeps once they are touched:
-# the largest candidate pool any caller asks for (germs._dilution_pins).
+# Items a walk's memo (`Memo`) keeps once they are touched: the universe
+# enumeration, the pads and each class's distinct members.  As many as the
+# largest candidate pool any caller asks for (germs._dilution_pins).
 PREFIX_MEMO_CAP = 4096
 
 
@@ -333,7 +334,107 @@ class CardinalityTier:
 
 
 # ---------------------------------------------------------------------------
+# Memoised walks
+
+
+# The iterator a memo whose walk has ended keeps in place of the walk.
+_ENDED: Iterator[SetValue] = iter(())
+
+
+class Memo:
+    """The first PREFIX_MEMO_CAP items of a walk, kept as readers reach them.
+
+    `walk` builds the walk afresh on every call, and every call gives the
+    same items; `whole`, when given, is every item of the walk, known at
+    once.  One shared walk grows `items` as far as any reader has gone,
+    under a lock, so threads sharing a memo see one walk.  Past the cap
+    each reader goes on with a fresh walk of its own.  A walk that
+    raises is spent: the next reader that needs an item the memo lacks
+    starts a fresh one where the memo ends.
+    """
+
+    __slots__ = ("items", "_walk", "_live", "_lock")
+
+    def __init__(self, walk: Callable[[], Iterator[SetValue]],
+                 whole: Iterable[SetValue] | None = None):
+        self.items: list[SetValue] = [] if whole is None else list(whole)
+        self._walk = walk
+        self._live: Iterator[SetValue] | None = None if whole is None else _ENDED
+        self._lock = threading.Lock()
+
+    def __iter__(self) -> Iterator[SetValue]:
+        items = self.items
+        i = 0
+        while True:
+            n = len(items)
+            while i < n:
+                yield items[i]
+                i += 1
+            if i >= PREFIX_MEMO_CAP or self._grow(i + 1) == i:
+                break
+        if i >= PREFIX_MEMO_CAP:
+            yield from itertools.islice(self._walk(), i, None)
+
+    def reader(self) -> Callable[[int], list[SetValue]]:
+        """take(n): the walk's next n items, fewer only where it ends.  The
+        memo grows only as far as a reader takes."""
+        items, pos, rest = self.items, 0, None
+
+        def take(n: int) -> list[SetValue]:
+            nonlocal pos, rest
+            if rest is not None:
+                return list(itertools.islice(rest, n))
+            end = pos + n
+            if len(items) < end and pos < PREFIX_MEMO_CAP:
+                self._grow(min(end, PREFIX_MEMO_CAP))
+            got = items[pos:end]
+            pos += len(got)
+            if len(got) < n and pos >= PREFIX_MEMO_CAP:
+                rest = itertools.islice(self._walk(), pos, None)
+                got += itertools.islice(rest, n - len(got))
+            return got
+
+        return take
+
+    def _grow(self, n: int) -> int:
+        """Grow the memo to n items from the shared walk, or as far as the
+        walk goes; the number of items kept."""
+        items = self.items
+        if self._live is _ENDED:
+            return len(items)
+        with self._lock:
+            live = self._live
+            if live is None:
+                live = self._live = itertools.islice(self._walk(), len(items), None) \
+                    if items else self._walk()
+            try:
+                while len(items) < n:
+                    items.append(next(live))
+            except StopIteration:
+                self._live = _ENDED
+            except BaseException:
+                self._live = None  # a walk that raised is spent; restart it
+                raise
+            return len(items)
+
+
+def _distinct(stream: Callable[[], Iterator[SetValue]]) -> Callable[[], Iterator[SetValue]]:
+    """The walk of a stream's distinct values, each at its first occurrence."""
+    def walk() -> Iterator[SetValue]:
+        seen: set[str] = set()
+        for v in stream():
+            if v.code not in seen:
+                seen.add(v.code)
+                yield v
+    return walk
+
+
+# ---------------------------------------------------------------------------
 # Class specifications
+
+
+# Held while a class makes its memo, so threads sharing the class share one.
+_MAKING = threading.Lock()
 
 
 class ClassSpec:
@@ -342,13 +443,14 @@ class ClassSpec:
     A class is its object: equality and hashing are identity, so two
     classes that share a name are still two classes.  The name is a
     label for reports.  The enumerator is a stateless generator factory;
-    `enumerate` wraps it with deduplication and exclusion skipping.
+    `memo`, made on first use, keeps the first PREFIX_MEMO_CAP of its
+    distinct values, which `enumerate` reads with exclusion skipping.
     `subset_tags` lists names of classes this one is declared to be
     contained in.  A value-list class (`class_from_values`) ignores them
     for containment, which is decided exactly from its values.
     """
 
-    __slots__ = ("name", "membership", "_stream", "tier", "subset_tags", "meta")
+    __slots__ = ("name", "membership", "_stream", "_memo", "tier", "subset_tags", "meta")
 
     def __init__(
         self,
@@ -365,19 +467,33 @@ class ClassSpec:
         self.tier = tier
         self.subset_tags = frozenset(subset_tags)
         self.meta = meta or {}
+        self._memo: Memo | None = None
 
     def __repr__(self):
         return f"ClassSpec({self.name}, {self.tier.describe()})"
 
+    @property
+    def memo(self) -> Memo:
+        """The memo of the class's distinct members, made on first use.  A
+        value list (`class_from_values`) is canonical, so its stream is
+        distinct, and known whole: its memo starts full."""
+        memo = self._memo
+        if memo is None:
+            with _MAKING:
+                memo = self._memo
+                if memo is None:
+                    values = self.meta.get("values")
+                    memo = self._memo = Memo(_distinct(self._stream)) if values is None \
+                        else Memo(self._stream, values)
+        return memo
+
     def enumerate(self, exclusions: Iterable[SetValue] = ()) -> Iterator[SetValue]:
-        """Distinct members in canonical stream order, skipping exclusions."""
+        """Distinct members in canonical stream order, skipping exclusions
+        (read when it is called): the first PREFIX_MEMO_CAP from the
+        class's memo, the rest from a fresh walk of the stream."""
         excl = {x.code for x in exclusions}
-        seen: set[str] = set()
-        for v in self._stream():
-            if v.code in excl or v.code in seen:
-                continue
-            seen.add(v.code)
-            yield v
+        members = iter(self.memo)
+        return (v for v in members if v.code not in excl) if excl else members
 
     def members(self) -> list[SetValue]:
         """Materialize a finite-tier class whole.  The stream is read one
@@ -762,6 +878,10 @@ ORDINAL_BUILTINS = {
 }
 
 
+# The padding states p0, p1, ..., the same in every ordinal universe.
+_PADS = Memo(lambda: map(pad, itertools.count()))
+
+
 def _next_rank(levels: list[list[SetValue]]) -> Iterator[SetValue]:
     """The sets of rank k = len(levels), given the levels of ranks 0..k-1:
     the subsets of V_k holding an element of rank k-1.  Combinations of
@@ -779,29 +899,27 @@ class UniverseHandle:
 
     The universe itself is potentially infinite (ordinal mode) or merely
     large (HF mode); the handle enumerates it on demand.  The first
-    PREFIX_MEMO_CAP states are kept once a query touches them, so repeated
-    candidate pools reuse the same values; states past the cap are
-    rebuilt by every walk that reaches them.  Each builtin class is built
-    once per handle, so every caller that asks for it gets one object.
+    PREFIX_MEMO_CAP states are kept in a memo (`Memo`) once a query
+    touches them, so repeated candidate pools reuse the same values;
+    states past the cap are rebuilt by every walk that reaches them.
+    Each builtin class is built once per handle, so every caller that
+    asks for it gets one object.
     """
 
-    __slots__ = ("mode", "bound", "_by_rank", "_prefix", "_prefix_walk",
-                 "_prefix_lock", "_builtins")
+    __slots__ = ("mode", "bound", "_by_rank", "_states", "_builtins")
 
     def __init__(self, mode: str, bound: int):
         self.mode = mode
         self.bound = bound
         self._by_rank: list[list[SetValue]] | None = None
-        self._prefix: list[SetValue] = []
-        self._prefix_walk: Iterator[SetValue] | None = None
-        self._prefix_lock = threading.Lock()
+        self._states = Memo(self._walk)
         self._builtins: dict[object, ClassSpec] = {}
 
     def __repr__(self):
         return f"UniverseHandle({self.mode}, {self.bound})"
 
     def __reduce__(self):
-        # The memo is a cache: copies and pickles start without it.
+        # The memos are caches: copies and pickles start without them.
         return (UniverseHandle, (self.mode, self.bound))
 
     # -- HF levels -----------------------------------------------------
@@ -831,34 +949,17 @@ class UniverseHandle:
 
         HF mode walks ranks upward; ordinal mode interleaves a diagonal
         walk of the ordinals below w*bound with the padding states.  The
-        first PREFIX_MEMO_CAP states come from the handle's memo, which
-        one shared walk fills as far as any iterator has reached; past
-        the cap each iterator continues on a fresh walk of its own.
+        first PREFIX_MEMO_CAP states come from the handle's memo
+        (`Memo`), which one shared walk fills as far as any iterator has
+        reached; past the cap each iterator continues on a fresh walk of
+        its own.
         """
-        prefix = self._prefix
-        i = 0
-        while i < len(prefix) or (i < PREFIX_MEMO_CAP and self._extend_prefix(i)):
-            yield prefix[i]
-            i += 1
-        if i == PREFIX_MEMO_CAP:
-            yield from itertools.islice(self._walk(), i, None)
+        return iter(self._states)
 
-    def _extend_prefix(self, n: int) -> bool:
-        """Grow the memo past n states from the shared walk; False when the
-        universe has only n."""
-        with self._prefix_lock:
-            if len(self._prefix) > n:
-                return True  # another thread grew it first
-            if self._prefix_walk is None:
-                self._prefix_walk = itertools.islice(self._walk(), n, None)
-            try:
-                self._prefix.append(next(self._prefix_walk))
-            except StopIteration:
-                return False
-            except BaseException:
-                self._prefix_walk = None  # a walk that raised is spent; restart it
-                raise
-            return True
+    def states(self) -> Memo:
+        """The states of `enumerate_universe` in the handle's memo: iterate
+        it, or read it with `reader`."""
+        return self._states
 
     def _walk(self) -> Iterator[SetValue]:
         """The enumeration itself, built afresh on every call."""
@@ -873,10 +974,12 @@ class UniverseHandle:
             yield pad(n)
             n += 1
 
-    def pads(self) -> Iterator[SetValue]:
+    def pads(self) -> Memo:
+        """The padding states p0, p1, ... in a memo (`Memo`): iterate it, or
+        read it with `reader`."""
         if self.mode != ORDINAL_MODE:
             raise WrongMode("padding states exist in ordinal mode only")
-        return (pad(k) for k in itertools.count())
+        return _PADS
 
     # -- builtin classes ----------------------------------------------
 

@@ -168,7 +168,7 @@ def test_prefix_is_the_start_of_the_enumeration(mode, bound, n):
     got = list(state_pool(u, None, n))
     assert got == list(islice(u._walk(), n))
     assert len(got) == n
-    assert len(u._prefix) == n
+    assert len(u._states.items) == n
 
 
 def test_prefix_stops_at_the_end_of_a_small_universe_and_at_the_cap():
@@ -179,7 +179,7 @@ def test_prefix_stops_at_the_end_of_a_small_universe_and_at_the_cap():
     u = make_universe(HF_MODE, 5)
     got = list(state_pool(u, None, PREFIX_MEMO_CAP + 5))
     assert got == list(islice(u._walk(), PREFIX_MEMO_CAP + 5))
-    assert len(u._prefix) == PREFIX_MEMO_CAP  # the walk goes on past the memo
+    assert len(u._states.items) == PREFIX_MEMO_CAP  # the walk goes on past the memo
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +484,30 @@ def test_a_search_that_raises_raises_on_every_call(counted_searches, monkeypatch
     assert len(prepared) == 1 and len(runs) == 2
 
 
+def _every_tag_twice():
+    """Pairs of constraints built apart, for every tag, equal and not."""
+    even, on = U.builtin_class("Even"), U.builtin_class("On")
+    makers = [lambda: fineness(ord_value(1, 2)), lambda: fineness(pad(3)),
+              lambda: ratio(even, on, 2), lambda: ratio(on, even, 2),
+              lambda: order_lt(even, on), lambda: order_ge(even, on),
+              lambda: interval(2), lambda: interval(3), lambda: weight(2),
+              lambda: subset_bound([nat(0), pad(1)], 2),
+              lambda: subset_bound([nat(0), pad(2)], 2), lambda: min_size(2),
+              parametric_fineness, parametric_interval, parametric_weight,
+              lambda: parametric_ratio(even, on)]
+    return [(f(), g()) for f in makers for g in makers]
+
+
+def test_constraint_equality_is_its_field_tuples():
+    fields = [f.name for f in dataclasses.fields(filters.Constraint)]
+    for c, d in _every_tag_twice():
+        assert c is not d
+        same = tuple(getattr(c, f) for f in fields) == tuple(getattr(d, f) for f in fields)
+        assert (c == d) == (d == c) == same and (c != d) == (not same)
+        assert not same or hash(c) == hash(d)
+        assert c == c and (c == c.tag) is False
+
+
 def test_constraint_hash_is_its_field_tuple_taken_once():
     # the table's lookups hash constraints; equal ones built apart hash
     # equal, to the dataclass's own value, so no set or dict order moves
@@ -627,6 +651,42 @@ def test_admitting_a_present_state_changes_nothing():
     t.add(nat(1))
     t.add(nat(2))
     assert t.admit(nat(2)) is True and t.states == {nat(0), nat(1), nat(2)}
+
+
+# Rows where one part of the would-be counts alone decides an admit:
+# (constraints, the tally's states, the candidate, the answer).  An
+# ordinal w*a+b is (a, b), a pad ("p", k).
+_ADMIT_ROWS = {
+    # the short-run change: an isolated ordinal opens a short run, and one
+    # that joins two short runs closes both into one long run
+    "isolated": ([interval(2)], [(0, 0), (0, 1), (0, 2)], (0, 7), False),
+    "extends": ([interval(2)], [(0, 0), (0, 1), (0, 2)], (0, 3), True),
+    "joins": ([interval(2)], [(0, 0), (0, 1), (0, 3), (0, 4)], (0, 2), True),
+    "joins-short": ([interval(3)], [(1, 0), (1, 2)], (1, 1), False),
+    # a count form whose small and big sides both count the candidate:
+    # each side is counted once, so the answer turns on that one count
+    "weight-in": ([weight(2)], [("p", 0), ("p", 1), (0, 0)], (0, 1), True),
+    "weight-out": ([weight(2)], [("p", 0), (0, 0)], (0, 1), False),
+    "weight-pad": ([weight(2)], [("p", 0), (0, 0)], ("p", 1), True),
+    "ratio-in": ([ratio(U.builtin_class("Even"), U.builtin_class("On"), 2)],
+                 [(0, 1), (0, 0), (0, 3)], (0, 2), True),
+    "ratio-out": ([ratio(U.builtin_class("Even"), U.builtin_class("On"), 2)],
+                  [(0, 1), (0, 0)], (0, 2), False),
+}
+
+
+def _row_state(x):
+    return pad(x[1]) if x[0] == "p" else ord_value(*x)
+
+
+@pytest.mark.parametrize("row", sorted(_ADMIT_ROWS))
+def test_admit_reads_the_counts_the_candidate_would_give(row):
+    cs, placed, cand, expected = _ADMIT_ROWS[row]
+    states = [_row_state(x) for x in placed]
+    t = filters._Tally(filters._Sides(cs), states)
+    assert t.satisfied() == all(constraint_membership(c, Snapshot(states), U.mode)
+                                for c in cs)
+    assert _check_admit(t, cs, U, _row_state(cand)) is expected
 
 
 def test_sides_ask_each_membership_once_per_state():
@@ -986,7 +1046,9 @@ def test_shuffle_replays_random_shuffle():
     # the generator left where `Random.shuffle` leaves it
     for seed in range(200):
         ours, theirs = random.Random(seed), random.Random(seed)
-        for n in range(131):
+        # the bit widths come from a table; longer lists read their own
+        last = len(filters._WIDTHS)
+        for n in [*range(131), last - 1, last, last + 1] if seed < 20 else range(131):
             x, y = list(range(n)), list(range(n))
             filters._shuffle(ours, x)
             theirs.shuffle(y)

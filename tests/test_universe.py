@@ -342,21 +342,21 @@ def test_threads_sharing_a_handle_see_one_enumeration():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert results == [expected] * 4
-    assert len(u._prefix) == PREFIX_MEMO_CAP
+    assert len(u._states.items) == PREFIX_MEMO_CAP
 
 
 def test_copies_of_a_used_handle_start_without_its_memo():
     u = make_universe(ORDINAL_MODE, 3)
     head = codes(itertools.islice(u.enumerate_universe(), 50))
     for twin in (pickle.loads(pickle.dumps(u)), copy.deepcopy(u)):
-        assert (twin.mode, twin.bound, twin._prefix) == (u.mode, u.bound, [])
+        assert (twin.mode, twin.bound, twin._states.items) == (u.mode, u.bound, [])
         assert codes(itertools.islice(twin.enumerate_universe(), 50)) == head
 
 
 def test_memo_stops_at_its_cap():
     u = make_universe(ORDINAL_MODE, 3)
     assert len(list(itertools.islice(u.enumerate_universe(), 6000))) == 6000
-    assert len(u._prefix) == PREFIX_MEMO_CAP
+    assert len(u._states.items) == PREFIX_MEMO_CAP
 
 
 def test_every_walk_past_the_cap_reaches_exhaustion():
@@ -382,7 +382,109 @@ def test_a_walk_that_raises_inside_the_cap_raises_for_every_caller():
     for _ in range(2):
         with pytest.raises(EnumerationExhausted):
             list(u.enumerate_universe())
-    assert len(u._prefix) == 10
+    assert len(u._states.items) == 10
+
+
+def _memo_classes():
+    """Fresh classes of every kind whose stream a memo keeps, by name:
+    (class, number of members to read, whether the stream ends first)."""
+    u = make_universe(ORDINAL_MODE, 3)
+    even = u.builtin_class("Even")
+    swap = table_rv({nat(0): nat(1), nat(1): nat(0)}, "swap")
+    few = class_from_values("few", [ord_value(0, 1), ord_value(0, 3),
+                                    ord_value(1, 2), ord_value(1, 5)])
+    return {
+        "builtin": (even, 40, False),
+        "residue": (u.residue_class("R", 3, 1, 2, CardinalityTier.infinite(0)), 40, False),
+        "values": (few, 10, True),
+        "translate": (translate_class(even, nat(3)), 40, False),
+        # a limit shift absorbs finite parts, so the stream repeats values
+        "translate-limit": (translate_class(few, ord_value(1, 0)), 10, True),
+        "image": (image_class(swap, even), 40, False),
+        "rank-level": (make_universe(HF_MODE, 4).rank_level_class(3), 20, True),
+    }
+
+
+def _fresh_distinct(cls, excl, n):
+    """The first n distinct members of a fresh walk of the class's
+    stream, by code, outside `excl`."""
+    skip, seen, out = {x.code for x in excl}, set(), []
+    for v in cls._stream():
+        if v.code not in seen:
+            seen.add(v.code)
+            if v.code not in skip:
+                out.append(v.code)
+                if len(out) == n:
+                    break
+    return out
+
+
+@pytest.mark.parametrize("cap", [PREFIX_MEMO_CAP, 8, 3])
+@pytest.mark.parametrize("kind", sorted(_memo_classes()))
+def test_class_enumeration_is_a_fresh_distinct_walk(kind, cap, monkeypatch):
+    cls, n, ends = _memo_classes()[kind]
+    head = _fresh_distinct(cls, (), n + 2)
+    excl = [parse_code(head[1]), parse_code(head[-1]), pad(0)]
+    for step in range(3):
+        if step == 1:  # the memo grew under the default cap
+            monkeypatch.setattr(universe, "PREFIX_MEMO_CAP", cap)
+        assert codes(itertools.islice(cls.enumerate(), n)) == head[:n]
+        assert codes(itertools.islice(cls.enumerate(excl), n)) == \
+            _fresh_distinct(cls, excl, n)
+        take = cls.memo.reader()
+        assert codes(take(2) + take(n)) == head
+    # the memo keeps what was read, and no more
+    assert codes(cls.memo.items) == head
+    # a class first read under the small cap keeps no more than the cap
+    fresh = _memo_classes()[kind][0]
+    assert codes(itertools.islice(fresh.enumerate(), n)) == head[:n]
+    assert codes(fresh.memo.reader()(n + 2)) == head
+    assert len(fresh.memo.items) == (len(head) if kind == "values" else min(cap, len(head)))
+    if ends:  # a finite class: past its end, nothing more
+        assert len(head) < n and codes(cls.enumerate()) == head
+        assert cls.memo.reader()(n) == list(cls.enumerate())
+
+
+def test_a_class_memo_is_made_once_and_kept():
+    u = make_universe(ORDINAL_MODE, 3)
+    cls = u.builtin_class("Odd")
+    assert cls._memo is None  # nothing read yet
+    memo = cls.memo
+    list(itertools.islice(cls.enumerate(), 5))
+    assert cls.memo is memo and codes(memo.items) == _fresh_distinct(cls, (), 5)
+    values = class_from_values("V2", [nat(2), nat(0)])
+    assert codes(values.memo.items) == ["o0.0", "o0.2"]  # a value list starts full
+
+
+def test_threads_sharing_a_class_see_one_enumeration():
+    def make():
+        u = make_universe(ORDINAL_MODE, 3)
+        return u.residue_class("R", 2, 1, 1, CardinalityTier.infinite(0))
+
+    cls = make()
+    expected = codes(itertools.islice(make().enumerate(), 5000))
+    results, errors = [], []
+
+    def walk():
+        try:
+            results.append(codes(itertools.islice(cls.enumerate(), 5000)))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == [expected] * 4
+    assert codes(cls.memo.items) == expected[:PREFIX_MEMO_CAP]
 
 
 def test_builtin_on_and_nat(ord_universe):
