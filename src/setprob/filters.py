@@ -273,33 +273,45 @@ def constraint_membership(c: Constraint, t: Snapshot, mode: str | None = None) -
     raise ValueError(f"unknown constraint tag {c.tag}")
 
 
+def constraint_count_form(c: Constraint, t: Snapshot,
+                          mode: str | None = None) -> tuple[int, int, int, int] | None:
+    """c's membership as k*|m & small| + slack <= |m & big| over the
+    subsets m of `t.states`, as (k, slack, small, big), or None.
+
+    c is concrete: a parametric family has no count form, so
+    `Constraint.form` raises ValueError for it (`_window_exhaustive`
+    drops them first).  Each side of c's form becomes one mask of `t`
+    (`_side_mask`): a class, a pin or a subset_bound window is one
+    recorded mask, not the bits of its states, and a missing side
+    (fineness, min_size: k is 0) is 0, so no atom of `t` splits a side.
+    None for interval, which bounds run lengths, and for an ordinal-only
+    tag in HF mode, where `constraint_membership` raises WrongMode.
+    """
+    if c.tag in _ORDINAL_ONLY_TAGS and mode == HF_MODE:
+        return None
+    form = c.form
+    if form is None:
+        return None
+    return form.k, form.slack, _side_mask(form.small, t), _side_mask(form.big, t)
+
+
 def constraint_mask_test(c: Constraint, t: Snapshot,
                          mode: str | None = None) -> Callable[[int], bool]:
     """Membership in c of the subset of `t.states` a mask selects.
 
-    Equal to `constraint_membership` on that subset's Snapshot.  c is
-    concrete: a parametric family has no count form, so
-    `Constraint.form` raises ValueError for it (`_window_exhaustive`
-    drops them first).  A count tag is read from its form: each side
-    becomes one mask of `t` (`_side_mask`), so the test is
-    k*|m & small| + slack <= |m & big| on bit counts (|m & big| >= slack
-    when k is 0, with no small side) and no state is touched per subset;
-    a pin or a subset_bound window is one mask of `t`, not the bits of
-    its states.  Interval, and an ordinal-only tag in HF mode, builds the
+    Equal to `constraint_membership` on that subset's Snapshot.  A count
+    tag is read from its `constraint_count_form`, on bit counts, with no
+    state touched per subset.  A constraint with no count form builds the
     subset's Snapshot and asks `constraint_membership`, which then
     decides or raises WrongMode as usual; it takes the bit of every
     state, so each state is an atom of `t`.
     """
-    form = None if c.tag in _ORDINAL_ONLY_TAGS and mode == HF_MODE else c.form
+    form = constraint_count_form(c, t, mode)
     if form is None:
         for s in t.states:
             t.bit(s)
         return lambda m: constraint_membership(c, Snapshot(t.subset(m)), mode)
-    k, slack = form.k, form.slack
-    if not k:  # fineness, min_size: no small side to count
-        big = _side_mask(form.big, t)
-        return lambda m: (m & big).bit_count() >= slack
-    small, big = _side_mask(form.small, t), _side_mask(form.big, t)
+    k, slack, small, big = form
     return lambda m: k * (m & small).bit_count() + slack <= (m & big).bit_count()
 
 

@@ -36,6 +36,7 @@ from .filters import (
     TAG_WEIGHT,
     Constraint,
     FilterBase,
+    constraint_count_form,
     constraint_mask_test,
     expand_base,
     expand_parametric,
@@ -677,8 +678,8 @@ def _window_exhaustive(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Ve
     A snapshot is a set, so the snapshots counted are the nonempty
     subsets of the window's distinct states, at most 14 of them, below
     the base's size bound.  A subset is an int mask over those states in
-    canonical order: each constraint becomes a bit-count test
-    (`constraint_mask_test`) and each side one compiled germ
+    canonical order: each constraint becomes a count form on bit counts
+    (`constraint_count_form`) and each side one compiled germ
     (`compile_germ`), so no Snapshot is built per subset, only the
     window's own.
 
@@ -693,11 +694,22 @@ def _window_exhaustive(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Ve
     bound.  Each vector is evaluated once, at its representative mask
     (the first n_i states of atom i), and adds the number of subsets it
     stands for, the product of C(|atom_i|, n_i), to `holds`, `fails` or
-    `vacuous`.  The evidence is therefore the count over subsets.  The
-    vectors are listed over the first r - 1 atoms only; n_r is taken in
-    the loop.  A constraint that reads the subset's states by position
-    (interval, an ordinal-only tag in HF mode, anything
-    `constraint_membership` decides) takes every state's bit, so each
+    `vacuous`.  The evidence is therefore the count over subsets.
+
+    The vectors are listed over the first r - 1 atoms only, the largest
+    atom last, and n_r is solved for.  A count form
+    k*|m & small| + slack <= |m & big| is linear in the counts and no
+    atom splits its sides, so for each listed prefix m0 it reads
+    coef*n_r <= rhs, with coef = k*[last in small] - [last in big] and
+    rhs = |m0 & big| - k*|m0 & small| - slack: n_r <= floor(rhs / coef)
+    when coef is positive, n_r >= ceil(rhs / coef) when it is negative,
+    every n_r or none when it is 0 (one Fourier-Motzkin step).  Only the
+    n_r inside every such bound and the size bound are evaluated, and no
+    count form is tested per subset.  A constraint with no count form
+    (interval, an ordinal-only tag in HF mode) is tested per mask
+    (`constraint_mask_test`), and so is every constraint after it, in
+    the base's order, since such a test reads the subset's states by
+    position or raises WrongMode; it takes every state's bit, so each
     atom is one state and each vector one subset.
 
     Snapshots where either side has no value are vacuous; a verdict
@@ -711,36 +723,62 @@ def _window_exhaustive(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Ve
         return None
     concrete = [c for c in fb.constraints if c.tag != TAG_PARAMETRIC]
     mode = fb.universe.mode if fb.universe is not None else None
-    tests = [constraint_mask_test(c, win, mode) for c in concrete]
+    # count forms (k, slack, small, big) up to the first constraint that
+    # has none; that one and the rest are tested per mask, in order
+    forms, tests = [], []
+    for c in concrete:
+        form = None if tests else constraint_count_form(c, win, mode)
+        if form is None:
+            tests.append(constraint_mask_test(c, win, mode))
+        else:
+            forms.append(form)
     left, right = compile_germ(lg, win), compile_germ(rg, win)
     relation = _RELATIONS[rel]
     top = n if fb.max_size is None else min(n, fb.max_size - 1)
+    atoms = sorted(win.atoms(), key=int.bit_count)  # the largest last
+    last = atoms[-1] if atoms else 0
     # (representative mask, subsets it stands for), over the atoms before
-    # the last one, and (its first k states, C(|atom|, k)) for the last
+    # the last one, and (its first c states, C(|atom|, c)) for the last
     vectors = lasts = [(0, 1)]
-    for atom in win.atoms():
+    for atom in atoms:
         vectors = [(m | f, w * ways) for m, w in vectors for f, ways in lasts]
-        firsts = [0]  # firsts[k]: the first k states of the atom
+        firsts = [0]  # firsts[c]: the first c states of the atom
         while atom:
             low = atom & -atom
             firsts.append(firsts[-1] | low)
             atom ^= low
-        lasts = [(f, math.comb(len(firsts) - 1, k)) for k, f in enumerate(firsts)]
-    # fits[c]: the last atom's choices that make a vector of c states
-    # nonempty and at most `top`; only the vector 0 has no state
-    fits = [lasts[c == 0:max(top - c + 1, 0)] for c in range(n + 1)]
+        lasts = [(f, math.comb(len(firsts) - 1, c)) for c, f in enumerate(firsts)]
+    # coef: what one state of the last atom adds to a form's left side
+    # less what it adds to its right, since no atom splits a side
+    bounds = [(k, slack, small, big, k * bool(last & small) - bool(last & big))
+              for k, slack, small, big in forms]
+    size = len(lasts) - 1  # the last atom's
     tally = {True: 0, False: 0, None: 0}  # subsets where it holds, fails, is vacuous
     for m0, w0 in vectors:
-        for f, ways in fits[m0.bit_count()]:
+        # a nonempty vector of at most `top` states; only the vector 0 has none
+        lo, hi = not m0, top - m0.bit_count()
+        if hi > size:
+            hi = size
+        for k, slack, small, big, coef in bounds:
+            rhs = (m0 & big).bit_count() - k * (m0 & small).bit_count() - slack
+            if coef > 0:  # c <= floor(rhs / coef)
+                if rhs < coef * hi:
+                    hi = rhs // coef
+            elif coef < 0:  # c >= ceil(rhs / coef)
+                if rhs < coef * lo:
+                    lo = -(rhs // -coef)
+            elif rhs < 0:  # no c
+                hi = -1
+        if lo > hi:  # a negative slice end would wrap around
+            continue
+        for f, ways in lasts[lo:hi + 1]:
             m = m0 | f
-            for test in tests:
-                if not test(m):
-                    break
-            else:  # `_judge` inlined: this loop is the hot path
-                try:
-                    tally[relation(left(m), right(m))] += w0 * ways
-                except (DivisionUndefined, EmptySnapshot):
-                    tally[None] += w0 * ways
+            if tests and not all(test(m) for test in tests):
+                continue
+            try:  # `_judge` inlined: this loop is the hot path
+                tally[relation(left(m), right(m))] += w0 * ways
+            except (DivisionUndefined, EmptySnapshot):
+                tally[None] += w0 * ways
     holds, fails, vacuous = tally[True], tally[False], tally[None]
     if holds and not fails:
         return made(FORCED, "window-exhaustive", citations=tuple(concrete),

@@ -32,7 +32,8 @@ class Snapshot:
     The snapshot records every mask it hands out (`bit`, `where`,
     `mask`), and `atoms` splits the states into the classes that no
     recorded mask tells apart.  Invariant: the closures compiled over a
-    snapshot (`germs.compile_germ`, `filters.constraint_mask_test`) read
+    snapshot (`germs.compile_germ`, `filters.constraint_mask_test`) and
+    the count forms taken over it (`filters.constraint_count_form`) read
     a subset mask m only as `m & X` for a recorded X, which is a union
     of atoms, and as `m.bit_count()`; a closure that needs the subset's
     states by position first takes the bit of every state, which makes

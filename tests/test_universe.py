@@ -89,7 +89,10 @@ def test_ordinals_and_pads_are_interned():
 
 
 def test_threads_sharing_the_set_table_build_equal_sets(monkeypatch):
-    # a small cap empties the table while other threads read and fill it
+    # a small cap empties the table while other threads read and fill it;
+    # the table starts empty, so the sets built here fill it past the cap
+    # whatever earlier tests left in it
+    monkeypatch.setattr(universe, "_SETS", {})
     monkeypatch.setattr(universe, "INTERN_CAP", 8)
     states = list(make_universe(HF_MODE, 4).enumerate_universe())
     errors = []

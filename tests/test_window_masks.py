@@ -1,20 +1,24 @@
 """Window enumeration on membership bitmasks, checked against snapshots.
 
 `_window_exhaustive` treats a subset of the window as an int mask: each
-constraint is a bit-count test (`constraint_mask_test`) and each germ is
-compiled once (`compile_germ`) into a function returning an exact
-(numerator, denominator) int pair.  These tests hold both equal, on every
-subset of random windows, to the snapshot-level definitions:
+constraint is a count form on bit counts (`constraint_count_form`), or
+a per-mask test (`constraint_mask_test`) when it has none, and each germ
+is compiled once (`compile_germ`) into a function returning an exact
+(numerator, denominator) int pair.  These tests hold all three equal, on
+every subset of random windows, to the snapshot-level definitions:
 `constraint_membership` on the built Snapshot, and a germ evaluator
 written here from the public `snapshot_prob`, `joint_snapshot_prob` and
 `conditional_snapshot_prob`, whose `Fraction` relations the pair
 relations of `germs._RELATIONS` must match.
 
 `compare` evaluates one subset per count vector over the window's atoms
-and weights it by the number of subsets it stands for.  Its evidence is
-checked against a subset-by-subset count on windows of up to 14 states
-with few classes, where atoms are large, and on a base whose interval
-constraint makes every state an atom.
+and weights it by the number of subsets it stands for; the count of
+the last, largest atom is taken only inside the range the count forms
+leave it.  Its evidence is checked against a subset-by-subset count on
+windows of up to 14 states with few classes, where atoms are large, on
+windows whose last atom the forms bound from above (below 0, too) and
+from below, and on a base whose interval constraint makes every state
+an atom.
 """
 
 import itertools
@@ -61,7 +65,11 @@ from setprob import (
     weight,
 )
 from setprob.errors import ConditionNull, DivisionUndefined, EmptySnapshot, WrongMode
-from setprob.filters import constraint_mask_test, constraint_membership
+from setprob.filters import (
+    constraint_count_form,
+    constraint_mask_test,
+    constraint_membership,
+)
 from setprob.germs import compile_germ
 
 VACUOUS = (ConditionNull, DivisionUndefined, EmptySnapshot)
@@ -261,11 +269,20 @@ def test_masks_match_snapshots_on_every_subset(problem):
     win = Snapshot(fb.window)
     mode = fb.universe.mode
     tests = [constraint_mask_test(c, win, mode) for c in fb.constraints]
+    forms = [constraint_count_form(c, win, mode) for c in fb.constraints]
+    for c, form in zip(fb.constraints, forms):
+        # only a test that reads states by position, or raises, has none
+        opaque = c.tag == "interval" or (mode == HF_MODE and c.tag == "weight")
+        assert (form is None) == opaque
     left, right = compile_germ(lg, win), compile_germ(rg, win)
     for m, t in subsets(fb):
         assert win.subset(m) == t.states
         admitted = [outcome(constraint_membership, c, t, mode) for c in fb.constraints]
         assert [outcome(test, m) for test in tests] == admitted
+        for form, got in zip(forms, admitted):
+            if form is not None:
+                k, slack, small, big = form
+                assert (k * (m & small).bit_count() + slack <= (m & big).bit_count()) is got
         for g, compiled in ((lg, left), (rg, right)):
             expected = outcome(reference_value, g, t)
             assert outcome(pair_value, compiled, m) == expected
@@ -487,6 +504,55 @@ def test_count_vectors_match_subset_counts(problem):
     assert_window_evidence(v, *subset_counts(fb, lg, rel, rg))
 
 
+@st.composite
+def cut_last_atom_problems(draw):
+    """Windows whose largest atom L, the one `_window_exhaustive` solves
+    for, is cut from above and below.  The atom is more than half the
+    window and no class splits it.  A ratio at k in {2, 3} has L on its
+    small side only, and its small side reaches past L, so the bound
+    falls below 0 (a floor).  min_size, or an order_ge with L on its big
+    side only, gives a lower bound (a ceiling).  A ratio with L on both
+    sides has coef k - 1, and a max_size cap bounds the size."""
+    mode = draw(st.sampled_from((ORDINAL_MODE, HF_MODE)))
+    size = draw(st.integers(7, 14))
+    window = draw(st.lists(st.sampled_from(POOLS[mode]), min_size=size, max_size=size,
+                           unique_by=lambda v: v.code))
+    cut = draw(st.integers(size // 2 + 1, size - 2))
+    last, rest = window[:cut], window[cut:]
+    part = st.lists(st.sampled_from(rest), max_size=len(rest), unique_by=lambda v: v.code)
+    whole = class_from_values("L", last)
+    small = class_from_values("S", last + draw(part))
+    big = class_from_values("B", draw(part))
+    both = class_from_values("C", last + draw(part))
+    constraints = [ratio(small, big, draw(st.integers(2, 3)))]
+    extras = {
+        "min_size": st.integers(2, 6).map(min_size),
+        "order_ge": st.just(order_ge(both, big)),
+        "both": st.integers(1, 3).map(lambda k: ratio(both, small, k)),
+        "pin": st.sampled_from(rest).map(fineness),
+    }
+    for name in draw(st.lists(st.sampled_from(sorted(extras)), max_size=3, unique=True)):
+        constraints.append(draw(extras[name]))
+    constraints = draw(st.permutations(constraints))
+    ident = identity_rv()
+    event = st.sampled_from((whole, small, big, both)).map(
+        lambda cls: germ_of_event(ident, cls))
+    lg = draw(st.builds(germ_arith, st.just("-"), event, event))
+    rg = draw(st.fractions(min_value=-1, max_value=1, max_denominator=4).map(const_germ))
+    max_size = draw(st.one_of(st.none(), st.integers(2, size)))
+    fb = FilterBase(tuple(constraints), universe=OU if mode == ORDINAL_MODE else HU,
+                    window=tuple(window), max_size=max_size)
+    return fb, lg, draw(st.sampled_from(sorted(RELATIONS))), rg
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cut_last_atom_problems())
+def test_last_atom_range_matches_subset_counts(problem):
+    fb, lg, rel, rg = problem
+    v = compare(lg, rel, rg, fb, sample_count=0)
+    assert_window_evidence(v, *subset_counts(fb, lg, rel, rg))
+
+
 def test_interval_counts_subset_by_subset():
     window = tuple(POOLS[ORDINAL_MODE][:12])
     even, on = OU.builtin_class("Even"), OU.builtin_class("On")
@@ -503,6 +569,20 @@ def test_weight_in_hf_mode_still_raises():
     with pytest.raises(WrongMode, match="weight constraint is meaningless in HF mode"):
         compare(germ_of_event(identity_rv(), rank2), "le", Fraction(1, 2), fb,
                 sample_count=0)
+
+
+def test_weight_in_hf_mode_raises_only_where_the_base_reaches_it():
+    # The constraints are asked in the base's order: weight raises at the
+    # first subset it is asked about, and a min_size no subset of the
+    # window meets is asked before it or after it.
+    rank2 = HU.rank_level_class(2)
+    g = germ_of_event(identity_rv(), rank2)
+    window = tuple(POOLS[HF_MODE][:10])
+    fb = FilterBase((weight(2), min_size(11)), universe=HU, window=window)
+    with pytest.raises(WrongMode, match="weight constraint is meaningless in HF mode"):
+        compare(g, "le", Fraction(1, 2), fb, sample_count=0)
+    fb = FilterBase((min_size(11), weight(2)), universe=HU, window=window)
+    assert compare(g, "le", Fraction(1, 2), fb, sample_count=0).rule == "sampled"
 
 
 def calls_of(g, monkeypatch) -> list[int]:
