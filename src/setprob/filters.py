@@ -621,17 +621,22 @@ def check_fip(fb: FilterBase, rng: random.Random | None = None,
     to FIP_SUBSET_SIZE constraints, plus the full expanded set.  The
     first subset `_structurally_empty` refutes is returned before any
     search; else each gets a witness search scanning at most `scan_cap`
-    candidates per repair, and one that fails makes the result unknown."""
+    candidates per repair, and one that fails makes the result unknown.
+
+    `_structurally_empty` refutes a subset only through one of its
+    constraints alone or one pair of them, and the singles and pairs
+    come first, so only they are asked: the first refuted single, else
+    the first refuted pair, is the first refuted subset."""
     concrete = expand_base(fb)
+    for size in (1, 2):
+        for subset in itertools.combinations(concrete, size):
+            if _structurally_empty(subset, fb.max_size):
+                return FipResult("refuted", refuted_subset=subset)
     subsets: list[tuple[Constraint, ...]] = []
     for size in range(1, min(FIP_SUBSET_SIZE, len(concrete)) + 1):
         subsets.extend(itertools.combinations(concrete, size))
-    full = tuple(concrete)
-    if full and full not in subsets:
-        subsets.append(full)
-    for subset in subsets:
-        if _structurally_empty(subset, fb.max_size):
-            return FipResult("refuted", refuted_subset=subset)
+    if len(concrete) > FIP_SUBSET_SIZE:  # else the full set is listed
+        subsets.append(tuple(concrete))
     found: list[tuple[tuple[Constraint, ...], Snapshot]] = []
     for subset in subsets:
         w = find_witness(subset, fb.universe, rng=rng, window=fb.window,

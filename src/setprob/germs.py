@@ -699,8 +699,14 @@ def _window_exhaustive(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Ve
     The vectors are listed over the first r - 1 atoms only, the largest
     atom last, and n_r is solved for.  A count form
     k*|m & small| + slack <= |m & big| is linear in the counts and no
-    atom splits its sides, so for each listed prefix m0 it reads
-    coef*n_r <= rhs, with coef = k*[last in small] - [last in big] and
+    atom splits its sides.  A form whose sides miss the last atom
+    settles at the last atom they read: no later atom adds to either
+    side, so its truth on the vectors over the atoms up to that one is
+    its truth on every completion, and the vectors it fails are dropped
+    as soon as that atom's counts are multiplied in.  For each other
+    form (one that reads the last atom, or has no side) and each listed
+    prefix m0 it reads coef*n_r <= rhs, with
+    coef = k*[last in small] - [last in big] and
     rhs = |m0 & big| - k*|m0 & small| - slack: n_r <= floor(rhs / coef)
     when coef is positive, n_r >= ceil(rhs / coef) when it is negative,
     every n_r or none when it is 0 (one Fourier-Motzkin step).  Only the
@@ -737,21 +743,34 @@ def _window_exhaustive(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Ve
     top = n if fb.max_size is None else min(n, fb.max_size - 1)
     atoms = sorted(win.atoms(), key=int.bit_count)  # the largest last
     last = atoms[-1] if atoms else 0
+    # settle[i]: the forms whose sides miss the last atom and whose last
+    # atom read is atoms[i - 1], checked once the first i atoms are
+    # counted; bounds: the rest, with coef, what one state of the last
+    # atom adds to a form's left side less what it adds to its right,
+    # since no atom splits a side
+    settle = [[] for _ in atoms]
+    bounds = []
+    for form in forms:
+        k, slack, small, big = form
+        sides = small | big
+        if sides and not sides & last:
+            settle[1 + max(i for i, atom in enumerate(atoms) if atom & sides)].append(form)
+        else:
+            bounds.append((*form, k * bool(last & small) - bool(last & big)))
     # (representative mask, subsets it stands for), over the atoms before
     # the last one, and (its first c states, C(|atom|, c)) for the last
     vectors = lasts = [(0, 1)]
-    for atom in atoms:
+    for atom, settled in zip(atoms, settle):
         vectors = [(m | f, w * ways) for m, w in vectors for f, ways in lasts]
+        for k, slack, small, big in settled:
+            vectors = [(m, w) for m, w in vectors
+                       if k * (m & small).bit_count() + slack <= (m & big).bit_count()]
         firsts = [0]  # firsts[c]: the first c states of the atom
         while atom:
             low = atom & -atom
             firsts.append(firsts[-1] | low)
             atom ^= low
         lasts = [(f, math.comb(len(firsts) - 1, c)) for c, f in enumerate(firsts)]
-    # coef: what one state of the last atom adds to a form's left side
-    # less what it adds to its right, since no atom splits a side
-    bounds = [(k, slack, small, big, k * bool(last & small) - bool(last & big))
-              for k, slack, small, big in forms]
     size = len(lasts) - 1  # the last atom's
     tally = {True: 0, False: 0, None: 0}  # subsets where it holds, fails, is vacuous
     for m0, w0 in vectors:

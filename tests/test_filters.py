@@ -3,9 +3,10 @@
 import dataclasses
 import random
 from itertools import combinations, islice, product
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from setprob import (
@@ -300,6 +301,97 @@ def test_fip_refutes_before_any_witness_search(monkeypatch):
     fb = ordinal_theorem_base(U, [(M4, E1), (E1, O2)]).with_constraints(pair)
     result = check_fip(fb)
     assert (result.status, result.refuted_subset, searches) == ("refuted", pair, [])
+
+
+FIP_SCAN_CAP = 300
+
+
+def per_subset_fip(fb: FilterBase) -> filters.FipResult:
+    """check_fip written as a scan of every listed subset: each subset
+    of up to FIP_SUBSET_SIZE constraints, and the full set when no listed
+    subset equals it, asked of `_structurally_empty` in turn, then
+    searched in turn."""
+    concrete = expand_base(fb)
+    subsets = []
+    for size in range(1, min(filters.FIP_SUBSET_SIZE, len(concrete)) + 1):
+        subsets.extend(combinations(concrete, size))
+    full = tuple(concrete)
+    if full and full not in subsets:
+        subsets.append(full)
+    for subset in subsets:
+        if filters._structurally_empty(subset, fb.max_size):
+            return filters.FipResult("refuted", refuted_subset=subset)
+    found = []
+    for subset in subsets:
+        w = find_witness(subset, fb.universe, window=fb.window, max_size=fb.max_size,
+                         scan_cap=FIP_SCAN_CAP)
+        if w is None:
+            return filters.FipResult(
+                "unknown", witnesses=tuple(found),
+                note="witness search exhausted its budget on: "
+                + "; ".join(c.describe() for c in subset))
+        found.append((subset, w))
+    return filters.FipResult("witnessed", witnesses=tuple(found))
+
+
+_FIP_POOL = [nat(b) for b in range(8)]
+_FIP_CLASS = st.sampled_from((EVEN, ODD, M4, _A, _B))
+_FIP_CONSTRAINT = st.one_of(
+    st.sampled_from(_FIP_POOL).map(fineness),
+    st.builds(ratio, _FIP_CLASS, _FIP_CLASS, st.integers(1, 2)),
+    st.builds(order_lt, _FIP_CLASS, _FIP_CLASS),
+    st.builds(order_ge, _FIP_CLASS, _FIP_CLASS),
+    st.integers(1, 6).map(min_size),
+    st.builds(subset_bound, st.lists(st.sampled_from(_FIP_POOL), max_size=3),
+              st.integers(-1, 2)),
+)
+
+
+@st.composite
+def fip_bases(draw):
+    """Bases of 1, 3, 4 or 6 distinct constraints: pins, ratio and order
+    forms that may cycle, min_size that may reach the size cap, and
+    subset bounds that may have a cap of 0 or less."""
+    n = draw(st.sampled_from((1, 3, 4, 6)))
+    constraints = draw(st.lists(_FIP_CONSTRAINT, min_size=n, max_size=n, unique=True))
+    max_size = draw(st.one_of(st.none(), st.integers(3, 7)))
+    return FilterBase(tuple(constraints), universe=U, max_size=max_size)
+
+
+def _fip_base(*constraints, max_size=None):
+    return FilterBase(constraints, universe=U, max_size=max_size)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fip_bases())
+# a cycle in the first pair, a refuted single later: the single is named
+@example(_fip_base(ratio(EVEN, ODD, 1), order_lt(ODD, EVEN), fineness(nat(1)),
+                   order_ge(M4, EVEN), fineness(nat(3)), subset_bound([nat(0)], 0)))
+@example(_fip_base(fineness(nat(2)), ratio(EVEN, ODD, 2), order_lt(ODD, EVEN)))
+@example(_fip_base(fineness(nat(2)), order_ge(EVEN, M4), min_size(5),
+                   subset_bound([nat(1)], 1), max_size=5))
+@example(_fip_base(order_lt(M4, M4)))
+@example(_fip_base(fineness(nat(1)), fineness(nat(3)), order_ge(EVEN, M4), min_size(2)))
+def test_fip_scans_singles_and_pairs_as_every_subset(fb):
+    concrete = expand_base(fb)
+    asked = []
+    real = filters._structurally_empty
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(filters, "_structurally_empty",
+                   lambda subset, cap: asked.append(subset) or real(subset, cap))
+        result = check_fip(fb, scan_cap=FIP_SCAN_CAP)
+    assert result == per_subset_fip(fb)
+    n = len(concrete)
+    singles_and_pairs = [s for size in (1, 2) for s in combinations(concrete, size)]
+    if result.status == "refuted":
+        assert asked == singles_and_pairs[:asked.index(result.refuted_subset) + 1]
+    else:
+        assert asked == singles_and_pairs  # n + n*(n - 1)/2 calls
+    if result.status == "witnessed":
+        listed = [subset for subset, _ in result.witnesses]
+        assert listed.count(tuple(concrete)) == 1
+        within = sum(comb(n, size) for size in range(1, min(filters.FIP_SUBSET_SIZE, n) + 1))
+        assert len(listed) == within + (n > filters.FIP_SUBSET_SIZE)
 
 
 def test_structural_refutation_is_sound_on_every_small_snapshot():

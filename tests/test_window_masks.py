@@ -14,16 +14,20 @@ relations of `germs._RELATIONS` must match.
 `compare` evaluates one subset per count vector over the window's atoms
 and weights it by the number of subsets it stands for; the count of
 the last, largest atom is taken only inside the range the count forms
-leave it.  Its evidence is checked against a subset-by-subset count on
-windows of up to 14 states with few classes, where atoms are large, on
-windows whose last atom the forms bound from above (below 0, too) and
-from below, and on a base whose interval constraint makes every state
-an atom.
+leave it, and a form that misses the last atom is checked on the
+partial vectors once the last atom it reads is counted.  Its evidence
+is checked against a subset-by-subset count on windows of up to 14
+states with few classes, where atoms are large, on windows whose last
+atom the forms bound from above (below 0, too) and from below, on
+windows whose pins, small-class ratios and subset bounds settle before
+the last atom (and `docs/examples/window_pinned.json`), and on a base
+whose interval constraint makes every state an atom.
 """
 
 import itertools
 import operator
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -71,8 +75,10 @@ from setprob.filters import (
     constraint_membership,
 )
 from setprob.germs import compile_germ
+from setprob.scenario import build_context, build_germ, load_scenario, run_scenario_data
 
 VACUOUS = (ConditionNull, DivisionUndefined, EmptySnapshot)
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
 
 OU = make_universe(ORDINAL_MODE, 3)
 HU = make_universe(HF_MODE, 4)
@@ -551,6 +557,82 @@ def test_last_atom_range_matches_subset_counts(problem):
     fb, lg, rel, rg = problem
     v = compare(lg, rel, rg, fb, sample_count=0)
     assert_window_evidence(v, *subset_counts(fb, lg, rel, rg))
+
+
+@st.composite
+def settled_form_problems(draw):
+    """Windows of at most 12 states whose largest atom L, more than half
+    the window, no class, pin or bound reads, so the forms whose sides
+    lie in the rest of the window settle before L: fineness pins, ratio
+    and order over small value classes, and subset bounds.  A subset
+    bound whose window misses the window has no side and stays with the
+    bounds on L's count, as do a ratio over L and min_size."""
+    mode = draw(st.sampled_from((ORDINAL_MODE, HF_MODE)))
+    pool = POOLS[mode]
+    size = draw(st.integers(5, 12))
+    window = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size,
+                           unique_by=lambda v: v.code))
+    cut = draw(st.integers(size // 2 + 1, size - 2))
+    bulk, rest = window[:cut], window[cut:]
+    near = st.sampled_from(rest)
+    outside = st.sampled_from([v for v in pool if v not in window])
+    classes = [class_from_values(name, draw(st.lists(near, max_size=len(rest))))
+               for name in ("A", "B", "C")]
+    cls = st.sampled_from(classes)
+    whole = class_from_values("L", bulk)
+    extras = {
+        "pin": near.map(fineness),
+        "ratio": st.builds(ratio, cls, cls, st.integers(1, 3)),
+        "order_lt": st.builds(order_lt, cls, cls),
+        "order_ge": st.builds(order_ge, cls, cls),
+        "bound": st.builds(subset_bound, st.lists(st.one_of(near, outside), max_size=4),
+                           st.integers(0, 3)),
+        "bound_outside": st.builds(subset_bound, st.lists(outside, max_size=3),
+                                   st.integers(0, 2)),
+        "ratio_over_L": st.builds(ratio, cls, st.just(whole), st.integers(1, 2)),
+        "min_size": st.integers(1, 4).map(min_size),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(extras)), min_size=1, max_size=4))
+    constraints = [draw(extras[name]) for name in names]
+    ident = identity_rv()
+    event = st.sampled_from([whole] + classes).map(lambda c: germ_of_event(ident, c))
+    lg = draw(st.one_of(event, st.builds(germ_arith, st.sampled_from(("+", "-", "*")),
+                                         event, event)))
+    rg = draw(st.one_of(event, st.fractions(min_value=0, max_value=1,
+                                            max_denominator=4).map(const_germ)))
+    max_size = draw(st.one_of(st.none(), st.integers(2, size)))
+    fb = FilterBase(tuple(constraints), universe=OU if mode == ORDINAL_MODE else HU,
+                    window=tuple(window), max_size=max_size)
+    return fb, lg, draw(st.sampled_from(sorted(RELATIONS))), rg
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(settled_form_problems())
+def test_forms_settled_before_the_last_atom_match_subset_counts(problem):
+    fb, lg, rel, rg = problem
+    v = compare(lg, rel, rg, fb, sample_count=0)
+    assert_window_evidence(v, *subset_counts(fb, lg, rel, rg))
+
+
+def test_pinned_window_example_matches_plain_enumeration():
+    # Two pins and a ratio over value classes of 14 naturals read none
+    # of the naturals 4-9, where the largest atom lies, so all three
+    # settle before it.  Each compare's status, worked out here subset
+    # by subset, is the one the example expects.
+    data = load_scenario(str(EXAMPLES / "window_pinned.json"))
+    ctx = build_context(data)
+    report = run_scenario_data(data)
+    assert report["ok"] is True
+    for q, record in zip(data["queries"], report["queries"]):
+        lg, rg = build_germ(ctx, q["lhs"]), build_germ(ctx, q["rhs"])
+        holds, fails, vacuous = subset_counts(ctx.base, lg, q["rel"], rg)
+        status = FORCED if not fails else FORCED_NOT if not holds else UNDETERMINED
+        assert holds or fails
+        assert status == q["expect_status"]
+        assert (record["verdict"]["status"], record["verdict"]["rule"]) == \
+            (status, "window-exhaustive")
+        v = compare(lg, q["rel"], rg, ctx.base, sample_count=0)
+        assert_window_evidence(v, holds, fails, vacuous)
 
 
 def test_interval_counts_subset_by_subset():
