@@ -626,7 +626,11 @@ def check_fip(fb: FilterBase, rng: random.Random | None = None,
     `_structurally_empty` refutes a subset only through one of its
     constraints alone or one pair of them, and the singles and pairs
     come first, so only they are asked: the first refuted single, else
-    the first refuted pair, is the first refuted subset."""
+    the first refuted pair, is the first refuted subset.  A subset of
+    fineness pins and subset_bound caps with a pin has nothing to
+    repair, so its search is answered from its pins by
+    `constraint_membership`; its tally and count sides are built only
+    on a seeded run (`_Search`)."""
     concrete = expand_base(fb)
     for size in (1, 2):
         for subset in itertools.combinations(concrete, size):
@@ -975,18 +979,21 @@ class _Search:
     universe, window, max_size and scan_cap of a `find_witness` call.
 
     One pass over the constraints gives the pins, the grown and padded
-    forms in repair order and whether an ordinal-only tag is present; the
-    sides each attempt's `_Tally` counts, with the interval parameter and
-    their per-state memo, are built here too.  Only a search with a grown
-    form builds what growth reads: the touch tests of run closure and
-    the grown sides padding avoids.  The decoration index (`positions`)
-    is built once, on first use.  Every draw and decision of a call is
-    made in `run`, so a search run again draws as a fresh one would.  A
-    run with no rng draws nothing, so `plain` keeps its result.  With no
-    grown or padded form, the repair loop of an attempt (`_repair`)
-    draws nothing either, so the tally it reaches is settled here, as
-    `settled` (else None): a seeded attempt starts from a copy, and a run
-    with no rng reads it in place.
+    forms in repair order and whether an ordinal-only tag is present.  A
+    search with nothing to repair, whose constraints are fineness pins
+    (one at least) and subset_bound caps alone, is `decided`: its run
+    with no rng is answered from the pins by `constraint_membership`,
+    with no tally.  The rest is built on first use: the sides each
+    attempt's `_Tally` counts, with the interval parameter and their
+    per-state memo (`sides`), the settled tally, what growth reads, and
+    the decoration index (`positions`); so a decided search builds its
+    tally and count sides only on a seeded run.  Every draw and decision
+    of a call is made in `run`, so a search run again draws as a fresh
+    one would.  A run with no rng draws nothing, so `plain` keeps its
+    result.  With no grown or padded form, the repair loop of an attempt
+    (`_repair`) draws nothing either, so the tally it reaches is kept,
+    as `settled` (else None): a seeded attempt starts from a copy, and a
+    run with no rng reads it in place.
     """
 
     def __init__(self, cs: tuple[Constraint, ...], universe: UniverseHandle | None,
@@ -1016,27 +1023,44 @@ class _Search:
         # a pin outside the window leaves nothing to find
         self.barred = window is not None and bool(self.pins) and \
             not {p.code for p in self.pins} <= {v.code for v in window}
-        self.sides = _Sides(cs)
-        self.interval_c = self.sides.limit or 0
-        if self.grown:
-            # growth inside these classes needs compensation elsewhere, so
-            # the interval machinery steers closures away from them
-            self.closing = _touch_test([f.small for f in self.grown])
-            self.grown_sides = frozenset(cls for f in self.grown for cls in (f.small, f.big))
-            # one memoised run-closure test per class a repair grows around
-            self.touch_tests = {f.small: _touch_test([f.small]) for f in self.grown}
-            # each class a repair grows: its window states, or its memo
-            self.candidates = {
-                f.big: f.big.memo.reader if window is None else
+        # pins and subset caps alone: nothing to repair (`run`)
+        self.decided = bool(self.pins) and not (grown or padded or ordinal_only)
+        self._plain = _UNRUN
+
+    @cached_property
+    def sides(self) -> _Sides:
+        return _Sides(self.cs)
+
+    @cached_property
+    def settled(self) -> _Tally | None:
+        """With no grown or padded form the repair loop draws nothing, so
+        every attempt reaches this tally, the pins and their run closure;
+        else None."""
+        return None if self.grown or self.padded else self._repair(None)
+
+    # What growth reads.  Growth inside the grown classes needs
+    # compensation elsewhere, so run closure steers away from them
+    # (`closing`) and padding keeps clear of them; each class a repair
+    # grows around has one memoised run-closure test, and each class it
+    # grows its window states or its memo as candidates.
+    @cached_property
+    def closing(self) -> Callable[[int, int], bool] | None:
+        return _touch_test([f.small for f in self.grown]) if self.grown else None
+
+    @cached_property
+    def grown_sides(self) -> frozenset:
+        return frozenset(cls for f in self.grown for cls in (f.small, f.big))
+
+    @cached_property
+    def touch_tests(self) -> dict[ClassSpec, Callable[[int, int], bool]]:
+        return {f.small: _touch_test([f.small]) for f in self.grown}
+
+    @cached_property
+    def candidates(self) -> dict[ClassSpec, Callable[[], Callable[[int], list]]]:
+        window = self.window
+        return {f.big: f.big.memo.reader if window is None else
                 partial(_listed, [v for v in window if f.big.membership(v)])
                 for f in self.grown}
-        else:
-            self.closing, self.grown_sides = None, frozenset()
-            self.touch_tests, self.candidates = {}, {}
-        self._plain = _UNRUN
-        # with no grown or padded form the repair loop draws nothing, so
-        # every attempt reaches this tally, the pins and their run closure
-        self.settled = None if self.grown or self.padded else self._repair(None)
 
     def avoids(self, s: SetValue) -> bool:
         """Whether s counts in a side of a grown form, which padding keeps
@@ -1085,7 +1109,7 @@ class _Search:
         # First pass insists the candidate's run can close without
         # touching the small class; the fallback drops that demand and
         # leaves the spill to the next repair round.
-        small, big, interval_c = form.small, form.big, self.interval_c
+        small, big, interval_c = form.small, form.big, self.sides.limit or 0
         touches, placed = self.touch_tests[small], states.states
         for strict in (True, False):
             scanned = 0
@@ -1142,6 +1166,7 @@ class _Search:
         every later round would repeat it; a seeded round draws, so the
         next one may not."""
         max_size, scan_cap = self.max_size, self.scan_cap
+        interval_c = self.sides.limit or 0
         states = _Tally(self.sides, self.pins)
         placed = states.states
         for _ in range(10):
@@ -1150,8 +1175,8 @@ class _Search:
                 deficit = states.excess(form)
                 if deficit > 0:
                     self._grow(states, form, deficit, rng)
-            if self.interval_c:
-                _close_intervals(states, self.interval_c, self.closing)
+            if interval_c:
+                _close_intervals(states, interval_c, self.closing)
             for form in self.padded:
                 deficit = states.excess(form)
                 if deficit > 0:
@@ -1174,13 +1199,24 @@ class _Search:
         """The attempts of one `find_witness` call: each repairs (`_repair`,
         or starts from `settled` when that draws nothing), seeds one state
         if the empty set satisfies everything, and decorates what it
-        found.  With no rng there is one attempt, since a restart would
-        repeat it, and it reads a non-empty `settled` in place: seeding
-        needs an empty tally and decoration an rng, so nothing adds to
-        it.  A seeded attempt, or one from an empty tally, takes a copy."""
+        found.  With no rng a decided search returns the pins' Snapshot
+        if every pin is in the window, it is below max_size and lies in
+        every constraint by `constraint_membership`, else None.  Any
+        other search then makes one attempt, since a restart would repeat
+        it, and it reads a non-empty `settled` in place: seeding needs an
+        empty tally and decoration an rng, so nothing adds to it.  A
+        seeded attempt, or one from an empty tally, takes a copy."""
         if self.barred:
             return None
-        max_size, scan_cap, settled = self.max_size, self.scan_cap, self.settled
+        max_size, scan_cap = self.max_size, self.scan_cap
+        if rng is None and self.decided:
+            # no attempt adds to the pins, so they are the one candidate
+            found = Snapshot(self.pins)
+            if (max_size is None or len(found) < max_size) and \
+                    all(constraint_membership(c, found, self.mode) for c in self.cs):
+                return found
+            return None
+        settled = self.settled
         for attempt in range(4):
             if settled is None:
                 states = self._repair(rng)
@@ -1259,7 +1295,12 @@ def find_witness(
     prepare theirs once.  A call with no rng draws nothing and returns
     the search's kept result (`plain`), found in one attempt whose repair
     loop ends at the first round that adds no state; a seeded call runs
-    the search, drawing as a fresh one would.
+    the search, drawing as a fresh one would.  A search with nothing to
+    repair, fineness pins (one at least) and subset_bound caps alone, is
+    answered with no rng from its pins: their Snapshot if each pin is in
+    the window, it is below `max_size` and `constraint_membership` puts
+    it in every constraint, else None.  Its tally and count sides are
+    built only on a seeded run.
     Each attempt keeps its states in a `_Tally`; the Snapshot is built
     once, on return, and checked by `_verified`.  A search with no
     ratio, order, weight or min_size form makes its first draw after the

@@ -149,10 +149,11 @@ def compile_germ(g: Germ, t: Snapshot) -> Callable[[int], _Pair]:
     per state however many nodes or subsets mention it.  Event, joint
     and conditional frequencies are bit counts over the mask; an indexed
     star_sum adds a term only when its index state's bit is set.  The
-    errors and their texts are those of `snapshot_prob`,
-    `joint_snapshot_prob` and `conditional_snapshot_prob`, and operands
-    are evaluated left to right, so a snapshot with no value raises what
-    the node-by-node definition raises there.
+    errors and their texts are those of the frequencies counted state by
+    state (`snapshot_prob`, and the joint and conditional shares, which
+    raise ConditionNull for a condition no state meets), and operands are
+    evaluated left to right, so a snapshot with no value raises what the
+    node-by-node definition raises there.
     """
     node = g.node
     if node == NODE_CONST:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .errors import ConditionNull, EmptySnapshot
+from .errors import EmptySnapshot
 from .universe import ClassSpec, RandomVariable, SetValue, canonical
 
 
@@ -155,42 +155,3 @@ def snapshot_prob(rv: RandomVariable, cls: ClassSpec, t: Snapshot) -> Fraction:
         raise EmptySnapshot("probability over an empty snapshot")
     hits = sum(1 for s in t if cls.membership(rv(s)))
     return Fraction(hits, len(t))
-
-
-def joint_snapshot_prob(
-    rv1: RandomVariable,
-    cls1: ClassSpec,
-    rv2: RandomVariable,
-    cls2: ClassSpec,
-    t: Snapshot,
-) -> Fraction:
-    """Fraction of states landing in both events simultaneously."""
-    if len(t) == 0:
-        raise EmptySnapshot("probability over an empty snapshot")
-    hits = sum(
-        1 for s in t if cls1.membership(rv1(s)) and cls2.membership(rv2(s))
-    )
-    return Fraction(hits, len(t))
-
-
-def conditional_snapshot_prob(
-    rv1: RandomVariable,
-    cls1: ClassSpec,
-    rv2: RandomVariable,
-    cls2: ClassSpec,
-    t: Snapshot,
-) -> Fraction:
-    """Joint probability over the condition's probability.
-
-    Raises ConditionNull when no state of `t` satisfies the condition;
-    there is no convention value for 0/0 here.
-    """
-    if len(t) == 0:
-        raise EmptySnapshot("probability over an empty snapshot")
-    cond = sum(1 for s in t if cls2.membership(rv2(s)))
-    if cond == 0:
-        raise ConditionNull(f"condition {cls2.name} has no states in the snapshot")
-    both = sum(
-        1 for s in t if cls1.membership(rv1(s)) and cls2.membership(rv2(s))
-    )
-    return Fraction(both, cond)

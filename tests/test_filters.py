@@ -566,10 +566,11 @@ def test_the_least_recently_used_search_is_dropped_past_the_cap(counted_searches
 
 
 def test_a_search_that_raises_raises_on_every_call(counted_searches, monkeypatch):
-    # the search is kept, but not its result: each call runs it again
+    # the search is kept, but not its result: each call runs it again;
+    # min_size gives it a form to repair, so its run builds a tally
     prepared, runs = counted_searches
     monkeypatch.setattr(filters._Tally, "satisfied", lambda self: True)
-    cs = [fineness(nat(0)), subset_bound([nat(0)], 1)]
+    cs = [fineness(nat(0)), subset_bound([nat(0)], 1), min_size(1)]
     for _ in range(2):
         with pytest.raises(ConstructionFailed, match="outside subset_bound"):
             find_witness(cs, U)
@@ -870,8 +871,9 @@ def test_a_reused_search_leaks_nothing(data):
 
 def test_returned_witness_is_checked_against_every_constraint(monkeypatch):
     # No repair meets a subset_bound, so only a faulty tally could claim
-    # this snapshot; the check on return must refuse it.
-    cs = [fineness(nat(0)), subset_bound([nat(0)], 1)]
+    # this snapshot; the check on return must refuse it.  min_size gives
+    # the search a form to repair, so its run builds a tally.
+    cs = [fineness(nat(0)), subset_bound([nat(0)], 1), min_size(1)]
     assert find_witness(cs, U) is None
     monkeypatch.setattr(filters._Tally, "satisfied", lambda self: True)
     filters._prepared.cache_clear()
@@ -1042,7 +1044,7 @@ def test_a_drawless_search_at_max_size_makes_one_attempt(counted_searches, monke
                         lambda self: copies.append(self) or copy(self))
     pins = [fineness(xs[0]), fineness(xs[1])]
     assert find_witness(pins, u, window=xs, max_size=2) is None
-    assert (len(repairs), len(copies)) == (1, 0)  # settled, then read in place
+    assert (len(repairs), len(copies)) == (0, 0)  # decided from the pins
     repairs.clear()
     assert find_witness(pins + [min_size(1)], u, window=xs, max_size=2) is None
     assert (len(repairs), len(copies)) == (1, 0)  # nothing settled: one repair
@@ -1061,6 +1063,60 @@ def test_a_drawless_repair_ends_at_its_fixed_point(monkeypatch):
                         lambda self: calls.append(self) or satisfied(self))
     assert search._repair(None).states == {a, b}
     assert len(calls) == 1
+
+
+# Lists of fineness pins and subset caps over the first 12 states of an
+# ordinal and an HF universe: a pin may lie outside the window or repeat.
+_CAPPED_STATES = {u: list(islice(u.enumerate_universe(), 12))
+                  for u in (make_universe(ORDINAL_MODE, 2), HF)}
+
+
+@st.composite
+def pins_and_caps(draw):
+    u = draw(st.sampled_from(list(_CAPPED_STATES)))
+    state = st.sampled_from(_CAPPED_STATES[u])
+    cap = st.builds(subset_bound, st.lists(state, min_size=1, max_size=4),
+                    st.integers(0, 3))
+    cs = draw(st.lists(state.map(fineness) | cap, min_size=1, max_size=5))
+    window = draw(st.none() | st.lists(state, min_size=3, max_size=10, unique=True))
+    return cs, u, window, draw(st.none() | st.integers(1, 4))
+
+
+def _tally_answer(search):
+    """The run with no rng as a tally gives it: the repair loop's tally
+    from the pins, one state seeded if it is empty and the empty set
+    satisfies every constraint, and its Snapshot if satisfied and below
+    max_size."""
+    if search.barred:
+        return None
+    tally = search._repair(None)
+    placed = tally.states
+    if not placed and tally.satisfied():
+        for cand in islice(search._pad_stream(tally, None), search.scan_cap):
+            if tally.admit(cand):
+                break
+    if placed and tally.satisfied() and \
+            (search.max_size is None or len(placed) < search.max_size):
+        return Snapshot(placed)
+    return None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pins_and_caps())
+def test_pins_and_caps_are_decided_as_a_tally_decides_them(problem):
+    cs, u, window, max_size = problem
+    got = find_witness(cs, u, window=window, max_size=max_size)
+    search = filters._Search(tuple(cs), u, None if window is None else tuple(window),
+                             max_size, filters.SCAN_CAP)
+    assert got == _tally_answer(search)
+    pins = [c.x for c in cs if c.tag == filters.TAG_FINENESS]
+    assert search.decided == bool(pins)  # a pin-free list seeds a state
+    if pins:
+        t = snapshot(*pins)
+        fits = (window is None or all(p in window for p in pins)) and \
+            (max_size is None or len(t) < max_size) and \
+            all(constraint_membership(c, t, u.mode) for c in cs)
+        assert got == (t if fits else None)
 
 
 def test_a_seeded_repair_goes_on_after_a_round_that_adds_nothing(monkeypatch):
@@ -1245,7 +1301,7 @@ def test_ordinal_witness_rejects_bad_inputs():
 
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
        st.sets(st.integers(0, 40), max_size=3))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25, deadline=None, derandomize=True)
 def test_ordinal_witness_property(k, l, m, pinset):
     pins = [nat(i) for i in sorted(pinset)]
     w = ordinal_witness(U, pins, k=k, l=l, m=m)

@@ -12,10 +12,8 @@ from setprob import (
     ORDINAL_MODE,
     Snapshot,
     class_from_values,
-    conditional_snapshot_prob,
     even_shift_permutation,
     identity_rv,
-    joint_snapshot_prob,
     make_universe,
     nat,
     ord_value,
@@ -29,6 +27,8 @@ from setprob.errors import ConditionNull, EmptySnapshot
 from setprob.filters import fineness_base, subset_bound
 from setprob.germs import germ_of_event
 from setprob.universe import canonical, hf_set, parse_code, table_rv
+
+from oracle import conditional_snapshot_prob, joint_snapshot_prob
 
 IDENT = identity_rv()
 

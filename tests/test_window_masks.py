@@ -7,9 +7,10 @@ is compiled once (`compile_germ`) into a function returning an exact
 (numerator, denominator) int pair.  These tests hold all three equal, on
 every subset of random windows, to the snapshot-level definitions:
 `constraint_membership` on the built Snapshot, and a germ evaluator
-written here from the public `snapshot_prob`, `joint_snapshot_prob` and
-`conditional_snapshot_prob`, whose `Fraction` relations the pair
-relations of `germs._RELATIONS` must match.
+written here from the public `snapshot_prob` and the state-by-state
+`joint_snapshot_prob` and `conditional_snapshot_prob` of `oracle.py`,
+whose `Fraction` relations the pair relations of `germs._RELATIONS`
+must match.
 
 `compare` evaluates one subset per count vector over the window's atoms
 and weights it by the number of subsets it stands for; the count of
@@ -46,7 +47,6 @@ from setprob import (
     class_from_values,
     compare,
     conditional_germ,
-    conditional_snapshot_prob,
     const_germ,
     even_shift_permutation,
     fineness,
@@ -55,7 +55,6 @@ from setprob import (
     identity_rv,
     interval,
     joint_germ,
-    joint_snapshot_prob,
     make_universe,
     min_size,
     order_ge,
@@ -76,6 +75,8 @@ from setprob.filters import (
 )
 from setprob.germs import compile_germ
 from setprob.scenario import build_context, build_germ, load_scenario, run_scenario_data
+
+from oracle import conditional_snapshot_prob, joint_snapshot_prob
 
 VACUOUS = (ConditionNull, DivisionUndefined, EmptySnapshot)
 EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
