@@ -149,7 +149,9 @@ def _map_constraint(c: Constraint, window_codes: set[str]) -> Constraint | None:
         return c if c.x.code in window_codes else None
     if c.tag == TAG_SUBSET_BOUND:
         inner = tuple(v for v in c.window if v.code in window_codes)
-        return subset_bound(inner, c.param)
+        # an untrimmed bound stays the parent's object, so the keys of
+        # kept searches meet it by identity, not field by field
+        return c if len(inner) == len(c.window) else subset_bound(inner, c.param)
     return c
 
 

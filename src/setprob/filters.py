@@ -31,6 +31,7 @@ from .errors import (
 )
 from .snapshots import Snapshot
 from .universe import (
+    _CLEARS,
     HF_MODE,
     KIND_ORD,
     ORDINAL_MODE,
@@ -1251,6 +1252,9 @@ def _prepared(cs: tuple[Constraint, ...], universe: UniverseHandle | None,
     """The prepared search of these inputs, kept while among the last
     `SEARCH_TABLE_CAP` used; the cache compares inputs by value."""
     return _Search(cs, universe, window, max_size, scan_cap)
+
+
+_CLEARS.append(_prepared.cache_clear)  # emptied by universe.clear_caches
 
 
 def find_witness(

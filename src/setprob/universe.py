@@ -903,7 +903,9 @@ class UniverseHandle:
     touches them, so repeated candidate pools reuse the same values;
     states past the cap are rebuilt by every walk that reaches them.
     Each builtin class is built once per handle, so every caller that
-    asks for it gets one object.
+    asks for it gets one object.  `make_universe` gives one handle per
+    (mode, bound), so the memos and builtins are shared by every caller
+    of that universe until `clear_caches`.
     """
 
     __slots__ = ("mode", "bound", "_by_rank", "_states", "_builtins")
@@ -1083,8 +1085,11 @@ class UniverseHandle:
         ))
 
 
+@functools.lru_cache(maxsize=64)
 def make_universe(mode: str, bound: int) -> UniverseHandle:
-    """Configure a universe.
+    """The universe of this mode and bound: one handle per (mode, bound),
+    kept until `clear_caches` (or until 64 others were asked for since),
+    so its state memo and builtin classes are shared by every caller.
 
     HF mode enumerates V_bound and needs bound >= 3 for any interesting
     structure.  Ordinal mode covers ordinals below w*bound; bound >= 1,
@@ -1097,3 +1102,21 @@ def make_universe(mode: str, bound: int) -> UniverseHandle:
     if mode == ORDINAL_MODE and bound < 1:
         raise BoundTooSmall(f"ordinal universe needs bound >= 1, got {bound}")
     return UniverseHandle(mode, bound)
+
+
+# The clear functions `clear_caches` runs: this module's interning tables,
+# rank cache and shared handles; modules with process-wide tables of their
+# own append theirs at import.  `_PADS` is left out: its items are the
+# same in every process, and readers hold its list.
+_CLEARS: list[Callable[[], None]] = [
+    ord_value.cache_clear, pad.cache_clear, parse_code.cache_clear,
+    _SETS.clear, _RANK_CACHE.clear, make_universe.cache_clear,
+]
+
+
+def clear_caches() -> None:
+    """Empty every process-wide table: the next `make_universe` builds a
+    new handle, with new builtin classes, and values are interned anew
+    (an old value still equals its twin, since equality goes by code)."""
+    for clear in _CLEARS:
+        clear()

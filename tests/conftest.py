@@ -3,6 +3,7 @@
 import pytest
 
 from setprob import HF_MODE, ORDINAL_MODE, filters, make_universe
+from setprob.universe import clear_caches
 
 # Populated by tests/test_acceptance.py: criterion number -> (label, passed).
 ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}
@@ -19,9 +20,19 @@ def hf_universe():
 
 
 @pytest.fixture
-def counted_searches(monkeypatch):
-    """Empty the table of kept searches, on entry and on exit; give the
-    inputs of the searches prepared and of the runs made in between."""
+def fresh_caches():
+    """Empty the process-wide caches (`universe.clear_caches`) on entry and
+    on exit: the test meets new handles, interning tables and kept
+    searches, and leaves none of its own behind."""
+    clear_caches()
+    yield
+    clear_caches()
+
+
+@pytest.fixture
+def counted_searches(monkeypatch, fresh_caches):
+    """Give the inputs of the searches prepared and of the runs made
+    while the test runs, from emptied caches (`fresh_caches`)."""
     prepared, runs = [], []
 
     class Counted(filters._Search):
@@ -34,9 +45,7 @@ def counted_searches(monkeypatch):
             return super().run(rng, decorate)
 
     monkeypatch.setattr(filters, "_Search", Counted)
-    filters._prepared.cache_clear()
-    yield prepared, runs
-    filters._prepared.cache_clear()
+    return prepared, runs
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

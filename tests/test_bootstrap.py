@@ -32,7 +32,7 @@ from setprob import (
     snapshot,
     subset_bound,
 )
-from setprob import filters
+from setprob.universe import clear_caches
 from setprob.bootstrap import AUDIT_SAMPLES, CoherenceLevel, audit_restricted_base
 from setprob.errors import ConditionNull, MissingSubsetBound
 
@@ -118,7 +118,7 @@ def test_restriction_audit_asks_each_pinned_sample_once(counted_searches):
     restricted, _ = restrict_base(_licensed_base(WIN[:6], 4), WIN[:6], 4)
 
     def from_empty_table(step):
-        filters._prepared.cache_clear()
+        clear_caches()
         prepared.clear()
         return step(restricted), len(prepared)
 

@@ -57,7 +57,7 @@ from setprob.cli import registry_classes
 from setprob.errors import ConstructionFailed, EnumerationExhausted, WrongMode
 from setprob import filters
 from setprob.filters import state_pool
-from setprob.universe import PREFIX_MEMO_CAP, SetValue
+from setprob.universe import PREFIX_MEMO_CAP, SetValue, clear_caches
 
 U = make_universe(ORDINAL_MODE, 3)
 HF = make_universe(HF_MODE, 5)
@@ -164,8 +164,8 @@ def test_state_pool_window_wins_and_limit_cuts_the_universe():
 # the checks of the deleted `UniverseHandle.prefix` on that one reader.
 @pytest.mark.parametrize("n", [0, 1, 120, PREFIX_MEMO_CAP])
 @pytest.mark.parametrize("mode, bound", [(ORDINAL_MODE, 3), (HF_MODE, 5)])
-def test_prefix_is_the_start_of_the_enumeration(mode, bound, n):
-    u = make_universe(mode, bound)  # a fresh memo, grown by the pool itself
+def test_prefix_is_the_start_of_the_enumeration(mode, bound, n, fresh_caches):
+    u = make_universe(mode, bound)  # a new handle, its memo grown by the pool itself
     got = list(state_pool(u, None, n))
     assert got == list(islice(u._walk(), n))
     assert len(got) == n
@@ -869,14 +869,14 @@ def test_a_reused_search_leaks_nothing(data):
             assert all(set(base) <= set(w) for w in got[len(want):])
 
 
-def test_returned_witness_is_checked_against_every_constraint(monkeypatch):
+def test_returned_witness_is_checked_against_every_constraint(monkeypatch, fresh_caches):
     # No repair meets a subset_bound, so only a faulty tally could claim
     # this snapshot; the check on return must refuse it.  min_size gives
     # the search a form to repair, so its run builds a tally.
     cs = [fineness(nat(0)), subset_bound([nat(0)], 1), min_size(1)]
     assert find_witness(cs, U) is None
     monkeypatch.setattr(filters._Tally, "satisfied", lambda self: True)
-    filters._prepared.cache_clear()
+    clear_caches()
     with pytest.raises(ConstructionFailed, match="outside subset_bound"):
         find_witness(cs, U)
 
@@ -998,8 +998,7 @@ def _drawless_witnesses():
     return interval_run, (witness_codes(t), rng.getrandbits(32))
 
 
-def test_drawless_seeded_witnesses_are_pinned():
-    filters._prepared.cache_clear()
+def test_drawless_seeded_witnesses_are_pinned(fresh_caches):
     for _ in range(2):  # prepared, then kept
         assert _drawless_witnesses() == (INTERVAL_WITNESSES, LONE_PIN_WITNESS)
 

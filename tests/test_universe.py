@@ -19,6 +19,8 @@ from setprob import (
     class_from_values,
     class_of_set,
     even_shift_permutation,
+    find_witness,
+    fineness,
     finite_subsets_class,
     hf_set,
     identity_rv,
@@ -35,7 +37,7 @@ from setprob import (
     table_rv,
     translate_class,
 )
-from setprob import universe
+from setprob import filters, universe
 from setprob.errors import BoundTooSmall, EnumerationExhausted, WrongMode
 from setprob.universe import _RANK_CACHE, KIND_ORD, PREFIX_MEMO_CAP, SetValue
 
@@ -63,16 +65,9 @@ def test_value_kind_flags():
         pad(-1)
 
 
-def _clear_interning():
-    for interned in (ord_value, pad, parse_code):
-        interned.cache_clear()
-    universe._SETS.clear()
-
-
-def test_ordinals_and_pads_are_interned():
+def test_ordinals_and_pads_are_interned(fresh_caches):
     # one object per code, however the value is reached, while no table
     # has evicted it (the tables evict apart, so other tests' values go)
-    _clear_interning()
     assert ord_value(2, 5) is ord_value(2, 5)
     assert nat(4) is ord_value(0, 4)
     assert pad(3) is pad(3)
@@ -88,11 +83,10 @@ def test_ordinals_and_pads_are_interned():
         ord_value(0, -1)
 
 
-def test_threads_sharing_the_set_table_build_equal_sets(monkeypatch):
+def test_threads_sharing_the_set_table_build_equal_sets(monkeypatch, fresh_caches):
     # a small cap empties the table while other threads read and fill it;
     # the table starts empty, so the sets built here fill it past the cap
     # whatever earlier tests left in it
-    monkeypatch.setattr(universe, "_SETS", {})
     monkeypatch.setattr(universe, "INTERN_CAP", 8)
     states = list(make_universe(HF_MODE, 4).enumerate_universe())
     errors = []
@@ -143,6 +137,7 @@ def test_parse_code_round_trip(code):
     assert parse_code(code).code == code
 
 
+@settings(derandomize=True)
 @given(st.integers(0, 5), st.integers(0, 40))
 def test_ordinal_code_round_trip(a, b):
     v = ord_value(a, b)
@@ -157,12 +152,13 @@ def _values(depth):
     return st.one_of(atoms, st.lists(_values(depth - 1), max_size=3).map(hf_set))
 
 
+@settings(derandomize=True)
 @given(_values(3))
 def test_codes_round_trip_through_cleared_tables(v):
     # an evicted value is rebuilt equal to its twin, with the same code
     for clear in (False, True):
         if clear:
-            _clear_interning()
+            universe.clear_caches()
         got = parse_code(v.code)
         assert got == v and got.code == v.code
 
@@ -296,17 +292,18 @@ def codes(states):
 
 @pytest.mark.parametrize("mode,bound", [(HF_MODE, 3), (HF_MODE, 4), (HF_MODE, 5),
                                         (ORDINAL_MODE, 1), (ORDINAL_MODE, 3)])
-def test_memoized_enumeration_matches_a_fresh_handle(mode, bound):
+def test_memoized_enumeration_matches_a_fresh_handle(mode, bound, fresh_caches):
     used = make_universe(mode, bound)
     list(itertools.islice(used.enumerate_universe(), 100))
     list(itertools.islice(used.enumerate_universe(), 5000))
     head = codes(itertools.islice(used.enumerate_universe(), 5000))
+    universe.clear_caches()
     fresh = make_universe(mode, bound)
     assert head == codes(itertools.islice(fresh.enumerate_universe(), 5000))
     assert len(head) == (min(5000, level_size(bound)) if mode == HF_MODE else 5000)
 
 
-def test_interleaved_enumerations_agree():
+def test_interleaved_enumerations_agree(fresh_caches):
     u = make_universe(ORDINAL_MODE, 3)
     first, second = u.enumerate_universe(), u.enumerate_universe()
     a, b = [], []
@@ -316,12 +313,14 @@ def test_interleaved_enumerations_agree():
         b.append(next(second).code)
         a.append(next(first).code)
     assert a == b
+    universe.clear_caches()
     fresh = make_universe(ORDINAL_MODE, 3)
     assert a == codes(itertools.islice(fresh.enumerate_universe(), 10000))
 
 
-def test_threads_sharing_a_handle_see_one_enumeration():
+def test_threads_sharing_a_handle_see_one_enumeration(fresh_caches):
     u = make_universe(HF_MODE, 5)
+    universe.clear_caches()  # u's memo stays empty until the threads walk it
     fresh = make_universe(HF_MODE, 5)
     expected = codes(itertools.islice(fresh.enumerate_universe(), 5000))
     results, errors = [], []
@@ -424,7 +423,7 @@ def _fresh_distinct(cls, excl, n):
 
 @pytest.mark.parametrize("cap", [PREFIX_MEMO_CAP, 8, 3])
 @pytest.mark.parametrize("kind", sorted(_memo_classes()))
-def test_class_enumeration_is_a_fresh_distinct_walk(kind, cap, monkeypatch):
+def test_class_enumeration_is_a_fresh_distinct_walk(kind, cap, monkeypatch, fresh_caches):
     cls, n, ends = _memo_classes()[kind]
     head = _fresh_distinct(cls, (), n + 2)
     excl = [parse_code(head[1]), parse_code(head[-1]), pad(0)]
@@ -439,6 +438,7 @@ def test_class_enumeration_is_a_fresh_distinct_walk(kind, cap, monkeypatch):
     # the memo keeps what was read, and no more
     assert codes(cls.memo.items) == head
     # a class first read under the small cap keeps no more than the cap
+    universe.clear_caches()  # a new handle, with new builtins
     fresh = _memo_classes()[kind][0]
     assert codes(itertools.islice(fresh.enumerate(), n)) == head[:n]
     assert codes(fresh.memo.reader()(n + 2)) == head
@@ -448,7 +448,7 @@ def test_class_enumeration_is_a_fresh_distinct_walk(kind, cap, monkeypatch):
         assert cls.memo.reader()(n) == list(cls.enumerate())
 
 
-def test_a_class_memo_is_made_once_and_kept():
+def test_a_class_memo_is_made_once_and_kept(fresh_caches):
     u = make_universe(ORDINAL_MODE, 3)
     cls = u.builtin_class("Odd")
     assert cls._memo is None  # nothing read yet
@@ -552,6 +552,7 @@ def test_tier_order_chain():
         assert t <= t and t >= t and not (t < t or t > t)
 
 
+@settings(derandomize=True)
 @given(
     st.sampled_from(["finite", "tier", "proper"]),
     st.integers(0, 9),
@@ -638,7 +639,8 @@ def test_a_class_lies_inside_itself_not_inside_its_namesake(ord_universe):
     assert a != twin and len({a, twin}) == 2
 
 
-def test_shared_variables_and_builtins_are_one_object(ord_universe, hf_universe):
+def test_shared_variables_and_builtins_are_one_object(ord_universe, hf_universe,
+                                                      fresh_caches):
     assert identity_rv() is identity_rv()
     assert even_shift_permutation() is even_shift_permutation()
     even = ord_universe.builtin_class("Even")
@@ -646,8 +648,34 @@ def test_shared_variables_and_builtins_are_one_object(ord_universe, hf_universe)
     assert ord_universe.builtin_class("V") is ord_universe.universe_class()
     assert hf_universe.builtin_class("RankLevel", k=1) is hf_universe.rank_level_class(1)
     assert hf_universe.rank_level_class(1) is not hf_universe.rank_level_class(2)
-    # one object per handle: another handle builds its own
+    # one handle per (mode, bound), so one builtin, until the caches are
+    # emptied; the handle built after that builds its own
+    even = make_universe(ORDINAL_MODE, 3).builtin_class("Even")
+    assert make_universe(ORDINAL_MODE, 3).builtin_class("Even") is even
+    universe.clear_caches()
     assert make_universe(ORDINAL_MODE, 3).builtin_class("Even") is not even
+
+
+def test_one_handle_per_universe_until_the_caches_are_emptied(fresh_caches):
+    u = make_universe(HF_MODE, 4)
+    assert make_universe(HF_MODE, 4) is u
+    assert make_universe(HF_MODE, 5) is not u and make_universe(ORDINAL_MODE, 4) is not u
+    level, whole = u.rank_level_class(3), u.universe_class()
+    # fill every table clear_caches empties
+    parse_code("{o0.1,p2}")  # ord_value, pad, parse_code and _SETS
+    assert rank(parse_code("{{},{{}}}")) == 2
+    assert find_witness([fineness(nat(1))], make_universe(ORDINAL_MODE, 3)) is not None
+    tables = (ord_value, pad, parse_code, make_universe, filters._prepared)
+    assert all(t.cache_info().currsize > 0 for t in tables)
+    assert universe._SETS and _RANK_CACHE
+    universe.clear_caches()
+    assert [t.cache_info().currsize for t in tables] == [0] * len(tables)
+    assert len(universe._SETS) == len(_RANK_CACHE) == 0
+    fresh = make_universe(HF_MODE, 4)
+    assert fresh is not u and make_universe(HF_MODE, 4) is fresh
+    assert fresh.rank_level_class(3) is not level and fresh.universe_class() is not whole
+    assert fresh._states.items == [] and codes(fresh.enumerate_universe()) == \
+        codes(u.enumerate_universe())
 
 
 def test_threads_sharing_a_handle_get_one_builtin():
@@ -748,6 +776,7 @@ def test_even_shift_values():
     assert pi(pad(3)) == pad(3)
 
 
+@settings(derandomize=True)
 @given(st.integers(0, 6))
 def test_even_shift_injective_on_windows(m):
     # Window {0..2m+1}: the image is pairwise distinct and preimage
