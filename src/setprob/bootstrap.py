@@ -148,10 +148,8 @@ def _map_constraint(c: Constraint, window_codes: set[str]) -> Constraint | None:
     if c.tag == TAG_FINENESS:
         return c if c.x.code in window_codes else None
     if c.tag == TAG_SUBSET_BOUND:
-        inner = tuple(v for v in c.window if v.code in window_codes)
-        # an untrimmed bound stays the parent's object, so the keys of
-        # kept searches meet it by identity, not field by field
-        return c if len(inner) == len(c.window) else subset_bound(inner, c.param)
+        # interned: an untrimmed bound is the parent's object
+        return subset_bound([v for v in c.window if v.code in window_codes], c.param)
     return c
 
 

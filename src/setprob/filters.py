@@ -33,6 +33,7 @@ from .snapshots import Snapshot
 from .universe import (
     _CLEARS,
     HF_MODE,
+    INTERN_CAP,
     KIND_ORD,
     ORDINAL_MODE,
     ClassSpec,
@@ -96,6 +97,14 @@ class Constraint:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # Copies and pickles are rebuilt from the fields, so they take this
+        # process's hash, and a payload without classes is the interned one.
+        if self.cls_a is None and self.cls_b is None:
+            return (_interned, (self.tag, self.x, self.param, self.window, self.family))
+        return (Constraint, (self.tag, self.x, self.cls_a, self.cls_b, self.param,
+                             self.window, self.family))
+
     def __eq__(self, other):
         """The dataclass's own equality, of the field tuples, asked last:
         the same object is equal, and unequal kept hashes tell most
@@ -145,8 +154,22 @@ class Constraint:
         raise ValueError(f"{tag} constraint has no count form; expand first")
 
 
+@lru_cache(maxsize=INTERN_CAP, typed=True)
+def _interned(tag: str, x: SetValue | None, param: int | None,
+              window: tuple[SetValue, ...] | None, family: str | None) -> Constraint:
+    """The one constraint of a payload without classes, interned
+    (`INTERN_CAP`), so its hash and count form are taken once and the
+    search table's lookups and the bases' membership tests meet it by
+    identity.  The class constructors build anew: a process-wide table
+    would keep their classes, and the classes' memos, alive."""
+    return Constraint(tag, x=x, param=param, window=window, family=family)
+
+
+_CLEARS.append(_interned.cache_clear)  # emptied by universe.clear_caches
+
+
 def fineness(x: SetValue) -> Constraint:
-    return Constraint(TAG_FINENESS, x=x)
+    return _interned(TAG_FINENESS, x, None, None, None)
 
 
 def ratio(cls_a: ClassSpec, cls_b: ClassSpec, k: int) -> Constraint:
@@ -166,25 +189,25 @@ def order_ge(cls_a: ClassSpec, cls_b: ClassSpec) -> Constraint:
 def interval(l: int) -> Constraint:
     if l < 1:
         raise ValueError("interval constraint needs l >= 1")
-    return Constraint(TAG_INTERVAL, param=l)
+    return _interned(TAG_INTERVAL, None, l, None, None)
 
 
 def weight(m: int) -> Constraint:
     if m < 1:
         raise ValueError("weight constraint needs m >= 1")
-    return Constraint(TAG_WEIGHT, param=m)
+    return _interned(TAG_WEIGHT, None, m, None, None)
 
 
 def subset_bound(window: Iterable[SetValue], alpha: int) -> Constraint:
-    return Constraint(TAG_SUBSET_BOUND, window=canonical(window), param=alpha)
+    return _interned(TAG_SUBSET_BOUND, None, alpha, canonical(window), None)
 
 
 def min_size(n: int) -> Constraint:
-    return Constraint(TAG_MIN_SIZE, param=n)
+    return _interned(TAG_MIN_SIZE, None, n, None, None)
 
 
 def parametric_fineness() -> Constraint:
-    return Constraint(TAG_PARAMETRIC, family=TAG_FINENESS)
+    return _interned(TAG_PARAMETRIC, None, None, None, TAG_FINENESS)
 
 
 def parametric_ratio(cls_a: ClassSpec, cls_b: ClassSpec) -> Constraint:
@@ -192,11 +215,11 @@ def parametric_ratio(cls_a: ClassSpec, cls_b: ClassSpec) -> Constraint:
 
 
 def parametric_interval() -> Constraint:
-    return Constraint(TAG_PARAMETRIC, family=TAG_INTERVAL)
+    return _interned(TAG_PARAMETRIC, None, None, None, TAG_INTERVAL)
 
 
 def parametric_weight() -> Constraint:
-    return Constraint(TAG_PARAMETRIC, family=TAG_WEIGHT)
+    return _interned(TAG_PARAMETRIC, None, None, None, TAG_WEIGHT)
 
 
 def expand_parametric(c: Constraint, param: int) -> Constraint:
@@ -535,7 +558,7 @@ def constraint_from_text(text: str, classes: dict[str, ClassSpec] | None = None)
             return parametric_ratio(*_class_pair(names, classes))
         if family not in (TAG_FINENESS, TAG_INTERVAL, TAG_WEIGHT):
             raise ValueError(f"unknown parametric family {family!r}")
-        return Constraint(TAG_PARAMETRIC, family=family)
+        return _interned(TAG_PARAMETRIC, None, None, None, family)
     raise ValueError(f"unknown constraint head {head!r}")
 
 

@@ -54,6 +54,10 @@ class Snapshot:
     def __setattr__(self, name, value):
         raise AttributeError("Snapshot is immutable")
 
+    def __reduce__(self):
+        # rebuilt from the states; the mask caches start empty
+        return (Snapshot, (self.states,))
+
     def __len__(self) -> int:
         return len(self.states)
 

@@ -68,6 +68,10 @@ class SetValue:
     def __setattr__(self, name, value):
         raise AttributeError("SetValue is immutable")
 
+    def __reduce__(self):
+        # a copy or pickle is parsed from the code: the interned value
+        return (parse_code, (self.code,))
+
     def __eq__(self, other):
         return isinstance(other, SetValue) and self.code == other.code
 
@@ -921,8 +925,9 @@ class UniverseHandle:
         return f"UniverseHandle({self.mode}, {self.bound})"
 
     def __reduce__(self):
-        # The memos are caches: copies and pickles start without them.
-        return (UniverseHandle, (self.mode, self.bound))
+        # A copy or pickle is the shared handle of its (mode, bound), so
+        # its builtin classes are the ones events are built over.
+        return (make_universe, (self.mode, self.bound))
 
     # -- HF levels -----------------------------------------------------
 

@@ -9,12 +9,14 @@ from setprob.universe import clear_caches
 ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}
 
 
-@pytest.fixture(scope="session")
+# Asked per test, so a test gets the shared handle of its universe even
+# after an earlier test's `clear_caches`.
+@pytest.fixture
 def ord_universe():
     return make_universe(ORDINAL_MODE, 3)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def hf_universe():
     return make_universe(HF_MODE, 5)
 

@@ -34,6 +34,7 @@ from setprob import (
 )
 from setprob.universe import clear_caches
 from setprob.bootstrap import AUDIT_SAMPLES, CoherenceLevel, audit_restricted_base
+from setprob.filters import Constraint
 from setprob.errors import ConditionNull, MissingSubsetBound
 
 U = make_universe(HF_MODE, 4)
@@ -108,6 +109,27 @@ def test_restrict_base_passes_five_checks():
     assert audit.nonprincipal_ok and audit.exclusion_ok
     assert {v.code for v in restricted.window} == {v.code for v in sub}
     assert restricted.max_size == 4
+
+
+def test_restricting_a_base_again_builds_no_constraint(monkeypatch):
+    # the restricted base and its audit meet the constraints of the first
+    # restriction, and an untrimmed bound is the parent's object
+    fb = _licensed_base(WIN[:6], 4)
+    bound = fb.constraints[1]
+    first, _ = restrict_base(fb, WIN[:6], 4)
+    built = []
+    init = Constraint.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Constraint, "__init__", counted)
+    again, audit = restrict_base(fb, WIN[:6], 4)
+    assert built == [] and audit.passed
+    assert len(again.constraints) == len(first.constraints)
+    assert all(c is d for c, d in zip(again.constraints, first.constraints))
+    assert any(c is bound for c in again.constraints)
 
 
 def test_restriction_audit_asks_each_pinned_sample_once(counted_searches):

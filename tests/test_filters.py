@@ -1,7 +1,13 @@
 """Constraint membership, FIP checking, witness constructors."""
 
+import copy
 import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 from itertools import combinations, islice, product
 from math import comb
 
@@ -57,7 +63,7 @@ from setprob.cli import registry_classes
 from setprob.errors import ConstructionFailed, EnumerationExhausted, WrongMode
 from setprob import filters
 from setprob.filters import state_pool
-from setprob.universe import PREFIX_MEMO_CAP, SetValue, clear_caches
+from setprob.universe import PREFIX_MEMO_CAP, SetValue, clear_caches, parse_code
 
 U = make_universe(ORDINAL_MODE, 3)
 HF = make_universe(HF_MODE, 5)
@@ -578,7 +584,9 @@ def test_a_search_that_raises_raises_on_every_call(counted_searches, monkeypatch
 
 
 def _every_tag_twice():
-    """Pairs of constraints built apart, for every tag, equal and not."""
+    """Pairs of constraints built apart, for every tag, equal and not: the
+    second of each pair is a new object (`dataclasses.replace`), since the
+    constructors without classes give one shared object per payload."""
     even, on = U.builtin_class("Even"), U.builtin_class("On")
     makers = [lambda: fineness(ord_value(1, 2)), lambda: fineness(pad(3)),
               lambda: ratio(even, on, 2), lambda: ratio(on, even, 2),
@@ -588,7 +596,7 @@ def _every_tag_twice():
               lambda: subset_bound([nat(0), pad(2)], 2), lambda: min_size(2),
               parametric_fineness, parametric_interval, parametric_weight,
               lambda: parametric_ratio(even, on)]
-    return [(f(), g()) for f in makers for g in makers]
+    return [(f(), dataclasses.replace(g())) for f in makers for g in makers]
 
 
 def test_constraint_equality_is_its_field_tuples():
@@ -608,7 +616,7 @@ def test_constraint_hash_is_its_field_tuple_taken_once():
     for make in (lambda: fineness(ord_value(1, 2)),
                  lambda: subset_bound(list(window), 3),
                  lambda: ratio(U.builtin_class("Even"), U.builtin_class("On"), 2)):
-        c, d = make(), make()
+        c, d = make(), dataclasses.replace(make())
         assert c is not d and c == d and hash(c) == hash(d)
         assert hash(c) == c.__dict__["_hash"] == hash(
             tuple(getattr(c, f.name) for f in dataclasses.fields(c)))
@@ -616,6 +624,72 @@ def test_constraint_hash_is_its_field_tuple_taken_once():
         assert "_hash" not in e.__dict__
         assert hash(e) == hash(tuple(getattr(e, f.name) for f in dataclasses.fields(e)))
         assert hash(e) != hash(c) and hash(c) == c.__dict__["_hash"]
+
+
+def test_constraints_without_classes_are_one_object_per_payload(fresh_caches):
+    window = [nat(0), pad(1), nat(2)]
+    makers = [lambda: fineness(nat(1)), lambda: fineness(pad(1)), lambda: interval(2),
+              lambda: weight(3), lambda: min_size(2), lambda: subset_bound(window, 2),
+              parametric_fineness, parametric_interval, parametric_weight]
+    built = [make() for make in makers]
+    assert len(set(map(id, built))) == len(built)
+    for make, c in zip(makers, built):
+        assert make() is c and constraint_from_text(c.describe()) is c
+    # a window is one payload in any order and with repeats
+    assert subset_bound([nat(2), pad(1), nat(0), pad(1)], 2) is built[5]
+    assert subset_bound(window, 3) is not built[5] and interval(3) is not built[2]
+    assert expand_parametric(parametric_weight(), 3) is weight(3)
+    # the constructors over classes build anew
+    even, on = U.builtin_class("Even"), U.builtin_class("On")
+    for make in (lambda: ratio(even, on, 2), lambda: order_lt(even, on),
+                 lambda: order_ge(even, on), lambda: parametric_ratio(even, on)):
+        c, d = make(), make()
+        assert c is not d and c == d
+    clear_caches()
+    assert filters._interned.cache_info().currsize == 0
+    again = [make() for make in makers]
+    assert again == built and all(c is not d for c, d in zip(again, built))
+
+
+def test_copies_and_pickles_of_a_constraint_are_rebuilt_from_its_fields():
+    cs = [fineness(nat(1)), fineness(parse_code("{o0.1}")), interval(2), weight(2),
+          min_size(3), subset_bound([nat(0), pad(1)], 2), parametric_fineness()]
+    for c in cs:
+        for twin in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c)),
+                     copy.copy(dataclasses.replace(c))):
+            assert twin is c
+    # a copy of a constraint over classes is a new, equal one over the same classes
+    r = ratio(U.builtin_class("Even"), U.builtin_class("On"), 2)
+    twin = copy.copy(r)
+    assert twin is not r and twin == r and hash(twin) == hash(r)
+    assert twin.cls_a is r.cls_a and twin.cls_b is r.cls_b
+
+
+def test_pickles_load_equal_under_another_hash_seed():
+    # hashes of strings differ between processes; a loaded state or
+    # constraint takes the loading process's hash, so sets find it
+    dump = (
+        "import pickle\n"
+        "from setprob import fineness, interval, nat, snapshot\n"
+        "x = nat(1)\n"
+        "print(pickle.dumps((x, snapshot(x, nat(2)), fineness(x), interval(2))).hex())\n")
+    load = (
+        "import pickle, sys\n"
+        "from setprob import fineness, interval, nat, snapshot\n"
+        "x, t, f, i = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+        "assert x is nat(1) and x in {nat(1)}\n"
+        "assert t == snapshot(nat(1), nat(2)) and t in {snapshot(nat(1), nat(2))}\n"
+        "assert f is fineness(nat(1)) and f in {fineness(nat(1))}\n"
+        "assert i is interval(2) and i in {interval(2)}\n")
+    src = str(Path(filters.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    dumped = subprocess.run([sys.executable, "-c", dump], env={**env, "PYTHONHASHSEED": "1"},
+                            capture_output=True, text=True, timeout=120)
+    assert dumped.returncode == 0, dumped.stderr
+    loaded = subprocess.run([sys.executable, "-c", load], input=dumped.stdout,
+                            env={**env, "PYTHONHASHSEED": "2"},
+                            capture_output=True, text=True, timeout=120)
+    assert loaded.returncode == 0, loaded.stderr
 
 
 @pytest.mark.parametrize("one_pass", ["constraints", "window"])

@@ -1,7 +1,9 @@
 """Snapshots: canonical order at every site, masks cached per object, and
 exact counting of event probabilities."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -62,6 +64,15 @@ def test_snapshot_immutable():
     t = snapshot(nat(1))
     with pytest.raises(AttributeError):
         t.states = ()
+
+
+def test_copies_and_pickles_of_a_snapshot_are_equal_snapshots():
+    t = snapshot(nat(3), pad(1), hf_set([nat(1)]))
+    assert t.count(EVEN) == 0 and t.mask(ODD) == 0b001  # fill a mask cache
+    for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert twin == t and hash(twin) == hash(t)
+        assert all(a is b for a, b in zip(twin.states, t.states))
+        assert twin.mask(ODD) == t.mask(ODD)
 
 
 def test_snapshot_union_intersect():

@@ -83,6 +83,12 @@ def test_ordinals_and_pads_are_interned(fresh_caches):
         ord_value(0, -1)
 
 
+def test_copies_and_pickles_of_a_state_are_the_interned_state():
+    for x in (nat(1), ord_value(2, 3), pad(4), EMPTY_SET, S2, hf_set([nat(1), pad(0)])):
+        for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert twin is parse_code(x.code) and twin == x and hash(twin) == hash(x)
+
+
 def test_threads_sharing_the_set_table_build_equal_sets(monkeypatch, fresh_caches):
     # a small cap empties the table while other threads read and fill it;
     # the table starts empty, so the sets built here fill it past the cap
@@ -347,12 +353,13 @@ def test_threads_sharing_a_handle_see_one_enumeration(fresh_caches):
     assert len(u._states.items) == PREFIX_MEMO_CAP
 
 
-def test_copies_of_a_used_handle_start_without_its_memo():
+def test_copies_of_a_handle_are_the_shared_handle():
+    # a copy or pickle is make_universe's handle, so events built over it
+    # meet the builtin classes of events built over the original
     u = make_universe(ORDINAL_MODE, 3)
-    head = codes(itertools.islice(u.enumerate_universe(), 50))
-    for twin in (pickle.loads(pickle.dumps(u)), copy.deepcopy(u)):
-        assert (twin.mode, twin.bound, twin._states.items) == (u.mode, u.bound, [])
-        assert codes(itertools.islice(twin.enumerate_universe(), 50)) == head
+    even = u.builtin_class("Even")
+    for twin in (copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+        assert twin is u and twin.builtin_class("Even") is even
 
 
 def test_memo_stops_at_its_cap():
@@ -665,7 +672,8 @@ def test_one_handle_per_universe_until_the_caches_are_emptied(fresh_caches):
     parse_code("{o0.1,p2}")  # ord_value, pad, parse_code and _SETS
     assert rank(parse_code("{{},{{}}}")) == 2
     assert find_witness([fineness(nat(1))], make_universe(ORDINAL_MODE, 3)) is not None
-    tables = (ord_value, pad, parse_code, make_universe, filters._prepared)
+    tables = (ord_value, pad, parse_code, make_universe, filters._prepared,
+              filters._interned)
     assert all(t.cache_info().currsize > 0 for t in tables)
     assert universe._SETS and _RANK_CACHE
     universe.clear_caches()
