@@ -25,13 +25,13 @@ from .filters import (
     SCAN_CAP,
     FilterBase,
     check_fip,
-    expand_base,
     find_witness,
     order_ge,
     order_lt,
     power_lift,
     powerset_prefilter_stage,
     powerset_witness_extend,
+    sample_witnesses,
     state_pool,
 )
 from .germs import (
@@ -152,14 +152,8 @@ def _cmd_query(args) -> int:
                                          "given": args.given}})
     else:
         germ = build_germ(ctx, _event(args.event, args.rv))
-    concrete = expand_base(ctx.base)
     samples = []
-    for _ in range(3):
-        w = find_witness(concrete, ctx.universe, rng=ctx.rng,
-                         window=ctx.base.window,
-                         decorate=ctx.rng.randrange(0, 5))
-        if w is None:
-            break
+    for w in sample_witnesses(ctx.base, ctx.rng, 3):
         try:
             value = rational_str(germ.eval_at(w))
         except EngineError as exc:

@@ -18,6 +18,7 @@ interval/weight construction.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, lru_cache, partial
@@ -303,10 +304,10 @@ def constraint_count_form(c: Constraint, t: Snapshot,
     subsets m of `t.states`, as (k, slack, small, big), or None.
 
     c is concrete: a parametric family has no count form, so
-    `Constraint.form` raises ValueError for it (`_window_exhaustive`
-    drops them first).  Each side of c's form becomes one mask of `t`
-    (`_side_mask`): a class, a pin or a subset_bound window is one
-    recorded mask, not the bits of its states, and a missing side
+    `Constraint.form` raises ValueError for it (`admissible_vectors`
+    takes concrete constraints only).  Each side of c's form becomes one
+    mask of `t` (`_side_mask`): a class, a pin or a subset_bound window
+    is one recorded mask, not the bits of its states, and a missing side
     (fineness, min_size: k is 0) is 0, so no atom of `t` splits a side.
     None for interval, which bounds run lengths, and for an ordinal-only
     tag in HF mode, where `constraint_membership` raises WrongMode.
@@ -337,6 +338,105 @@ def constraint_mask_test(c: Constraint, t: Snapshot,
         return lambda m: constraint_membership(c, Snapshot(t.subset(m)), mode)
     k, slack, small, big = form
     return lambda m: k * (m & small).bit_count() + slack <= (m & big).bit_count()
+
+
+def admissible_vectors(t: Snapshot, constraints: Sequence[Constraint], mode: str | None,
+                       max_size: int | None) -> list[tuple[int, int, list[tuple[int, int]]]]:
+    """The nonempty subsets of `t.states` below `max_size` in every one of
+    the concrete `constraints`, one per count vector (n_1, ..., n_r) of
+    states in each atom, as (m0, w0, ends): m0 takes the first n_i states
+    of each atom but the last, w0 is the product of the C(|atom_i|, n_i),
+    and each (f, ways) in ends is one admissible count of the last atom.
+    The atoms are those of the masks recorded on `t` (`Snapshot.atoms`)
+    once the count forms have recorded theirs, so a caller compiles what
+    it will evaluate at the masks m0 | f (`compile_germ`) first.
+
+    The vectors are listed over the first r - 1 atoms only, the largest
+    atom last, and n_r is solved for.  A count form
+    k*|m & small| + slack <= |m & big| (`constraint_count_form`) is linear
+    in the counts and no atom splits its sides.  A form whose sides miss
+    the last atom settles at the last atom they read: no later atom adds
+    to either side, so its truth on the vectors over the atoms up to that
+    one is its truth on every completion, and the vectors it fails are
+    dropped as soon as that atom's counts are multiplied in.  For each
+    other form (one that reads the last atom, or has no side) and each
+    listed prefix m0 it reads coef*n_r <= rhs, with
+    coef = k*[last in small] - [last in big] and
+    rhs = |m0 & big| - k*|m0 & small| - slack: n_r <= floor(rhs / coef)
+    when coef is positive, n_r >= ceil(rhs / coef) when it is negative,
+    every n_r or none when it is 0 (one Fourier-Motzkin step).  Only the
+    n_r inside every such bound and the size bound are listed, and no
+    count form is tested per subset.  A constraint with no count form
+    (interval, an ordinal-only tag in HF mode) is tested per mask
+    (`constraint_mask_test`), and so is every constraint after it, in
+    the given order, since such a test reads the subset's states by
+    position or raises WrongMode; it takes every state's bit, so each
+    atom is one state and each vector one subset.
+    """
+    # count forms (k, slack, small, big) up to the first constraint that
+    # has none; that one and the rest are tested per mask, in order
+    forms, tests = [], []
+    for c in constraints:
+        form = None if tests else constraint_count_form(c, t, mode)
+        if form is None:
+            tests.append(constraint_mask_test(c, t, mode))
+        else:
+            forms.append(form)
+    top = len(t) if max_size is None else min(len(t), max_size - 1)
+    atoms = sorted(t.atoms(), key=int.bit_count)  # the largest last
+    last = atoms[-1] if atoms else 0
+    # settle[i]: the forms whose sides miss the last atom and whose last
+    # atom read is atoms[i - 1], checked once the first i atoms are
+    # counted; bounds: the rest, with coef, what one state of the last
+    # atom adds to a form's left side less what it adds to its right,
+    # since no atom splits a side
+    settle = [[] for _ in atoms]
+    bounds = []
+    for form in forms:
+        k, slack, small, big = form
+        sides = small | big
+        if sides and not sides & last:
+            settle[1 + max(i for i, atom in enumerate(atoms) if atom & sides)].append(form)
+        else:
+            bounds.append((*form, k * bool(last & small) - bool(last & big)))
+    # (representative mask, subsets it stands for), over the atoms before
+    # the last one, and (its first c states, C(|atom|, c)) for the last
+    vectors = lasts = [(0, 1)]
+    for atom, settled in zip(atoms, settle):
+        vectors = [(m | f, w * ways) for m, w in vectors for f, ways in lasts]
+        for k, slack, small, big in settled:
+            vectors = [(m, w) for m, w in vectors
+                       if k * (m & small).bit_count() + slack <= (m & big).bit_count()]
+        firsts = [0]  # firsts[c]: the first c states of the atom
+        while atom:
+            low = atom & -atom
+            firsts.append(firsts[-1] | low)
+            atom ^= low
+        lasts = [(f, math.comb(len(firsts) - 1, c)) for c, f in enumerate(firsts)]
+    size = len(lasts) - 1  # the last atom's
+    listed = []
+    for m0, w0 in vectors:
+        # a nonempty vector of at most `top` states; only the vector 0 has none
+        lo, hi = not m0, top - m0.bit_count()
+        if hi > size:
+            hi = size
+        for k, slack, small, big, coef in bounds:
+            rhs = (m0 & big).bit_count() - k * (m0 & small).bit_count() - slack
+            if coef > 0:  # c <= floor(rhs / coef)
+                if rhs < coef * hi:
+                    hi = rhs // coef
+            elif coef < 0:  # c >= ceil(rhs / coef)
+                if rhs < coef * lo:
+                    lo = -(rhs // -coef)
+            elif rhs < 0:  # no c
+                hi = -1
+        if lo > hi:  # a negative slice end would wrap around
+            continue
+        ends = lasts[lo:hi + 1]
+        if tests:
+            ends = [(f, ways) for f, ways in ends if all(test(m0 | f) for test in tests)]
+        listed.append((m0, w0, ends))
+    return listed
 
 
 def _everything(s: SetValue) -> bool:
@@ -1392,6 +1492,21 @@ def generate_witnesses(
             raise ConstructionFailed(
                 f"only {len(out)} of {count} witnesses found for: "
                 + "; ".join(c.describe() for c in constraints))
+    return out
+
+
+def sample_witnesses(fb: FilterBase, rng: random.Random, count: int) -> list[Snapshot]:
+    """Up to `count` seeded witnesses of the base, its parametric families
+    sampled (`expand_base`): one `find_witness` search each, decorated
+    with up to 4 extra states, stopping at the first that finds none."""
+    concrete = expand_base(fb)
+    out: list[Snapshot] = []
+    for _ in range(count):
+        w = find_witness(concrete, fb.universe, rng=rng, window=fb.window,
+                         max_size=fb.max_size, decorate=rng.randrange(0, 5))
+        if w is None:
+            break
+        out.append(w)
     return out
 
 

@@ -18,7 +18,6 @@ denominator), compared by cross-multiplication; at the API
 from __future__ import annotations
 
 import itertools
-import math
 import random
 import zlib
 from dataclasses import dataclass, field, replace
@@ -36,13 +35,11 @@ from .filters import (
     TAG_WEIGHT,
     Constraint,
     FilterBase,
-    constraint_count_form,
-    constraint_mask_test,
-    expand_base,
+    admissible_vectors,
     expand_parametric,
     fineness,
-    find_witness,
     generate_witnesses,
+    sample_witnesses,
     state_pool,
 )
 from .snapshots import Snapshot
@@ -674,127 +671,28 @@ def _bound_verdict(made, rel: str, bound: Fraction, target: Fraction,
 
 
 def _window_exhaustive(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made) -> Verdict | None:
-    """Decide by counting every admissible snapshot of a small window.
-
-    A snapshot is a set, so the snapshots counted are the nonempty
-    subsets of the window's distinct states, at most 14 of them, below
-    the base's size bound.  A subset is an int mask over those states in
-    canonical order: each constraint becomes a count form on bit counts
-    (`constraint_count_form`) and each side one compiled germ
-    (`compile_germ`), so no Snapshot is built per subset, only the
-    window's own.
-
-    The window is a fresh Snapshot per compare, so its atoms come from
-    this compare's masks alone.  Compiling records the masks the closures
-    read in it: each (variable, class) mask, each indexed star_sum bit,
-    and one mask per side of each constraint's count form.  Their
-    atoms are the classes of states no such mask tells apart, and the
-    closures give one answer on all subsets with the same count of
-    states in each atom.  So the loop runs over count vectors (n_1, ...,
-    n_r), one count per atom, with 1 <= n_1 + ... + n_r below the size
-    bound.  Each vector is evaluated once, at its representative mask
-    (the first n_i states of atom i), and adds the number of subsets it
-    stands for, the product of C(|atom_i|, n_i), to `holds`, `fails` or
-    `vacuous`.  The evidence is therefore the count over subsets.
-
-    The vectors are listed over the first r - 1 atoms only, the largest
-    atom last, and n_r is solved for.  A count form
-    k*|m & small| + slack <= |m & big| is linear in the counts and no
-    atom splits its sides.  A form whose sides miss the last atom
-    settles at the last atom they read: no later atom adds to either
-    side, so its truth on the vectors over the atoms up to that one is
-    its truth on every completion, and the vectors it fails are dropped
-    as soon as that atom's counts are multiplied in.  For each other
-    form (one that reads the last atom, or has no side) and each listed
-    prefix m0 it reads coef*n_r <= rhs, with
-    coef = k*[last in small] - [last in big] and
-    rhs = |m0 & big| - k*|m0 & small| - slack: n_r <= floor(rhs / coef)
-    when coef is positive, n_r >= ceil(rhs / coef) when it is negative,
-    every n_r or none when it is 0 (one Fourier-Motzkin step).  Only the
-    n_r inside every such bound and the size bound are evaluated, and no
-    count form is tested per subset.  A constraint with no count form
-    (interval, an ordinal-only tag in HF mode) is tested per mask
-    (`constraint_mask_test`), and so is every constraint after it, in
-    the base's order, since such a test reads the subset's states by
-    position or raises WrongMode; it takes every state's bit, so each
-    atom is one state and each vector one subset.
-
-    Snapshots where either side has no value are vacuous; a verdict
-    needs at least one snapshot where both sides evaluate.
+    """Decide by counting every admissible snapshot of a small window:
+    the nonempty subsets of its distinct states, at most 14, below the
+    size bound.  Both sides are compiled (`compile_germ`) over a fresh
+    Snapshot of the window, so its atoms come from this compare's masks
+    alone, and each subset `admissible_vectors` lists is evaluated at its
+    mask and adds the number of subsets it stands for to `holds`, `fails`
+    or `vacuous`, where a side has no value.  A verdict needs at least
+    one snapshot where both sides evaluate.
     """
     if fb.window is None:
         return None
     win = Snapshot(fb.window)
-    n = len(win)
-    if n > 14:
+    if len(win) > 14:
         return None
     concrete = [c for c in fb.constraints if c.tag != TAG_PARAMETRIC]
     mode = fb.universe.mode if fb.universe is not None else None
-    # count forms (k, slack, small, big) up to the first constraint that
-    # has none; that one and the rest are tested per mask, in order
-    forms, tests = [], []
-    for c in concrete:
-        form = None if tests else constraint_count_form(c, win, mode)
-        if form is None:
-            tests.append(constraint_mask_test(c, win, mode))
-        else:
-            forms.append(form)
     left, right = compile_germ(lg, win), compile_germ(rg, win)
     relation = _RELATIONS[rel]
-    top = n if fb.max_size is None else min(n, fb.max_size - 1)
-    atoms = sorted(win.atoms(), key=int.bit_count)  # the largest last
-    last = atoms[-1] if atoms else 0
-    # settle[i]: the forms whose sides miss the last atom and whose last
-    # atom read is atoms[i - 1], checked once the first i atoms are
-    # counted; bounds: the rest, with coef, what one state of the last
-    # atom adds to a form's left side less what it adds to its right,
-    # since no atom splits a side
-    settle = [[] for _ in atoms]
-    bounds = []
-    for form in forms:
-        k, slack, small, big = form
-        sides = small | big
-        if sides and not sides & last:
-            settle[1 + max(i for i, atom in enumerate(atoms) if atom & sides)].append(form)
-        else:
-            bounds.append((*form, k * bool(last & small) - bool(last & big)))
-    # (representative mask, subsets it stands for), over the atoms before
-    # the last one, and (its first c states, C(|atom|, c)) for the last
-    vectors = lasts = [(0, 1)]
-    for atom, settled in zip(atoms, settle):
-        vectors = [(m | f, w * ways) for m, w in vectors for f, ways in lasts]
-        for k, slack, small, big in settled:
-            vectors = [(m, w) for m, w in vectors
-                       if k * (m & small).bit_count() + slack <= (m & big).bit_count()]
-        firsts = [0]  # firsts[c]: the first c states of the atom
-        while atom:
-            low = atom & -atom
-            firsts.append(firsts[-1] | low)
-            atom ^= low
-        lasts = [(f, math.comb(len(firsts) - 1, c)) for c, f in enumerate(firsts)]
-    size = len(lasts) - 1  # the last atom's
     tally = {True: 0, False: 0, None: 0}  # subsets where it holds, fails, is vacuous
-    for m0, w0 in vectors:
-        # a nonempty vector of at most `top` states; only the vector 0 has none
-        lo, hi = not m0, top - m0.bit_count()
-        if hi > size:
-            hi = size
-        for k, slack, small, big, coef in bounds:
-            rhs = (m0 & big).bit_count() - k * (m0 & small).bit_count() - slack
-            if coef > 0:  # c <= floor(rhs / coef)
-                if rhs < coef * hi:
-                    hi = rhs // coef
-            elif coef < 0:  # c >= ceil(rhs / coef)
-                if rhs < coef * lo:
-                    lo = -(rhs // -coef)
-            elif rhs < 0:  # no c
-                hi = -1
-        if lo > hi:  # a negative slice end would wrap around
-            continue
-        for f, ways in lasts[lo:hi + 1]:
+    for m0, w0, ends in admissible_vectors(win, concrete, mode, fb.max_size):
+        for f, ways in ends:
             m = m0 | f
-            if tests and not all(test(m) for test in tests):
-                continue
             try:  # `_judge` inlined: this loop is the hot path
                 tally[relation(left(m), right(m))] += w0 * ways
             except (DivisionUndefined, EmptySnapshot):
@@ -820,15 +718,7 @@ def _sampled(lg: Germ, rel: str, rg: Germ, fb: FilterBase, made,
     """Last resort: evaluate on sampled witnesses.  Samples justify no
     forcing either way, so the status is always undetermined."""
     seed = zlib.crc32(f"{lg.key()}|{rel}|{rg.key()}".encode())
-    rng = random.Random(seed)
-    concrete = expand_base(fb)
-    witnesses = []
-    for _ in range(sample_count):
-        w = find_witness(concrete, fb.universe, rng=rng, window=fb.window,
-                         max_size=fb.max_size, decorate=rng.randrange(0, 5))
-        if w is None:
-            break
-        witnesses.append(w)
+    witnesses = sample_witnesses(fb, random.Random(seed), sample_count)
     held = _judge_each(_RELATIONS[rel], lg, rg, witnesses)
     return made(UNDETERMINED, "sampled",
                 note="no citable rule applies; sampled evidence only",

@@ -41,7 +41,7 @@ class Snapshot:
     each atom get the same value from every such closure (the same
     unreduced (numerator, denominator) int pair from a compiled germ, the
     same bool from a mask test), error texts aside, and
-    `germs._window_exhaustive` evaluates one of them for all.
+    `filters.admissible_vectors` lists one of them for all.
     """
 
     __slots__ = ("states", "_codes", "_bits", "_masks", "_read")

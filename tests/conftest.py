@@ -1,9 +1,16 @@
 """Shared fixtures and the acceptance summary hook."""
 
 import pytest
+from hypothesis import settings
 
 from setprob import HF_MODE, ORDINAL_MODE, filters, make_universe
 from setprob.universe import clear_caches
+
+# Every property test draws the same examples on every run.  The profile is
+# loaded before the test modules are imported, so each `@settings(...)`
+# there starts from it.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 # Populated by tests/test_acceptance.py: criterion number -> (label, passed).
 ACCEPTANCE_RESULTS: dict[int, tuple[str, bool]] = {}

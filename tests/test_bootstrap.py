@@ -288,7 +288,7 @@ def test_coherence_probe_admissibility():
 
 @given(st.sets(st.integers(0, 15), min_size=1, max_size=6),
        st.sets(st.integers(0, 15), min_size=1, max_size=3))
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None)
 def test_coherence_random_events(cls_idx, probe_idx):
     t = snapshot(*WIN[:5])
     probe = [WIN[i] for i in sorted(probe_idx)] + WIN[13:15]

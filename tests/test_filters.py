@@ -368,7 +368,7 @@ def _fip_base(*constraints, max_size=None):
     return FilterBase(constraints, universe=U, max_size=max_size)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 @given(fip_bases())
 # a cycle in the first pair, a refuted single later: the single is named
 @example(_fip_base(ratio(EVEN, ODD, 1), order_lt(ODD, EVEN), fineness(nat(1)),
@@ -797,14 +797,14 @@ _STEPS = st.sampled_from(["add", "admit"])
 
 @given(st.lists(st.tuples(_STEPS, st.sampled_from(TALLY_STATES)),
                 min_size=20, max_size=60))
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 def test_tally_matches_membership_after_every_step(steps):
     _check_tally_steps(U, TALLY_CONSTRAINTS, steps)
 
 
 @given(st.lists(st.tuples(_STEPS, st.sampled_from(HF_STATES)),
                 min_size=20, max_size=40))
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None)
 def test_tally_matches_membership_in_hf_mode(steps):
     _check_tally_steps(HF, HF_TALLY_CONSTRAINTS, steps)
 
@@ -913,7 +913,7 @@ LEAK_POOLS = ((U, TALLY_CONSTRAINTS, tuple(TALLY_STATES)),
 
 
 @given(st.data())
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None)
 def test_a_reused_search_leaks_nothing(data):
     # Two constraint lists in a row, each through generate_witnesses,
     # whose searches share one prepared search, and through fresh
@@ -1174,7 +1174,7 @@ def _tally_answer(search):
     return None
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None)
 @given(pins_and_caps())
 def test_pins_and_caps_are_decided_as_a_tally_decides_them(problem):
     cs, u, window, max_size = problem
@@ -1374,7 +1374,7 @@ def test_ordinal_witness_rejects_bad_inputs():
 
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
        st.sets(st.integers(0, 40), max_size=3))
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25, deadline=None)
 def test_ordinal_witness_property(k, l, m, pinset):
     pins = [nat(i) for i in sorted(pinset)]
     w = ordinal_witness(U, pins, k=k, l=l, m=m)
@@ -1693,7 +1693,7 @@ def _feasible_by_scanning_states(cand, l, protected, states):
 @given(st.integers(0, 1), st.integers(0, 30), st.integers(1, 4),
        st.sets(st.tuples(st.integers(0, 1), st.integers(0, 30)), max_size=20),
        st.sampled_from([(), ("Even",), ("Odd", "Lim")]))
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None)
 def test_run_feasible_reads_only_the_candidate_block(a, b, l, placed, names):
     protected = [U.builtin_class(n) for n in names]
     states = [ord_value(pa, pb) for pa, pb in placed]
@@ -1762,7 +1762,7 @@ def _classes(names):
 
 
 @given(st.integers(1, 4), _PLACED, _PROTECTED, st.sampled_from([(), (pad(0), pad(3))]))
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None)
 def test_close_intervals_on_a_tally_matches_the_set_closure(l, placed, names, pads):
     protected = _classes(names)
     states = {ord_value(a, b) for a, b in placed} | set(pads)
@@ -1775,7 +1775,7 @@ def test_close_intervals_on_a_tally_matches_the_set_closure(l, placed, names, pa
 
 
 @given(st.integers(0, 1), st.integers(0, 30), st.integers(1, 4), _PLACED, _PROTECTED)
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None)
 def test_isolation_reads_only_the_candidate_block(a, b, l, placed, names):
     guard = _classes(names)
     tally = filters._Tally(filters._Sides([interval(l)]), [ord_value(pa, pb) for pa, pb in placed])
@@ -1786,7 +1786,7 @@ def test_isolation_reads_only_the_candidate_block(a, b, l, placed, names):
 
 @given(st.integers(0, 1), st.integers(0, 30), st.integers(1, 4), _PLACED,
        _PROTECTED.filter(bool))
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None)
 def test_a_feasible_run_closes_clear_of_the_protected_classes(a, b, l, placed, names):
     # grow's strict pass keeps only candidates whose run can close clear
     # of the classes; the closure after it must then find such a window.
@@ -1805,7 +1805,7 @@ def test_a_feasible_run_closes_clear_of_the_protected_classes(a, b, l, placed, n
 
 @given(st.integers(1, 4), _PLACED, _PLACED.filter(bool),
        st.sets(st.tuples(st.integers(0, 1), st.integers(0, 30)), max_size=6))
-@settings(max_examples=200, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None)
 def test_isolated_states_close_as_plain_successor_closure(l, placed, guard, cands):
     # ordinal_witness adds states that pass _isolation_ok against its
     # guard classes, all judged before any is added, then closes the runs

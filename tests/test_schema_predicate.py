@@ -115,7 +115,7 @@ MUTATION = st.tuples(st.sampled_from(["drop", "add", "append_copy", "retype"]),
                      st.sampled_from(KEYS))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None)
 @given(st.sampled_from(range(len(DOCUMENTS))), st.lists(MUTATION, max_size=3))
 def test_predicate_matches_jsonschema_on_mutated_documents(which, mutations):
     doc = copy.deepcopy(DOCUMENTS[which])

@@ -83,7 +83,7 @@ def test_snapshot_union_intersect():
 
 
 @given(st.lists(st.sampled_from(POOL), min_size=1, max_size=7), st.randoms())
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25, deadline=None)
 def test_every_site_keeps_canonical_order(values, rnd):
     # Repeated codes, some as separate objects, in shuffled order.
     xs = values + [parse_code(v.code) for v in values[::2]]
@@ -202,7 +202,6 @@ states = st.one_of(ordinals, st.builds(pad, st.integers(0, 10)))
 snapshots = st.lists(states, min_size=1, max_size=12).map(Snapshot)
 
 
-@settings(derandomize=True)
 @given(snapshots)
 def test_additivity_even_odd(t):
     f_even = snapshot_prob(IDENT, EVEN, t)
@@ -210,7 +209,6 @@ def test_additivity_even_odd(t):
     assert f_even + f_odd == snapshot_prob(IDENT, ON, t)
 
 
-@settings(derandomize=True)
 @given(snapshots)
 def test_range_and_total(t):
     f = snapshot_prob(IDENT, EVEN, t)
@@ -220,14 +218,12 @@ def test_range_and_total(t):
     assert snapshot_prob(IDENT, empty, t) == 0
 
 
-@settings(derandomize=True)
 @given(snapshots)
 def test_monotone_subset(t):
     assert snapshot_prob(IDENT, LIM, t) <= snapshot_prob(IDENT, EVEN, t) \
         <= snapshot_prob(IDENT, ON, t)
 
 
-@settings(derandomize=True)
 @given(st.lists(st.integers(0, 20), min_size=2, max_size=8, unique=True))
 def test_uniformity_of_diagonal_values(points):
     # Any two outcomes a diagonal variable takes inside the snapshot are

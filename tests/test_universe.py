@@ -7,7 +7,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from setprob import (
@@ -143,7 +143,6 @@ def test_parse_code_round_trip(code):
     assert parse_code(code).code == code
 
 
-@settings(derandomize=True)
 @given(st.integers(0, 5), st.integers(0, 40))
 def test_ordinal_code_round_trip(a, b):
     v = ord_value(a, b)
@@ -158,7 +157,6 @@ def _values(depth):
     return st.one_of(atoms, st.lists(_values(depth - 1), max_size=3).map(hf_set))
 
 
-@settings(derandomize=True)
 @given(_values(3))
 def test_codes_round_trip_through_cleared_tables(v):
     # an evicted value is rebuilt equal to its twin, with the same code
@@ -559,7 +557,6 @@ def test_tier_order_chain():
         assert t <= t and t >= t and not (t < t or t > t)
 
 
-@settings(derandomize=True)
 @given(
     st.sampled_from(["finite", "tier", "proper"]),
     st.integers(0, 9),
@@ -784,7 +781,6 @@ def test_even_shift_values():
     assert pi(pad(3)) == pad(3)
 
 
-@settings(derandomize=True)
 @given(st.integers(0, 6))
 def test_even_shift_injective_on_windows(m):
     # Window {0..2m+1}: the image is pairwise distinct and preimage
