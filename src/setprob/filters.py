@@ -363,8 +363,9 @@ def admissible_vectors(t: Snapshot, constraints: Sequence[Constraint], mode: str
     listed prefix m0 it reads coef*n_r <= rhs, with
     coef = k*[last in small] - [last in big] and
     rhs = |m0 & big| - k*|m0 & small| - slack: n_r <= floor(rhs / coef)
-    when coef is positive, n_r >= ceil(rhs / coef) when it is negative,
-    every n_r or none when it is 0 (one Fourier-Motzkin step).  Only the
+    when coef is positive, n_r >= -rhs when it is negative (coef is then
+    -1, as every `Constraint.form` weighs its big side once), every n_r
+    or none when it is 0 (one Fourier-Motzkin step).  Only the
     n_r inside every such bound and the size bound are listed, and no
     count form is tested per subset.  A constraint with no count form
     (interval, an ordinal-only tag in HF mode) is tested per mask
@@ -425,9 +426,9 @@ def admissible_vectors(t: Snapshot, constraints: Sequence[Constraint], mode: str
             if coef > 0:  # c <= floor(rhs / coef)
                 if rhs < coef * hi:
                     hi = rhs // coef
-            elif coef < 0:  # c >= ceil(rhs / coef)
-                if rhs < coef * lo:
-                    lo = -(rhs // -coef)
+            elif coef < 0:  # c >= -rhs: a form weighs its big side once, so coef is -1
+                if -rhs > lo:
+                    lo = -rhs
             elif rhs < 0:  # no c
                 hi = -1
         if lo > hi:  # a negative slice end would wrap around
@@ -751,10 +752,10 @@ def check_fip(fb: FilterBase, rng: random.Random | None = None,
     constraints alone or one pair of them, and the singles and pairs
     come first, so only they are asked: the first refuted single, else
     the first refuted pair, is the first refuted subset.  A subset of
-    fineness pins and subset_bound caps with a pin has nothing to
-    repair, so its search is answered from its pins by
-    `constraint_membership`; its tally and count sides are built only
-    on a seeded run (`_Search`)."""
+    fineness pins and subset_bound caps alone has nothing to repair, so
+    its search is answered by `constraint_membership` from its pins, or
+    with no pin from its first fitting pad; its tally and count sides
+    are built only on a seeded run (`_Search`)."""
     concrete = expand_base(fb)
     for size in (1, 2):
         for subset in itertools.combinations(concrete, size):
@@ -1103,14 +1104,16 @@ class _Search:
     universe, window, max_size and scan_cap of a `find_witness` call.
 
     One pass over the constraints gives the pins, the grown and padded
-    forms in repair order and whether an ordinal-only tag is present.  A
-    search with nothing to repair, whose constraints are fineness pins
-    (one at least) and subset_bound caps alone, is `decided`: its run
-    with no rng is answered from the pins by `constraint_membership`,
-    with no tally.  The rest is built on first use: the sides each
-    attempt's `_Tally` counts, with the interval parameter and their
-    per-state memo (`sides`), the settled tally, what growth reads, and
-    the decoration index (`positions`); so a decided search builds its
+    forms in repair order (listed only when there are any) and whether an
+    ordinal-only tag is present.  A search with nothing to grow, pad or
+    close, whose constraints are fineness pins and subset_bound caps
+    alone, is `decided`: its run with no rng is answered by
+    `constraint_membership`, with no tally, from the pins, or with no
+    pin from the first fitting state of its pad source (`_pad_stream`).
+    The rest is built on first use: the sides each attempt's `_Tally`
+    counts, with the interval parameter and their per-state memo
+    (`sides`), the settled tally, what growth reads, and the decoration
+    index (`positions`); so a decided search builds its
     tally and count sides only on a seeded run.  Every draw and decision
     of a call is made in `run`, so a search run again draws as a fresh
     one would.  A run with no rng draws nothing, so `plain` keeps its
@@ -1142,13 +1145,13 @@ class _Search:
             raise WrongMode("interval/weight constraints need an ordinal universe")
         self.cs, self.universe, self.window = cs, universe, window
         self.max_size, self.scan_cap = max_size, scan_cap
-        self.grown = [c.form for tag in _GROWN_TAGS for c in grown if c.tag == tag]
-        self.padded = [c.form for tag in _PADDED_TAGS for c in padded if c.tag == tag]
+        # the forms in repair order, listed only when there are any
+        self.grown = grown and [c.form for t in _GROWN_TAGS for c in grown if c.tag == t]
+        self.padded = padded and [c.form for t in _PADDED_TAGS for c in padded if c.tag == t]
         # a pin outside the window leaves nothing to find
-        self.barred = window is not None and bool(self.pins) and \
-            not {p.code for p in self.pins} <= {v.code for v in window}
-        # pins and subset caps alone: nothing to repair (`run`)
-        self.decided = bool(self.pins) and not (grown or padded or ordinal_only)
+        self.barred = window is not None and not all(p in window for p in self.pins)
+        # pins and subset caps alone: nothing to grow, pad or close (`run`)
+        self.decided = not (grown or padded or ordinal_only)
         self._plain = _UNRUN
 
     @cached_property
@@ -1209,13 +1212,12 @@ class _Search:
             positions.setdefault(v, len(positions))
         return positions
 
-    def _pad_stream(self, states: _Tally, rng: random.Random | None,
+    def _pad_stream(self, placed: Container[SetValue], rng: random.Random | None,
                     ordinal: bool = False) -> Iterator[SetValue]:
-        """Pads, non-ordinal window states or HF sets outside the tally, in
+        """Pads, non-ordinal window states or HF sets not `placed`, in
         `_shuffled_stream` order; with `ordinal`, the ordinal window states
         instead.  Pads and HF sets are read off the universe's memos; the
         window's states are picked when the stream is made."""
-        placed = states.states
         if self.window is not None:
             take = _listed([v for v in self.window
                             if v.is_ordinal == ordinal and v not in placed])
@@ -1257,7 +1259,8 @@ class _Search:
         """Add up to `need` pad states outside every grown class; return
         how many were added."""
         got = 0
-        for cand in itertools.islice(self._pad_stream(states, rng, ordinal), self.scan_cap):
+        for cand in itertools.islice(self._pad_stream(states.states, rng, ordinal),
+                                     self.scan_cap):
             if self.avoids(cand):
                 continue
             states.add(cand)
@@ -1323,22 +1326,34 @@ class _Search:
         """The attempts of one `find_witness` call: each repairs (`_repair`,
         or starts from `settled` when that draws nothing), seeds one state
         if the empty set satisfies everything, and decorates what it
-        found.  With no rng a decided search returns the pins' Snapshot
-        if every pin is in the window, it is below max_size and lies in
-        every constraint by `constraint_membership`, else None.  Any
-        other search then makes one attempt, since a restart would repeat
-        it, and it reads a non-empty `settled` in place: seeding needs an
-        empty tally and decoration an rng, so nothing adds to it.  A
-        seeded attempt, or one from an empty tally, takes a copy."""
+        found.  With no rng a decided search has one candidate: the pins'
+        Snapshot, or with no pin the one-state Snapshot of the first state
+        of `_pad_stream` that lies in every constraint, the state an
+        attempt would seed.  It returns that candidate if every pin is in
+        the window, it lies in every constraint by `constraint_membership`
+        and it is below max_size, else None.  Any other search then makes
+        one attempt, since a restart would repeat it, and it reads a
+        non-empty `settled` in place: seeding needs an empty tally and
+        decoration an rng, so nothing adds to it.  A seeded attempt, or
+        one from an empty tally, takes a copy."""
         if self.barred:
             return None
         max_size, scan_cap = self.max_size, self.scan_cap
         if rng is None and self.decided:
-            # no attempt adds to the pins, so they are the one candidate
-            found = Snapshot(self.pins)
-            if (max_size is None or len(found) < max_size) and \
-                    all(constraint_membership(c, found, self.mode) for c in self.cs):
-                return found
+            # no attempt adds to the pins, so they are the one candidate;
+            # with none it is the state an attempt would seed, and under a
+            # cap of alpha <= 0, which the empty set breaks, it seeds none
+            if self.pins:
+                firsts = (self.pins,)
+            elif any(c.param < 1 for c in self.cs):
+                return None
+            else:
+                firsts = ((s,) for s in
+                          itertools.islice(self._pad_stream((), None), scan_cap))
+            for states in firsts:
+                found = Snapshot(states)
+                if all(constraint_membership(c, found, self.mode) for c in self.cs):
+                    return found if max_size is None or len(found) < max_size else None
             return None
         settled = self.settled
         for attempt in range(4):
@@ -1352,7 +1367,7 @@ class _Search:
             if not placed and states.satisfied():
                 # The empty set satisfies e.g. a lone ratio constraint, but the
                 # snapshot space holds nonempty snapshots only: seed one state.
-                for cand in itertools.islice(self._pad_stream(states, rng), scan_cap):
+                for cand in itertools.islice(self._pad_stream(placed, rng), scan_cap):
                     if states.admit(cand):
                         break
             if placed and states.satisfied() and \
@@ -1423,11 +1438,12 @@ def find_witness(
     the search's kept result (`plain`), found in one attempt whose repair
     loop ends at the first round that adds no state; a seeded call runs
     the search, drawing as a fresh one would.  A search with nothing to
-    repair, fineness pins (one at least) and subset_bound caps alone, is
-    answered with no rng from its pins: their Snapshot if each pin is in
-    the window, it is below `max_size` and `constraint_membership` puts
-    it in every constraint, else None.  Its tally and count sides are
-    built only on a seeded run.
+    repair, fineness pins and subset_bound caps alone, is answered with
+    no rng by `constraint_membership` from its pins, or with no pin from
+    its first fitting pad (the first state of its pad source that lies
+    alone in every cap): that Snapshot if each pin is in the window, it
+    lies in every constraint and it is below `max_size`, else None.  Its
+    tally and count sides are built only on a seeded run.
     Each attempt keeps its states in a `_Tally`; the Snapshot is built
     once, on return, and checked by `_verified`.  A search with no
     ratio, order, weight or min_size form makes its first draw after the

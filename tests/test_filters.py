@@ -1165,7 +1165,7 @@ def _tally_answer(search):
     tally = search._repair(None)
     placed = tally.states
     if not placed and tally.satisfied():
-        for cand in islice(search._pad_stream(tally, None), search.scan_cap):
+        for cand in islice(search._pad_stream(placed, None), search.scan_cap):
             if tally.admit(cand):
                 break
     if placed and tally.satisfied() and \
@@ -1183,13 +1183,50 @@ def test_pins_and_caps_are_decided_as_a_tally_decides_them(problem):
                              max_size, filters.SCAN_CAP)
     assert got == _tally_answer(search)
     pins = [c.x for c in cs if c.tag == filters.TAG_FINENESS]
-    assert search.decided == bool(pins)  # a pin-free list seeds a state
+    assert search.decided  # pin-free too: its answer is the state it seeds
     if pins:
         t = snapshot(*pins)
         fits = (window is None or all(p in window for p in pins)) and \
             (max_size is None or len(t) < max_size) and \
             all(constraint_membership(c, t, u.mode) for c in cs)
         assert got == (t if fits else None)
+
+
+_HF_FIRSTS = list(islice(HF.enumerate_universe(), 2))
+
+
+def _refused(self, *args):
+    raise AssertionError(f"called on a {type(self).__name__}")
+
+
+@pytest.mark.parametrize("cs, u, window, max_size, found", [
+    ((subset_bound([pad(0)], 1),), U, [nat(0), pad(0), nat(1), pad(1)], None,
+     snapshot(pad(1))),
+    ((subset_bound([nat(0)], 2),), U, [nat(0), nat(1), nat(2)], None, None),
+    ((subset_bound([pad(0)], 1), subset_bound([nat(0)], 3)), U, None, None,
+     snapshot(pad(1))),
+    ((subset_bound(_HF_FIRSTS[:1], 1),), HF, None, None, snapshot(_HF_FIRSTS[1])),
+    ((subset_bound([nat(0)], 0),), U, None, None, None),
+    ((subset_bound([nat(0)], 2),), U, None, 1, None),
+], ids=["window-pads", "window-ordinals", "ordinal-pads", "hf-states", "alpha-0",
+        "max-size-1"])
+def test_a_pin_free_cap_search_is_answered_with_no_tally(cs, u, window, max_size, found,
+                                                         fresh_caches, monkeypatch):
+    # The one candidate is the first pad source state that lies alone in
+    # every cap, the state a tally would seed.
+    monkeypatch.setattr(filters._Tally, "__init__", _refused)
+    monkeypatch.setattr(filters._Sides, "__init__", _refused)
+    got = find_witness(cs, u, window=window, max_size=max_size)
+    monkeypatch.undo()
+    search = filters._Search(cs, u, None if window is None else tuple(window),
+                             max_size, filters.SCAN_CAP)
+    assert got == found == _tally_answer(search)
+
+
+def test_a_pin_free_search_under_a_cap_of_alpha_0_reads_no_pad(fresh_caches, monkeypatch):
+    # such a cap holds on no snapshot, as on the empty one a tally reads
+    monkeypatch.setattr(filters._Search, "_pad_stream", _refused)
+    assert find_witness([subset_bound([pad(0)], 2), subset_bound([nat(0)], 0)], U) is None
 
 
 def test_a_seeded_repair_goes_on_after_a_round_that_adds_nothing(monkeypatch):
