@@ -1745,11 +1745,11 @@ def powerset_witness_extend(
     """
     bases: dict[ClassSpec, frozenset[SetValue]] = {}
     for cls in itertools.chain.from_iterable(positions):
-        base = cls.meta.get("power_base")
-        if base is None or "values" not in base.meta:
+        term = cls.term
+        if term[0] not in ("power", "finite_subsets") or term[1].term[0] != "values":
             raise WrongMode(
                 f"{cls.name} is not a power class over an extensional base")
-        bases[cls] = frozenset(base.meta["values"])
+        bases[cls] = frozenset(term[1].term[1])
     states = set(base_snapshot)
     lower: list[ClassSpec] = []  # the classes of the positions walked so far
 

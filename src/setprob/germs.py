@@ -400,15 +400,15 @@ def _identity_cond(g: Germ) -> tuple[ClassSpec, ClassSpec] | None:
 
 
 def _builtin(cls: ClassSpec) -> str | None:
-    """The ordinal builtin the class is, from the mark
-    `UniverseHandle.builtin_class` sets, never from its name."""
-    return cls.meta.get("builtin")
+    """The builtin the class is, from the term `UniverseHandle.builtin_class`
+    records, never from its name."""
+    return cls.term[2] if cls.term[0] == "builtin" else None
 
 
 def _under_on(cls: ClassSpec) -> bool:
     """The class is the builtin On or declared inside it; a value list
     holding a non-ordinal is not, whatever it declares."""
-    if "values" in cls.meta and not all(v.is_ordinal for v in cls.meta["values"]):
+    if cls.term[0] == "values" and not all(v.is_ordinal for v in cls.term[1]):
         return False
     return _builtin(cls) == "On" or "On" in cls.subset_tags
 

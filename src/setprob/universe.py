@@ -452,9 +452,26 @@ class ClassSpec:
     `subset_tags` lists names of classes this one is declared to be
     contained in.  A value-list class (`class_from_values`) ignores them
     for containment, which is decided exactly from its values.
+
+    `term` records how the class was built: a tuple whose first element
+    names the builder and whose rest holds the objects it was built from
+    (the name, tier and tags are not repeated):
+      ("builtin", handle, name)     V and the ORDINAL_BUILTINS
+      ("rank_level", handle, k)
+      ("residue", handle, modulus, residue, span)
+      ("values", values)            `class_from_values`, canonical
+      ("power", base), ("finite_subsets", base)
+      ("translate", base, shift)
+      ("image", rv, base)
+      ("opaque",)                   a class built by hand
+
+    A copy or deep copy of a class is the class itself.  A builtin or
+    rank level pickles through its handle, so it loads as that
+    universe's own class; any other class cannot be pickled, since one
+    rebuilt elsewhere would be another class.
     """
 
-    __slots__ = ("name", "membership", "_stream", "_memo", "tier", "subset_tags", "meta")
+    __slots__ = ("name", "membership", "_stream", "_memo", "tier", "subset_tags", "term")
 
     def __init__(
         self,
@@ -463,18 +480,33 @@ class ClassSpec:
         stream: Callable[[], Iterator[SetValue]],
         tier: CardinalityTier,
         subset_tags: Iterable[str] = (),
-        meta: dict | None = None,
+        term: tuple = ("opaque",),
     ):
         self.name = name
         self.membership = membership
         self._stream = stream
         self.tier = tier
         self.subset_tags = frozenset(subset_tags)
-        self.meta = meta or {}
+        self.term = term
         self._memo: Memo | None = None
 
     def __repr__(self):
         return f"ClassSpec({self.name}, {self.tier.describe()})"
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        builder = self.term[0]
+        if builder == "builtin":
+            return (self.term[1].builtin_class, (self.term[2],))
+        if builder == "rank_level":
+            return (self.term[1].rank_level_class, (self.term[2],))
+        raise TypeError(f"class {self.name} cannot be pickled: only builtins "
+                        "and rank levels load as the same class")
 
     @property
     def memo(self) -> Memo:
@@ -486,9 +518,8 @@ class ClassSpec:
             with _MAKING:
                 memo = self._memo
                 if memo is None:
-                    values = self.meta.get("values")
-                    memo = self._memo = Memo(_distinct(self._stream)) if values is None \
-                        else Memo(self._stream, values)
+                    memo = self._memo = Memo(self._stream, self.term[1]) \
+                        if self.term[0] == "values" else Memo(_distinct(self._stream))
         return memo
 
     def enumerate(self, exclusions: Iterable[SetValue] = ()) -> Iterator[SetValue]:
@@ -554,13 +585,13 @@ class ClassSpec:
         rely on those declarations.  A finite tier that `members` finds
         false leaves containment unknown.
         """
-        if "values" in self.meta:
-            return all(other.membership(v) for v in self.meta["values"])
+        if self.term[0] == "values":
+            return all(other.membership(v) for v in self.term[1])
         if self is other:
             return True
         if other.name in self.subset_tags:
             return True
-        if other.meta.get("is_universe"):
+        if other.term[0] == "builtin" and other.term[2] == "V":
             return True
         if self.tier.is_finite:
             try:
@@ -586,7 +617,7 @@ def class_from_values(
         lambda: iter(vals),
         spec_tier,
         subset_tags,
-        meta={"values": vals},
+        term=("values", vals),
     )
 
 
@@ -636,7 +667,7 @@ def power_class(base: ClassSpec, name: str | None = None) -> ClassSpec:
         member,
         stream,
         base.tier.successor(),
-        meta={"power_base": base},
+        term=("power", base),
     )
 
 
@@ -652,7 +683,7 @@ def finite_subsets_class(base: ClassSpec, name: str | None = None) -> ClassSpec:
     inner = power_class(base, name=cname)
     tier = base.tier if base.tier.is_infinite else base.tier.successor()
     return ClassSpec(cname, inner.membership, inner._stream, tier,
-                     meta={"power_base": base})
+                     term=("finite_subsets", base))
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +696,9 @@ class RandomVariable:
     Diagonal variables are bijections with preimages produced on demand;
     they are the ones whose events enjoy exact pointwise uniformity.
     As for ClassSpec, a variable is its object and the name only labels
-    it.
+    it: a copy or deep copy is the variable itself, the shared
+    `identity_rv` and `even_shift_permutation` pickle through those
+    accessors, and any other variable cannot be pickled.
     """
 
     __slots__ = ("name", "kind", "diagonal", "_apply", "_preimage")
@@ -686,6 +719,19 @@ class RandomVariable:
 
     def __repr__(self):
         return f"RandomVariable({self.name})"
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
+    def __reduce__(self):
+        for shared in (identity_rv, even_shift_permutation):
+            if shared() is self:
+                return (shared, ())
+        raise TypeError(f"variable {self.name} cannot be pickled: only identity "
+                        "and even-shift load as the same variable")
 
     def __call__(self, x: SetValue) -> SetValue:
         return self._apply(x)
@@ -793,6 +839,7 @@ def image_class(
         lambda: (rv(x) for x in base.enumerate()),
         base.tier,
         subset_tags,
+        term=("image", rv, base),
     )
 
 
@@ -849,6 +896,7 @@ def translate_class(
         lambda: (ordinal_add(g, alpha) for g in base.enumerate() if g.is_ordinal),
         base.tier,
         subset_tags,
+        term=("translate", base, alpha),
     )
 
 
@@ -1002,7 +1050,7 @@ class UniverseHandle:
             lambda x: True,
             self.enumerate_universe,
             CardinalityTier.proper(),
-            meta={"is_universe": True},
+            term=("builtin", self, "V"),
         ))
 
     def _ordinal_stream(self, keep: Callable[[int, int], bool],
@@ -1051,12 +1099,14 @@ class UniverseHandle:
                     yield ord_value(a, b)
                 b += modulus
 
-        return ClassSpec(name, member, stream, tier, subset_tags)
+        return ClassSpec(name, member, stream, tier, subset_tags,
+                         term=("residue", self, modulus, r, span))
 
     def builtin_class(self, name: str, **kw) -> ClassSpec:
         """Builtins: V, RankLevel(k) (k given as kw) and the
-        ORDINAL_BUILTINS, each one object per handle, an ordinal builtin
-        marked with its name in `meta["builtin"]` for the forcing rules."""
+        ORDINAL_BUILTINS, each one object per handle; V and an ordinal
+        builtin carry the term ("builtin", handle, name) the forcing
+        rules read."""
         if name == "V":
             return self.universe_class()
         if name == "RankLevel":
@@ -1072,7 +1122,7 @@ class UniverseHandle:
             self._ordinal_stream(keep, b_max),
             CardinalityTier.infinite(0),
             subset_tags=supersets,
-            meta={"builtin": name},
+            term=("builtin", self, name),
         ))
 
     def rank_level_class(self, k: int) -> ClassSpec:
@@ -1087,6 +1137,7 @@ class UniverseHandle:
             lambda: self.level_members(k),
             CardinalityTier.finite(count),
             subset_tags={"V"},
+            term=("rank_level", self, k),
         ))
 
 

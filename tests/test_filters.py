@@ -663,24 +663,39 @@ def test_copies_and_pickles_of_a_constraint_are_rebuilt_from_its_fields():
     twin = copy.copy(r)
     assert twin is not r and twin == r and hash(twin) == hash(r)
     assert twin.cls_a is r.cls_a and twin.cls_b is r.cls_b
+    # a class deep-copies as itself and a builtin pickles through its handle,
+    # make_universe's shared one, so deep copies and pickles are equal too
+    u = make_universe(ORDINAL_MODE, 3)
+    even, on = u.builtin_class("Even"), u.builtin_class("On")
+    for c in (ratio(even, on, 2), parametric_ratio(even, on)):
+        for twin in (copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert twin == c and hash(twin) == hash(c)
+            assert twin.cls_a is even and twin.cls_b is on
 
 
 def test_pickles_load_equal_under_another_hash_seed():
     # hashes of strings differ between processes; a loaded state or
     # constraint takes the loading process's hash, so sets find it
-    dump = (
-        "import pickle\n"
-        "from setprob import fineness, interval, nat, snapshot\n"
-        "x = nat(1)\n"
-        "print(pickle.dumps((x, snapshot(x, nat(2)), fineness(x), interval(2))).hex())\n")
-    load = (
+    # a builtin class loads as the loading process's own builtin, so a
+    # constraint or germ over builtins equals the one built there
+    head = (
         "import pickle, sys\n"
-        "from setprob import fineness, interval, nat, snapshot\n"
-        "x, t, f, i = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
+        "from setprob import (ORDINAL_MODE, conditional_germ, fineness, identity_rv,\n"
+        "                     interval, make_universe, nat, ratio, snapshot)\n"
+        "u, ident = make_universe(ORDINAL_MODE, 3), identity_rv()\n"
+        "r = ratio(u.builtin_class('Even'), u.builtin_class('On'), 2)\n"
+        "g = conditional_germ(ident, u.builtin_class('Lim'), ident, u.builtin_class('On'))\n")
+    dump = head + (
+        "x = nat(1)\n"
+        "print(pickle.dumps((x, snapshot(x, nat(2)), fineness(x), interval(2), r, g)).hex())\n")
+    load = head + (
+        "x, t, f, i, r2, g2 = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
         "assert x is nat(1) and x in {nat(1)}\n"
         "assert t == snapshot(nat(1), nat(2)) and t in {snapshot(nat(1), nat(2))}\n"
         "assert f is fineness(nat(1)) and f in {fineness(nat(1))}\n"
-        "assert i is interval(2) and i in {interval(2)}\n")
+        "assert i is interval(2) and i in {interval(2)}\n"
+        "assert r2 == r and r2 in {r} and r2.cls_a is r.cls_a\n"
+        "assert g2 == g and g2 in {g} and g2.cls is g.cls\n")
     src = str(Path(filters.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     dumped = subprocess.run([sys.executable, "-c", dump], env={**env, "PYTHONHASHSEED": "1"},
@@ -1875,8 +1890,8 @@ def test_isolated_states_close_as_plain_successor_closure(l, placed, guard, cand
 def test_power_lift_wraps_order_pairs():
     c = power_lift(order_lt(M4, E1))
     assert c.tag == "order_lt"
-    assert c.cls_a.meta.get("power_base") is M4
-    assert c.cls_b.meta.get("power_base") is E1
+    assert c.cls_a.term == ("power", M4)
+    assert c.cls_b.term == ("power", E1)
     assert power_lift(order_ge(M4, E1)).tag == "order_ge"
 
 

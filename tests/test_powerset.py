@@ -95,9 +95,9 @@ def test_stage_strictness_lift_invariant():
                                    [(A1, A2), (A2, A3), (A1, A4)],
                                    rng=random.Random(1))
     strict = [c for c in out.constraints
-              if c.tag == "order_lt" and "power_base" not in c.cls_a.meta]
+              if c.tag == "order_lt" and c.cls_a.term[0] != "power"]
     lifted_names = {c.cls_a.name for c in out.constraints
-                    if c.tag == "order_lt" and "power_base" in c.cls_a.meta}
+                    if c.tag == "order_lt" and c.cls_a.term[0] == "power"}
     for c in strict:
         assert f"P({c.cls_a.name})" in lifted_names
 
@@ -237,7 +237,7 @@ def test_extend_skips_a_candidate_it_cannot_take(taken):
     else:
         p0 = POWERS[0]
         lower = ClassSpec("Q", lambda x: x == first or p0.membership(x),
-                          lambda: iter(()), p0.tier, meta=p0.meta)
+                          lambda: iter(()), p0.tier, term=p0.term)
         base = snapshot()
     out = powerset_witness_extend(HF, base, [[lower], [POWERS[1]]], judgements)
     [added] = [s for s in out if s not in base]

@@ -96,7 +96,7 @@ def test_every_site_keeps_canonical_order(values, rnd):
                                            a._key >= b._key)
     tiers = TierConfig((2, 4))
     assert hf_set(xs).children == want
-    assert class_from_values("c", xs).meta["values"] == want
+    assert class_from_values("c", xs).term == ("values", want)
     assert Snapshot(xs).states == want
     assert subset_bound(xs, 2).window == want
     assert fineness_base(U, xs).window == want

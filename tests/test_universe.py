@@ -7,7 +7,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setprob import (
@@ -18,10 +18,12 @@ from setprob import (
     UniverseHandle,
     class_from_values,
     class_of_set,
+    conditional_germ,
     even_shift_permutation,
     find_witness,
     fineness,
     finite_subsets_class,
+    germ_of_event,
     hf_set,
     identity_rv,
     image_class,
@@ -38,7 +40,9 @@ from setprob import (
     translate_class,
 )
 from setprob import filters, universe
+from setprob.cli import registry_classes
 from setprob.errors import BoundTooSmall, EnumerationExhausted, WrongMode
+from setprob.scenario import build_context, builtin_classes
 from setprob.universe import _RANK_CACHE, KIND_ORD, PREFIX_MEMO_CAP, SetValue
 
 S1 = hf_set([EMPTY_SET])          # {{}}
@@ -358,6 +362,123 @@ def test_copies_of_a_handle_are_the_shared_handle():
     even = u.builtin_class("Even")
     for twin in (copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
         assert twin is u and twin.builtin_class("Even") is even
+
+
+# One document per mode with a class of every `_build_class` kind.
+_EVERY_KIND = {
+    ORDINAL_MODE: {
+        "universe": {"mode": ORDINAL_MODE, "bound": 3},
+        "variables": [{"name": "pi", "kind": "even_shift"},
+                      {"name": "sw", "kind": "table", "mapping": {"o0.0": "o0.1",
+                                                                  "o0.1": "o0.0"}}],
+        "classes": [
+            {"name": "W", "kind": "values", "values": ["o0.0", "o1.2", "p3"]},
+            {"name": "R", "kind": "residue", "modulus": 3, "residue": 1, "span": 1},
+            {"name": "T", "kind": "translate", "base": "R", "shift": "o0.2"},
+            {"name": "I", "kind": "image", "rv": "pi", "base": "Even"},
+            {"name": "J", "kind": "image", "rv": "sw", "base": "W"},
+            {"name": "P", "kind": "power", "base": "W"},
+            {"name": "F", "kind": "finite_subsets", "base": "Nat"},
+            {"name": "L", "kind": "builtin", "builtin": "Lim"}]},
+    HF_MODE: {
+        "universe": {"mode": HF_MODE, "bound": 4},
+        "classes": [
+            {"name": "W", "kind": "values", "values": ["{}", "{{}}"]},
+            {"name": "P", "kind": "power", "base": "W"},
+            {"name": "F", "kind": "finite_subsets", "base": "W"},
+            {"name": "K", "kind": "builtin", "builtin": "RankLevel", "level": 2}]},
+}
+
+
+@pytest.mark.parametrize("mode", [ORDINAL_MODE, HF_MODE])
+def test_every_built_class_records_its_term_and_copies_as_itself(mode):
+    ctx = build_context(_EVERY_KIND[mode])
+    u = ctx.universe
+    classes = [*builtin_classes(u).values(), *registry_classes(u).values(),
+               *ctx.classes.values()]
+    builders = {c.term[0] for c in classes}
+    assert builders == ({"builtin", "values", "residue", "translate", "image", "power",
+                         "finite_subsets"} if mode == ORDINAL_MODE else
+                        {"builtin", "rank_level", "values", "power", "finite_subsets"})
+    for c in classes:
+        assert copy.copy(c) is c and copy.deepcopy(c) is c
+        if c.term[0] in ("builtin", "rank_level"):
+            assert c.term[1] is u and pickle.loads(pickle.dumps(c)) is c
+        else:
+            with pytest.raises(TypeError, match=f"class {c.name} "):
+                pickle.dumps(c)
+    # a class built by hand says nothing of how
+    assert universe.ClassSpec("X", lambda v: True, lambda: iter(()),
+                              CardinalityTier.proper()).term == ("opaque",)
+
+
+def test_variables_copy_as_themselves_and_shared_ones_pickle(ord_universe):
+    pi, ident = even_shift_permutation(), identity_rv()
+    sw = table_rv({nat(0): nat(1), nat(1): nat(0)}, "sw")
+    even, on = ord_universe.builtin_class("Even"), ord_universe.builtin_class("On")
+    for rv in (pi, ident, sw):
+        assert copy.copy(rv) is rv and copy.deepcopy(rv) is rv
+    for rv in (pi, ident):
+        assert pickle.loads(pickle.dumps(rv)) is rv
+    with pytest.raises(TypeError, match="variable sw "):
+        pickle.dumps(sw)
+    # germs over shared variables and builtins pickle equal; any germ
+    # deep-copies equal, over the same objects
+    over_pi = conditional_germ(pi, even, ident, on)
+    assert pickle.loads(pickle.dumps(over_pi)) == over_pi
+    image = image_class(pi, even, name="pi_Even")
+    for g in (over_pi, germ_of_event(sw, even), germ_of_event(ident, image)):
+        assert copy.deepcopy(g) == g
+
+
+def _predicted(cls, states: list) -> set:
+    """The states the class's term alone says are members: a builtin's
+    ORDINAL_BUILTINS predicate, a residue's (modulus, residue, span), a
+    value list's values, and the finite shift of its base's prediction
+    for a translate (the preimage of a state lies earlier in the walk)."""
+    builder, *args = cls.term
+    if builder == "builtin":
+        _, name = args
+        if name == "V":
+            return set(states)
+        keep = universe.ORDINAL_BUILTINS[name][0]
+        return {v for v in states if v.is_ordinal and keep(*v.ord_parts)}
+    if builder == "residue":
+        _, modulus, residue, span = args
+        return {v for v in states if v.is_ordinal and v.ord_parts[0] <= span
+                and v.ord_parts[1] % modulus == residue}
+    if builder == "values":
+        return set(args[0]) & set(states)
+    assert builder == "translate" and args[1].ord_parts[0] == 0, cls.term
+    base, shift = args
+    shifted = {ordinal_add(g, shift) for g in _predicted(base, states) if g.is_ordinal}
+    return shifted & set(states)
+
+
+_RECIPES = st.one_of(
+    st.tuples(st.just("builtin"), st.sampled_from(["V", *universe.ORDINAL_BUILTINS])),
+    st.tuples(st.just("residue"), st.integers(1, 6), st.integers(-3, 8),
+              st.integers(0, 4)),
+    st.tuples(st.just("values"), st.lists(st.integers(0, 299), max_size=6)))
+
+
+@given(st.integers(1, 3), _RECIPES, st.lists(st.integers(0, 4), max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_no_term_lies_about_membership(bound, recipe, shifts):
+    # the forcing rules may trust a term only if it predicts membership
+    u = make_universe(ORDINAL_MODE, bound)
+    states = list(itertools.islice(u.enumerate_universe(), 300))
+    if recipe[0] == "builtin":
+        cls = u.builtin_class(recipe[1])
+    elif recipe[0] == "residue":
+        cls = u.residue_class("R", *recipe[1:], CardinalityTier.infinite(0))
+    else:
+        cls = class_from_values("W", [states[i] for i in recipe[1]])
+    for s in shifts:
+        cls = translate_class(cls, nat(s))
+    reg = registry_classes(u)
+    for c in (cls, *(reg[n] for n in ("mult4_t0", "even_t1", "ord_t2", "Nat_shift1"))):
+        assert {v for v in states if c.membership(v)} == _predicted(c, states), c.term
 
 
 def test_memo_stops_at_its_cap():
